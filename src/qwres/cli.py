@@ -3,8 +3,7 @@
 Every subcommand reads a JSON config describing the coin sequence (and
 optionally an initial state), computes with the library, and writes one
 deterministic text blob: JSON for structured results, CSV for series.
-Identical inputs give byte-identical outputs; grids may be evaluated in
-parallel (capped by QWRES_THREADS) but emission order is always sorted.
+Identical inputs give byte-identical outputs.
 
 Config schema:
 
@@ -20,9 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -57,23 +54,6 @@ def _f(x: float) -> str:
 
 def _pair(z: complex) -> str:
     return f"[{_f(z.real)}, {_f(z.imag)}]"
-
-
-def _parallel_map(fn, items):
-    items = list(items)
-    cap = os.environ.get("QWRES_THREADS")
-    if cap is None:
-        workers = min(8, os.cpu_count() or 1, max(1, len(items)))
-    else:
-        try:
-            workers = int(cap)
-        except ValueError:
-            raise ConfigParse(f"QWRES_THREADS must be an integer, got {cap!r}") from None
-        workers = max(1, min(workers, len(items) or 1))
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------- config
@@ -183,13 +163,13 @@ def _cmd_polynomial(args):
 
 def _cmd_scattering(args):
     cs, _ = _load_config(args.config)
-    mats = _parallel_map(lambda xi: scattering_matrix(cs, xi), args.xi_grid)
+    sm = scattering_matrix(cs, np.array(args.xi_grid))
+    columns = zip(
+        args.xi_grid, np.abs(sm.t_minus) ** 2, np.abs(sm.r_minus) ** 2, sm.unitarity_residual()
+    )
     lines = ["xi_re,xi_im,t_minus_abs2,r_minus_abs2,unitarity_residual"]
-    for xi, sm in zip(args.xi_grid, mats):
-        lines.append(
-            f"{_f(xi.real)},{_f(xi.imag)},{_f(abs(sm.t_minus) ** 2)},"
-            f"{_f(abs(sm.r_minus) ** 2)},{_f(sm.unitarity_residual())}"
-        )
+    for xi, t2, r2, resid in columns:
+        lines.append(f"{_f(xi.real)},{_f(xi.imag)},{_f(t2)},{_f(r2)},{_f(resid)}")
     return "\n".join(lines) + "\n"
 
 
@@ -257,9 +237,9 @@ def _cmd_resolvent_check(args):
     cs, psi0 = _load_config(args.config)
     f = _default_psi0(psi0)
     window = (-args.window, cs.n0 + args.window)
-    rows = _parallel_map(lambda xi: identity_residual(cs, xi, f, window), args.xi_grid)
+    resids, conds = identity_residual(cs, np.array(args.xi_grid), f, window)
     lines = ["xi_re,xi_im,residual,condition"]
-    for xi, (resid, cond) in zip(args.xi_grid, rows):
+    for xi, resid, cond in zip(args.xi_grid, resids, conds):
         lines.append(f"{_f(xi.real)},{_f(xi.imag)},{_f(resid)},{_f(cond)}")
     return "\n".join(lines) + "\n"
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .coins import CoinSequence
 from .errors import AtResonance, InvariantViolation
-from .states import WaveState, window_vector, zero_state
+from .states import WaveState, zero_state
 from .walk import build_K, step
 
 __all__ = ["apply_resolvent", "identity_residual", "neumann_resolvent"]
@@ -34,65 +34,91 @@ def _sup(psi: WaveState) -> float:
     return float(np.max(np.abs(psi.amplitudes)))
 
 
-def _assemble(cs: CoinSequence, xi: complex, f: WaveState, lo: int, hi: int):
-    """Resolvent values on [lo, hi] and the condition number of the solve."""
+def _resolve(cs: CoinSequence, xi: np.ndarray, f: WaveState, lo: int, hi: int):
+    """Resolvent on [lo - 1, hi + 1] for each xi of a 1-D array.
+
+    Returns (amplitudes of shape (len(xi), hi - lo + 3, 2), relative
+    residual of the defining identity on [lo, hi], condition number of
+    the window solve), one residual and condition number per point.  K,
+    its eigenvalues and the forcing are formed once per call; only the
+    condition number and the window solve run point by point.
+    """
+    if hi < lo:
+        raise ValueError(f"empty window [{lo}, {hi}]")
     n0 = cs.n0
-    lam = cmath.exp(-1j * xi)
-    e = cmath.exp(1j * xi)
+    lam = np.exp(-1j * xi)
+    e = np.exp(1j * xi)
     kmat = build_K(cs).entries
     dim = 2 * (n0 + 1)
     evals = np.linalg.eigvals(kmat)
-    if np.min(np.abs(evals - lam)) <= 1e-10:
-        raise AtResonance(f"e^(-i xi) = {lam} is within 1e-10 of an eigenvalue of K")
-    system = lam * np.eye(dim) - kmat
-    cond = float(np.linalg.cond(system))
-    if cond > 1e12:
-        raise AtResonance(f"window system at xi = {xi} has condition number {cond:.2e}")
+    dist = np.min(np.abs(lam[:, None] - evals[None, :]), axis=1)
 
-    ftilde = window_vector(f, n0)
-    # the two rows of K that drop outside input pick it up from the forcing:
-    # the incoming chirality just left of 0 and just right of n0, summed
-    # with one phase per step of travel
+    # every site the answer, the source or the two junctions touch;
+    # row i of fa and of amps is site s_lo + i, row z is site 0
+    s_lo = min(lo - 1, f.support_lo, -1)
+    s_hi = max(hi + 1, f.support_hi, n0 + 1)
+    z = -s_lo
+    fa = np.zeros((s_hi - s_lo + 1, 2), dtype=complex)
+    if not f.is_zero():
+        fa[f.support_lo - s_lo : f.support_hi - s_lo + 1] = f.amplitudes
+    amps = np.zeros((len(xi), len(fa), 2), dtype=complex)
+
+    # outside [0, n0] the walk is a pure shift, so each chirality obeys
+    # w(n) = e^{i xi} (w(n -+ 1) + f(n)) along its direction of travel;
+    # the incoming ones (R on the left, L on the right) start at zero far out
     acc = 0j
-    for k in range(1, max(1, 1 - f.support_lo) + 1):
-        acc += e**k * f.amplitude(-k)[1]
-    ftilde[1] += acc
+    for i in range(z):
+        acc = e * (acc + fa[i, 1])
+        amps[:, i, 1] = acc
     acc = 0j
-    for k in range(1, max(1, f.support_hi - n0) + 1):
-        acc += e**k * f.amplitude(n0 + k)[0]
-    ftilde[2 * n0] += acc
+    for i in range(len(fa) - 1, z + n0, -1):
+        acc = e * (acc + fa[i, 0])
+        amps[:, i, 0] = acc
 
-    v = np.linalg.solve(system, ftilde)
-    u0 = cs.coin_at(0)
-    un = cs.coin_at(n0)
-    out_left = u0.a * v[0] + u0.b * v[1]
-    out_right = un.c * v[2 * n0] + un.d * v[2 * n0 + 1]
+    # the two rows of K that drop outside input pick it up from the
+    # incoming amplitudes just left of 0 and just right of n0
+    rhs = np.tile(fa[z : z + n0 + 1].reshape(-1), (len(xi), 1))
+    rhs[:, 1] += amps[:, z - 1, 1]
+    rhs[:, 2 * n0] += amps[:, z + n0 + 1, 0]
+    v = np.empty((len(xi), dim), dtype=complex)
+    cond = np.empty(len(xi))
+    eye = np.eye(dim)
+    for k in range(len(xi)):
+        if dist[k] <= 1e-10:
+            raise AtResonance(
+                f"e^(-i xi) = {complex(lam[k])} is within 1e-10 of an eigenvalue of K"
+            )
+        system = lam[k] * eye - kmat
+        cond[k] = np.linalg.cond(system)
+        if cond[k] > 1e12:
+            raise AtResonance(
+                f"window system at xi = {complex(xi[k])} has condition number {cond[k]:.2e}"
+            )
+        v[k] = np.linalg.solve(system, rhs[k])
+    amps[:, z : z + n0 + 1] = v.reshape(len(xi), n0 + 1, 2)
 
-    amps = np.zeros((hi - lo + 1, 2), dtype=complex)
-    for n in range(lo, hi + 1):
-        row = n - lo
-        if 0 <= n <= n0:
-            amps[row, 0] = v[2 * n]
-            amps[row, 1] = v[2 * n + 1]
-        elif n < 0:
-            val = e ** (-n) * out_left
-            for k in range(0, -n):
-                val += e ** (k + 1) * f.amplitude(n + k)[0]
-            amps[row, 0] = val
-            val = 0j
-            for k in range(0, n - f.support_lo + 1):
-                val += e ** (k + 1) * f.amplitude(n - k)[1]
-            amps[row, 1] = val
-        else:
-            val = e ** (n - n0) * out_right
-            for k in range(0, n - n0):
-                val += e ** (k + 1) * f.amplitude(n - k)[1]
-            amps[row, 1] = val
-            val = 0j
-            for k in range(0, f.support_hi - n + 1):
-                val += e ** (k + 1) * f.amplitude(n + k)[0]
-            amps[row, 0] = val
-    return WaveState(lo, amps), cond
+    # the outgoing chiralities leave the window through the junction coins
+    u0, un = cs.coin_at(0), cs.coin_at(n0)
+    acc = u0.a * v[:, 0] + u0.b * v[:, 1]
+    for i in range(z - 1, -1, -1):
+        acc = e * (acc + fa[i, 0])
+        amps[:, i, 0] = acc
+    acc = un.c * v[:, 2 * n0] + un.d * v[:, 2 * n0 + 1]
+    for i in range(z + n0 + 1, len(fa)):
+        acc = e * (acc + fa[i, 1])
+        amps[:, i, 1] = acc
+
+    # (e^{-i xi} - U) w = f on [lo, hi], with U w(n) = (P_{n+1} w(n+1), Q_{n-1} w(n-1))
+    wide = amps[:, lo - 1 - s_lo : hi + 2 - s_lo]
+    sites = np.arange(lo, hi + 1)
+    a, b, _, _ = cs.entry_arrays(sites + 1)
+    _, _, c, d = cs.entry_arrays(sites - 1)
+    up, down = wide[:, 2:], wide[:, :-2]
+    check = lam[:, None, None] * wide[:, 1:-1] - fa[lo - s_lo : hi + 1 - s_lo]
+    check[..., 0] -= a * up[..., 0] + b * up[..., 1]
+    check[..., 1] -= c * down[..., 0] + d * down[..., 1]
+    scale = np.maximum(np.max(np.abs(wide), axis=(1, 2)), max(_sup(f), 1e-300))
+    return wide, np.max(np.abs(check), axis=(1, 2)) / scale, cond
 
 
 def apply_resolvent(cs: CoinSequence, xi: complex, f: WaveState, window) -> WaveState:
@@ -104,33 +130,23 @@ def apply_resolvent(cs: CoinSequence, xi: complex, f: WaveState, window) -> Wave
     returning, at relative 1e-10 in the sup norm.
     """
     lo, hi = int(window[0]), int(window[1])
-    if hi < lo:
-        raise ValueError(f"empty window [{lo}, {hi}]")
-    wide, _ = _assemble(cs, xi, f, lo - 1, hi + 1)
-    lam = cmath.exp(-1j * xi)
-    check = (lam * wide - step(wide, cs) - f).restrict(lo, hi)
-    scale = max(_sup(f), _sup(wide), 1e-300)
-    if _sup(check) > 1e-10 * scale:
-        raise InvariantViolation(
-            f"resolvent identity fails by {_sup(check) / scale:.2e} at xi = {xi}"
-        )
-    return wide.restrict(lo, hi)
+    wide, resid, _ = _resolve(cs, np.array([complex(xi)]), f, lo, hi)
+    if resid[0] > 1e-10:
+        raise InvariantViolation(f"resolvent identity fails by {resid[0]:.2e} at xi = {xi}")
+    return WaveState(lo, wide[0, 1:-1])
 
 
-def identity_residual(cs: CoinSequence, xi: complex, f: WaveState, window):
+def identity_residual(cs: CoinSequence, xi, f: WaveState, window):
     """(relative residual of the defining identity, condition number).
 
     Same computation as apply_resolvent, but reporting the numbers instead
-    of enforcing them, for diagnostics and tabulation.
+    of enforcing them, for diagnostics and tabulation.  xi is a scalar or
+    an array; an array gives two arrays of its shape, and AtResonance
+    names the first grid point where the window system is singular.
     """
-    lo, hi = int(window[0]), int(window[1])
-    if hi < lo:
-        raise ValueError(f"empty window [{lo}, {hi}]")
-    wide, cond = _assemble(cs, xi, f, lo - 1, hi + 1)
-    lam = cmath.exp(-1j * xi)
-    check = (lam * wide - step(wide, cs) - f).restrict(lo, hi)
-    scale = max(_sup(f), _sup(wide), 1e-300)
-    return _sup(check) / scale, cond
+    xi = np.asarray(xi, dtype=complex)
+    _, resid, cond = _resolve(cs, xi.reshape(-1), f, int(window[0]), int(window[1]))
+    return resid.reshape(xi.shape)[()], cond.reshape(xi.shape)[()]
 
 
 def neumann_resolvent(cs: CoinSequence, xi: complex, f: WaveState, window, kmax: int = 200) -> WaveState:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .coins import CoinSequence
 from .errors import AtResonance
-from .transfer import local_transfer, local_transfer_inverse
+from .transfer import _transfer_entries, local_transfer, local_transfer_inverse
 
 __all__ = [
     "JostSolution",
@@ -127,7 +127,11 @@ def wronskian(s1: JostSolution, s2: JostSolution, n: int) -> complex:
 
 @dataclass(frozen=True)
 class ScatteringMatrix:
-    """Transmission and reflection coefficients at one spectral parameter."""
+    """Transmission and reflection coefficients at one spectral parameter.
+
+    For an array of spectral parameters every field is an array of the
+    same shape, and matrix and unitarity_residual work point by point.
+    """
 
     xi: complex
     t_minus: complex
@@ -137,57 +141,79 @@ class ScatteringMatrix:
 
     @property
     def matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.t_minus, self.r_minus], [self.r_plus, self.t_plus]], dtype=complex
-        )
+        """[[t-, r-], [r+, t+]], with shape xi.shape + (2, 2)."""
+        rows = [[self.t_minus, self.r_minus], [self.r_plus, self.t_plus]]
+        return np.stack([np.stack(row, -1) for row in rows], -2)
 
-    def unitarity_residual(self) -> float:
+    def unitarity_residual(self):
+        """max |S* S - I| entrywise, a float or an array over xi."""
         s = self.matrix
-        return float(np.max(np.abs(s.conj().T @ s - np.eye(2))))
+        gram = np.swapaxes(s.conj(), -1, -2) @ s - np.eye(2)
+        return np.max(np.abs(gram), axis=(-2, -1))[()]
 
 
-def scattering_matrix(cs: CoinSequence, xi: complex) -> ScatteringMatrix:
+def scattering_matrix(cs: CoinSequence, xi) -> ScatteringMatrix:
     """Scattering coefficients from Wronskian ratios at n = -1.
+
+    xi is a scalar or an array; an array gives a ScatteringMatrix of
+    arrays.  The minus kinds are seeded at n = -1, out- = (e^{i xi}, 0) and
+    in- = (0, 1), so only out+ and in+ are propagated: they are the
+    seed-scaled columns 2 and 1 of the transfer product.  The two
+    transmission numerators have closed forms, W(out-, in-) = e^{i xi} and
+    W(in+, out+) = e^{i xi} prod_n a_n / d_n (det T_n = a_n / d_n), which
+    keeps |t-| = |t+| exact on the real axis where propagated Wronskians
+    would cancel.
 
     The denominator W(out-, out+) vanishes at resonances while the four
     numerator Wronskians keep their generic scale, so the pole test is
-    relative: AtResonance fires when the denominator drops below 1e-13
-    times the largest numerator magnitude, compared in log space because
-    the magnitudes span hundreds of orders for complex xi.  The same test
-    trips deep in the upper half plane, where the continuation genuinely
-    outgrows any fixed scale and the coefficients stop being resolvable;
-    deep in the lower half plane the denominator dominates instead and
-    evaluation stays exact.
+    relative: AtResonance fires, naming the first such grid point, when
+    the denominator drops below 1e-13 times the largest numerator
+    magnitude, compared in log space because the magnitudes span hundreds
+    of orders for complex xi.  The same test trips deep in the upper half
+    plane, where the continuation genuinely outgrows any fixed scale and
+    the coefficients stop being resolvable; deep in the lower half plane
+    the denominator dominates instead and evaluation stays exact.
     """
-    xi = complex(xi)
-    sols = {kind: jost(cs, xi, kind) for kind in JOST_KINDS}
-    pairs = {
-        "den": (sols["out-"], sols["out+"]),
-        "t-": (sols["in+"], sols["out+"]),
-        "r-": (sols["in-"], sols["out+"]),
-        "r+": (sols["out-"], sols["in+"]),
-        "t+": (sols["out-"], sols["in-"]),
+    xi = np.asarray(xi, dtype=complex)
+    n0 = cs.n0
+    (_, t12, t21, t22), (log1, log2) = _transfer_entries(cs, xi, rescale=True)
+    det = complex(np.prod([u.a / u.d for u in cs.coins]))
+    g = -xi.imag  # log |e^{i xi}|
+
+    def cis(k):
+        return np.exp(1j * k * xi.real)
+
+    # Wronskian = unit-scale value * e^{log}; out+ = e^{i (n0+1) xi} col 2,
+    # in+ = e^{-i n0 xi} col 1
+    w = {
+        "den": (cis(n0 + 2) * t22, (n0 + 2) * g + log2),
+        "t-": (cis(1) * det, g),
+        "r-": (-cis(n0 + 1) * t12, (n0 + 1) * g + log2),
+        "r+": (cis(1 - n0) * t21, (1 - n0) * g + log1),
+        "t+": (cis(1), g),
     }
-    w = {name: _wronskian_scaled(s1, s2, -1) for name, (s1, s2) in pairs.items()}
 
     def log_abs(name):
         val, log = w[name]
-        return log + math.log(abs(val)) if val != 0 else -math.inf
+        with np.errstate(divide="ignore"):
+            return log + np.log(np.abs(val))
 
-    num_scale = max(log_abs(name) for name in ("t-", "r-", "r+", "t+"))
-    if log_abs("den") < math.log(1e-13) + num_scale:
+    num_scale = np.max([log_abs(name) for name in ("t-", "r-", "r+", "t+")], axis=0)
+    bad = log_abs("den") < math.log(1e-13) + num_scale
+    if np.any(bad):
+        first = complex(xi.flat[np.argmax(bad)])
         raise AtResonance(
-            f"denominator Wronskian at xi={xi} is below 1e-13 of the "
+            f"denominator Wronskian at xi={first} is below 1e-13 of the "
             "numerator Wronskian scale"
         )
     den, log_den = w["den"]
 
     def ratio(name):
         val, log = w[name]
-        return val / den * cmath.exp(log - log_den)
+        return (val / den * np.exp(log - log_den))[()]
 
     return ScatteringMatrix(
-        xi,
+        xi[()],
         t_minus=ratio("t-"),
         t_plus=ratio("t+"),
         r_minus=ratio("r-"),

@@ -56,12 +56,43 @@ def local_transfer_inverse(c: Coin, xi) -> np.ndarray:
     return t
 
 
+def _transfer_entries(cs: CoinSequence, xi, rescale: bool = False):
+    """Entries of T_0 T_1 ... T_{n0} over an xi array, one array per entry.
+
+    Returns ((t11, t12, t21, t22), (log1, log2)).  The product is built
+    from the right, T_n (T_{n+1} ... T_{n0}), so column j is the transfer
+    propagation of the unit pair e_j seeded at n0 and never mixes with the
+    other column.  With rescale set, each column is divided by its largest
+    entry magnitude after every site and the natural log of that scale is
+    accumulated per point: the true product is column j times e^{log j}.
+    Without it the logs are 0 and the entries are the product itself.
+    """
+    xi = np.asarray(xi, dtype=complex)
+    e_plus = np.exp(1j * xi)
+    e_minus = np.exp(-1j * xi)
+    one, zero = np.ones(xi.shape, dtype=complex), np.zeros(xi.shape, dtype=complex)
+    t11, t12, t21, t22 = one, zero, zero, one
+    log1 = log2 = np.zeros(xi.shape)
+    for n in range(cs.n0, -1, -1):
+        u = cs.coin_at(n)
+        p = e_plus / np.conj(u.a)
+        q = -np.conj(u.c) / np.conj(u.a)
+        r = -u.c / u.d
+        s = e_minus / u.d
+        t11, t21 = p * t11 + q * t21, r * t11 + s * t21
+        t12, t22 = p * t12 + q * t22, r * t12 + s * t22
+        if rescale:
+            m1 = np.maximum(np.abs(t11), np.abs(t21))
+            m2 = np.maximum(np.abs(t12), np.abs(t22))
+            t11, t21, log1 = t11 / m1, t21 / m1, log1 + np.log(m1)
+            t12, t22, log2 = t12 / m2, t22 / m2, log2 + np.log(m2)
+    return (t11, t12, t21, t22), (log1, log2)
+
+
 def transfer_product(cs: CoinSequence, xi) -> np.ndarray:
     """Ordered product T_0 T_1 ... T_{n0} at xi (batched over array xi)."""
-    out = local_transfer(cs.coin_at(0), xi)
-    for n in range(1, cs.n0 + 1):
-        out = out @ local_transfer(cs.coin_at(n), xi)
-    return out
+    (t11, t12, t21, t22), _ = _transfer_entries(cs, xi)
+    return np.stack([np.stack([t11, t12], -1), np.stack([t21, t22], -1)], -2)
 
 
 @dataclass(frozen=True)

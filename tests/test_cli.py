@@ -192,17 +192,14 @@ def test_byte_identical_reruns(capsys, triple_cfg):
     _, s1, _ = run(capsys, "split", "--config", triple_cfg)
     _, s2, _ = run(capsys, "split", "--config", triple_cfg)
     assert s1 == s2
-
-
-def test_threads_env_does_not_change_bytes(capsys, monkeypatch, hadamard_cfg):
-    _, serial, _ = run(
-        capsys, "scattering", "--config", hadamard_cfg, "--xi-grid=-2.0:2.0:13,0.5"
-    )
-    monkeypatch.setenv("QWRES_THREADS", "3")
-    _, threaded, _ = run(
-        capsys, "scattering", "--config", hadamard_cfg, "--xi-grid=-2.0:2.0:13,0.5"
-    )
-    assert serial == threaded
+    for argv in (
+        ("scattering", "--xi-grid=-2.0:2.0:13,0.5"),
+        ("scattering", "--xi-grid=-3.0:3.0:41,-0.2"),
+        ("resolvent-check", "--xi-grid=-3.0:3.0:17,0.5", "--window", "4"),
+    ):
+        _, g1, _ = run(capsys, *argv, "--config", triple_cfg)
+        _, g2, _ = run(capsys, *argv, "--config", triple_cfg)
+        assert g1 == g2 and g1.count("\n") > 10
 
 
 def test_missing_config_file_exits_3(capsys):
@@ -259,6 +256,20 @@ def test_scattering_at_resonance_exits_30(capsys, hadamard_cfg):
     assert "AtResonance" in err
 
 
+def test_scattering_grid_through_resonance_writes_no_rows(tmp_path, capsys, hadamard_cfg):
+    # the middle point of -1:1:3 on Im xi = -ln(2)/2 is the resonance
+    # xi = -i ln(2)/2; the whole grid refuses, naming that point
+    grid = "--xi-grid=-1:1:3,-0.34657359027997264"
+    code, out, err = run(capsys, "scattering", "--config", hadamard_cfg, grid)
+    assert code == 30 and out == ""
+    assert "AtResonance" in err and "xi=-0.34657359027997264j" in err
+    out_path = tmp_path / "grid.csv"
+    code, out, _ = run(
+        capsys, "scattering", "--config", hadamard_cfg, grid, "--out", str(out_path)
+    )
+    assert code == 30 and out == "" and not out_path.exists()
+
+
 def test_no_window_resonances_empty(tmp_path, capsys):
     cfg = tmp_path / "free.json"
     cfg.write_text(json.dumps({"n0": 0, "coins": [{"rotation": 0.0}]}))
@@ -272,11 +283,3 @@ def test_bad_grid_spec_exits_2(capsys, hadamard_cfg):
         main(["scattering", "--config", hadamard_cfg, "--xi-grid", "nonsense"])
     assert exc.value.code == 2
     capsys.readouterr()
-
-
-def test_bad_threads_env_exits_3(capsys, monkeypatch, hadamard_cfg):
-    monkeypatch.setenv("QWRES_THREADS", "many")
-    code, _, err = run(
-        capsys, "scattering", "--config", hadamard_cfg, "--xi-grid", "0.0:1.0:3,0.0"
-    )
-    assert code == 3

@@ -114,3 +114,28 @@ def test_resolvent_with_outside_source():
     for xi in (0.3 + 0.9j, -1.2 - 0.4j):
         resid, _ = identity_residual(cs, xi, f, (-6, 7))
         assert resid < 1e-10
+
+
+def test_identity_residual_array_matches_pointwise():
+    rng = np.random.default_rng(523)
+    for _ in range(8):
+        n0 = int(rng.integers(1, 9))
+        cs = random_sequence(rng, n0)
+        f = random_state(rng, n0, 3)
+        xi = rng.uniform(-math.pi, math.pi, 7) + 1j * rng.choice([-0.6, 0.5, 1.2], 7)
+        window = (-5, n0 + 5)
+        resid, cond = identity_residual(cs, xi, f, window)
+        assert resid.shape == cond.shape == (7,)
+        for k, x in enumerate(xi):
+            r1, c1 = identity_residual(cs, x, f, window)
+            assert isinstance(r1, float) and isinstance(c1, float)
+            assert abs(resid[k] - r1) < 1e-12
+            assert abs(cond[k] - c1) < 1e-12 * c1
+
+
+def test_identity_residual_array_refuses_at_resonance():
+    cs = hadamard_pair()
+    res = find_resonances(cs)[1]
+    grid = np.array([res.xi - 0.5, res.xi, res.xi + 0.5])
+    with pytest.raises(AtResonance):
+        identity_residual(cs, grid, basis_state(0, "L"), (-3, 4))

@@ -146,3 +146,61 @@ def test_meromorphy_across_strip():
     second = (sp.t_minus + sn.t_minus - 2 * sm0.t_minus) / h**2
     # second difference of an analytic function at step 1e-6 stays modest
     assert abs(second) * h**2 < 1e-9 * max(1.0, abs(deriv))
+
+
+def test_unitary_where_transmission_is_tiny():
+    # A Haar window with n0 = 16 transmits about 1e-6 somewhere on the
+    # real axis.  Transmission amplitudes taken from propagated Wronskians
+    # cancel there and left |t-| and |t+| apart by about 1e-4 relative
+    # (max |S*S - I| = 3.3e-9 near xi = 1.03); the closed-form numerators
+    # keep them equal.
+    cs = random_sequence(np.random.default_rng(8), 16)
+    for xi in np.linspace(-np.pi, np.pi, 1501):
+        sm = scattering_matrix(cs, xi)
+        assert sm.unitarity_residual() < 1e-10
+        assert abs(abs(sm.t_minus) ** 2 + abs(sm.r_minus) ** 2 - 1.0) < 1e-10
+        assert abs(abs(sm.t_plus) ** 2 + abs(sm.r_plus) ** 2 - 1.0) < 1e-10
+
+
+def test_array_matches_pointwise():
+    rng = np.random.default_rng(239)
+    for _ in range(12):
+        cs = random_sequence(rng, int(rng.integers(0, 12)))
+        xi = rng.uniform(-np.pi, np.pi, 9) + 1j * rng.choice([0.0, -0.1, -1.5, 0.7], 9)
+        sm = scattering_matrix(cs, xi)
+        assert sm.matrix.shape == (9, 2, 2)
+        assert sm.unitarity_residual().shape == (9,)
+        for k, x in enumerate(xi):
+            one = scattering_matrix(cs, x)
+            assert isinstance(one.t_minus, complex)
+            assert isinstance(one.unitarity_residual(), float)
+            scale = max(1.0, np.max(np.abs(one.matrix)))
+            assert np.max(np.abs(sm.matrix[k] - one.matrix)) < 1e-12 * scale
+
+
+def test_matches_propagated_jost_wronskians():
+    # The Wronskian ratios of the four propagated Jost solutions are an
+    # independent route to the same coefficients.
+    rng = np.random.default_rng(241)
+    for _ in range(15):
+        cs = random_sequence(rng, int(rng.integers(0, 6)))
+        xi = complex(rng.uniform(-np.pi, np.pi), rng.uniform(-1.5, 0.0))
+        sols = {kind: jost(cs, xi, kind) for kind in JOST_KINDS}
+
+        def w(k1, k2):
+            return wronskian(sols[k1], sols[k2], -1)
+
+        den = w("out-", "out+")
+        want = [
+            [w("in+", "out+") / den, w("in-", "out+") / den],
+            [w("out-", "in+") / den, w("out-", "in-") / den],
+        ]
+        got = scattering_matrix(cs, xi).matrix
+        assert np.max(np.abs(got - np.array(want))) < 1e-10 * max(1.0, np.max(np.abs(got)))
+
+
+def test_array_at_resonance_names_first_bad_point():
+    xi_res = -0.5j * math.log(2.0)
+    grid = np.array([-1.0, 0.0, math.pi / 2, math.pi]) + xi_res
+    with pytest.raises(AtResonance, match=r"xi=-0\.3465"):
+        scattering_matrix(hadamard_pair(), grid)
