@@ -19,6 +19,7 @@ from .coins import (
     coin_to_pqtheta,
     coin_transfer_factor,
     hadamard_coin,
+    haar_coin,
     identity_coin,
     pqtheta_to_S,
     pqtheta_to_T,

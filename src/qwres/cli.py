@@ -27,13 +27,13 @@ import numpy as np
 from .coins import (
     CoinSequence,
     coin_to_pqtheta,
+    haar_coin,
     hadamard_coin,
     pqtheta_to_S,
     rotation_coin,
     s_product,
     sequence_from_json,
     sequence_to_json,
-    validate_coin,
 )
 from .errors import ConfigParse, InvariantViolation, QWResError
 from .expansion import decay_fit_full, expand, nilpotency_index, reconstruct
@@ -173,6 +173,12 @@ def _cmd_scattering(args):
     return "\n".join(lines) + "\n"
 
 
+def _survival_csv(norms) -> str:
+    lines = ["t,survival_norm"]
+    lines.extend(f"{t},{_f(v)}" for t, v in enumerate(norms))
+    return "\n".join(lines) + "\n"
+
+
 def _cmd_evolve(args):
     cs, psi0 = _load_config(args.config)
     psi0 = _default_psi0(psi0)
@@ -186,10 +192,7 @@ def _cmd_evolve(args):
                 z = psi.amplitudes[row, slot]
                 if z != 0:
                     lines.append(f"{t},{n},{tag},{_f(z.real)},{_f(z.imag)}")
-    norms = survival_norm(traj, cs.n0)
-    summary = ["t,survival_norm"]
-    summary.extend(f"{t},{_f(v)}" for t, v in enumerate(norms))
-    return "\n".join(lines) + "\n", "\n".join(summary) + "\n"
+    return "\n".join(lines) + "\n", _survival_csv(survival_norm(traj, cs.n0))
 
 
 def _cmd_expand(args):
@@ -221,9 +224,7 @@ def _cmd_survival(args):
     psi0 = _default_psi0(psi0)
     traj = evolve(psi0, cs, args.T)
     norms = survival_norm(traj, cs.n0)
-    csv_lines = ["t,survival_norm"]
-    csv_lines.extend(f"{t},{_f(v)}" for t, v in enumerate(norms))
-    csv_text = "\n".join(csv_lines) + "\n"
+    csv_text = _survival_csv(norms)
     if not args.fit:
         return csv_text
     nu = incoming_length(psi0, cs.n0)
@@ -258,16 +259,8 @@ def _cmd_split(args):
 # -------------------------------------------------------------- selftest
 
 
-def _random_coin(rng):
-    while True:
-        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        q, _ = np.linalg.qr(m)
-        if abs(q[0, 0]) >= 0.1:
-            return validate_coin(q)
-
-
 def _random_sequence(rng, n0: int) -> CoinSequence:
-    return CoinSequence(n0, tuple(_random_coin(rng) for _ in range(n0 + 1)))
+    return CoinSequence(n0, tuple(haar_coin(rng) for _ in range(n0 + 1)))
 
 
 def _hadamard_pair() -> CoinSequence:
@@ -290,7 +283,7 @@ def _cmd_selftest(args):
     lines = []
 
     for _ in range(25):
-        c = _random_coin(rng)
+        c = haar_coin(rng)
         back = pqtheta_to_S(coin_to_pqtheta(c))
         _check(
             max(

@@ -36,6 +36,7 @@ __all__ = [
     "identity_coin",
     "rotation_coin",
     "hadamard_coin",
+    "haar_coin",
     "coin_to_pqtheta",
     "pqtheta_to_S",
     "pqtheta_to_T",
@@ -99,6 +100,20 @@ def hadamard_coin() -> Coin:
     return Coin(complex(s), complex(s), complex(s), complex(-s))
 
 
+def haar_coin(rng: np.random.Generator, min_a: float = 0.1) -> Coin:
+    """Haar-random coin, resampled until |a| >= min_a.
+
+    QR of a complex Gaussian is Haar once R's diagonal phases move into Q.
+    min_a = 0.1 keeps clear of the decoupled a = 0 walk (1% of draws).
+    """
+    while True:
+        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        q, r = np.linalg.qr(m)
+        q = q * (np.diag(r) / np.abs(np.diag(r)))
+        if abs(q[0, 0]) >= min_a:
+            return validate_coin(q)
+
+
 def validate_coin(matrix) -> Coin:
     """Check a 2x2 array for unitarity and a nonzero a-entry.
 
@@ -153,19 +168,6 @@ class CoinSequence:
         if 0 <= n <= self.n0:
             return self.coins[n]
         return _IDENTITY
-
-    def entry_arrays(self, sites: np.ndarray):
-        """Vectorized (a, b, c, d) entries for an integer array of sites."""
-        sites = np.asarray(sites)
-        a = np.ones(sites.shape, dtype=complex)
-        b = np.zeros(sites.shape, dtype=complex)
-        c = np.zeros(sites.shape, dtype=complex)
-        d = np.ones(sites.shape, dtype=complex)
-        inside = (sites >= 0) & (sites <= self.n0)
-        for idx in np.nonzero(inside)[0]:
-            u = self.coins[int(sites[idx])]
-            a[idx], b[idx], c[idx], d[idx] = u.a, u.b, u.c, u.d
-        return a, b, c, d
 
 
 @dataclass(frozen=True)

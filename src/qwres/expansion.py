@@ -28,7 +28,7 @@ import numpy as np
 from .coins import CoinSequence
 from .errors import A3Violated, AllZeroTail, InvariantViolation, UnsupportedN0, WindowOutsideCone
 from .resonances import JordanChainStates, Resonance, find_resonances, resonant_chain, strip_pair
-from .states import WaveState, incoming_length, window_vector, zero_state
+from .states import WaveState, incoming_length, window_vector
 from .walk import build_K, evolve
 
 __all__ = [
@@ -169,7 +169,7 @@ def reconstruct(ed: ExpansionData, chains, t: int, window) -> WaveState:
         raise WindowOutsideCone(
             f"window [{lo}, {hi}] leaves the cone [{-(t - nu)}, {t + ed.n0 - nu}] at t={t}"
         )
-    total = zero_state()
+    total = np.zeros((max(hi - lo + 1, 0), 2), dtype=complex)
     j = t - nu
     for block in ed.blocks:
         ch = _matching_chain(block, chains)
@@ -186,8 +186,10 @@ def reconstruct(ed: ExpansionData, chains, t: int, window) -> WaveState:
                 if b:
                     sigma += b * lam ** (j - s) * block.coefficients[ell - 1 + s]
             if sigma != 0:
-                total = total + sigma * ch.states[ell - 1]
-    return total.restrict(lo, hi)
+                st = sigma * ch.states[ell - 1].restrict(lo, hi)
+                if not st.is_zero():
+                    total[st.support_lo - lo : st.support_hi - lo + 1] += st.amplitudes
+    return WaveState(lo, total)
 
 
 def decay_fit(survival, t_min: int):

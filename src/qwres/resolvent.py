@@ -23,7 +23,7 @@ import numpy as np
 from .coins import CoinSequence
 from .errors import AtResonance, InvariantViolation
 from .states import WaveState, zero_state
-from .walk import build_K, step
+from .walk import _walk, build_K, step
 
 __all__ = ["apply_resolvent", "identity_residual", "neumann_resolvent"]
 
@@ -97,26 +97,22 @@ def _resolve(cs: CoinSequence, xi: np.ndarray, f: WaveState, lo: int, hi: int):
         v[k] = np.linalg.solve(system, rhs[k])
     amps[:, z : z + n0 + 1] = v.reshape(len(xi), n0 + 1, 2)
 
-    # the outgoing chiralities leave the window through the junction coins
-    u0, un = cs.coin_at(0), cs.coin_at(n0)
-    acc = u0.a * v[:, 0] + u0.b * v[:, 1]
+    # the outgoing chiralities leave the window through the junction coins,
+    # one step of the walk from the window carries them to -1 and n0 + 1
+    _, emitted = _walk(cs, 0, amps[:, z : z + n0 + 1])
+    acc = emitted[:, 0, 0]
     for i in range(z - 1, -1, -1):
         acc = e * (acc + fa[i, 0])
         amps[:, i, 0] = acc
-    acc = un.c * v[:, 2 * n0] + un.d * v[:, 2 * n0 + 1]
+    acc = emitted[:, -1, 1]
     for i in range(z + n0 + 1, len(fa)):
         acc = e * (acc + fa[i, 1])
         amps[:, i, 1] = acc
 
-    # (e^{-i xi} - U) w = f on [lo, hi], with U w(n) = (P_{n+1} w(n+1), Q_{n-1} w(n-1))
+    # (e^{-i xi} - U) w = f on [lo, hi]
     wide = amps[:, lo - 1 - s_lo : hi + 2 - s_lo]
-    sites = np.arange(lo, hi + 1)
-    a, b, _, _ = cs.entry_arrays(sites + 1)
-    _, _, c, d = cs.entry_arrays(sites - 1)
-    up, down = wide[:, 2:], wide[:, :-2]
-    check = lam[:, None, None] * wide[:, 1:-1] - fa[lo - s_lo : hi + 1 - s_lo]
-    check[..., 0] -= a * up[..., 0] + b * up[..., 1]
-    check[..., 1] -= c * down[..., 0] + d * down[..., 1]
+    _, uw = _walk(cs, lo - 1, wide)
+    check = lam[:, None, None] * wide[:, 1:-1] - fa[lo - s_lo : hi + 1 - s_lo] - uw[:, 2:-2]
     scale = np.maximum(np.max(np.abs(wide), axis=(1, 2)), max(_sup(f), 1e-300))
     return wide, np.max(np.abs(check), axis=(1, 2)) / scale, cond
 

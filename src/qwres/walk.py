@@ -1,9 +1,9 @@
 """Time evolution of the walk and its compression to the perturbed window.
 
-One step sends psi(n) to P_{n+1} psi(n+1) + Q_{n-1} psi(n-1), where P and Q
-are the upper and lower rows of the site coins.  Outside the perturbed
-window the coins are the identity, so the step is a pure shift there: L
-amplitudes travel left, R amplitudes travel right, with no rounding at all.
+One step is U = S∘C: the coin C acts on the (L, R) pair at each site, then
+the shift S moves L one site left and R one site right.  Outside the window
+[0, n0] the coins are the identity, so the step is a pure shift there, with
+no rounding at all.  Every use of U reads the one kernel :func:`_walk`.
 
 K is the restriction of the step to the sites 0..n0.  It is a contraction;
 the norm it loses in one application is exactly what the walk radiates out
@@ -31,23 +31,32 @@ __all__ = [
 ]
 
 
+def _walk(cs: CoinSequence, lo: int, rows: np.ndarray):
+    """U = S∘C on amplitude rows for the sites lo..lo+N-1.
+
+    rows has shape (..., N, 2); the coins touch only the rows at sites
+    0..n0.  Returns (lo - 1, out) with out of shape (..., N + 2, 2), row k
+    of out holding site lo - 1 + k.
+    """
+    n = rows.shape[-2]
+    out = np.zeros(rows.shape[:-2] + (n + 2, 2), dtype=complex)
+    out[..., :-2, 0] = rows[..., 0]
+    out[..., 2:, 1] = rows[..., 1]
+    # rows i0..i1-1 sit on the window; their shifted images take the coin
+    i0, i1 = max(-lo, 0), min(cs.n0 + 1 - lo, n)
+    if i0 < i1:
+        a, b, c, d = np.array([(u.a, u.b, u.c, u.d) for u in cs.coins[lo + i0 : lo + i1]]).T
+        win = rows[..., i0:i1, :]
+        out[..., i0:i1, 0] = a * win[..., 0] + b * win[..., 1]
+        out[..., i0 + 2 : i1 + 2, 1] = c * win[..., 0] + d * win[..., 1]
+    return lo - 1, out
+
+
 def step(psi: WaveState, cs: CoinSequence) -> WaveState:
     """Apply the walk once; the window grows by one site on each side."""
     if psi.is_zero():
         return psi
-    lo, hi = psi.support_lo - 1, psi.support_hi + 1
-    sites = np.arange(lo, hi + 1)
-    padded = np.zeros((len(sites) + 2, 2), dtype=complex)
-    padded[2:-2] = psi.amplitudes
-    # row k of padded holds psi at site lo - 1 + k
-    up = padded[2:]  # psi(n+1) for n in [lo, hi]
-    down = padded[:-2]  # psi(n-1)
-    a_u, b_u, _, _ = cs.entry_arrays(sites + 1)
-    _, _, c_d, d_d = cs.entry_arrays(sites - 1)
-    out = np.empty((len(sites), 2), dtype=complex)
-    out[:, 0] = a_u * up[:, 0] + b_u * up[:, 1]
-    out[:, 1] = c_d * down[:, 0] + d_d * down[:, 1]
-    return WaveState(lo, out)
+    return WaveState(*_walk(cs, psi.support_lo, psi.amplitudes))
 
 
 def evolve(psi0: WaveState, cs: CoinSequence, T: int) -> list[WaveState]:
@@ -81,26 +90,20 @@ class KMatrix:
 
 
 def build_K(cs: CoinSequence) -> KMatrix:
-    """Assemble K row by row.
+    """Assemble K by walking the basis of the window once.
 
-    The rows at the sites 0 and n0 keep only the inward contribution
-    (P_1 psi(1) and Q_{n0-1} psi(n0-1)); interior rows copy the walk.
+    Column j is U e_j kept on the sites 0..n0; what leaves through the
+    sites -1 and n0 + 1 is dropped, so the edge rows keep only the inward
+    contribution (P_1 psi(1) and Q_{n0-1} psi(n0-1)).
     """
     n0 = cs.n0
     if n0 < 1:
         raise UnsupportedN0("K needs n0 >= 1, the boundary rows collapse at n0=0")
     dim = 2 * (n0 + 1)
-    k = np.zeros((dim, dim), dtype=complex)
-    for n in range(n0 + 1):
-        if n < n0:  # L row takes P_{n+1} psi(n+1)
-            u = cs.coin_at(n + 1)
-            k[2 * n, 2 * (n + 1)] = u.a
-            k[2 * n, 2 * (n + 1) + 1] = u.b
-        if n > 0:  # R row takes Q_{n-1} psi(n-1)
-            u = cs.coin_at(n - 1)
-            k[2 * n + 1, 2 * (n - 1)] = u.c
-            k[2 * n + 1, 2 * (n - 1) + 1] = u.d
-    return KMatrix(n0, k)
+    _, out = _walk(cs, 0, np.eye(dim, dtype=complex).reshape(dim, n0 + 1, 2))
+    # a coin applied to a zero input can leave -0; adding zero makes every
+    # structural zero of K +0, since eigvals' reflections read its sign
+    return KMatrix(n0, out[:, 1:-1].reshape(dim, dim).T + 0.0)
 
 
 def kernel_witnesses(cs: CoinSequence) -> tuple[np.ndarray, np.ndarray]:
@@ -132,9 +135,8 @@ def norm_defect(cs: CoinSequence, v: np.ndarray) -> float:
     """
     v = np.asarray(v, dtype=complex)
     k = build_K(cs)
-    u0, un = cs.coin_at(0), cs.coin_at(cs.n0)
-    left = u0.a * v[0] + u0.b * v[1]
-    right = un.c * v[-2] + un.d * v[-1]
+    _, out = _walk(cs, 0, v.reshape(-1, 2))
+    left, right = out[0, 0], out[-1, 1]
     total = np.linalg.norm(v) ** 2
     kept = np.linalg.norm(k.entries @ v) ** 2
     return float(abs(total - kept - abs(left) ** 2 - abs(right) ** 2))

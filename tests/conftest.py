@@ -1,7 +1,9 @@
 """Shared helpers for the test suite.
 
 Plain functions rather than fixtures: most tests want several independent
-draws from one rng, which fixtures make awkward.
+draws from one rng, which fixtures make awkward.  ``haar_coin`` is the
+library's own generator, imported here so tests can take it from conftest
+along with the other helpers.
 """
 
 import numpy as np
@@ -10,24 +12,10 @@ from qwres import (
     CoinSequence,
     WaveState,
     basis_state,
+    haar_coin,
     hadamard_coin,
     rotation_coin,
-    validate_coin,
 )
-
-
-def haar_coin(rng, min_a=0.1):
-    """Haar-random 2x2 unitary, resampled until |a| >= min_a.
-
-    The resampling keeps random instances away from the a=0 boundary where
-    the walk decouples; min_a=0.1 rejects about 1% of draws.
-    """
-    while True:
-        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        q, r = np.linalg.qr(m)
-        q = q * (np.diag(r) / np.abs(np.diag(r)))
-        if abs(q[0, 0]) >= min_a:
-            return validate_coin(q)
 
 
 def random_sequence(rng, n0, min_a=0.1):

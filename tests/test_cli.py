@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -119,6 +120,41 @@ def test_evolve_writes_two_streams(tmp_path, capsys, hadamard_cfg):
         assert v == pytest.approx(2.0 ** (-t / 2), abs=1e-12)
     # trajectory starts from the configured delta
     assert body.split("\n")[1] == "0,0,L,1,0"
+
+
+LITERAL_CFG = {
+    "n0": 3,
+    "coins": [
+        {"rotation": 0.5},
+        {"a": [0.6, 0.0], "b": [0.0, 0.8], "c": [0.0, 0.8], "d": [0.6, 0.0]},
+        {"a": [0.0, 0.6], "b": [0.8, 0.0], "c": [-0.8, 0.0], "d": [0.0, -0.6]},
+        {"rotation": -0.3},
+    ],
+    "psi0": [{"n": -2, "R": [0.6, 0.0]}, {"n": 1, "L": [0.0, 0.8]}],
+}
+
+
+@pytest.mark.parametrize(
+    "cfg, digest",
+    [
+        (HADAMARD_CFG, "e126748de3c0907c012dc7c5f912c9a5d7e8d769323ef9ea30584862eaef2a9f"),
+        (TRIPLE_CFG, "3af9282d078d974cf404e2ad3a1e7d09aa40210e1a5491f807b66b7389af6f22"),
+        (LITERAL_CFG, "a476f3027935865958c91296281e45316c4ca7b70206a636d0ad852fdd4ed219"),
+    ],
+    ids=["hadamard", "triple", "literal"],
+)
+def test_evolve_trajectory_bytes_are_pinned(tmp_path, capsys, cfg, digest):
+    # the trajectory is elementwise arithmetic with no BLAS call, so its
+    # bytes do not depend on the platform; a change to the step that moves
+    # any amplitude by one ulp, or a sign of a printed zero, shows up here
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_path = tmp_path / "traj.csv"
+    code, out, _ = run(
+        capsys, "evolve", "--config", str(cfg_path), "--T", "60", "--out", str(out_path)
+    )
+    assert code == 0 and out == ""
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
 
 def test_evolve_stdout_contains_both_streams(capsys, hadamard_cfg):

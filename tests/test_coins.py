@@ -89,16 +89,6 @@ def test_coin_at_identity_outside_window():
     assert cs.coin_at(0) is cs.coins[0]
 
 
-def test_entry_arrays_match_coin_at():
-    rng = np.random.default_rng(7)
-    cs = CoinSequence(2, tuple(haar_coin(rng) for _ in range(3)))
-    sites = np.arange(-3, 6)
-    a, b, c, d = cs.entry_arrays(sites)
-    for i, n in enumerate(sites):
-        u = cs.coin_at(int(n))
-        assert (a[i], b[i], c[i], d[i]) == (u.a, u.b, u.c, u.d)
-
-
 def test_pqtheta_constraint_enforced():
     with pytest.raises(ConstraintViolated):
         PQTheta(1.0 + 0j, 0.5 + 0j, 0.0)

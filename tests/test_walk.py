@@ -118,6 +118,20 @@ def test_build_K_hadamard_entries():
     assert k.n0 == 1
 
 
+def test_build_K_is_the_window_block_of_the_step_bit_for_bit():
+    # K holds the coin entries themselves and +0 elsewhere; the sign of a
+    # zero steers the reflections inside eigvals, so compare bits
+    rng = np.random.default_rng(73)
+    for _ in range(20):
+        n0 = int(rng.integers(1, 7))
+        cs = random_sequence(rng, n0)
+        m = n0 + 1
+        window = slice(2 * m, 2 * (m + n0 + 1))
+        block = np.ascontiguousarray(dense_step_matrix(cs, m)[window, window])
+        k = build_K(cs).entries
+        assert np.array_equal(k.view(np.int64), block.view(np.int64))
+
+
 def test_build_K_requires_positive_n0():
     with pytest.raises(UnsupportedN0):
         build_K(CoinSequence(0, (identity_coin(),)))
