@@ -100,17 +100,17 @@ def hadamard_coin() -> Coin:
     return Coin(complex(s), complex(s), complex(s), complex(-s))
 
 
-def haar_coin(rng: np.random.Generator, min_a: float = 0.1) -> Coin:
-    """Haar-random coin, resampled until |a| >= min_a.
+def haar_coin(rng: np.random.Generator) -> Coin:
+    """Haar-random coin, resampled until |a| >= 0.1.
 
     QR of a complex Gaussian is Haar once R's diagonal phases move into Q.
-    min_a = 0.1 keeps clear of the decoupled a = 0 walk (1% of draws).
+    The bound on |a| keeps clear of the decoupled a = 0 walk (1% of draws).
     """
     while True:
         m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         q, r = np.linalg.qr(m)
         q = q * (np.diag(r) / np.abs(np.diag(r)))
-        if abs(q[0, 0]) >= min_a:
+        if abs(q[0, 0]) >= 0.1:
             return validate_coin(q)
 
 

@@ -18,8 +18,8 @@ from qwres import (
 )
 
 
-def random_sequence(rng, n0, min_a=0.1):
-    return CoinSequence(n0, tuple(haar_coin(rng, min_a) for _ in range(n0 + 1)))
+def random_sequence(rng, n0):
+    return CoinSequence(n0, tuple(haar_coin(rng) for _ in range(n0 + 1)))
 
 
 def hadamard_pair():

@@ -133,6 +133,18 @@ LITERAL_CFG = {
     "psi0": [{"n": -2, "R": [0.6, 0.0]}, {"n": 1, "L": [0.0, 0.8]}],
 }
 
+# real coins with c, d < 0 emit 0.96 - 0i at site 3; the pure shift carries
+# that -0 outward, where a coin-times-identity step would have made it +0
+REAL_CFG = {
+    "n0": 2,
+    "coins": [
+        {"rotation": 0.5},
+        {"rotation": -0.3},
+        {"a": [0.6, 0.0], "b": [-0.8, 0.0], "c": [-0.8, 0.0], "d": [-0.6, 0.0]},
+    ],
+    "psi0": [{"n": 2, "L": [-0.6, 0.0], "R": [-0.8, 0.0]}],
+}
+
 
 @pytest.mark.parametrize(
     "cfg, digest",
@@ -140,13 +152,16 @@ LITERAL_CFG = {
         (HADAMARD_CFG, "e126748de3c0907c012dc7c5f912c9a5d7e8d769323ef9ea30584862eaef2a9f"),
         (TRIPLE_CFG, "3af9282d078d974cf404e2ad3a1e7d09aa40210e1a5491f807b66b7389af6f22"),
         (LITERAL_CFG, "a476f3027935865958c91296281e45316c4ca7b70206a636d0ad852fdd4ed219"),
+        (REAL_CFG, "91f8b22f33f6527690a0375137768fa0b67476aaf5445afdd335b7f66c2e6c3c"),
     ],
-    ids=["hadamard", "triple", "literal"],
+    ids=["hadamard", "triple", "literal", "real"],
 )
 def test_evolve_trajectory_bytes_are_pinned(tmp_path, capsys, cfg, digest):
-    # the trajectory is elementwise arithmetic with no BLAS call, so its
-    # bytes do not depend on the platform; a change to the step that moves
-    # any amplitude by one ulp, or a sign of a printed zero, shows up here
+    # a change to the step that moves any amplitude by one ulp, or the sign
+    # of a printed zero, shows up here.  The digests were recorded on x86-64
+    # with numpy 2.4; the trajectory makes no BLAS call, but numpy's complex
+    # multiply picks its SIMD loop at run time and another loop could round
+    # the last bit differently.
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     out_path = tmp_path / "traj.csv"
