@@ -10,10 +10,10 @@ which is the whole point of having them.
 import numpy as np
 
 from qwres import (
-    Coin,
     CoinSequence,
     build_K,
     find_resonances,
+    haar_coin,
     rotation_coin,
     transfer_polynomial,
     validate_multiplicity,
@@ -24,21 +24,7 @@ N0 = 4
 SEED = 71
 
 rng = np.random.default_rng(SEED)
-
-
-def haar_coin():
-    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    q, r = np.linalg.qr(z)
-    q = q * (np.diag(r) / np.abs(np.diag(r)))
-    return Coin(q[0, 0], q[0, 1], q[1, 0], q[1, 1])
-
-
-coins = []
-while len(coins) < N0 + 1:
-    c = haar_coin()
-    if abs(c.a) >= 0.2:
-        coins.append(c)
-cs = CoinSequence(N0, tuple(coins))
+cs = CoinSequence(N0, tuple(haar_coin(rng) for _ in range(N0 + 1)))
 
 tp = transfer_polynomial(cs)
 print(f"random window, n0 = {N0}, seed {SEED}")

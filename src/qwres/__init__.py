@@ -41,6 +41,7 @@ from .errors import (
     DegenerateDirection,
     InvariantViolation,
     LeftS,
+    NoMultipleResonance,
     NotUnitary,
     ProductLeavesS,
     QWResError,
@@ -52,7 +53,6 @@ from .errors import (
 from .expansion import (
     ExpansionData,
     ResonanceBlock,
-    decay_fit,
     decay_fit_full,
     double_barrier_bound,
     double_barrier_closed_form,

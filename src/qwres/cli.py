@@ -52,8 +52,25 @@ def _f(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _pair(z: complex) -> str:
-    return f"[{_f(z.real)}, {_f(z.imag)}]"
+def _json(obj, depth: int = 0) -> str:
+    """JSON text: a top-level dict or a list of dicts puts one entry per line,
+    everything else is inline, and a complex number becomes [re, im]."""
+    if isinstance(obj, complex):
+        return f"[{_f(obj.real)}, {_f(obj.imag)}]"
+    if isinstance(obj, float):
+        return _f(obj)
+    if isinstance(obj, dict):
+        items = [f'"{k}": {_json(v, depth + 1)}' for k, v in obj.items()]
+        left, right, spread = "{", "}", depth == 0
+    elif isinstance(obj, (list, tuple)):
+        items = [_json(v, depth + 1) for v in obj]
+        left, right, spread = "[", "]", bool(obj) and all(isinstance(v, dict) for v in obj)
+    else:
+        return str(obj)
+    if not spread:
+        return left + ", ".join(items) + right
+    pad = "  " * (depth + 1)
+    return left + "\n" + ",\n".join(pad + i for i in items) + "\n" + "  " * depth + right
 
 
 # ---------------------------------------------------------------- config
@@ -102,13 +119,22 @@ def _parse_xi_grid(text: str):
 
 
 def _parse_eps_list(text: str):
+    """Comma list of eps in [0, 1/2), two of them distinct and positive for a slope."""
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad epsilon list {text!r}") from None
-    if not values:
-        raise argparse.ArgumentTypeError("epsilon list is empty")
+    if not all(0 <= v < 0.5 for v in values) or len({v for v in values if v > 0}) < 2:
+        raise argparse.ArgumentTypeError(
+            f"need values in [0, 0.5), two of them distinct and positive, got {text!r}"
+        )
     return values
+
+
+def _nonnegative_int(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
 
 
 # -------------------------------------------------------------- commands
@@ -117,48 +143,24 @@ def _parse_eps_list(text: str):
 def _cmd_validate(args):
     cs, psi0 = _load_config(args.config)
     obj = sequence_to_json(cs)
-    lines = ["{", f'  "n0": {obj["n0"]},', '  "coins": [']
-    coin_rows = []
-    for c in obj["coins"]:
-        keys = ", ".join(f'"{k}": [{_f(v[0])}, {_f(v[1])}]' for k, v in c.items())
-        coin_rows.append("    {" + keys + "}")
-    lines.append(",\n".join(coin_rows))
-    if psi0 is None:
-        lines.append("  ]")
-    else:
-        lines.append("  ],")
-        lines.append('  "psi0": [')
-        rows = []
-        for entry in state_to_json(psi0):
-            parts = [f'"n": {entry["n"]}']
-            for key in ("L", "R"):
-                if key in entry:
-                    parts.append(f'"{key}": [{_f(entry[key][0])}, {_f(entry[key][1])}]')
-            rows.append("    {" + ", ".join(parts) + "}")
-        lines.append(",\n".join(rows))
-        lines.append("  ]")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    if psi0 is not None:
+        obj["psi0"] = state_to_json(psi0)
+    return _json(obj) + "\n"
 
 
 def _cmd_resonances(args):
     cs, _ = _load_config(args.config)
-    rows = []
-    for r in find_resonances(cs):
-        rows.append(
-            f'  {{"xi": {_pair(r.xi)}, "lambda": {_pair(r.lam)}, '
-            f'"multiplicity": {r.alg_multiplicity}}}'
-        )
-    if not rows:
-        return "[]\n"
-    return "[\n" + ",\n".join(rows) + "\n]\n"
+    rows = [
+        {"xi": r.xi, "lambda": r.lam, "multiplicity": r.alg_multiplicity}
+        for r in find_resonances(cs)
+    ]
+    return _json(rows) + "\n"
 
 
 def _cmd_polynomial(args):
     cs, _ = _load_config(args.config)
     tp = transfer_polynomial(cs)
-    coeffs = [tp.leading * c for c in tp.coeffs]
-    return "[" + ", ".join(_pair(c) for c in coeffs) + "]\n"
+    return _json([tp.leading * c for c in tp.coeffs]) + "\n"
 
 
 def _cmd_scattering(args):
@@ -200,23 +202,14 @@ def _cmd_expand(args):
     psi0 = _default_psi0(psi0)
     ed = expand(cs, psi0)
     zero_norm = float(np.linalg.norm(ed.zero_coefficients)) if ed.zero_coefficients else 0.0
-    lines = ["{", f'  "nu": {ed.nu},', f'  "zero_part_index": {ed.zero_part_index},']
-    block_rows = []
-    for b in ed.blocks:
-        coeffs = ", ".join(_pair(c) for c in b.coefficients)
-        block_rows.append(
-            f'    {{"xi": {_pair(b.resonance.xi)}, "lambda": {_pair(b.resonance.lam)}, '
-            f'"multiplicity": {b.resonance.alg_multiplicity}, "coefficients": [{coeffs}]}}'
-        )
-    if block_rows:
-        lines.append('  "blocks": [')
-        lines.append(",\n".join(block_rows))
-        lines.append("  ],")
-    else:
-        lines.append('  "blocks": [],')
-    lines.append(f'  "zero_coefficient_norm": {_f(zero_norm)}')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    blocks = [
+        {"xi": b.resonance.xi, "lambda": b.resonance.lam,
+         "multiplicity": b.resonance.alg_multiplicity, "coefficients": b.coefficients}
+        for b in ed.blocks
+    ]
+    obj = {"nu": ed.nu, "zero_part_index": ed.zero_part_index, "blocks": blocks,
+           "zero_coefficient_norm": zero_norm}
+    return _json(obj) + "\n"
 
 
 def _cmd_survival(args):
@@ -406,12 +399,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = add("evolve", "trajectory CSV plus survival-norm summary CSV")
-    p.add_argument("--T", type=int, default=60, help="number of steps")
+    p.add_argument("--T", type=_nonnegative_int, default=60, help="number of steps")
 
     add("expand", "resonance expansion coefficients as JSON")
 
     p = add("survival", "survival-norm CSV, optionally with a decay fit")
-    p.add_argument("--T", type=int, default=60, help="number of steps")
+    p.add_argument("--T", type=_nonnegative_int, default=60, help="number of steps")
     p.add_argument("--fit", action="store_true", help="prepend (M_est, m_est, C_est)")
 
     p = add("resolvent-check", "resolvent identity residuals on a xi grid as CSV")
@@ -421,7 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=_parse_xi_grid("-3.141592653589793:3.141592653589793:25,1.0"),
         help="grid format re0:re1:n,im",
     )
-    p.add_argument("--window", type=int, default=10, help="window half-width")
+    p.add_argument("--window", type=_nonnegative_int, default=10, help="window half-width")
 
     p = add("split", "resonance splitting under perturbation as CSV")
     p.add_argument(
@@ -430,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", type=float, default=0.0, help="perturbation direction")
 
     p = add("selftest", "run the invariant battery", needs_config=False)
-    p.add_argument("--seed", type=int, default=20240901, help="sweep seed")
+    p.add_argument("--seed", type=_nonnegative_int, default=20240901, help="sweep seed")
 
     return parser
 

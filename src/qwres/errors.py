@@ -24,6 +24,7 @@ __all__ = [
     "A3Violated",
     "LeftS",
     "DegenerateDirection",
+    "NoMultipleResonance",
 ]
 
 
@@ -133,3 +134,9 @@ class DegenerateDirection(QWResError):
     """Perturbation direction does not split the multiple resonance."""
 
     exit_code = 51
+
+
+class NoMultipleResonance(QWResError, ValueError):
+    """A splitting experiment needs a base walk with a multiple resonance."""
+
+    exit_code = 52

@@ -27,7 +27,7 @@ import numpy as np
 
 from .coins import CoinSequence
 from .errors import A3Violated, AllZeroTail, InvariantViolation, UnsupportedN0, WindowOutsideCone
-from .resonances import JordanChainStates, Resonance, find_resonances, resonant_chain, strip_pair
+from .resonances import JordanChainStates, Resonance, _window_chain, find_resonances, strip_pair
 from .states import WaveState, incoming_length, window_vector
 from .walk import build_K, evolve
 
@@ -37,7 +37,6 @@ __all__ = [
     "nilpotency_index",
     "expand",
     "reconstruct",
-    "decay_fit",
     "decay_fit_full",
     "double_barrier_closed_form",
     "double_barrier_bound",
@@ -102,12 +101,11 @@ def expand(cs: CoinSequence, psi0: WaveState) -> ExpansionData:
     psi_nu = evolve(psi0, cs, nu)[-1]
     x = window_vector(psi_nu, n0)
     resonances = find_resonances(cs)
-    chains = [resonant_chain(cs, r, 1) for r in resonances]
     kmat = build_K(cs)
     iota = nilpotency_index(kmat.entries)
     cols = []
-    for ch in chains:
-        cols.extend(window_vector(phi, n0) for phi in ch.states)
+    for r in resonances:
+        cols.extend(_window_chain(kmat.entries, r.lam, r.alg_multiplicity))
     dim = 2 * (n0 + 1)
     total_m = len(cols)
     zdim = dim - total_m
@@ -128,7 +126,7 @@ def expand(cs: CoinSequence, psi0: WaveState) -> ExpansionData:
         )
     blocks = []
     pos = 0
-    for r, ch in zip(resonances, chains):
+    for r in resonances:
         m = r.alg_multiplicity
         blocks.append(ResonanceBlock(r, tuple(complex(c) for c in coef[pos : pos + m])))
         pos += m
@@ -190,12 +188,6 @@ def reconstruct(ed: ExpansionData, chains, t: int, window) -> WaveState:
                 if not st.is_zero():
                     total[st.support_lo - lo : st.support_hi - lo + 1] += st.amplitudes
     return WaveState(lo, total)
-
-
-def decay_fit(survival, t_min: int):
-    """Estimate (M, m) from a survival-probability tail; see decay_fit_full."""
-    m_rate, m_order, _ = decay_fit_full(survival, t_min)
-    return m_rate, m_order
 
 
 def decay_fit_full(survival, t_min: int):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coins import CoinSequence, PQTheta, pqtheta_to_S, s_product
-from .errors import DegenerateDirection, LeftS, ProductLeavesS
+from .errors import DegenerateDirection, LeftS, NoMultipleResonance, ProductLeavesS
 from .resonances import find_resonances
 
 __all__ = [
@@ -77,15 +77,12 @@ def splitting_experiment(pf: PerturbationFamily):
     multiple root mu_0 and multiplicities are those of its members.  A
     positive eps whose cluster is not fully simple, or whose diameter
     stays below 1e-8, means the direction phi is degenerate for this walk
-    and raises DegenerateDirection.
+    and raises DegenerateDirection.  A base walk without a multiple
+    resonance raises NoMultipleResonance.
     """
-    target = None
-    for r in find_resonances(pf.base):
-        if r.alg_multiplicity >= 2:
-            target = r
-            break
+    target = next((r for r in find_resonances(pf.base) if r.alg_multiplicity >= 2), None)
     if target is None:
-        raise ValueError("base walk has no multiple resonance to split")
+        raise NoMultipleResonance("base walk has no multiple resonance to split")
     mu0 = target.mu
     m = target.alg_multiplicity
     rows = []

@@ -145,10 +145,10 @@ def identity_residual(cs: CoinSequence, xi, f: WaveState, window):
     return resid.reshape(xi.shape)[()], cond.reshape(xi.shape)[()]
 
 
-def neumann_resolvent(cs: CoinSequence, xi: complex, f: WaveState, window, kmax: int = 200) -> WaveState:
+def neumann_resolvent(cs: CoinSequence, xi: complex, f: WaveState, window) -> WaveState:
     """Direct series sum_k e^{i (k+1) xi} U^k f, the resolvent for Im xi > 0.
 
-    Convergence needs |e^{i xi}| < 1, so xi in the upper half plane is
+    The sum stops at k = 200.  Convergence needs |e^{i xi}| < 1, so xi in the upper half plane is
     required.  Slow and only as accurate as the truncation; this exists as
     an independent check on apply_resolvent, not for production use.
     """
@@ -159,7 +159,7 @@ def neumann_resolvent(cs: CoinSequence, xi: complex, f: WaveState, window, kmax:
     total = zero_state()
     cur = f
     w = e
-    for _ in range(kmax + 1):
+    for _ in range(201):
         total = total + w * cur
         cur = step(cur, cs)
         w = w * e

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .states import WaveState
 from .transfer import transfer_polynomial, transfer_product
-from .walk import build_K, step
+from .walk import _walk, build_K
 
 __all__ = [
     "Resonance",
@@ -246,14 +246,15 @@ def find_resonances(cs: CoinSequence) -> list[Resonance]:
     return out
 
 
-def winding_count(cs: CoinSequence, center: complex, rho: float, nodes: int = 512) -> complex:
+def winding_count(cs: CoinSequence, center: complex, rho: float) -> complex:
     """Contour integral counting zeros of the transfer-product 22 entry.
 
-    Trapezoid rule on a circle of radius rho around center, with the
-    logarithmic derivative formed from central differences at step
-    1e-4 rho.  Exact integer values signal correct multiplicities; the
-    caller decides how much drift to accept.
+    Trapezoid rule, 512 nodes on a circle of radius rho around center, with
+    the logarithmic derivative from central differences at step 1e-4 rho.
+    Exact integer values signal correct multiplicities; the caller decides
+    how much drift to accept.
     """
+    nodes = 512
     theta = 2 * np.pi * np.arange(nodes) / nodes
     e = np.exp(1j * theta)
     zeta = center + rho * e
@@ -311,28 +312,24 @@ class JordanChainStates:
     window_radius: int
 
 
-def resonant_chain(cs: CoinSequence, res: Resonance, N: int) -> JordanChainStates:
-    """Build the resonant state and its Jordan chain on [-N, n0 + N].
+def _check_links(errs: np.ndarray, scales: np.ndarray, what: str) -> None:
+    """Refuse the first link k = 1 .. m whose residual exceeds 1e-8 scales[k]."""
+    bad = np.flatnonzero(errs > 1e-8 * scales)
+    if bad.size:
+        raise ChainSolveFailed(f"{what} residual {errs[bad[0]]:.2e} at chain index {bad[0] + 1}")
+
+
+def _window_chain(kentries: np.ndarray, lam: complex, m: int) -> np.ndarray:
+    """The Jordan chain phi^1 .. phi^m of K at lam, one window vector per row.
 
     phi^1 spans the kernel of K - lambda (geometric multiplicity is always
-    one, which is verified).  Each phi^k for k >= 2 is the minimum-norm
-    solution of (K - lambda) v = phi^{k-1} on the window.  Outside, the
-    only surviving chirality obeys a first-order recursion in lambda with a
-    junction factor a_0 (left) or d_{n0} (right) on the first step out:
-
-        phi^k_L(s) = (a phi^k_L(s+1) - phi^{k-1}_L(s)) / lambda,  s <= -1
-        phi^k_R(s) = (d phi^k_R(s-1) - phi^{k-1}_R(s)) / lambda,  s >= n0+1
-
-    The chain relation is then verified against one application of the
-    walk on the window interior.
+    one, which is verified), largest entry real positive; phi^k for k >= 2
+    is the minimum-norm solution of (K - lambda) v = phi^{k-1}.  Each solve
+    must hold to 1e-8 |phi^{k-1}|, and each link of the chain relation
+    (K - lambda) phi^k = phi^{k-1}, phi^0 = 0, to 1e-8 max(|phi^k|, 1).
     """
-    if N < 1:
-        raise ValueError(f"window radius must be at least 1, got {N}")
-    n0 = cs.n0
-    dim = 2 * (n0 + 1)
-    lam = res.lam
-    kmat = build_K(cs)
-    shifted = kmat.entries - lam * np.eye(dim)
+    dim = len(kentries)
+    shifted = kentries - lam * np.eye(dim)
     u_svd, s, vh = np.linalg.svd(shifted)
     rank = int(np.sum(s > 1e-8 * s[0]))
     if rank != dim - 1:
@@ -345,49 +342,61 @@ def resonant_chain(cs: CoinSequence, res: Resonance, N: int) -> JordanChainState
     inv_s = np.where(s > 1e-8 * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
     pinv = (vh.conj().T * inv_s) @ u_svd.conj().T
     flats = [v1]
-    for k in range(2, res.alg_multiplicity + 1):
-        sol = pinv @ flats[-1]
-        resid = np.linalg.norm(shifted @ sol - flats[-1])
-        if resid > 1e-8 * np.linalg.norm(flats[-1]):
-            raise ChainSolveFailed(
-                f"chain equation at step {k} is inconsistent, residual {resid:.2e}"
-            )
-        flats.append(sol)
+    for _ in range(1, m):
+        flats.append(pinv @ flats[-1])
+    chain = np.array(flats)
+    resid = chain @ shifted.T  # row k - 1 is (K - lambda) phi^k - phi^{k-1}
+    resid[1:] -= chain[:-1]
+    errs, norms = np.linalg.norm(resid, axis=1), np.linalg.norm(chain, axis=1)
+    _check_links(errs, np.concatenate([[np.inf], norms[:-1]]), "chain solve")
+    _check_links(errs, np.maximum(norms, 1.0), "window chain relation")
+    return chain
+
+
+def resonant_chain(cs: CoinSequence, res: Resonance, N: int) -> JordanChainStates:
+    """Build the resonant state and its Jordan chain on [-N, n0 + N].
+
+    On the window the chain is the one of K at lambda (see _window_chain).
+    Outside, the only surviving chirality obeys a first-order recursion in
+    lambda with a junction factor a_0 (left) or d_{n0} (right) on the first
+    step out:
+
+        phi^k_L(s) = (a phi^k_L(s+1) - phi^{k-1}_L(s)) / lambda,  s <= -1
+        phi^k_R(s) = (d phi^k_R(s-1) - phi^{k-1}_R(s)) / lambda,  s >= n0+1
+
+    The chain relation (U - lambda) phi^k = phi^{k-1} is then verified by
+    one application of the walk on the interior [-N + 1, n0 + N - 1].
+    """
+    if N < 1:
+        raise ValueError(f"window radius must be at least 1, got {N}")
+    n0 = cs.n0
+    lam = res.lam
+    chain = _window_chain(build_K(cs).entries, lam, res.alg_multiplicity)
+    m = len(chain)
 
     a0 = cs.coin_at(0).a
     dn = cs.coin_at(n0).d
     width = n0 + 2 * N + 1
     off = N  # row of site 0
-    states = []
-    prev = None
-    for flat in flats:
-        amps = np.zeros((width, 2), dtype=complex)
-        amps[off : off + n0 + 1] = flat.reshape(-1, 2)
+    amps = np.zeros((m, width, 2), dtype=complex)
+    amps[:, off : off + n0 + 1] = chain.reshape(m, n0 + 1, 2)
+    for k in range(m):
+        prev = amps[k - 1] if k else np.zeros((width, 2))
         for srow in range(off - 1, -1, -1):
-            a_fac = a0 if srow == off - 1 else 1.0
-            prev_l = prev[srow, 0] if prev is not None else 0.0
-            amps[srow, 0] = (a_fac * amps[srow + 1, 0] - prev_l) / lam
+            fac = a0 if srow == off - 1 else 1.0
+            amps[k, srow, 0] = (fac * amps[k, srow + 1, 0] - prev[srow, 0]) / lam
         for srow in range(off + n0 + 1, width):
-            d_fac = dn if srow == off + n0 + 1 else 1.0
-            prev_r = prev[srow, 1] if prev is not None else 0.0
-            amps[srow, 1] = (d_fac * amps[srow - 1, 1] - prev_r) / lam
-        prev = amps
-        states.append(WaveState(-N, amps))
+            fac = dn if srow == off + n0 + 1 else 1.0
+            amps[k, srow, 1] = (fac * amps[k, srow - 1, 1] - prev[srow, 1]) / lam
 
-    lo, hi = -N + 1, n0 + N - 1
-    for k, phi in enumerate(states):
-        want = states[k - 1].restrict(lo, hi) if k > 0 else None
-        got = (step(phi, cs) - lam * phi).restrict(lo, hi)
-        err = got.norm() if want is None else (got - want).norm()
-        scale = max(phi.restrict(lo, hi).norm(), 1.0)
-        if err > 1e-8 * scale:
-            raise ChainSolveFailed(
-                f"chain relation residual {err:.2e} at chain index {k + 1}"
-            )
+    # rows 2..-3 of the step are the sites -N + 1 .. n0 + N - 1
+    _, stepped = _walk(cs, -N, amps)
+    inner = amps[:, 1:-1].reshape(m, -1)
+    resid = stepped[:, 2:-2].reshape(m, -1) - lam * inner
+    resid[1:] -= inner[:-1]
+    scales = np.maximum(np.linalg.norm(inner, axis=1), 1.0)
+    _check_links(np.linalg.norm(resid, axis=1), scales, "chain relation")
 
-    m = len(flats)
-    gram = np.empty((m, m), dtype=complex)
-    for i in range(m):
-        for j2 in range(m):
-            gram[i, j2] = np.vdot(flats[i], flats[j2])
-    return JordanChainStates(res, tuple(states), gram, N)
+    gram = chain.conj() @ chain.T
+    states = tuple(WaveState(-N, a) for a in amps)
+    return JordanChainStates(res, states, gram, N)

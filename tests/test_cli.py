@@ -334,3 +334,30 @@ def test_bad_grid_spec_exits_2(capsys, hadamard_cfg):
         main(["scattering", "--config", hadamard_cfg, "--xi-grid", "nonsense"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_split_without_multiple_resonance_exits_52(capsys, hadamard_cfg):
+    code, out, err = run(capsys, "split", "--config", hadamard_cfg)
+    assert code == 52 and out == ""
+    assert err.startswith("error: NoMultipleResonance:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("split", "--eps", "1e-3"), "--eps"),
+        (("split", "--eps", "0.6"), "--eps"),
+        (("evolve", "--T", "-1"), "--T"),
+        (("resolvent-check", "--window", "-3"), "--window"),
+    ],
+    ids=["one-eps", "eps-too-large", "negative-T", "negative-window"],
+)
+def test_rejected_arguments_exit_2(capsys, triple_cfg, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--config", triple_cfg, *argv[1:]])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {flag}:" in captured.err
+    assert "Traceback" not in captured.err

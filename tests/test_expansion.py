@@ -1,7 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+
+import qwres.walk
 
 from conftest import hadamard_pair, random_sequence, random_state, triple_barrier
 from qwres import (
@@ -12,7 +15,6 @@ from qwres import (
     WindowOutsideCone,
     basis_state,
     build_K,
-    decay_fit,
     decay_fit_full,
     double_barrier_bound,
     double_barrier_closed_form,
@@ -59,6 +61,27 @@ def test_expand_counts_incoming_tail():
     psi0 = basis_state(-2, "R")
     ed = expand(cs, psi0)
     assert ed.nu == incoming_length(psi0, 1) == 3
+
+
+def test_expand_builds_K_at_most_twice(monkeypatch):
+    # once for the dense cross-check in find_resonances and once for the
+    # chains and the zero block, however many resonances the window has
+    real = qwres.walk.build_K
+    calls = []
+
+    def counting(cs):
+        calls.append(cs.n0)
+        return real(cs)
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("qwres") and getattr(mod, "build_K", None) is real:
+            monkeypatch.setattr(mod, "build_K", counting)
+    rng = np.random.default_rng(17)
+    for cs in (random_sequence(rng, 2), triple_barrier(), random_sequence(rng, 9)):
+        calls.clear()
+        ed = expand(cs, basis_state(0, "L"))
+        assert len(ed.blocks) >= 2
+        assert len(calls) <= 2
 
 
 def test_reconstruct_matches_evolution_simple():
@@ -120,15 +143,15 @@ def test_decay_fit_recovers_synthetic_law():
     assert M == pytest.approx(0.6, abs=1e-9)
     assert m == pytest.approx(3.0, abs=1e-6)
     assert C == pytest.approx(3.0, rel=1e-5)
-    M2, m2 = decay_fit(list(survival), 20)
+    M2, m2, _ = decay_fit_full(list(survival), 20)
     assert (M2, m2) == (M, m)
 
 
 def test_decay_fit_needs_enough_points():
     with pytest.raises(AllZeroTail):
-        decay_fit([0.0] * 50, 10)
+        decay_fit_full([0.0] * 50, 10)
     with pytest.raises(AllZeroTail):
-        decay_fit([1.0] * 25, 10)
+        decay_fit_full([1.0] * 25, 10)
 
 
 def test_hadamard_survival_fit():

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import hadamard_pair, random_sequence, triple_barrier
 from qwres import (
+    ChainSolveFailed,
     CircleTouchesOtherResonance,
     CoinSequence,
     InvariantViolation,
@@ -21,6 +22,7 @@ from qwres import (
     validate_multiplicity,
     winding_count,
 )
+from qwres.resonances import _window_chain
 
 LOG2_HALF = 0.5 * math.log(2.0)
 
@@ -203,6 +205,25 @@ def test_resonant_chain_jordan_relation():
     assert r1.norm() < 1e-9 * phi1.restrict(-10, 12).norm()
     r2 = ((step(phi2, cs) - lam * phi2) - phi1).restrict(-10, 12)
     assert r2.norm() < 1e-9 * phi2.restrict(-10, 12).norm()
+
+
+def test_window_chain_refuses_broken_links():
+    cs = hadamard_pair()
+    k = build_K(cs).entries
+    lam = find_resonances(cs)[0].lam
+    # a simple eigenvalue has no second chain vector
+    with pytest.raises(ChainSolveFailed, match="chain solve residual .* at chain index 2"):
+        _window_chain(k, lam, 2)
+    # slightly off the eigenvalue, the smallest singular value of K - lambda
+    # lies between 1e-8 and the rank cut 1e-8 s_max: the kernel is accepted,
+    # but (K - lambda) phi^1 = 0 fails its 1e-8 bound
+    eye = np.eye(len(k))
+    s = np.linalg.svd(k - (lam + 1e-6) * eye, compute_uv=False)
+    off = lam + 1e-6 * 1e-8 * (1 + s[0]) / 2 / s[-1]
+    s = np.linalg.svd(k - off * eye, compute_uv=False)
+    assert 1e-8 < s[-1] < 1e-8 * s[0]
+    with pytest.raises(ChainSolveFailed, match="window chain relation residual .* at chain index 1"):
+        _window_chain(k, off, 1)
 
 
 def test_resonant_chain_rejects_bad_radius():
