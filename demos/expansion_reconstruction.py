@@ -9,11 +9,10 @@ one complex coefficient per chain vector.
 import numpy as np
 
 from qwres import (
-    Coin,
-    CoinSequence,
     basis_state,
     evolve,
     expand,
+    random_sequence,
     reconstruct,
     resonant_chain,
 )
@@ -22,16 +21,7 @@ N0 = 3
 SEED = 29
 T_MAX = 30
 
-rng = np.random.default_rng(SEED)
-
-coins = []
-while len(coins) < N0 + 1:
-    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    q, r = np.linalg.qr(z)
-    q = q * (np.diag(r) / np.abs(np.diag(r)))
-    if abs(q[0, 0]) >= 0.2:
-        coins.append(Coin(q[0, 0], q[0, 1], q[1, 0], q[1, 1]))
-cs = CoinSequence(N0, tuple(coins))
+cs = random_sequence(np.random.default_rng(SEED), N0)
 
 # an initial state with an incoming tail: R amplitude two sites left of
 # the window still has to travel before the expansion takes over

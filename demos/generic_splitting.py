@@ -9,19 +9,18 @@ so the log-log slope of gap against eps is 1/2.
 import numpy as np
 
 from qwres import (
-    CoinSequence,
     PerturbationFamily,
     find_resonances,
     perturb,
-    rotation_coin,
     splitting_experiment,
     splitting_slope,
+    triple_barrier,
 )
 
 PHI = 0.0
 EPSILONS = (0.0, 1e-3, 1e-4, 1e-5, 1e-6)
 
-base = CoinSequence(2, (rotation_coin(0.75), rotation_coin(12 / 13), rotation_coin(1 / 3)))
+base = triple_barrier()
 print("base walk: rotation triple (3/4, 12/13, 1/3)")
 for r in find_resonances(base):
     print(f"  lambda = {r.lam:.6f}  multiplicity {r.alg_multiplicity}")

@@ -10,12 +10,11 @@ which is the whole point of having them.
 import numpy as np
 
 from qwres import (
-    CoinSequence,
     build_K,
     find_resonances,
-    haar_coin,
-    rotation_coin,
+    random_sequence,
     transfer_polynomial,
+    triple_barrier,
     validate_multiplicity,
     winding_count,
 )
@@ -23,8 +22,7 @@ from qwres import (
 N0 = 4
 SEED = 71
 
-rng = np.random.default_rng(SEED)
-cs = CoinSequence(N0, tuple(haar_coin(rng) for _ in range(N0 + 1)))
+cs = random_sequence(np.random.default_rng(SEED), N0)
 
 tp = transfer_polynomial(cs)
 print(f"random window, n0 = {N0}, seed {SEED}")
@@ -54,6 +52,5 @@ print(f"  {abs(winding_count(cs, -1 - 0.2j, 0.1)):.2e}  (should be ~0)")
 
 print()
 print("the rotation triple has one double pair:")
-cs3 = CoinSequence(2, (rotation_coin(0.75), rotation_coin(12 / 13), rotation_coin(1 / 3)))
-for r in find_resonances(cs3):
+for r in find_resonances(triple_barrier()):
     print(f"  lambda = {r.lam:.6f}  multiplicity {r.alg_multiplicity}")

@@ -9,14 +9,13 @@ walks toward one and watches |det Sigma| grow through three decades.
 import numpy as np
 
 from qwres import (
-    CoinSequence,
     find_resonances,
-    hadamard_coin,
-    rotation_coin,
+    hadamard_pair,
     scattering_matrix,
+    triple_barrier,
 )
 
-cs = CoinSequence(2, (rotation_coin(0.75), rotation_coin(12 / 13), rotation_coin(1 / 3)))
+cs = triple_barrier()
 
 print("rotation triple on the real axis")
 print(f"{'xi':>8} {'|t-|^2':>10} {'|r-|^2':>10} {'sum':>18} {'||S*S-I||':>11}")
@@ -30,7 +29,7 @@ for xi in np.linspace(-np.pi, np.pi, 9):
 
 print()
 print("walking toward a resonance of the Hadamard pair")
-had = CoinSequence(1, (hadamard_coin(), hadamard_coin()))
+had = hadamard_pair()
 res = find_resonances(had)[0]
 print(f"target xi = {res.xi:.6f}")
 print(f"{'distance':>10} {'|det Sigma|':>12}")

@@ -7,14 +7,13 @@ top of the geometric decay; the fitted order comes out near 2.
 """
 
 from qwres import (
-    CoinSequence,
     basis_state,
     decay_fit_full,
     evolve,
     find_resonances,
-    hadamard_coin,
-    rotation_coin,
+    hadamard_pair,
     survival_norm,
+    triple_barrier,
 )
 
 T_HAD = 30          # horizon for the exact halving law
@@ -24,7 +23,7 @@ T_MIN = 300         # parity of t wiggles the prefactor; fit late times only
 psi0 = basis_state(0, "L")
 
 print("Hadamard double barrier, psi0 = delta_0 L")
-cs = CoinSequence(1, (hadamard_coin(), hadamard_coin()))
+cs = hadamard_pair()
 s = survival_norm(evolve(psi0, cs, T_HAD), 1)
 print(f"  {'t':>3}  {'survival':>12}  {'2^(-t/2)':>12}")
 for t in (0, 1, 2, 4, 8, 16, 30):
@@ -34,7 +33,7 @@ print(f"  max deviation over t <= {T_HAD}: {worst:.2e}")
 
 print()
 print("rotation triple (3/4, 12/13, 1/3), psi0 = delta_0 L")
-cs = CoinSequence(2, (rotation_coin(0.75), rotation_coin(12 / 13), rotation_coin(1 / 3)))
+cs = triple_barrier()
 for r in find_resonances(cs):
     print(f"  resonance lambda = {r.lam:.6f}, multiplicity {r.alg_multiplicity}")
 s = survival_norm(evolve(psi0, cs, T_TRIPLE), 2)

@@ -19,14 +19,17 @@ from .coins import (
     coin_to_pqtheta,
     coin_transfer_factor,
     hadamard_coin,
+    hadamard_pair,
     haar_coin,
     identity_coin,
     pqtheta_to_S,
     pqtheta_to_T,
+    random_sequence,
     rotation_coin,
     s_product,
     sequence_from_json,
     sequence_to_json,
+    triple_barrier,
     validate_coin,
 )
 from .errors import (

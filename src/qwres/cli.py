@@ -25,15 +25,16 @@ from pathlib import Path
 import numpy as np
 
 from .coins import (
-    CoinSequence,
     coin_to_pqtheta,
     haar_coin,
-    hadamard_coin,
+    hadamard_pair,
     pqtheta_to_S,
+    random_sequence,
     rotation_coin,
     s_product,
     sequence_from_json,
     sequence_to_json,
+    triple_barrier,
 )
 from .errors import ConfigParse, InvariantViolation, QWResError
 from .expansion import decay_fit_full, expand, nilpotency_index, reconstruct
@@ -43,7 +44,7 @@ from .resonances import find_resonances, resonant_chain, validate_multiplicity
 from .scattering import scattering_matrix
 from .states import basis_state, incoming_length, state_from_json, state_to_json
 from .transfer import transfer_polynomial
-from .walk import build_K, evolve, norm_defect, survival_norm
+from .walk import _states, build_K, evolve, norm_defect, survival_norm
 
 __all__ = ["main"]
 
@@ -215,8 +216,7 @@ def _cmd_expand(args):
 def _cmd_survival(args):
     cs, psi0 = _load_config(args.config)
     psi0 = _default_psi0(psi0)
-    traj = evolve(psi0, cs, args.T)
-    norms = survival_norm(traj, cs.n0)
+    norms = survival_norm(_states(psi0, cs, args.T), cs.n0)
     csv_text = _survival_csv(norms)
     if not args.fit:
         return csv_text
@@ -252,20 +252,6 @@ def _cmd_split(args):
 # -------------------------------------------------------------- selftest
 
 
-def _random_sequence(rng, n0: int) -> CoinSequence:
-    return CoinSequence(n0, tuple(haar_coin(rng) for _ in range(n0 + 1)))
-
-
-def _hadamard_pair() -> CoinSequence:
-    return CoinSequence(1, (hadamard_coin(), hadamard_coin()))
-
-
-def _triple_barrier() -> CoinSequence:
-    return CoinSequence(
-        2, (rotation_coin(3 / 4), rotation_coin(12 / 13), rotation_coin(1 / 3))
-    )
-
-
 def _check(ok: bool, what: str):
     if not ok:
         raise InvariantViolation(f"selftest: {what}")
@@ -278,13 +264,7 @@ def _cmd_selftest(args):
     for _ in range(25):
         c = haar_coin(rng)
         back = pqtheta_to_S(coin_to_pqtheta(c))
-        _check(
-            max(
-                abs(back.a - c.a), abs(back.b - c.b), abs(back.c - c.c), abs(back.d - c.d)
-            )
-            < 1e-10,
-            "(p, q, theta) round trip drifted",
-        )
+        _check(np.max(np.abs(back.matrix - c.matrix)) < 1e-10, "(p, q, theta) round trip drifted")
     lines.append("ok: coin parameterization round trip")
 
     r1, r2 = 0.3, 0.5
@@ -294,13 +274,13 @@ def _cmd_selftest(args):
     lines.append("ok: hyperbolic product of rotations")
 
     for _ in range(50):
-        cs = _random_sequence(rng, int(rng.integers(1, 5)))
+        cs = random_sequence(rng, int(rng.integers(1, 5)))
         v = rng.normal(size=2 * (cs.n0 + 1)) + 1j * rng.normal(size=2 * (cs.n0 + 1))
         _check(norm_defect(cs, v) <= 1e-12 * np.linalg.norm(v) ** 2, "norm identity broke")
     lines.append("ok: window norm identity")
 
     for _ in range(10):
-        cs = _random_sequence(rng, int(rng.integers(1, 5)))
+        cs = random_sequence(rng, int(rng.integers(1, 5)))
         for _ in range(4):
             xi = rng.uniform(-np.pi, np.pi)
             _check(
@@ -309,13 +289,13 @@ def _cmd_selftest(args):
             )
     lines.append("ok: scattering unitarity at real xi")
 
-    res = find_resonances(_hadamard_pair())
+    res = find_resonances(hadamard_pair())
     _check(len(res) == 2, "Hadamard pair should have two resonances")
     _check(
         all(abs(abs(r.lam) - 2 ** -0.5) < 1e-12 for r in res),
         "Hadamard resonances off the closed form",
     )
-    tp = transfer_polynomial(_triple_barrier())
+    tp = transfer_polynomial(triple_barrier())
     _check(
         np.max(np.abs(np.array(tp.coeffs) - np.array([0.25, 1.0, 1.0]))) < 1e-10,
         "triple barrier polynomial is not (mu + 1/2)^2",
@@ -323,7 +303,7 @@ def _cmd_selftest(args):
     lines.append("ok: worked examples (double and triple barrier)")
 
     for _ in range(5):
-        cs = _random_sequence(rng, int(rng.integers(1, 4)))
+        cs = random_sequence(rng, int(rng.integers(1, 4)))
         found = find_resonances(cs)
         for r in found:
             _check(
@@ -333,7 +313,7 @@ def _cmd_selftest(args):
     lines.append("ok: winding counts match root multiplicities")
 
     for _ in range(5):
-        cs = _random_sequence(rng, int(rng.integers(1, 4)))
+        cs = random_sequence(rng, int(rng.integers(1, 4)))
         psi0 = basis_state(0, "L")
         ed = expand(cs, psi0)
         chains = [resonant_chain(cs, b.resonance, 30) for b in ed.blocks]
@@ -348,7 +328,7 @@ def _cmd_selftest(args):
     lines.append("ok: resonance expansion reconstructs the walk")
 
     for _ in range(5):
-        cs = _random_sequence(rng, int(rng.integers(1, 4)))
+        cs = random_sequence(rng, int(rng.integers(1, 4)))
         f = basis_state(0, "L") + 0.5 * basis_state(-1, "R")
         xi = complex(rng.uniform(-np.pi, np.pi), rng.uniform(0.5, 1.0))
         resid, _cond = identity_residual(cs, xi, f, (-8, cs.n0 + 8))
@@ -359,7 +339,7 @@ def _cmd_selftest(args):
     lines.append("ok: resolvent identity and Neumann series")
 
     rows = splitting_experiment(
-        PerturbationFamily(_triple_barrier(), 0.0, (1e-4, 1e-3))
+        PerturbationFamily(triple_barrier(), 0.0, (1e-4, 1e-3))
     )
     slope = splitting_slope(rows)
     _check(abs(slope - 0.5) < 0.1, f"splitting slope {slope} too far from 1/2")

@@ -37,6 +37,9 @@ __all__ = [
     "rotation_coin",
     "hadamard_coin",
     "haar_coin",
+    "random_sequence",
+    "hadamard_pair",
+    "triple_barrier",
     "coin_to_pqtheta",
     "pqtheta_to_S",
     "pqtheta_to_T",
@@ -112,6 +115,21 @@ def haar_coin(rng: np.random.Generator) -> Coin:
         q = q * (np.diag(r) / np.abs(np.diag(r)))
         if abs(q[0, 0]) >= 0.1:
             return validate_coin(q)
+
+
+def random_sequence(rng: np.random.Generator, n0: int) -> CoinSequence:
+    """n0 + 1 independent Haar coins on the window [0, n0]."""
+    return CoinSequence(n0, tuple(haar_coin(rng) for _ in range(n0 + 1)))
+
+
+def hadamard_pair() -> CoinSequence:
+    """Two Hadamard coins; from delta_0^L the survival norm is exactly 2^(-t/2)."""
+    return CoinSequence(1, (hadamard_coin(), hadamard_coin()))
+
+
+def triple_barrier() -> CoinSequence:
+    """Rotations 3/4, 12/13, 1/3: one resonance pair of multiplicity two."""
+    return CoinSequence(2, (rotation_coin(3 / 4), rotation_coin(12 / 13), rotation_coin(1 / 3)))
 
 
 def validate_coin(matrix) -> Coin:

@@ -23,15 +23,9 @@ import numpy as np
 from .coins import CoinSequence
 from .errors import AtResonance, InvariantViolation
 from .states import WaveState, zero_state
-from .walk import _walk, build_K, step
+from .walk import _states, _sweep, _walk, build_K
 
 __all__ = ["apply_resolvent", "identity_residual", "neumann_resolvent"]
-
-
-def _sup(psi: WaveState) -> float:
-    if psi.is_zero():
-        return 0.0
-    return float(np.max(np.abs(psi.amplitudes)))
 
 
 def _resolve(cs: CoinSequence, xi: np.ndarray, f: WaveState, lo: int, hi: int):
@@ -66,14 +60,8 @@ def _resolve(cs: CoinSequence, xi: np.ndarray, f: WaveState, lo: int, hi: int):
     # outside [0, n0] the walk is a pure shift, so each chirality obeys
     # w(n) = e^{i xi} (w(n -+ 1) + f(n)) along its direction of travel;
     # the incoming ones (R on the left, L on the right) start at zero far out
-    acc = 0j
-    for i in range(z):
-        acc = e * (acc + fa[i, 1])
-        amps[:, i, 1] = acc
-    acc = 0j
-    for i in range(len(fa) - 1, z + n0, -1):
-        acc = e * (acc + fa[i, 0])
-        amps[:, i, 0] = acc
+    amps[:, :z, 1] = _sweep(e, fa[:z, 1]).T
+    amps[:, : z + n0 : -1, 0] = _sweep(e, fa[: z + n0 : -1, 0]).T
 
     # the two rows of K that drop outside input pick it up from the
     # incoming amplitudes just left of 0 and just right of n0
@@ -100,20 +88,14 @@ def _resolve(cs: CoinSequence, xi: np.ndarray, f: WaveState, lo: int, hi: int):
     # the outgoing chiralities leave the window through the junction coins,
     # one step of the walk from the window carries them to -1 and n0 + 1
     _, emitted = _walk(cs, 0, amps[:, z : z + n0 + 1])
-    acc = emitted[:, 0, 0]
-    for i in range(z - 1, -1, -1):
-        acc = e * (acc + fa[i, 0])
-        amps[:, i, 0] = acc
-    acc = emitted[:, -1, 1]
-    for i in range(z + n0 + 1, len(fa)):
-        acc = e * (acc + fa[i, 1])
-        amps[:, i, 1] = acc
+    amps[:, z - 1 :: -1, 0] = _sweep(e, fa[z - 1 :: -1, 0], emitted[:, 0, 0]).T
+    amps[:, z + n0 + 1 :, 1] = _sweep(e, fa[z + n0 + 1 :, 1], emitted[:, -1, 1]).T
 
     # (e^{-i xi} - U) w = f on [lo, hi]
     wide = amps[:, lo - 1 - s_lo : hi + 2 - s_lo]
     _, uw = _walk(cs, lo - 1, wide)
     check = lam[:, None, None] * wide[:, 1:-1] - fa[lo - s_lo : hi + 1 - s_lo] - uw[:, 2:-2]
-    scale = np.maximum(np.max(np.abs(wide), axis=(1, 2)), max(_sup(f), 1e-300))
+    scale = np.maximum(np.max(np.abs(wide), axis=(1, 2)), max(np.max(np.abs(fa)), 1e-300))
     return wide, np.max(np.abs(check), axis=(1, 2)) / scale, cond
 
 
@@ -157,10 +139,8 @@ def neumann_resolvent(cs: CoinSequence, xi: complex, f: WaveState, window) -> Wa
     lo, hi = int(window[0]), int(window[1])
     e = cmath.exp(1j * xi)
     total = zero_state()
-    cur = f
     w = e
-    for _ in range(201):
+    for cur in _states(f, cs, 200):
         total = total + w * cur
-        cur = step(cur, cs)
         w = w * e
     return total.restrict(lo, hi)

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .states import WaveState
 from .transfer import transfer_polynomial, transfer_product
-from .walk import _walk, build_K
+from .walk import _sweep, _walk, build_K
 
 __all__ = [
     "Resonance",
@@ -357,15 +357,11 @@ def resonant_chain(cs: CoinSequence, res: Resonance, N: int) -> JordanChainState
     """Build the resonant state and its Jordan chain on [-N, n0 + N].
 
     On the window the chain is the one of K at lambda (see _window_chain).
-    Outside, the only surviving chirality obeys a first-order recursion in
-    lambda with a junction factor a_0 (left) or d_{n0} (right) on the first
-    step out:
-
-        phi^k_L(s) = (a phi^k_L(s+1) - phi^{k-1}_L(s)) / lambda,  s <= -1
-        phi^k_R(s) = (d phi^k_R(s-1) - phi^{k-1}_R(s)) / lambda,  s >= n0+1
-
-    The chain relation (U - lambda) phi^k = phi^{k-1} is then verified by
-    one application of the walk on the interior [-N + 1, n0 + N - 1].
+    Outside, only the outgoing chirality survives (L on the left, R on the
+    right): one step of the walk carries phi^k to -1 and n0 + 1, and from
+    there walk._sweep continues phi^k = (U phi^k - phi^{k-1}) / lambda along
+    the shift.  The chain relation (U - lambda) phi^k = phi^{k-1} is then
+    verified by one application of the walk on [-N + 1, n0 + N - 1].
     """
     if N < 1:
         raise ValueError(f"window radius must be at least 1, got {N}")
@@ -374,20 +370,13 @@ def resonant_chain(cs: CoinSequence, res: Resonance, N: int) -> JordanChainState
     chain = _window_chain(build_K(cs).entries, lam, res.alg_multiplicity)
     m = len(chain)
 
-    a0 = cs.coin_at(0).a
-    dn = cs.coin_at(n0).d
-    width = n0 + 2 * N + 1
-    off = N  # row of site 0
-    amps = np.zeros((m, width, 2), dtype=complex)
-    amps[:, off : off + n0 + 1] = chain.reshape(m, n0 + 1, 2)
+    amps = np.zeros((m, n0 + 2 * N + 1, 2), dtype=complex)  # row N is site 0
+    amps[:, N : N + n0 + 1] = chain.reshape(m, n0 + 1, 2)
+    _, emitted = _walk(cs, 0, amps[:, N : N + n0 + 1])
     for k in range(m):
-        prev = amps[k - 1] if k else np.zeros((width, 2))
-        for srow in range(off - 1, -1, -1):
-            fac = a0 if srow == off - 1 else 1.0
-            amps[k, srow, 0] = (fac * amps[k, srow + 1, 0] - prev[srow, 0]) / lam
-        for srow in range(off + n0 + 1, width):
-            fac = dn if srow == off + n0 + 1 else 1.0
-            amps[k, srow, 1] = (fac * amps[k, srow - 1, 1] - prev[srow, 1]) / lam
+        prev = amps[k - 1] if k else np.zeros(amps.shape[1:])
+        amps[k, N - 1 :: -1, 0] = _sweep(1 / lam, -prev[N - 1 :: -1, 0], emitted[k, 0, 0])
+        amps[k, N + n0 + 1 :, 1] = _sweep(1 / lam, -prev[N + n0 + 1 :, 1], emitted[k, -1, 1])
 
     # rows 2..-3 of the step are the sites -N + 1 .. n0 + N - 1
     _, stepped = _walk(cs, -N, amps)

@@ -82,7 +82,14 @@ class WaveState:
         return np.zeros(2, dtype=complex)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        """l2 norm; below 1e-150 the squares underflow, so rescale first."""
+        plain = float(np.linalg.norm(self.amplitudes))
+        if plain >= 1e-150 or self.is_zero():
+            return plain
+        top = float(np.max(np.abs(self.amplitudes)))
+        # divide the real parts: complex division forms 1/top, inf for a subnormal top
+        parts = np.stack([self.amplitudes.real, self.amplitudes.imag]) / top
+        return top * float(np.linalg.norm(parts))
 
     def restrict(self, lo: int, hi: int) -> "WaveState":
         """Zero out everything outside sites [lo, hi]."""

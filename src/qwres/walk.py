@@ -3,7 +3,8 @@
 One step is U = S∘C: the coin C acts on the (L, R) pair at each site, then
 the shift S moves L one site left and R one site right.  Outside the window
 [0, n0] the coins are the identity, so the step is a pure shift there, with
-no rounding at all.  Every use of U reads the one kernel :func:`_walk`.
+no rounding at all.  Every use of U reads the one kernel :func:`_walk`;
+:func:`_states` steps in time, :func:`_sweep` solves (1/e - U) w = f off the window.
 
 K is the restriction of the step to the sites 0..n0.  It is a contraction;
 the norm it loses in one application is exactly what the walk radiates out
@@ -54,19 +55,36 @@ def _walk(cs: CoinSequence, lo: int, rows: np.ndarray):
 
 def step(psi: WaveState, cs: CoinSequence) -> WaveState:
     """Apply the walk once; the window grows by one site on each side."""
-    if psi.is_zero():
-        return psi
     return WaveState(*_walk(cs, psi.support_lo, psi.amplitudes))
+
+
+def _states(psi: WaveState, cs: CoinSequence, T: int):
+    """Yield psi_0 .. psi_T one at a time, keeping only the current state."""
+    if T < 0:
+        raise ValueError(f"T must be nonnegative, got {T}")
+    yield psi
+    for _ in range(T):
+        psi = step(psi, cs)
+        yield psi
 
 
 def evolve(psi0: WaveState, cs: CoinSequence, T: int) -> list[WaveState]:
     """Trajectory [psi_0, ..., psi_T] under repeated steps."""
-    if T < 0:
-        raise ValueError(f"T must be nonnegative, got {T}")
-    traj = [psi0]
-    for _ in range(T):
-        traj.append(step(traj[-1], cs))
-    return traj
+    return list(_states(psi0, cs, T))
+
+
+def _sweep(e, f, w=0j) -> np.ndarray:
+    """w_i = e (w_{i-1} + f_i) down the first axis of f, from w_{-1} = w.
+
+    Outside [0, n0] the step is a pure shift, so along its direction of
+    travel each chirality of a solution of (1/e - U) w = f obeys this
+    recursion.  e and w broadcast against one row f_i.
+    """
+    out = []
+    for fi in f:
+        w = e * (w + fi)
+        out.append(w)
+    return np.array(out, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -121,8 +139,8 @@ def kernel_witnesses(cs: CoinSequence) -> tuple[np.ndarray, np.ndarray]:
     return v0, vn
 
 
-def survival_norm(trajectory: list[WaveState], n0: int) -> list[float]:
-    """Per-step l2 norm of the restriction to the window [0, n0]."""
+def survival_norm(trajectory, n0: int) -> list[float]:
+    """Per-step l2 norm on the window [0, n0] of any iterable of states."""
     return [t.restrict(0, n0).norm() for t in trajectory]
 
 

@@ -1,33 +1,22 @@
 """Shared helpers for the test suite.
 
 Plain functions rather than fixtures: most tests want several independent
-draws from one rng, which fixtures make awkward.  ``haar_coin`` is the
-library's own generator, imported here so tests can take it from conftest
-along with the other helpers.
+draws from one rng, which fixtures make awkward.  The worked examples
+(``random_sequence``, ``hadamard_pair``, ``triple_barrier``) and
+``haar_coin`` are the library's own, imported here so tests can take them
+from conftest along with the other helpers.
 """
 
 import numpy as np
 
 from qwres import (
-    CoinSequence,
     WaveState,
     basis_state,
     haar_coin,
-    hadamard_coin,
-    rotation_coin,
+    hadamard_pair,
+    random_sequence,
+    triple_barrier,
 )
-
-
-def random_sequence(rng, n0):
-    return CoinSequence(n0, tuple(haar_coin(rng) for _ in range(n0 + 1)))
-
-
-def hadamard_pair():
-    return CoinSequence(1, (hadamard_coin(), hadamard_coin()))
-
-
-def triple_barrier():
-    return CoinSequence(2, (rotation_coin(3 / 4), rotation_coin(12 / 13), rotation_coin(1 / 3)))
 
 
 def random_state(rng, n0, nu_max, span=3):

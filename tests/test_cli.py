@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +188,32 @@ def test_survival_fit_block(capsys, hadamard_cfg):
     assert fit_lines[0] == "M_est,m_est,C_est"
     m_est = float(fit_lines[1].split(",")[0])
     assert abs(m_est - 2**-0.5) < 1e-6
+
+
+def test_survival_past_underflow(capsys, hadamard_cfg):
+    # the window norm 2^(-t/2) drops below 1e-154, where its squares
+    # underflow, and from t = 2045 on the amplitudes themselves are subnormal
+    code, out, _ = run(capsys, "survival", "--config", hadamard_cfg, "--T", "2100")
+    assert code == 0
+    values = [float(line.split(",")[1]) for line in out.strip().split("\n")[1:]]
+    assert len(values) == 2101
+    for t in (1074, 1075, 1100):
+        assert abs(values[t] / 2.0 ** (-t / 2) - 1) < 1e-12
+    # a subnormal 2^-1050 carries 24 significant bits
+    assert abs(values[2100] / 2.0**-1050 - 1) < 1e-6
+
+
+def test_survival_keeps_only_the_current_state(capsys, hadamard_cfg):
+    # holding the whole trajectory of T = 2000 steps takes over 100 MB
+    tracemalloc.start()
+    try:
+        code = main(["survival", "--config", hadamard_cfg, "--T", "2000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak < 8 * 2**20
 
 
 def test_expand_json(capsys, hadamard_cfg):

@@ -77,6 +77,18 @@ def test_norm_is_l2():
     assert psi.norm() == pytest.approx(5.0)
 
 
+def test_norm_survives_underflow_of_the_squares():
+    tiny = state_from_window(0, [[3e-170, 0.0], [0.0, 4e-170j]])
+    assert abs(tiny.norm() / 5e-170 - 1) < 1e-15
+    # subnormal amplitudes, whose reciprocal overflows
+    subnormal = state_from_window(0, [[3e-310, 0.0], [0.0, 4e-310j]])
+    assert abs(subnormal.norm() / 5e-310 - 1) < 1e-12
+    # from 1e-150 up the plain norm is returned as it is
+    psi = state_from_window(0, [[3e-150, 0.0], [0.0, 4e-150j]])
+    assert psi.norm() == float(np.linalg.norm(psi.amplitudes))
+    assert state_from_window(0, [[0.0, 0.0]]).norm() == 0.0
+
+
 def test_inner_conjugate_linear_first_argument():
     rng = np.random.default_rng(5)
     a = random_state(rng, 1, 3)
