@@ -44,7 +44,7 @@ from .resonances import find_resonances, resonant_chain, validate_multiplicity
 from .scattering import scattering_matrix
 from .states import basis_state, incoming_length, state_from_json, state_to_json
 from .transfer import transfer_polynomial
-from .walk import _states, build_K, evolve, norm_defect, survival_norm
+from .walk import _states, _window, build_K, evolve, norm_defect, survival_norm
 
 __all__ = ["main"]
 
@@ -185,17 +185,20 @@ def _survival_csv(norms) -> str:
 def _cmd_evolve(args):
     cs, psi0 = _load_config(args.config)
     psi0 = _default_psi0(psi0)
-    traj = evolve(psi0, cs, args.T)
     lines = ["t,n,chirality,re,im"]
-    for t, psi in enumerate(traj):
-        if psi.is_zero():
-            continue
-        for row, n in enumerate(range(psi.support_lo, psi.support_hi + 1)):
-            for slot, tag in ((0, "L"), (1, "R")):
-                z = psi.amplitudes[row, slot]
-                if z != 0:
-                    lines.append(f"{t},{n},{tag},{_f(z.real)},{_f(z.imag)}")
-    return "\n".join(lines) + "\n", _survival_csv(survival_norm(traj, cs.n0))
+    norms = []
+    for t, psi in enumerate(_states(psi0, cs, args.T)):
+        k, slot = np.nonzero(psi.amplitudes)
+        z = psi.amplitudes[k, slot]
+        sites = (psi.support_lo + k).tolist()
+        tags = ["LR"[s] for s in slot.tolist()]
+        # "%.17g" % x is format(x, ".17g"), as _f writes it, -0 included
+        lines.extend(
+            "%d,%d,%s,%.17g,%.17g" % (t, n, tag, re, im)
+            for n, tag, re, im in zip(sites, tags, z.real.tolist(), z.imag.tolist())
+        )
+        norms.extend(survival_norm([psi], cs.n0))
+    return "\n".join(lines) + "\n", _survival_csv(norms)
 
 
 def _cmd_expand(args):
@@ -216,7 +219,7 @@ def _cmd_expand(args):
 def _cmd_survival(args):
     cs, psi0 = _load_config(args.config)
     psi0 = _default_psi0(psi0)
-    norms = survival_norm(_states(psi0, cs, args.T), cs.n0)
+    norms = survival_norm(_window(psi0, cs, args.T), cs.n0)
     csv_text = _survival_csv(norms)
     if not args.fit:
         return csv_text

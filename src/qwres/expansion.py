@@ -29,7 +29,7 @@ from .coins import CoinSequence
 from .errors import A3Violated, AllZeroTail, InvariantViolation, UnsupportedN0, WindowOutsideCone
 from .resonances import JordanChainStates, Resonance, _window_chain, find_resonances, strip_pair
 from .states import WaveState, incoming_length, window_vector
-from .walk import build_K, evolve
+from .walk import _window, build_K
 
 __all__ = [
     "ResonanceBlock",
@@ -90,15 +90,15 @@ def nilpotency_index(kentries: np.ndarray) -> int:
 def expand(cs: CoinSequence, psi0: WaveState) -> ExpansionData:
     """Expansion coefficients of psi0 over the resonant chains of cs.
 
-    Runs the walk nu = incoming_length steps so the incoming part is
-    inside the window, then solves one least-squares system whose columns
+    Steps the window nu = incoming_length times so the incoming part is
+    inside it, then solves one least-squares system whose columns
     are the restricted chain vectors and a basis of the kernel of
     K^{iota_0}.  The system is square and the residual must vanish to
     1e-9; anything else means the chains do not span what they should.
     """
     n0 = cs.n0
     nu = incoming_length(psi0, n0)
-    psi_nu = evolve(psi0, cs, nu)[-1]
+    *_, psi_nu = _window(psi0, cs, nu)
     x = window_vector(psi_nu, n0)
     resonances = find_resonances(cs)
     kmat = build_K(cs)

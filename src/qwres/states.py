@@ -95,6 +95,8 @@ class WaveState:
         """Zero out everything outside sites [lo, hi]."""
         if self.is_zero() or hi < self.support_lo or lo > self.support_hi:
             return zero_state()
+        if lo <= self.support_lo and self.support_hi <= hi:
+            return self
         a = max(lo, self.support_lo) - self.support_lo
         b = min(hi, self.support_hi) - self.support_lo
         return WaveState(self.support_lo + a, self.amplitudes[a : b + 1])

@@ -4,7 +4,9 @@ One step is U = S∘C: the coin C acts on the (L, R) pair at each site, then
 the shift S moves L one site left and R one site right.  Outside the window
 [0, n0] the coins are the identity, so the step is a pure shift there, with
 no rounding at all.  Every use of U reads the one kernel :func:`_walk`;
-:func:`_states` steps in time, :func:`_sweep` solves (1/e - U) w = f off the window.
+:func:`_states` steps the whole light cone in time, :func:`_window` steps
+only the window and its two incoming edges (what leaves never returns), and
+:func:`_sweep` solves (1/e - U) w = f off the window.
 
 K is the restriction of the step to the sites 0..n0.  It is a contraction;
 the norm it loses in one application is exactly what the walk radiates out
@@ -19,7 +21,7 @@ import numpy as np
 
 from .coins import CoinSequence
 from .errors import UnsupportedN0
-from .states import WaveState
+from .states import WaveState, window_vector
 
 __all__ = [
     "KMatrix",
@@ -66,6 +68,30 @@ def _states(psi: WaveState, cs: CoinSequence, T: int):
     for _ in range(T):
         psi = step(psi, cs)
         yield psi
+
+
+def _window(psi0: WaveState, cs: CoinSequence, T: int):
+    """Yield psi_0 .. psi_T restricted to [0, n0], in O(n0) per step.
+
+    Nothing that leaves the window comes back, so each step walks only the
+    sites -1..n0+1: the window itself, the R amplitude arriving from -1 and
+    the L amplitude arriving from n0 + 1.  Both arrive untouched by any
+    coin, straight off psi0 (its R at -t and its L at n0 + t at step t), so
+    the window rows are bit for bit those of :func:`_states`, except that
+    a zero may carry the other sign: here the coins also act on zero rows
+    that :func:`_states` had trimmed off its support.  No norm sees that.
+    """
+    if T < 0:
+        raise ValueError(f"T must be nonnegative, got {T}")
+    n0 = cs.n0
+    rows = np.zeros((n0 + 3, 2), dtype=complex)
+    rows[1:-1] = window_vector(psi0, n0).reshape(-1, 2)
+    yield WaveState(0, rows[1:-1])
+    for t in range(1, T + 1):
+        rows[0, 1] = psi0.amplitude(-t)[1]
+        rows[-1, 0] = psi0.amplitude(n0 + t)[0]
+        rows = _walk(cs, -1, rows)[1][1:-1]
+        yield WaveState(0, rows[1:-1])
 
 
 def evolve(psi0: WaveState, cs: CoinSequence, T: int) -> list[WaveState]:
@@ -140,7 +166,11 @@ def kernel_witnesses(cs: CoinSequence) -> tuple[np.ndarray, np.ndarray]:
 
 
 def survival_norm(trajectory, n0: int) -> list[float]:
-    """Per-step l2 norm on the window [0, n0] of any iterable of states."""
+    """Per-step l2 norm on the window [0, n0] of any iterable of states.
+
+    The states may be whole (from :func:`_states`) or already restricted to
+    the window (from :func:`_window`); both give the same norms.
+    """
     return [t.restrict(0, n0).norm() for t in trajectory]
 
 

@@ -147,17 +147,46 @@ REAL_CFG = {
 }
 
 
+# incoming parts on both sides (R at -2, L at n0 + 3) and an outgoing L at -4
+TWO_SIDED_CFG = {
+    "n0": 3,
+    "coins": LITERAL_CFG["coins"],
+    "psi0": [
+        {"n": -4, "L": [0.0, 0.36]},
+        {"n": -2, "R": [0.48, 0.0]},
+        {"n": 1, "L": [0.0, 0.64]},
+        {"n": 6, "L": [-0.48, 0.0]},
+    ],
+}
+
+
 @pytest.mark.parametrize(
-    "cfg, digest",
+    "cfg, digest, summary_digest",
     [
-        (HADAMARD_CFG, "e126748de3c0907c012dc7c5f912c9a5d7e8d769323ef9ea30584862eaef2a9f"),
-        (TRIPLE_CFG, "3af9282d078d974cf404e2ad3a1e7d09aa40210e1a5491f807b66b7389af6f22"),
-        (LITERAL_CFG, "a476f3027935865958c91296281e45316c4ca7b70206a636d0ad852fdd4ed219"),
-        (REAL_CFG, "91f8b22f33f6527690a0375137768fa0b67476aaf5445afdd335b7f66c2e6c3c"),
+        (
+            HADAMARD_CFG,
+            "e126748de3c0907c012dc7c5f912c9a5d7e8d769323ef9ea30584862eaef2a9f",
+            "61d9b7f6fb055758fbdfe573223f965b82ee7c09816ff310629d17957c0eea4d",
+        ),
+        (
+            TRIPLE_CFG,
+            "3af9282d078d974cf404e2ad3a1e7d09aa40210e1a5491f807b66b7389af6f22",
+            "ce49bbe40ba16dfb444d87492961cc792be1b850ea9ddf3f2ff9dc07e1375551",
+        ),
+        (
+            LITERAL_CFG,
+            "a476f3027935865958c91296281e45316c4ca7b70206a636d0ad852fdd4ed219",
+            "d200b010ee0b7546f2d51ac3c127d81af8cc68607dea37ea7b81a40feee16fbe",
+        ),
+        (
+            REAL_CFG,
+            "91f8b22f33f6527690a0375137768fa0b67476aaf5445afdd335b7f66c2e6c3c",
+            "d686438304a68357c2155f76ab5aba7da4130df5f65ede2028462b5857fa6ea4",
+        ),
     ],
     ids=["hadamard", "triple", "literal", "real"],
 )
-def test_evolve_trajectory_bytes_are_pinned(tmp_path, capsys, cfg, digest):
+def test_evolve_trajectory_bytes_are_pinned(tmp_path, capsys, cfg, digest, summary_digest):
     # a change to the step that moves any amplitude by one ulp, or the sign
     # of a printed zero, shows up here.  The digests were recorded on x86-64
     # with numpy 2.4; the trajectory makes no BLAS call, but numpy's complex
@@ -171,6 +200,30 @@ def test_evolve_trajectory_bytes_are_pinned(tmp_path, capsys, cfg, digest):
     )
     assert code == 0 and out == ""
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+    summary = (tmp_path / "traj.summary.csv").read_bytes()
+    assert hashlib.sha256(summary).hexdigest() == summary_digest
+
+
+@pytest.mark.parametrize(
+    "cfg, digest",
+    [
+        (HADAMARD_CFG, "42899c612908b3b35cf63d4b1ad827ce7d57d3f99ea1b88ceb2aa0173a35b6bb"),
+        (TRIPLE_CFG, "dae28a431555c512b5aab21d01f34ad810fea84214588c4431a326e01f6ea396"),
+        (LITERAL_CFG, "04609657c99d42edac2e261352b097c17143bd189c5564b02dde0b72e845d2b3"),
+        (REAL_CFG, "0f6dbee8c1fab85201d4d350ea966951fbca010c13fda647faf0b35148688e65"),
+        (TWO_SIDED_CFG, "b32dbeb01b8985b9bd48c13f61d5c8e4c60c854e5b99832eb51e5f77fc5f184a"),
+    ],
+    ids=["hadamard", "triple", "literal", "real", "two-sided"],
+)
+def test_survival_fit_bytes_are_pinned(tmp_path, capsys, cfg, digest):
+    # the fit line reads every window norm; for the Hadamard pair and the
+    # triple barrier the late ones fall below 1e-150, into the rescaled
+    # branch of WaveState.norm()
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, out, _ = run(capsys, "survival", "--config", str(cfg_path), "--T", "1200", "--fit")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_evolve_stdout_contains_both_streams(capsys, hadamard_cfg):
@@ -214,6 +267,27 @@ def test_survival_keeps_only_the_current_state(capsys, hadamard_cfg):
     capsys.readouterr()
     assert code == 0
     assert peak < 8 * 2**20
+
+
+def test_survival_steps_only_the_window(capsys, monkeypatch, hadamard_cfg):
+    # the light cone of T = 2000 steps is 4000 sites wide; the window walk
+    # feeds the kernel the n0 + 3 sites -1..n0+1 at every step
+    import qwres.resolvent
+    import qwres.resonances
+    import qwres.walk
+
+    kernel = qwres.walk._walk
+    widths = []
+
+    def counted(cs, lo, rows):
+        widths.append(rows.shape[-2])
+        return kernel(cs, lo, rows)
+
+    for module in (qwres.walk, qwres.resolvent, qwres.resonances):
+        monkeypatch.setattr(module, "_walk", counted)
+    code, _, _ = run(capsys, "survival", "--config", hadamard_cfg, "--T", "2000")
+    assert code == 0
+    assert len(widths) == 2000 and max(widths) <= HADAMARD_CFG["n0"] + 3
 
 
 def test_expand_json(capsys, hadamard_cfg):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import hadamard_pair, random_sequence, random_state, window_state
+from conftest import hadamard_pair, random_sequence, random_state, triple_barrier, window_state
 from qwres import (
     CoinSequence,
     UnsupportedN0,
@@ -10,11 +10,13 @@ from qwres import (
     build_K,
     evolve,
     identity_coin,
+    incoming_length,
     kernel_witnesses,
     norm_defect,
     step,
     survival_norm,
 )
+from qwres.walk import _states, _window
 
 S = 2.0 ** -0.5
 
@@ -192,3 +194,55 @@ def test_norm_defect_small_on_random_vectors():
         v = rng.normal(size=2 * (n0 + 1)) + 1j * rng.normal(size=2 * (n0 + 1))
         v /= np.linalg.norm(v)
         assert norm_defect(cs, v) < 1e-13
+
+
+def _two_sided_state(rng, n0):
+    """Random state with incoming R at -2, incoming L at n0 + 3, outgoing L at -4."""
+    amp = rng.normal(size=(n0 + 8, 2)) + 1j * rng.normal(size=(n0 + 8, 2))
+    amp[:4] = 0
+    amp[-3:] = 0
+    amp[0, 0] = rng.normal() + 1j * rng.normal()
+    amp[2, 1] = rng.normal() + 1j * rng.normal()
+    amp[-1, 0] = rng.normal() + 1j * rng.normal()
+    return WaveState(-4, amp)
+
+
+def test_window_stream_is_the_restricted_trajectory_bit_for_bit():
+    # by T = 1200 the Hadamard pair and the triple barrier hold less than
+    # 1e-150 on the window, so their late norms take the rescaled branch of
+    # WaveState.norm(); the random windows decay at their own rates
+    rng = np.random.default_rng(79)
+    walks = [random_sequence(rng, int(rng.integers(1, 9))) for _ in range(40)]
+    walks += [hadamard_pair(), triple_barrier()]
+    rescaled = []
+    for cs in walks:
+        psi0 = _two_sided_state(rng, cs.n0)
+        assert incoming_length(psi0, cs.n0) == 4
+        full = _states(psi0, cs, 1200)
+        got = list(_window(psi0, cs, 1200))
+        want = [psi.restrict(0, cs.n0) for psi in full]
+        assert len(got) == len(want) == 1201
+        for a, b in zip(got, want):
+            assert a.support_lo == b.support_lo
+            assert a.amplitudes.tobytes() == b.amplitudes.tobytes()
+        norms = survival_norm(got, cs.n0)
+        assert norms == survival_norm(want, cs.n0)
+        rescaled.append(0 < norms[-1] < 1e-150)
+    assert rescaled[-2:] == [True, True]
+
+
+def test_window_stream_equals_the_trajectory_from_sparse_states():
+    # from a single site the window rows start out partly off the support
+    # of _states; a zero entry may differ in sign there, nothing else may
+    rng = np.random.default_rng(83)
+    for _ in range(10):
+        cs = random_sequence(rng, int(rng.integers(1, 6)))
+        for n in (-3, -1, 0, cs.n0, cs.n0 + 2):
+            for chirality in "LR":
+                psi0 = basis_state(n, chirality)
+                got = list(_window(psi0, cs, 40))
+                want = [psi.restrict(0, cs.n0) for psi in _states(psi0, cs, 40)]
+                for a, b in zip(got, want):
+                    assert a.support_lo == b.support_lo
+                    assert np.array_equal(a.amplitudes, b.amplitudes)
+                assert survival_norm(got, cs.n0) == survival_norm(want, cs.n0)
