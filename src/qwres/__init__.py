@@ -38,7 +38,6 @@ from .errors import (
     AllZeroTail,
     AtResonance,
     ChainSolveFailed,
-    CircleTouchesOtherResonance,
     ConfigParse,
     ConstraintViolated,
     DegenerateDirection,
@@ -80,14 +79,7 @@ from .resonances import (
     validate_multiplicity,
     winding_count,
 )
-from .scattering import (
-    JOST_KINDS,
-    JostSolution,
-    ScatteringMatrix,
-    jost,
-    scattering_matrix,
-    wronskian,
-)
+from .scattering import ScatteringMatrix, scattering_matrix
 from .states import (
     Decomposition,
     WaveState,
@@ -97,7 +89,6 @@ from .states import (
     inner,
     state_from_flat,
     state_from_json,
-    state_from_window,
     state_to_json,
     window_vector,
     zero_state,
@@ -105,7 +96,6 @@ from .states import (
 from .transfer import (
     TransferPolynomial,
     local_transfer,
-    local_transfer_inverse,
     transfer_polynomial,
     transfer_product,
 )

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -88,6 +89,8 @@ def _load_config(path):
         raise ConfigParse(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal past int's digit limit
+        raise ConfigParse(f"{path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigParse(f"{path}: top level must be a JSON object")
     extra = set(obj) - {"n0", "coins", "psi0"}
@@ -113,10 +116,22 @@ def _parse_xi_grid(text: str):
         raise argparse.ArgumentTypeError(
             f"expected re0:re1:n,im (e.g. -3.14:3.14:25,0.0), got {text!r}"
         ) from None
+    if not all(math.isfinite(v) for v in (re0, re1, im)):
+        raise argparse.ArgumentTypeError(f"grid values must be finite, got {text!r}")
     if n < 1:
         raise argparse.ArgumentTypeError("grid needs at least one point")
     res = np.linspace(re0, re1, n) if n > 1 else np.array([re0])
     return [complex(r, im) for r in res]
+
+
+def _finite_float(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return x
 
 
 def _parse_eps_list(text: str):
@@ -403,7 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--eps", type=_parse_eps_list, default=[1e-3, 1e-4, 1e-5], help="comma list"
     )
-    p.add_argument("--phi", type=float, default=0.0, help="perturbation direction")
+    p.add_argument("--phi", type=_finite_float, default=0.0, help="perturbation direction")
 
     p = add("selftest", "run the invariant battery", needs_config=False)
     p.add_argument("--seed", type=_nonnegative_int, default=20240901, help="sweep seed")

@@ -17,7 +17,6 @@ __all__ = [
     "AtResonance",
     "RootFindingDiverged",
     "InvariantViolation",
-    "CircleTouchesOtherResonance",
     "ChainSolveFailed",
     "WindowOutsideCone",
     "AllZeroTail",
@@ -92,12 +91,6 @@ class InvariantViolation(QWResError):
     """An internal cross-check that should always hold did not."""
 
     exit_code = 32
-
-
-class CircleTouchesOtherResonance(QWResError):
-    """Winding-integral circle is not isolated from other resonances."""
-
-    exit_code = 33
 
 
 class ChainSolveFailed(QWResError):

@@ -26,7 +26,6 @@ import numpy as np
 from .coins import CoinSequence
 from .errors import (
     ChainSolveFailed,
-    CircleTouchesOtherResonance,
     InvariantViolation,
     RootFindingDiverged,
 )
@@ -266,27 +265,15 @@ def winding_count(cs: CoinSequence, center: complex, rho: float) -> complex:
     return complex(rho * np.sum(deriv / f0 * e) / nodes)
 
 
-def validate_multiplicity(
-    cs: CoinSequence,
-    res: Resonance,
-    rho: float | None = None,
-    others: list[Resonance] | None = None,
-) -> int:
+def validate_multiplicity(cs: CoinSequence, res: Resonance, others: list[Resonance]) -> int:
     """Independent multiplicity of a resonance by the argument principle.
 
-    With rho unset, the circle radius is 0.1 or 0.45 times the distance to
-    the nearest other resonance, whichever is smaller.  A caller-supplied
-    rho is rejected when another resonance sits within 2 rho.
+    others is the full resonance list of cs, as find_resonances returns
+    it.  The circle radius is 0.1 or 0.45 times the distance to the
+    nearest other resonance, whichever is smaller.
     """
-    if others is None:
-        others = find_resonances(cs)
     dists = [abs(o.xi - res.xi) for o in others if abs(o.xi - res.xi) > 1e-9]
-    if rho is None:
-        rho = 0.1 if not dists else min(0.1, 0.45 * min(dists))
-    elif any(d < 2 * rho for d in dists):
-        raise CircleTouchesOtherResonance(
-            f"another resonance lies within 2 rho = {2 * rho} of xi = {res.xi}"
-        )
+    rho = 0.1 if not dists else min(0.1, 0.45 * min(dists))
     val = winding_count(cs, res.xi, rho)
     count = round(val.real)
     if abs(val - count) > 0.25:
@@ -303,12 +290,10 @@ class JordanChainStates:
     Each state lives on the window [-window_radius, n0 + window_radius].
     phi^1 has a unit-norm restriction; the others solve the shifted chain
     equations with the minimum-norm choice, so nothing is orthonormalized.
-    gram records the restricted inner products for whoever needs them.
     """
 
     resonance: Resonance
     states: tuple[WaveState, ...]
-    gram: np.ndarray
     window_radius: int
 
 
@@ -386,6 +371,5 @@ def resonant_chain(cs: CoinSequence, res: Resonance, N: int) -> JordanChainState
     scales = np.maximum(np.linalg.norm(inner, axis=1), 1.0)
     _check_links(np.linalg.norm(resid, axis=1), scales, "chain relation")
 
-    gram = chain.conj() @ chain.T
     states = tuple(WaveState(-N, a) for a in amps)
-    return JordanChainStates(res, states, gram, N)
+    return JordanChainStates(res, states, N)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coins import _complex_from_pair
 from .errors import ConfigParse
 
 __all__ = [
@@ -23,7 +24,6 @@ __all__ = [
     "Decomposition",
     "zero_state",
     "basis_state",
-    "state_from_window",
     "inner",
     "incoming_length",
     "decompose",
@@ -139,10 +139,6 @@ def basis_state(n: int, chirality: str) -> WaveState:
     return WaveState(n, row)
 
 
-def state_from_window(lo: int, amplitudes) -> WaveState:
-    return WaveState(lo, np.asarray(amplitudes, dtype=complex))
-
-
 def inner(a: WaveState, b: WaveState) -> complex:
     """l2 inner product, conjugate-linear in the first argument."""
     if a.is_zero() or b.is_zero():
@@ -242,14 +238,7 @@ def state_from_json(obj) -> WaveState:
         pair = np.zeros(2, dtype=complex)
         for slot, key in ((0, "L"), (1, "R")):
             if key in item:
-                val = item[key]
-                if (
-                    not isinstance(val, (list, tuple))
-                    or len(val) != 2
-                    or not all(isinstance(x, (int, float)) for x in val)
-                ):
-                    raise ConfigParse(f'state "{key}" must be [re, im], got {val!r}')
-                pair[slot] = complex(val[0], val[1])
+                pair[slot] = _complex_from_pair(item[key], f'state "{key}"')
         extra = set(item) - {"n", "L", "R"}
         if extra:
             raise ConfigParse(f"state entry has unexpected keys {sorted(extra)}")

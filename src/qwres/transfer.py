@@ -24,7 +24,6 @@ from .errors import RelationCheckFailed
 __all__ = [
     "TransferPolynomial",
     "local_transfer",
-    "local_transfer_inverse",
     "transfer_product",
     "transfer_polynomial",
 ]
@@ -40,19 +39,6 @@ def local_transfer(c: Coin, xi) -> np.ndarray:
     t[..., 0, 1] = -np.conj(c.c) / np.conj(c.a)
     t[..., 1, 0] = -c.c / c.d
     t[..., 1, 1] = e_minus / c.d
-    return t
-
-
-def local_transfer_inverse(c: Coin, xi) -> np.ndarray:
-    """Entrywise closed form of T_n(xi)^{-1}."""
-    xi = np.asarray(xi, dtype=complex)
-    e_plus = np.exp(1j * xi)
-    e_minus = np.exp(-1j * xi)
-    t = np.empty(xi.shape + (2, 2), dtype=complex)
-    t[..., 0, 0] = e_minus / c.a
-    t[..., 0, 1] = -c.b / c.a
-    t[..., 1, 0] = -np.conj(c.b) / np.conj(c.d)
-    t[..., 1, 1] = e_plus / np.conj(c.d)
     return t
 
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -399,6 +400,46 @@ def test_nonunitary_coin_exits_10(tmp_path, capsys):
     assert "NotUnitary" in err
 
 
+def test_overflowing_coin_exits_10(tmp_path, capsys):
+    # the unitarity residual of a coin with entries of 1e200 overflows; the
+    # coin is refused without a numpy warning
+    x = 1e200
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(
+        json.dumps({"n0": 0, "coins": [{"a": [x, 0], "b": [x, 0], "c": [x, 0], "d": [-x, 0]}]})
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, "validate", "--config", str(cfg))
+    assert code == 10 and out == ""
+    assert err.startswith("error: NotUnitary:")
+
+
+NAN_COIN = '{"a": [NaN, 0], "b": [0.8, 0], "c": [-0.8, 0], "d": [0.6, 0]}'
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("validate", f'{{"n0": 0, "coins": [{NAN_COIN}]}}'),
+        ("survival", f'{{"n0": 0, "coins": [{NAN_COIN}]}}'),
+        ("validate", '{"n0": 0, "coins": [{"rotation": false}]}'),
+        ("resonances", '{"n0": 0, "coins": [{"rotation": 1%s}]}' % ("0" * 400)),
+        ("validate", '{"n0": 0, "coins": [{"rotation": 1%s}]}' % ("0" * 5000)),
+        ("evolve", '{"n0": 0, "coins": [{"rotation": 0.5}], "psi0": [{"n": 0, "L": [Infinity, 0]}]}'),
+    ],
+    ids=["nan-coin", "nan-coin-survival", "bool-rotation", "huge-rotation", "huge-literal", "inf-psi0"],
+)
+def test_config_numbers_must_be_finite_reals(tmp_path, capsys, command, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, command, "--config", str(cfg))
+    assert code == 3 and out == ""
+    assert err.startswith("error: ConfigParse:")
+
+
 def test_scattering_at_resonance_exits_30(capsys, hadamard_cfg):
     xi_im = -0.5 * math.log(2.0)
     code, _, err = run(
@@ -451,8 +492,21 @@ def test_split_without_multiple_resonance_exits_52(capsys, hadamard_cfg):
         (("split", "--eps", "0.6"), "--eps"),
         (("evolve", "--T", "-1"), "--T"),
         (("resolvent-check", "--window", "-3"), "--window"),
+        (("scattering", "--xi-grid=nan:1:3,0"), "--xi-grid"),
+        (("resolvent-check", "--xi-grid=0:1:2,nan"), "--xi-grid"),
+        (("split", "--phi", "nan"), "--phi"),
+        (("split", "--phi", "inf"), "--phi"),
     ],
-    ids=["one-eps", "eps-too-large", "negative-T", "negative-window"],
+    ids=[
+        "one-eps",
+        "eps-too-large",
+        "negative-T",
+        "negative-window",
+        "nan-grid-start",
+        "nan-grid-height",
+        "nan-phi",
+        "inf-phi",
+    ],
 )
 def test_rejected_arguments_exit_2(capsys, triple_cfg, argv, flag):
     with pytest.raises(SystemExit) as exc:

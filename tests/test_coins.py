@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,14 @@ def test_validate_coin_rejects_nonunitary():
         validate_coin([[1.0, 0.0], [0.0, 2.0]])
     with pytest.raises(NotUnitary):
         validate_coin(np.eye(3))
+    # nan compares false with any tolerance, so the test is written to fail on it
+    with pytest.raises(NotUnitary):
+        validate_coin([[math.nan, 0.8], [-0.8, 0.6]])
+    # huge entries overflow the residual, silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NotUnitary):
+            validate_coin(1e200 * hadamard_coin().matrix)
 
 
 def test_validate_coin_rejects_vanishing_a():
@@ -92,6 +101,8 @@ def test_coin_at_identity_outside_window():
 def test_pqtheta_constraint_enforced():
     with pytest.raises(ConstraintViolated):
         PQTheta(1.0 + 0j, 0.5 + 0j, 0.0)
+    with pytest.raises(ConstraintViolated):
+        PQTheta(complex(math.nan), 0j, 0.0)
 
 
 def test_pqtheta_round_trip_on_random_coins():
@@ -180,6 +191,14 @@ def test_coin_json_entry_form_round_trip():
         {"a": [1, 0], "b": [0, 0], "c": [0, 0]},
         {"a": [1], "b": [0, 0], "c": [0, 0], "d": [1, 0]},
         {"a": ["x", 0], "b": [0, 0], "c": [0, 0], "d": [1, 0]},
+        {"rotation": False},
+        {"rotation": math.nan},
+        {"rotation": -math.inf},
+        {"rotation": 10**400},
+        {"a": [math.nan, 0], "b": [0.8, 0], "c": [-0.8, 0], "d": [0.6, 0]},
+        {"a": [0.6, math.inf], "b": [0.8, 0], "c": [-0.8, 0], "d": [0.6, 0]},
+        {"a": [True, 0], "b": [0, 0], "c": [0, 0], "d": [1, 0]},
+        {"a": [10**400, 0], "b": [0, 0], "c": [0, 0], "d": [1, 0]},
     ],
 )
 def test_coin_json_rejects_malformed(obj):
@@ -205,6 +224,8 @@ def test_sequence_json_round_trip():
         {"n0": -1, "coins": []},
         {"n0": 1, "coins": [{"rotation": 0.1}]},
         {"n0": 0, "coins": {"rotation": 0.1}},
+        {"n0": 0, "coins": [{"rotation": True}]},
+        {"n0": 0, "coins": [{"a": [math.nan, 0], "b": [0.8, 0], "c": [-0.8, 0], "d": [0.6, 0]}]},
     ],
 )
 def test_sequence_json_rejects_malformed(obj):

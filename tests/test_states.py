@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from qwres import (
     inner,
     state_from_flat,
     state_from_json,
-    state_from_window,
     state_to_json,
     window_vector,
     zero_state,
@@ -73,20 +74,20 @@ def test_restrict():
 
 
 def test_norm_is_l2():
-    psi = state_from_window(0, [[3.0, 0.0], [0.0, 4.0]])
+    psi = WaveState(0, [[3.0, 0.0], [0.0, 4.0]])
     assert psi.norm() == pytest.approx(5.0)
 
 
 def test_norm_survives_underflow_of_the_squares():
-    tiny = state_from_window(0, [[3e-170, 0.0], [0.0, 4e-170j]])
+    tiny = WaveState(0, [[3e-170, 0.0], [0.0, 4e-170j]])
     assert abs(tiny.norm() / 5e-170 - 1) < 1e-15
     # subnormal amplitudes, whose reciprocal overflows
-    subnormal = state_from_window(0, [[3e-310, 0.0], [0.0, 4e-310j]])
+    subnormal = WaveState(0, [[3e-310, 0.0], [0.0, 4e-310j]])
     assert abs(subnormal.norm() / 5e-310 - 1) < 1e-12
     # from 1e-150 up the plain norm is returned as it is
-    psi = state_from_window(0, [[3e-150, 0.0], [0.0, 4e-150j]])
+    psi = WaveState(0, [[3e-150, 0.0], [0.0, 4e-150j]])
     assert psi.norm() == float(np.linalg.norm(psi.amplitudes))
-    assert state_from_window(0, [[0.0, 0.0]]).norm() == 0.0
+    assert WaveState(0, [[0.0, 0.0]]).norm() == 0.0
 
 
 def test_inner_conjugate_linear_first_argument():
@@ -135,7 +136,7 @@ def test_decompose_splits_exactly():
 
 
 def test_window_vector_layout_and_round_trip():
-    psi = state_from_window(-1, [[9.0, 9.0], [1.0, 2.0], [3.0, 4.0]])
+    psi = WaveState(-1, [[9.0, 9.0], [1.0, 2.0], [3.0, 4.0]])
     v = window_vector(psi, 1)
     np.testing.assert_array_equal(v, [1.0, 2.0, 3.0, 4.0])
     back = state_from_flat(v, 1)
@@ -171,6 +172,10 @@ def test_state_json_omits_zero_slots():
         [{"n": 0, "L": [1, 0], "spin": 1}],
         [{"n": 0, "L": [1, 0]}, {"n": 0, "R": [1, 0]}],
         [{"n": 0.5, "L": [1, 0]}],
+        [{"n": 0, "L": [math.inf, 0]}],
+        [{"n": 0, "R": [0, math.nan]}],
+        [{"n": 0, "L": [True, 0]}],
+        [{"n": 0, "R": [10**400, 0]}],
     ],
 )
 def test_state_json_rejects_malformed(obj):

@@ -6,7 +6,6 @@ from qwres import (
     CoinSequence,
     identity_coin,
     local_transfer,
-    local_transfer_inverse,
     transfer_polynomial,
     transfer_product,
 )
@@ -27,15 +26,6 @@ def test_local_transfer_encodes_the_eigen_recursion():
         e = np.exp(-1j * xi)
         assert abs(e * out[0] - (c.a * pi_n[0] + c.b * out[1])) < 1e-12
         assert abs(e * pi_n[1] - (c.c * pi_n[0] + c.d * out[1])) < 1e-12
-
-
-def test_local_transfer_inverse():
-    rng = np.random.default_rng(103)
-    for _ in range(20):
-        c = haar_coin(rng)
-        xi = complex(rng.uniform(-np.pi, np.pi), rng.uniform(-1.0, 1.0))
-        prod = local_transfer(c, xi) @ local_transfer_inverse(c, xi)
-        np.testing.assert_allclose(prod, np.eye(2), atol=1e-12)
 
 
 def test_local_transfer_determinant():
