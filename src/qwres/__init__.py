@@ -49,6 +49,7 @@ from .errors import (
     QWResError,
     RelationCheckFailed,
     RootFindingDiverged,
+    SpectralOverflow,
     UnsupportedN0,
     WindowOutsideCone,
 )

@@ -18,6 +18,7 @@ origin when "psi0" is absent.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -120,7 +121,10 @@ def _parse_xi_grid(text: str):
         raise argparse.ArgumentTypeError(f"grid values must be finite, got {text!r}")
     if n < 1:
         raise argparse.ArgumentTypeError("grid needs at least one point")
-    res = np.linspace(re0, re1, n) if n > 1 else np.array([re0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = np.linspace(re0, re1, n) if n > 1 else np.array([re0])
+    if not np.all(np.isfinite(res)):
+        raise argparse.ArgumentTypeError(f"grid points overflow the float range, got {text!r}")
     return [complex(r, im) for r in res]
 
 
@@ -370,7 +374,13 @@ def _cmd_selftest(args):
 # ------------------------------------------------------------------ main
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built on the first main call and reused after.
+
+    Not built at import: importing the module stays cheap.  Parsing leaves
+    the tree unchanged, and no command mutates a shared default.
+    """
     parser = argparse.ArgumentParser(
         prog="qwres",
         description="Resonances and decay rates of finitely perturbed quantum walks.",

@@ -18,6 +18,7 @@ __all__ = [
     "RootFindingDiverged",
     "InvariantViolation",
     "ChainSolveFailed",
+    "SpectralOverflow",
     "WindowOutsideCone",
     "AllZeroTail",
     "A3Violated",
@@ -97,6 +98,12 @@ class ChainSolveFailed(QWResError):
     """A Jordan-chain linear solve left a residual above tolerance."""
 
     exit_code = 34
+
+
+class SpectralOverflow(QWResError):
+    """e^{+-i xi}, or a value computed from it, is not a finite float."""
+
+    exit_code = 35
 
 
 class WindowOutsideCone(QWResError):

@@ -23,11 +23,13 @@ import numpy as np
 from .coins import CoinSequence
 from .errors import AtResonance, InvariantViolation
 from .states import WaveState, zero_state
+from .transfer import _refuse_overflow
 from .walk import _states, _sweep, _walk, build_K
 
 __all__ = ["apply_resolvent", "identity_residual", "neumann_resolvent"]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _resolve(cs: CoinSequence, xi: np.ndarray, f: WaveState, lo: int, hi: int):
     """Resolvent on [lo - 1, hi + 1] for each xi of a 1-D array.
 
@@ -35,13 +37,17 @@ def _resolve(cs: CoinSequence, xi: np.ndarray, f: WaveState, lo: int, hi: int):
     residual of the defining identity on [lo, hi], condition number of
     the window solve), one residual and condition number per point.  K,
     its eigenvalues and the forcing are formed once per call; only the
-    condition number and the window solve run point by point.
+    condition number and the window solve run point by point.  Far out in
+    either half plane e^{+-i xi}, or the sums that grow with it along a
+    long source or window, leave the float range: SpectralOverflow names
+    the first such point, in place of numpy's overflow warnings.
     """
     if hi < lo:
         raise ValueError(f"empty window [{lo}, {hi}]")
     n0 = cs.n0
     lam = np.exp(-1j * xi)
     e = np.exp(1j * xi)
+    _refuse_overflow(xi, lam, e)
     kmat = build_K(cs).entries
     dim = 2 * (n0 + 1)
     evals = np.linalg.eigvals(kmat)
@@ -96,7 +102,9 @@ def _resolve(cs: CoinSequence, xi: np.ndarray, f: WaveState, lo: int, hi: int):
     _, uw = _walk(cs, lo - 1, wide)
     check = lam[:, None, None] * wide[:, 1:-1] - fa[lo - s_lo : hi + 1 - s_lo] - uw[:, 2:-2]
     scale = np.maximum(np.max(np.abs(wide), axis=(1, 2)), max(np.max(np.abs(fa)), 1e-300))
-    return wide, np.max(np.abs(check), axis=(1, 2)) / scale, cond
+    resid = np.max(np.abs(check), axis=(1, 2)) / scale
+    _refuse_overflow(xi, wide, resid)
+    return wide, resid, cond
 
 
 def apply_resolvent(cs: CoinSequence, xi: complex, f: WaveState, window) -> WaveState:
@@ -120,7 +128,9 @@ def identity_residual(cs: CoinSequence, xi, f: WaveState, window):
     Same computation as apply_resolvent, but reporting the numbers instead
     of enforcing them, for diagnostics and tabulation.  xi is a scalar or
     an array; an array gives two arrays of its shape, and AtResonance
-    names the first grid point where the window system is singular.
+    names the first grid point where the window system is singular,
+    SpectralOverflow the first where e^{+-i xi} or the answer is not a
+    finite float.
     """
     xi = np.asarray(xi, dtype=complex)
     _, resid, cond = _resolve(cs, xi.reshape(-1), f, int(window[0]), int(window[1]))

@@ -143,30 +143,35 @@ def _cluster(roots: np.ndarray) -> list[np.ndarray]:
     return clusters
 
 
-def _polish(coeffs: np.ndarray, x0: complex, m: int) -> complex:
-    """Refine an m-fold root as a simple root of the (m-1)-th derivative.
+def _polish(coeffs: np.ndarray, x0: np.ndarray, m: int) -> np.ndarray:
+    """Refine m-fold roots as simple roots of the (m-1)-th derivative.
 
     An m-fold cluster centroid is accurate to about sqrt-of-eps digits; the
     derivative p^(m-1) has a simple root at the same point, where Newton is
-    well posed and recovers nearly full precision.
+    well posed and recovers nearly full precision.  x0 holds centroids of
+    one multiplicity m, polished together: each entry stops on its own at
+    dq == 0, at a step |dx| <= 1e-15 (1 + |x|) or after 60 steps, and an
+    entry that ran away beyond 1e-3 (1 + |x0|) keeps its centroid.
     """
     high = coeffs[::-1]
     for _ in range(m - 1):
         high = np.polyder(high)
     dhigh = np.polyder(high)
-    x = complex(x0)
+    x0 = np.asarray(x0, dtype=complex)
+    x = x0.copy()
+    live = np.arange(len(x))
     for _ in range(60):
-        q = np.polyval(high, x)
-        dq = np.polyval(dhigh, x)
-        if dq == 0:
+        if not live.size:
             break
-        dx = q / dq
-        x -= dx
-        if abs(dx) <= 1e-15 * (1 + abs(x)):
-            break
-    if abs(x - x0) > 1e-3 * (1 + abs(x0)):  # Newton ran away, keep the centroid
-        return complex(x0)
-    return x
+        q = np.polyval(high, x[live])
+        dq = np.polyval(dhigh, x[live])
+        moving = dq != 0
+        live = live[moving]
+        dx = q[moving] / dq[moving]
+        x[live] -= dx
+        live = live[~(np.abs(dx) <= 1e-15 * (1 + np.abs(x[live])))]
+    runaway = np.abs(x - x0) > 1e-3 * (1 + np.abs(x0))
+    return np.where(runaway, x0, x)
 
 
 def strip_pair(mu: complex, multiplicity: int) -> tuple[Resonance, Resonance]:
@@ -227,9 +232,14 @@ def find_resonances(cs: CoinSequence) -> list[Resonance]:
         coeffs = coeffs[1:]
     out: list[Resonance] = []
     if len(coeffs) > 1:
-        for cluster in _cluster(aberth_roots(coeffs)):
-            m = len(cluster)
-            mu = _polish(coeffs, complex(np.mean(cluster)), m)
+        clusters = _cluster(aberth_roots(coeffs))
+        mults = np.array([len(c) for c in clusters])
+        mus = np.array([np.mean(c) for c in clusters])
+        # one Newton run per multiplicity; the checks below keep cluster
+        # order, so the first bad cluster is still the one named
+        for m in np.unique(mults):
+            mus[mults == m] = _polish(coeffs, mus[mults == m], int(m))
+        for m, mu in zip(mults.tolist(), mus):
             if abs(mu) >= 1 + 1e-12:
                 raise InvariantViolation(
                     f"transfer polynomial root mu={mu} lies outside the unit disk"
@@ -324,11 +334,12 @@ def _window_chain(kentries: np.ndarray, lam: complex, m: int) -> np.ndarray:
     v1 = vh[-1].conj()
     j = int(np.argmax(np.abs(v1)))
     v1 = v1 * (abs(v1[j]) / v1[j])  # canonical phase, largest entry real positive
-    inv_s = np.where(s > 1e-8 * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
-    pinv = (vh.conj().T * inv_s) @ u_svd.conj().T
     flats = [v1]
-    for _ in range(1, m):
-        flats.append(pinv @ flats[-1])
+    if m >= 2:
+        inv_s = np.where(s > 1e-8 * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
+        pinv = (vh.conj().T * inv_s) @ u_svd.conj().T
+        for _ in range(1, m):
+            flats.append(pinv @ flats[-1])
     chain = np.array(flats)
     resid = chain @ shifted.T  # row k - 1 is (K - lambda) phi^k - phi^{k-1}
     resid[1:] -= chain[:-1]

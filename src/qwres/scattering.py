@@ -26,7 +26,7 @@ import numpy as np
 
 from .coins import CoinSequence
 from .errors import AtResonance
-from .transfer import _transfer_entries
+from .transfer import _refuse_overflow, _transfer_entries
 
 __all__ = ["ScatteringMatrix", "scattering_matrix"]
 
@@ -58,6 +58,9 @@ class ScatteringMatrix:
         return np.max(np.abs(gram), axis=(-2, -1))[()]
 
 
+# log(0) at a pole is the pole test's -inf; values past the float range are
+# refused as SpectralOverflow, not warned about
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def scattering_matrix(cs: CoinSequence, xi) -> ScatteringMatrix:
     """Scattering coefficients from Wronskian ratios at n = -1.
 
@@ -76,10 +79,15 @@ def scattering_matrix(cs: CoinSequence, xi) -> ScatteringMatrix:
     plane, where the continuation genuinely outgrows any fixed scale and
     the coefficients stop being resolvable; deep in the lower half plane
     the denominator dominates instead and evaluation stays exact.
+
+    Past |Im xi| of about 709, or at a Re xi near the float limit,
+    e^{+-i xi} or a value built from it is no longer a finite float, and
+    SpectralOverflow names the first such grid point.
     """
     xi = np.asarray(xi, dtype=complex)
     n0 = cs.n0
     (_, t12, t21, t22), (log1, log2) = _transfer_entries(cs, xi, rescale=True)
+    _refuse_overflow(xi, log1, log2)  # finite only where every rescaled entry is
     det = complex(np.prod([u.a / u.d for u in cs.coins]))
     g = -xi.imag  # log |e^{i xi}|
 
@@ -98,8 +106,7 @@ def scattering_matrix(cs: CoinSequence, xi) -> ScatteringMatrix:
 
     def log_abs(name):
         val, log = w[name]
-        with np.errstate(divide="ignore"):
-            return log + np.log(np.abs(val))
+        return log + np.log(np.abs(val))
 
     num_scale = np.max([log_abs(name) for name in ("t-", "r-", "r+", "t+")], axis=0)
     bad = log_abs("den") < math.log(1e-13) + num_scale
@@ -115,10 +122,12 @@ def scattering_matrix(cs: CoinSequence, xi) -> ScatteringMatrix:
         val, log = w[name]
         return (val / den * np.exp(log - log_den))[()]
 
-    return ScatteringMatrix(
+    sm = ScatteringMatrix(
         xi[()],
         t_minus=ratio("t-"),
         t_plus=ratio("t+"),
         r_minus=ratio("r-"),
         r_plus=ratio("r+"),
     )
+    _refuse_overflow(xi, sm.t_minus, sm.t_plus, sm.r_minus, sm.r_plus)
+    return sm

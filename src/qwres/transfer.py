@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coins import Coin, CoinSequence
-from .errors import RelationCheckFailed
+from .errors import RelationCheckFailed, SpectralOverflow
 
 __all__ = [
     "TransferPolynomial",
@@ -40,6 +40,19 @@ def local_transfer(c: Coin, xi) -> np.ndarray:
     t[..., 1, 0] = -c.c / c.d
     t[..., 1, 1] = e_minus / c.d
     return t
+
+
+def _refuse_overflow(xi: np.ndarray, *values) -> None:
+    """SpectralOverflow naming the first xi at which one of values is not finite.
+
+    Each value has xi.shape as its leading axes.
+    """
+    ok = np.ones(xi.shape, dtype=bool)
+    for v in values:
+        ok &= np.isfinite(v).reshape(xi.shape + (-1,)).all(axis=-1)
+    if not ok.all():
+        first = complex(xi.flat[np.argmin(ok)])
+        raise SpectralOverflow(f"e^(+-i xi) or a value computed from it is not finite at xi={first}")
 
 
 def _transfer_entries(cs: CoinSequence, xi, rescale: bool = False):

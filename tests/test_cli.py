@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -7,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qwres import cli
 from qwres.cli import main
 
 HADAMARD_CFG = {
@@ -355,6 +357,31 @@ def test_byte_identical_reruns(capsys, triple_cfg):
         assert g1 == g2 and g1.count("\n") > 10
 
 
+def test_one_parser_serves_every_call(capsys, monkeypatch, triple_cfg):
+    # main builds its argument tree once per process and reuses it, also
+    # after argparse has refused a call
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli._build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    first = run(capsys, "resonances", "--config", triple_cfg)
+    with pytest.raises(SystemExit) as exc:
+        main(["survival", "--config", triple_cfg, "--T", "-1"])
+    assert exc.value.code == 2 and "error: argument --T:" in capsys.readouterr().err
+    assert run(capsys, "resonances", "--config", triple_cfg) == first
+    split = run(capsys, "split", "--config", triple_cfg)
+    assert first[0] == split[0] == 0
+    assert built == ["qwres"] + [f"qwres {name}" for name in cli._COMMANDS]
+    monkeypatch.undo()
+    cli._build_parser.cache_clear()
+    assert run(capsys, "split", "--config", triple_cfg) == split
+
+
 def test_missing_config_file_exits_3(capsys):
     code, _, err = run(capsys, "resonances", "--config", "/nonexistent/nope.json")
     assert code == 3
@@ -463,6 +490,30 @@ def test_scattering_grid_through_resonance_writes_no_rows(tmp_path, capsys, hada
     assert code == 30 and out == "" and not out_path.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, first",
+    [
+        (("scattering", "--xi-grid=0:1:3,800"), "800j"),
+        (("scattering", "--xi-grid=0:1:3,-800"), "-800j"),
+        (("scattering", "--xi-grid=0:1:3,-709.5"), "-709.5j"),
+        (("scattering", "--xi-grid=0:1e308:2,0"), "(1e+308+0j)"),
+        (("resolvent-check", "--xi-grid=0:1:2,800"), "800j"),
+        (("resolvent-check", "--xi-grid=0:1:2,-800"), "-800j"),
+        (("resolvent-check", "--xi-grid=0.5:1:2,-1", "--window", "800"), "(0.5-1j)"),
+    ],
+    ids=["above", "below", "kernel", "huge-re", "resolvent-above", "resolvent-below", "long-window"],
+)
+def test_grid_past_the_float_range_exits_35(tmp_path, capsys, triple_cfg, argv, first):
+    # e^{+-i xi}, or a value built from it, is not a finite float at some
+    # point: no NaN rows, no traceback, no numpy warning and no output file
+    out_path = tmp_path / "grid.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, *argv, "--config", triple_cfg, "--out", str(out_path))
+    assert code == 35 and out == "" and not out_path.exists()
+    assert err.startswith("error: SpectralOverflow:") and err.rstrip().endswith(f"xi={first}")
+
+
 def test_no_window_resonances_empty(tmp_path, capsys):
     cfg = tmp_path / "free.json"
     cfg.write_text(json.dumps({"n0": 0, "coins": [{"rotation": 0.0}]}))
@@ -494,6 +545,7 @@ def test_split_without_multiple_resonance_exits_52(capsys, hadamard_cfg):
         (("resolvent-check", "--window", "-3"), "--window"),
         (("scattering", "--xi-grid=nan:1:3,0"), "--xi-grid"),
         (("resolvent-check", "--xi-grid=0:1:2,nan"), "--xi-grid"),
+        (("scattering", "--xi-grid=-1e308:1e308:3,0"), "--xi-grid"),
         (("split", "--phi", "nan"), "--phi"),
         (("split", "--phi", "inf"), "--phi"),
     ],
@@ -504,12 +556,14 @@ def test_split_without_multiple_resonance_exits_52(capsys, hadamard_cfg):
         "negative-window",
         "nan-grid-start",
         "nan-grid-height",
+        "overflowing-grid",
         "nan-phi",
         "inf-phi",
     ],
 )
 def test_rejected_arguments_exit_2(capsys, triple_cfg, argv, flag):
-    with pytest.raises(SystemExit) as exc:
+    with warnings.catch_warnings(), pytest.raises(SystemExit) as exc:
+        warnings.simplefilter("error", RuntimeWarning)
         main([argv[0], "--config", triple_cfg, *argv[1:]])
     assert exc.value.code == 2
     captured = capsys.readouterr()

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from conftest import hadamard_pair, random_sequence, random_state
 from qwres import (
     AtResonance,
+    SpectralOverflow,
+    WaveState,
     apply_resolvent,
     basis_state,
     find_resonances,
@@ -139,3 +142,19 @@ def test_identity_residual_array_refuses_at_resonance():
     grid = np.array([res.xi - 0.5, res.xi, res.xi + 0.5])
     with pytest.raises(AtResonance):
         identity_residual(cs, grid, basis_state(0, "L"), (-3, 4))
+
+
+def test_overflowing_sums_are_refused():
+    # at Im xi = -10 the incoming R sum over a source on 80 sites left of
+    # the window grows like e^{10 k} past the float range and feeds the
+    # window system; 800 overflows e^{-i xi} itself
+    cs = hadamard_pair()
+    f = WaveState(-80, np.tile([0.0, 1.0], (80, 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SpectralOverflow, match=r"xi=\(0\.3-10j\)"):
+            identity_residual(cs, np.array([0.3 + 0.5j, 0.3 - 10j]), f, (-2, 3))
+        with pytest.raises(SpectralOverflow, match=r"xi=\(0\.3\+800j\)"):
+            apply_resolvent(cs, 0.3 + 800j, f, (-2, 3))
+        resid, _ = identity_residual(cs, 0.3 + 0.5j, f, (-2, 3))
+        assert resid < 1e-10

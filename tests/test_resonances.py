@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from qwres import (
     validate_multiplicity,
     winding_count,
 )
-from qwres.resonances import _window_chain
+from qwres.resonances import _cluster, _polish, _window_chain
 
 LOG2_HALF = 0.5 * math.log(2.0)
 
@@ -50,6 +51,52 @@ def test_aberth_handles_clustered_double_root():
     coeffs = monic_from_roots([0.5, 0.5, -0.3])
     got = np.sort_complex(aberth_roots(coeffs))
     np.testing.assert_allclose(got, [-0.3, 0.5, 0.5], atol=1e-6)
+
+
+def _polish_one(coeffs, x0, m):
+    """One centroid's Newton loop, the oracle for the batched _polish."""
+    high = coeffs[::-1]
+    for _ in range(m - 1):
+        high = np.polyder(high)
+    dhigh = np.polyder(high)
+    x = complex(x0)
+    for _ in range(60):
+        q = np.polyval(high, x)
+        dq = np.polyval(dhigh, x)
+        if dq == 0:
+            break
+        dx = q / dq
+        x -= dx
+        if abs(dx) <= 1e-15 * (1 + abs(x)):
+            break
+    if abs(x - x0) > 1e-3 * (1 + abs(x0)):
+        return complex(x0)
+    return x
+
+
+def test_batched_polish_matches_the_scalar_loop():
+    # exact equality: every entry runs the oracle's own arithmetic and
+    # stop tests, so batching must not move a single bit
+    rng = np.random.default_rng(409)
+    cases = [(triple_barrier(), None)] + [(random_sequence(rng, n0), n0) for n0 in (2, 8, 16, 32, 45)]
+    for cs, n0 in cases:
+        coeffs = np.array(transfer_polynomial(cs).coeffs)
+        clusters = _cluster(aberth_roots(coeffs))
+        for m in {len(c) for c in clusters}:
+            x0 = np.array([np.mean(c) for c in clusters if len(c) == m])
+            got = _polish(coeffs, x0, m)
+            want = np.array([_polish_one(coeffs, x, m) for x in x0])
+            assert got.dtype == complex and np.all(got == want), (n0, m)
+    # dq == 0 at the first step keeps 0; a move from 0.495 to the root 0.5
+    # exceeds 1e-3 (1 + |x0|) and keeps the centroid; Newton from 0.01 on
+    # x^2 + 1 stays on the real line, runs away and keeps its centroid
+    for coeffs, x0, root in [([-0.25, 0, 1], [0, 0.495, 0.4999], 0.5), ([1, 0, 1], [0.01, 0.9999j], 1j)]:
+        coeffs, x0 = np.array(coeffs, dtype=complex), np.array(x0, dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _polish(coeffs, x0, 1)
+        assert np.all(got == [_polish_one(coeffs, x, 1) for x in x0])
+        assert np.all(got[:-1] == x0[:-1]) and abs(got[-1] - root) < 1e-15
 
 
 def test_strip_pair_layout():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from conftest import hadamard_pair, random_sequence
 from qwres import (
     AtResonance,
     CoinSequence,
+    SpectralOverflow,
     identity_coin,
     local_transfer,
     scattering_matrix,
@@ -162,3 +164,16 @@ def test_array_at_resonance_names_first_bad_point():
     grid = np.array([-1.0, 0.0, math.pi / 2, math.pi]) + xi_res
     with pytest.raises(AtResonance, match=r"xi=-0\.3465"):
         scattering_matrix(hadamard_pair(), grid)
+
+
+def test_array_past_the_float_range_names_first_bad_point():
+    # e^{-i xi} overflows at Im xi = 800 and the phase (n0 + 2) Re xi at
+    # Re xi = 1e308; neither reaches the caller as NaN or as a numpy warning
+    cs = hadamard_pair()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SpectralOverflow, match=r"xi=\(0\.5\+800j\)"):
+            scattering_matrix(cs, np.array([0.5, 0.5 + 800j, 0.5 - 800j]))
+        with pytest.raises(SpectralOverflow, match=r"xi=\(1e\+308\+0j\)"):
+            scattering_matrix(cs, np.array([0.0, 1e308]))
+        assert np.isfinite(scattering_matrix(cs, 0.5 - 700j).t_minus)
