@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -106,13 +106,18 @@ def hadamard_coin() -> Coin:
 def haar_coin(rng: np.random.Generator) -> Coin:
     """Haar-random coin, resampled until |a| >= 0.1.
 
-    QR of a complex Gaussian is Haar once R's diagonal phases move into Q.
-    The bound on |a| keeps clear of the decoupled a = 0 walk (1% of draws).
+    The Q factor of a complex Gaussian whose R has a positive diagonal is
+    Haar.  It is formed directly, not by LAPACK, whose rounding varies with
+    the BLAS kernel: column 1 is the normalized first Gaussian column and
+    column 2 is (-conj q_1, conj q_0) times the phase that makes R_22
+    positive.  The bound on |a| keeps clear of the decoupled a = 0 walk (1%
+    of draws).
     """
     while True:
         m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        q, r = np.linalg.qr(m)
-        q = q * (np.diag(r) / np.abs(np.diag(r)))
+        q = m[:, 0] / math.hypot(abs(m[0, 0]), abs(m[1, 0]))
+        w = q[0] * m[1, 1] - q[1] * m[0, 1]  # R_22 before the phase
+        q = np.column_stack([q, np.array([-np.conj(q[1]), np.conj(q[0])]) * (w / abs(w))])
         if abs(q[0, 0]) >= 0.1:
             return validate_coin(q)
 
@@ -171,6 +176,8 @@ class CoinSequence:
 
     n0: int
     coins: tuple[Coin, ...]
+    # row n holds (a, b, c, d) of coins[n]; read-only, outside ==, hash and repr
+    table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n0 < 0:
@@ -182,6 +189,9 @@ class CoinSequence:
         for u in self.coins:
             if not isinstance(u, Coin):
                 raise TypeError("coins must be Coin instances, use validate_coin")
+        table = np.array([(u.a, u.b, u.c, u.d) for u in self.coins], dtype=complex)
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
 
     def coin_at(self, n: int) -> Coin:
         """Coin at site n (identity outside the perturbed window)."""

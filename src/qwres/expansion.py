@@ -196,6 +196,9 @@ def decay_fit_full(survival, t_min: int):
     survival[t] is the window norm at step t.  Only entries with
     t >= max(t_min, 1) and s_t > 0 enter the fit; fewer than 20 such
     points raises AllZeroTail.  Returns (M, m, C).
+
+    The fit is modified Gram-Schmidt on [design | y] with elementwise sums,
+    which, unlike LAPACK, rounds the same on every BLAS kernel.
     """
     s = np.asarray(survival, dtype=float)
     ts = np.arange(len(s))
@@ -206,8 +209,17 @@ def decay_fit_full(survival, t_min: int):
         )
     tt = ts[keep].astype(float)
     y = np.log(s[keep])
-    design = np.column_stack([np.ones(len(tt)), np.log(tt), tt])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    a = np.array([np.ones(len(tt)), np.log(tt), tt, y])  # [design | y], one column per row
+    r = np.zeros((3, 4))
+    for j in range(3):
+        r[j, j] = math.sqrt(np.add.reduce(a[j] * a[j]))
+        a[j] /= r[j, j]
+        r[j, j + 1 :] = np.add.reduce(a[j] * a[j + 1 :], axis=1)
+        a[j + 1 :] -= r[j, j + 1 :, None] * a[j]
+    # column 3 of r is Q^T y; back-substitute R coef = Q^T y
+    coef = [0.0] * 3
+    for j in (2, 1, 0):
+        coef[j] = (r[j, 3] - sum(r[j, k] * coef[k] for k in range(j + 1, 3))) / r[j, j]
     return math.exp(coef[2]), coef[1] + 1.0, math.exp(coef[0])
 
 

@@ -81,7 +81,8 @@ def aberth_roots(coeffs) -> np.ndarray:
     coeffs is lowest degree first with a trailing 1.  Iterates until every
     residual |p(x)| sits below the backward-error floor 16 eps sum |c_k||x|^k
     or every correction stalls at 1e-13 (1 + |x|); 500 sweeps without that
-    raises RootFindingDiverged.
+    raises RootFindingDiverged, and so does a residual or floor past the
+    float range, where inf <= inf would pass for convergence.
     """
     c = np.asarray(coeffs, dtype=complex)
     d = len(c) - 1
@@ -97,8 +98,11 @@ def aberth_roots(coeffs) -> np.ndarray:
     # the angular offset keeps the start away from real-axis root symmetry
     x = radius * np.exp(2j * np.pi * (np.arange(d) + 0.37) / d)
     for _ in range(500):
-        p = np.polyval(high, x)
-        floor = 16 * eps * np.polyval(abs_high, np.abs(x))
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = np.polyval(high, x)
+            floor = 16 * eps * np.polyval(abs_high, np.abs(x))
+        if not (np.isfinite(p).all() and np.isfinite(floor).all()):
+            raise RootFindingDiverged("Aberth residual |p(x)| or its floor is not a finite float")
         done = np.abs(p) <= floor
         if np.all(done):
             return x

@@ -88,7 +88,7 @@ def scattering_matrix(cs: CoinSequence, xi) -> ScatteringMatrix:
     n0 = cs.n0
     (_, t12, t21, t22), (log1, log2) = _transfer_entries(cs, xi, rescale=True)
     _refuse_overflow(xi, log1, log2)  # finite only where every rescaled entry is
-    det = complex(np.prod([u.a / u.d for u in cs.coins]))
+    det = complex(np.prod(cs.table[:, 0] / cs.table[:, 3]))
     g = -xi.imag  # log |e^{i xi}|
 
     def cis(k):

@@ -12,6 +12,7 @@ the perturbed sites ``0..n0`` and orders the entries as
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,14 +83,19 @@ class WaveState:
         return np.zeros(2, dtype=complex)
 
     def norm(self) -> float:
-        """l2 norm; below 1e-150 the squares underflow, so rescale first."""
-        plain = float(np.linalg.norm(self.amplitudes))
+        """l2 norm; below 1e-150 the squares underflow, so rescale first.
+
+        The squares are summed elementwise: a BLAS dot product would round
+        differently on each kernel OpenBLAS picks at run time.
+        """
+        parts = self.amplitudes.reshape(-1).view(float)
+        plain = math.sqrt(np.add.reduce(parts * parts))
         if plain >= 1e-150 or self.is_zero():
             return plain
         top = float(np.max(np.abs(self.amplitudes)))
         # divide the real parts: complex division forms 1/top, inf for a subnormal top
-        parts = np.stack([self.amplitudes.real, self.amplitudes.imag]) / top
-        return top * float(np.linalg.norm(parts))
+        parts = parts / top
+        return top * math.sqrt(np.add.reduce(parts * parts))
 
     def restrict(self, lo: int, hi: int) -> "WaveState":
         """Zero out everything outside sites [lo, hi]."""

@@ -29,16 +29,18 @@ __all__ = [
 ]
 
 
+def _entries(u: Coin, e_plus, e_minus):
+    """Entries (p, q, r, s) of T_n = [[p, q], [r, s]] at e^{+-i xi} = e_plus, e_minus."""
+    return e_plus / np.conj(u.a), -np.conj(u.c) / np.conj(u.a), -u.c / u.d, e_minus / u.d
+
+
 def local_transfer(c: Coin, xi) -> np.ndarray:
     """T_n(xi); for an array xi the result has shape xi.shape + (2, 2)."""
     xi = np.asarray(xi, dtype=complex)
-    e_plus = np.exp(1j * xi)
-    e_minus = np.exp(-1j * xi)
     t = np.empty(xi.shape + (2, 2), dtype=complex)
-    t[..., 0, 0] = e_plus / np.conj(c.a)
-    t[..., 0, 1] = -np.conj(c.c) / np.conj(c.a)
-    t[..., 1, 0] = -c.c / c.d
-    t[..., 1, 1] = e_minus / c.d
+    t[..., 0, 0], t[..., 0, 1], t[..., 1, 0], t[..., 1, 1] = _entries(
+        c, np.exp(1j * xi), np.exp(-1j * xi)
+    )
     return t
 
 
@@ -73,11 +75,7 @@ def _transfer_entries(cs: CoinSequence, xi, rescale: bool = False):
     t11, t12, t21, t22 = one, zero, zero, one
     log1 = log2 = np.zeros(xi.shape)
     for n in range(cs.n0, -1, -1):
-        u = cs.coin_at(n)
-        p = e_plus / np.conj(u.a)
-        q = -np.conj(u.c) / np.conj(u.a)
-        r = -u.c / u.d
-        s = e_minus / u.d
+        p, q, r, s = _entries(cs.coin_at(n), e_plus, e_minus)
         t11, t21 = p * t11 + q * t21, r * t11 + s * t21
         t12, t22 = p * t12 + q * t22, r * t12 + s * t22
         if rescale:
@@ -128,14 +126,14 @@ class TransferPolynomial:
 def transfer_polynomial(cs: CoinSequence) -> TransferPolynomial:
     """Extract p from the transfer product by exact polynomial recursion.
 
-    Each local factor is multiplied by z, which clears the e^{i xi} and
-    leaves a polynomial matrix A_n(z) = z T_n.  Their ordered product has
-    a 22 entry equal to z^{n0+1} TT_22, supported on even powers z^2 and
-    above; the structural zero coefficients come out as exact 0.0 because
-    every contribution to them carries an exactly zero factor.
-
-    Row 2 of a product depends only on row 2 of its left factor, so only
-    that row is carried.
+    Each local factor is multiplied by z = e^{-i xi}, which turns e^{i xi}
+    into 1 and leaves the polynomial matrix zT_n = [[p, q z], [r z, s z^2]],
+    with p, q, r, s the entries of T_n at e^{+-i xi} = 1.  Column 2 of the
+    product is carried from the right as in :func:`_transfer_entries`, on
+    two fixed-length coefficient arrays where multiplying by z is a one-slot
+    shift.  Its 22 entry equals z^{n0+1} TT_22, supported on even powers z^2
+    and above; the structural zero coefficients come out as exact 0.0
+    because every contribution to them carries an exactly zero factor.
 
     The numeric identity e^{-(n0+1) i xi} TT_22 = e^{-2 i xi} p(e^{-2 i xi})
     is then checked at 20 fixed pseudo-random xi to 1e-10 relative.  Half
@@ -143,26 +141,15 @@ def transfer_polynomial(cs: CoinSequence) -> TransferPolynomial:
     |mu| up to e^3, which on valid Haar windows fails the check from about
     n0 = 32 on, although the coefficients themselves stay correct.
     """
-    row = None
-    for n in range(cs.n0 + 1):
-        u = cs.coin_at(n)
-        a_n = [
-            [np.array([1 / np.conj(u.a)]), np.array([0, -np.conj(u.c) / np.conj(u.a)])],
-            [np.array([0, -u.c / u.d]), np.array([0, 0, 1 / u.d])],
-        ]
-        if row is None:
-            row = a_n[1]
-            continue
-        new_row = []
-        for j in range(2):
-            t0 = np.convolve(row[0], a_n[0][j])
-            t1 = np.convolve(row[1], a_n[1][j])
-            acc = np.zeros(max(len(t0), len(t1)), dtype=complex)
-            acc[: len(t0)] += t0
-            acc[: len(t1)] += t1
-            new_row.append(acc)
-        row = new_row
-    full = row[1]
+    # the coefficient of z^k sits at index k + 2, behind two zero slots, so
+    # the views [1:-1] and [:-2] hold the entry times z and times z^2
+    t12 = np.zeros(2 * cs.n0 + 5, dtype=complex)
+    t22 = t12.copy()
+    t22[2] = 1.0
+    for n in range(cs.n0, -1, -1):
+        p, q, r, s = _entries(cs.coin_at(n), 1, 1)
+        t12[2:], t22[2:] = p * t12[2:] + q * t22[1:-1], r * t12[1:-1] + s * t22[:-2]
+    full = t22[2:]
     scale = np.max(np.abs(full))
     stray = np.abs(full[0]) + np.abs(full[1::2]).sum()
     if stray > 1e-13 * scale:

@@ -48,7 +48,7 @@ def _walk(cs: CoinSequence, lo: int, rows: np.ndarray):
     # rows i0..i1-1 sit on the window; their shifted images take the coin
     i0, i1 = max(-lo, 0), min(cs.n0 + 1 - lo, n)
     if i0 < i1:
-        a, b, c, d = np.array([(u.a, u.b, u.c, u.d) for u in cs.coins[lo + i0 : lo + i1]]).T
+        a, b, c, d = cs.table[lo + i0 : lo + i1].T
         win = rows[..., i0:i1, :]
         out[..., i0:i1, 0] = a * win[..., 0] + b * win[..., 1]
         out[..., i0 + 2 : i1 + 2, 1] = c * win[..., 0] + d * win[..., 1]

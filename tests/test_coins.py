@@ -98,6 +98,32 @@ def test_coin_at_identity_outside_window():
     assert cs.coin_at(0) is cs.coins[0]
 
 
+def test_coin_table_is_read_only_and_outside_equality():
+    cs = CoinSequence(1, (hadamard_coin(), rotation_coin(0.2)))
+    u = cs.coins[1]
+    assert cs.table.shape == (2, 4) and not cs.table.flags.writeable
+    assert cs.table[1].tolist() == [u.a, u.b, u.c, u.d]
+    twin = CoinSequence(1, cs.coins)
+    assert cs == twin and hash(cs) == hash(twin) and "table" not in repr(cs)
+    with pytest.raises(TypeError):
+        CoinSequence(1, cs.coins, cs.table)
+
+
+def test_haar_coin_is_the_positive_diagonal_qr_factor():
+    # the Q of numpy's QR with R's diagonal phases moved into it, from the
+    # same two Gaussian columns
+    rng, replay = np.random.default_rng(19), np.random.default_rng(19)
+    for _ in range(500):
+        c = haar_coin(rng)
+        while True:
+            m = replay.normal(size=(2, 2)) + 1j * replay.normal(size=(2, 2))
+            q, r = np.linalg.qr(m)
+            q = q * (np.diag(r) / np.abs(np.diag(r)))
+            if abs(q[0, 0]) >= 0.1:
+                break
+        np.testing.assert_allclose(c.matrix, q, rtol=0, atol=1e-13)
+
+
 def test_pqtheta_constraint_enforced():
     with pytest.raises(ConstraintViolated):
         PQTheta(1.0 + 0j, 0.5 + 0j, 0.0)

@@ -10,6 +10,7 @@ from qwres import (
     CoinSequence,
     InvariantViolation,
     Resonance,
+    RootFindingDiverged,
     aberth_roots,
     basis_state,
     build_K,
@@ -45,6 +46,18 @@ def test_aberth_recovers_scattered_roots():
 def test_aberth_degree_edge_cases():
     assert aberth_roots(np.array([1.0])).size == 0
     np.testing.assert_allclose(aberth_roots(np.array([0.25 + 0j, 1.0])), [-0.25], atol=0)
+
+
+def test_aberth_refuses_a_residual_past_the_float_range():
+    # x^73 + 2e4 has its roots at modulus 2e4^(1/73) = 1.145, but at the
+    # start radius 1 + 2e4 both |p| and its floor overflow, and inf <= inf
+    # once returned the start points as roots
+    coeffs = np.zeros(74, dtype=complex)
+    coeffs[0], coeffs[-1] = 2e4, 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RootFindingDiverged, match="not a finite float"):
+            aberth_roots(coeffs)
 
 
 def test_aberth_handles_clustered_double_root():

@@ -121,6 +121,34 @@ def test_transfer_polynomial_reproduces_product_entry():
         np.testing.assert_allclose(lhs, rhs, atol=1e-10 * np.max(np.abs(lhs)))
 
 
+def _row_recursion(cs):
+    """Coefficients of z^{n0+1} TT_22 in z, lowest first: row 2 of the
+    product zT_0 ... zT_{n0} carried from the left with np.convolve."""
+    row = [np.zeros(1, dtype=complex), np.ones(1, dtype=complex)]
+    for n in range(cs.n0 + 1):
+        u = cs.coin_at(n)
+        # every entry padded to degree 2, so the two products of a sum align
+        col1 = [np.array([1 / np.conj(u.a), 0, 0]), np.array([0, -u.c / u.d, 0])]
+        col2 = [np.array([0, -np.conj(u.c) / np.conj(u.a), 0]), np.array([0, 0, 1 / u.d])]
+        row = [np.convolve(row[0], col[0]) + np.convolve(row[1], col[1]) for col in (col1, col2)]
+    return row[1]
+
+
+def test_transfer_polynomial_matches_the_row_recursion():
+    # the column recursion from the right associates the products in
+    # another order, so the coefficients agree to rounding, not bit for bit
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(149)
+    for n0 in range(17):
+        cs = random_sequence(rng, n0)
+        tp = transfer_polynomial(cs)
+        want = _row_recursion(cs)
+        assert np.all(want[:2] == 0) and np.all(want[3::2] == 0)
+        got = tp.leading * np.asarray(tp.coeffs)
+        tol = 16 * (n0 + 1) * eps * np.max(np.abs(want))
+        np.testing.assert_allclose(got, want[2::2], rtol=0, atol=tol)
+
+
 def test_polynomial_call_matches_polyval():
     rng = np.random.default_rng(139)
     cs = random_sequence(rng, 4)
