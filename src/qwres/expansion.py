@@ -27,7 +27,14 @@ import numpy as np
 
 from .coins import CoinSequence
 from .errors import A3Violated, AllZeroTail, InvariantViolation, UnsupportedN0, WindowOutsideCone
-from .resonances import JordanChainStates, Resonance, _window_chain, find_resonances, strip_pair
+from .resonances import (
+    JordanChainStates,
+    Resonance,
+    _dense_crosscheck,
+    _polynomial_resonances,
+    _window_chains,
+    strip_pair,
+)
 from .states import WaveState, incoming_length, window_vector
 from .walk import _window, build_K
 
@@ -95,21 +102,26 @@ def expand(cs: CoinSequence, psi0: WaveState) -> ExpansionData:
     are the restricted chain vectors and a basis of the kernel of
     K^{iota_0}.  The system is square and the residual must vanish to
     1e-9; anything else means the chains do not span what they should.
+
+    K is built once and decomposed once by np.linalg.eig: its eigenvalues
+    serve find_resonances' dense cross-check, and its eigenvectors are the
+    chains of the simple resonances wherever the rank certificate of
+    resonances._window_chains holds; the rest take the SVD path.
     """
     n0 = cs.n0
     nu = incoming_length(psi0, n0)
     *_, psi_nu = _window(psi0, cs, nu)
     x = window_vector(psi_nu, n0)
-    resonances = find_resonances(cs)
-    kmat = build_K(cs)
-    iota = nilpotency_index(kmat.entries)
-    cols = []
-    for r in resonances:
-        cols.extend(_window_chain(kmat.entries, r.lam, r.alg_multiplicity))
+    resonances = _polynomial_resonances(cs)
+    kentries = build_K(cs).entries
+    evals, evecs = np.linalg.eig(kentries)
+    _dense_crosscheck(resonances, evals)
+    iota = nilpotency_index(kentries)
+    cols = [v for chain in _window_chains(kentries, resonances, evals, evecs) for v in chain]
     dim = 2 * (n0 + 1)
     total_m = len(cols)
     zdim = dim - total_m
-    kp = np.linalg.matrix_power(kmat.entries, iota)
+    kp = np.linalg.matrix_power(kentries, iota)
     _, s, vh = np.linalg.svd(kp)
     kp_rank = int(np.sum(s > 1e-11 * s[0])) if s[0] > 0 else 0
     if kp_rank != total_m:
@@ -153,9 +165,13 @@ def reconstruct(ed: ExpansionData, chains, t: int, window) -> WaveState:
 
     chains are JordanChainStates for (at least) every block of ed, built
     with whatever radius the window needs.  Valid for
-    t >= nu + zero_part_index and windows inside
-    [-(t - nu), t + n0 - nu]; outside that cone the finite sum provably
-    diverges from the true state, so the call is refused.
+    t >= nu + zero_part_index and windows inside [-r, n0 + r] with
+    r = t - nu - (zero_part_index - 1); outside that cone the finite sum
+    provably diverges from the true state, so the call is refused.  The
+    window state at step nu lies in the range of K, so K^{iota_0 - 1}
+    kills its zero part; the zero part emits in the iota_0 - 1 steps
+    before that, and the sum does not describe the outermost iota_0 - 1
+    sites on each side, where those emissions sit at time t.
     """
     lo, hi = int(window[0]), int(window[1])
     nu = ed.nu
@@ -163,9 +179,10 @@ def reconstruct(ed: ExpansionData, chains, t: int, window) -> WaveState:
         raise WindowOutsideCone(
             f"time {t} is below nu + zero_part_index = {nu + ed.zero_part_index}"
         )
-    if lo < -(t - nu) or hi > t + ed.n0 - nu:
+    reach = t - nu - (ed.zero_part_index - 1)
+    if lo < -reach or hi > ed.n0 + reach:
         raise WindowOutsideCone(
-            f"window [{lo}, {hi}] leaves the cone [{-(t - nu)}, {t + ed.n0 - nu}] at t={t}"
+            f"window [{lo}, {hi}] leaves the cone [{-reach}, {ed.n0 + reach}] at t={t}"
         )
     total = np.zeros((max(hi - lo + 1, 0), 2), dtype=complex)
     j = t - nu

@@ -36,8 +36,9 @@ def _resolve(cs: CoinSequence, xi: np.ndarray, f: WaveState, lo: int, hi: int):
     Returns (amplitudes of shape (len(xi), hi - lo + 3, 2), relative
     residual of the defining identity on [lo, hi], condition number of
     the window solve), one residual and condition number per point.  K,
-    its eigenvalues and the forcing are formed once per call; only the
-    condition number and the window solve run point by point.  Far out in
+    its eigenvalues and the forcing are formed once per call; the
+    condition numbers and window solves run on stacks of points, each
+    stack solved only once none of its points is refused.  Far out in
     either half plane e^{+-i xi}, or the sums that grow with it along a
     long source or window, leave the float range: SpectralOverflow names
     the first such point, in place of numpy's overflow warnings.
@@ -74,21 +75,29 @@ def _resolve(cs: CoinSequence, xi: np.ndarray, f: WaveState, lo: int, hi: int):
     rhs = np.tile(fa[z : z + n0 + 1].reshape(-1), (len(xi), 1))
     rhs[:, 1] += amps[:, z - 1, 1]
     rhs[:, 2 * n0] += amps[:, z + n0 + 1, 0]
+    # the window systems go to LAPACK stacked, at most 4096 entries at a
+    # time: one stack for a short grid at small n0, where the calls cost
+    # most, and no more memory than a few systems however long the grid
     v = np.empty((len(xi), dim), dtype=complex)
     cond = np.empty(len(xi))
-    eye = np.eye(dim)
-    for k in range(len(xi)):
-        if dist[k] <= 1e-10:
-            raise AtResonance(
-                f"e^(-i xi) = {complex(lam[k])} is within 1e-10 of an eigenvalue of K"
-            )
-        system = lam[k] * eye - kmat
-        cond[k] = np.linalg.cond(system)
-        if cond[k] > 1e12:
+    near = dist <= 1e-10
+    step = max(1, 4096 // dim**2)
+    for k0 in range(0, len(xi), step):
+        part = slice(k0, k0 + step)
+        systems = lam[part, None, None] * np.eye(dim)
+        systems -= kmat
+        cond[part] = np.linalg.cond(systems)
+        bad = near[part] | (cond[part] > 1e12)
+        if bad.any():
+            k = k0 + int(np.argmax(bad))  # the first refused point in grid order
+            if near[k]:
+                raise AtResonance(
+                    f"e^(-i xi) = {complex(lam[k])} is within 1e-10 of an eigenvalue of K"
+                )
             raise AtResonance(
                 f"window system at xi = {complex(xi[k])} has condition number {cond[k]:.2e}"
             )
-        v[k] = np.linalg.solve(system, rhs[k])
+        v[part] = np.linalg.solve(systems, rhs[part, :, None])[:, :, 0]
     amps[:, z : z + n0 + 1] = v.reshape(len(xi), n0 + 1, 2)
 
     # the outgoing chiralities leave the window through the junction coins,

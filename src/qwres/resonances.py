@@ -7,6 +7,14 @@ set from the transfer polynomial, cross-checks it against a dense
 eigensolve of K on every call, and exposes a contour winding count as the
 third, analytically independent characterization.
 
+Jordan chains.  Resonances are generically simple, so the chain at a
+resonance is usually one eigenvector of K.  _window_chains reads every
+simple chain off one eigendecomposition K V = V diag(lambda_j), provided a
+rank certificate built from the eigenvalue gaps and the condition number of
+V shows that K - lambda has a one-dimensional kernel; multiple resonances
+and every block the certificate cannot vouch for take the SVD path of
+_window_chain, which resonant_chain uses throughout.
+
 Conventions.  Each nonzero polynomial root mu = lambda^2 inside the unit
 disk produces a pair of resonances: the strip representative with
 Re xi in [-pi, 0) and its partner at xi + pi, carrying lambda and -lambda.
@@ -28,6 +36,7 @@ from .errors import (
     ChainSolveFailed,
     InvariantViolation,
     RootFindingDiverged,
+    SpectralOverflow,
 )
 from .states import WaveState
 from .transfer import transfer_polynomial, transfer_product
@@ -220,15 +229,8 @@ def _dense_crosscheck(resonances: list[Resonance], evals: np.ndarray) -> None:
         )
 
 
-def find_resonances(cs: CoinSequence) -> list[Resonance]:
-    """All resonances of the walk, sorted by (Re xi, Im xi).
-
-    Roots of the transfer polynomial are found by Aberth iteration,
-    clustered into multiplicities, polished, and mapped into the strip.
-    Zero roots of p are structural (they never correspond to resonances)
-    and are deflated before iteration.  Every call cross-checks the
-    eigenvalue multiset against numpy's dense eigensolver on K.
-    """
+def _polynomial_resonances(cs: CoinSequence) -> list[Resonance]:
+    """find_resonances without the dense cross-check, which the caller runs."""
     tp = transfer_polynomial(cs)
     coeffs = np.array(tp.coeffs)
     scale = np.max(np.abs(coeffs))
@@ -254,6 +256,19 @@ def find_resonances(cs: CoinSequence) -> list[Resonance]:
                 )
             out.extend(strip_pair(mu, m))
     out.sort(key=lambda r: (r.xi.real, r.xi.imag))
+    return out
+
+
+def find_resonances(cs: CoinSequence) -> list[Resonance]:
+    """All resonances of the walk, sorted by (Re xi, Im xi).
+
+    Roots of the transfer polynomial are found by Aberth iteration,
+    clustered into multiplicities, polished, and mapped into the strip.
+    Zero roots of p are structural (they never correspond to resonances)
+    and are deflated before iteration.  Every call cross-checks the
+    eigenvalue multiset against numpy's dense eigensolver on K.
+    """
+    out = _polynomial_resonances(cs)
     if cs.n0 >= 1:
         _dense_crosscheck(out, np.linalg.eigvals(build_K(cs).entries))
     return out
@@ -318,6 +333,22 @@ def _check_links(errs: np.ndarray, scales: np.ndarray, what: str) -> None:
         raise ChainSolveFailed(f"{what} residual {errs[bad[0]]:.2e} at chain index {bad[0] + 1}")
 
 
+def _unit_phase(v: np.ndarray) -> np.ndarray:
+    """v in the canonical phase: its largest entry made real positive."""
+    j = int(np.argmax(np.abs(v)))
+    return v * (abs(v[j]) / v[j])
+
+
+def _checked_chain(shifted: np.ndarray, chain: np.ndarray) -> np.ndarray:
+    """chain, once its links pass the two 1e-8 checks of _window_chain."""
+    resid = chain @ shifted.T  # row k - 1 is (K - lambda) phi^k - phi^{k-1}
+    resid[1:] -= chain[:-1]
+    errs, norms = np.linalg.norm(resid, axis=1), np.linalg.norm(chain, axis=1)
+    _check_links(errs, np.concatenate([[np.inf], norms[:-1]]), "chain solve")
+    _check_links(errs, np.maximum(norms, 1.0), "window chain relation")
+    return chain
+
+
 def _window_chain(kentries: np.ndarray, lam: complex, m: int) -> np.ndarray:
     """The Jordan chain phi^1 .. phi^m of K at lam, one window vector per row.
 
@@ -335,24 +366,94 @@ def _window_chain(kentries: np.ndarray, lam: complex, m: int) -> np.ndarray:
         raise InvariantViolation(
             f"kernel of K - lambda at lambda={lam} has dimension {dim - rank}, not 1"
         )
-    v1 = vh[-1].conj()
-    j = int(np.argmax(np.abs(v1)))
-    v1 = v1 * (abs(v1[j]) / v1[j])  # canonical phase, largest entry real positive
-    flats = [v1]
+    flats = [_unit_phase(vh[-1].conj())]
     if m >= 2:
         inv_s = np.where(s > 1e-8 * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
         pinv = (vh.conj().T * inv_s) @ u_svd.conj().T
         for _ in range(1, m):
             flats.append(pinv @ flats[-1])
-    chain = np.array(flats)
-    resid = chain @ shifted.T  # row k - 1 is (K - lambda) phi^k - phi^{k-1}
-    resid[1:] -= chain[:-1]
-    errs, norms = np.linalg.norm(resid, axis=1), np.linalg.norm(chain, axis=1)
-    _check_links(errs, np.concatenate([[np.inf], norms[:-1]]), "chain solve")
-    _check_links(errs, np.maximum(norms, 1.0), "window chain relation")
-    return chain
+    return _checked_chain(shifted, np.array(flats))
 
 
+def _kernel_rows(evals, evecs, lams, near) -> np.ndarray:
+    """Unit right singular vectors of K - lams[k] for the smallest singular value.
+
+    evals, evecs = eig(K) with V = evecs invertible; j = near[k] indexes
+    the eigenvalue nearest lams[k], and no other may equal lams[k].  Row k
+    is the vector _window_chain takes, which leans off the eigenvector v_j
+    by about |lambda_j - lambda| / sigma_{dim-1}(K - lambda): up to 5e-10
+    at n0 = 32, where the polished root and eig's eigenvalue differ by
+    1e-12.  One step of inverse iteration on A^H A, A = K - lambda =
+    V D V^-1 with D = diag(evals - lambda), reaches it from v_j,
+
+        (A^H A)^-1 v_j = V D^-1 (V^H V)^-1 D^-H V^H v_j,
+
+    since the step shrinks every other singular direction relative to it
+    by (sigma_dim / sigma_{dim-1})^2.  Both diagonal scalings are taken
+    times lambda_j - lambda, so only gaps to the other eigenvalues divide.
+    """
+    d = evals[:, None] - lams  # column k: evals - lams[k]
+    own = np.arange(len(evals))[:, None] == near
+    scale = np.where(own, 1.0, d[near, np.arange(len(lams))] / np.where(own, 1.0, d))
+    y = (evecs.conj().T @ evecs[:, near]) * scale.conj()
+    w = evecs @ (np.linalg.solve(evecs, np.linalg.solve(evecs.conj().T, y)) * scale)
+    return (w / np.linalg.norm(w, axis=0)).T
+
+
+def _window_chains(kentries, resonances, evals, evecs) -> list[np.ndarray]:
+    """_window_chain for every resonance, simple ones read off eig(K).
+
+    evals, evecs = np.linalg.eig(kentries).  A simple resonance takes the
+    kernel vector _kernel_rows forms from the eigenvectors, in the
+    canonical phase, where a certificate shows that _window_chain would
+    accept it and pick the same phase.  The computed pair is exact for
+    K + F = V diag(evals) V^-1, F = -E V^-1 with E = K V - V diag(evals),
+    so |F| <= delta = |E|_F / sigma_min(V).  By Weyl, with sep the
+    second-smallest |lambda_j - lambda|,
+
+        sigma_{dim-1}(K - lambda) >= low = sep / kappa(V) - delta,
+        sigma_1(K - lambda) >= max_j |lambda_j - lambda| - delta,
+
+    while sigma_1(K - lambda) <= |K| + |lambda| < 2 and, for the unit
+    vector w, sigma_dim <= r = |(K - lambda) w|.  Hence low >= 4e-8 and
+    r <= 0.5e-8 (max_j |lambda_j - lambda| - delta) certify the rank test
+    with a factor 2 to spare.  The sine of the angle between w and the
+    exact singular vector is then at most r / low, and that of the SVD's
+    vector about 4 dim eps / low, so the largest entry of w, leading the
+    runner-up by 8 (r + 4 dim eps) / low, is the one the SVD path makes
+    real positive: ties, as in the Hadamard pair, go to the SVD, because
+    reconstruct pairs expand's coefficients with resonant_chain's chains.
+    Multiple resonances and uncertified simple ones (V near singular, as
+    where K has a nilpotent block of index 2 or more) take the SVD path;
+    every chain runs the checks of _window_chain.
+    """
+    if not resonances:
+        return []
+    dim = len(kentries)
+    s = np.linalg.svd(evecs, compute_uv=False)
+    delta = np.linalg.norm(kentries @ evecs - evecs * evals) / s[-1] if s[-1] > 0 else np.inf
+    lams = np.array([r.lam for r in resonances])
+    dist = np.abs(lams[:, None] - evals)  # one row per resonance
+    low = np.partition(dist, 1, axis=1)[:, 1] * (s[-1] / s[0]) - delta
+    simple = np.array([r.alg_multiplicity for r in resonances]) == 1
+    (cand,) = np.nonzero(simple & (low >= 4e-8))
+    chains = [None] * len(resonances)
+    if cand.size:
+        w = _kernel_rows(evals, evecs, lams[cand], np.argmin(dist[cand], axis=1))
+        resid = np.linalg.norm(w @ kentries.T - lams[cand, None] * w, axis=1)
+        runner_up, leading = np.sort(np.abs(w), axis=1)[:, -2:].T
+        ok = (resid <= 0.5e-8 * (dist[cand].max(axis=1) - delta)) & (
+            leading - runner_up > 8 * (resid + 4 * dim * np.finfo(float).eps) / low[cand]
+        )
+        for k, row in zip(cand[ok], w[ok]):
+            chains[k] = _checked_chain(kentries - lams[k] * np.eye(dim), _unit_phase(row)[None])
+    return [
+        _window_chain(kentries, r.lam, r.alg_multiplicity) if chain is None else chain
+        for r, chain in zip(resonances, chains)
+    ]
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def resonant_chain(cs: CoinSequence, res: Resonance, N: int) -> JordanChainStates:
     """Build the resonant state and its Jordan chain on [-N, n0 + N].
 
@@ -361,7 +462,10 @@ def resonant_chain(cs: CoinSequence, res: Resonance, N: int) -> JordanChainState
     right): one step of the walk carries phi^k to -1 and n0 + 1, and from
     there walk._sweep continues phi^k = (U phi^k - phi^{k-1}) / lambda along
     the shift.  The chain relation (U - lambda) phi^k = phi^{k-1} is then
-    verified by one application of the walk on [-N + 1, n0 + N - 1].
+    verified by one application of the walk on [-N + 1, n0 + N - 1], to
+    1e-8 max(|phi^k|, 1) as on the window.  The states grow like
+    |lambda|^-N outward; where they leave the float range the call raises
+    SpectralOverflow.
     """
     if N < 1:
         raise ValueError(f"window radius must be at least 1, got {N}")
@@ -383,8 +487,16 @@ def resonant_chain(cs: CoinSequence, res: Resonance, N: int) -> JordanChainState
     inner = amps[:, 1:-1].reshape(m, -1)
     resid = stepped[:, 2:-2].reshape(m, -1) - lam * inner
     resid[1:] -= inner[:-1]
-    scales = np.maximum(np.linalg.norm(inner, axis=1), 1.0)
-    _check_links(np.linalg.norm(resid, axis=1), scales, "chain relation")
+    # resid holds every row of the step the check reads
+    if not (np.isfinite(amps).all() and np.isfinite(resid).all()):
+        raise SpectralOverflow(
+            f"resonant states on [{-N}, {n0 + N}] at xi={res.xi} leave the float range"
+        )
+    # scaled by the largest amplitude, the norms cannot overflow, as their
+    # squares do once amplitudes pass about 1e154
+    top = max(float(np.max(np.abs(inner))), 1.0)
+    scales = np.maximum(np.linalg.norm(inner / top, axis=1), 1.0 / top)
+    _check_links(np.linalg.norm(resid / top, axis=1), scales, "chain relation")
 
     states = tuple(WaveState(-N, a) for a in amps)
     return JordanChainStates(res, states, N)

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 import sys
 
 import numpy as np
 import pytest
 
+import qwres.resonances
 import qwres.walk
 
 from conftest import hadamard_pair, random_sequence, random_state, triple_barrier
@@ -63,9 +65,10 @@ def test_expand_counts_incoming_tail():
     assert ed.nu == incoming_length(psi0, 1) == 3
 
 
-def test_expand_builds_K_at_most_twice(monkeypatch):
-    # once for the dense cross-check in find_resonances and once for the
-    # chains and the zero block, however many resonances the window has
+def test_expand_builds_K_once(monkeypatch):
+    # one K and one eig(K) serve the dense cross-check, the chains and the
+    # zero block, however many resonances the window has; eigvals, which
+    # find_resonances runs, is not called at all
     real = qwres.walk.build_K
     calls = []
 
@@ -76,12 +79,92 @@ def test_expand_builds_K_at_most_twice(monkeypatch):
     for mod in list(sys.modules.values()):
         if mod.__name__.startswith("qwres") and getattr(mod, "build_K", None) is real:
             monkeypatch.setattr(mod, "build_K", counting)
+    for name in ("eig", "eigvals"):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name, lambda a, solver=solver, name=name: calls.append(name) or solver(a)
+        )
     rng = np.random.default_rng(17)
     for cs in (random_sequence(rng, 2), triple_barrier(), random_sequence(rng, 9)):
         calls.clear()
         ed = expand(cs, basis_state(0, "L"))
         assert len(ed.blocks) >= 2
-        assert len(calls) <= 2
+        assert calls == [cs.n0, "eig"]
+
+
+def identity_at_site_0(seed):
+    """A Haar window on [0, 3] with the identity coin at site 0, and a state.
+
+    The identity coin gives K a nilpotent block of index 3 beside four
+    simple resonances.
+    """
+    rng = np.random.default_rng(seed)
+    cs = random_sequence(rng, 3)
+    return CoinSequence(3, (identity_coin(),) + cs.coins[1:]), random_state(rng, 3, 3)
+
+
+def test_uncertified_chains_fall_back_to_the_svd(monkeypatch):
+    # with a nilpotent block of index 3, V is numerically singular and no
+    # chain is certified: all four simple resonances take the SVD path, and
+    # the expansion still meets its residual and reconstructs
+    real = qwres.resonances._window_chain
+    calls = []
+
+    def counting(kentries, lam, m):
+        calls.append(m)
+        return real(kentries, lam, m)
+
+    monkeypatch.setattr(qwres.resonances, "_window_chain", counting)
+    for seed in range(3):
+        cs, psi0 = identity_at_site_0(seed)
+        calls.clear()
+        ed = expand(cs, psi0)
+        assert ed.zero_part_index == 3
+        assert calls == [len(b.coefficients) for b in ed.blocks] == [1, 1, 1, 1]
+        chains = [resonant_chain(cs, b.resonance, 30) for b in ed.blocks]
+        traj = evolve(psi0, cs, 20)
+        for t in (ed.nu + 3, 20):
+            lo, hi = -(t - ed.nu) + 2, t + 3 - ed.nu - 2
+            got = reconstruct(ed, chains, t, (lo, hi))
+            true = traj[t].restrict(lo, hi)
+            assert (got - true).norm() <= 1e-9 * true.norm()
+
+
+def test_reconstruct_cone_leaves_out_the_zero_part_emissions():
+    # the state at step nu is in the range of K, so K^2 kills its zero part;
+    # what that part emits in the two steps before sits on the outermost two
+    # sites of the light cone on each side, where the finite sum misses by
+    # O(1) and the call is refused
+    for seed in range(3):
+        cs, psi0 = identity_at_site_0(seed)
+        ed = expand(cs, psi0)
+        chains = [resonant_chain(cs, b.resonance, 30) for b in ed.blocks]
+        traj = evolve(psi0, cs, 20)
+        for t in (ed.nu + 3, 20):
+            lo, hi = -(t - ed.nu), t + 3 - ed.nu
+            with pytest.raises(WindowOutsideCone):
+                reconstruct(ed, chains, t, (lo + 1, hi - 2))
+            with pytest.raises(WindowOutsideCone):
+                reconstruct(ed, chains, t, (lo + 2, hi - 1))
+            unguarded = dataclasses.replace(ed, zero_part_index=1)
+            wide = reconstruct(unguarded, chains, t, (lo, hi))
+            true = traj[t].restrict(lo, hi)
+            assert (wide - true).norm() > 0.1 * true.norm()
+
+
+def test_reconstruct_matches_evolution_hadamard():
+    # tied entries in the resonant vectors: expand's chains and
+    # resonant_chain's must still share their canonical phase
+    cs = hadamard_pair()
+    for psi0 in (basis_state(0, "L"), basis_state(-3, "R"), basis_state(1, "R")):
+        ed = expand(cs, psi0)
+        chains = [resonant_chain(cs, b.resonance, 40) for b in ed.blocks]
+        traj = evolve(psi0, cs, 25)
+        for t in (ed.nu + 1, 25):
+            lo, hi = -(t - ed.nu), t + 1 - ed.nu
+            got = reconstruct(ed, chains, t, (lo, hi))
+            true = traj[t].restrict(lo, hi)
+            assert (got - true).norm() <= 1e-10 * true.norm()
 
 
 def test_reconstruct_matches_evolution_simple():

@@ -5,13 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import hadamard_pair, random_sequence, random_state
+from conftest import hadamard_pair, random_sequence, random_state, triple_barrier
 from qwres import (
     AtResonance,
     SpectralOverflow,
     WaveState,
     apply_resolvent,
     basis_state,
+    build_K,
     find_resonances,
     identity_residual,
     neumann_resolvent,
@@ -142,6 +143,50 @@ def test_identity_residual_array_refuses_at_resonance():
     grid = np.array([res.xi - 0.5, res.xi, res.xi + 0.5])
     with pytest.raises(AtResonance):
         identity_residual(cs, grid, basis_state(0, "L"), (-3, 4))
+
+
+def test_refusal_names_the_first_bad_point_in_grid_order(monkeypatch):
+    # 1e-7 off the triple barrier's double resonance the window system is
+    # singular to 1.5e14 while e^(-i xi) stays 7e-8 from the eigenvalues,
+    # so the condition test refuses it.  The dense eigensolve splits the
+    # double eigenvalue by about 1e-8; on one of the split values the
+    # distance test refuses first.  Whichever comes first on the grid is
+    # named, and no window system is solved
+    cs = triple_barrier()
+    xi = find_resonances(cs)[0].xi
+    evals = np.linalg.eigvals(build_K(cs).entries)
+    at = 1j * np.log(evals[np.argmin(np.abs(evals - np.exp(-1j * xi)))])
+    solves = []
+    real = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(a) or real(a, b))
+    f = basis_state(0, "L")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(AtResonance, match=r"condition number 1\.\d+e\+14"):
+            identity_residual(cs, np.array([xi + 0.5, xi + 1e-7, at]), f, (-3, 5))
+        with pytest.raises(AtResonance, match="within 1e-10 of an eigenvalue"):
+            identity_residual(cs, np.array([xi + 0.5, at, xi + 1e-7]), f, (-3, 5))
+        assert solves == []
+        resid, cond = identity_residual(cs, np.array([xi + 0.5, xi - 0.5]), f, (-3, 5))
+        assert len(solves) == 1 and (resid < 1e-10).all() and (cond < 1e12).all()
+        # on a grid of many stacks, only those before the refused point run
+        solves.clear()
+        grid = xi + 0.5 + np.linspace(0, 1, 300)
+        grid[250], grid[260] = xi + 1e-7, at
+        with pytest.raises(AtResonance, match="condition number"):
+            identity_residual(cs, grid, f, (-3, 5))
+        assert 0 < sum(len(a) for a in solves) <= 250
+
+
+def test_stacked_window_solves_match_pointwise():
+    # at n0 = 16 a stack holds three points, so ten points take four stacks
+    rng = np.random.default_rng(29)
+    cs = random_sequence(rng, 16)
+    f = random_state(rng, 16, 3)
+    xi = np.linspace(-3, 3, 10) + 1j * np.linspace(-0.5, 0.8, 10)
+    resid, cond = identity_residual(cs, xi, f, (-4, 20))
+    for k, x in enumerate(xi):
+        assert (resid[k], cond[k]) == identity_residual(cs, x, f, (-4, 20))
 
 
 def test_overflowing_sums_are_refused():

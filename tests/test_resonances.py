@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from conftest import hadamard_pair, random_sequence, triple_barrier
+import qwres.resonances
 from qwres import (
     ChainSolveFailed,
     CoinSequence,
     InvariantViolation,
     Resonance,
     RootFindingDiverged,
+    SpectralOverflow,
     aberth_roots,
     basis_state,
     build_K,
@@ -23,7 +25,7 @@ from qwres import (
     validate_multiplicity,
     winding_count,
 )
-from qwres.resonances import _cluster, _polish, _window_chain
+from qwres.resonances import _cluster, _polish, _window_chain, _window_chains
 
 LOG2_HALF = 0.5 * math.log(2.0)
 
@@ -295,3 +297,118 @@ def test_resonant_state_escapes_l2():
     norms = [phi.restrict(-k, 2 + k).norm() for k in (5, 10, 15, 20)]
     assert norms == sorted(norms)
     assert norms[-1] / norms[0] > 10.0
+
+
+def count_svd_chains(monkeypatch):
+    """Route _window_chains' SVD fallback through a recorder of (lam, m)."""
+    real = qwres.resonances._window_chain
+    calls = []
+
+    def counting(kentries, lam, m):
+        calls.append((lam, m))
+        return real(kentries, lam, m)
+
+    monkeypatch.setattr(qwres.resonances, "_window_chain", counting)
+    return calls
+
+
+def eig_chains(cs):
+    k = build_K(cs).entries
+    rs = find_resonances(cs)
+    evals, evecs = np.linalg.eig(k)
+    return k, rs, _window_chains(k, rs, evals, evecs)
+
+
+@pytest.mark.parametrize("n0", [4, 8, 16, 23])
+def test_certified_chains_match_the_svd_path(monkeypatch, n0):
+    # Haar windows have simple resonances and a well-conditioned V, so the
+    # certificate holds for every chain and none reaches the SVD; formed
+    # from eig(K), each equals _window_chain's to 1e-12 in the same phase.
+    # On the n0 = 23 window of seed 11301 the polished roots lie up to
+    # 8e-13 from eig's eigenvalues, which tilts the SVD's vectors up to
+    # 2e-11 off the eigenvectors; _kernel_rows follows the tilt
+    seeds = [1000 * seed + n0 for seed in range(3)] + ([11301] if n0 == 23 else [])
+    for seed in seeds:
+        cs = random_sequence(np.random.default_rng(seed), n0)
+        calls = count_svd_chains(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            k, rs, chains = eig_chains(cs)
+        assert calls == [] and len(chains) == len(rs) == 2 * n0
+        monkeypatch.undo()
+        for r, chain in zip(rs, chains):
+            assert r.alg_multiplicity == 1 and chain.shape == (1, len(k))
+            assert np.linalg.norm(chain - _window_chain(k, r.lam, 1)) <= 1e-12
+
+
+def test_multiple_resonances_take_the_svd_path(monkeypatch):
+    calls = count_svd_chains(monkeypatch)
+    k, rs, chains = eig_chains(triple_barrier())
+    assert [m for _, m in calls] == [r.alg_multiplicity for r in rs] == [2, 2]
+    for r, chain in zip(rs, chains):
+        np.testing.assert_array_equal(chain, _window_chain(k, r.lam, 2))
+
+
+def test_tied_entries_take_the_svd_path(monkeypatch):
+    # the Hadamard pair's resonant vectors have entries of equal modulus, so
+    # which one the canonical phase makes real positive is down to rounding;
+    # those chains come from the SVD, as resonant_chain's do
+    cs = hadamard_pair()
+    calls = count_svd_chains(monkeypatch)
+    k, rs, chains = eig_chains(cs)
+    assert len(calls) == len(rs) == 2
+    for r, chain in zip(rs, chains):
+        window = resonant_chain(cs, r, 1).states[0].restrict(0, 1)
+        np.testing.assert_array_equal(chain[0], window.amplitudes.reshape(-1))
+
+
+def test_close_eigenvalues_are_not_certified():
+    # a normal K with eigenvalues 0.5 and 0.5 + 1e-9: V is unitary, the
+    # eigenvector solves K v = 0.5 v to rounding, but K - 0.5 has two
+    # singular values below 1e-8, so the certificate must not hold and the
+    # SVD's rank test refuses the block
+    rng = np.random.default_rng(31)
+    q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+    evals = np.array([0.5, 0.5 + 1e-9, -0.3, 0.2j, -0.6j, 0.0])
+    k = (q * evals) @ q.conj().T
+    ev, vecs = np.linalg.eig(k)
+    r = Resonance(1j * math.log(0.5), 0.5, 0.25, 1)
+    with pytest.raises(InvariantViolation, match="has dimension 2"):
+        _window_chains(k, [r], ev, vecs)
+
+
+def smallest_resonance_of_seed_5():
+    cs = random_sequence(np.random.default_rng(5), 4)
+    return cs, min(find_resonances(cs), key=lambda r: abs(r.lam))
+
+
+def test_resonant_chain_checks_links_past_1e154(monkeypatch):
+    # at N = 2000 the amplitudes reach |lambda|^-N ~ 2e187 (|lambda| = 0.806),
+    # whose squares overflow: the relation check must still see finite
+    # residuals and scales, and no overflow warning may leave the library
+    cs, r = smallest_resonance_of_seed_5()
+    real = qwres.resonances._check_links
+    seen = []
+
+    def recording(errs, scales, what):
+        seen.append((what, errs, scales))
+        return real(errs, scales, what)
+
+    monkeypatch.setattr(qwres.resonances, "_check_links", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        chain = resonant_chain(cs, r, 2000)
+    amps = chain.states[0].amplitudes
+    assert 1e180 < np.max(np.abs(amps)) < 1e200
+    what, errs, scales = seen[-1]
+    assert what == "chain relation"
+    assert np.isfinite(errs).all() and np.isfinite(scales).all()
+    assert (errs <= 1e-8 * scales).all()
+
+
+def test_resonant_chain_refuses_states_past_the_float_range():
+    cs, r = smallest_resonance_of_seed_5()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SpectralOverflow):
+            resonant_chain(cs, r, 4000)
