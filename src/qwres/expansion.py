@@ -32,11 +32,12 @@ from .resonances import (
     Resonance,
     _dense_crosscheck,
     _polynomial_resonances,
-    _window_chains,
+    _spectrum,
+    _window_chain,
     strip_pair,
 )
 from .states import WaveState, incoming_length, window_vector
-from .walk import _window, build_K
+from .walk import _window
 
 __all__ = [
     "ResonanceBlock",
@@ -74,24 +75,30 @@ class ExpansionData:
     zero_coefficients: tuple
 
 
-def _rank(matrix: np.ndarray) -> int:
-    s = np.linalg.svd(matrix, compute_uv=False)
-    if s[0] == 0:
-        return 0
-    return int(np.sum(s > 1e-11 * s[0]))
+def _rank(s: np.ndarray) -> int:
+    """Numerical rank from singular values s, largest first: those above 1e-11 s[0]."""
+    return int(np.sum(s > 1e-11 * s[0])) if s[0] > 0 else 0
+
+
+def _zero_block(kentries: np.ndarray):
+    """nilpotency_index of K and the full SVD (u, s, vh) of K^iota.
+
+    The rank test of each next power reads its singular values alone.
+    """
+    power = kentries
+    svd = np.linalg.svd(power)
+    for k in range(1, len(kentries) + 2):
+        following = power @ kentries
+        if _rank(np.linalg.svd(following, compute_uv=False)) == _rank(svd[1]):
+            return k, svd
+        power = following
+        svd = np.linalg.svd(power)
+    raise InvariantViolation("rank sequence of K powers failed to stabilize")
 
 
 def nilpotency_index(kentries: np.ndarray) -> int:
     """Smallest k >= 1 with rank K^k = rank K^{k+1}."""
-    power = kentries.copy()
-    r_prev = _rank(power)
-    for k in range(1, len(kentries) + 2):
-        power = power @ kentries
-        r_next = _rank(power)
-        if r_next == r_prev:
-            return k
-        r_prev = r_next
-    raise InvariantViolation("rank sequence of K powers failed to stabilize")
+    return _zero_block(kentries)[0]
 
 
 def expand(cs: CoinSequence, psi0: WaveState) -> ExpansionData:
@@ -103,27 +110,26 @@ def expand(cs: CoinSequence, psi0: WaveState) -> ExpansionData:
     K^{iota_0}.  The system is square and the residual must vanish to
     1e-9; anything else means the chains do not span what they should.
 
-    K is built once and decomposed once by np.linalg.eig: its eigenvalues
-    serve find_resonances' dense cross-check, and its eigenvectors are the
-    chains of the simple resonances wherever the rank certificate of
-    resonances._window_chains holds; the rest take the SVD path.
+    K and np.linalg.eig(K) come from the walk's spectral record
+    (resonances._spectrum): its eigenvalues serve find_resonances' dense
+    cross-check, and the chains are resonances._window_chain's, the ones
+    resonant_chain extends, so reconstruct pairs each coefficient with its
+    own chain vector.  One full SVD of K^{iota_0} gives both the rank test
+    and the kernel basis.
     """
     n0 = cs.n0
     nu = incoming_length(psi0, n0)
     *_, psi_nu = _window(psi0, cs, nu)
     x = window_vector(psi_nu, n0)
     resonances = _polynomial_resonances(cs)
-    kentries = build_K(cs).entries
-    evals, evecs = np.linalg.eig(kentries)
-    _dense_crosscheck(resonances, evals)
-    iota = nilpotency_index(kentries)
-    cols = [v for chain in _window_chains(kentries, resonances, evals, evecs) for v in chain]
+    spec = _spectrum(cs)
+    _dense_crosscheck(resonances, spec.evals)
+    iota, (_, s, vh) = _zero_block(spec.k)
+    cols = [v for r in resonances for v in _window_chain(spec, r.lam, r.alg_multiplicity)]
     dim = 2 * (n0 + 1)
     total_m = len(cols)
     zdim = dim - total_m
-    kp = np.linalg.matrix_power(kentries, iota)
-    _, s, vh = np.linalg.svd(kp)
-    kp_rank = int(np.sum(s > 1e-11 * s[0])) if s[0] > 0 else 0
+    kp_rank = _rank(s)
     if kp_rank != total_m:
         raise InvariantViolation(
             f"rank of K^{iota} is {kp_rank}, expected total multiplicity {total_m}"

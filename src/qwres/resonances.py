@@ -8,12 +8,11 @@ eigensolve of K on every call, and exposes a contour winding count as the
 third, analytically independent characterization.
 
 Jordan chains.  Resonances are generically simple, so the chain at a
-resonance is usually one eigenvector of K.  _window_chains reads every
-simple chain off one eigendecomposition K V = V diag(lambda_j), provided a
-rank certificate built from the eigenvalue gaps and the condition number of
-V shows that K - lambda has a one-dimensional kernel; multiple resonances
-and every block the certificate cannot vouch for take the SVD path of
-_window_chain, which resonant_chain uses throughout.
+resonance is usually one eigenvector of K.  _spectrum keeps one eig(K)
+record for the last walk, and _window_chain reads a simple chain off it
+wherever a rank certificate holds; multiple resonances and uncertified
+blocks take an SVD of K - lambda.  expand and resonant_chain both go through
+_window_chain, so expansion coefficients and resonant states share chains.
 
 Conventions.  Each nonzero polynomial root mu = lambda^2 inside the unit
 disk produces a pair of resonances: the strip representative with
@@ -26,6 +25,7 @@ one resonance form a single Jordan chain.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -326,6 +326,39 @@ class JordanChainStates:
     window_radius: int
 
 
+@dataclass(frozen=True)
+class _Spectrum:
+    """The eig(K) record of one walk; every array is read-only.
+
+    evals, evecs = np.linalg.eig(k) = (lambda_j, V).  The certificate's
+    constants inv_cond = 1 / kappa(V) and delta = |K V - V diag(evals)|_F /
+    sigma_min(V), inf for a singular V, come from one values-only SVD of V.
+    """
+
+    k: np.ndarray
+    evals: np.ndarray
+    evecs: np.ndarray
+    inv_cond: float
+    delta: float
+
+
+def _decompose(kentries: np.ndarray) -> _Spectrum:
+    """The _Spectrum of a window matrix, with its own read-only copy of it."""
+    k = np.array(kentries, dtype=complex)
+    evals, evecs = np.linalg.eig(k)
+    s = np.linalg.svd(evecs, compute_uv=False)
+    delta = np.linalg.norm(k @ evecs - evecs * evals) / s[-1] if s[-1] > 0 else np.inf
+    for a in (k, evals, evecs):
+        a.flags.writeable = False
+    return _Spectrum(k, evals, evecs, float(s[-1] / s[0]), float(delta))
+
+
+@functools.lru_cache(maxsize=1)
+def _spectrum(cs: CoinSequence) -> _Spectrum:
+    """The _Spectrum of cs's K, kept for the last walk: one build_K and eig per walk."""
+    return _decompose(build_K(cs).entries)
+
+
 def _check_links(errs: np.ndarray, scales: np.ndarray, what: str) -> None:
     """Refuse the first link k = 1 .. m whose residual exceeds 1e-8 scales[k]."""
     bad = np.flatnonzero(errs > 1e-8 * scales)
@@ -339,27 +372,9 @@ def _unit_phase(v: np.ndarray) -> np.ndarray:
     return v * (abs(v[j]) / v[j])
 
 
-def _checked_chain(shifted: np.ndarray, chain: np.ndarray) -> np.ndarray:
-    """chain, once its links pass the two 1e-8 checks of _window_chain."""
-    resid = chain @ shifted.T  # row k - 1 is (K - lambda) phi^k - phi^{k-1}
-    resid[1:] -= chain[:-1]
-    errs, norms = np.linalg.norm(resid, axis=1), np.linalg.norm(chain, axis=1)
-    _check_links(errs, np.concatenate([[np.inf], norms[:-1]]), "chain solve")
-    _check_links(errs, np.maximum(norms, 1.0), "window chain relation")
-    return chain
-
-
-def _window_chain(kentries: np.ndarray, lam: complex, m: int) -> np.ndarray:
-    """The Jordan chain phi^1 .. phi^m of K at lam, one window vector per row.
-
-    phi^1 spans the kernel of K - lambda (geometric multiplicity is always
-    one, which is verified), largest entry real positive; phi^k for k >= 2
-    is the minimum-norm solution of (K - lambda) v = phi^{k-1}.  Each solve
-    must hold to 1e-8 |phi^{k-1}|, and each link of the chain relation
-    (K - lambda) phi^k = phi^{k-1}, phi^0 = 0, to 1e-8 max(|phi^k|, 1).
-    """
-    dim = len(kentries)
-    shifted = kentries - lam * np.eye(dim)
+def _svd_chain(shifted: np.ndarray, lam: complex, m: int) -> np.ndarray:
+    """phi^1 .. phi^m of _window_chain from one SVD of shifted = K - lam."""
+    dim = len(shifted)
     u_svd, s, vh = np.linalg.svd(shifted)
     rank = int(np.sum(s > 1e-8 * s[0]))
     if rank != dim - 1:
@@ -372,41 +387,21 @@ def _window_chain(kentries: np.ndarray, lam: complex, m: int) -> np.ndarray:
         pinv = (vh.conj().T * inv_s) @ u_svd.conj().T
         for _ in range(1, m):
             flats.append(pinv @ flats[-1])
-    return _checked_chain(shifted, np.array(flats))
+    return np.array(flats)
 
 
-def _kernel_rows(evals, evecs, lams, near) -> np.ndarray:
-    """Unit right singular vectors of K - lams[k] for the smallest singular value.
+def _window_chain(spec: _Spectrum, lam: complex, m: int) -> np.ndarray:
+    """The Jordan chain phi^1 .. phi^m of K at lam, one window vector per row.
 
-    evals, evecs = eig(K) with V = evecs invertible; j = near[k] indexes
-    the eigenvalue nearest lams[k], and no other may equal lams[k].  Row k
-    is the vector _window_chain takes, which leans off the eigenvector v_j
-    by about |lambda_j - lambda| / sigma_{dim-1}(K - lambda): up to 5e-10
-    at n0 = 32, where the polished root and eig's eigenvalue differ by
-    1e-12.  One step of inverse iteration on A^H A, A = K - lambda =
-    V D V^-1 with D = diag(evals - lambda), reaches it from v_j,
+    phi^1 spans the kernel of K - lambda (geometric multiplicity is always
+    one, which is verified), largest entry real positive; phi^k for k >= 2
+    is the minimum-norm solution of (K - lambda) v = phi^{k-1}.  Each solve
+    must hold to 1e-8 |phi^{k-1}|, and each link of the chain relation
+    (K - lambda) phi^k = phi^{k-1}, phi^0 = 0, to 1e-8 max(|phi^k|, 1).
 
-        (A^H A)^-1 v_j = V D^-1 (V^H V)^-1 D^-H V^H v_j,
-
-    since the step shrinks every other singular direction relative to it
-    by (sigma_dim / sigma_{dim-1})^2.  Both diagonal scalings are taken
-    times lambda_j - lambda, so only gaps to the other eigenvalues divide.
-    """
-    d = evals[:, None] - lams  # column k: evals - lams[k]
-    own = np.arange(len(evals))[:, None] == near
-    scale = np.where(own, 1.0, d[near, np.arange(len(lams))] / np.where(own, 1.0, d))
-    y = (evecs.conj().T @ evecs[:, near]) * scale.conj()
-    w = evecs @ (np.linalg.solve(evecs, np.linalg.solve(evecs.conj().T, y)) * scale)
-    return (w / np.linalg.norm(w, axis=0)).T
-
-
-def _window_chains(kentries, resonances, evals, evecs) -> list[np.ndarray]:
-    """_window_chain for every resonance, simple ones read off eig(K).
-
-    evals, evecs = np.linalg.eig(kentries).  A simple resonance takes the
-    kernel vector _kernel_rows forms from the eigenvectors, in the
-    canonical phase, where a certificate shows that _window_chain would
-    accept it and pick the same phase.  The computed pair is exact for
+    For m = 1, phi^1 is the eigenvector v_j of spec nearest lambda wherever
+    a certificate shows that the rank test of the SVD path would accept
+    lambda.  The pair (evals, V) is exact for
     K + F = V diag(evals) V^-1, F = -E V^-1 with E = K V - V diag(evals),
     so |F| <= delta = |E|_F / sigma_min(V).  By Weyl, with sep the
     second-smallest |lambda_j - lambda|,
@@ -415,49 +410,41 @@ def _window_chains(kentries, resonances, evals, evecs) -> list[np.ndarray]:
         sigma_1(K - lambda) >= max_j |lambda_j - lambda| - delta,
 
     while sigma_1(K - lambda) <= |K| + |lambda| < 2 and, for the unit
-    vector w, sigma_dim <= r = |(K - lambda) w|.  Hence low >= 4e-8 and
+    vector v_j, sigma_dim <= r = |(K - lambda) v_j|.  Hence low >= 4e-8 and
     r <= 0.5e-8 (max_j |lambda_j - lambda| - delta) certify the rank test
-    with a factor 2 to spare.  The sine of the angle between w and the
-    exact singular vector is then at most r / low, and that of the SVD's
-    vector about 4 dim eps / low, so the largest entry of w, leading the
-    runner-up by 8 (r + 4 dim eps) / low, is the one the SVD path makes
-    real positive: ties, as in the Hadamard pair, go to the SVD, because
-    reconstruct pairs expand's coefficients with resonant_chain's chains.
+    with a factor 2 to spare.  The certificate reads lambda and spec alone,
+    so expand and resonant_chain take the same path and get the same bits.
     Multiple resonances and uncertified simple ones (V near singular, as
-    where K has a nilpotent block of index 2 or more) take the SVD path;
-    every chain runs the checks of _window_chain.
+    where K has a nilpotent block of index 2 or more) take one SVD of
+    K - lambda.  Every chain runs both checks.
     """
-    if not resonances:
-        return []
-    dim = len(kentries)
-    s = np.linalg.svd(evecs, compute_uv=False)
-    delta = np.linalg.norm(kentries @ evecs - evecs * evals) / s[-1] if s[-1] > 0 else np.inf
-    lams = np.array([r.lam for r in resonances])
-    dist = np.abs(lams[:, None] - evals)  # one row per resonance
-    low = np.partition(dist, 1, axis=1)[:, 1] * (s[-1] / s[0]) - delta
-    simple = np.array([r.alg_multiplicity for r in resonances]) == 1
-    (cand,) = np.nonzero(simple & (low >= 4e-8))
-    chains = [None] * len(resonances)
-    if cand.size:
-        w = _kernel_rows(evals, evecs, lams[cand], np.argmin(dist[cand], axis=1))
-        resid = np.linalg.norm(w @ kentries.T - lams[cand, None] * w, axis=1)
-        runner_up, leading = np.sort(np.abs(w), axis=1)[:, -2:].T
-        ok = (resid <= 0.5e-8 * (dist[cand].max(axis=1) - delta)) & (
-            leading - runner_up > 8 * (resid + 4 * dim * np.finfo(float).eps) / low[cand]
-        )
-        for k, row in zip(cand[ok], w[ok]):
-            chains[k] = _checked_chain(kentries - lams[k] * np.eye(dim), _unit_phase(row)[None])
-    return [
-        _window_chain(kentries, r.lam, r.alg_multiplicity) if chain is None else chain
-        for r, chain in zip(resonances, chains)
-    ]
+    shifted = spec.k - lam * np.eye(len(spec.k))
+    chain = None
+    if m == 1:
+        dist = np.abs(spec.evals - lam)
+        if np.partition(dist, 1)[1] * spec.inv_cond - spec.delta >= 4e-8:
+            chain = _unit_phase(spec.evecs[:, np.argmin(dist)])[None]
+            errs = np.linalg.norm(chain @ shifted.T, axis=1)
+            if not errs[0] <= 0.5e-8 * (dist.max() - spec.delta):
+                chain = None
+    if chain is None:
+        chain = _svd_chain(shifted, lam, m)
+        resid = chain @ shifted.T  # row k - 1 is (K - lambda) phi^k - phi^{k-1}
+        resid[1:] -= chain[:-1]
+        errs = np.linalg.norm(resid, axis=1)
+    norms = np.linalg.norm(chain, axis=1)
+    _check_links(errs, np.concatenate([[np.inf], norms[:-1]]), "chain solve")
+    _check_links(errs, np.maximum(norms, 1.0), "window chain relation")
+    return chain
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def resonant_chain(cs: CoinSequence, res: Resonance, N: int) -> JordanChainStates:
     """Build the resonant state and its Jordan chain on [-N, n0 + N].
 
-    On the window the chain is the one of K at lambda (see _window_chain).
+    On the window the chain is the one of K at lambda (see _window_chain),
+    read from the walk's spectral record, so it is bit for bit the chain
+    that expand's coefficients refer to.
     Outside, only the outgoing chirality survives (L on the left, R on the
     right): one step of the walk carries phi^k to -1 and n0 + 1, and from
     there walk._sweep continues phi^k = (U phi^k - phi^{k-1}) / lambda along
@@ -471,7 +458,7 @@ def resonant_chain(cs: CoinSequence, res: Resonance, N: int) -> JordanChainState
         raise ValueError(f"window radius must be at least 1, got {N}")
     n0 = cs.n0
     lam = res.lam
-    chain = _window_chain(build_K(cs).entries, lam, res.alg_multiplicity)
+    chain = _window_chain(_spectrum(cs), lam, res.alg_multiplicity)
     m = len(chain)
 
     amps = np.zeros((m, n0 + 2 * N + 1, 2), dtype=complex)  # row N is site 0

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import qwres.expansion
 import qwres.resonances
 import qwres.walk
 
@@ -30,6 +31,7 @@ from qwres import (
     resonant_chain,
     rotation_coin,
     survival_norm,
+    window_vector,
 )
 
 S = 2.0 ** -0.5
@@ -67,8 +69,9 @@ def test_expand_counts_incoming_tail():
 
 def test_expand_builds_K_once(monkeypatch):
     # one K and one eig(K) serve the dense cross-check, the chains and the
-    # zero block, however many resonances the window has; eigvals, which
-    # find_resonances runs, is not called at all
+    # zero block, however many resonances the window has, and then
+    # resonant_chain for every block; eigvals, which find_resonances runs,
+    # is not called at all
     real = qwres.walk.build_K
     calls = []
 
@@ -85,10 +88,15 @@ def test_expand_builds_K_once(monkeypatch):
             np.linalg, name, lambda a, solver=solver, name=name: calls.append(name) or solver(a)
         )
     rng = np.random.default_rng(17)
-    for cs in (random_sequence(rng, 2), triple_barrier(), random_sequence(rng, 9)):
+    haar6 = random_sequence(np.random.default_rng(6), 6)
+    for cs in (random_sequence(rng, 2), triple_barrier(), random_sequence(rng, 9), haar6):
+        qwres.resonances._spectrum.cache_clear()
         calls.clear()
         ed = expand(cs, basis_state(0, "L"))
         assert len(ed.blocks) >= 2
+        assert calls == [cs.n0, "eig"]
+        for b in ed.blocks:
+            resonant_chain(cs, b.resonance, 10)
         assert calls == [cs.n0, "eig"]
 
 
@@ -107,14 +115,14 @@ def test_uncertified_chains_fall_back_to_the_svd(monkeypatch):
     # with a nilpotent block of index 3, V is numerically singular and no
     # chain is certified: all four simple resonances take the SVD path, and
     # the expansion still meets its residual and reconstructs
-    real = qwres.resonances._window_chain
+    real = qwres.resonances._svd_chain
     calls = []
 
-    def counting(kentries, lam, m):
+    def counting(shifted, lam, m):
         calls.append(m)
-        return real(kentries, lam, m)
+        return real(shifted, lam, m)
 
-    monkeypatch.setattr(qwres.resonances, "_window_chain", counting)
+    monkeypatch.setattr(qwres.resonances, "_svd_chain", counting)
     for seed in range(3):
         cs, psi0 = identity_at_site_0(seed)
         calls.clear()
@@ -128,6 +136,33 @@ def test_uncertified_chains_fall_back_to_the_svd(monkeypatch):
             got = reconstruct(ed, chains, t, (lo, hi))
             true = traj[t].restrict(lo, hi)
             assert (got - true).norm() <= 1e-9 * true.norm()
+
+
+def test_expand_chains_are_resonant_chain_windows(monkeypatch):
+    # reconstruct pairs expand's coefficients with resonant_chain's states,
+    # so both must hold the same chain: bit for bit, on certified
+    # eigenvectors (Haar windows, the tied entries of the Hadamard pair) and
+    # on SVD chains (the triple barrier's Jordan blocks, and the windows
+    # with the identity coin at site 0, where no chain is certified)
+    cases = [identity_at_site_0(seed) for seed in range(3)]
+    cases += [(hadamard_pair(), basis_state(0, "L")), (triple_barrier(), basis_state(0, "L"))]
+    for n0 in (4, 8, 16, 23):
+        rng = np.random.default_rng(1000 + n0)
+        cases.append((random_sequence(rng, n0), random_state(rng, n0, 3)))
+    real = qwres.expansion._window_chain
+    for cs, psi0 in cases:
+        taken = []
+        monkeypatch.setattr(
+            qwres.expansion, "_window_chain", lambda *a: taken.append(real(*a)) or taken[-1]
+        )
+        ed = expand(cs, psi0)
+        monkeypatch.undo()
+        assert [len(c) for c in taken] == [len(b.coefficients) for b in ed.blocks]
+        for block, chain in zip(ed.blocks, taken):
+            states = resonant_chain(cs, block.resonance, 2).states
+            assert len(states) == len(chain)
+            for state, row in zip(states, chain):
+                assert window_vector(state, cs.n0).tobytes() == row.tobytes()
 
 
 def test_reconstruct_cone_leaves_out_the_zero_part_emissions():

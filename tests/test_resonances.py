@@ -25,7 +25,15 @@ from qwres import (
     validate_multiplicity,
     winding_count,
 )
-from qwres.resonances import _cluster, _polish, _window_chain, _window_chains
+from qwres.resonances import (
+    _cluster,
+    _decompose,
+    _polish,
+    _spectrum,
+    _svd_chain,
+    _unit_phase,
+    _window_chain,
+)
 
 LOG2_HALF = 0.5 * math.log(2.0)
 
@@ -264,21 +272,23 @@ def test_resonant_chain_jordan_relation():
 
 def test_window_chain_refuses_broken_links():
     cs = hadamard_pair()
-    k = build_K(cs).entries
+    spec = _spectrum(cs)
+    k = spec.k
     lam = find_resonances(cs)[0].lam
     # a simple eigenvalue has no second chain vector
     with pytest.raises(ChainSolveFailed, match="chain solve residual .* at chain index 2"):
-        _window_chain(k, lam, 2)
+        _window_chain(spec, lam, 2)
     # slightly off the eigenvalue, the smallest singular value of K - lambda
     # lies between 1e-8 and the rank cut 1e-8 s_max: the kernel is accepted,
-    # but (K - lambda) phi^1 = 0 fails its 1e-8 bound
+    # but (K - lambda) phi^1 = 0 fails its 1e-8 bound; the eigenvector's
+    # residual is too large for the certificate, so the SVD path answers
     eye = np.eye(len(k))
     s = np.linalg.svd(k - (lam + 1e-6) * eye, compute_uv=False)
     off = lam + 1e-6 * 1e-8 * (1 + s[0]) / 2 / s[-1]
     s = np.linalg.svd(k - off * eye, compute_uv=False)
     assert 1e-8 < s[-1] < 1e-8 * s[0]
     with pytest.raises(ChainSolveFailed, match="window chain relation residual .* at chain index 1"):
-        _window_chain(k, off, 1)
+        _window_chain(spec, off, 1)
 
 
 def test_resonant_chain_rejects_bad_radius():
@@ -300,66 +310,79 @@ def test_resonant_state_escapes_l2():
 
 
 def count_svd_chains(monkeypatch):
-    """Route _window_chains' SVD fallback through a recorder of (lam, m)."""
-    real = qwres.resonances._window_chain
+    """Route _window_chain's SVD path through a recorder of (lam, m)."""
+    real = qwres.resonances._svd_chain
     calls = []
 
-    def counting(kentries, lam, m):
+    def counting(shifted, lam, m):
         calls.append((lam, m))
-        return real(kentries, lam, m)
+        return real(shifted, lam, m)
 
-    monkeypatch.setattr(qwres.resonances, "_window_chain", counting)
+    monkeypatch.setattr(qwres.resonances, "_svd_chain", counting)
     return calls
 
 
-def eig_chains(cs):
-    k = build_K(cs).entries
+def window_chains(cs):
+    spec = _spectrum(cs)
     rs = find_resonances(cs)
-    evals, evecs = np.linalg.eig(k)
-    return k, rs, _window_chains(k, rs, evals, evecs)
+    return spec, rs, [_window_chain(spec, r.lam, r.alg_multiplicity) for r in rs]
 
 
 @pytest.mark.parametrize("n0", [4, 8, 16, 23])
 def test_certified_chains_match_the_svd_path(monkeypatch, n0):
     # Haar windows have simple resonances and a well-conditioned V, so the
-    # certificate holds for every chain and none reaches the SVD; formed
-    # from eig(K), each equals _window_chain's to 1e-12 in the same phase.
-    # On the n0 = 23 window of seed 11301 the polished roots lie up to
-    # 8e-13 from eig's eigenvalues, which tilts the SVD's vectors up to
-    # 2e-11 off the eigenvectors; _kernel_rows follows the tilt
+    # certificate holds for every chain and none reaches the SVD: each chain
+    # is the nearest eigenvector in the canonical phase.  The certificate
+    # bounds the sine of its angle to the exact kernel vector of K - lambda
+    # by r / low, and the SVD's vector lies within about 4 dim eps / low of
+    # that, so both paths span one kernel.  The n0 = 23 window of seed 11301
+    # is kept because its polished roots lie up to 8e-13 from eig's
+    # eigenvalues, which makes r and the angle largest there
     seeds = [1000 * seed + n0 for seed in range(3)] + ([11301] if n0 == 23 else [])
     for seed in seeds:
         cs = random_sequence(np.random.default_rng(seed), n0)
         calls = count_svd_chains(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            k, rs, chains = eig_chains(cs)
+            spec, rs, chains = window_chains(cs)
         assert calls == [] and len(chains) == len(rs) == 2 * n0
         monkeypatch.undo()
+        dim = len(spec.k)
         for r, chain in zip(rs, chains):
-            assert r.alg_multiplicity == 1 and chain.shape == (1, len(k))
-            assert np.linalg.norm(chain - _window_chain(k, r.lam, 1)) <= 1e-12
+            assert r.alg_multiplicity == 1 and chain.shape == (1, dim)
+            dist = np.abs(spec.evals - r.lam)
+            v = chain[0]
+            np.testing.assert_array_equal(v, _unit_phase(spec.evecs[:, np.argmin(dist)]))
+            shifted = spec.k - r.lam * np.eye(dim)
+            low = np.partition(dist, 1)[1] * spec.inv_cond - spec.delta
+            u = _svd_chain(shifted, r.lam, 1)[0]
+            sine = np.linalg.norm(v - u * np.vdot(u, v))
+            assert sine <= (np.linalg.norm(shifted @ v) + 4 * dim * np.finfo(float).eps) / low
 
 
 def test_multiple_resonances_take_the_svd_path(monkeypatch):
     calls = count_svd_chains(monkeypatch)
-    k, rs, chains = eig_chains(triple_barrier())
+    spec, rs, chains = window_chains(triple_barrier())
     assert [m for _, m in calls] == [r.alg_multiplicity for r in rs] == [2, 2]
+    monkeypatch.undo()
     for r, chain in zip(rs, chains):
-        np.testing.assert_array_equal(chain, _window_chain(k, r.lam, 2))
+        shifted = spec.k - r.lam * np.eye(len(spec.k))
+        np.testing.assert_array_equal(chain, _svd_chain(shifted, r.lam, 2))
 
 
-def test_tied_entries_take_the_svd_path(monkeypatch):
+def test_tied_entries_share_one_chain(monkeypatch):
     # the Hadamard pair's resonant vectors have entries of equal modulus, so
     # which one the canonical phase makes real positive is down to rounding;
-    # those chains come from the SVD, as resonant_chain's do
+    # resonant_chain reads the same certified eigenvector as the window
+    # chain, so both make the same entry real positive
     cs = hadamard_pair()
     calls = count_svd_chains(monkeypatch)
-    k, rs, chains = eig_chains(cs)
-    assert len(calls) == len(rs) == 2
+    spec, rs, chains = window_chains(cs)
+    assert calls == [] and len(rs) == 2
     for r, chain in zip(rs, chains):
         window = resonant_chain(cs, r, 1).states[0].restrict(0, 1)
         np.testing.assert_array_equal(chain[0], window.amplitudes.reshape(-1))
+    assert calls == []
 
 
 def test_close_eigenvalues_are_not_certified():
@@ -371,10 +394,34 @@ def test_close_eigenvalues_are_not_certified():
     q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
     evals = np.array([0.5, 0.5 + 1e-9, -0.3, 0.2j, -0.6j, 0.0])
     k = (q * evals) @ q.conj().T
-    ev, vecs = np.linalg.eig(k)
-    r = Resonance(1j * math.log(0.5), 0.5, 0.25, 1)
     with pytest.raises(InvariantViolation, match="has dimension 2"):
-        _window_chains(k, [r], ev, vecs)
+        _window_chain(_decompose(k), 0.5, 1)
+
+
+def test_each_walk_reads_its_own_spectrum():
+    # the record is kept for the last walk only: alternating two walks must
+    # hand each its own K and eig(K), and give the chains a fresh record
+    # gives; no caller can write into a record
+    walks = (random_sequence(np.random.default_rng(3), 5), triple_barrier())
+    fresh = []
+    for cs in walks:
+        _spectrum.cache_clear()
+        fresh.append([resonant_chain(cs, r, 3) for r in find_resonances(cs)])
+    for _ in range(2):
+        for cs, chains in zip(walks, fresh):
+            spec = _spectrum(cs)
+            np.testing.assert_array_equal(spec.k, build_K(cs).entries)
+            evals, evecs = np.linalg.eig(build_K(cs).entries)
+            np.testing.assert_array_equal(spec.evals, evals)
+            np.testing.assert_array_equal(spec.evecs, evecs)
+            for a in (spec.k, spec.evals, spec.evecs):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[(0,) * a.ndim] = 1.0
+            for before, r in zip(chains, find_resonances(cs)):
+                again = resonant_chain(cs, r, 3)
+                for x, y in zip(before.states, again.states):
+                    np.testing.assert_array_equal(x.amplitudes, y.amplitudes)
 
 
 def smallest_resonance_of_seed_5():
