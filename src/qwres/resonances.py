@@ -39,7 +39,7 @@ from .errors import (
     SpectralOverflow,
 )
 from .states import WaveState
-from .transfer import transfer_polynomial, transfer_product
+from .transfer import _horner, transfer_polynomial, transfer_product
 from .walk import _sweep, _walk, build_K
 
 __all__ = [
@@ -100,22 +100,22 @@ def aberth_roots(coeffs) -> np.ndarray:
     if d == 1:
         return np.array([-c[0]])
     high = c[::-1]
-    dhigh = np.polyder(high)
-    abs_high = np.abs(high)
+    # p, p' (padded to p's length) and sum |c_k| |x|^k, one Horner pass a sweep
+    rows = np.stack([high, np.concatenate([[0], np.polyder(high)]), np.abs(high)])
     eps = np.finfo(float).eps
     radius = 1.0 + np.max(np.abs(c[:-1]))
     # the angular offset keeps the start away from real-axis root symmetry
     x = radius * np.exp(2j * np.pi * (np.arange(d) + 0.37) / d)
     for _ in range(500):
         with np.errstate(over="ignore", invalid="ignore"):
-            p = np.polyval(high, x)
-            floor = 16 * eps * np.polyval(abs_high, np.abs(x))
+            # the floor row runs at |x| + 0j: its real part is the real Horner
+            p, dp, floor = _horner(rows, np.stack([x, x, np.abs(x) + 0j]))
+            floor = 16 * eps * floor.real
         if not (np.isfinite(p).all() and np.isfinite(floor).all()):
             raise RootFindingDiverged("Aberth residual |p(x)| or its floor is not a finite float")
         done = np.abs(p) <= floor
         if np.all(done):
             return x
-        dp = np.polyval(dhigh, x)
         dp = np.where(dp == 0, eps, dp)
         w = p / dp
         diff = x[:, None] - x[None, :]
@@ -169,15 +169,14 @@ def _polish(coeffs: np.ndarray, x0: np.ndarray, m: int) -> np.ndarray:
     high = coeffs[::-1]
     for _ in range(m - 1):
         high = np.polyder(high)
-    dhigh = np.polyder(high)
+    rows = np.stack([high, np.concatenate([[0], np.polyder(high)])])
     x0 = np.asarray(x0, dtype=complex)
     x = x0.copy()
     live = np.arange(len(x))
     for _ in range(60):
         if not live.size:
             break
-        q = np.polyval(high, x[live])
-        dq = np.polyval(dhigh, x[live])
+        q, dq = _horner(rows, np.stack([x[live], x[live]]))
         moving = dq != 0
         live = live[moving]
         dx = q[moving] / dq[moving]

@@ -92,6 +92,21 @@ def transfer_product(cs: CoinSequence, xi) -> np.ndarray:
     return np.stack([np.stack([t11, t12], -1), np.stack([t21, t22], -1)], -2)
 
 
+def _horner(rows, x) -> np.ndarray:
+    """Coefficient rows, highest degree first, at the matching rows of points.
+
+    rows has shape (k, d + 1) and x shape (k, n); row j of the result is
+    row j of rows evaluated at row j of x.  The arithmetic is np.polyval's,
+    y = 0 and then y = y x + c, so every value is bit for bit polyval's,
+    while a whole stack of polynomials costs one pass over the degree.
+    """
+    x = np.asarray(x)
+    y = np.zeros_like(x)
+    for c in np.asarray(rows).T:
+        y = y * x + c[:, None]
+    return y
+
+
 @dataclass(frozen=True)
 class TransferPolynomial:
     """p in monic form together with the leading coefficient it was scaled by.
@@ -117,9 +132,7 @@ class TransferPolynomial:
     def __call__(self, mu) -> np.ndarray:
         """Evaluate the monic polynomial at mu (scalar or array)."""
         mu = np.asarray(mu, dtype=complex)
-        out = np.zeros(mu.shape, dtype=complex)
-        for c in self.coeffs[::-1]:
-            out = out * mu + c
+        out = _horner(self.coeffs[None, ::-1], mu.reshape(1, -1)).reshape(mu.shape)
         return out[()] if out.shape == () else out
 
 

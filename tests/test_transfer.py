@@ -9,6 +9,7 @@ from qwres import (
     transfer_polynomial,
     transfer_product,
 )
+from qwres.transfer import _horner
 
 
 def test_local_transfer_encodes_the_eigen_recursion():
@@ -154,5 +155,23 @@ def test_polynomial_call_matches_polyval():
     cs = random_sequence(rng, 4)
     tp = transfer_polynomial(cs)
     mu = rng.normal(size=6) + 1j * rng.normal(size=6)
-    np.testing.assert_allclose(tp(mu), np.polyval(tp.coeffs[::-1], mu), atol=1e-12)
+    assert tp(mu).tobytes() == np.polyval(tp.coeffs[::-1], mu).tobytes()
     assert np.isscalar(tp(0.3 + 0.1j)) or tp(0.3 + 0.1j).shape == ()
+
+
+def test_horner_is_polyval_bit_for_bit():
+    # the rows aberth_roots stacks: p, p' padded with a leading 0, and |p|'s
+    # coefficients at |x| + 0j, whose real part must be the real Horner;
+    # tobytes also compares the signs of zeros
+    rng = np.random.default_rng(97)
+    signed_zeros = [0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+    for d in (1, 2, 5, 17, 64):
+        high = rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)
+        high[rng.integers(1, d + 1, size=d // 3 + 1)] = rng.choice(signed_zeros, size=d // 3 + 1)
+        x = rng.normal(size=12) + 1j * rng.normal(size=12)
+        x[:4] = [-0.7 + 0.2j, -1.3 - 0.0j, 0.0, complex(-0.0, -0.0)]
+        rows = np.stack([high, np.concatenate([[0], np.polyder(high)]), np.abs(high)])
+        p, dp, floor = _horner(rows, np.stack([x, x, np.abs(x) + 0j]))
+        assert p.tobytes() == np.polyval(high, x).tobytes()
+        assert dp.tobytes() == np.polyval(np.polyder(high), x).tobytes()
+        assert floor.real.tobytes() == np.polyval(np.abs(high), np.abs(x)).tobytes()
