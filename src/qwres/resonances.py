@@ -87,11 +87,17 @@ class Resonance:
 def aberth_roots(coeffs) -> np.ndarray:
     """All roots of a monic polynomial by simultaneous Aberth iteration.
 
-    coeffs is lowest degree first with a trailing 1.  Iterates until every
-    residual |p(x)| sits below the backward-error floor 16 eps sum |c_k||x|^k
-    or every correction stalls at 1e-13 (1 + |x|); 500 sweeps without that
-    raises RootFindingDiverged, and so does a residual or floor past the
-    float range, where inf <= inf would pass for convergence.
+    coeffs is lowest degree first with a trailing 1.  The iterates start on
+    the unit circle.  Resonances have |lambda| < 1, so every root the
+    transfer polynomial can contribute lies in the unit disk (K is a
+    contraction, and find_resonances refuses |mu| >= 1 + 1e-12): the start
+    circle encloses all of them and lies near the outer ones, the
+    resonances closest to the real axis, which keeps the sweep count low
+    (Bini 1996).  Roots outside the disk converge too, from further away.  Iterates until every residual |p(x)| sits below the
+    backward-error floor 16 eps sum |c_k||x|^k or every correction stalls
+    at 1e-13 (1 + |x|); 500 sweeps without that raises RootFindingDiverged,
+    and so does a residual or floor past the float range, where inf <= inf
+    would pass for convergence.
     """
     c = np.asarray(coeffs, dtype=complex)
     d = len(c) - 1
@@ -103,9 +109,8 @@ def aberth_roots(coeffs) -> np.ndarray:
     # p, p' (padded to p's length) and sum |c_k| |x|^k, one Horner pass a sweep
     rows = np.stack([high, np.concatenate([[0], np.polyder(high)]), np.abs(high)])
     eps = np.finfo(float).eps
-    radius = 1.0 + np.max(np.abs(c[:-1]))
     # the angular offset keeps the start away from real-axis root symmetry
-    x = radius * np.exp(2j * np.pi * (np.arange(d) + 0.37) / d)
+    x = np.exp(2j * np.pi * (np.arange(d) + 0.37) / d)
     for _ in range(500):
         with np.errstate(over="ignore", invalid="ignore"):
             # the floor row runs at |x| + 0j: its real part is the real Horner

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import hadamard_pair, random_sequence, triple_barrier
+from test_transfer import _row_recursion
 import qwres.resonances
 from qwres import (
     ChainSolveFailed,
@@ -59,15 +60,39 @@ def test_aberth_degree_edge_cases():
 
 
 def test_aberth_refuses_a_residual_past_the_float_range():
-    # x^73 + 2e4 has its roots at modulus 2e4^(1/73) = 1.145, but at the
-    # start radius 1 + 2e4 both |p| and its floor overflow, and inf <= inf
-    # once returned the start points as roots
-    coeffs = np.zeros(74, dtype=complex)
-    coeffs[0], coeffs[-1] = 2e4, 1.0
+    # at |x| = 1, x^2 + 1e308 x + 1e308 has a floor 16 eps (1 + 2e308) past
+    # the float range, and inf <= inf would pass the start points as roots
+    coeffs = np.array([1e308, 1e308, 1.0], dtype=complex)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(RootFindingDiverged, match="not a finite float"):
             aberth_roots(coeffs)
+        # x^73 + 2e4 overflowed from the old start radius 1 + 2e4; from the
+        # unit circle it solves, with every root at modulus 2e4^(1/73)
+        coeffs = np.zeros(74, dtype=complex)
+        coeffs[0], coeffs[-1] = 2e4, 1.0
+        roots = aberth_roots(coeffs)
+    assert len(roots) == 73
+    np.testing.assert_allclose(np.abs(roots), 2e4 ** (1 / 73), rtol=0, atol=2.3e-16)
+
+
+@pytest.mark.parametrize("n0", [32, 64])
+def test_aberth_sweeps_stay_few(monkeypatch, n0):
+    # one _horner pass per sweep; from the unit circle the Haar windows
+    # settle in 15 sweeps or fewer, where the old start radius 1 + max|c_k|
+    # took a median of 50 (n0 = 32) and 128 (n0 = 64)
+    calls = []
+    real = qwres.resonances._horner
+    monkeypatch.setattr(qwres.resonances, "_horner", lambda rows, x: calls.append(1) or real(rows, x))
+    rng = np.random.default_rng(n0)
+    for _ in range(8):
+        # the oracle's coefficients: transfer_polynomial's relation check
+        # refuses some windows of this size
+        p = _row_recursion(random_sequence(rng, n0))[2::2]
+        coeffs = p / p[-1]
+        calls.clear()
+        roots = aberth_roots(coeffs)
+        assert len(roots) == n0 and len(calls) <= 20, len(calls)
 
 
 def test_aberth_handles_clustered_double_root():
