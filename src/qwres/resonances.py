@@ -139,6 +139,8 @@ def _cluster(roots: np.ndarray) -> list[np.ndarray]:
     """Group root approximations within radius 1e-6 max(1, |mu|)."""
     order = np.lexsort((roots.imag, roots.real))
     roots = roots[order]
+    size = np.maximum(np.abs(roots), 1.0)
+    near = np.abs(roots[:, None] - roots[None, :]) <= CLUSTER_SCALE * np.maximum(size[:, None], size[None, :])
     used = np.zeros(len(roots), dtype=bool)
     clusters = []
     for i in range(len(roots)):
@@ -147,16 +149,12 @@ def _cluster(roots: np.ndarray) -> list[np.ndarray]:
         group = [i]
         used[i] = True
         frontier = [i]
+        # depth first over the adjacency, so groups keep their member order
         while frontier:
-            j = frontier.pop()
-            for k in range(len(roots)):
-                if used[k]:
-                    continue
-                tol = CLUSTER_SCALE * max(1.0, abs(roots[j]), abs(roots[k]))
-                if abs(roots[j] - roots[k]) <= tol:
-                    used[k] = True
-                    group.append(k)
-                    frontier.append(k)
+            new = np.flatnonzero(near[frontier.pop()] & ~used)
+            used[new] = True
+            group.extend(new.tolist())
+            frontier.extend(new.tolist())
         clusters.append(roots[group])
     return clusters
 
@@ -371,8 +369,14 @@ def _check_links(errs: np.ndarray, scales: np.ndarray, what: str) -> None:
 
 
 def _unit_phase(v: np.ndarray) -> np.ndarray:
-    """v in the canonical phase: its largest entry made real positive."""
-    j = int(np.argmax(np.abs(v)))
+    """v in the canonical phase: its leading entry made real positive.
+
+    The leading entry is the first whose modulus is within a relative 1e-8
+    of the largest, so entries tied in modulus (as in the Hadamard pair's
+    resonant vectors) pick the same one whichever way rounding orders them.
+    """
+    size = np.abs(v)
+    j = int(np.argmax(size >= (1 - 1e-8) * size.max()))
     return v * (abs(v[j]) / v[j])
 
 
@@ -398,7 +402,7 @@ def _window_chain(spec: _Spectrum, lam: complex, m: int) -> np.ndarray:
     """The Jordan chain phi^1 .. phi^m of K at lam, one window vector per row.
 
     phi^1 spans the kernel of K - lambda (geometric multiplicity is always
-    one, which is verified), largest entry real positive; phi^k for k >= 2
+    one, which is verified), in _unit_phase's canonical phase; phi^k for k >= 2
     is the minimum-norm solution of (K - lambda) v = phi^{k-1}.  Each solve
     must hold to 1e-8 |phi^{k-1}|, and each link of the chain relation
     (K - lambda) phi^k = phi^{k-1}, phi^0 = 0, to 1e-8 max(|phi^k|, 1).

@@ -14,6 +14,7 @@ z^2 p(z^2).  The roots of p in mu = e^{-2 i xi} encode the resonances.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,6 +137,20 @@ class TransferPolynomial:
         return out[()] if out.shape == () else out
 
 
+@functools.cache
+def _relation_points() -> np.ndarray:
+    """The 20 xi of transfer_polynomial's relation check, drawn on first use."""
+    rng = np.random.default_rng(20240901)
+    xs = np.concatenate(
+        [
+            rng.uniform(-np.pi, np.pi, 10).astype(complex),
+            rng.uniform(-np.pi, np.pi, 10) + 1j * rng.uniform(-1.5, 1.5, 10),
+        ]
+    )
+    xs.flags.writeable = False
+    return xs
+
+
 def transfer_polynomial(cs: CoinSequence) -> TransferPolynomial:
     """Extract p from the transfer product by exact polynomial recursion.
 
@@ -175,13 +190,7 @@ def transfer_polynomial(cs: CoinSequence) -> TransferPolynomial:
     monic[-1] = 1.0
     tp = TransferPolynomial(monic, leading)
 
-    rng = np.random.default_rng(20240901)
-    xs = np.concatenate(
-        [
-            rng.uniform(-np.pi, np.pi, 10).astype(complex),
-            rng.uniform(-np.pi, np.pi, 10) + 1j * rng.uniform(-1.5, 1.5, 10),
-        ]
-    )
+    xs = _relation_points()
     t22 = transfer_product(cs, xs)[..., 1, 1]
     lhs = np.exp(-1j * (cs.n0 + 1) * xs) * t22
     mu = np.exp(-2j * xs)

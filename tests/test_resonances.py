@@ -101,6 +101,63 @@ def test_aberth_handles_clustered_double_root():
     np.testing.assert_allclose(got, [-0.3, 0.5, 0.5], atol=1e-6)
 
 
+def _cluster_loop(roots):
+    """The pairwise loop _cluster vectorises, the oracle for its groups."""
+    order = np.lexsort((roots.imag, roots.real))
+    roots = roots[order]
+    used = np.zeros(len(roots), dtype=bool)
+    clusters = []
+    for i in range(len(roots)):
+        if used[i]:
+            continue
+        group = [i]
+        used[i] = True
+        frontier = [i]
+        while frontier:
+            j = frontier.pop()
+            for k in range(len(roots)):
+                if used[k]:
+                    continue
+                tol = 1e-6 * max(1.0, abs(roots[j]), abs(roots[k]))
+                if abs(roots[j] - roots[k]) <= tol:
+                    used[k] = True
+                    group.append(k)
+                    frontier.append(k)
+        clusters.append(roots[group])
+    return clusters
+
+
+def test_cluster_matches_the_pairwise_loop():
+    # same groups, same member order, so the cluster means are the same bits;
+    # the tight cases chain three roots through a middle one and put two
+    # roots at exactly the tolerance apart
+    rng = np.random.default_rng(433)
+    cases = [np.array(transfer_polynomial(triple_barrier()).coeffs)]
+    for n0 in (2, 3, 4, 6, 8, 11, 16, 23, 32, 45, 64):
+        p = _row_recursion(random_sequence(rng, n0))[2::2]
+        cases.append(p / p[-1])
+    roots = [aberth_roots(c) for c in cases]
+    roots += [np.array([0.5, 0.5 + 8e-7, 0.5 + 1.6e-6, -0.25j, 0.5, 2.0]), np.array([0.0, 1e-6, 3.0, 3.0 + 3e-6j])]
+    for r in roots:
+        got, want = _cluster(r), _cluster_loop(r)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    assert [len(g) for g in _cluster(roots[-2])] == [1, 4, 1]
+
+
+def test_unit_phase_is_tie_stable():
+    # two entries of equal modulus: a one-ulp change that makes the second
+    # the larger must not move the phase onto it
+    top = abs(2.0**-0.5 * np.exp(0.3j))
+    v = np.array([0.0, 2.0**-0.5 * np.exp(0.3j), 0.1, -1j * top])
+    w = v.copy()
+    w[3] = -1j * np.nextafter(top, 1.0)
+    assert abs(v[3]) == abs(v[1]) < abs(w[3])
+    a, b = _unit_phase(v), _unit_phase(w)
+    for phased in (a, b):
+        assert phased[1].real > 0 and abs(phased[1].imag) <= 1e-16
+    np.testing.assert_allclose(a, b, rtol=0, atol=4e-16)
+
+
 def _polish_one(coeffs, x0, m):
     """One centroid's Newton loop, the oracle for the batched _polish."""
     high = coeffs[::-1]

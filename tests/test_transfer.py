@@ -9,7 +9,7 @@ from qwres import (
     transfer_polynomial,
     transfer_product,
 )
-from qwres.transfer import _horner
+from qwres.transfer import _horner, _relation_points
 
 
 def test_local_transfer_encodes_the_eigen_recursion():
@@ -175,3 +175,16 @@ def test_horner_is_polyval_bit_for_bit():
         assert p.tobytes() == np.polyval(high, x).tobytes()
         assert dp.tobytes() == np.polyval(np.polyder(high), x).tobytes()
         assert floor.real.tobytes() == np.polyval(np.abs(high), np.abs(x)).tobytes()
+
+
+def test_relation_points_are_one_fixed_draw():
+    rng = np.random.default_rng(20240901)
+    want = np.concatenate(
+        [
+            rng.uniform(-np.pi, np.pi, 10).astype(complex),
+            rng.uniform(-np.pi, np.pi, 10) + 1j * rng.uniform(-1.5, 1.5, 10),
+        ]
+    )
+    got = _relation_points()
+    assert got.tobytes() == want.tobytes()
+    assert got is _relation_points() and not got.flags.writeable
