@@ -7,6 +7,13 @@ set from the transfer polynomial, cross-checks it against a dense
 eigensolve of K on every call, and exposes a contour winding count as the
 third, analytically independent characterization.
 
+Root finding.  Every nonzero root mu of the transfer polynomial lies in the
+unit disk, so Aberth iteration starts on the unit circle, and each sweep
+reads p, p' and the backward-error floor from one transfer._horner pass.
+Roots within 1e-6 max(1, |mu|) of each other chain into one cluster, whose
+size is the multiplicity and whose mean Newton polishes as a simple root
+of p^(m-1).
+
 Jordan chains.  Resonances are generically simple, so the chain at a
 resonance is usually one eigenvector of K.  _spectrum keeps one eig(K)
 record for the last walk, and _window_chain reads a simple chain off it

@@ -93,7 +93,7 @@ def transfer_product(cs: CoinSequence, xi) -> np.ndarray:
     return np.stack([np.stack([t11, t12], -1), np.stack([t21, t22], -1)], -2)
 
 
-def _horner(rows, x) -> np.ndarray:
+def _horner(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Coefficient rows, highest degree first, at the matching rows of points.
 
     rows has shape (k, d + 1) and x shape (k, n); row j of the result is
@@ -101,9 +101,8 @@ def _horner(rows, x) -> np.ndarray:
     y = 0 and then y = y x + c, so every value is bit for bit polyval's,
     while a whole stack of polynomials costs one pass over the degree.
     """
-    x = np.asarray(x)
     y = np.zeros_like(x)
-    for c in np.asarray(rows).T:
+    for c in rows.T:
         y = y * x + c[:, None]
     return y
 
