@@ -100,9 +100,11 @@ def aberth_roots(coeffs) -> np.ndarray:
     contraction, and find_resonances refuses |mu| >= 1 + 1e-12): the start
     circle encloses all of them and lies near the outer ones, the
     resonances closest to the real axis, which keeps the sweep count low
-    (Bini 1996).  Roots outside the disk converge too, from further away.  Iterates until every residual |p(x)| sits below the
-    backward-error floor 16 eps sum |c_k||x|^k or every correction stalls
-    at 1e-13 (1 + |x|); 500 sweeps without that raises RootFindingDiverged,
+    (Bini 1996).  Roots outside the disk converge too, from further away.
+
+    Iterates until every residual |p(x)| sits below the backward-error
+    floor 16 eps sum |c_k||x|^k or every correction stalls at
+    1e-13 (1 + |x|); 500 sweeps without that raises RootFindingDiverged,
     and so does a residual or floor past the float range, where inf <= inf
     would pass for convergence.
     """
@@ -147,8 +149,13 @@ def _cluster(roots: np.ndarray) -> list[np.ndarray]:
     order = np.lexsort((roots.imag, roots.real))
     roots = roots[order]
     size = np.maximum(np.abs(roots), 1.0)
-    near = np.abs(roots[:, None] - roots[None, :]) <= CLUSTER_SCALE * np.maximum(size[:, None], size[None, :])
-    used = np.zeros(len(roots), dtype=bool)
+    tol = CLUSTER_SCALE * np.maximum(size[:, None], size[None, :])
+    # each root's neighbours in increasing index, itself included
+    neighbours = [[] for _ in roots]
+    rows, cols = np.nonzero(np.abs(roots[:, None] - roots[None, :]) <= tol)
+    for j, k in zip(rows.tolist(), cols.tolist()):
+        neighbours[j].append(k)
+    used = [False] * len(roots)
     clusters = []
     for i in range(len(roots)):
         if used[i]:
@@ -156,12 +163,12 @@ def _cluster(roots: np.ndarray) -> list[np.ndarray]:
         group = [i]
         used[i] = True
         frontier = [i]
-        # depth first over the adjacency, so groups keep their member order
         while frontier:
-            new = np.flatnonzero(near[frontier.pop()] & ~used)
-            used[new] = True
-            group.extend(new.tolist())
-            frontier.extend(new.tolist())
+            for k in neighbours[frontier.pop()]:
+                if not used[k]:
+                    used[k] = True
+                    group.append(k)
+                    frontier.append(k)
         clusters.append(roots[group])
     return clusters
 
@@ -409,10 +416,11 @@ def _window_chain(spec: _Spectrum, lam: complex, m: int) -> np.ndarray:
     """The Jordan chain phi^1 .. phi^m of K at lam, one window vector per row.
 
     phi^1 spans the kernel of K - lambda (geometric multiplicity is always
-    one, which is verified), in _unit_phase's canonical phase; phi^k for k >= 2
-    is the minimum-norm solution of (K - lambda) v = phi^{k-1}.  Each solve
-    must hold to 1e-8 |phi^{k-1}|, and each link of the chain relation
-    (K - lambda) phi^k = phi^{k-1}, phi^0 = 0, to 1e-8 max(|phi^k|, 1).
+    one, which is verified), in _unit_phase's canonical phase; phi^k for
+    k >= 2 is the minimum-norm solution of (K - lambda) v = phi^{k-1}.
+    Each solve must hold to 1e-8 |phi^{k-1}|, and each link of the chain
+    relation (K - lambda) phi^k = phi^{k-1}, phi^0 = 0, to
+    1e-8 max(|phi^k|, 1).
 
     For m = 1, phi^1 is the eigenvector v_j of spec nearest lambda wherever
     a certificate shows that the rank test of the SVD path would accept
