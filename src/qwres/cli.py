@@ -46,7 +46,7 @@ from .resonances import find_resonances, resonant_chain, validate_multiplicity
 from .scattering import scattering_matrix
 from .states import basis_state, incoming_length, state_from_json, state_to_json
 from .transfer import transfer_polynomial
-from .walk import _states, _window, build_K, evolve, norm_defect, survival_norm
+from .walk import _states, _window_survival, build_K, evolve, norm_defect, survival_norm
 
 __all__ = ["main"]
 
@@ -238,7 +238,7 @@ def _cmd_expand(args):
 def _cmd_survival(args):
     cs, psi0 = _load_config(args.config)
     psi0 = _default_psi0(psi0)
-    norms = survival_norm(_window(psi0, cs, args.T), cs.n0)
+    norms = _window_survival(psi0, cs, args.T)
     csv_text = _survival_csv(norms)
     if not args.fit:
         return csv_text

@@ -37,7 +37,7 @@ from .resonances import (
     strip_pair,
 )
 from .states import WaveState, incoming_length, window_vector
-from .walk import _window
+from .walk import _window_blocks
 
 __all__ = [
     "ResonanceBlock",
@@ -119,8 +119,10 @@ def expand(cs: CoinSequence, psi0: WaveState) -> ExpansionData:
     """
     n0 = cs.n0
     nu = incoming_length(psi0, n0)
-    *_, psi_nu = _window(psi0, cs, nu)
-    x = window_vector(psi_nu, n0)
+    *_, rows = _window_blocks(psi0, cs, nu)
+    # through the trimmed state, as the light cone gives it: the window walk
+    # may leave -0 on rows the light cone has not reached
+    x = window_vector(WaveState(0, rows[-1]), n0)
     resonances = _polynomial_resonances(cs)
     spec = _spectrum(cs)
     _dense_crosscheck(resonances, spec.evals)

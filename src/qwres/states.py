@@ -92,10 +92,7 @@ class WaveState:
         plain = math.sqrt(np.add.reduce(parts * parts))
         if plain >= 1e-150 or self.is_zero():
             return plain
-        top = float(np.max(np.abs(self.amplitudes)))
-        # divide the real parts: complex division forms 1/top, inf for a subnormal top
-        parts = parts / top
-        return top * math.sqrt(np.add.reduce(parts * parts))
+        return float(_rescaled_norms(self.amplitudes[None])[0])
 
     def restrict(self, lo: int, hi: int) -> "WaveState":
         """Zero out everything outside sites [lo, hi]."""
@@ -130,6 +127,44 @@ class WaveState:
         return WaveState(self.support_lo, self.amplitudes * complex(scalar))
 
     __rmul__ = __mul__
+
+
+def _rescaled_norms(amps: np.ndarray) -> np.ndarray:
+    """Norms of the nonzero amps[i], shape (k, N, 2), whose squares underflow.
+
+    Each is scaled by its top modulus first, dividing the float parts:
+    complex division forms 1/top, inf for a subnormal top.
+    """
+    top = np.abs(amps).reshape(len(amps), -1).max(axis=1)
+    parts = amps.reshape(len(amps), -1).view(float) / top[:, None]
+    return top * np.sqrt(np.add.reduce(parts * parts, axis=1))
+
+
+def _window_norms(rows: np.ndarray) -> np.ndarray:
+    """WaveState(0, rows[i]).norm() for each i, bit for bit, in one pass.
+
+    rows has shape (k, N, 2).  A norm sums its squares over the trimmed
+    support of its row only, and the pairwise sum groups the terms by
+    their count, so rows are reduced together per (first, last) nonzero
+    site: np.add.reduce along axis 1 sums each of them as the flat call
+    does.  Zero rows keep norm 0.
+    """
+    n = rows.shape[1]
+    nonzero = np.any(rows != 0, axis=2)
+    first = np.argmax(nonzero, axis=1)
+    last = n - 1 - np.argmax(nonzero[:, ::-1], axis=1)
+    key = np.where(nonzero.any(axis=1), first * n + last, -1)
+    norms = np.zeros(len(rows))
+    for k in np.unique(key[key >= 0]).tolist():
+        sel = np.nonzero(key == k)[0]
+        amps = rows[sel, k // n : k % n + 1]
+        parts = amps.reshape(len(sel), -1).view(float)
+        plain = np.sqrt(np.add.reduce(parts * parts, axis=1))
+        small = plain < 1e-150
+        if small.any():
+            plain[small] = _rescaled_norms(amps[small])
+        norms[sel] = plain
+    return norms
 
 
 def zero_state() -> WaveState:
@@ -212,10 +247,11 @@ def decompose(psi: WaveState, n0: int) -> Decomposition:
 
 def window_vector(psi: WaveState, n0: int) -> np.ndarray:
     """Restriction to [0, n0] as a flat vector in the canonical layout."""
-    v = np.zeros(2 * (n0 + 1), dtype=complex)
-    for n in range(n0 + 1):
-        v[2 * n : 2 * n + 2] = psi.amplitude(n)
-    return v
+    v = np.zeros((n0 + 1, 2), dtype=complex)
+    lo, hi = max(psi.support_lo, 0), min(psi.support_hi, n0)
+    if lo <= hi:
+        v[lo : hi + 1] = psi.amplitudes[lo - psi.support_lo : hi - psi.support_lo + 1]
+    return v.reshape(-1)
 
 
 def state_from_flat(v, n0: int | None = None) -> WaveState:

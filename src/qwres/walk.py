@@ -3,10 +3,12 @@
 One step is U = S∘C: the coin C acts on the (L, R) pair at each site, then
 the shift S moves L one site left and R one site right.  Outside the window
 [0, n0] the coins are the identity, so the step is a pure shift there, with
-no rounding at all.  Every use of U reads the one kernel :func:`_walk`;
-:func:`_states` steps the whole light cone in time, :func:`_window` steps
-only the window and its two incoming edges (what leaves never returns), and
-:func:`_sweep` solves (1/e - U) w = f off the window.
+no rounding at all.  Every use of U reads the one coin kernel :func:`_coin`:
+:func:`_walk` shifts its output for :func:`step`, :func:`build_K` and the
+resolvent, :func:`_states` steps the whole light cone in time, and
+:func:`_window_blocks` steps only the window, in place, into one reused
+block of rows (what leaves never returns).  :func:`_sweep` solves
+(1/e - U) w = f off the window.
 
 K is the restriction of the step to the sites 0..n0.  It is a contraction;
 the norm it loses in one application is exactly what the walk radiates out
@@ -21,7 +23,7 @@ import numpy as np
 
 from .coins import CoinSequence
 from .errors import UnsupportedN0
-from .states import WaveState, window_vector
+from .states import WaveState, _window_norms, window_vector
 
 __all__ = [
     "KMatrix",
@@ -32,6 +34,21 @@ __all__ = [
     "norm_defect",
     "kernel_witnesses",
 ]
+
+
+# window rows per block of _window_blocks; memory is O(BLOCK * n0), not O(T)
+BLOCK = 512
+
+
+def _coin(abcd, rows: np.ndarray):
+    """The coin action (a L + b R, c L + d R) on rows of shape (..., N, 2).
+
+    abcd holds the four coin columns a, b, c, d of the N sites, each of
+    length N.
+    """
+    a, b, c, d = abcd
+    left, right = rows[..., 0], rows[..., 1]
+    return a * left + b * right, c * left + d * right
 
 
 def _walk(cs: CoinSequence, lo: int, rows: np.ndarray):
@@ -48,10 +65,9 @@ def _walk(cs: CoinSequence, lo: int, rows: np.ndarray):
     # rows i0..i1-1 sit on the window; their shifted images take the coin
     i0, i1 = max(-lo, 0), min(cs.n0 + 1 - lo, n)
     if i0 < i1:
-        a, b, c, d = cs.table[lo + i0 : lo + i1].T
-        win = rows[..., i0:i1, :]
-        out[..., i0:i1, 0] = a * win[..., 0] + b * win[..., 1]
-        out[..., i0 + 2 : i1 + 2, 1] = c * win[..., 0] + d * win[..., 1]
+        left, right = _coin(cs.table[lo + i0 : lo + i1].T, rows[..., i0:i1, :])
+        out[..., i0:i1, 0] = left
+        out[..., i0 + 2 : i1 + 2, 1] = right
     return lo - 1, out
 
 
@@ -70,28 +86,43 @@ def _states(psi: WaveState, cs: CoinSequence, T: int):
         yield psi
 
 
-def _window(psi0: WaveState, cs: CoinSequence, T: int):
-    """Yield psi_0 .. psi_T restricted to [0, n0], in O(n0) per step.
+def _window_blocks(psi0: WaveState, cs: CoinSequence, T: int):
+    """Yield psi_0 .. psi_T on [0, n0] as blocks of window rows, in order.
 
-    Nothing that leaves the window comes back, so each step walks only the
-    sites -1..n0+1: the window itself, the R amplitude arriving from -1 and
-    the L amplitude arriving from n0 + 1.  Both arrive untouched by any
-    coin, straight off psi0 (its R at -t and its L at n0 + t at step t), so
-    the window rows are bit for bit those of :func:`_states`, except that
-    a zero may carry the other sign: here the coins also act on zero rows
-    that :func:`_states` had trimmed off its support.  No norm sees that.
+    Each block has shape (k, n0 + 1, 2), one row per step holding the
+    amplitudes at the sites 0..n0, and is a view of one array that the
+    next block overwrites.  Nothing that leaves the window comes back, so
+    a step needs only the window rows and what arrives at the two edges:
+    psi0's R at -t reaches site 0 and its L at n0 + t reaches site n0 at
+    step t, untouched by any coin.  The rows are bit for bit those of
+    :func:`_states`, except that a zero may carry the other sign: here the
+    coins also act on zero rows that :func:`_states` has not reached.
     """
     if T < 0:
         raise ValueError(f"T must be nonnegative, got {T}")
     n0 = cs.n0
-    rows = np.zeros((n0 + 3, 2), dtype=complex)
-    rows[1:-1] = window_vector(psi0, n0).reshape(-1, 2)
-    yield WaveState(0, rows[1:-1])
+    abcd = tuple(cs.table.T)
+    amps, lo = psi0.amplitudes, psi0.support_lo
+    stored = range(len(amps))
+    block = np.empty((BLOCK, n0 + 1, 2), dtype=complex)
+    block[0] = window_vector(psi0, n0).reshape(-1, 2)
+    first = i = 0
     for t in range(1, T + 1):
-        rows[0, 1] = psi0.amplitude(-t)[1]
-        rows[-1, 0] = psi0.amplitude(n0 + t)[0]
-        rows = _walk(cs, -1, rows)[1][1:-1]
-        yield WaveState(0, rows[1:-1])
+        if i == BLOCK - 1:
+            yield block[first:]
+            # the last row is the next block's row 0, already yielded
+            block[0] = block[-1]
+            first, i = 1, 0
+        left, right = _coin(abcd, block[i])
+        row = block[i + 1]
+        # L leaves through site -1 and R through n0 + 1 for good
+        row[:-1, 0] = left[1:]
+        row[1:, 1] = right[:-1]
+        k, j = -t - lo, n0 + t - lo
+        row[0, 1] = amps[k, 1] if k in stored else 0
+        row[-1, 0] = amps[j, 0] if j in stored else 0
+        i += 1
+    yield block[first : i + 1]
 
 
 def evolve(psi0: WaveState, cs: CoinSequence, T: int) -> list[WaveState]:
@@ -166,12 +197,14 @@ def kernel_witnesses(cs: CoinSequence) -> tuple[np.ndarray, np.ndarray]:
 
 
 def survival_norm(trajectory, n0: int) -> list[float]:
-    """Per-step l2 norm on the window [0, n0] of any iterable of states.
-
-    The states may be whole (from :func:`_states`) or already restricted to
-    the window (from :func:`_window`); both give the same norms.
-    """
+    """Per-step l2 norm on the window [0, n0] of any iterable of states."""
     return [t.restrict(0, n0).norm() for t in trajectory]
+
+
+def _window_survival(psi0: WaveState, cs: CoinSequence, T: int) -> list[float]:
+    """survival_norm of psi_0 .. psi_T, bit for bit, stepping only the window."""
+    blocks = _window_blocks(psi0, cs, T)
+    return np.concatenate([_window_norms(rows) for rows in blocks]).tolist()
 
 
 def norm_defect(cs: CoinSequence, v: np.ndarray) -> float:

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qwres import cli
+from qwres import cli, random_sequence, sequence_to_json
 from qwres.cli import main
 
 HADAMARD_CFG = {
@@ -208,25 +208,27 @@ def test_evolve_trajectory_bytes_are_pinned(tmp_path, capsys, cfg, digest, summa
 
 
 @pytest.mark.parametrize(
-    "cfg, digest",
+    "cfg, T, digest",
     [
-        (HADAMARD_CFG, "6ad7135ff24bf76606b85228f17ce8c2199f525c6a0d56e34917718134c06a68"),
-        (TRIPLE_CFG, "41e52d305e812df0f881e2b9fa74b7001ffca640f9f964afb603d5f05d0b2f83"),
-        (LITERAL_CFG, "8dfeaccf87f6f48f80e472d568dd98076a206a68b4adbb634b06acd82e98fa9a"),
-        (REAL_CFG, "84bdc34ad2fa13c8e98c9b073c2805376db988dc5ee6c78d038680ad4c3518cd"),
-        (TWO_SIDED_CFG, "597f60e26984ea97f6e54be8d7f10412e933f1a4fc44fe68f2864bdd964c5e9f"),
+        (HADAMARD_CFG, 1200, "6ad7135ff24bf76606b85228f17ce8c2199f525c6a0d56e34917718134c06a68"),
+        (TRIPLE_CFG, 1200, "41e52d305e812df0f881e2b9fa74b7001ffca640f9f964afb603d5f05d0b2f83"),
+        (LITERAL_CFG, 1200, "8dfeaccf87f6f48f80e472d568dd98076a206a68b4adbb634b06acd82e98fa9a"),
+        (REAL_CFG, 1200, "84bdc34ad2fa13c8e98c9b073c2805376db988dc5ee6c78d038680ad4c3518cd"),
+        (TWO_SIDED_CFG, 1200, "597f60e26984ea97f6e54be8d7f10412e933f1a4fc44fe68f2864bdd964c5e9f"),
+        (HADAMARD_CFG, 4000, "7af2e52687136a27f53249df4470e8bbf871267e3d8535e54cab561b97a0954c"),
     ],
-    ids=["hadamard", "triple", "literal", "real", "two-sided"],
+    ids=["hadamard", "triple", "literal", "real", "two-sided", "hadamard-T4000"],
 )
-def test_survival_fit_bytes_are_pinned(tmp_path, capsys, cfg, digest):
+def test_survival_fit_bytes_are_pinned(tmp_path, capsys, cfg, T, digest):
     # the fit line reads every window norm; for the Hadamard pair and the
     # triple barrier the late ones fall below 1e-150, into the rescaled
-    # branch of WaveState.norm().  The fit makes no LAPACK call and its
-    # start index is an integer rank, so these bytes too hold on every
-    # OpenBLAS kernel.
+    # branch of WaveState.norm().  By T = 4000 the Hadamard norms run on
+    # through subnormal top moduli to exact zeros, and span eight blocks of
+    # window rows.  The fit makes no LAPACK call and its start index is an
+    # integer rank, so these bytes too hold on every OpenBLAS kernel.
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
-    code, out, _ = run(capsys, "survival", "--config", str(cfg_path), "--T", "1200", "--fit")
+    code, out, _ = run(capsys, "survival", "--config", str(cfg_path), "--T", str(T), "--fit")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -261,38 +263,59 @@ def test_survival_past_underflow(capsys, hadamard_cfg):
     assert abs(values[2100] / 2.0**-1050 - 1) < 1e-6
 
 
-def test_survival_keeps_only_the_current_state(capsys, hadamard_cfg):
-    # holding the whole trajectory of T = 2000 steps takes over 100 MB
-    tracemalloc.start()
-    try:
-        code = main(["survival", "--config", hadamard_cfg, "--T", "2000"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    capsys.readouterr()
+def test_survival_keeps_only_the_current_state(tmp_path, capsys, hadamard_cfg):
+    # holding the whole trajectory of T = 2000 steps takes over 100 MB, and
+    # holding every window row of a Haar window of n0 = 32 for T = 10000
+    # about 21 MB; survival keeps one block of window rows and the norms
+    haar = sequence_to_json(random_sequence(np.random.default_rng(32), 32))
+    haar_cfg = tmp_path / "haar32.json"
+    haar_cfg.write_text(json.dumps(haar))
+    for cfg, T in ((hadamard_cfg, "2000"), (str(haar_cfg), "10000")):
+        tracemalloc.start()
+        try:
+            code = main(["survival", "--config", cfg, "--T", T])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak < 8 * 2**20
+
+
+def test_survival_makes_no_state_per_step(capsys, monkeypatch, hadamard_cfg):
+    # parsing the config makes psi0; the 2000 steps make none (a state
+    # per step would make 2001 more)
+    import qwres.states
+
+    made = []
+    post_init = qwres.states.WaveState.__post_init__
+
+    def counted(self):
+        made.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(qwres.states.WaveState, "__post_init__", counted)
+    code, _, _ = run(capsys, "survival", "--config", hadamard_cfg, "--T", "2000")
     assert code == 0
-    assert peak < 8 * 2**20
+    assert len(made) <= 2
 
 
 def test_survival_steps_only_the_window(capsys, monkeypatch, hadamard_cfg):
     # the light cone of T = 2000 steps is 4000 sites wide; the window walk
-    # feeds the kernel the n0 + 3 sites -1..n0+1 at every step
-    import qwres.resolvent
-    import qwres.resonances
+    # applies the coins to the n0 + 1 window rows once a step
     import qwres.walk
 
-    kernel = qwres.walk._walk
+    kernel = qwres.walk._coin
     widths = []
 
-    def counted(cs, lo, rows):
+    def counted(abcd, rows):
         widths.append(rows.shape[-2])
-        return kernel(cs, lo, rows)
+        return kernel(abcd, rows)
 
-    for module in (qwres.walk, qwres.resolvent, qwres.resonances):
-        monkeypatch.setattr(module, "_walk", counted)
+    monkeypatch.setattr(qwres.walk, "_coin", counted)
     code, _, _ = run(capsys, "survival", "--config", hadamard_cfg, "--T", "2000")
     assert code == 0
-    assert len(widths) == 2000 and max(widths) <= HADAMARD_CFG["n0"] + 3
+    assert widths == [HADAMARD_CFG["n0"] + 1] * 2000
 
 
 def test_expand_json(capsys, hadamard_cfg):

@@ -100,6 +100,33 @@ def test_expand_builds_K_once(monkeypatch):
         assert calls == [cs.n0, "eig"]
 
 
+def coefficient_bytes(ed):
+    blocks = [b.coefficients for b in ed.blocks]
+    return np.array(sum(blocks, ()) + ed.zero_coefficients, dtype=complex).tobytes()
+
+
+def test_expand_steps_the_window_like_the_light_cone(monkeypatch):
+    # expand takes psi_nu off the window walk; its coefficients are bit for
+    # bit those from psi_nu on the whole light cone, also from single sites,
+    # where the window walk leaves -0 on rows the light cone has not reached
+    def light_cone(psi0, cs, T):
+        *_, psi = qwres.walk._states(psi0, cs, T)
+        yield window_vector(psi, cs.n0).reshape(1, -1, 2)
+
+    cases = [(hadamard_pair(), basis_state(-2, "R")), (triple_barrier(), basis_state(5, "L"))]
+    for n0 in (3, 6):
+        rng = np.random.default_rng(2000 + n0)
+        cases.append((random_sequence(rng, n0), random_state(rng, n0, 3)))
+        cases.append((random_sequence(rng, n0), basis_state(-4, "R")))
+    for cs, psi0 in cases:
+        got = expand(cs, psi0)
+        with monkeypatch.context() as m:
+            m.setattr(qwres.expansion, "_window_blocks", light_cone)
+            want = expand(cs, psi0)
+        assert got.nu == want.nu > 0
+        assert coefficient_bytes(got) == coefficient_bytes(want)
+
+
 def identity_at_site_0(seed):
     """A Haar window on [0, 3] with the identity coin at site 0, and a state.
 

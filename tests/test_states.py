@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_state
+from qwres.states import _window_norms
 from qwres import (
     ConfigParse,
     WaveState,
@@ -90,6 +91,23 @@ def test_norm_survives_underflow_of_the_squares():
     assert WaveState(0, [[0.0, 0.0]]).norm() == 0.0
 
 
+def test_window_norms_are_the_state_norms_bit_for_bit():
+    # rows with every support in a window of 7 sites, interior zero rows,
+    # -0 entries, all-zero rows, and scales from 1 down through the
+    # rescaled branch to subnormal amplitudes
+    rng = np.random.default_rng(89)
+    rows = rng.normal(size=(600, 7, 2)) + 1j * rng.normal(size=(600, 7, 2))
+    for row in rows:
+        lo, hi = sorted(rng.integers(0, 8, size=2))
+        row[:lo] = 0
+        row[hi:] = -0.0
+        row[rng.random(7) < 0.2] = 0
+        row *= 10.0 ** -rng.choice([0, 75, 155, 170, 300, 315])
+    norms = _window_norms(rows)
+    assert norms.tolist() == [WaveState(0, row).norm() for row in rows]
+    assert (norms == 0).any() and (norms < 1e-300).any()
+
+
 def test_inner_conjugate_linear_first_argument():
     rng = np.random.default_rng(5)
     a = random_state(rng, 1, 3)
@@ -142,6 +160,11 @@ def test_window_vector_layout_and_round_trip():
     back = state_from_flat(v, 1)
     for n in (0, 1):
         np.testing.assert_array_equal(back.amplitude(n), psi.amplitude(n))
+    # supports reaching past either edge, inside it, and the zero state
+    np.testing.assert_array_equal(window_vector(psi, 0), [1.0, 2.0])
+    np.testing.assert_array_equal(window_vector(WaveState(1, [[5.0, 6.0]]), 2), [0, 0, 5, 6, 0, 0])
+    np.testing.assert_array_equal(window_vector(psi, 3), [1, 2, 3, 4, 0, 0, 0, 0])
+    np.testing.assert_array_equal(window_vector(zero_state(), 1), np.zeros(4))
 
 
 def test_state_from_flat_validation():

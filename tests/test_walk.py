@@ -16,7 +16,7 @@ from qwres import (
     step,
     survival_norm,
 )
-from qwres.walk import _states, _window
+from qwres.walk import BLOCK, _states, _window_blocks, _window_survival
 
 S = 2.0 ** -0.5
 
@@ -207,10 +207,16 @@ def _two_sided_state(rng, n0):
     return WaveState(-4, amp)
 
 
+def _window_states(psi0, cs, T):
+    """The rows of _window_blocks as states on [0, n0], one per step."""
+    return [WaveState(0, row) for rows in _window_blocks(psi0, cs, T) for row in rows]
+
+
 def test_window_stream_is_the_restricted_trajectory_bit_for_bit():
     # by T = 1200 the Hadamard pair and the triple barrier hold less than
     # 1e-150 on the window, so their late norms take the rescaled branch of
-    # WaveState.norm(); the random windows decay at their own rates
+    # WaveState.norm(); the random windows decay at their own rates.  The
+    # shorter runs end on either side of a block boundary
     rng = np.random.default_rng(79)
     walks = [random_sequence(rng, int(rng.integers(1, 9))) for _ in range(40)]
     walks += [hadamard_pair(), triple_barrier()]
@@ -219,14 +225,16 @@ def test_window_stream_is_the_restricted_trajectory_bit_for_bit():
         psi0 = _two_sided_state(rng, cs.n0)
         assert incoming_length(psi0, cs.n0) == 4
         full = _states(psi0, cs, 1200)
-        got = list(_window(psi0, cs, 1200))
+        got = _window_states(psi0, cs, 1200)
         want = [psi.restrict(0, cs.n0) for psi in full]
         assert len(got) == len(want) == 1201
         for a, b in zip(got, want):
             assert a.support_lo == b.support_lo
             assert a.amplitudes.tobytes() == b.amplitudes.tobytes()
-        norms = survival_norm(got, cs.n0)
-        assert norms == survival_norm(want, cs.n0)
+        norms = survival_norm(want, cs.n0)
+        assert _window_survival(psi0, cs, 1200) == norms
+        for T in (0, 1, BLOCK - 1, BLOCK, BLOCK + 1):
+            assert _window_survival(psi0, cs, T) == norms[: T + 1]
         rescaled.append(0 < norms[-1] < 1e-150)
     assert rescaled[-2:] == [True, True]
 
@@ -240,9 +248,9 @@ def test_window_stream_equals_the_trajectory_from_sparse_states():
         for n in (-3, -1, 0, cs.n0, cs.n0 + 2):
             for chirality in "LR":
                 psi0 = basis_state(n, chirality)
-                got = list(_window(psi0, cs, 40))
+                got = _window_states(psi0, cs, 40)
                 want = [psi.restrict(0, cs.n0) for psi in _states(psi0, cs, 40)]
                 for a, b in zip(got, want):
                     assert a.support_lo == b.support_lo
                     assert np.array_equal(a.amplitudes, b.amplitudes)
-                assert survival_norm(got, cs.n0) == survival_norm(want, cs.n0)
+                assert _window_survival(psi0, cs, 40) == survival_norm(want, cs.n0)
