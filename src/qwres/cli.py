@@ -22,6 +22,8 @@ import functools
 import json
 import math
 import sys
+from itertools import compress
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +48,7 @@ from .resonances import find_resonances, resonant_chain, validate_multiplicity
 from .scattering import scattering_matrix
 from .states import basis_state, incoming_length, state_from_json, state_to_json
 from .transfer import transfer_polynomial
-from .walk import _states, _window_survival, build_K, evolve, norm_defect, survival_norm
+from .walk import _window_edges, _window_survival, build_K, evolve, norm_defect
 
 __all__ = ["main"]
 
@@ -201,23 +203,56 @@ def _survival_csv(norms) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _texts(z: np.ndarray) -> list:
+    """Each entry of z as "re,im", or "" where it is zero."""
+    # "%.17g" % x is format(x, ".17g"), as _f writes it, -0 included
+    return [
+        "%.17g,%.17g" % (re, im) if re or im else ""
+        for re, im in zip(z.real.ravel().tolist(), z.imag.ravel().tolist())
+    ]
+
+
 def _cmd_evolve(args):
     cs, psi0 = _load_config(args.config)
     psi0 = _default_psi0(psi0)
+    n0, T = cs.n0, args.T
+    # Off the window the step is a pure shift that rounds nothing: L keeps
+    # its value along n + t and R along n - t, bit for bit.  So each
+    # amplitude's text is made once, from psi0 at t = 0 or as the coins
+    # make it, and kept under its invariant: left[n + t - lo] and
+    # right[n - t - lo + 2T].  A line of it adds only "t,n,L|R,".  Nothing
+    # leaves psi0's light cone, the sites lo - t .. hi + t.
+    lo, hi = psi0.support_lo, psi0.support_hi
+    width = hi - lo + 1 + 2 * T
+    left, right = [""] * width, [""] * width
+    left[: hi - lo + 1] = _texts(psi0.amplitudes[:, 0])
+    right[2 * T :] = _texts(psi0.amplitudes[:, 1])
+    tags = [f"{n},{c}," for n in range(lo - T, hi + T + 1) for c in "LR"]
     lines = ["t,n,chirality,re,im"]
-    norms = []
-    for t, psi in enumerate(_states(psi0, cs, args.T)):
-        k, slot = np.nonzero(psi.amplitudes)
-        z = psi.amplitudes[k, slot]
-        sites = (psi.support_lo + k).tolist()
-        tags = ["LR"[s] for s in slot.tolist()]
-        # "%.17g" % x is format(x, ".17g"), as _f writes it, -0 included
-        lines.extend(
-            "%d,%d,%s,%.17g,%.17g" % (t, n, tag, re, im)
-            for n, tag, re, im in zip(sites, tags, z.real.tolist(), z.imag.tolist())
-        )
-        norms.extend(survival_norm([psi], cs.n0))
-    return "\n".join(lines) + "\n", _survival_csv(norms)
+    t = 0
+    for rows, out_l, out_r in _window_edges(psi0, cs, T):
+        # what the coins made at each step: L on the sites -1 .. n0 - 1 and
+        # R on 1 .. n0 + 1; psi0's own texts stand at t = 0
+        first = 1 if t == 0 else 0
+        made_l = _texts(np.column_stack([out_l, rows[:, :-1, 0]])[first:])
+        made_r = _texts(np.column_stack([rows[:, 1:, 1], out_r])[first:])
+        for i in range(len(rows)):
+            if t:
+                j = (i - first) * (n0 + 1)
+                a, b = max(-1, lo - t), min(n0 - 1, hi + t)
+                if a <= b:
+                    left[a + t - lo : b + t - lo + 1] = made_l[j + a + 1 : j + b + 2]
+                a, b = max(1, lo - t), min(n0 + 1, hi + t)
+                if a <= b:
+                    right[a - t - lo + 2 * T : b - t - lo + 2 * T + 1] = made_r[j + a - 1 : j + b]
+            m, k = hi - lo + 1 + 2 * t, 2 * (T - t)
+            pair = [""] * (2 * m)
+            pair[::2], pair[1::2] = left[:m], right[k:]
+            text = f"\n{t},".join(map(add, compress(tags[k : k + 2 * m], pair), filter(None, pair)))
+            if text:
+                lines.append(f"{t}," + text)
+            t += 1
+    return "\n".join(lines) + "\n", _survival_csv(_window_survival(psi0, cs, T))
 
 
 def _cmd_expand(args):

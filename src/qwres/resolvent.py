@@ -22,9 +22,9 @@ import numpy as np
 
 from .coins import CoinSequence
 from .errors import AtResonance, InvariantViolation
-from .states import WaveState, zero_state
+from .states import WaveState
 from .transfer import _refuse_overflow
-from .walk import _states, _sweep, _walk, build_K
+from .walk import _sweep, _walk, build_K
 
 __all__ = ["apply_resolvent", "identity_residual", "neumann_resolvent"]
 
@@ -157,9 +157,13 @@ def neumann_resolvent(cs: CoinSequence, xi: complex, f: WaveState, window) -> Wa
         raise ValueError("the series only converges for Im xi > 0")
     lo, hi = int(window[0]), int(window[1])
     e = cmath.exp(1j * xi)
-    total = zero_state()
-    w = e
-    for cur in _states(f, cs, 200):
-        total = total + w * cur
+    # U^k f lives on the sites of f widened by k on each side, so the sum
+    # fits on f's sites widened by 200, from the site start
+    start = f.support_lo - 200
+    total = np.zeros((len(f.amplitudes) + 400, 2), dtype=complex)
+    site, rows, w = f.support_lo, f.amplitudes, e
+    for _ in range(201):
+        total[site - start : site - start + len(rows)] += rows * w
+        site, rows = _walk(cs, site, rows)
         w = w * e
-    return total.restrict(lo, hi)
+    return WaveState(start, total).restrict(lo, hi)

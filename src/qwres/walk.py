@@ -94,9 +94,15 @@ def _window_blocks(psi0: WaveState, cs: CoinSequence, T: int):
     next block overwrites.  Nothing that leaves the window comes back, so
     a step needs only the window rows and what arrives at the two edges:
     psi0's R at -t reaches site 0 and its L at n0 + t reaches site n0 at
-    step t, untouched by any coin.  The rows are bit for bit those of
-    :func:`_states`, except that a zero may carry the other sign: here the
-    coins also act on zero rows that :func:`_states` has not reached.
+    step t, untouched by any coin.
+
+    The rows are bit for bit those of :func:`_states` on the support of
+    psi_t, signed zeros included; off it they hold zeros of either sign.
+    A state there keeps only its support, from its first nonzero site to
+    its last, so a step reads +0 from any site off it.  While psi_t has a
+    nonzero left of the window (and one right of it) every site a step
+    reads is on the support; otherwise the window row and the amplitudes
+    at -1 and n0 + 1 say where the support starts (ends).
     """
     if T < 0:
         raise ValueError(f"T must be nonnegative, got {T}")
@@ -104,6 +110,15 @@ def _window_blocks(psi0: WaveState, cs: CoinSequence, T: int):
     abcd = tuple(cs.table.T)
     amps, lo = psi0.amplitudes, psi0.support_lo
     stored = range(len(amps))
+    # from these steps on, psi0's own amplitudes leave psi_t nothing left of
+    # the window (an L moving out or an R still moving in), and right of
+    # it; T stands for never, as after the window sends out a nonzero
+    sites = np.arange(lo, lo + len(amps))
+    moving_l, moving_r = sites[amps[:, 0] != 0], sites[amps[:, 1] != 0]
+    bare_l = T if (moving_l < 0).any() else -moving_r.min(initial=0)
+    bare_r = T if (moving_r > n0).any() else moving_l.max(initial=n0) - n0
+    # the L at -1 and the R at n0 + 1 of the state being stepped
+    edge_l, edge_r = psi0.amplitude(-1)[0], psi0.amplitude(n0 + 1)[1]
     block = np.empty((BLOCK, n0 + 1, 2), dtype=complex)
     block[0] = window_vector(psi0, n0).reshape(-1, 2)
     first = i = 0
@@ -113,16 +128,48 @@ def _window_blocks(psi0: WaveState, cs: CoinSequence, T: int):
             # the last row is the next block's row 0, already yielded
             block[0] = block[-1]
             first, i = 1, 0
-        left, right = _coin(abcd, block[i])
-        row = block[i + 1]
+        src, row = block[i], block[i + 1]
+        left, right = _coin(abcd, src)
         # L leaves through site -1 and R through n0 + 1 for good
         row[:-1, 0] = left[1:]
         row[1:, 1] = right[:-1]
         k, j = -t - lo, n0 + t - lo
-        row[0, 1] = amps[k, 1] if k in stored else 0
-        row[-1, 0] = amps[j, 0] if j in stored else 0
+        row[0, 1] = from_l = amps[k, 1] if k in stored else 0
+        row[-1, 0] = from_r = amps[j, 0] if j in stored else 0
+        if t > bare_l or t > bare_r:
+            nonzero = np.flatnonzero(src.any(axis=1))
+            if t > bare_l:
+                start = nonzero[0] if nonzero.size else n0 + 1 if edge_r or from_r else n0 + 2
+                row[: start + 1, 1] = 0
+                row[: max(start - 1, 0), 0] = 0
+            if t > bare_r:
+                end = nonzero[-1] if nonzero.size else -1 if edge_l or from_l else -2
+                row[max(end, 0) :, 0] = 0
+                row[end + 2 :, 1] = 0
+        if bare_l < T or bare_r < T:
+            edge_l, edge_r = left[0], right[-1]
+            if edge_l:
+                bare_l = T
+            if edge_r:
+                bare_r = T
         i += 1
     yield block[first : i + 1]
+
+
+def _window_edges(psi0: WaveState, cs: CoinSequence, T: int):
+    """Yield the blocks of :func:`_window_blocks`, each with the L at site -1
+    and the R at site n0 + 1 at the same steps.
+
+    At step 0 these are psi0's; at step t they are what the edge coins
+    sent out of row t - 1, found by one :func:`_coin` pass per block on
+    the rows' two edge sites.
+    """
+    ends = cs.table[[0, -1]].T
+    left, right = psi0.amplitude(-1)[:1], psi0.amplitude(cs.n0 + 1)[1:]
+    for rows in _window_blocks(psi0, cs, T):
+        out_l, out_r = _coin(ends, rows[:, [0, -1]])
+        yield rows, np.concatenate([left, out_l[:-1, 0]]), np.concatenate([right, out_r[:-1, 1]])
+        left, right = out_l[-1:, 0], out_r[-1:, 1]
 
 
 def evolve(psi0: WaveState, cs: CoinSequence, T: int) -> list[WaveState]:

@@ -8,8 +8,18 @@ import warnings
 import numpy as np
 import pytest
 
-from qwres import cli, random_sequence, sequence_to_json
+from qwres import (
+    basis_state,
+    cli,
+    coin_to_json,
+    haar_coin,
+    random_sequence,
+    sequence_from_json,
+    sequence_to_json,
+    state_from_json,
+)
 from qwres.cli import main
+from qwres.walk import BLOCK, _states
 
 HADAMARD_CFG = {
     "n0": 1,
@@ -316,6 +326,143 @@ def test_survival_steps_only_the_window(capsys, monkeypatch, hadamard_cfg):
     code, _, _ = run(capsys, "survival", "--config", hadamard_cfg, "--T", "2000")
     assert code == 0
     assert widths == [HADAMARD_CFG["n0"] + 1] * 2000
+
+
+def evolve_oracle(cfg, T):
+    """evolve's body and summary rendered state by state over _states.
+
+    Every nonzero entry of each state, sites in order and L before R, as
+    "%.17g"; the summary is each state's norm on the window.
+    """
+    cs = sequence_from_json({"n0": cfg["n0"], "coins": cfg["coins"]})
+    psi0 = state_from_json(cfg["psi0"]) if "psi0" in cfg else basis_state(0, "L")
+    lines, norms = ["t,n,chirality,re,im"], []
+    for t, psi in enumerate(_states(psi0, cs, T)):
+        k, slot = np.nonzero(psi.amplitudes)
+        z = psi.amplitudes[k, slot]
+        for n, s, re, im in zip(
+            (psi.support_lo + k).tolist(), slot.tolist(), z.real.tolist(), z.imag.tolist()
+        ):
+            lines.append("%d,%d,%s,%.17g,%.17g" % (t, n, "LR"[s], re, im))
+        norms.append(psi.restrict(0, cs.n0).norm())
+    summary = "t,survival_norm\n" + "".join(f"{t},{v:.17g}\n" for t, v in enumerate(norms))
+    return "\n".join(lines) + "\n", summary
+
+
+# a real coin with c, d < 0 (REAL_CFG's last); started from one site inside
+# the window it exposes the sign of zeros that the light cone has not reached
+REFLECTION = {"a": [0.6, 0.0], "b": [-0.8, 0.0], "c": [-0.8, 0.0], "d": [-0.6, 0.0]}
+
+
+def evolve_configs():
+    """Seeded configs: real rotations (±0.5 among them), the reflection and
+    Haar coins; psi0 with signed zeros left of, inside and right of the
+    window, single sites inside it, n0 = 0, a zero and an empty psi0."""
+    rng = np.random.default_rng(2024)
+    zeros = ([0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0])
+
+    def coin():
+        pick = rng.integers(4)
+        if pick == 0:
+            return {"rotation": float(rng.choice([0.5, -0.5, 0.3, -0.75]))}
+        return REFLECTION if pick == 1 else coin_to_json(haar_coin(rng))
+
+    def amplitude():
+        pick = rng.integers(4)
+        if pick == 0:
+            return list(zeros[rng.integers(3)])
+        if pick == 1:
+            return [float(rng.choice([-0.6, 0.8])), -0.0]
+        return [float(rng.normal()), float(rng.normal())]
+
+    configs = []
+    for case in range(30):
+        n0 = 0 if case % 10 == 9 else int(rng.integers(1, 6))
+        cfg = {"n0": n0, "coins": [coin() for _ in range(n0 + 1)]}
+        if case % 3 == 0:
+            sites = (-3, -1, int(rng.integers(0, n0 + 1)), n0 + 1, n0 + 2)
+            cfg["psi0"] = [{"n": n, "L": amplitude(), "R": amplitude()} for n in sorted(set(sites))]
+        elif case % 3 == 1:
+            site = int(rng.integers(0, n0 + 1))
+            cfg["psi0"] = [{"n": site, str(rng.choice(["L", "R"])): [1.0, 0.0]}]
+        configs.append(cfg)
+    reflections = {"n0": 3, "coins": [REFLECTION] * 2 + [{"rotation": -0.5}] * 2}
+    configs.append({**reflections, "psi0": [{"n": 2, "R": [1.0, 0.0]}]})
+    configs.append({"n0": 2, "coins": TRIPLE_CFG["coins"], "psi0": [{"n": 1, "L": zeros[2]}]})
+    configs.append({"n0": 2, "coins": TRIPLE_CFG["coins"], "psi0": []})
+    return configs
+
+
+def test_evolve_bytes_equal_the_state_by_state_rendering(tmp_path, capsys):
+    # the window rows, the text each amplitude keeps off the window and the
+    # summary against every entry of every state of the light cone walk
+    cfg_path, out_path = tmp_path / "cfg.json", tmp_path / "traj.csv"
+    for cfg in evolve_configs():
+        cfg_path.write_text(json.dumps(cfg))
+        for T in (0, 1, 2, cfg["n0"] + 3, 47):
+            code, out, _ = run(
+                capsys, "evolve", "--config", str(cfg_path), "--T", str(T), "--out", str(out_path)
+            )
+            assert code == 0 and out == ""
+            body, summary = evolve_oracle(cfg, T)
+            assert out_path.read_text() == body
+            assert (tmp_path / "traj.summary.csv").read_text() == summary
+    # across the blocks of window rows, on stdout
+    cfg_path.write_text(json.dumps(HADAMARD_CFG))
+    for T in (BLOCK - 1, BLOCK, BLOCK + 1):
+        code, out, _ = run(capsys, "evolve", "--config", str(cfg_path), "--T", str(T))
+        assert code == 0
+        body, summary = evolve_oracle(HADAMARD_CFG, T)
+        assert out == body + "\n" + summary
+
+
+def test_evolve_steps_the_window_and_formats_each_amplitude_once(capsys, monkeypatch, triple_cfg):
+    # T = 300 prints about T^2 / 2 lines; the light cone walk made a state
+    # per step and formatted every line.  Here the coins touch the window rows
+    # once a step for the trajectory and once for the summary, plus one
+    # pass per block on the two edge sites, and an amplitude is formatted
+    # once: psi0's entries at t = 0 and the 2 (n0 + 1) coin outputs a step
+    import qwres.states
+    import qwres.walk
+
+    T, n0 = 300, TRIPLE_CFG["n0"]
+    made, shapes, formatted = [], [], []
+    post_init, kernel, texts = qwres.states.WaveState.__post_init__, qwres.walk._coin, cli._texts
+
+    def counted_state(self):
+        made.append(self)
+        post_init(self)
+
+    def counted_coin(abcd, rows):
+        shapes.append(rows.shape)
+        return kernel(abcd, rows)
+
+    def counted_texts(z):
+        formatted.append(z.size)
+        return texts(z)
+
+    monkeypatch.setattr(qwres.states.WaveState, "__post_init__", counted_state)
+    monkeypatch.setattr(qwres.walk, "_coin", counted_coin)
+    monkeypatch.setattr(cli, "_texts", counted_texts)
+    code, out, _ = run(capsys, "evolve", "--config", triple_cfg, "--T", str(T))
+    assert code == 0
+    assert len(made) <= 2
+    assert [s for s in shapes if len(s) == 2] == [(n0 + 1, 2)] * (2 * T)
+    edges = [s for s in shapes if len(s) == 3]
+    assert all(s[1:] == (2, 2) for s in edges) and sum(s[0] for s in edges) == T + 1
+    assert sum(formatted) == 2 + 2 * (n0 + 1) * T
+    assert out.count("\n") > 20 * sum(formatted)
+
+
+def test_evolve_summary_is_the_survival_output(tmp_path, capsys):
+    cfg_path, out_path = tmp_path / "cfg.json", tmp_path / "traj.csv"
+    cfg_path.write_text(json.dumps(TWO_SIDED_CFG))
+    T = str(BLOCK + 88)
+    code, _, _ = run(capsys, "evolve", "--config", str(cfg_path), "--T", T, "--out", str(out_path))
+    assert code == 0
+    code, out, _ = run(capsys, "survival", "--config", str(cfg_path), "--T", T)
+    assert code == 0
+    assert (tmp_path / "traj.summary.csv").read_bytes() == out.encode()
 
 
 def test_expand_json(capsys, hadamard_cfg):
