@@ -203,7 +203,7 @@ def _survival_csv(norms) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _texts(z: np.ndarray) -> list:
+def _texts(z: np.ndarray) -> list[str]:
     """Each entry of z as "re,im", or "" where it is zero."""
     # "%.17g" % x is format(x, ".17g"), as _f writes it, -0 included
     return [
@@ -238,6 +238,8 @@ def _cmd_evolve(args):
         made_r = _texts(np.column_stack([rows[:, 1:, 1], out_r])[first:])
         for i in range(len(rows)):
             if t:
+                # only sites in the light cone have a slot; off it the
+                # coins made zeros
                 j = (i - first) * (n0 + 1)
                 a, b = max(-1, lo - t), min(n0 - 1, hi + t)
                 if a <= b:

@@ -7,8 +7,10 @@ no rounding at all.  Every use of U reads the one coin kernel :func:`_coin`:
 :func:`_walk` shifts its output for :func:`step`, :func:`build_K` and the
 resolvent, :func:`_states` steps the whole light cone in time, and
 :func:`_window_blocks` steps only the window, in place, into one reused
-block of rows (what leaves never returns).  :func:`_sweep` solves
-(1/e - U) w = f off the window.
+block of rows (what leaves never returns).  Those rows serve both the
+survival norms and the ``evolve`` trajectory, whose off-window part is the
+pure shift of psi0 and of what :func:`_window_edges` sees leave the
+window.  :func:`_sweep` solves (1/e - U) w = f off the window.
 
 K is the restriction of the step to the sites 0..n0.  It is a contraction;
 the norm it loses in one application is exactly what the walk radiates out
