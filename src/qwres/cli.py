@@ -46,9 +46,9 @@ from .genericity import PerturbationFamily, splitting_experiment, splitting_slop
 from .resolvent import identity_residual, neumann_resolvent, apply_resolvent
 from .resonances import find_resonances, resonant_chain, validate_multiplicity
 from .scattering import scattering_matrix
-from .states import basis_state, incoming_length, state_from_json, state_to_json
+from .states import _window_norms, basis_state, incoming_length, state_from_json, state_to_json
 from .transfer import transfer_polynomial
-from .walk import _window_edges, _window_survival, build_K, evolve, norm_defect
+from .walk import _window_blocks, _window_survival, build_K, evolve, norm_defect
 
 __all__ = ["main"]
 
@@ -229,13 +229,15 @@ def _cmd_evolve(args):
     right[2 * T :] = _texts(psi0.amplitudes[:, 1])
     tags = [f"{n},{c}," for n in range(lo - T, hi + T + 1) for c in "LR"]
     lines = ["t,n,chirality,re,im"]
+    norms = []
     t = 0
-    for rows, out_l, out_r in _window_edges(psi0, cs, T):
+    for rows in _window_blocks(psi0, cs, T):
+        norms.append(_window_norms(rows[:, 1:-1]))
         # what the coins made at each step: L on the sites -1 .. n0 - 1 and
         # R on 1 .. n0 + 1; psi0's own texts stand at t = 0
         first = 1 if t == 0 else 0
-        made_l = _texts(np.column_stack([out_l, rows[:, :-1, 0]])[first:])
-        made_r = _texts(np.column_stack([rows[:, 1:, 1], out_r])[first:])
+        made_l = _texts(rows[first:, :-2, 0])
+        made_r = _texts(rows[first:, 2:, 1])
         for i in range(len(rows)):
             if t:
                 # only sites in the light cone have a slot; off it the
@@ -254,7 +256,7 @@ def _cmd_evolve(args):
             if text:
                 lines.append(f"{t}," + text)
             t += 1
-    return "\n".join(lines) + "\n", _survival_csv(_window_survival(psi0, cs, T))
+    return "\n".join(lines) + "\n", _survival_csv(np.concatenate(norms).tolist())
 
 
 def _cmd_expand(args):

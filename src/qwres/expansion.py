@@ -122,7 +122,7 @@ def expand(cs: CoinSequence, psi0: WaveState) -> ExpansionData:
     *_, rows = _window_blocks(psi0, cs, nu)
     # through the trimmed state, as the light cone gives it: the window walk
     # may leave -0 on rows the light cone has not reached
-    x = window_vector(WaveState(0, rows[-1]), n0)
+    x = window_vector(WaveState(0, rows[-1, 1:-1]), n0)
     resonances = _polynomial_resonances(cs)
     spec = _spectrum(cs)
     _dense_crosscheck(resonances, spec.evals)

@@ -136,6 +136,16 @@ class TransferPolynomial:
         return out[()] if out.shape == () else out
 
 
+def _check_residual(what: str, residual, bound) -> None:
+    """RelationCheckFailed unless residual <= bound.
+
+    Written so that a NaN, which compares False either way, fails.
+    """
+    if not residual <= bound:
+        why = f"exceeds {bound:.3g}" if np.isfinite(residual) else "is not finite"
+        raise RelationCheckFailed(f"{what} {residual:.3e} {why}")
+
+
 @functools.cache
 def _relation_points() -> np.ndarray:
     """The 20 xi of transfer_polynomial's relation check, drawn on first use."""
@@ -150,6 +160,9 @@ def _relation_points() -> np.ndarray:
     return xs
 
 
+# coins with tiny |a| or |d| can overflow the product; the checks below
+# refuse the overflowed values, so numpy need not warn about them
+@np.errstate(over="ignore", invalid="ignore")
 def transfer_polynomial(cs: CoinSequence) -> TransferPolynomial:
     """Extract p from the transfer product by exact polynomial recursion.
 
@@ -179,10 +192,7 @@ def transfer_polynomial(cs: CoinSequence) -> TransferPolynomial:
     full = t22[2:]
     scale = np.max(np.abs(full))
     stray = np.abs(full[0]) + np.abs(full[1::2]).sum()
-    if stray > 1e-13 * scale:
-        raise RelationCheckFailed(
-            f"transfer product lost its parity structure (stray mass {stray:.3e})"
-        )
+    _check_residual("transfer product lost its parity structure: stray mass", stray, 1e-13 * scale)
     p = full[2::2]
     leading = complex(p[-1])
     monic = p / leading
@@ -195,8 +205,5 @@ def transfer_polynomial(cs: CoinSequence) -> TransferPolynomial:
     mu = np.exp(-2j * xs)
     rhs = mu * leading * tp(mu)
     err = np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs)))
-    if err > 1e-10:
-        raise RelationCheckFailed(
-            f"transfer polynomial relation residual {err:.3e} exceeds 1e-10"
-        )
+    _check_residual("transfer polynomial relation residual", err, 1e-10)
     return tp

@@ -7,10 +7,11 @@ no rounding at all.  Every use of U reads the one coin kernel :func:`_coin`:
 :func:`_walk` shifts its output for :func:`step`, :func:`build_K` and the
 resolvent, :func:`_states` steps the whole light cone in time, and
 :func:`_window_blocks` steps only the window, in place, into one reused
-block of rows (what leaves never returns).  Those rows serve both the
+block of rows (what leaves never returns).  Its rows also hold what the
+coins send out through the sites -1 and n0 + 1, so they serve both the
 survival norms and the ``evolve`` trajectory, whose off-window part is the
-pure shift of psi0 and of what :func:`_window_edges` sees leave the
-window.  :func:`_sweep` solves (1/e - U) w = f off the window.
+pure shift of psi0 and of those edge amplitudes.  :func:`_sweep` solves
+(1/e - U) w = f off the window.
 
 K is the restriction of the step to the sites 0..n0.  It is a contraction;
 the norm it loses in one application is exactly what the walk radiates out
@@ -89,19 +90,24 @@ def _states(psi: WaveState, cs: CoinSequence, T: int):
 
 
 def _window_blocks(psi0: WaveState, cs: CoinSequence, T: int):
-    """Yield psi_0 .. psi_T on [0, n0] as blocks of window rows, in order.
+    """Yield psi_0 .. psi_T on the sites -1..n0+1 as blocks of rows, in order.
 
-    Each block has shape (k, n0 + 1, 2), one row per step holding the
-    amplitudes at the sites 0..n0, and is a view of one array that the
-    next block overwrites.  Nothing that leaves the window comes back, so
-    a step needs only the window rows and what arrives at the two edges:
-    psi0's R at -t reaches site 0 and its L at n0 + t reaches site n0 at
-    step t, untouched by any coin.
+    Each block has shape (k, n0 + 3, 2), one row per step laid out as
+    :func:`_walk`'s output, and is a view of one array that the next block
+    overwrites.  Nothing that leaves the window comes back, so a step needs
+    only the window rows and what arrives at the two edges: psi0's R at -t
+    reaches site 0 and its L at n0 + t reaches site n0 at step t, untouched
+    by any coin.
 
-    The rows are bit for bit those of :func:`_states` on the support of
-    psi_t, signed zeros included; off it they hold zeros of either sign.
-    A state there keeps only its support, from its first nonzero site to
-    its last, so a step reads +0 from any site off it.  While psi_t has a
+    The window rows[:, 1:-1] are bit for bit those of :func:`_states` on
+    the support of psi_t, signed zeros included; off it they hold zeros of
+    either sign.  The edge rows hold only what leaves: the L at -1
+    (rows[:, 0, 0]) and the R at n0 + 1 (rows[:, -1, 1]), psi0's at step 0
+    and the coins' after, bit for bit where :func:`_states` has a nonzero
+    and zero where it has a zero.  Their other slots stay +0.
+
+    A state keeps only its support, from its first nonzero site to its
+    last, so a step reads +0 from any site off it.  While psi_t has a
     nonzero left of the window (and one right of it) every site a step
     reads is on the support; otherwise the window row and the amplitudes
     at -1 and n0 + 1 say where the support starts (ends).
@@ -119,59 +125,41 @@ def _window_blocks(psi0: WaveState, cs: CoinSequence, T: int):
     moving_l, moving_r = sites[amps[:, 0] != 0], sites[amps[:, 1] != 0]
     bare_l = T if (moving_l < 0).any() else -moving_r.min(initial=0)
     bare_r = T if (moving_r > n0).any() else moving_l.max(initial=n0) - n0
-    # the L at -1 and the R at n0 + 1 of the state being stepped
-    edge_l, edge_r = psi0.amplitude(-1)[0], psi0.amplitude(n0 + 1)[1]
-    block = np.empty((BLOCK, n0 + 1, 2), dtype=complex)
-    block[0] = window_vector(psi0, n0).reshape(-1, 2)
+    block = np.zeros((min(BLOCK, T + 1), n0 + 3, 2), dtype=complex)
+    block[0, 1:-1] = window_vector(psi0, n0).reshape(-1, 2)
+    block[0, 0, 0], block[0, -1, 1] = psi0.amplitude(-1)[0], psi0.amplitude(n0 + 1)[1]
     first = i = 0
     for t in range(1, T + 1):
-        if i == BLOCK - 1:
+        if i == len(block) - 1:
             yield block[first:]
             # the last row is the next block's row 0, already yielded
             block[0] = block[-1]
             first, i = 1, 0
         src, row = block[i], block[i + 1]
-        left, right = _coin(abcd, src)
         # L leaves through site -1 and R through n0 + 1 for good
-        row[:-1, 0] = left[1:]
-        row[1:, 1] = right[:-1]
+        row[:-2, 0], row[2:, 1] = _coin(abcd, src[1:-1])
         k, j = -t - lo, n0 + t - lo
-        row[0, 1] = from_l = amps[k, 1] if k in stored else 0
-        row[-1, 0] = from_r = amps[j, 0] if j in stored else 0
+        row[1, 1] = from_l = amps[k, 1] if k in stored else 0
+        row[-2, 0] = from_r = amps[j, 0] if j in stored else 0
         if t > bare_l or t > bare_r:
-            nonzero = np.flatnonzero(src.any(axis=1))
+            nonzero = np.flatnonzero(src[1:-1].any(axis=1))
+            # zeroing an edge slot only rewrites a zero: the coins read
+            # zeros where the support is not
             if t > bare_l:
-                start = nonzero[0] if nonzero.size else n0 + 1 if edge_r or from_r else n0 + 2
-                row[: start + 1, 1] = 0
-                row[: max(start - 1, 0), 0] = 0
+                start = nonzero[0] if nonzero.size else n0 + 1 if src[-1, 1] or from_r else n0 + 2
+                row[: start + 2, 1] = 0
+                row[:start, 0] = 0
             if t > bare_r:
-                end = nonzero[-1] if nonzero.size else -1 if edge_l or from_l else -2
-                row[max(end, 0) :, 0] = 0
-                row[end + 2 :, 1] = 0
+                end = nonzero[-1] if nonzero.size else -1 if src[0, 0] or from_l else -2
+                row[max(end + 1, 0) :, 0] = 0
+                row[end + 3 :, 1] = 0
         if bare_l < T or bare_r < T:
-            edge_l, edge_r = left[0], right[-1]
-            if edge_l:
+            if row[0, 0]:
                 bare_l = T
-            if edge_r:
+            if row[-1, 1]:
                 bare_r = T
         i += 1
     yield block[first : i + 1]
-
-
-def _window_edges(psi0: WaveState, cs: CoinSequence, T: int):
-    """Yield the blocks of :func:`_window_blocks`, each with the L at site -1
-    and the R at site n0 + 1 at the same steps.
-
-    At step 0 these are psi0's; at step t they are what the edge coins
-    sent out of row t - 1, found by one :func:`_coin` pass per block on
-    the rows' two edge sites.
-    """
-    ends = cs.table[[0, -1]].T
-    left, right = psi0.amplitude(-1)[:1], psi0.amplitude(cs.n0 + 1)[1:]
-    for rows in _window_blocks(psi0, cs, T):
-        out_l, out_r = _coin(ends, rows[:, [0, -1]])
-        yield rows, np.concatenate([left, out_l[:-1, 0]]), np.concatenate([right, out_r[:-1, 1]])
-        left, right = out_l[-1:, 0], out_r[-1:, 1]
 
 
 def evolve(psi0: WaveState, cs: CoinSequence, T: int) -> list[WaveState]:
@@ -253,7 +241,7 @@ def survival_norm(trajectory, n0: int) -> list[float]:
 def _window_survival(psi0: WaveState, cs: CoinSequence, T: int) -> list[float]:
     """survival_norm of psi_0 .. psi_T, bit for bit, stepping only the window."""
     blocks = _window_blocks(psi0, cs, T)
-    return np.concatenate([_window_norms(rows) for rows in blocks]).tolist()
+    return np.concatenate([_window_norms(rows[:, 1:-1]) for rows in blocks]).tolist()
 
 
 def norm_defect(cs: CoinSequence, v: np.ndarray) -> float:

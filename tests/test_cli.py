@@ -104,6 +104,21 @@ def test_polynomial_output(capsys, triple_cfg):
     assert monic == pytest.approx([0.25, 1.0, 1.0], abs=1e-12)
 
 
+@pytest.mark.parametrize("n0", [22, 24])
+def test_polynomial_refuses_a_residual_that_is_not_finite(tmp_path, capsys, n0):
+    # coins with |a| = |d| = 1e-13 pass validate_coin, but the transfer
+    # product overflows: at n0 = 22 the relation check reads inf - inf, at
+    # n0 = 24 the coefficients themselves; a NaN residual must fail its
+    # check, with no numpy warning on the way
+    coin = {"a": [1e-13, 0.0], "b": [1.0, 0.0], "c": [-1.0, 0.0], "d": [1e-13, 0.0]}
+    path = tmp_path / "tiny_diagonal.json"
+    path.write_text(json.dumps({"n0": n0, "coins": [coin] * (n0 + 1)}))
+    code, out, err = run(capsys, "polynomial", "--config", str(path))
+    assert code == 21 and out == ""
+    assert err.startswith("error: RelationCheckFailed: ")
+    assert err.endswith(" relation residual nan is not finite\n")
+
+
 def test_scattering_csv(capsys, hadamard_cfg):
     code, out, _ = run(
         capsys, "scattering", "--config", hadamard_cfg, "--xi-grid=-3.0:3.0:9,0.0"
@@ -419,9 +434,9 @@ def test_evolve_bytes_equal_the_state_by_state_rendering(tmp_path, capsys):
 def test_evolve_steps_the_window_and_formats_each_amplitude_once(capsys, monkeypatch, triple_cfg):
     # T = 300 prints about T^2 / 2 lines; the light cone walk made a state
     # per step and formatted every line.  Here the coins touch the window rows
-    # once a step for the trajectory and once for the summary, plus one
-    # pass per block on the two edge sites, and an amplitude is formatted
-    # once: psi0's entries at t = 0 and the 2 (n0 + 1) coin outputs a step
+    # once a step, for the trajectory and its summary alike, with no pass of
+    # their own on the edge sites, and an amplitude is formatted once:
+    # psi0's entries at t = 0 and the 2 (n0 + 1) coin outputs a step
     import qwres.states
     import qwres.walk
 
@@ -447,9 +462,7 @@ def test_evolve_steps_the_window_and_formats_each_amplitude_once(capsys, monkeyp
     code, out, _ = run(capsys, "evolve", "--config", triple_cfg, "--T", str(T))
     assert code == 0
     assert len(made) <= 2
-    assert [s for s in shapes if len(s) == 2] == [(n0 + 1, 2)] * (2 * T)
-    edges = [s for s in shapes if len(s) == 3]
-    assert all(s[1:] == (2, 2) for s in edges) and sum(s[0] for s in edges) == T + 1
+    assert shapes == [(n0 + 1, 2)] * T
     assert sum(formatted) == 2 + 2 * (n0 + 1) * T
     assert out.count("\n") > 20 * sum(formatted)
 

@@ -111,7 +111,10 @@ def test_expand_steps_the_window_like_the_light_cone(monkeypatch):
     # where the window walk leaves -0 on rows the light cone has not reached
     def light_cone(psi0, cs, T):
         *_, psi = qwres.walk._states(psi0, cs, T)
-        yield window_vector(psi, cs.n0).reshape(1, -1, 2)
+        # the window rows between the zero edge rows of _window_blocks
+        rows = np.zeros((1, cs.n0 + 3, 2), dtype=complex)
+        rows[0, 1:-1] = window_vector(psi, cs.n0).reshape(-1, 2)
+        yield rows
 
     cases = [(hadamard_pair(), basis_state(-2, "R")), (triple_barrier(), basis_state(5, "L"))]
     for n0 in (3, 6):

@@ -210,8 +210,30 @@ def _two_sided_state(rng, n0):
 
 
 def _window_states(psi0, cs, T):
-    """The rows of _window_blocks as states on [0, n0], one per step."""
-    return [WaveState(0, row) for rows in _window_blocks(psi0, cs, T) for row in rows]
+    """The rows of _window_blocks as states on [0, n0], one per step, each
+    with its edge amplitudes: the L at -1 and the R at n0 + 1."""
+    blocks = _window_blocks(psi0, cs, T)
+    return [(WaveState(0, row[1:-1]), row[0, 0], row[-1, 1]) for rows in blocks for row in rows]
+
+
+def _restricted_states(psi0, cs, T):
+    """_states' psi_t on [0, n0], one per step, each with its L at -1 and R at n0 + 1."""
+    n0 = cs.n0
+    return [
+        (psi.restrict(0, n0), psi.amplitude(-1)[0], psi.amplitude(n0 + 1)[1])
+        for psi in _states(psi0, cs, T)
+    ]
+
+
+def _assert_same_stream(got, want):
+    """Window rows bit for bit; edge amplitudes bit for bit where _states'
+    are nonzero, and zero (of either sign) where they are zero."""
+    assert len(got) == len(want)
+    for (a, a_l, a_r), (b, b_l, b_r) in zip(got, want):
+        assert a.support_lo == b.support_lo
+        assert a.amplitudes.tobytes() == b.amplitudes.tobytes()
+        for x, y in ((a_l, b_l), (a_r, b_r)):
+            assert x.tobytes() == y.tobytes() if y else x == 0
 
 
 def test_window_stream_is_the_restricted_trajectory_bit_for_bit():
@@ -226,14 +248,10 @@ def test_window_stream_is_the_restricted_trajectory_bit_for_bit():
     for cs in walks:
         psi0 = _two_sided_state(rng, cs.n0)
         assert incoming_length(psi0, cs.n0) == 4
-        full = _states(psi0, cs, 1200)
-        got = _window_states(psi0, cs, 1200)
-        want = [psi.restrict(0, cs.n0) for psi in full]
-        assert len(got) == len(want) == 1201
-        for a, b in zip(got, want):
-            assert a.support_lo == b.support_lo
-            assert a.amplitudes.tobytes() == b.amplitudes.tobytes()
-        norms = survival_norm(want, cs.n0)
+        want = _restricted_states(psi0, cs, 1200)
+        assert len(want) == 1201
+        _assert_same_stream(_window_states(psi0, cs, 1200), want)
+        norms = survival_norm([psi for psi, *_ in want], cs.n0)
         assert _window_survival(psi0, cs, 1200) == norms
         for T in (0, 1, BLOCK - 1, BLOCK, BLOCK + 1):
             assert _window_survival(psi0, cs, T) == norms[: T + 1]
@@ -254,9 +272,7 @@ def test_window_stream_equals_the_trajectory_from_sparse_states():
         for n in (-3, -1, 0, 1, 2, cs.n0, cs.n0 + 2):
             for chirality in "LR":
                 psi0 = basis_state(n, chirality)
-                got = _window_states(psi0, cs, 40)
-                want = [psi.restrict(0, cs.n0) for psi in _states(psi0, cs, 40)]
-                for a, b in zip(got, want):
-                    assert a.support_lo == b.support_lo
-                    assert a.amplitudes.tobytes() == b.amplitudes.tobytes()
-                assert _window_survival(psi0, cs, 40) == survival_norm(want, cs.n0)
+                want = _restricted_states(psi0, cs, 40)
+                _assert_same_stream(_window_states(psi0, cs, 40), want)
+                norms = survival_norm([psi for psi, *_ in want], cs.n0)
+                assert _window_survival(psi0, cs, 40) == norms
