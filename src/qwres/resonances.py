@@ -208,10 +208,12 @@ def strip_pair(mu: complex, multiplicity: int) -> tuple[Resonance, Resonance]:
 
     The square roots of mu are the eigenvalues; the strip coordinates are
     placed with the primary in Re xi in [-pi, 0) and the partner at +pi.
+    A primary within half an ulp of 0 would round its partner onto pi, so
+    it takes the other branch: the primary sits at -pi and the partner at 0.
     """
     lam = cmath.sqrt(mu)
     xi = 1j * cmath.log(lam)
-    if not -math.pi <= xi.real < 0:
+    if not (-math.pi <= xi.real < 0 and xi.real + math.pi < math.pi):
         xi, lam = xi - math.pi, -lam
     first = Resonance(xi, lam, mu, multiplicity)
     second = Resonance(xi + math.pi, -lam, mu, multiplicity)

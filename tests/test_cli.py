@@ -13,6 +13,8 @@ from qwres import (
     cli,
     coin_to_json,
     haar_coin,
+    hadamard_pair,
+    perturb,
     random_sequence,
     sequence_from_json,
     sequence_to_json,
@@ -83,6 +85,16 @@ def test_resonances_hadamard(capsys, hadamard_cfg):
     assert lams == pytest.approx([-(2**-0.5), 2**-0.5], abs=1e-12)
     assert all(r["multiplicity"] == 1 for r in rows)
     assert all(r["xi"][1] == pytest.approx(-0.5 * math.log(2)) for r in rows)
+
+
+def test_resonances_with_a_partner_near_pi(tmp_path, capsys):
+    # mu = 0.5003533 + 6.1e-17j: the partner of a primary within half an ulp
+    # of Re xi = 0 used to round onto pi and exit 32
+    path = tmp_path / "near_pi.json"
+    path.write_text(json.dumps(sequence_to_json(perturb(hadamard_pair(), 1e-3, 0.0))))
+    code, out, err = run(capsys, "resonances", "--config", str(path))
+    assert code == 0 and err == ""
+    assert [r["xi"][0] for r in json.loads(out)] == [-math.pi, 0.0]
 
 
 def test_resonances_triple_multiplicity(capsys, triple_cfg):

@@ -19,6 +19,7 @@ from qwres import (
     build_K,
     find_resonances,
     identity_coin,
+    perturb,
     resonant_chain,
     step,
     strip_pair,
@@ -217,6 +218,20 @@ def test_strip_pair_layout():
         assert abs(second.lam + first.lam) < 1e-14
         assert abs(first.lam**2 - mu) < 1e-12
         assert abs(second.mu - mu) < 1e-14
+
+
+def test_strip_pair_keeps_a_partner_near_pi_inside_the_strip():
+    # the first coin of the Hadamard pair perturbed by eps = 1e-3 along phi = 0
+    # gives mu = 0.5003533 + 6.1e-17j: the primary's Re xi lies within half
+    # an ulp of 0, so xi + pi rounded onto pi and Resonance refused it
+    mu = complex(0.5, 1e-17)
+    assert -math.pi <= (1j * np.log(np.sqrt(mu))).real < 0
+    first, second = strip_pair(mu, 1)
+    assert first.xi.real == -math.pi and second.xi.real == 0.0
+    assert first.lam == -second.lam and abs(second.lam**2 - mu) < 1e-15
+    rs = find_resonances(perturb(hadamard_pair(), 1e-3, 0.0))
+    assert [r.xi.real for r in rs] == [-math.pi, 0.0]
+    assert abs(rs[0].mu.imag) > 0 and rs[0].lam == -rs[1].lam
 
 
 def test_resonance_invariants_enforced():
