@@ -25,6 +25,7 @@ from .errors import (
     ConstraintViolated,
     NotUnitary,
     ProductLeavesS,
+    QWResError,
     UnsupportedN0,
 )
 
@@ -160,14 +161,27 @@ def validate_coin(matrix) -> Coin:
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (2, 2):
         raise NotUnitary(f"coin must be 2x2, got shape {m.shape}")
+    return _validated(m[None])[0]
+
+
+def _validated(m: np.ndarray, sites=None) -> list[Coin]:
+    """validate_coin on each matrix of an (N, 2, 2) stack, in one pass.
+
+    The first matrix that fails raises what validate_coin raises for it;
+    sites, when given, names each matrix's site in that message.
+    """
     # huge entries overflow to inf or nan, which the negated tests refuse
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = np.max(np.abs(m.conj().T @ m - np.eye(2)))
-    if not residual <= UNITARITY_TOL:
-        raise NotUnitary(f"unitarity residual {residual:.3e} exceeds {UNITARITY_TOL}")
-    if not abs(m[0, 0]) > A2_TOL:
-        raise A2Violated("coin has |a| below 1e-14, transfer matrices undefined")
-    return Coin(complex(m[0, 0]), complex(m[0, 1]), complex(m[1, 0]), complex(m[1, 1]))
+        residual = np.abs(np.conj(np.swapaxes(m, -1, -2)) @ m - np.eye(2)).max(axis=(-2, -1))
+    unitary = residual <= UNITARITY_TOL
+    bad = ~(unitary & (np.abs(m[:, 0, 0]) > A2_TOL))
+    if bad.any():
+        k = int(np.argmax(bad))
+        where = "" if sites is None else f"coin at site {sites[k]}: "
+        if not unitary[k]:
+            raise NotUnitary(f"{where}unitarity residual {residual[k]:.3e} exceeds {UNITARITY_TOL}")
+        raise A2Violated(f"{where}coin has |a| below 1e-14, transfer matrices undefined")
+    return [Coin(*entries) for entries in m.reshape(-1, 4).tolist()]
 
 
 @dataclass(frozen=True)
@@ -320,6 +334,12 @@ def coin_from_json(obj) -> Coin:
     Accepts either ``{"rotation": r}`` or ``{"a": [re, im], "b": ..., "c":
     ..., "d": ...}``.
     """
+    form = _coin_form(obj)
+    return form if isinstance(form, Coin) else validate_coin(np.reshape(form, (2, 2)))
+
+
+def _coin_form(obj):
+    """A rotation coin's Coin, or the unchecked entries [a, b, c, d] of an entry-form coin."""
     if not isinstance(obj, dict):
         raise ConfigParse(f"coin entry must be an object, got {type(obj).__name__}")
     if "rotation" in obj:
@@ -328,10 +348,9 @@ def coin_from_json(obj) -> Coin:
             raise ConfigParse(f"rotation coin has unexpected keys {sorted(extra)}")
         return rotation_coin(_real(obj["rotation"], "rotation parameter"))
     try:
-        entries = [_complex_from_pair(obj[k], f'coin "{k}"') for k in ("a", "b", "c", "d")]
+        return [_complex_from_pair(obj[k], f'coin "{k}"') for k in ("a", "b", "c", "d")]
     except KeyError as exc:
         raise ConfigParse(f"coin entry missing key {exc}") from exc
-    return validate_coin(np.array(entries, dtype=complex).reshape(2, 2))
 
 
 def _real(v, what: str) -> float:
@@ -375,8 +394,23 @@ def sequence_from_json(obj) -> CoinSequence:
     coins_raw = obj["coins"]
     if not isinstance(coins_raw, list) or len(coins_raw) != n0 + 1:
         raise ConfigParse(f'"coins" must list n0 + 1 = {n0 + 1} coins')
-    coins = tuple(coin_from_json(c) for c in coins_raw)
-    return CoinSequence(n0, coins)
+    # the entry-form coins are checked in one pass; a coin that fails to
+    # parse still loses to a bad coin before it, as in a loop over the coins
+    forms, error = [], None
+    for c in coins_raw:
+        try:
+            forms.append(_coin_form(c))
+        except QWResError as exc:
+            error = exc
+            break
+    sites = [k for k, f in enumerate(forms) if not isinstance(f, Coin)]
+    if sites:
+        stack = np.array([forms[k] for k in sites], dtype=complex).reshape(-1, 2, 2)
+        for k, coin in zip(sites, _validated(stack, sites)):
+            forms[k] = coin
+    if error is not None:
+        raise error
+    return CoinSequence(n0, tuple(forms))
 
 
 def sequence_to_json(cs: CoinSequence) -> dict:

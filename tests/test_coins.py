@@ -257,3 +257,33 @@ def test_sequence_json_round_trip():
 def test_sequence_json_rejects_malformed(obj):
     with pytest.raises(ConfigParse):
         sequence_from_json(obj)
+
+
+def test_sequence_json_checks_coins_as_validate_coin_does():
+    # one stacked pass over the coins: the entries stay bit for bit, and the
+    # first bad coin names the error, its site and the exit code a loop over
+    # validate_coin would give, also where a later coin fails to parse
+    rng = np.random.default_rng(47)
+    coins = [haar_coin(rng) for _ in range(9)]
+    obj = {"n0": 9, "coins": [coin_to_json(c) for c in coins] + [{"rotation": 0.3}]}
+    back = sequence_from_json(obj)
+    assert back.coins == tuple(coins) + (rotation_coin(0.3),)
+    assert np.array_equal(back.table.view(float), CoinSequence(9, back.coins).table.view(float))
+    skew = coin_to_json(coins[0])
+    skew["b"] = [skew["b"][0] * (1 + 1e-9), skew["b"][1]]
+    swap = {"a": [0, 0], "b": [1, 0], "c": [1, 0], "d": [0, 0]}
+    cases = [
+        ({5: skew}, NotUnitary, "site 5"),
+        ({3: swap, 6: skew}, A2Violated, "site 3"),
+        ({2: skew, 4: {"rotation": 1.5}}, NotUnitary, "site 2"),
+        ({2: {"rotation": 1.5}, 4: skew}, A2Violated, "rotation"),
+        ({2: skew, 4: {"a": [0, 0]}}, NotUnitary, "site 2"),
+        ({7: {"a": [0, 0]}}, ConfigParse, "missing key"),
+    ]
+    for changes, error, text in cases:
+        bad = dict(obj, coins=[changes.get(k, c) for k, c in enumerate(obj["coins"])])
+        with pytest.raises(error, match=text):
+            sequence_from_json(bad)
+        first = min(changes)
+        with pytest.raises(error):
+            coin_from_json(bad["coins"][first])
