@@ -173,30 +173,48 @@ def _cluster(roots: np.ndarray) -> list[np.ndarray]:
     return clusters
 
 
+def _derivative(high: np.ndarray) -> np.ndarray:
+    """np.polyder of each coefficient row (highest degree first) on the last axis."""
+    return high[..., :-1] * np.arange(high.shape[-1] - 1, 0, -1)
+
+
 def _polish(coeffs: np.ndarray, x0: np.ndarray, m: int) -> np.ndarray:
     """Refine m-fold roots as simple roots of the (m-1)-th derivative.
 
     An m-fold cluster centroid is accurate to about sqrt-of-eps digits; the
     derivative p^(m-1) has a simple root at the same point, where Newton is
     well posed and recovers nearly full precision.  x0 holds centroids of
-    one multiplicity m, polished together: each entry stops on its own at
-    dq == 0, at a step |dx| <= 1e-15 (1 + |x|) or after 60 steps, and an
-    entry that ran away beyond 1e-3 (1 + |x0|) keeps its centroid.
+    one multiplicity m, polished together.  coeffs is one monic row, lowest
+    degree first, for all of them, or a stack with one row per entry of x0,
+    so that the roots of several polynomials polish in one pass.
+
+    Each entry stops on its own: at dq == 0; at a Newton step that fails to
+    halve the step before it, keeping the iterate from before that step,
+    since Newton has stopped contracting and only rounding moves it; at a
+    step |dx| <= 1e-15 (1 + |x|); or after 60 steps.  An entry that ran
+    away beyond 1e-3 (1 + |x0|) keeps its centroid.
     """
-    high = coeffs[::-1]
-    for _ in range(m - 1):
-        high = np.polyder(high)
-    rows = np.stack([high, np.concatenate([[0], np.polyder(high)])])
     x0 = np.asarray(x0, dtype=complex)
+    high = np.asarray(coeffs)[..., ::-1]
+    for _ in range(m - 1):
+        high = _derivative(high)
+    high = np.broadcast_to(high, x0.shape + high.shape[-1:])
+    # q and q' (padded to q's length) of entry j in rows 2j and 2j + 1
+    dhigh = np.concatenate([np.zeros_like(high[:, :1]), _derivative(high)], axis=1)
+    rows = np.stack([high, dhigh], axis=1)
     x = x0.copy()
+    last = np.full(len(x), np.inf)
     live = np.arange(len(x))
     for _ in range(60):
         if not live.size:
             break
-        q, dq = _horner(rows, np.stack([x[live], x[live]]))
+        points = np.repeat(x[live], 2)[:, None]
+        q, dq = _horner(rows[live].reshape(len(points), -1), points).reshape(-1, 2).T
         moving = dq != 0
-        live = live[moving]
-        dx = q[moving] / dq[moving]
+        live, dx = live[moving], q[moving] / dq[moving]
+        halved = np.abs(dx) <= 0.5 * last[live]
+        live, dx = live[halved], dx[halved]
+        last[live] = np.abs(dx)
         x[live] -= dx
         live = live[~(np.abs(dx) <= 1e-15 * (1 + np.abs(x[live])))]
     runaway = np.abs(x - x0) > 1e-3 * (1 + np.abs(x0))

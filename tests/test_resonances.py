@@ -11,6 +11,7 @@ from qwres import (
     ChainSolveFailed,
     CoinSequence,
     InvariantViolation,
+    RelationCheckFailed,
     Resonance,
     RootFindingDiverged,
     SpectralOverflow,
@@ -166,12 +167,16 @@ def _polish_one(coeffs, x0, m):
         high = np.polyder(high)
     dhigh = np.polyder(high)
     x = complex(x0)
+    last = math.inf
     for _ in range(60):
         q = np.polyval(high, x)
         dq = np.polyval(dhigh, x)
         if dq == 0:
             break
         dx = q / dq
+        if not abs(dx) <= last / 2:
+            break  # Newton no longer contracts: keep the iterate before this step
+        last = abs(dx)
         x -= dx
         if abs(dx) <= 1e-15 * (1 + abs(x)):
             break
@@ -203,6 +208,45 @@ def test_batched_polish_matches_the_scalar_loop():
             got = _polish(coeffs, x0, 1)
         assert np.all(got == [_polish_one(coeffs, x, 1) for x in x0])
         assert np.all(got[:-1] == x0[:-1]) and abs(got[-1] - root) < 1e-15
+
+
+@pytest.mark.parametrize("n0", [32, 64])
+def test_polish_passes_stay_few(monkeypatch, n0):
+    # one _horner pass per Newton step; the halving stop ends an entry once
+    # Newton stops contracting, where the 1e-15 (1 + |x|) stop alone ran the
+    # stalled roots of 15 of these 16 windows to the 60-step cap
+    calls = []
+    real = qwres.resonances._horner
+    monkeypatch.setattr(qwres.resonances, "_horner", lambda rows, x: calls.append(1) or real(rows, x))
+    rng = np.random.default_rng(n0)
+    for _ in range(8):
+        p = _row_recursion(random_sequence(rng, n0))[2::2]
+        coeffs = p / p[-1]
+        clusters = _cluster(aberth_roots(coeffs))
+        calls.clear()
+        for m in {len(c) for c in clusters}:
+            _polish(coeffs, np.array([np.mean(c) for c in clusters if len(c) == m]), m)
+        assert len(calls) <= 8, len(calls)
+
+
+@pytest.mark.parametrize("n0, bound", [(16, 1.0e-13), (32, 1.4e-11)])
+def test_polished_resonances_stay_near_the_dense_eigenvalues(n0, bound):
+    # the largest distance from a returned lambda to eigvals(K) on these
+    # windows was 5.07e-14 (n0 = 16) and 7.01e-12 (n0 = 32) with the
+    # 1e-15 step stop alone; the bound is twice that
+    rng = np.random.default_rng(n0)
+    worst, refused = 0.0, []
+    for j in range(12):
+        cs = random_sequence(rng, n0)
+        try:
+            rs = find_resonances(cs)
+        except RelationCheckFailed:
+            refused.append(j)
+            continue
+        evals = np.linalg.eigvals(build_K(cs).entries)
+        worst = max([worst] + [np.min(np.abs(evals - r.lam)) for r in rs])
+    assert refused == ([] if n0 == 16 else [9])
+    assert worst <= bound, worst
 
 
 def test_strip_pair_layout():
