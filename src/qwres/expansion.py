@@ -123,7 +123,7 @@ def expand(cs: CoinSequence, psi0: WaveState) -> ExpansionData:
     # through the trimmed state, as the light cone gives it: the window walk
     # may leave -0 on rows the light cone has not reached
     x = window_vector(WaveState(0, rows[-1, 1:-1]), n0)
-    resonances = _polynomial_resonances(cs)
+    [resonances] = _polynomial_resonances([cs])
     spec = _spectrum(cs)
     _dense_crosscheck(resonances, spec.evals)
     iota, (_, s, vh) = _zero_block(spec.k)

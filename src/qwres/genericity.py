@@ -26,7 +26,7 @@ import numpy as np
 
 from .coins import CoinSequence, PQTheta, pqtheta_to_S, s_product
 from .errors import DegenerateDirection, LeftS, NoMultipleResonance, ProductLeavesS
-from .resonances import find_resonances
+from .resonances import _family_resonances, find_resonances
 
 __all__ = [
     "PerturbationFamily",
@@ -85,13 +85,15 @@ def splitting_experiment(pf: PerturbationFamily):
         raise NoMultipleResonance("base walk has no multiple resonance to split")
     mu0 = target.mu
     m = target.alg_multiplicity
+    epsilons = [float(eps) for eps in pf.epsilons]
+    # the perturbed walks root in one stacked pass, after the base check
+    family = iter(_family_resonances([perturb(pf.base, eps, pf.phi) for eps in epsilons if eps]))
     rows = []
-    for eps in pf.epsilons:
-        eps = float(eps)
+    for eps in epsilons:
         if eps == 0:
             rows.append((0.0, 0.0, (m,)))
             continue
-        perturbed = find_resonances(perturb(pf.base, eps, pf.phi))
+        perturbed = next(family)
         primaries = [r for r in perturbed if -math.pi <= r.xi.real < 0]
         primaries.sort(key=lambda r: abs(r.mu - mu0))
         cluster = []

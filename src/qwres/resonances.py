@@ -92,55 +92,71 @@ class Resonance:
 
 
 def aberth_roots(coeffs) -> np.ndarray:
-    """All roots of a monic polynomial by simultaneous Aberth iteration.
+    """All roots of monic polynomials by simultaneous Aberth iteration.
 
-    coeffs is lowest degree first with a trailing 1.  The iterates start on
-    the unit circle.  Resonances have |lambda| < 1, so every root the
-    transfer polynomial can contribute lies in the unit disk (K is a
-    contraction, and find_resonances refuses |mu| >= 1 + 1e-12): the start
-    circle encloses all of them and lies near the outer ones, the
-    resonances closest to the real axis, which keeps the sweep count low
-    (Bini 1996).  Roots outside the disk converge too, from further away.
+    coeffs is lowest degree first with a trailing 1: one polynomial of
+    shape (d + 1,), whose roots come back with shape (d,), or a stack of
+    shape (F, d + 1), whose roots come back with shape (F, d).  A stack
+    iterates together, one transfer._horner pass a sweep for all of its
+    polynomials, and each polynomial freezes on its own stop test, so its
+    roots are bit for bit those of a call on it alone.
 
-    Iterates until every residual |p(x)| sits below the backward-error
-    floor 16 eps sum |c_k||x|^k or every correction stalls at
-    1e-13 (1 + |x|); 500 sweeps without that raises RootFindingDiverged,
+    The iterates start on the unit circle.  Resonances have |lambda| < 1,
+    so every root the transfer polynomial can contribute lies in the unit
+    disk (K is a contraction, and find_resonances refuses
+    |mu| >= 1 + 1e-12): the start circle encloses all of them and lies near
+    the outer ones, the resonances closest to the real axis, which keeps
+    the sweep count low (Bini 1996).  Roots outside the disk converge too,
+    from further away.
+
+    A polynomial stops when every residual |p(x)| sits below the
+    backward-error floor 16 eps sum |c_k||x|^k or every correction stalls
+    at 1e-13 (1 + |x|); 500 sweeps without that raises RootFindingDiverged,
     and so does a residual or floor past the float range, where inf <= inf
     would pass for convergence.
     """
     c = np.asarray(coeffs, dtype=complex)
-    d = len(c) - 1
+    shape, d = c.shape[:-1], c.shape[-1] - 1
     if d <= 0:
-        return np.zeros(0, dtype=complex)
+        return np.zeros(shape + (0,), dtype=complex)
     if d == 1:
-        return np.array([-c[0]])
-    high = c[::-1]
-    # p, p' (padded to p's length) and sum |c_k| |x|^k, one Horner pass a sweep
-    rows = np.stack([high, np.concatenate([[0], np.polyder(high)]), np.abs(high)])
+        return -c[..., :1]
+    high = c.reshape(-1, d + 1)[:, ::-1]
+    # p, p' (padded to p's length) and sum |c_k| |x|^k of polynomial j in
+    # rows 3j .. 3j + 2, one Horner pass a sweep
+    dhigh = np.concatenate([np.zeros_like(high[:, :1]), _derivative(high)], axis=1)
+    rows = np.stack([high, dhigh, np.abs(high)], axis=1)
     eps = np.finfo(float).eps
     # the angular offset keeps the start away from real-axis root symmetry
-    x = np.exp(2j * np.pi * (np.arange(d) + 0.37) / d)
+    x = np.tile(np.exp(2j * np.pi * (np.arange(d) + 0.37) / d), (len(high), 1))
+    diagonal = np.arange(d)
+    live = np.arange(len(high))
     for _ in range(500):
+        xl = x[live]
+        points = np.stack([xl, xl, np.abs(xl) + 0j], axis=1).reshape(-1, d)
         with np.errstate(over="ignore", invalid="ignore"):
             # the floor row runs at |x| + 0j: its real part is the real Horner
-            p, dp, floor = _horner(rows, np.stack([x, x, np.abs(x) + 0j]))
+            values = _horner(rows[live].reshape(len(points), -1), points)
+            p, dp, floor = values.reshape(-1, 3, d).transpose(1, 0, 2)
             floor = 16 * eps * floor.real
         if not (np.isfinite(p).all() and np.isfinite(floor).all()):
             raise RootFindingDiverged("Aberth residual |p(x)| or its floor is not a finite float")
         done = np.abs(p) <= floor
-        if np.all(done):
-            return x
+        # a polynomial whose residuals all sit below the floor is frozen as it is
+        going = ~done.all(axis=1)
+        live, xl, p, dp, done = live[going], xl[going], p[going], dp[going], done[going]
         dp = np.where(dp == 0, eps, dp)
         w = p / dp
-        diff = x[:, None] - x[None, :]
-        np.fill_diagonal(diff, np.inf)
+        diff = xl[:, :, None] - xl[:, None, :]
+        diff[:, diagonal, diagonal] = np.inf
         diff = np.where(diff == 0, 1e-300, diff)
-        s = np.sum(1.0 / diff, axis=1)
+        s = np.sum(1.0 / diff, axis=2)
         delta = w / (1.0 - w * s)
         delta = np.where(np.isfinite(delta), delta, w)
-        x = np.where(done, x, x - delta)
-        if np.all(done | (np.abs(delta) <= 1e-13 * (1 + np.abs(x)))):
-            return x
+        x[live] = xl = np.where(done, xl, xl - delta)
+        live = live[~np.all(done | (np.abs(delta) <= 1e-13 * (1 + np.abs(xl))), axis=1)]
+        if not live.size:
+            return x.reshape(shape + (d,))
     raise RootFindingDiverged("Aberth iteration did not settle in 500 sweeps")
 
 
@@ -265,23 +281,42 @@ def _dense_crosscheck(resonances: list[Resonance], evals: np.ndarray) -> None:
         )
 
 
-def _polynomial_resonances(cs: CoinSequence) -> list[Resonance]:
-    """find_resonances without the dense cross-check, which the caller runs."""
-    tp = transfer_polynomial(cs)
-    coeffs = np.array(tp.coeffs)
+def _deflated(cs: CoinSequence) -> np.ndarray:
+    """The monic transfer polynomial of cs with its zero roots deflated."""
+    coeffs = np.array(transfer_polynomial(cs).coeffs)
     scale = np.max(np.abs(coeffs))
     while len(coeffs) > 1 and abs(coeffs[0]) <= 1e-13 * scale:
         coeffs = coeffs[1:]
-    out: list[Resonance] = []
-    if len(coeffs) > 1:
-        clusters = _cluster(aberth_roots(coeffs))
-        mults = np.array([len(c) for c in clusters])
-        mus = np.array([np.mean(c) for c in clusters])
-        # one Newton run per multiplicity; the checks below keep cluster
-        # order, so the first bad cluster is still the one named
+    return coeffs
+
+
+def _polynomial_resonances(walks: list[CoinSequence]) -> list[list[Resonance]]:
+    """find_resonances of each walk without the dense cross-check.
+
+    Each walk's transfer polynomial is built, relation check included, in
+    order.  The polynomials of one degree then root in one stacked
+    aberth_roots pass, and their clusters of one multiplicity polish in one
+    _polish call, so every walk gets bit for bit the roots it would get on
+    its own.  The checks run walk by walk, each in cluster order, so the
+    first bad cluster of the first bad walk is the one named.
+    """
+    polys = [_deflated(cs) for cs in walks]
+    roots: list = [None] * len(walks)
+    for size in dict.fromkeys(len(c) for c in polys):
+        group = [i for i, c in enumerate(polys) if len(c) == size]
+        stack = np.array([polys[i] for i in group])
+        clusters = [_cluster(r) for r in aberth_roots(stack)]
+        owner = np.repeat(np.arange(len(group)), [len(c) for c in clusters])
+        mults = np.array([len(c) for cs in clusters for c in cs], dtype=int)
+        mus = np.array([np.mean(c) for cs in clusters for c in cs], dtype=complex)
         for m in np.unique(mults):
-            mus[mults == m] = _polish(coeffs, mus[mults == m], int(m))
-        for m, mu in zip(mults.tolist(), mus):
+            mus[mults == m] = _polish(stack[owner[mults == m]], mus[mults == m], int(m))
+        for j, i in enumerate(group):
+            roots[i] = zip(mults[owner == j].tolist(), mus[owner == j])
+    family = []
+    for cs, pairs in zip(walks, roots):
+        out: list[Resonance] = []
+        for m, mu in pairs:
             if abs(mu) >= 1 + 1e-12:
                 raise InvariantViolation(
                     f"transfer polynomial root mu={mu} lies outside the unit disk"
@@ -291,8 +326,22 @@ def _polynomial_resonances(cs: CoinSequence) -> list[Resonance]:
                     f"root multiplicity {m} exceeds the window size {cs.n0}"
                 )
             out.extend(strip_pair(mu, m))
-    out.sort(key=lambda r: (r.xi.real, r.xi.imag))
-    return out
+        out.sort(key=lambda r: (r.xi.real, r.xi.imag))
+        family.append(out)
+    return family
+
+
+def _family_resonances(walks: list[CoinSequence]) -> list[list[Resonance]]:
+    """find_resonances of each walk, the root finding stacked over the walks.
+
+    Each walk's list is bit for bit what find_resonances gives for it; the
+    dense cross-checks run walk by walk after all the polynomial checks.
+    """
+    family = _polynomial_resonances(walks)
+    for cs, out in zip(walks, family):
+        if cs.n0 >= 1:
+            _dense_crosscheck(out, np.linalg.eigvals(build_K(cs).entries))
+    return family
 
 
 def find_resonances(cs: CoinSequence) -> list[Resonance]:
@@ -304,10 +353,7 @@ def find_resonances(cs: CoinSequence) -> list[Resonance]:
     and are deflated before iteration.  Every call cross-checks the
     eigenvalue multiset against numpy's dense eigensolver on K.
     """
-    out = _polynomial_resonances(cs)
-    if cs.n0 >= 1:
-        _dense_crosscheck(out, np.linalg.eigvals(build_K(cs).entries))
-    return out
+    return _family_resonances([cs])[0]
 
 
 def winding_count(cs: CoinSequence, center: complex, rho: float) -> complex:

@@ -59,6 +59,9 @@ def test_aberth_recovers_scattered_roots():
 def test_aberth_degree_edge_cases():
     assert aberth_roots(np.array([1.0])).size == 0
     np.testing.assert_allclose(aberth_roots(np.array([0.25 + 0j, 1.0])), [-0.25], atol=0)
+    # a stack of F polynomials gives F rows of roots
+    assert aberth_roots(np.ones((3, 1))).shape == (3, 0)
+    np.testing.assert_array_equal(aberth_roots(np.array([[0.25, 1.0], [-2.0, 1.0]])), [[-0.25], [2.0]])
 
 
 def test_aberth_refuses_a_residual_past_the_float_range():
