@@ -12,7 +12,9 @@ unit disk, so Aberth iteration starts on the unit circle, and each sweep
 reads p, p' and the backward-error floor from one transfer._horner pass.
 Roots within 1e-6 max(1, |mu|) of each other chain into one cluster, whose
 size is the multiplicity and whose mean Newton polishes as a simple root
-of p^(m-1).
+of p^(m-1) until a step fails to halve the one before.  Both stages take a
+stack of polynomials, so a family of walks (the splitting experiment's
+perturbed walks) roots in one pass, each walk bit for bit as on its own.
 
 Jordan chains.  Resonances are generically simple, so the chain at a
 resonance is usually one eigenvector of K.  _spectrum keeps one eig(K)
@@ -122,41 +124,45 @@ def aberth_roots(coeffs) -> np.ndarray:
     if d == 1:
         return -c[..., :1]
     high = c.reshape(-1, d + 1)[:, ::-1]
-    # p, p' (padded to p's length) and sum |c_k| |x|^k of polynomial j in
-    # rows 3j .. 3j + 2, one Horner pass a sweep
+    # rows[0], rows[1] and rows[2] give p, p' (padded to p's length) and
+    # sum |c_k| |x|^k of each live polynomial, one Horner pass a sweep
     dhigh = np.concatenate([np.zeros_like(high[:, :1]), _derivative(high)], axis=1)
-    rows = np.stack([high, dhigh, np.abs(high)], axis=1)
+    rows = np.stack([high, dhigh, np.abs(high)])
     eps = np.finfo(float).eps
     # the angular offset keeps the start away from real-axis root symmetry
     x = np.tile(np.exp(2j * np.pi * (np.arange(d) + 0.37) / d), (len(high), 1))
-    diagonal = np.arange(d)
+    roots = np.empty_like(x)
     live = np.arange(len(high))
+    diagonal = np.arange(d)
     for _ in range(500):
-        xl = x[live]
-        points = np.stack([xl, xl, np.abs(xl) + 0j], axis=1).reshape(-1, d)
         with np.errstate(over="ignore", invalid="ignore"):
-            # the floor row runs at |x| + 0j: its real part is the real Horner
-            values = _horner(rows[live].reshape(len(points), -1), points)
-            p, dp, floor = values.reshape(-1, 3, d).transpose(1, 0, 2)
+            # the floor rows run at |x| + 0j: their real part is the real Horner
+            values = _horner(rows.reshape(-1, d + 1), np.concatenate([x, x, np.abs(x) + 0j]))
+            p, dp, floor = values.reshape(3, -1, d)
             floor = 16 * eps * floor.real
         if not (np.isfinite(p).all() and np.isfinite(floor).all()):
             raise RootFindingDiverged("Aberth residual |p(x)| or its floor is not a finite float")
         done = np.abs(p) <= floor
-        # a polynomial whose residuals all sit below the floor is frozen as it is
-        going = ~done.all(axis=1)
-        live, xl, p, dp, done = live[going], xl[going], p[going], dp[going], done[going]
+        # a settled polynomial keeps its iterates as roots and leaves the stack
+        settled = done.all(axis=1)
+        if settled.any():
+            roots[live[settled]], keep = x[settled], ~settled
+            live, x, rows, p, dp, done = live[keep], x[keep], rows[:, keep], p[keep], dp[keep], done[keep]
         dp = np.where(dp == 0, eps, dp)
         w = p / dp
-        diff = xl[:, :, None] - xl[:, None, :]
+        diff = x[:, :, None] - x[:, None, :]
         diff[:, diagonal, diagonal] = np.inf
         diff = np.where(diff == 0, 1e-300, diff)
-        s = np.sum(1.0 / diff, axis=2)
+        s = (1.0 / diff).sum(axis=2)
         delta = w / (1.0 - w * s)
         delta = np.where(np.isfinite(delta), delta, w)
-        x[live] = xl = np.where(done, xl, xl - delta)
-        live = live[~np.all(done | (np.abs(delta) <= 1e-13 * (1 + np.abs(xl))), axis=1)]
+        x = np.where(done, x, x - delta)
+        settled = (done | (np.abs(delta) <= 1e-13 * (1 + np.abs(x)))).all(axis=1)
+        if settled.any():
+            roots[live[settled]], keep = x[settled], ~settled
+            live, x, rows = live[keep], x[keep], rows[:, keep]
         if not live.size:
-            return x.reshape(shape + (d,))
+            return roots.reshape(shape + (d,))
     raise RootFindingDiverged("Aberth iteration did not settle in 500 sweeps")
 
 
@@ -200,9 +206,9 @@ def _polish(coeffs: np.ndarray, x0: np.ndarray, m: int) -> np.ndarray:
     An m-fold cluster centroid is accurate to about sqrt-of-eps digits; the
     derivative p^(m-1) has a simple root at the same point, where Newton is
     well posed and recovers nearly full precision.  x0 holds centroids of
-    one multiplicity m, polished together.  coeffs is one monic row, lowest
-    degree first, for all of them, or a stack with one row per entry of x0,
-    so that the roots of several polynomials polish in one pass.
+    one multiplicity m, polished together, and coeffs holds one monic row,
+    lowest degree first, per entry of x0, so that the roots of several
+    polynomials polish in one pass.
 
     Each entry stops on its own: at dq == 0; at a Newton step that fails to
     halve the step before it, keeping the iterate from before that step,
@@ -211,10 +217,9 @@ def _polish(coeffs: np.ndarray, x0: np.ndarray, m: int) -> np.ndarray:
     away beyond 1e-3 (1 + |x0|) keeps its centroid.
     """
     x0 = np.asarray(x0, dtype=complex)
-    high = np.asarray(coeffs)[..., ::-1]
+    high = np.asarray(coeffs)[:, ::-1]
     for _ in range(m - 1):
         high = _derivative(high)
-    high = np.broadcast_to(high, x0.shape + high.shape[-1:])
     # q and q' (padded to q's length) of entry j in rows 2j and 2j + 1
     dhigh = np.concatenate([np.zeros_like(high[:, :1]), _derivative(high)], axis=1)
     rows = np.stack([high, dhigh], axis=1)
@@ -301,20 +306,21 @@ def _polynomial_resonances(walks: list[CoinSequence]) -> list[list[Resonance]]:
     first bad cluster of the first bad walk is the one named.
     """
     polys = [_deflated(cs) for cs in walks]
-    roots: list = [None] * len(walks)
+    # (multiplicity, polished mu) of each cluster of each walk
+    found: list = [None] * len(walks)
     for size in dict.fromkeys(len(c) for c in polys):
         group = [i for i, c in enumerate(polys) if len(c) == size]
         stack = np.array([polys[i] for i in group])
         clusters = [_cluster(r) for r in aberth_roots(stack)]
-        owner = np.repeat(np.arange(len(group)), [len(c) for c in clusters])
-        mults = np.array([len(c) for cs in clusters for c in cs], dtype=int)
-        mus = np.array([np.mean(c) for cs in clusters for c in cs], dtype=complex)
+        owner = np.repeat(np.arange(len(group)), [len(walk) for walk in clusters])
+        mults = np.array([len(c) for walk in clusters for c in walk], dtype=int)
+        mus = np.array([np.mean(c) for walk in clusters for c in walk], dtype=complex)
         for m in np.unique(mults):
             mus[mults == m] = _polish(stack[owner[mults == m]], mus[mults == m], int(m))
         for j, i in enumerate(group):
-            roots[i] = zip(mults[owner == j].tolist(), mus[owner == j])
+            found[i] = list(zip(mults[owner == j].tolist(), mus[owner == j]))
     family = []
-    for cs, pairs in zip(walks, roots):
+    for cs, pairs in zip(walks, found):
         out: list[Resonance] = []
         for m, mu in pairs:
             if abs(mu) >= 1 + 1e-12:

@@ -198,7 +198,7 @@ def test_batched_polish_matches_the_scalar_loop():
         clusters = _cluster(aberth_roots(coeffs))
         for m in {len(c) for c in clusters}:
             x0 = np.array([np.mean(c) for c in clusters if len(c) == m])
-            got = _polish(coeffs, x0, m)
+            got = _polish(np.tile(coeffs, (len(x0), 1)), x0, m)
             want = np.array([_polish_one(coeffs, x, m) for x in x0])
             assert got.dtype == complex and np.all(got == want), (n0, m)
     # dq == 0 at the first step keeps 0; a move from 0.495 to the root 0.5
@@ -208,7 +208,7 @@ def test_batched_polish_matches_the_scalar_loop():
         coeffs, x0 = np.array(coeffs, dtype=complex), np.array(x0, dtype=complex)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = _polish(coeffs, x0, 1)
+            got = _polish(np.tile(coeffs, (len(x0), 1)), x0, 1)
         assert np.all(got == [_polish_one(coeffs, x, 1) for x in x0])
         assert np.all(got[:-1] == x0[:-1]) and abs(got[-1] - root) < 1e-15
 
@@ -228,7 +228,8 @@ def test_polish_passes_stay_few(monkeypatch, n0):
         clusters = _cluster(aberth_roots(coeffs))
         calls.clear()
         for m in {len(c) for c in clusters}:
-            _polish(coeffs, np.array([np.mean(c) for c in clusters if len(c) == m]), m)
+            x0 = np.array([np.mean(c) for c in clusters if len(c) == m])
+            _polish(np.tile(coeffs, (len(x0), 1)), x0, m)
         assert len(calls) <= 8, len(calls)
 
 
