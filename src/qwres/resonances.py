@@ -143,11 +143,6 @@ def aberth_roots(coeffs) -> np.ndarray:
         if not (np.isfinite(p).all() and np.isfinite(floor).all()):
             raise RootFindingDiverged("Aberth residual |p(x)| or its floor is not a finite float")
         done = np.abs(p) <= floor
-        # a settled polynomial keeps its iterates as roots and leaves the stack
-        settled = done.all(axis=1)
-        if settled.any():
-            roots[live[settled]], keep = x[settled], ~settled
-            live, x, rows, p, dp, done = live[keep], x[keep], rows[:, keep], p[keep], dp[keep], done[keep]
         dp = np.where(dp == 0, eps, dp)
         w = p / dp
         diff = x[:, :, None] - x[:, None, :]
@@ -157,6 +152,8 @@ def aberth_roots(coeffs) -> np.ndarray:
         delta = w / (1.0 - w * s)
         delta = np.where(np.isfinite(delta), delta, w)
         x = np.where(done, x, x - delta)
+        # a polynomial whose residuals all sit below the floor, or whose
+        # corrections all stall, keeps its iterates as roots and leaves the stack
         settled = (done | (np.abs(delta) <= 1e-13 * (1 + np.abs(x)))).all(axis=1)
         if settled.any():
             roots[live[settled]], keep = x[settled], ~settled
@@ -315,8 +312,9 @@ def _polynomial_resonances(walks: list[CoinSequence]) -> list[list[Resonance]]:
         owner = np.repeat(np.arange(len(group)), [len(walk) for walk in clusters])
         mults = np.array([len(c) for walk in clusters for c in walk], dtype=int)
         mus = np.array([np.mean(c) for walk in clusters for c in walk], dtype=complex)
-        for m in np.unique(mults):
-            mus[mults == m] = _polish(stack[owner[mults == m]], mus[mults == m], int(m))
+        for m in set(mults.tolist()):
+            sel = mults == m
+            mus[sel] = _polish(stack[owner[sel]], mus[sel], m)
         for j, i in enumerate(group):
             found[i] = list(zip(mults[owner == j].tolist(), mus[owner == j]))
     family = []
