@@ -217,7 +217,7 @@ def _polish(coeffs: np.ndarray, x0: np.ndarray, m: int) -> np.ndarray:
     high = np.asarray(coeffs)[:, ::-1]
     for _ in range(m - 1):
         high = _derivative(high)
-    # q and q' (padded to q's length) of entry j in rows 2j and 2j + 1
+    # rows[j] holds q and q' (padded to q's length) of entry j
     dhigh = np.concatenate([np.zeros_like(high[:, :1]), _derivative(high)], axis=1)
     rows = np.stack([high, dhigh], axis=1)
     x = x0.copy()

@@ -217,7 +217,7 @@ def test_batched_polish_matches_the_scalar_loop():
 def test_polish_passes_stay_few(monkeypatch, n0):
     # one _horner pass per Newton step; the halving stop ends an entry once
     # Newton stops contracting, where the 1e-15 (1 + |x|) stop alone ran the
-    # stalled roots of 15 of these 16 windows to the 60-step cap
+    # stalled roots of 14 of these 16 windows to the 60-step cap
     calls = []
     real = qwres.resonances._horner
     monkeypatch.setattr(qwres.resonances, "_horner", lambda rows, x: calls.append(1) or real(rows, x))
