@@ -8,7 +8,10 @@ must have ``a != 0``; that is what makes transfer matrices well defined.
 Coins with ``a != 0`` are in bijection with triples ``(p, q, theta)`` on the
 hyperboloid ``|p|^2 - |q|^2 = 1`` (theta reduced into ``[0, pi)``), under
 which composing scatterers becomes a plain 2x2 matrix product of hyperbolic
-transfer factors.  ``s_product`` realizes that group law on coins.
+transfer factors.  The four maps are coin -> T (``coin_transfer_factor``),
+T -> chart (``_transfer_to_pqtheta``), chart -> T (``pqtheta_to_T``) and
+chart -> coin (``pqtheta_to_S``); ``coin_to_pqtheta`` and ``s_product``
+read the chart off T.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ __all__ = [
 UNITARITY_TOL = 1e-12
 A2_TOL = 1e-14
 HYPERBOLOID_TOL = 1e-8
+_BELOW_PI = math.nextafter(math.pi, 0.0)
 
 
 @dataclass(frozen=True)
@@ -236,30 +240,13 @@ def coin_to_pqtheta(coin: Coin) -> PQTheta:
     The representative has theta in [0, pi) and reproduces the coin exactly
     through ``pqtheta_to_S`` (round trip to 1e-12).
     """
-    mod_a = abs(coin.a)
-    if not mod_a > A2_TOL:
+    if not abs(coin.a) > A2_TOL:
         raise A2Violated("coin has |a| below 1e-14")
-    half_arg_ad = cmath.phase(coin.a * coin.d) / 2.0
-    p = cmath.exp(1j * half_arg_ad) / mod_a
-    q = coin.b.conjugate() * p
-    theta = cmath.phase(coin.a / coin.d) / 2.0
-    if theta < 0.0:
-        # equivalence (p, q, theta) ~ (-p, -q, theta + pi)
-        theta += math.pi
-        p, q = -p, -q
-    # the half-angle formulas fix p only up to sign; pick the branch that
-    # reproduces the a-entry rather than its negative
-    a_back = cmath.exp(1j * theta) / p.conjugate()
-    if abs(a_back - coin.a) > abs(a_back + coin.a):
-        p, q = -p, -q
-    return PQTheta(p, q, theta)
+    return _transfer_to_pqtheta(coin_transfer_factor(coin), coin.a / coin.d)
 
 
 def pqtheta_to_S(x: PQTheta) -> Coin:
     """Inverse of :func:`coin_to_pqtheta`."""
-    defect = abs(abs(x.p) ** 2 - abs(x.q) ** 2 - 1.0)
-    if not defect <= HYPERBOLOID_TOL:
-        raise ConstraintViolated(f"hyperboloid defect {defect:.3e} exceeds 1e-8")
     pbar_inv = 1.0 / x.p.conjugate()
     eit = cmath.exp(1j * x.theta)
     m = np.array(
@@ -281,30 +268,32 @@ def pqtheta_to_T(x: PQTheta) -> np.ndarray:
     )
 
 
+def _site_entries(u: Coin, e_plus, e_minus):
+    """Entries (p, q, r, s) of T_n = [[p, q], [r, s]] at e^{+-i xi} = e_plus, e_minus."""
+    return e_plus / np.conj(u.a), -np.conj(u.c) / np.conj(u.a), -u.c / u.d, e_minus / u.d
+
+
 def coin_transfer_factor(coin: Coin) -> np.ndarray:
-    """2x2 factor [[1/conj(a), b/d], [conj(b)/conj(a), 1/d]] of a coin.
+    """2x2 factor [[1/conj(a), -conj(c)/conj(a)], [-c/d, 1/d]] of a coin.
 
-    This equals the site transfer matrix at spectral parameter zero and is
-    the image of the coin on the hyperbolic side of the parameterization.
+    This is T_n at spectral parameter zero, :func:`_site_entries` at
+    e^{+-i xi} = 1, and the image of the coin on the hyperbolic side.
     """
-    a, b, d = coin.a, coin.b, coin.d
-    return np.array(
-        [
-            [1.0 / a.conjugate(), b / d],
-            [b.conjugate() / a.conjugate(), 1.0 / d],
-        ],
-        dtype=complex,
-    )
+    return np.array(_site_entries(coin, 1, 1), dtype=complex).reshape(2, 2)
 
 
-def _transfer_to_pqtheta(t: np.ndarray) -> PQTheta:
-    det = t[0, 0] * t[1, 1] - t[0, 1] * t[1, 0]
+def _transfer_to_pqtheta(t: np.ndarray, det: complex) -> PQTheta:
+    """(p, q, theta) of t = e^{i theta} [[p, .], [q, .]] with det t = det.
+
+    The caller passes det = e^{2 i theta} as a product of a/d: formed as
+    t00 t11 - t01 t10 it would lose about eps/|a|^2 to cancellation.
+    """
     theta = cmath.phase(det) / 2.0
-    p = cmath.exp(-1j * theta) * t[0, 0]
-    q = cmath.exp(-1j * theta) * t[1, 0]
+    p = cmath.exp(-1j * theta) * complex(t[0, 0])
+    q = cmath.exp(-1j * theta) * complex(t[1, 0])
     if theta < 0.0:
-        theta += math.pi
-        p, q = -p, -q
+        # (p, q, theta) ~ (-p, -q, theta + pi), kept below pi when theta ~ -1e-17
+        theta, p, q = min(theta + math.pi, _BELOW_PI), -p, -q
     return PQTheta(p, q, theta)
 
 
@@ -318,7 +307,7 @@ def s_product(s1: Coin, s2: Coin) -> Coin:
     """
     t = coin_transfer_factor(s1) @ coin_transfer_factor(s2)
     try:
-        x = _transfer_to_pqtheta(t)
+        x = _transfer_to_pqtheta(t, (s1.a / s1.d) * (s2.a / s2.d))
         return pqtheta_to_S(x)
     except (A2Violated, ConstraintViolated) as exc:
         raise ProductLeavesS(str(exc)) from exc

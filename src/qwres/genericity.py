@@ -122,6 +122,6 @@ def splitting_slope(rows) -> float:
     """Log-log slope of gap against eps; 1/m for an m-fold splitting."""
     xs = [math.log(e) for e, g, _ in rows if e > 0 and g > 0]
     ys = [math.log(g) for e, g, _ in rows if e > 0 and g > 0]
-    if len(xs) < 2:
-        raise ValueError("need at least two rows with positive eps and gap")
+    if len(set(xs)) < 2:
+        raise ValueError("need rows with positive gap at two distinct positive eps")
     return float(np.polyfit(np.array(xs), np.array(ys), 1)[0])

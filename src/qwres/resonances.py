@@ -366,8 +366,11 @@ def winding_count(cs: CoinSequence, center: complex, rho: float) -> complex:
     Trapezoid rule, 512 nodes on a circle of radius rho around center, with
     the logarithmic derivative from central differences at step 1e-4 rho.
     Exact integer values signal correct multiplicities; the caller decides
-    how much drift to accept.
+    how much drift to accept.  A negative rho traces the same circle; a
+    zero or non-finite rho or center is a ValueError.
     """
+    if not (cmath.isfinite(center) and math.isfinite(rho) and rho != 0):
+        raise ValueError(f"need a finite center and a finite nonzero rho, got {center}, {rho}")
     nodes = 512
     theta = 2 * np.pi * np.arange(nodes) / nodes
     e = np.exp(1j * theta)

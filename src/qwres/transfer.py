@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coins import Coin, CoinSequence
+from .coins import Coin, CoinSequence, _site_entries
 from .errors import RelationCheckFailed, SpectralOverflow
 
 __all__ = [
@@ -30,18 +30,16 @@ __all__ = [
 ]
 
 
-def _entries(u: Coin, e_plus, e_minus):
-    """Entries (p, q, r, s) of T_n = [[p, q], [r, s]] at e^{+-i xi} = e_plus, e_minus."""
-    return e_plus / np.conj(u.a), -np.conj(u.c) / np.conj(u.a), -u.c / u.d, e_minus / u.d
-
-
+# values past the float range are refused as SpectralOverflow, not warned about
+@np.errstate(over="ignore", invalid="ignore")
 def local_transfer(c: Coin, xi) -> np.ndarray:
     """T_n(xi); for an array xi the result has shape xi.shape + (2, 2)."""
     xi = np.asarray(xi, dtype=complex)
     t = np.empty(xi.shape + (2, 2), dtype=complex)
-    t[..., 0, 0], t[..., 0, 1], t[..., 1, 0], t[..., 1, 1] = _entries(
+    t[..., 0, 0], t[..., 0, 1], t[..., 1, 0], t[..., 1, 1] = _site_entries(
         c, np.exp(1j * xi), np.exp(-1j * xi)
     )
+    _refuse_overflow(xi, t)
     return t
 
 
@@ -76,7 +74,7 @@ def _transfer_entries(cs: CoinSequence, xi, rescale: bool = False):
     t11, t12, t21, t22 = one, zero, zero, one
     log1 = log2 = np.zeros(xi.shape)
     for n in range(cs.n0, -1, -1):
-        p, q, r, s = _entries(cs.coin_at(n), e_plus, e_minus)
+        p, q, r, s = _site_entries(cs.coin_at(n), e_plus, e_minus)
         t11, t21 = p * t11 + q * t21, r * t11 + s * t21
         t12, t22 = p * t12 + q * t22, r * t12 + s * t22
         if rescale:
@@ -87,9 +85,12 @@ def _transfer_entries(cs: CoinSequence, xi, rescale: bool = False):
     return (t11, t12, t21, t22), (log1, log2)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def transfer_product(cs: CoinSequence, xi) -> np.ndarray:
     """Ordered product T_0 T_1 ... T_{n0} at xi (batched over array xi)."""
+    xi = np.asarray(xi, dtype=complex)
     (t11, t12, t21, t22), _ = _transfer_entries(cs, xi)
+    _refuse_overflow(xi, t11, t12, t21, t22)
     return np.stack([np.stack([t11, t12], -1), np.stack([t21, t22], -1)], -2)
 
 
@@ -187,7 +188,7 @@ def transfer_polynomial(cs: CoinSequence) -> TransferPolynomial:
     t22 = t12.copy()
     t22[2] = 1.0
     for n in range(cs.n0, -1, -1):
-        p, q, r, s = _entries(cs.coin_at(n), 1, 1)
+        p, q, r, s = _site_entries(cs.coin_at(n), 1, 1)
         t12[2:], t22[2:] = p * t12[2:] + q * t22[1:-1], r * t12[1:-1] + s * t22[:-2]
     full = t22[2:]
     scale = np.max(np.abs(full))
@@ -200,7 +201,7 @@ def transfer_polynomial(cs: CoinSequence) -> TransferPolynomial:
     tp = TransferPolynomial(monic, leading)
 
     xs = _relation_points()
-    t22 = transfer_product(cs, xs)[..., 1, 1]
+    (_, _, _, t22), _ = _transfer_entries(cs, xs)
     lhs = np.exp(-1j * (cs.n0 + 1) * xs) * t22
     mu = np.exp(-2j * xs)
     rhs = mu * leading * tp(mu)

@@ -131,15 +131,32 @@ def test_pqtheta_constraint_enforced():
         PQTheta(complex(math.nan), 0j, 0.0)
 
 
+def _coin_with_modulus(rng, r):
+    """A coin with |a| = r and uniform random phases on a, b and det."""
+    alpha, beta, gamma = np.exp(1j * rng.uniform(-np.pi, np.pi, 3))
+    a, b = r * alpha, math.sqrt(1.0 - r * r) * beta
+    return validate_coin([[a, b], [-gamma * np.conj(b), gamma * np.conj(a)]])
+
+
 def test_pqtheta_round_trip_on_random_coins():
     rng = np.random.default_rng(11)
-    for _ in range(200):
-        c = haar_coin(rng)
+    phases = np.linspace(-np.pi, np.pi, 9)
+    coins = (
+        [haar_coin(rng) for _ in range(200)]
+        # a/d = -1 sits on the branch cut of the phase; the identity and the
+        # rotations have theta = 0
+        + [hadamard_coin(), identity_coin()]
+        + [rotation_coin(r) for r in (-0.99, -0.5, 0.3, 0.999)]
+        + [validate_coin(np.diag(np.exp(1j * np.array([s, t])))) for s in phases for t in phases]
+        + [_coin_with_modulus(rng, r) for r in (0.03, 1e-2, 1e-3) for _ in range(100)]
+    )
+    for c in coins:
         x = coin_to_pqtheta(c)
         assert 0.0 <= x.theta < math.pi
-        assert abs(abs(x.p) ** 2 - abs(x.q) ** 2 - 1.0) < 1e-10
+        # |p|^2 ~ 1/|a|^2 is known only to its ulps, 1.2e-10 at |a| = 1e-3
+        assert abs(abs(x.p) ** 2 - abs(x.q) ** 2 - 1.0) < max(1e-10, 16 * np.spacing(abs(x.p) ** 2))
         back = pqtheta_to_S(x)
-        np.testing.assert_allclose(back.matrix, c.matrix, atol=1e-12)
+        np.testing.assert_allclose(back.matrix, c.matrix, rtol=0, atol=1e-12)
 
 
 def test_transfer_factor_equals_hyperbolic_image():
@@ -153,12 +170,16 @@ def test_transfer_factor_equals_hyperbolic_image():
 
 def test_s_product_is_transfer_multiplication():
     rng = np.random.default_rng(17)
-    for _ in range(100):
-        c1, c2 = haar_coin(rng), haar_coin(rng)
+    pairs = [(haar_coin(rng), haar_coin(rng)) for _ in range(100)]
+    # at |a| = 0.03 the product's entries reach 1/|a|^2 ~ 1100, and a
+    # determinant formed from them loses about 1e-9 to cancellation
+    pairs += [(_coin_with_modulus(rng, 0.03), _coin_with_modulus(rng, 0.03)) for _ in range(100)]
+    for c1, c2 in pairs:
         prod = s_product(c1, c2)
         np.testing.assert_allclose(
             coin_transfer_factor(prod),
             coin_transfer_factor(c1) @ coin_transfer_factor(c2),
+            rtol=0,
             atol=1e-10,
         )
 

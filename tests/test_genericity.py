@@ -77,6 +77,9 @@ def test_splitting_slope_half():
 def test_splitting_slope_needs_two_rows():
     with pytest.raises(ValueError):
         splitting_slope([(1e-3, 1e-2, (1, 1))])
+    # two rows at one eps would give polyfit a rank-deficient fit
+    with pytest.raises(ValueError):
+        splitting_slope([(1e-3, 1e-2, (1, 1)), (1e-3, 2e-2, (1, 1))])
 
 
 def test_split_resonances_remain_negation_closed():

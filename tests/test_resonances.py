@@ -376,6 +376,19 @@ def test_winding_empty_circle():
     assert abs(val) < 1e-6
 
 
+def test_winding_count_circle_checks():
+    cs = triple_barrier()
+    # a negative radius traces the same circle
+    val = winding_count(cs, -1.0 - 0.2j, 0.03)
+    assert winding_count(cs, -1.0 - 0.2j, -0.03) == pytest.approx(val, abs=1e-12)
+    nan, inf = math.nan, math.inf
+    for center, rho in [(0.1, 0.0), (0.1, nan), (0.1, inf), (complex(nan, 0), 0.1), (complex(0, inf), 0.1)]:
+        with pytest.raises(ValueError, match="finite"):
+            winding_count(cs, center, rho)
+    with pytest.raises(SpectralOverflow):
+        winding_count(cs, 0.1 - 700j, 0.1)
+
+
 def test_resonant_chain_simple_eigenvector():
     cs = hadamard_pair()
     rs = find_resonances(cs)

@@ -4,6 +4,7 @@ import pytest
 from conftest import hadamard_pair, haar_coin, random_sequence, triple_barrier
 from qwres import (
     CoinSequence,
+    SpectralOverflow,
     identity_coin,
     local_transfer,
     transfer_polynomial,
@@ -54,6 +55,16 @@ def test_transfer_product_is_ordered_product():
     for n in range(4):
         manual = manual @ local_transfer(cs.coin_at(n), xi)
     np.testing.assert_allclose(transfer_product(cs, xi), manual, atol=1e-13)
+
+
+@pytest.mark.parametrize("xi", [800j, -800j, np.array([0.3, 0.1 + 800j])])
+def test_transfer_refuses_overflow_without_a_warning(xi):
+    # e^{+-i xi} leaves the float range; pytest turns a numpy warning into an error
+    cs = triple_barrier()
+    with pytest.raises(SpectralOverflow, match="not finite at xi="):
+        local_transfer(cs.coin_at(0), xi)
+    with pytest.raises(SpectralOverflow, match="not finite at xi="):
+        transfer_product(cs, xi)
 
 
 def test_transfer_polynomial_identity_window():
