@@ -220,15 +220,24 @@ class CoinSequence:
 
 @dataclass(frozen=True)
 class PQTheta:
-    """Point (p, q, theta) with |p|^2 - |q|^2 = 1, theta in [0, pi)."""
+    """Point (p, q, theta) with |p|^2 - |q|^2 = 1, theta in [0, pi).
+
+    The defect of |p|^2 - |q|^2 = 1 may be HYPERBOLOID_TOL (|p|^2 + |q|^2):
+    p and q correct to a relative tau move |p|^2 and |q|^2 by up to 2 tau
+    of their size, and the difference cancels down to 1, so the defect
+    scales with |p|^2 + |q|^2, not with 1.  |p|^2 ~ 1/|a|^2 reaches 1e28
+    on the coins validate_coin admits; at |p| = 1 the bound is
+    HYPERBOLOID_TOL itself.
+    """
 
     p: complex
     q: complex
     theta: float
 
     def __post_init__(self):
+        size = abs(self.p) ** 2 + abs(self.q) ** 2
         defect = abs(abs(self.p) ** 2 - abs(self.q) ** 2 - 1.0)
-        if not defect <= HYPERBOLOID_TOL:
+        if not defect <= HYPERBOLOID_TOL * size:
             raise ConstraintViolated(
                 f"|p|^2 - |q|^2 deviates from 1 by {defect:.3e}"
             )

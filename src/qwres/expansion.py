@@ -110,12 +110,14 @@ def expand(cs: CoinSequence, psi0: WaveState) -> ExpansionData:
     K^{iota_0}.  The system is square and the residual must vanish to
     1e-9; anything else means the chains do not span what they should.
 
-    K and np.linalg.eig(K) come from the walk's spectral record
-    (resonances._spectrum): its eigenvalues serve find_resonances' dense
-    cross-check, and the chains are resonances._window_chain's, the ones
-    resonant_chain extends, so reconstruct pairs each coefficient with its
-    own chain vector.  One full SVD of K^{iota_0} gives both the rank test
-    and the kernel basis.
+    K, its eigenvalues and eigenvectors come from the walk's spectral record
+    (resonances._spectrum, one eigensolve of K's parity product BA): its
+    eigenvalues serve find_resonances' dense cross-check, and the chains
+    are resonances._window_chain's, the ones resonant_chain extends, so
+    reconstruct pairs each coefficient with its own chain vector; the
+    certified simple ones, and their residuals, are read off the record
+    without a product with K.  One full SVD of K^{iota_0} gives both the
+    rank test and the kernel basis.
     """
     n0 = cs.n0
     nu = incoming_length(psi0, n0)

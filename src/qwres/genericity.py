@@ -26,7 +26,7 @@ import numpy as np
 
 from .coins import CoinSequence, PQTheta, pqtheta_to_S, s_product
 from .errors import DegenerateDirection, LeftS, NoMultipleResonance, ProductLeavesS
-from .resonances import _family_resonances, find_resonances
+from .resonances import _family_resonances
 
 __all__ = [
     "PerturbationFamily",
@@ -79,15 +79,23 @@ def splitting_experiment(pf: PerturbationFamily):
     stays below 1e-8, means the direction phi is degenerate for this walk
     and raises DegenerateDirection.  A base walk without a multiple
     resonance raises NoMultipleResonance.
+
+    The base walk roots in one stacked pass with the perturbed walks
+    (resonances._family_resonances), so where several of them fail, the
+    first failing stage names the error: perturb's own refusals, then the
+    relation checks walk by walk (the base first), the root checks walk by
+    walk, the dense cross-checks walk by walk, and last the base's lack of
+    a multiple resonance.
     """
-    target = next((r for r in find_resonances(pf.base) if r.alg_multiplicity >= 2), None)
+    epsilons = [float(eps) for eps in pf.epsilons]
+    walks = [perturb(pf.base, eps, pf.phi) for eps in epsilons if eps]
+    base, *family = _family_resonances([pf.base, *walks])
+    target = next((r for r in base if r.alg_multiplicity >= 2), None)
     if target is None:
         raise NoMultipleResonance("base walk has no multiple resonance to split")
     mu0 = target.mu
     m = target.alg_multiplicity
-    epsilons = [float(eps) for eps in pf.epsilons]
-    # the perturbed walks root in one stacked pass, after the base check
-    family = iter(_family_resonances([perturb(pf.base, eps, pf.phi) for eps in epsilons if eps]))
+    family = iter(family)
     rows = []
     for eps in epsilons:
         if eps == 0:

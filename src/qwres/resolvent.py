@@ -24,7 +24,7 @@ from .coins import CoinSequence
 from .errors import AtResonance, InvariantViolation
 from .states import WaveState
 from .transfer import _refuse_overflow
-from .walk import _sweep, _walk, build_K
+from .walk import _parity_eig, _sweep, _walk, build_K
 
 __all__ = ["apply_resolvent", "identity_residual", "neumann_resolvent"]
 
@@ -36,9 +36,9 @@ def _resolve(cs: CoinSequence, xi: np.ndarray, f: WaveState, lo: int, hi: int):
     Returns (amplitudes of shape (len(xi), hi - lo + 3, 2), relative
     residual of the defining identity on [lo, hi], condition number of
     the window solve), one residual and condition number per point.  K,
-    its eigenvalues and the forcing are formed once per call; the
-    condition numbers and window solves run on stacks of points, each
-    stack solved only once none of its points is refused.  Far out in
+    its eigenvalues (walk._parity_eig) and the forcing are formed once per
+    call; the condition numbers and window solves run on stacks of points,
+    each stack solved only once none of its points is refused.  Far out in
     either half plane e^{+-i xi}, or the sums that grow with it along a
     long source or window, leave the float range: SpectralOverflow names
     the first such point, in place of numpy's overflow warnings.
@@ -51,7 +51,7 @@ def _resolve(cs: CoinSequence, xi: np.ndarray, f: WaveState, lo: int, hi: int):
     _refuse_overflow(xi, lam, e)
     kmat = build_K(cs).entries
     dim = 2 * (n0 + 1)
-    evals = np.linalg.eigvals(kmat)
+    evals = _parity_eig(kmat)
     dist = np.min(np.abs(lam[:, None] - evals[None, :]), axis=1)
 
     # every site the answer, the source or the two junctions touch;

@@ -3,8 +3,8 @@
 A resonance is simultaneously a pole of the scattering matrix, a zero of
 the lower-right transfer-product entry, and a nonzero eigenvalue of the
 window restriction K through lambda = e^{-i xi}.  This module computes the
-set from the transfer polynomial, cross-checks it against a dense
-eigensolve of K on every call, and exposes a contour winding count as the
+set from the transfer polynomial, cross-checks it against the eigenvalues
+of K on every call, and exposes a contour winding count as the
 third, analytically independent characterization.
 
 Root finding.  Every nonzero root mu of the transfer polynomial lies in the
@@ -17,11 +17,14 @@ stack of polynomials, so a family of walks (the splitting experiment's
 perturbed walks) roots in one pass, each walk bit for bit as on its own.
 
 Jordan chains.  Resonances are generically simple, so the chain at a
-resonance is usually one eigenvector of K.  _spectrum keeps one eig(K)
-record for the last walk, and _window_chain reads a simple chain off it
+resonance is usually one eigenvector of K.  _spectrum keeps one spectral
+record for the last walk, from one eigensolve of the odd-site product BA
+of K's site-parity blocks (walk._parity_eig) and one stacked residual
+product, and _window_chain reads a simple chain and its residual off it
 wherever a rank certificate holds; multiple resonances and uncertified
-blocks take an SVD of K - lambda.  expand and resonant_chain both go through
-_window_chain, so expansion coefficients and resonant states share chains.
+blocks take an SVD of K - lambda.  expand and resonant_chain both go
+through _window_chain, so expansion coefficients and resonant states
+share chains.
 
 Conventions.  Each nonzero polynomial root mu = lambda^2 inside the unit
 disk produces a pair of resonances: the strip representative with
@@ -49,7 +52,7 @@ from .errors import (
 )
 from .states import WaveState
 from .transfer import _horner, transfer_polynomial, transfer_product
-from .walk import _sweep, _walk, build_K
+from .walk import _parity_eig, _sweep, _walk, build_K
 
 __all__ = [
     "Resonance",
@@ -257,12 +260,14 @@ def strip_pair(mu: complex, multiplicity: int) -> tuple[Resonance, Resonance]:
 
 
 def _dense_crosscheck(resonances: list[Resonance], evals: np.ndarray) -> None:
-    """Match the polynomial eigenvalues against a dense eigensolve of K.
+    """Match the polynomial eigenvalues against K's, from walk._parity_eig.
 
-    An m-fold eigenvalue is only determined to about eps^(1/m) by QR
-    iteration, so the matching tolerance widens with multiplicity.  After
-    all resonant eigenvalues are consumed, whatever remains must be the
-    zero group (which spreads to eps^(1/index) for nilpotent blocks).
+    Those come from a dense eigensolve of the odd-site product BA, not
+    from the transfer polynomial, in exact +-lambda pairs.  An m-fold
+    eigenvalue is only determined to about eps^(1/m) by QR iteration, so
+    the matching tolerance widens with multiplicity.  After all resonant
+    eigenvalues are consumed, whatever remains must be the zero group
+    (which spreads to eps^(1/index) for nilpotent blocks).
     """
     eps = np.finfo(float).eps
     remaining = list(evals)
@@ -344,7 +349,7 @@ def _family_resonances(walks: list[CoinSequence]) -> list[list[Resonance]]:
     family = _polynomial_resonances(walks)
     for cs, out in zip(walks, family):
         if cs.n0 >= 1:
-            _dense_crosscheck(out, np.linalg.eigvals(build_K(cs).entries))
+            _dense_crosscheck(out, _parity_eig(build_K(cs).entries))
     return family
 
 
@@ -355,7 +360,8 @@ def find_resonances(cs: CoinSequence) -> list[Resonance]:
     clustered into multiplicities, polished, and mapped into the strip.
     Zero roots of p are structural (they never correspond to resonances)
     and are deflated before iteration.  Every call cross-checks the
-    eigenvalue multiset against numpy's dense eigensolver on K.
+    eigenvalue multiset against K's, from numpy's dense eigensolver on the
+    parity product BA of half K's size (walk._parity_eig).
     """
     return _family_resonances([cs])[0]
 
@@ -417,16 +423,23 @@ class JordanChainStates:
 
 @dataclass(frozen=True)
 class _Spectrum:
-    """The eig(K) record of one walk; every array is read-only.
+    """The spectral record of one walk; every array is read-only.
 
-    evals, evecs = np.linalg.eig(k) = (lambda_j, V).  The certificate's
-    constants inv_cond = 1 / kappa(V) and delta = |K V - V diag(evals)|_F /
-    sigma_min(V), inf for a singular V, come from one values-only SVD of V.
+    evals and evecs come from walk._parity_eig(k, vectors=True): the
+    eigenvalues lambda_j of K in +-sqrt(mu) pairs from the parity product
+    BA, and V, the lifted unit eigenvectors and the two kernel witnesses,
+    each column in _unit_phase's canonical phase.  resid_j =
+    |K v_j - lambda_j v_j| comes from one stacked product
+    E = K V - V diag(evals), and the certificate's constants
+    inv_cond = 1 / kappa(V) and delta = |E|_F / sigma_min(V), inf for a
+    singular V, from it and one values-only SVD of the assembled V, so
+    they price whatever the lift did at a zero or near-zero mu.
     """
 
     k: np.ndarray
     evals: np.ndarray
     evecs: np.ndarray
+    resid: np.ndarray
     inv_cond: float
     delta: float
 
@@ -434,17 +447,19 @@ class _Spectrum:
 def _decompose(kentries: np.ndarray) -> _Spectrum:
     """The _Spectrum of a window matrix, with its own read-only copy of it."""
     k = np.array(kentries, dtype=complex)
-    evals, evecs = np.linalg.eig(k)
+    evals, evecs = _parity_eig(k, vectors=True)
+    evecs = _unit_phase(evecs.T).T
+    resid = np.linalg.norm(k @ evecs - evecs * evals, axis=0)
     s = np.linalg.svd(evecs, compute_uv=False)
-    delta = np.linalg.norm(k @ evecs - evecs * evals) / s[-1] if s[-1] > 0 else np.inf
-    for a in (k, evals, evecs):
+    delta = np.linalg.norm(resid) / s[-1] if s[-1] > 0 else np.inf
+    for a in (k, evals, evecs, resid):
         a.flags.writeable = False
-    return _Spectrum(k, evals, evecs, float(s[-1] / s[0]), float(delta))
+    return _Spectrum(k, evals, evecs, resid, float(s[-1] / s[0]), float(delta))
 
 
 @functools.lru_cache(maxsize=1)
 def _spectrum(cs: CoinSequence) -> _Spectrum:
-    """The _Spectrum of cs's K, kept for the last walk: one build_K and eig per walk."""
+    """The _Spectrum of cs's K, kept for the last walk: one build_K and eigensolve per walk."""
     return _decompose(build_K(cs).entries)
 
 
@@ -461,10 +476,12 @@ def _unit_phase(v: np.ndarray) -> np.ndarray:
     The leading entry is the first whose modulus is within a relative 1e-8
     of the largest, so entries tied in modulus (as in the Hadamard pair's
     resonant vectors) pick the same one whichever way rounding orders them.
+    A 2-D v is taken row by row.
     """
     size = np.abs(v)
-    j = int(np.argmax(size >= (1 - 1e-8) * size.max()))
-    return v * (abs(v[j]) / v[j])
+    j = np.argmax(size >= (1 - 1e-8) * size.max(axis=-1, keepdims=True), axis=-1)
+    lead = np.take_along_axis(v, j[..., None], axis=-1)
+    return v * (np.abs(lead) / lead)
 
 
 def _svd_chain(shifted: np.ndarray, lam: complex, m: int) -> np.ndarray:
@@ -506,24 +523,28 @@ def _window_chain(spec: _Spectrum, lam: complex, m: int) -> np.ndarray:
         sigma_1(K - lambda) >= max_j |lambda_j - lambda| - delta,
 
     while sigma_1(K - lambda) <= |K| + |lambda| < 2 and, for the unit
-    vector v_j, sigma_dim <= r = |(K - lambda) v_j|.  Hence low >= 4e-8 and
-    r <= 0.5e-8 (max_j |lambda_j - lambda| - delta) certify the rank test
-    with a factor 2 to spare.  The certificate reads lambda and spec alone,
-    so expand and resonant_chain take the same path and get the same bits.
-    Multiple resonances and uncertified simple ones (V near singular, as
-    where K has a nilpotent block of index 2 or more) take one SVD of
-    K - lambda.  Every chain runs both checks.
+    vector v_j, sigma_dim <= |(K - lambda) v_j| <= r = resid_j +
+    |lambda_j - lambda|, resid_j being column j of E.  Hence low >= 4e-8
+    and r <= 0.5e-8 (max_j |lambda_j - lambda| - delta) certify the rank
+    test with a factor 2 to spare, and r stands for the residual in both
+    checks.  So a certified chain costs no product with K: every one of
+    them reads its residual off the one stacked product E that the record
+    made.  The certificate reads lambda and spec alone, so expand and
+    resonant_chain take the same path and get the same bits.  Multiple
+    resonances and uncertified simple ones (V near singular, as where K
+    has a nilpotent block of index 2 or more) take one SVD of K - lambda.
+    Every chain runs both checks.
     """
-    shifted = spec.k - lam * np.eye(len(spec.k))
     chain = None
     if m == 1:
         dist = np.abs(spec.evals - lam)
         if np.partition(dist, 1)[1] * spec.inv_cond - spec.delta >= 4e-8:
-            chain = _unit_phase(spec.evecs[:, np.argmin(dist)])[None]
-            errs = np.linalg.norm(chain @ shifted.T, axis=1)
-            if not errs[0] <= 0.5e-8 * (dist.max() - spec.delta):
-                chain = None
+            j = np.argmin(dist)
+            errs = spec.resid[j : j + 1] + dist[j]
+            if errs[0] <= 0.5e-8 * (dist.max() - spec.delta):
+                chain = spec.evecs[:, j][None]
     if chain is None:
+        shifted = spec.k - lam * np.eye(len(spec.k))
         chain = _svd_chain(shifted, lam, m)
         resid = chain @ shifted.T  # row k - 1 is (K - lambda) phi^k - phi^{k-1}
         resid[1:] -= chain[:-1]

@@ -15,11 +15,16 @@ pure shift of psi0 and of those edge amplitudes.  :func:`_sweep` solves
 
 K is the restriction of the step to the sites 0..n0.  It is a contraction;
 the norm it loses in one application is exactly what the walk radiates out
-of the window, which is the content of :func:`norm_defect`.
+of the window, which is the content of :func:`norm_defect`.  Every
+amplitude moves by one site, so K maps even sites to odd ones and back:
+with the even sites first, K = [[0, A], [B, 0]], its same-parity entries
+exactly +0.  :func:`_parity_eig` reads K's spectrum off the smaller product
+BA, for the dense cross-check, the spectral record and the resolvent.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,8 +219,55 @@ def build_K(cs: CoinSequence) -> KMatrix:
     dim = 2 * (n0 + 1)
     _, out = _walk(cs, 0, np.eye(dim, dtype=complex).reshape(dim, n0 + 1, 2))
     # a coin applied to a zero input can leave -0; adding zero makes every
-    # structural zero of K +0, since eigvals' reflections read its sign
+    # structural zero of K +0, since the reflections inside the SVDs of K
+    # and its powers (the expansion's zero block) read its sign
     return KMatrix(n0, out[:, 1:-1].reshape(dim, dim).T + 0.0)
+
+
+def _parity_eig(k: np.ndarray, vectors: bool = False):
+    """K's eigenvalues, and with vectors its eigenvectors, from one eigensolve.
+
+    K = [[0, A], [B, 0]] with the even sites first (see the module
+    docstring), so K^2 = diag(AB, BA) and the eigenvalues of K are +-sqrt(mu)
+    for the eigenvalues mu of the odd-site product BA, of size
+    2 floor((n0 + 1) / 2), plus 2 for the kernel vectors at sites 0 and n0
+    (kernel_witnesses, read off K's edge rows).  For n0 even both sit at
+    even sites, in the kernel of B, which has two more columns than rows;
+    for n0 odd the one at n0 is an odd-site vector in the kernel of A, an
+    exact zero of BA, and that mu (the smallest) is dropped.
+
+    Returns the eigenvalues (+lambda_j, then -lambda_j, then 0, 0) or, with
+    vectors, also a matrix of unit eigenvectors, one column each: for
+    BA u = mu u, v = (A u, lambda u) solves K v = lambda v, and the zeros
+    take the two witnesses.  A zero or near-zero mu of any other kind
+    leaves its two columns (nearly) parallel or zero, which shows in the
+    conditioning of the matrix, not in an error.
+    """
+    n = len(k) // 2  # the sites 0..n0
+    k4 = k.reshape(n, 2, n, 2)
+    a = k4[0::2, :, 1::2].reshape(-1, n // 2 * 2)  # odd sites to even ones
+    b = k4[1::2, :, 0::2].reshape(n // 2 * 2, -1)  # even sites to odd ones
+    mu, u = np.linalg.eig(b @ a) if vectors else (np.linalg.eigvals(b @ a), None)
+    if n % 2 == 0:
+        keep = np.arange(len(mu)) != np.argmin(np.abs(mu))
+        mu, u = mu[keep], None if u is None else u[:, keep]
+    lam = np.sqrt(mu)
+    evals = np.concatenate([lam, -lam, np.zeros(2, dtype=complex)])
+    if not vectors:
+        return evals
+    # eig's columns u are unit, so |(A u, lambda u)|^2 = |A u|^2 + |mu|
+    top = a @ u
+    scale = np.linalg.norm(top, axis=0) ** 2 + np.abs(mu)
+    scale = 1 / np.sqrt(np.where(scale > 0, scale, 1.0))
+    top, bottom = (top * scale).reshape(-1, 2, len(mu)), (u * (lam * scale)).reshape(-1, 2, len(mu))
+    v = np.zeros((n, 2, len(evals)), dtype=complex)
+    v[0::2, :, : len(mu)] = v[0::2, :, len(mu) : -2] = top
+    v[1::2, :, : len(mu)], v[1::2, :, len(mu) : -2] = bottom, -bottom
+    # (c_0, d_0) reaches site 1 from site 0 and (a_n0, b_n0) site n0 - 1 from n0
+    for site, col, (x, y) in ((0, -2, k[3, :2].tolist()), (-1, -1, k[2 * n - 4, -2:].tolist())):
+        size = math.hypot(abs(x), abs(y))
+        v[site, :, col] = y / size, -x / size
+    return evals, v.reshape(2 * n, -1)
 
 
 def kernel_witnesses(cs: CoinSequence) -> tuple[np.ndarray, np.ndarray]:

@@ -129,6 +129,13 @@ def test_pqtheta_constraint_enforced():
         PQTheta(1.0 + 0j, 0.5 + 0j, 0.0)
     with pytest.raises(ConstraintViolated):
         PQTheta(complex(math.nan), 0j, 0.0)
+    # the bound is relative to |p|^2 + |q|^2, so a p off by a relative 1e-6
+    # is refused at |p| = 1 and at |p| = 1e4 alike
+    for size in (1.0, 1e4):
+        q = math.sqrt(size**2 - 1.0) + 0j
+        PQTheta(size + 0j, q, 0.0)
+        with pytest.raises(ConstraintViolated):
+            PQTheta(size * (1 + 1e-6) + 0j, q, 0.0)
 
 
 def _coin_with_modulus(rng, r):
@@ -148,7 +155,12 @@ def test_pqtheta_round_trip_on_random_coins():
         + [hadamard_coin(), identity_coin()]
         + [rotation_coin(r) for r in (-0.99, -0.5, 0.3, 0.999)]
         + [validate_coin(np.diag(np.exp(1j * np.array([s, t])))) for s in phases for t in phases]
-        + [_coin_with_modulus(rng, r) for r in (0.03, 1e-2, 1e-3) for _ in range(100)]
+        # validate_coin admits |a| down to 1e-14, where |p|^2 ~ 1/|a|^2
+        + [
+            _coin_with_modulus(rng, r)
+            for r in (0.03, 1e-2, 1e-3, 1e-4, 1e-6, 1e-10)
+            for _ in range(100)
+        ]
     )
     for c in coins:
         x = coin_to_pqtheta(c)

@@ -25,6 +25,7 @@ from qwres import (
     expand,
     find_resonances,
     identity_coin,
+    identity_residual,
     incoming_length,
     nilpotency_index,
     reconstruct,
@@ -68,10 +69,12 @@ def test_expand_counts_incoming_tail():
 
 
 def test_expand_builds_K_once(monkeypatch):
-    # one K and one eig(K) serve the dense cross-check, the chains and the
+    # one K and one eigensolve of its parity product BA, of size
+    # 2 floor((n0 + 1) / 2), serve the dense cross-check, the chains and the
     # zero block, however many resonances the window has, and then
-    # resonant_chain for every block; eigvals, which find_resonances runs,
-    # is not called at all
+    # resonant_chain for every block; eigvals runs only where
+    # find_resonances and the resolvent ask for eigenvalues alone, on BA
+    # too, and no eigensolve of K's own size 2 (n0 + 1) runs at all
     real = qwres.walk.build_K
     calls = []
 
@@ -85,19 +88,28 @@ def test_expand_builds_K_once(monkeypatch):
     for name in ("eig", "eigvals"):
         solver = getattr(np.linalg, name)
         monkeypatch.setattr(
-            np.linalg, name, lambda a, solver=solver, name=name: calls.append(name) or solver(a)
+            np.linalg,
+            name,
+            lambda a, solver=solver, name=name: calls.append((name, len(a))) or solver(a),
         )
     rng = np.random.default_rng(17)
     haar6 = random_sequence(np.random.default_rng(6), 6)
     for cs in (random_sequence(rng, 2), triple_barrier(), random_sequence(rng, 9), haar6):
+        half = 2 * ((cs.n0 + 1) // 2)
         qwres.resonances._spectrum.cache_clear()
         calls.clear()
         ed = expand(cs, basis_state(0, "L"))
         assert len(ed.blocks) >= 2
-        assert calls == [cs.n0, "eig"]
+        assert calls == [cs.n0, ("eig", half)]
         for b in ed.blocks:
             resonant_chain(cs, b.resonance, 10)
-        assert calls == [cs.n0, "eig"]
+        assert calls == [cs.n0, ("eig", half)]
+        calls.clear()
+        find_resonances(cs)
+        assert calls == [cs.n0, ("eigvals", half)]
+        calls.clear()
+        identity_residual(cs, np.linspace(-3, 3, 7) + 0.5j, basis_state(0, "L"), (-2, cs.n0 + 2))
+        assert calls == [cs.n0, ("eigvals", half)]
 
 
 def coefficient_bytes(ed):

@@ -6,6 +6,7 @@ import qwres.genericity
 import qwres.resonances
 from qwres import (
     PerturbationFamily,
+    RelationCheckFailed,
     coin_to_pqtheta,
     find_resonances,
     perturb,
@@ -96,8 +97,8 @@ def _bits(resonances):
 
 
 def test_stacked_family_matches_walks_on_their_own(monkeypatch):
-    # the split path roots its perturbed walks in one stacked pass; each
-    # walk's resonances must be bit for bit those of find_resonances on it
+    # the split path roots its base and perturbed walks in one stacked pass;
+    # each walk's resonances must be bit for bit those of find_resonances on it
     seen = []
 
     def recording(walks):
@@ -109,7 +110,7 @@ def test_stacked_family_matches_walks_on_their_own(monkeypatch):
     rng = np.random.default_rng(83)
     for phi in rng.uniform(-np.pi, np.pi, 50):
         splitting_experiment(PerturbationFamily(triple_barrier(), float(phi), (1e-5, 1e-4, 1e-3)))
-    assert len(seen) == 150
+    assert len(seen) == 200
     # Haar bases have no multiple resonance, so their families take the
     # stacked pass directly: each family alone, then all 60 walks of
     # degrees 2 to 8 in one call
@@ -125,10 +126,30 @@ def test_stacked_family_matches_walks_on_their_own(monkeypatch):
 
 
 def test_split_roots_its_perturbed_walks_in_one_pass(monkeypatch):
-    # one aberth_roots call for the base walk, then one for the three
-    # perturbed walks of the same degree, not one per walk
+    # one aberth_roots call for the base walk and the three perturbed walks
+    # of the same degree, not one per walk
     shapes = []
     real = qwres.resonances.aberth_roots
     monkeypatch.setattr(qwres.resonances, "aberth_roots", lambda c: shapes.append(c.shape) or real(c))
     splitting_experiment(PerturbationFamily(triple_barrier(), 0.4, (0.0, 1e-3, 1e-4, 1e-5)))
-    assert shapes == [(1, 3), (3, 3)]
+    assert shapes == [(4, 3)]
+
+
+def test_split_names_the_first_failure_of_the_stacked_pass():
+    # a base without a multiple resonance is refused only after its
+    # perturbed walks are formed and rooted, so an eps that perturb refuses
+    # names the error
+    with pytest.raises(ValueError, match="eps must lie in"):
+        splitting_experiment(PerturbationFamily(hadamard_pair(), 0.0, (1e-3, 0.7)))
+    # where the base and its perturbed walks all fail their relation
+    # checks, the base's is the first and names the error, as before
+    base = random_sequence(np.random.default_rng(45), 45)
+    errors = []
+    for cs in (base, perturb(base, 1e-3, 0.3), perturb(base, 1e-2, 0.3)):
+        with pytest.raises(RelationCheckFailed) as caught:
+            find_resonances(cs)
+        errors.append(str(caught.value))
+    assert len(set(errors)) == 3
+    with pytest.raises(RelationCheckFailed) as caught:
+        splitting_experiment(PerturbationFamily(base, 0.3, (1e-3, 1e-2)))
+    assert str(caught.value) == errors[0]

@@ -37,6 +37,7 @@ from qwres.resonances import (
     _unit_phase,
     _window_chain,
 )
+from qwres.walk import _parity_eig
 
 LOG2_HALF = 0.5 * math.log(2.0)
 
@@ -490,12 +491,12 @@ def window_chains(cs):
 def test_certified_chains_match_the_svd_path(monkeypatch, n0):
     # Haar windows have simple resonances and a well-conditioned V, so the
     # certificate holds for every chain and none reaches the SVD: each chain
-    # is the nearest eigenvector in the canonical phase.  The certificate
-    # bounds the sine of its angle to the exact kernel vector of K - lambda
-    # by r / low, and the SVD's vector lies within about 4 dim eps / low of
-    # that, so both paths span one kernel.  The n0 = 23 window of seed 11301
-    # is kept because its polished roots lie up to 8e-13 from eig's
-    # eigenvalues, which makes r and the angle largest there
+    # is the record's nearest eigenvector, held in the canonical phase.  The
+    # certificate bounds the sine of its angle to the exact kernel vector of
+    # K - lambda by r / low, and the SVD's vector lies within about
+    # 4 dim eps / low of that, so both paths span one kernel.  The n0 = 23
+    # window of seed 11301 is kept because its polished roots lie up to
+    # 8e-13 from eig's eigenvalues, which makes r and the angle largest there
     seeds = [1000 * seed + n0 for seed in range(3)] + ([11301] if n0 == 23 else [])
     for seed in seeds:
         cs = random_sequence(np.random.default_rng(seed), n0)
@@ -510,7 +511,7 @@ def test_certified_chains_match_the_svd_path(monkeypatch, n0):
             assert r.alg_multiplicity == 1 and chain.shape == (1, dim)
             dist = np.abs(spec.evals - r.lam)
             v = chain[0]
-            np.testing.assert_array_equal(v, _unit_phase(spec.evecs[:, np.argmin(dist)]))
+            np.testing.assert_array_equal(v, spec.evecs[:, np.argmin(dist)])
             shifted = spec.k - r.lam * np.eye(dim)
             low = np.partition(dist, 1)[1] * spec.inv_cond - spec.delta
             u = _svd_chain(shifted, r.lam, 1)[0]
@@ -544,22 +545,30 @@ def test_tied_entries_share_one_chain(monkeypatch):
 
 
 def test_close_eigenvalues_are_not_certified():
-    # a normal K with eigenvalues 0.5 and 0.5 + 1e-9: V is unitary, the
+    # a K of the walk's shape (n0 = 2, coin entries that need not form
+    # unitaries) whose parity product BA = diag(0.25, (0.5 + 1e-9)^2): its
+    # eigenvalues are +-0.5, +-(0.5 + 1e-9), 0, 0, and V is a permutation
+    # of two 2x2 blocks and the two witnesses, well conditioned.  The
     # eigenvector solves K v = 0.5 v to rounding, but K - 0.5 has two
     # singular values below 1e-8, so the certificate must not hold and the
     # SVD's rank test refuses the block
-    rng = np.random.default_rng(31)
-    q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
-    evals = np.array([0.5, 0.5 + 1e-9, -0.3, 0.2j, -0.6j, 0.0])
-    k = (q * evals) @ q.conj().T
+    k = np.zeros((6, 6), dtype=complex)
+    k[3, 0] = 1.0  # c_0, sending site 0's L to site 1's R
+    k[0, 3] = (0.5 + 1e-9) ** 2  # b_1
+    k[5, 2] = 0.25  # c_1
+    k[2, 5] = 1.0  # b_2
+    spec = _decompose(k)
+    assert spec.inv_cond > 0.1 and spec.delta < 1e-15
+    want = [-0.5 - 1e-9, -0.5, 0, 0, 0.5, 0.5 + 1e-9]
+    np.testing.assert_allclose(np.sort(spec.evals.real), want, atol=1e-15)
     with pytest.raises(InvariantViolation, match="has dimension 2"):
-        _window_chain(_decompose(k), 0.5, 1)
+        _window_chain(spec, 0.5, 1)
 
 
 def test_each_walk_reads_its_own_spectrum():
     # the record is kept for the last walk only: alternating two walks must
-    # hand each its own K and eig(K), and give the chains a fresh record
-    # gives; no caller can write into a record
+    # hand each its own K and parity eigensolve, and give the chains a fresh
+    # record gives; no caller can write into a record
     walks = (random_sequence(np.random.default_rng(3), 5), triple_barrier())
     fresh = []
     for cs in walks:
@@ -569,10 +578,10 @@ def test_each_walk_reads_its_own_spectrum():
         for cs, chains in zip(walks, fresh):
             spec = _spectrum(cs)
             np.testing.assert_array_equal(spec.k, build_K(cs).entries)
-            evals, evecs = np.linalg.eig(build_K(cs).entries)
+            evals, evecs = _parity_eig(build_K(cs).entries, vectors=True)
             np.testing.assert_array_equal(spec.evals, evals)
-            np.testing.assert_array_equal(spec.evecs, evecs)
-            for a in (spec.k, spec.evals, spec.evecs):
+            np.testing.assert_array_equal(spec.evecs, _unit_phase(evecs.T).T)
+            for a in (spec.k, spec.evals, spec.evecs, spec.resid):
                 assert not a.flags.writeable
                 with pytest.raises(ValueError):
                     a[(0,) * a.ndim] = 1.0

@@ -18,7 +18,8 @@ from qwres import (
     step,
     survival_norm,
 )
-from qwres.walk import BLOCK, _states, _window_blocks, _window_survival
+from qwres.resonances import find_resonances
+from qwres.walk import BLOCK, _parity_eig, _states, _window_blocks, _window_survival
 
 S = 2.0 ** -0.5
 
@@ -172,6 +173,50 @@ def test_kernel_witnesses_annihilated():
     assert np.linalg.norm(k @ v0) < 1e-14
     assert np.linalg.norm(k @ vn) < 1e-14
     assert np.linalg.norm(v0) > 0.9 and np.linalg.norm(vn) > 0.9
+
+
+def parity_cases():
+    """Haar windows on a ladder of n0, the Hadamard pair and the triple barrier."""
+    ladder = [*range(1, 13), 16, 32, 64, 128]
+    haar = [random_sequence(np.random.default_rng(n0), n0) for n0 in ladder]
+    return haar + [hadamard_pair(), triple_barrier()]
+
+
+def test_K_is_bipartite_by_site_parity():
+    # every amplitude moves by one site, so K's same-parity entries are
+    # exactly +0 and K = [[0, A], [B, 0]] with the even sites first
+    for cs in parity_cases():
+        n = cs.n0 + 1
+        k4 = build_K(cs).entries.reshape(n, 2, n, 2)
+        for same in (k4[0::2, :, 0::2], k4[1::2, :, 1::2]):
+            assert not same.view(np.int64).any()
+
+
+def test_parity_eigenvalues_are_the_dense_ones_in_exact_pairs():
+    # the eigenvalues of K from its parity product BA come as exact
+    # +-lambda pairs and two zeros, and match eigvals(K) as multisets
+    # within the dense cross-check's tolerance: max(1e-8, 50 eps^(1/m))
+    # max(1, |lambda|) at an m-fold eigenvalue, 1e-6 on the zero group
+    eps = np.finfo(float).eps
+    for cs in parity_cases():
+        k = build_K(cs).entries
+        block = _parity_eig(k)
+        r = (len(block) - 2) // 2
+        assert block.tobytes()[: 16 * r] == (-block[r : 2 * r]).tobytes()
+        assert not block[2 * r :].view(np.int64).any()
+        mults = {}
+        if cs.n0 <= 32:
+            for res in find_resonances(cs):
+                mults[res.lam] = res.alg_multiplicity
+        unused = list(block)
+        for e in sorted(np.linalg.eigvals(k), key=abs, reverse=True):
+            i = int(np.argmin([abs(x - e) for x in unused]))
+            if abs(e) <= 1e-6:
+                assert abs(unused[i]) <= 1e-6
+            else:
+                m = mults[min(mults, key=lambda lam: abs(lam - e))] if mults else 1
+                assert abs(unused[i] - e) <= max(1e-8, 50 * eps ** (1 / m)) * max(1, abs(e))
+            unused.pop(i)
 
 
 def test_survival_norm_equals_K_power_norms():
