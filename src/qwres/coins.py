@@ -222,11 +222,8 @@ class CoinSequence:
 class PQTheta:
     """Point (p, q, theta) with |p|^2 - |q|^2 = 1, theta in [0, pi).
 
-    The defect of |p|^2 - |q|^2 = 1 may be HYPERBOLOID_TOL (|p|^2 + |q|^2):
-    p and q correct to a relative tau move |p|^2 and |q|^2 by up to 2 tau
-    of their size, and the difference cancels down to 1, so the defect
-    scales with |p|^2 + |q|^2, not with 1.  |p|^2 ~ 1/|a|^2 reaches 1e28
-    on the coins validate_coin admits; at |p| = 1 the bound is
+    The defect may be HYPERBOLOID_TOL (|p|^2 + |q|^2), the size of the two
+    terms whose difference is rounded (|p|^2 ~ 1/|a|^2); at |p| = 1 that is
     HYPERBOLOID_TOL itself.
     """
 

@@ -80,12 +80,10 @@ def splitting_experiment(pf: PerturbationFamily):
     and raises DegenerateDirection.  A base walk without a multiple
     resonance raises NoMultipleResonance.
 
-    The base walk roots in one stacked pass with the perturbed walks
-    (resonances._family_resonances), so where several of them fail, the
-    first failing stage names the error: perturb's own refusals, then the
-    relation checks walk by walk (the base first), the root checks walk by
-    walk, the dense cross-checks walk by walk, and last the base's lack of
-    a multiple resonance.
+    The base walk roots in one stacked pass with its perturbed walks, so
+    where several fail, the first failing stage names the error: perturb's
+    refusals, then each stage of resonances._family_resonances walk by walk
+    (the base first), and last the base's lack of a multiple resonance.
     """
     epsilons = [float(eps) for eps in pf.epsilons]
     walks = [perturb(pf.base, eps, pf.phi) for eps in epsilons if eps]

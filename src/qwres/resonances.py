@@ -425,15 +425,13 @@ class JordanChainStates:
 class _Spectrum:
     """The spectral record of one walk; every array is read-only.
 
-    evals and evecs come from walk._parity_eig(k, vectors=True): the
-    eigenvalues lambda_j of K in +-sqrt(mu) pairs from the parity product
-    BA, and V, the lifted unit eigenvectors and the two kernel witnesses,
-    each column in _unit_phase's canonical phase.  resid_j =
-    |K v_j - lambda_j v_j| comes from one stacked product
-    E = K V - V diag(evals), and the certificate's constants
-    inv_cond = 1 / kappa(V) and delta = |E|_F / sigma_min(V), inf for a
-    singular V, from it and one values-only SVD of the assembled V, so
-    they price whatever the lift did at a zero or near-zero mu.
+    evals, V = walk._parity_eig(k, vectors=True), each column of V in
+    _unit_phase's canonical phase.  resid_j = |K v_j - lambda_j v_j| are
+    the column norms of one stacked E = K V - V diag(evals), and the
+    certificate's constants inv_cond = 1 / kappa(V) and
+    delta = |E|_F / sigma_min(V), inf for a singular V, come from E and one
+    values-only SVD of the assembled V, so they price whatever the lift
+    did at a zero or near-zero mu.
     """
 
     k: np.ndarray
@@ -448,7 +446,7 @@ def _decompose(kentries: np.ndarray) -> _Spectrum:
     """The _Spectrum of a window matrix, with its own read-only copy of it."""
     k = np.array(kentries, dtype=complex)
     evals, evecs = _parity_eig(k, vectors=True)
-    evecs = _unit_phase(evecs.T).T
+    evecs = _unit_phase(evecs)
     resid = np.linalg.norm(k @ evecs - evecs * evals, axis=0)
     s = np.linalg.svd(evecs, compute_uv=False)
     delta = np.linalg.norm(resid) / s[-1] if s[-1] > 0 else np.inf
@@ -476,11 +474,11 @@ def _unit_phase(v: np.ndarray) -> np.ndarray:
     The leading entry is the first whose modulus is within a relative 1e-8
     of the largest, so entries tied in modulus (as in the Hadamard pair's
     resonant vectors) pick the same one whichever way rounding orders them.
-    A 2-D v is taken row by row.
+    A 2-D v is taken column by column.
     """
     size = np.abs(v)
-    j = np.argmax(size >= (1 - 1e-8) * size.max(axis=-1, keepdims=True), axis=-1)
-    lead = np.take_along_axis(v, j[..., None], axis=-1)
+    j = np.argmax(size >= (1 - 1e-8) * size.max(axis=0), axis=0)
+    lead = v[j, np.arange(v.shape[1])] if v.ndim == 2 else v[j]
     return v * (np.abs(lead) / lead)
 
 
@@ -524,16 +522,14 @@ def _window_chain(spec: _Spectrum, lam: complex, m: int) -> np.ndarray:
 
     while sigma_1(K - lambda) <= |K| + |lambda| < 2 and, for the unit
     vector v_j, sigma_dim <= |(K - lambda) v_j| <= r = resid_j +
-    |lambda_j - lambda|, resid_j being column j of E.  Hence low >= 4e-8
-    and r <= 0.5e-8 (max_j |lambda_j - lambda| - delta) certify the rank
-    test with a factor 2 to spare, and r stands for the residual in both
-    checks.  So a certified chain costs no product with K: every one of
-    them reads its residual off the one stacked product E that the record
-    made.  The certificate reads lambda and spec alone, so expand and
-    resonant_chain take the same path and get the same bits.  Multiple
-    resonances and uncertified simple ones (V near singular, as where K
-    has a nilpotent block of index 2 or more) take one SVD of K - lambda.
-    Every chain runs both checks.
+    |lambda_j - lambda|.  Hence low >= 4e-8 and
+    r <= 0.5e-8 (max_j |lambda_j - lambda| - delta) certify the rank test
+    with a factor 2 to spare; r stands for the residual in both checks, so
+    a certified chain needs no product with K.  The certificate reads
+    lambda and spec alone, so expand and resonant_chain take the same path
+    and get the same bits.  Multiple resonances and uncertified simple
+    ones (V near singular, as where K has a nilpotent block of index 2 or
+    more) take one SVD of K - lambda.  Every chain runs both checks.
     """
     chain = None
     if m == 1:

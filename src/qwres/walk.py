@@ -24,7 +24,6 @@ BA, for the dense cross-check, the spectral record and the resolvent.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,21 +226,18 @@ def build_K(cs: CoinSequence) -> KMatrix:
 def _parity_eig(k: np.ndarray, vectors: bool = False):
     """K's eigenvalues, and with vectors its eigenvectors, from one eigensolve.
 
-    K = [[0, A], [B, 0]] with the even sites first (see the module
-    docstring), so K^2 = diag(AB, BA) and the eigenvalues of K are +-sqrt(mu)
-    for the eigenvalues mu of the odd-site product BA, of size
-    2 floor((n0 + 1) / 2), plus 2 for the kernel vectors at sites 0 and n0
-    (kernel_witnesses, read off K's edge rows).  For n0 even both sit at
-    even sites, in the kernel of B, which has two more columns than rows;
-    for n0 odd the one at n0 is an odd-site vector in the kernel of A, an
-    exact zero of BA, and that mu (the smallest) is dropped.
+    With the even sites first K = [[0, A], [B, 0]], so its eigenvalues are
+    +-sqrt(mu) over the eigenvalues mu of the odd-site product BA, of size
+    2 floor((n0 + 1) / 2), and 0 for the two kernel witnesses at sites 0
+    and n0, read off K's edge rows.  For n0 odd the witness at n0 is an
+    odd-site vector in the kernel of A, an exact zero of BA, and that mu
+    (the smallest) is dropped.
 
     Returns the eigenvalues (+lambda_j, then -lambda_j, then 0, 0) or, with
-    vectors, also a matrix of unit eigenvectors, one column each: for
-    BA u = mu u, v = (A u, lambda u) solves K v = lambda v, and the zeros
-    take the two witnesses.  A zero or near-zero mu of any other kind
-    leaves its two columns (nearly) parallel or zero, which shows in the
-    conditioning of the matrix, not in an error.
+    vectors, also the unit eigenvectors as columns: (A u, lambda u) for
+    BA u = mu u, then the witnesses.  Any other zero or near-zero mu leaves
+    its two columns (nearly) parallel or zero, which shows in the
+    conditioning of the matrix, not as an error.
     """
     n = len(k) // 2  # the sites 0..n0
     k4 = k.reshape(n, 2, n, 2)
@@ -255,19 +251,17 @@ def _parity_eig(k: np.ndarray, vectors: bool = False):
     evals = np.concatenate([lam, -lam, np.zeros(2, dtype=complex)])
     if not vectors:
         return evals
-    # eig's columns u are unit, so |(A u, lambda u)|^2 = |A u|^2 + |mu|
-    top = a @ u
-    scale = np.linalg.norm(top, axis=0) ** 2 + np.abs(mu)
-    scale = 1 / np.sqrt(np.where(scale > 0, scale, 1.0))
-    top, bottom = (top * scale).reshape(-1, 2, len(mu)), (u * (lam * scale)).reshape(-1, 2, len(mu))
-    v = np.zeros((n, 2, len(evals)), dtype=complex)
-    v[0::2, :, : len(mu)] = v[0::2, :, len(mu) : -2] = top
-    v[1::2, :, : len(mu)], v[1::2, :, len(mu) : -2] = bottom, -bottom
+    r = len(mu)
+    v = np.zeros((n, 2, 2 * r + 2), dtype=complex)
+    v[0::2, :, :r] = v[0::2, :, r:-2] = (a @ u).reshape(-1, 2, r)
+    v[1::2, :, :r] = (u * lam).reshape(-1, 2, r)
+    v[1::2, :, r:-2] = -v[1::2, :, :r]
     # (c_0, d_0) reaches site 1 from site 0 and (a_n0, b_n0) site n0 - 1 from n0
-    for site, col, (x, y) in ((0, -2, k[3, :2].tolist()), (-1, -1, k[2 * n - 4, -2:].tolist())):
-        size = math.hypot(abs(x), abs(y))
-        v[site, :, col] = y / size, -x / size
-    return evals, v.reshape(2 * n, -1)
+    v[0, :, -2] = k[3, 1], -k[3, 0]
+    v[-1, :, -1] = k[2 * n - 4, -1], -k[2 * n - 4, -2]
+    v = v.reshape(2 * n, -1)
+    norms = np.linalg.norm(v, axis=0)
+    return evals, v / np.where(norms > 0, norms, 1.0)
 
 
 def kernel_witnesses(cs: CoinSequence) -> tuple[np.ndarray, np.ndarray]:

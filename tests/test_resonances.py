@@ -580,7 +580,7 @@ def test_each_walk_reads_its_own_spectrum():
             np.testing.assert_array_equal(spec.k, build_K(cs).entries)
             evals, evecs = _parity_eig(build_K(cs).entries, vectors=True)
             np.testing.assert_array_equal(spec.evals, evals)
-            np.testing.assert_array_equal(spec.evecs, _unit_phase(evecs.T).T)
+            np.testing.assert_array_equal(spec.evecs, _unit_phase(evecs))
             for a in (spec.k, spec.evals, spec.evecs, spec.resid):
                 assert not a.flags.writeable
                 with pytest.raises(ValueError):
