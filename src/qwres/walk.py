@@ -244,14 +244,13 @@ def _parity_eig(k: np.ndarray, vectors: bool = False):
     a = k4[0::2, :, 1::2].reshape(-1, n // 2 * 2)  # odd sites to even ones
     b = k4[1::2, :, 0::2].reshape(n // 2 * 2, -1)  # even sites to odd ones
     mu, u = np.linalg.eig(b @ a) if vectors else (np.linalg.eigvals(b @ a), None)
-    if n % 2 == 0:
-        keep = np.arange(len(mu)) != np.argmin(np.abs(mu))
-        mu, u = mu[keep], None if u is None else u[:, keep]
-    lam = np.sqrt(mu)
+    # for n0 odd (n even) the witness at site n0 is BA's exact zero
+    keep = np.arange(len(mu)) != np.argmin(np.abs(mu)) if n % 2 == 0 else slice(None)
+    lam = np.sqrt(mu[keep])
     evals = np.concatenate([lam, -lam, np.zeros(2, dtype=complex)])
     if not vectors:
         return evals
-    r = len(mu)
+    u, r = u[:, keep], len(lam)
     v = np.zeros((n, 2, 2 * r + 2), dtype=complex)
     v[0::2, :, :r] = v[0::2, :, r:-2] = (a @ u).reshape(-1, 2, r)
     v[1::2, :, :r] = (u * lam).reshape(-1, 2, r)

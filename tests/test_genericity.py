@@ -142,7 +142,7 @@ def test_split_names_the_first_failure_of_the_stacked_pass():
     with pytest.raises(ValueError, match="eps must lie in"):
         splitting_experiment(PerturbationFamily(hadamard_pair(), 0.0, (1e-3, 0.7)))
     # where the base and its perturbed walks all fail their relation
-    # checks, the base's is the first and names the error, as before
+    # checks, the base's is the first and names the error
     base = random_sequence(np.random.default_rng(45), 45)
     errors = []
     for cs in (base, perturb(base, 1e-3, 0.3), perturb(base, 1e-2, 0.3)):

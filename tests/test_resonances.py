@@ -547,8 +547,8 @@ def test_tied_entries_share_one_chain(monkeypatch):
 def test_close_eigenvalues_are_not_certified():
     # a K of the walk's shape (n0 = 2, coin entries that need not form
     # unitaries) whose parity product BA = diag(0.25, (0.5 + 1e-9)^2): its
-    # eigenvalues are +-0.5, +-(0.5 + 1e-9), 0, 0, and V is a permutation
-    # of two 2x2 blocks and the two witnesses, well conditioned.  The
+    # eigenvalues are +-0.5, +-(0.5 + 1e-9), 0, 0, and V is, up to a
+    # permutation, two 2x2 blocks and the two witnesses, well conditioned.  The
     # eigenvector solves K v = 0.5 v to rounding, but K - 0.5 has two
     # singular values below 1e-8, so the certificate must not hold and the
     # SVD's rank test refuses the block

@@ -10,6 +10,7 @@ from qwres import (
     basis_state,
     build_K,
     evolve,
+    find_resonances,
     identity_coin,
     incoming_length,
     kernel_witnesses,
@@ -18,7 +19,6 @@ from qwres import (
     step,
     survival_norm,
 )
-from qwres.resonances import find_resonances
 from qwres.walk import BLOCK, _parity_eig, _states, _window_blocks, _window_survival
 
 S = 2.0 ** -0.5
