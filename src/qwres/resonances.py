@@ -474,11 +474,12 @@ def _unit_phase(v: np.ndarray) -> np.ndarray:
     The leading entry is the first whose modulus is within a relative 1e-8
     of the largest, so entries tied in modulus (as in the Hadamard pair's
     resonant vectors) pick the same one whichever way rounding orders them.
-    A 2-D v is taken column by column.
+    A 2-D v is taken column by column, and a zero column is left as it is.
     """
     size = np.abs(v)
     j = np.argmax(size >= (1 - 1e-8) * size.max(axis=0), axis=0)
     lead = v[j, np.arange(v.shape[1])] if v.ndim == 2 else v[j]
+    lead = np.where(lead == 0, 1, lead)
     return v * (np.abs(lead) / lead)
 
 

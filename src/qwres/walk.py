@@ -255,26 +255,32 @@ def _parity_eig(k: np.ndarray, vectors: bool = False):
     v[0::2, :, :r] = v[0::2, :, r:-2] = (a @ u).reshape(-1, 2, r)
     v[1::2, :, :r] = (u * lam).reshape(-1, 2, r)
     v[1::2, :, r:-2] = -v[1::2, :, :r]
-    # (c_0, d_0) reaches site 1 from site 0 and (a_n0, b_n0) site n0 - 1 from n0
-    v[0, :, -2] = k[3, 1], -k[3, 0]
-    v[-1, :, -1] = k[2 * n - 4, -1], -k[2 * n - 4, -2]
     v = v.reshape(2 * n, -1)
+    v[:, -2:] = _edge_witnesses(k).T
     norms = np.linalg.norm(v, axis=0)
     return evals, v / np.where(norms > 0, norms, 1.0)
+
+
+def _edge_witnesses(k: np.ndarray) -> np.ndarray:
+    """The two edge kernel vectors of K, as the rows of a (2, dim) array.
+
+    The R row at site 1 holds (c_0, d_0), what reaches it from site 0, so
+    (d_0, -c_0) at site 0 is annihilated; the mirror (b_n0, -a_n0) at site
+    n0 is read off the L row at site n0 - 1.
+    """
+    w = np.zeros((2, len(k)), dtype=complex)
+    w[0, :2] = k[3, 1], -k[3, 0]
+    w[1, -2:] = k[-4, -1], -k[-4, -2]
+    return w
 
 
 def kernel_witnesses(cs: CoinSequence) -> tuple[np.ndarray, np.ndarray]:
     """Two explicit kernel vectors of K, one per window edge.
 
-    At site 0 the vector (d0, -c0) is annihilated because the R row at
-    site 1 contracts it with (c0, d0); the mirror holds at site n0.
+    (d_0, -c_0) at site 0 and (b_n0, -a_n0) at site n0, read off K's edge
+    rows by _edge_witnesses, the formula the parity eigensolve lifts with.
     """
-    dim = 2 * (cs.n0 + 1)
-    u0, un = cs.coin_at(0), cs.coin_at(cs.n0)
-    v0 = np.zeros(dim, dtype=complex)
-    v0[0], v0[1] = u0.d, -u0.c
-    vn = np.zeros(dim, dtype=complex)
-    vn[-2], vn[-1] = un.b, -un.a
+    v0, vn = _edge_witnesses(build_K(cs).entries)
     return v0, vn
 
 

@@ -43,9 +43,22 @@ def test_nilpotency_index_hadamard():
 
 
 def test_nilpotency_index_pure_shift_window():
-    # identity coins: K is nilpotent of order 2, no resonances at all
-    k = build_K(CoinSequence(1, (identity_coin(), identity_coin()))).entries
-    assert nilpotency_index(k) == 2
+    # identity coins: K is nilpotent of order n0 + 1, no resonances at all;
+    # at n0 = 1 the parity product BA is the zero matrix, so two lifted
+    # eigenvectors of the spectral record are exactly zero, and expand
+    # still runs, with no warning, on the zero block alone
+    for n0 in (1, 3):
+        cs = CoinSequence(n0, (identity_coin(),) * (n0 + 1))
+        assert nilpotency_index(build_K(cs).entries) == n0 + 1
+        for psi0 in (basis_state(0, "L"), basis_state(n0, "R")):
+            ed = expand(cs, psi0)
+            assert (ed.nu, ed.blocks, ed.zero_part_index) == (0, (), n0 + 1)
+            assert np.linalg.norm(ed.zero_coefficients) == 1.0
+            traj = evolve(psi0, cs, 8)
+            for t in (n0 + 1, 8):
+                r = t - n0
+                got = reconstruct(ed, [], t, (-r, n0 + r))
+                assert got.norm() == traj[t].restrict(-r, n0 + r).norm() == 0.0
 
 
 def test_expand_hadamard_delta():

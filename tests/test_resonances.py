@@ -162,6 +162,9 @@ def test_unit_phase_is_tie_stable():
     for phased in (a, b):
         assert phased[1].real > 0 and abs(phased[1].imag) <= 1e-16
     np.testing.assert_allclose(a, b, rtol=0, atol=4e-16)
+    # a zero column, as the lift leaves at a zero mu, keeps its zeros
+    cols = np.stack([v, np.zeros(4, dtype=complex)], axis=1)
+    np.testing.assert_array_equal(_unit_phase(cols), np.stack([a, cols[:, 1]], axis=1))
 
 
 def _polish_one(coeffs, x0, m):
