@@ -48,7 +48,6 @@ from .errors import (
     ProductLeavesS,
     QWResError,
     RelationCheckFailed,
-    RootFindingDiverged,
     SpectralOverflow,
     UnsupportedN0,
     WindowOutsideCone,
@@ -73,7 +72,6 @@ from .resolvent import apply_resolvent, identity_residual, neumann_resolvent
 from .resonances import (
     JordanChainStates,
     Resonance,
-    aberth_roots,
     find_resonances,
     resonant_chain,
     strip_pair,

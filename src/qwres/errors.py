@@ -15,7 +15,6 @@ __all__ = [
     "UnsupportedN0",
     "RelationCheckFailed",
     "AtResonance",
-    "RootFindingDiverged",
     "InvariantViolation",
     "ChainSolveFailed",
     "SpectralOverflow",
@@ -80,12 +79,6 @@ class AtResonance(QWResError):
     """Spectral parameter sits (numerically) on a resonance."""
 
     exit_code = 30
-
-
-class RootFindingDiverged(QWResError):
-    """Simultaneous root iteration hit its iteration cap."""
-
-    exit_code = 31
 
 
 class InvariantViolation(QWResError):

@@ -30,8 +30,8 @@ from .errors import A3Violated, AllZeroTail, InvariantViolation, UnsupportedN0, 
 from .resonances import (
     JordanChainStates,
     Resonance,
-    _dense_crosscheck,
-    _polynomial_resonances,
+    _deflated,
+    _resonances,
     _spectrum,
     _window_chain,
     strip_pair,
@@ -112,8 +112,9 @@ def expand(cs: CoinSequence, psi0: WaveState) -> ExpansionData:
 
     K, its eigenvalues and eigenvectors come from the walk's spectral record
     (resonances._spectrum, one eigensolve of K's parity product BA): its
-    eigenvalues serve find_resonances' dense cross-check, and the chains
-    are resonances._window_chain's, the ones resonant_chain extends, so
+    eigenvalues give the resonances, polished and checked on the transfer
+    polynomial built before it as in find_resonances, and the chains are
+    resonances._window_chain's, the ones resonant_chain extends, so
     reconstruct pairs each coefficient with its own chain vector; the
     certified simple ones, and their residuals, are read off the record
     without a product with K.  One full SVD of K^{iota_0} gives both the
@@ -125,9 +126,9 @@ def expand(cs: CoinSequence, psi0: WaveState) -> ExpansionData:
     # through the trimmed state, as the light cone gives it: the window walk
     # may leave -0 on rows the light cone has not reached
     x = window_vector(WaveState(0, rows[-1, 1:-1]), n0)
-    [resonances] = _polynomial_resonances([cs])
+    coeffs = _deflated(cs)
     spec = _spectrum(cs)
-    _dense_crosscheck(resonances, spec.evals)
+    resonances = _resonances(coeffs, spec.evals)
     iota, (_, s, vh) = _zero_block(spec.k)
     cols = [v for r in resonances for v in _window_chain(spec, r.lam, r.alg_multiplicity)]
     dim = 2 * (n0 + 1)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .coins import CoinSequence, PQTheta, pqtheta_to_S, s_product
 from .errors import DegenerateDirection, LeftS, NoMultipleResonance, ProductLeavesS
-from .resonances import _family_resonances
+from .resonances import find_resonances
 
 __all__ = [
     "PerturbationFamily",
@@ -80,14 +80,14 @@ def splitting_experiment(pf: PerturbationFamily):
     and raises DegenerateDirection.  A base walk without a multiple
     resonance raises NoMultipleResonance.
 
-    The base walk roots in one stacked pass with its perturbed walks, so
-    where several fail, the first failing stage names the error: perturb's
-    refusals, then each stage of resonances._family_resonances walk by walk
-    (the base first), and last the base's lack of a multiple resonance.
+    Every perturbed walk is formed before any is rooted, so where several
+    fail, the first failure names the error: perturb's refusals, then
+    find_resonances walk by walk (the base first), and last the base's
+    lack of a multiple resonance.
     """
     epsilons = [float(eps) for eps in pf.epsilons]
     walks = [perturb(pf.base, eps, pf.phi) for eps in epsilons if eps]
-    base, *family = _family_resonances([pf.base, *walks])
+    base, *family = [find_resonances(cs) for cs in [pf.base, *walks]]
     target = next((r for r in base if r.alg_multiplicity >= 2), None)
     if target is None:
         raise NoMultipleResonance("base walk has no multiple resonance to split")

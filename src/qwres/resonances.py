@@ -2,36 +2,36 @@
 
 A resonance is simultaneously a pole of the scattering matrix, a zero of
 the lower-right transfer-product entry, and a nonzero eigenvalue of the
-window restriction K through lambda = e^{-i xi}.  This module computes the
-set from the transfer polynomial, cross-checks it against the eigenvalues
-of K on every call, and exposes a contour winding count as the
-third, analytically independent characterization.
+window restriction K through lambda = e^{-i xi}.  This module reads the
+set off the eigenvalues of K, checks it on every call against the
+transfer polynomial, and exposes a contour winding count as the third,
+analytically independent characterization.
 
-Root finding.  Every nonzero root mu of the transfer polynomial lies in the
-unit disk, so Aberth iteration starts on the unit circle, and each sweep
-reads p, p' and the backward-error floor from one transfer._horner pass.
-Roots within 1e-6 max(1, |mu|) of each other chain into one cluster, whose
-size is the multiplicity and whose mean Newton polishes as a simple root
-of p^(m-1) until a step fails to halve the one before.  Both stages take a
-stack of polynomials, so a family of walks (the splitting experiment's
-perturbed walks) roots in one pass, each walk bit for bit as on its own.
+Root finding.  The transfer polynomial p is built first, with its
+relation check, and its degree d counts the nonzero resonances.  The
+roots come from one eigensolve of the odd-site product BA of K's
+site-parity blocks (walk._parity_eig): its d largest eigenvalues
+mu = lambda^2 within 1e-6 max(1, |mu|) of each other chain into one
+cluster, whose size is the multiplicity and whose mean Newton polishes as
+a simple root of p^(m-1) until a step fails to halve the one before.  A
+polished root that left its cluster, an eigenvalue p does not account
+for, or a p with more roots than K has eigenvalue pairs is refused.
 
 Jordan chains.  Resonances are generically simple, so the chain at a
 resonance is usually one eigenvector of K.  _spectrum keeps one spectral
-record for the last walk, from one eigensolve of the odd-site product BA
-of K's site-parity blocks (walk._parity_eig) and one stacked residual
-product, and _window_chain reads a simple chain and its residual off it
-wherever a rank certificate holds; multiple resonances and uncertified
-blocks take an SVD of K - lambda.  expand and resonant_chain both go
-through _window_chain, so expansion coefficients and resonant states
-share chains.
+record for the last walk, from the same eigensolve with eigenvectors
+and one stacked residual product, and _window_chain reads a simple chain
+and its residual off it wherever a rank certificate holds; multiple
+resonances and uncertified blocks take an SVD of K - lambda.  expand and
+resonant_chain both go through _window_chain, so expansion coefficients
+and resonant states share chains.
 
 Conventions.  Each nonzero polynomial root mu = lambda^2 inside the unit
 disk produces a pair of resonances: the strip representative with
 Re xi in [-pi, 0) and its partner at xi + pi, carrying lambda and -lambda.
-Multiplicities come from root clustering and are validated by the winding
-integral.  Geometric multiplicity is always one, so the resonant states at
-one resonance form a single Jordan chain.
+Multiplicities come from eigenvalue clustering and are validated by the
+winding integral.  Geometric multiplicity is always one, so the resonant
+states at one resonance form a single Jordan chain.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .coins import CoinSequence
 from .errors import (
     ChainSolveFailed,
     InvariantViolation,
-    RootFindingDiverged,
     SpectralOverflow,
 )
 from .states import WaveState
@@ -57,7 +56,6 @@ from .walk import _parity_eig, _sweep, _walk, build_K
 __all__ = [
     "Resonance",
     "JordanChainStates",
-    "aberth_roots",
     "find_resonances",
     "winding_count",
     "validate_multiplicity",
@@ -96,76 +94,6 @@ class Resonance:
             raise InvariantViolation("multiplicity must be positive")
 
 
-def aberth_roots(coeffs) -> np.ndarray:
-    """All roots of monic polynomials by simultaneous Aberth iteration.
-
-    coeffs is lowest degree first with a trailing 1: one polynomial of
-    shape (d + 1,), whose roots come back with shape (d,), or a stack of
-    shape (F, d + 1), whose roots come back with shape (F, d).  A stack
-    iterates together, one transfer._horner pass a sweep for all of its
-    polynomials, and each polynomial freezes on its own stop test, so its
-    roots are bit for bit those of a call on it alone.
-
-    The iterates start on the unit circle.  Resonances have |lambda| < 1,
-    so every root the transfer polynomial can contribute lies in the unit
-    disk (K is a contraction, and find_resonances refuses
-    |mu| >= 1 + 1e-12): the start circle encloses all of them and lies near
-    the outer ones, the resonances closest to the real axis, which keeps
-    the sweep count low (Bini 1996).  Roots outside the disk converge too,
-    from further away.
-
-    A polynomial stops when every residual |p(x)| sits below the
-    backward-error floor 16 eps sum |c_k||x|^k or every correction stalls
-    at 1e-13 (1 + |x|); 500 sweeps without that raises RootFindingDiverged,
-    and so does a residual or floor past the float range, where inf <= inf
-    would pass for convergence.
-    """
-    c = np.asarray(coeffs, dtype=complex)
-    shape, d = c.shape[:-1], c.shape[-1] - 1
-    if d <= 0:
-        return np.zeros(shape + (0,), dtype=complex)
-    if d == 1:
-        return -c[..., :1]
-    high = c.reshape(-1, d + 1)[:, ::-1]
-    # rows[0], rows[1] and rows[2] give p, p' (padded to p's length) and
-    # sum |c_k| |x|^k of each live polynomial, one Horner pass a sweep
-    dhigh = np.concatenate([np.zeros_like(high[:, :1]), _derivative(high)], axis=1)
-    rows = np.stack([high, dhigh, np.abs(high)])
-    eps = np.finfo(float).eps
-    # the angular offset keeps the start away from real-axis root symmetry
-    x = np.tile(np.exp(2j * np.pi * (np.arange(d) + 0.37) / d), (len(high), 1))
-    roots = np.empty_like(x)
-    live = np.arange(len(high))
-    diagonal = np.arange(d)
-    for _ in range(500):
-        with np.errstate(over="ignore", invalid="ignore"):
-            # the floor rows run at |x| + 0j: their real part is the real Horner
-            values = _horner(rows.reshape(-1, d + 1), np.concatenate([x, x, np.abs(x) + 0j]))
-            p, dp, floor = values.reshape(3, -1, d)
-            floor = 16 * eps * floor.real
-        if not (np.isfinite(p).all() and np.isfinite(floor).all()):
-            raise RootFindingDiverged("Aberth residual |p(x)| or its floor is not a finite float")
-        done = np.abs(p) <= floor
-        dp = np.where(dp == 0, eps, dp)
-        w = p / dp
-        diff = x[:, :, None] - x[:, None, :]
-        diff[:, diagonal, diagonal] = np.inf
-        diff = np.where(diff == 0, 1e-300, diff)
-        s = (1.0 / diff).sum(axis=2)
-        delta = w / (1.0 - w * s)
-        delta = np.where(np.isfinite(delta), delta, w)
-        x = np.where(done, x, x - delta)
-        # a polynomial whose residuals all sit below the floor, or whose
-        # corrections all stall, keeps its iterates as roots and leaves the stack
-        settled = (done | (np.abs(delta) <= 1e-13 * (1 + np.abs(x)))).all(axis=1)
-        if settled.any():
-            roots[live[settled]], keep = x[settled], ~settled
-            live, x, rows = live[keep], x[keep], rows[:, keep]
-        if not live.size:
-            return roots.reshape(shape + (d,))
-    raise RootFindingDiverged("Aberth iteration did not settle in 500 sweeps")
-
-
 def _cluster(roots: np.ndarray) -> list[np.ndarray]:
     """Group root approximations within radius 1e-6 max(1, |mu|)."""
     order = np.lexsort((roots.imag, roots.real))
@@ -195,42 +123,32 @@ def _cluster(roots: np.ndarray) -> list[np.ndarray]:
     return clusters
 
 
-def _derivative(high: np.ndarray) -> np.ndarray:
-    """np.polyder of each coefficient row (highest degree first) on the last axis."""
-    return high[..., :-1] * np.arange(high.shape[-1] - 1, 0, -1)
-
-
 def _polish(coeffs: np.ndarray, x0: np.ndarray, m: int) -> np.ndarray:
-    """Refine m-fold roots as simple roots of the (m-1)-th derivative.
+    """Refine m-fold roots of one monic p as simple roots of p^(m-1).
 
-    An m-fold cluster centroid is accurate to about sqrt-of-eps digits; the
+    An m-fold cluster centroid is accurate to about eps^(1/m); the
     derivative p^(m-1) has a simple root at the same point, where Newton is
-    well posed and recovers nearly full precision.  x0 holds centroids of
-    one multiplicity m, polished together, and coeffs holds one monic row,
-    lowest degree first, per entry of x0, so that the roots of several
-    polynomials polish in one pass.
+    well posed and recovers nearly full precision.  coeffs is p, lowest
+    degree first, and x0 holds the centroids of one multiplicity m,
+    polished together, one transfer._horner pass a step.
 
     Each entry stops on its own: at dq == 0; at a Newton step that fails to
     halve the step before it, keeping the iterate from before that step,
     since Newton has stopped contracting and only rounding moves it; at a
-    step |dx| <= 1e-15 (1 + |x|); or after 60 steps.  An entry that ran
-    away beyond 1e-3 (1 + |x0|) keeps its centroid.
+    step |dx| <= 1e-15 (1 + |x|); or after 60 steps.  An entry returns
+    where Newton left it, however far that is from x0, so a centroid that p
+    does not vanish near shows in the cross-check of find_resonances.
     """
-    x0 = np.asarray(x0, dtype=complex)
-    high = np.asarray(coeffs)[:, ::-1]
-    for _ in range(m - 1):
-        high = _derivative(high)
-    # rows[j] holds q and q' (padded to q's length) of entry j
-    dhigh = np.concatenate([np.zeros_like(high[:, :1]), _derivative(high)], axis=1)
-    rows = np.stack([high, dhigh], axis=1)
-    x = x0.copy()
+    high = np.polyder(np.asarray(coeffs)[::-1], m - 1)
+    # q and q' (padded to q's length), evaluated at the same points
+    rows = np.stack([high, np.concatenate([np.zeros_like(high[:1]), np.polyder(high)])])
+    x = np.array(x0, dtype=complex)
     last = np.full(len(x), np.inf)
     live = np.arange(len(x))
     for _ in range(60):
         if not live.size:
             break
-        points = np.repeat(x[live], 2)[:, None]
-        q, dq = _horner(rows[live].reshape(len(points), -1), points).reshape(-1, 2).T
+        q, dq = _horner(rows, np.stack([x[live], x[live]]))
         moving = dq != 0
         live, dx = live[moving], q[moving] / dq[moving]
         halved = np.abs(dx) <= 0.5 * last[live]
@@ -238,8 +156,7 @@ def _polish(coeffs: np.ndarray, x0: np.ndarray, m: int) -> np.ndarray:
         last[live] = np.abs(dx)
         x[live] -= dx
         live = live[~(np.abs(dx) <= 1e-15 * (1 + np.abs(x[live])))]
-    runaway = np.abs(x - x0) > 1e-3 * (1 + np.abs(x0))
-    return np.where(runaway, x0, x)
+    return x
 
 
 def strip_pair(mu: complex, multiplicity: int) -> tuple[Resonance, Resonance]:
@@ -259,35 +176,6 @@ def strip_pair(mu: complex, multiplicity: int) -> tuple[Resonance, Resonance]:
     return first, second
 
 
-def _dense_crosscheck(resonances: list[Resonance], evals: np.ndarray) -> None:
-    """Match the polynomial eigenvalues against K's, from walk._parity_eig.
-
-    Those come from a dense eigensolve of the odd-site product BA, not
-    from the transfer polynomial, in exact +-lambda pairs.  An m-fold
-    eigenvalue is only determined to about eps^(1/m) by QR iteration, so
-    the matching tolerance widens with multiplicity.  After all resonant
-    eigenvalues are consumed, whatever remains must be the zero group
-    (which spreads to eps^(1/index) for nilpotent blocks).
-    """
-    eps = np.finfo(float).eps
-    remaining = list(evals)
-    for r in resonances:
-        tol = max(1e-8, 50 * eps ** (1.0 / r.alg_multiplicity)) * max(1, abs(r.lam))
-        for _ in range(r.alg_multiplicity):
-            dists = [abs(e - r.lam) for e in remaining]
-            i = int(np.argmin(dists))
-            if dists[i] > tol:
-                raise InvariantViolation(
-                    f"no dense eigenvalue within {tol:.2e} of lambda={r.lam}"
-                )
-            remaining.pop(i)
-    stray = [e for e in remaining if abs(e) > 1e-6]
-    if stray:
-        raise InvariantViolation(
-            f"dense eigensolve has nonzero eigenvalues {stray} the polynomial missed"
-        )
-
-
 def _deflated(cs: CoinSequence) -> np.ndarray:
     """The monic transfer polynomial of cs with its zero roots deflated."""
     coeffs = np.array(transfer_polynomial(cs).coeffs)
@@ -297,73 +185,76 @@ def _deflated(cs: CoinSequence) -> np.ndarray:
     return coeffs
 
 
-def _polynomial_resonances(walks: list[CoinSequence]) -> list[list[Resonance]]:
-    """find_resonances of each walk without the dense cross-check.
+def _resonances(coeffs: np.ndarray, evals: np.ndarray) -> list[Resonance]:
+    """The resonances of a walk from its deflated p and K's eigenvalues.
 
-    Each walk's transfer polynomial is built, relation check included, in
-    order.  The polynomials of one degree then root in one stacked
-    aberth_roots pass, and their clusters of one multiplicity polish in one
-    _polish call, so every walk gets bit for bit the roots it would get on
-    its own.  The checks run walk by walk, each in cluster order, so the
-    first bad cluster of the first bad walk is the one named.
+    coeffs is _deflated's p, of degree d, and evals is K's spectrum as
+    walk._parity_eig lays it out: lambda_j over the r = n0 eigenvalues of
+    BA, then -lambda_j, then the two zeros.  The d largest mu_j = lambda_j^2
+    cluster into multiplicities (_cluster), and each centroid is polished
+    on p^(m-1).  A cluster draws on r = n0 eigenvalues, so no multiplicity
+    exceeds the window size.  Every cluster is checked against the unit
+    disk and the strip (Resonance) before the cross-check below.
+
+    The cross-check reads the polished roots against the eigenvalues they
+    started from.  An m-fold eigenvalue is determined only to about
+    eps^(1/m) by QR iteration, so each member's +-sqrt(mu_j) must lie
+    within max(1e-8, 50 eps^(1/m)) max(1, |lambda|) of the polished lambda.
+    Every eigenvalue outside the d must lie within 1e-6 of 0 (the zero
+    group spreads to eps^(1/index) for nilpotent blocks), and d must not
+    exceed r.
     """
-    polys = [_deflated(cs) for cs in walks]
-    # (multiplicity, polished mu) of each cluster of each walk
-    found: list = [None] * len(walks)
-    for size in dict.fromkeys(len(c) for c in polys):
-        group = [i for i, c in enumerate(polys) if len(c) == size]
-        stack = np.array([polys[i] for i in group])
-        clusters = [_cluster(r) for r in aberth_roots(stack)]
-        owner = np.repeat(np.arange(len(group)), [len(walk) for walk in clusters])
-        mults = np.array([len(c) for walk in clusters for c in walk], dtype=int)
-        mus = np.array([np.mean(c) for walk in clusters for c in walk], dtype=complex)
-        for m in set(mults.tolist()):
-            sel = mults == m
-            mus[sel] = _polish(stack[owner[sel]], mus[sel], m)
-        for j, i in enumerate(group):
-            found[i] = list(zip(mults[owner == j].tolist(), mus[owner == j]))
-    family = []
-    for cs, pairs in zip(walks, found):
-        out: list[Resonance] = []
-        for m, mu in pairs:
-            if abs(mu) >= 1 + 1e-12:
-                raise InvariantViolation(
-                    f"transfer polynomial root mu={mu} lies outside the unit disk"
-                )
-            if m > cs.n0:
-                raise InvariantViolation(
-                    f"root multiplicity {m} exceeds the window size {cs.n0}"
-                )
-            out.extend(strip_pair(mu, m))
-        out.sort(key=lambda r: (r.xi.real, r.xi.imag))
-        family.append(out)
-    return family
-
-
-def _family_resonances(walks: list[CoinSequence]) -> list[list[Resonance]]:
-    """find_resonances of each walk, the root finding stacked over the walks.
-
-    Each walk's list is bit for bit what find_resonances gives for it; the
-    dense cross-checks run walk by walk after all the polynomial checks.
-    """
-    family = _polynomial_resonances(walks)
-    for cs, out in zip(walks, family):
-        if cs.n0 >= 1:
-            _dense_crosscheck(out, _parity_eig(build_K(cs).entries))
-    return family
+    eps = np.finfo(float).eps
+    r, d = len(evals) // 2 - 1, len(coeffs) - 1
+    mu = evals[:r] ** 2
+    top = np.argsort(-np.abs(mu), kind="stable")[:d]
+    clusters = _cluster(mu[top])
+    mults = np.array([len(c) for c in clusters], dtype=int)
+    roots = np.array([np.mean(c) for c in clusters], dtype=complex)
+    for m in set(mults.tolist()):
+        roots[mults == m] = _polish(coeffs, roots[mults == m], m)
+    pairs = []
+    for m, root in zip(mults.tolist(), roots):
+        if abs(root) >= 1 + 1e-12:
+            raise InvariantViolation(
+                f"transfer polynomial root mu={root} lies outside the unit disk"
+            )
+        pairs.append(strip_pair(root, m))
+    for members, (res, _) in zip(clusters, pairs):
+        tol = max(1e-8, 50 * eps ** (1.0 / len(members))) * max(1, abs(res.lam))
+        lam = np.sqrt(members)
+        if np.minimum(np.abs(lam - res.lam), np.abs(lam + res.lam)).max() > tol:
+            raise InvariantViolation(f"no dense eigenvalue within {tol:.2e} of lambda={res.lam}")
+    rest = np.delete(evals[:r], top)
+    stray = rest[np.abs(rest) > 1e-6]
+    if stray.size:
+        raise InvariantViolation(
+            f"dense eigensolve has nonzero eigenvalues +-{stray.tolist()} the polynomial missed"
+        )
+    if d > r:
+        raise InvariantViolation(
+            f"no dense eigenvalue within reach of {d - r} of the polynomial's {d} roots:"
+            f" K has {r} nonzero eigenvalue pairs"
+        )
+    out = [res for pair in pairs for res in pair]
+    return sorted(out, key=lambda res: (res.xi.real, res.xi.imag))
 
 
 def find_resonances(cs: CoinSequence) -> list[Resonance]:
     """All resonances of the walk, sorted by (Re xi, Im xi).
 
-    Roots of the transfer polynomial are found by Aberth iteration,
-    clustered into multiplicities, polished, and mapped into the strip.
-    Zero roots of p are structural (they never correspond to resonances)
-    and are deflated before iteration.  Every call cross-checks the
-    eigenvalue multiset against K's, from numpy's dense eigensolver on the
-    parity product BA of half K's size (walk._parity_eig).
+    The transfer polynomial is built first, relation check included, and
+    its zero roots, which are structural and never resonances, deflated.
+    The resonances are then K's nonzero eigenvalues, from numpy's dense
+    eigensolver on the parity product BA of half K's size
+    (walk._parity_eig), clustered, polished on the polynomial and
+    cross-checked against it by _resonances.  At n0 = 0, p = 1 and there
+    is none.
     """
-    return _family_resonances([cs])[0]
+    coeffs = _deflated(cs)
+    if cs.n0 < 1:
+        return []
+    return _resonances(coeffs, _parity_eig(build_K(cs).entries))
 
 
 def winding_count(cs: CoinSequence, center: complex, rho: float) -> complex:

@@ -19,7 +19,7 @@ of the window, which is the content of :func:`norm_defect`.  Every
 amplitude moves by one site, so K maps even sites to odd ones and back:
 with the even sites first, K = [[0, A], [B, 0]], its same-parity entries
 exactly +0.  :func:`_parity_eig` reads K's spectrum off the smaller product
-BA, for the dense cross-check, the spectral record and the resolvent.
+BA, for the resonances, the spectral record and the resolvent.
 """
 
 from __future__ import annotations
@@ -226,10 +226,12 @@ def build_K(cs: CoinSequence) -> KMatrix:
 def _parity_eig(k: np.ndarray, vectors: bool = False):
     """K's eigenvalues, and with vectors its eigenvectors, from one eigensolve.
 
-    With the even sites first K = [[0, A], [B, 0]], so its eigenvalues are
-    +-sqrt(mu) over the eigenvalues mu of the odd-site product BA, of size
-    2 floor((n0 + 1) / 2), and 0 for the two kernel witnesses at sites 0
-    and n0, read off K's edge rows.  For n0 odd the witness at n0 is an
+    Every resonance comes from here: find_resonances reads the eigenvalues
+    alone, the spectral record of expand and resonant_chain the vectors
+    too.  With the even sites first K = [[0, A], [B, 0]], so its
+    eigenvalues are +-sqrt(mu) over the eigenvalues mu of the odd-site
+    product BA, of size 2 floor((n0 + 1) / 2), and 0 for the two kernel
+    witnesses at sites 0 and n0, read off K's edge rows.  For n0 odd the witness at n0 is an
     odd-site vector in the kernel of A, an exact zero of BA, and that mu
     (the smallest) is dropped.
 

@@ -14,6 +14,7 @@ from qwres import (
     A3Violated,
     AllZeroTail,
     CoinSequence,
+    QWResError,
     UnsupportedN0,
     WindowOutsideCone,
     basis_state,
@@ -218,6 +219,36 @@ def test_expand_chains_are_resonant_chain_windows(monkeypatch):
             assert len(states) == len(chain)
             for state, row in zip(states, chain):
                 assert window_vector(state, cs.n0).tobytes() == row.tobytes()
+
+
+def _bits(resonances):
+    """A resonance list as bytes, so that -0.0 and 0.0 differ."""
+    values = np.array([(r.xi, r.lam, r.mu) for r in resonances], dtype=complex)
+    return values.tobytes(), [r.alg_multiplicity for r in resonances]
+
+
+def test_expand_carries_find_resonances_bit_for_bit():
+    # expand takes K's eigenvalues from the eigensolve with eigenvectors,
+    # find_resonances from the values-only one; the same eigenvalues
+    # polished on the same polynomial give the blocks the same bits, and a
+    # window one refuses the other refuses in the same words
+    rng = np.random.default_rng(59)
+    walks = [triple_barrier(), hadamard_pair()]
+    walks += [random_sequence(rng, n0) for n0 in range(1, 33) for _ in range(2)]
+    outcomes = []
+    for cs in walks:
+        try:
+            want = _bits(find_resonances(cs))
+        except QWResError as exc:
+            with pytest.raises(type(exc)) as caught:
+                expand(cs, basis_state(0, "L"))
+            assert str(caught.value) == str(exc)
+            outcomes.append(type(exc).__name__)
+            continue
+        ed = expand(cs, basis_state(0, "L"))
+        assert _bits([b.resonance for b in ed.blocks]) == want
+        outcomes.append("ok")
+    assert outcomes.count("ok") >= 60, outcomes
 
 
 def test_reconstruct_cone_leaves_out_the_zero_part_emissions():

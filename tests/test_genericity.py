@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from conftest import hadamard_pair, random_sequence, triple_barrier
-import qwres.genericity
-import qwres.resonances
 from qwres import (
     PerturbationFamily,
     RelationCheckFailed,
@@ -13,7 +11,6 @@ from qwres import (
     splitting_experiment,
     splitting_slope,
 )
-from qwres.resonances import _family_resonances
 
 
 def test_perturb_eps_zero_is_identity():
@@ -88,51 +85,6 @@ def test_split_resonances_remain_negation_closed():
     rs = find_resonances(cs)
     for r in rs:
         assert min(abs(r.lam + s.lam) for s in rs) < 1e-10
-
-
-def _bits(resonances):
-    """A resonance list as bytes, so that -0.0 and 0.0 differ."""
-    values = np.array([(r.xi, r.lam, r.mu) for r in resonances], dtype=complex)
-    return values.tobytes(), [r.alg_multiplicity for r in resonances]
-
-
-def test_stacked_family_matches_walks_on_their_own(monkeypatch):
-    # the split path roots its base and perturbed walks in one stacked pass;
-    # each walk's resonances must be bit for bit those of find_resonances on it
-    seen = []
-
-    def recording(walks):
-        family = _family_resonances(walks)
-        seen.extend(zip(walks, family))
-        return family
-
-    monkeypatch.setattr(qwres.genericity, "_family_resonances", recording)
-    rng = np.random.default_rng(83)
-    for phi in rng.uniform(-np.pi, np.pi, 50):
-        splitting_experiment(PerturbationFamily(triple_barrier(), float(phi), (1e-5, 1e-4, 1e-3)))
-    assert len(seen) == 200
-    # Haar bases have no multiple resonance, so their families take the
-    # stacked pass directly: each family alone, then all 60 walks of
-    # degrees 2 to 8 in one call
-    walks = []
-    for k in range(20):
-        base = random_sequence(rng, 2 + k % 7)
-        family = [perturb(base, eps, float(rng.uniform(-np.pi, np.pi))) for eps in (1e-3, 1e-2, 0.1)]
-        seen.extend(zip(family, _family_resonances(family)))
-        walks += family
-    seen.extend(zip(walks, _family_resonances(walks)))
-    for cs, resonances in seen:
-        assert _bits(resonances) == _bits(find_resonances(cs))
-
-
-def test_split_roots_its_perturbed_walks_in_one_pass(monkeypatch):
-    # one aberth_roots call for the base walk and the three perturbed walks
-    # of the same degree, not one per walk
-    shapes = []
-    real = qwres.resonances.aberth_roots
-    monkeypatch.setattr(qwres.resonances, "aberth_roots", lambda c: shapes.append(c.shape) or real(c))
-    splitting_experiment(PerturbationFamily(triple_barrier(), 0.4, (0.0, 1e-3, 1e-4, 1e-5)))
-    assert shapes == [(4, 3)]
 
 
 def test_split_names_the_first_failure_of_the_stacked_pass():

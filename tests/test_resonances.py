@@ -13,11 +13,11 @@ from qwres import (
     InvariantViolation,
     RelationCheckFailed,
     Resonance,
-    RootFindingDiverged,
     SpectralOverflow,
-    aberth_roots,
+    TransferPolynomial,
     basis_state,
     build_K,
+    expand,
     find_resonances,
     identity_coin,
     perturb,
@@ -50,61 +50,10 @@ def as_multiset(values):
     return sorted(values, key=lambda z: (round(z.real, 6), round(z.imag, 6)))
 
 
-def test_aberth_recovers_scattered_roots():
-    roots = [0.3, -0.7 + 0.2j, 1.5j, -2.0, 0.9 - 1.1j]
-    got = np.sort_complex(aberth_roots(monic_from_roots(roots)))
-    want = np.sort_complex(np.array(roots, dtype=complex))
-    np.testing.assert_allclose(got, want, atol=1e-10)
-
-
-def test_aberth_degree_edge_cases():
-    assert aberth_roots(np.array([1.0])).size == 0
-    np.testing.assert_allclose(aberth_roots(np.array([0.25 + 0j, 1.0])), [-0.25], atol=0)
-    # a stack of F polynomials gives F rows of roots
-    assert aberth_roots(np.ones((3, 1))).shape == (3, 0)
-    np.testing.assert_array_equal(aberth_roots(np.array([[0.25, 1.0], [-2.0, 1.0]])), [[-0.25], [2.0]])
-
-
-def test_aberth_refuses_a_residual_past_the_float_range():
-    # at |x| = 1, x^2 + 1e308 x + 1e308 has a floor 16 eps (1 + 2e308) past
-    # the float range, and inf <= inf would pass the start points as roots
-    coeffs = np.array([1e308, 1e308, 1.0], dtype=complex)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(RootFindingDiverged, match="not a finite float"):
-            aberth_roots(coeffs)
-        # x^73 + 2e4 overflowed from the old start radius 1 + 2e4; from the
-        # unit circle it solves, with every root at modulus 2e4^(1/73)
-        coeffs = np.zeros(74, dtype=complex)
-        coeffs[0], coeffs[-1] = 2e4, 1.0
-        roots = aberth_roots(coeffs)
-    assert len(roots) == 73
-    np.testing.assert_allclose(np.abs(roots), 2e4 ** (1 / 73), rtol=0, atol=2.3e-16)
-
-
-@pytest.mark.parametrize("n0", [32, 64])
-def test_aberth_sweeps_stay_few(monkeypatch, n0):
-    # one _horner pass per sweep; from the unit circle the Haar windows
-    # settle in 15 sweeps or fewer, where the old start radius 1 + max|c_k|
-    # took a median of 50 (n0 = 32) and 128 (n0 = 64)
-    calls = []
-    real = qwres.resonances._horner
-    monkeypatch.setattr(qwres.resonances, "_horner", lambda rows, x: calls.append(1) or real(rows, x))
-    rng = np.random.default_rng(n0)
-    for _ in range(8):
-        # the oracle's coefficients: transfer_polynomial's relation check
-        # refuses some windows of this size
-        p = _row_recursion(random_sequence(rng, n0))[2::2]
-        coeffs = p / p[-1]
-        calls.clear()
-        roots = aberth_roots(coeffs)
-        assert len(roots) == n0 and len(calls) <= 20, len(calls)
-
-
-def test_aberth_handles_clustered_double_root():
-    coeffs = monic_from_roots([0.5, 0.5, -0.3])
-    got = np.sort_complex(aberth_roots(coeffs))
-    np.testing.assert_allclose(got, [-0.3, 0.5, 0.5], atol=1e-6)
+def eigen_mu(cs):
+    """mu = lambda^2 over K's nonzero eigenvalue pairs, from the parity eigensolve."""
+    evals = _parity_eig(build_K(cs).entries)
+    return evals[: len(evals) // 2 - 1] ** 2
 
 
 def _cluster_loop(roots):
@@ -138,11 +87,8 @@ def test_cluster_matches_the_pairwise_loop():
     # the tight cases chain three roots through a middle one and put two
     # roots at exactly the tolerance apart
     rng = np.random.default_rng(433)
-    cases = [np.array(transfer_polynomial(triple_barrier()).coeffs)]
-    for n0 in (2, 3, 4, 6, 8, 11, 16, 23, 32, 45, 64):
-        p = _row_recursion(random_sequence(rng, n0))[2::2]
-        cases.append(p / p[-1])
-    roots = [aberth_roots(c) for c in cases]
+    walks = [triple_barrier()] + [random_sequence(rng, n0) for n0 in (2, 3, 4, 6, 8, 11, 16, 23, 32, 45, 64)]
+    roots = [eigen_mu(cs) for cs in walks]
     roots += [np.array([0.5, 0.5 + 8e-7, 0.5 + 1.6e-6, -0.25j, 0.5, 2.0]), np.array([0.0, 1e-6, 3.0, 3.0 + 3e-6j])]
     for r in roots:
         got, want = _cluster(r), _cluster_loop(r)
@@ -187,53 +133,61 @@ def _polish_one(coeffs, x0, m):
         x -= dx
         if abs(dx) <= 1e-15 * (1 + abs(x)):
             break
-    if abs(x - x0) > 1e-3 * (1 + abs(x0)):
-        return complex(x0)
     return x
 
 
 def test_batched_polish_matches_the_scalar_loop():
     # exact equality: every entry runs the oracle's own arithmetic and
-    # stop tests, so batching must not move a single bit
+    # stop tests, so batching must not move a single bit; the starts are
+    # the cluster means of K's eigenvalues, as find_resonances takes them
     rng = np.random.default_rng(409)
     cases = [(triple_barrier(), None)] + [(random_sequence(rng, n0), n0) for n0 in (2, 8, 16, 32, 45)]
     for cs, n0 in cases:
         coeffs = np.array(transfer_polynomial(cs).coeffs)
-        clusters = _cluster(aberth_roots(coeffs))
+        clusters = _cluster(eigen_mu(cs))
         for m in {len(c) for c in clusters}:
             x0 = np.array([np.mean(c) for c in clusters if len(c) == m])
-            got = _polish(np.tile(coeffs, (len(x0), 1)), x0, m)
+            got = _polish(coeffs, x0, m)
             want = np.array([_polish_one(coeffs, x, m) for x in x0])
             assert got.dtype == complex and np.all(got == want), (n0, m)
-    # dq == 0 at the first step keeps 0; a move from 0.495 to the root 0.5
-    # exceeds 1e-3 (1 + |x0|) and keeps the centroid; Newton from 0.01 on
-    # x^2 + 1 stays on the real line, runs away and keeps its centroid
+    # dq == 0 at the first step keeps 0, and a start at 0.495 reaches the
+    # root 0.5 however far it moves; Newton from 0.01 on x^2 + 1 stays on
+    # the real line and stops there once its steps stop halving
+    ends = []
     for coeffs, x0, root in [([-0.25, 0, 1], [0, 0.495, 0.4999], 0.5), ([1, 0, 1], [0.01, 0.9999j], 1j)]:
         coeffs, x0 = np.array(coeffs, dtype=complex), np.array(x0, dtype=complex)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = _polish(np.tile(coeffs, (len(x0), 1)), x0, 1)
+            got = _polish(coeffs, x0, 1)
         assert np.all(got == [_polish_one(coeffs, x, 1) for x in x0])
-        assert np.all(got[:-1] == x0[:-1]) and abs(got[-1] - root) < 1e-15
+        assert abs(got[-1] - root) < 1e-15
+        ends.append(got[:2])
+    (zero, moved), (real_line, _) = ends
+    assert zero == 0 and abs(moved - 0.5) < 1e-15
+    assert real_line.imag == 0 and abs(real_line - 0.01) > 1e-3
 
 
 @pytest.mark.parametrize("n0", [32, 64])
 def test_polish_passes_stay_few(monkeypatch, n0):
     # one _horner pass per Newton step; the halving stop ends an entry once
     # Newton stops contracting, where the 1e-15 (1 + |x|) stop alone ran the
-    # stalled roots of 14 of these 16 windows to the 60-step cap
+    # stalled roots of 14 of these 16 windows to the 60-step cap; from K's
+    # eigenvalues these windows take at most 4 (n0 = 32) and 5 (n0 = 64)
     calls = []
     real = qwres.resonances._horner
     monkeypatch.setattr(qwres.resonances, "_horner", lambda rows, x: calls.append(1) or real(rows, x))
     rng = np.random.default_rng(n0)
     for _ in range(8):
-        p = _row_recursion(random_sequence(rng, n0))[2::2]
+        # the oracle's coefficients: transfer_polynomial's relation check
+        # refuses some windows of this size
+        cs = random_sequence(rng, n0)
+        p = _row_recursion(cs)[2::2]
         coeffs = p / p[-1]
-        clusters = _cluster(aberth_roots(coeffs))
+        clusters = _cluster(eigen_mu(cs))
         calls.clear()
         for m in {len(c) for c in clusters}:
             x0 = np.array([np.mean(c) for c in clusters if len(c) == m])
-            _polish(np.tile(coeffs, (len(x0), 1)), x0, m)
+            _polish(coeffs, x0, m)
         assert len(calls) <= 8, len(calls)
 
 
@@ -255,6 +209,30 @@ def test_polished_resonances_stay_near_the_dense_eigenvalues(n0, bound):
         worst = max([worst] + [np.min(np.abs(evals - r.lam)) for r in rs])
     assert refused == ([] if n0 == 16 else [9])
     assert worst <= bound, worst
+
+
+@pytest.mark.parametrize("kind", ["moved 1e-6", "moved 1e-2", "dropped", "extra"])
+def test_cross_check_refuses_a_polynomial_that_is_not_K(monkeypatch, kind):
+    # a transfer polynomial that disagrees with K's eigenvalues on one root
+    # must be refused by find_resonances and by expand, in the words the CI
+    # smoke step looks for; the root moved by 1e-2 would pass if a polish
+    # that ran away kept its start, the eigenvalue itself
+    cs = random_sequence(np.random.default_rng(4), 4)
+    roots = np.roots(np.array(transfer_polynomial(cs).coeffs)[::-1])
+    roots = roots[np.argsort(-np.abs(roots))]
+    if kind == "dropped":
+        roots = roots[1:]
+    elif kind == "extra":
+        roots = np.append(roots, 0.5)
+    else:
+        roots[0] *= 1 + float(kind.split()[1])
+    fake = TransferPolynomial(np.poly(roots)[::-1].astype(complex), 1.0)
+    monkeypatch.setattr(qwres.resonances, "transfer_polynomial", lambda walk: fake)
+    refusal = "^(no dense eigenvalue within|dense eigensolve has nonzero eigenvalues)"
+    with pytest.raises(InvariantViolation, match=refusal):
+        find_resonances(cs)
+    with pytest.raises(InvariantViolation, match=refusal):
+        expand(cs, basis_state(0, "L"))
 
 
 def test_strip_pair_layout():

@@ -171,9 +171,10 @@ def test_polynomial_call_matches_polyval():
 
 
 def test_horner_is_polyval_bit_for_bit():
-    # the rows aberth_roots stacks: p, p' padded with a leading 0, and |p|'s
-    # coefficients at |x| + 0j, whose real part must be the real Horner;
-    # tobytes also compares the signs of zeros
+    # the rows _polish stacks, p and p' padded with a leading 0, and |p|'s
+    # coefficients at |x| + 0j, whose real part must be the real Horner
+    # (a backward-error floor sum |c_k| |x|^k); tobytes also compares the
+    # signs of zeros
     rng = np.random.default_rng(97)
     signed_zeros = [0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
     for d in (1, 2, 5, 17, 64):
