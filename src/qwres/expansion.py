@@ -33,7 +33,7 @@ from .resonances import (
     _deflated,
     _resonances,
     _spectrum,
-    _window_chain,
+    _window_chains,
     strip_pair,
 )
 from .states import WaveState, incoming_length, window_vector
@@ -114,7 +114,7 @@ def expand(cs: CoinSequence, psi0: WaveState) -> ExpansionData:
     (resonances._spectrum, one eigensolve of K's parity product BA): its
     eigenvalues give the resonances, polished and checked on the transfer
     polynomial built before it as in find_resonances, and the chains are
-    resonances._window_chain's, the ones resonant_chain extends, so
+    resonances._window_chains', the ones resonant_chain extends, so
     reconstruct pairs each coefficient with its own chain vector; the
     certified simple ones, and their residuals, are read off the record
     without a product with K.  One full SVD of K^{iota_0} gives both the
@@ -130,7 +130,8 @@ def expand(cs: CoinSequence, psi0: WaveState) -> ExpansionData:
     spec = _spectrum(cs)
     resonances = _resonances(coeffs, spec.evals)
     iota, (_, s, vh) = _zero_block(spec.k)
-    cols = [v for r in resonances for v in _window_chain(spec, r.lam, r.alg_multiplicity)]
+    mults = [r.alg_multiplicity for r in resonances]
+    cols = [v for chain in _window_chains(spec, [r.lam for r in resonances], mults) for v in chain]
     dim = 2 * (n0 + 1)
     total_m = len(cols)
     zdim = dim - total_m

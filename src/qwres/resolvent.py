@@ -24,7 +24,7 @@ from .coins import CoinSequence
 from .errors import AtResonance, InvariantViolation
 from .states import WaveState
 from .transfer import _refuse_overflow
-from .walk import _parity_eig, _sweep, _walk, build_K
+from .walk import _parity_blocks, _parity_eig, _placed, _sweep, _walk
 
 __all__ = ["apply_resolvent", "identity_residual", "neumann_resolvent"]
 
@@ -49,9 +49,10 @@ def _resolve(cs: CoinSequence, xi: np.ndarray, f: WaveState, lo: int, hi: int):
     lam = np.exp(-1j * xi)
     e = np.exp(1j * xi)
     _refuse_overflow(xi, lam, e)
-    kmat = build_K(cs).entries
+    a, b = _parity_blocks(cs)
+    kmat = _placed(a, b)
     dim = 2 * (n0 + 1)
-    evals = _parity_eig(kmat)
+    evals = _parity_eig(a, b)
     dist = np.min(np.abs(lam[:, None] - evals[None, :]), axis=1)
 
     # every site the answer, the source or the two junctions touch;

@@ -20,11 +20,11 @@ for, or a p with more roots than K has eigenvalue pairs is refused.
 Jordan chains.  Resonances are generically simple, so the chain at a
 resonance is usually one eigenvector of K.  _spectrum keeps one spectral
 record for the last walk, from the same eigensolve with eigenvectors
-and one stacked residual product, and _window_chain reads a simple chain
-and its residual off it wherever a rank certificate holds; multiple
-resonances and uncertified blocks take an SVD of K - lambda.  expand and
-resonant_chain both go through _window_chain, so expansion coefficients
-and resonant states share chains.
+and one stacked residual product, and _window_chains reads simple chains
+and their residuals off it wherever a rank certificate holds, all in one
+array pass; multiple resonances and uncertified blocks take an SVD of
+K - lambda.  expand and resonant_chain both go through _window_chains,
+so expansion coefficients and resonant states share chains.
 
 Conventions.  Each nonzero polynomial root mu = lambda^2 inside the unit
 disk produces a pair of resonances: the strip representative with
@@ -51,7 +51,7 @@ from .errors import (
 )
 from .states import WaveState
 from .transfer import _horner, transfer_polynomial, transfer_product
-from .walk import _parity_eig, _sweep, _walk, build_K
+from .walk import _parity_blocks, _parity_eig, _placed, _sweep, _walk
 
 __all__ = [
     "Resonance",
@@ -247,14 +247,14 @@ def find_resonances(cs: CoinSequence) -> list[Resonance]:
     its zero roots, which are structural and never resonances, deflated.
     The resonances are then K's nonzero eigenvalues, from numpy's dense
     eigensolver on the parity product BA of half K's size
-    (walk._parity_eig), clustered, polished on the polynomial and
-    cross-checked against it by _resonances.  At n0 = 0, p = 1 and there
-    is none.
+    (walk._parity_eig, on blocks written from the coin table with K's norm
+    check), clustered, polished on the polynomial and cross-checked
+    against it by _resonances.  At n0 = 0, p = 1 and there is none.
     """
     coeffs = _deflated(cs)
     if cs.n0 < 1:
         return []
-    return _resonances(coeffs, _parity_eig(build_K(cs).entries))
+    return _resonances(coeffs, _parity_eig(*_parity_blocks(cs)))
 
 
 def winding_count(cs: CoinSequence, center: complex, rho: float) -> complex:
@@ -316,7 +316,7 @@ class JordanChainStates:
 class _Spectrum:
     """The spectral record of one walk; every array is read-only.
 
-    evals, V = walk._parity_eig(k, vectors=True), each column of V in
+    evals, V = walk._parity_eig(A, B, k) on K's blocks, each column of V in
     _unit_phase's canonical phase.  resid_j = |K v_j - lambda_j v_j| are
     the column norms of one stacked E = K V - V diag(evals), and the
     certificate's constants inv_cond = 1 / kappa(V) and
@@ -333,30 +333,27 @@ class _Spectrum:
     delta: float
 
 
-def _decompose(kentries: np.ndarray) -> _Spectrum:
-    """The _Spectrum of a window matrix, with its own read-only copy of it."""
-    k = np.array(kentries, dtype=complex)
-    evals, evecs = _parity_eig(k, vectors=True)
+@functools.lru_cache(maxsize=1)
+def _spectrum(cs: CoinSequence) -> _Spectrum:
+    """The _Spectrum of cs's K, kept for the last walk: one K and eigensolve per walk."""
+    a, b = _parity_blocks(cs)
+    k = _placed(a, b)
+    evals, evecs = _parity_eig(a, b, k)
     evecs = _unit_phase(evecs)
     resid = np.linalg.norm(k @ evecs - evecs * evals, axis=0)
     s = np.linalg.svd(evecs, compute_uv=False)
     delta = np.linalg.norm(resid) / s[-1] if s[-1] > 0 else np.inf
-    for a in (k, evals, evecs, resid):
-        a.flags.writeable = False
+    for x in (k, evals, evecs, resid):
+        x.flags.writeable = False
     return _Spectrum(k, evals, evecs, resid, float(s[-1] / s[0]), float(delta))
 
 
-@functools.lru_cache(maxsize=1)
-def _spectrum(cs: CoinSequence) -> _Spectrum:
-    """The _Spectrum of cs's K, kept for the last walk: one build_K and eigensolve per walk."""
-    return _decompose(build_K(cs).entries)
-
-
-def _check_links(errs: np.ndarray, scales: np.ndarray, what: str) -> None:
-    """Refuse the first link k = 1 .. m whose residual exceeds 1e-8 scales[k]."""
-    bad = np.flatnonzero(errs > 1e-8 * scales)
-    if bad.size:
-        raise ChainSolveFailed(f"{what} residual {errs[bad[0]]:.2e} at chain index {bad[0] + 1}")
+def _check_links(errs: np.ndarray, scales: np.ndarray | float, what: str) -> None:
+    """Refuse the first link k = 1 .. m whose residual exceeds 1e-8 scales[k] (rows are chains)."""
+    bad = errs > 1e-8 * scales
+    if bad.any():
+        first = tuple(np.argwhere(bad)[0])
+        raise ChainSolveFailed(f"{what} residual {errs[first]:.2e} at chain index {first[-1] + 1}")
 
 
 def _unit_phase(v: np.ndarray) -> np.ndarray:
@@ -375,7 +372,7 @@ def _unit_phase(v: np.ndarray) -> np.ndarray:
 
 
 def _svd_chain(shifted: np.ndarray, lam: complex, m: int) -> np.ndarray:
-    """phi^1 .. phi^m of _window_chain from one SVD of shifted = K - lam."""
+    """phi^1 .. phi^m of _window_chains from one SVD of shifted = K - lam, checked."""
     dim = len(shifted)
     u_svd, s, vh = np.linalg.svd(shifted)
     rank = int(np.sum(s > 1e-8 * s[0]))
@@ -389,11 +386,18 @@ def _svd_chain(shifted: np.ndarray, lam: complex, m: int) -> np.ndarray:
         pinv = (vh.conj().T * inv_s) @ u_svd.conj().T
         for _ in range(1, m):
             flats.append(pinv @ flats[-1])
-    return np.array(flats)
+    chain = np.array(flats)
+    resid = chain @ shifted.T  # row k - 1 is (K - lambda) phi^k - phi^{k-1}
+    resid[1:] -= chain[:-1]
+    errs = np.linalg.norm(resid, axis=1)
+    norms = np.linalg.norm(chain, axis=1)
+    _check_links(errs, np.concatenate([[np.inf], norms[:-1]]), "chain solve")
+    _check_links(errs, np.maximum(norms, 1.0), "window chain relation")
+    return chain
 
 
-def _window_chain(spec: _Spectrum, lam: complex, m: int) -> np.ndarray:
-    """The Jordan chain phi^1 .. phi^m of K at lam, one window vector per row.
+def _window_chains(spec: _Spectrum, lams, mults) -> list[np.ndarray]:
+    """The Jordan chain phi^1 .. phi^m of K at each lam, one window vector per row.
 
     phi^1 spans the kernel of K - lambda (geometric multiplicity is always
     one, which is verified), in _unit_phase's canonical phase; phi^k for
@@ -421,33 +425,30 @@ def _window_chain(spec: _Spectrum, lam: complex, m: int) -> np.ndarray:
     lambda and spec alone, so expand and resonant_chain take the same path
     and get the same bits.  Multiple resonances and uncertified simple
     ones (V near singular, as where K has a nilpotent block of index 2 or
-    more) take one SVD of K - lambda.  Every chain runs both checks.
+    more) take one SVD of K - lambda.  Every chain runs both checks; one
+    array pass reads every certificate.
     """
-    chain = None
-    if m == 1:
-        dist = np.abs(spec.evals - lam)
-        if np.partition(dist, 1)[1] * spec.inv_cond - spec.delta >= 4e-8:
-            j = np.argmin(dist)
-            errs = spec.resid[j : j + 1] + dist[j]
-            if errs[0] <= 0.5e-8 * (dist.max() - spec.delta):
-                chain = spec.evecs[:, j][None]
-    if chain is None:
-        shifted = spec.k - lam * np.eye(len(spec.k))
-        chain = _svd_chain(shifted, lam, m)
-        resid = chain @ shifted.T  # row k - 1 is (K - lambda) phi^k - phi^{k-1}
-        resid[1:] -= chain[:-1]
-        errs = np.linalg.norm(resid, axis=1)
-    norms = np.linalg.norm(chain, axis=1)
-    _check_links(errs, np.concatenate([[np.inf], norms[:-1]]), "chain solve")
-    _check_links(errs, np.maximum(norms, 1.0), "window chain relation")
-    return chain
+    dist = np.abs(spec.evals - np.asarray(lams, dtype=complex)[:, None])
+    j = np.argmin(dist, axis=1)
+    errs = spec.resid[j] + dist.min(axis=1)
+    sep = np.partition(dist, 1, axis=1)[:, 1]
+    certified = (np.asarray(mults) == 1) & (sep * spec.inv_cond - spec.delta >= 4e-8)
+    certified &= errs <= 0.5e-8 * (dist.max(axis=1) - spec.delta)
+    chains, errs = spec.evecs.T[j[certified], None], errs[certified, None]
+    _check_links(errs, np.inf, "chain solve")
+    _check_links(errs, np.maximum(np.linalg.norm(chains, axis=2), 1.0), "window chain relation")
+    taken = iter(chains)
+    return [
+        next(taken) if ok else _svd_chain(spec.k - lam * np.eye(len(spec.k)), lam, m)
+        for ok, lam, m in zip(certified.tolist(), lams, mults)
+    ]
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def resonant_chain(cs: CoinSequence, res: Resonance, N: int) -> JordanChainStates:
     """Build the resonant state and its Jordan chain on [-N, n0 + N].
 
-    On the window the chain is the one of K at lambda (see _window_chain),
+    On the window the chain is the one of K at lambda (see _window_chains),
     read from the walk's spectral record, so it is bit for bit the chain
     that expand's coefficients refer to.
     Outside, only the outgoing chirality survives (L on the left, R on the
@@ -463,7 +464,7 @@ def resonant_chain(cs: CoinSequence, res: Resonance, N: int) -> JordanChainState
         raise ValueError(f"window radius must be at least 1, got {N}")
     n0 = cs.n0
     lam = res.lam
-    chain = _window_chain(_spectrum(cs), lam, res.alg_multiplicity)
+    [chain] = _window_chains(_spectrum(cs), [lam], [res.alg_multiplicity])
     m = len(chain)
 
     amps = np.zeros((m, n0 + 2 * N + 1, 2), dtype=complex)  # row N is site 0

@@ -185,72 +185,109 @@ def _sweep(e, f, w=0j) -> np.ndarray:
     return np.array(out, dtype=complex)
 
 
+def _checked_norm(m: np.ndarray) -> float:
+    """K's operator norm in O(n0) from m[s] = P_s C_s, refused above 1 + 1e-12.
+
+    m[s], site s's coin rows kept in the window, fills K's columns at s; distinct
+    sites fill distinct rows, so |K|_2 = max_s |m[s]|_2 exactly.  lambda_max(G),
+    G = m[s]* m[s], is taken without the trace-determinant form's cancellation.
+    """
+    top = np.abs(m).max()
+    if not np.isfinite(top):
+        raise ValueError("K has non-finite entries")
+    scale = 2.0 ** np.frexp(top)[1]  # exact; keeps the squares in range
+    x = m / scale
+    g = x.conj().swapaxes(1, 2) @ x
+    g00, g11 = g[:, 0, 0].real, g[:, 1, 1].real
+    lam = (g00 + g11) / 2 + np.hypot((g00 - g11) / 2, np.abs(g[:, 0, 1]))
+    top = scale * np.sqrt(lam.max())
+    if not top <= 1 + 1e-12:
+        raise ValueError(f"K has operator norm {top:.3e} > 1")
+    return float(top)
+
+
 @dataclass(frozen=True)
 class KMatrix:
-    """Dense restriction of the step to sites 0..n0, canonical layout."""
+    """Dense restriction of the step to sites 0..n0; its pattern and norm are checked in O(n0)."""
 
     n0: int
     entries: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=complex)
-        dim = 2 * (self.n0 + 1)
-        if m.shape != (dim, dim):
-            raise ValueError(f"K must be {dim}x{dim}, got {m.shape}")
-        top = np.linalg.norm(m, 2)
-        if top > 1 + 1e-12:
-            raise ValueError(f"K has operator norm {top:.15f} > 1")
+        n = self.n0 + 1
+        if m.shape != (2 * n, 2 * n):
+            raise ValueError(f"K must be {2 * n}x{2 * n}, got {m.shape}")
+        k4, s = m.reshape(n, 2, n, 2), np.arange(n)
+        blocks = np.zeros((n, 2, 2), dtype=complex)
+        blocks[1:, 0], blocks[:-1, 1] = k4[s[:-1], 0, s[1:]], k4[s[1:], 1, s[:-1]]
+        _checked_norm(blocks)
+        if np.count_nonzero(m) != np.count_nonzero(blocks):
+            raise ValueError("K has entries off the pattern of the step")
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
 
 
+def _parity_blocks(cs: CoinSequence) -> tuple[np.ndarray, np.ndarray]:
+    """K's site-parity blocks A (odd sites to even) and B (even to odd), in O(n0)."""
+    m = cs.table.reshape(-1, 2, 2) + 0.0  # zeros +0: K's eigensolves and SVDs read the sign
+    m[0, 0] = m[-1, 1] = 0
+    _checked_norm(m)
+    ne, no = (len(m) + 1) // 2, len(m) // 2  # even and odd sites
+    a, b = np.zeros((ne, 2, no, 2), dtype=complex), np.zeros((no, 2, ne, 2), dtype=complex)
+    i, j = np.arange(no), np.arange(ne - 1)
+    a[i, 0, i], a[j + 1, 1, j] = m[1::2, 0], m[1 : 2 * ne - 1 : 2, 1]
+    b[i, 1, i], b[j, 0, j + 1] = m[0 : 2 * no : 2, 1], m[2::2, 0]
+    return a.reshape(2 * ne, 2 * no), b.reshape(2 * no, 2 * ne)
+
+
 def build_K(cs: CoinSequence) -> KMatrix:
-    """Assemble K by walking the basis of the window once.
+    """Assemble K from its parity blocks (_parity_blocks).
 
     Column j is U e_j kept on the sites 0..n0; what leaves through the
     sites -1 and n0 + 1 is dropped, so the edge rows keep only the inward
     contribution (P_1 psi(1) and Q_{n0-1} psi(n0-1)).
     """
-    n0 = cs.n0
-    if n0 < 1:
+    if cs.n0 < 1:
         raise UnsupportedN0("K needs n0 >= 1, the boundary rows collapse at n0=0")
-    dim = 2 * (n0 + 1)
-    _, out = _walk(cs, 0, np.eye(dim, dtype=complex).reshape(dim, n0 + 1, 2))
-    # a coin applied to a zero input can leave -0; adding zero makes every
-    # structural zero of K +0, since the reflections inside the SVDs of K
-    # and its powers (the expansion's zero block) read its sign
-    return KMatrix(n0, out[:, 1:-1].reshape(dim, dim).T + 0.0)
+    return KMatrix(cs.n0, _placed(*_parity_blocks(cs)))
 
 
-def _parity_eig(k: np.ndarray, vectors: bool = False):
-    """K's eigenvalues, and with vectors its eigenvectors, from one eigensolve.
+def _placed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dense K = [[0, A], [B, 0]] in the canonical layout, even sites first."""
+    n = (len(a) + len(b)) // 2
+    k4 = np.zeros((n, 2, n, 2), dtype=complex)
+    k4[0::2, :, 1::2] = a.reshape(len(a) // 2, 2, -1, 2)
+    k4[1::2, :, 0::2] = b.reshape(len(b) // 2, 2, -1, 2)
+    return k4.reshape(2 * n, 2 * n)
+
+
+def _parity_eig(a: np.ndarray, b: np.ndarray, k: np.ndarray | None = None):
+    """K's eigenvalues, and given K its eigenvectors, from one eigensolve.
 
     Every resonance comes from here: find_resonances reads the eigenvalues
     alone, the spectral record of expand and resonant_chain the vectors
     too.  With the even sites first K = [[0, A], [B, 0]], so its
     eigenvalues are +-sqrt(mu) over the eigenvalues mu of the odd-site
     product BA, of size 2 floor((n0 + 1) / 2), and 0 for the two kernel
-    witnesses at sites 0 and n0, read off K's edge rows.  For n0 odd the witness at n0 is an
-    odd-site vector in the kernel of A, an exact zero of BA, and that mu
-    (the smallest) is dropped.
+    witnesses at sites 0 and n0, read off K's edge rows.  For n0 odd the
+    witness at n0 is an odd-site vector in the kernel of A, an exact zero
+    of BA, and that mu (the smallest) is dropped.
 
     Returns the eigenvalues (+lambda_j, then -lambda_j, then 0, 0) or, with
-    vectors, also the unit eigenvectors as columns: (A u, lambda u) for
+    k, also the unit eigenvectors as columns: (A u, lambda u) for
     BA u = mu u, then the witnesses.  Any other zero or near-zero mu leaves
     its two columns (nearly) parallel or zero, which shows in the
     conditioning of the matrix, not as an error.
     """
-    n = len(k) // 2  # the sites 0..n0
-    k4 = k.reshape(n, 2, n, 2)
-    a = k4[0::2, :, 1::2].reshape(-1, n // 2 * 2)  # odd sites to even ones
-    b = k4[1::2, :, 0::2].reshape(n // 2 * 2, -1)  # even sites to odd ones
-    mu, u = np.linalg.eig(b @ a) if vectors else (np.linalg.eigvals(b @ a), None)
+    n = (len(a) + len(b)) // 2  # the sites 0..n0
+    mu, u = np.linalg.eig(b @ a) if k is not None else (np.linalg.eigvals(b @ a), None)
     # for n0 odd (n even) the witness at site n0 is BA's exact zero
     keep = np.arange(len(mu)) != np.argmin(np.abs(mu)) if n % 2 == 0 else slice(None)
     lam = np.sqrt(mu[keep])
     evals = np.concatenate([lam, -lam, np.zeros(2, dtype=complex)])
-    if not vectors:
+    if k is None:
         return evals
     u, r = u[:, keep], len(lam)
     v = np.zeros((n, 2, 2 * r + 2), dtype=complex)

@@ -88,17 +88,22 @@ def test_expand_builds_K_once(monkeypatch):
     # zero block, however many resonances the window has, and then
     # resonant_chain for every block; eigvals runs only where
     # find_resonances and the resolvent ask for eigenvalues alone, on BA
-    # too, and no eigensolve of K's own size 2 (n0 + 1) runs at all
-    real = qwres.walk.build_K
+    # too, and no eigensolve of K's own size 2 (n0 + 1) runs at all.  A
+    # dense K is placed (walk._placed) from one write of the parity blocks:
+    # once for the spectral record, once for the resolvent, never for
+    # find_resonances; none of them goes through build_K
     calls = []
+    for name in ("build_K", "_placed"):
+        real = getattr(qwres.walk, name)
 
-    def counting(cs):
-        calls.append(cs.n0)
-        return real(cs)
+        def counting(*args, real=real, name=name):
+            k = real(*args)
+            calls.append((name, len(getattr(k, "entries", k))))
+            return k
 
-    for mod in list(sys.modules.values()):
-        if mod.__name__.startswith("qwres") and getattr(mod, "build_K", None) is real:
-            monkeypatch.setattr(mod, "build_K", counting)
+        for mod in list(sys.modules.values()):
+            if mod.__name__.startswith("qwres") and getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counting)
     for name in ("eig", "eigvals"):
         solver = getattr(np.linalg, name)
         monkeypatch.setattr(
@@ -109,21 +114,24 @@ def test_expand_builds_K_once(monkeypatch):
     rng = np.random.default_rng(17)
     haar6 = random_sequence(np.random.default_rng(6), 6)
     for cs in (random_sequence(rng, 2), triple_barrier(), random_sequence(rng, 9), haar6):
-        half = 2 * ((cs.n0 + 1) // 2)
+        half, dim = 2 * ((cs.n0 + 1) // 2), 2 * (cs.n0 + 1)
         qwres.resonances._spectrum.cache_clear()
         calls.clear()
         ed = expand(cs, basis_state(0, "L"))
         assert len(ed.blocks) >= 2
-        assert calls == [cs.n0, ("eig", half)]
+        assert calls == [("_placed", dim), ("eig", half)]
         for b in ed.blocks:
             resonant_chain(cs, b.resonance, 10)
-        assert calls == [cs.n0, ("eig", half)]
+        assert calls == [("_placed", dim), ("eig", half)]
         calls.clear()
         find_resonances(cs)
-        assert calls == [cs.n0, ("eigvals", half)]
+        assert calls == [("eigvals", half)]
         calls.clear()
         identity_residual(cs, np.linspace(-3, 3, 7) + 0.5j, basis_state(0, "L"), (-2, cs.n0 + 2))
-        assert calls == [cs.n0, ("eigvals", half)]
+        assert calls == [("_placed", dim), ("eigvals", half)]
+        calls.clear()
+        qwres.walk.build_K(cs)
+        assert calls == [("_placed", dim), ("build_K", dim)]
 
 
 def coefficient_bytes(ed):
@@ -205,11 +213,12 @@ def test_expand_chains_are_resonant_chain_windows(monkeypatch):
     for n0 in (4, 8, 16, 23):
         rng = np.random.default_rng(1000 + n0)
         cases.append((random_sequence(rng, n0), random_state(rng, n0, 3)))
-    real = qwres.expansion._window_chain
+    # expand takes every chain from one batched call, certified or not
+    real = qwres.expansion._window_chains
     for cs, psi0 in cases:
         taken = []
         monkeypatch.setattr(
-            qwres.expansion, "_window_chain", lambda *a: taken.append(real(*a)) or taken[-1]
+            qwres.expansion, "_window_chains", lambda *a: taken.extend(real(*a)) or taken
         )
         ed = expand(cs, psi0)
         monkeypatch.undo()

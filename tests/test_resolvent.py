@@ -12,13 +12,12 @@ from qwres import (
     WaveState,
     apply_resolvent,
     basis_state,
-    build_K,
     find_resonances,
     identity_residual,
     neumann_resolvent,
     step,
 )
-from qwres.walk import _parity_eig
+from qwres.walk import _parity_blocks, _parity_eig
 
 
 def test_resolvent_identity_on_random_instances():
@@ -156,7 +155,7 @@ def test_refusal_names_the_first_bad_point_in_grid_order(monkeypatch):
     # system is solved
     cs = triple_barrier()
     xi = find_resonances(cs)[0].xi
-    evals = _parity_eig(build_K(cs).entries)
+    evals = _parity_eig(*_parity_blocks(cs))
     at = 1j * np.log(evals[np.argmin(np.abs(evals - np.exp(-1j * xi)))])
     solves = []
     real = np.linalg.solve

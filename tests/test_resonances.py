@@ -9,8 +9,10 @@ from test_transfer import _row_recursion
 import qwres.resonances
 from qwres import (
     ChainSolveFailed,
+    Coin,
     CoinSequence,
     InvariantViolation,
+    QWResError,
     RelationCheckFailed,
     Resonance,
     SpectralOverflow,
@@ -30,14 +32,13 @@ from qwres import (
 )
 from qwres.resonances import (
     _cluster,
-    _decompose,
     _polish,
     _spectrum,
     _svd_chain,
     _unit_phase,
-    _window_chain,
+    _window_chains,
 )
-from qwres.walk import _parity_eig
+from qwres.walk import _parity_blocks, _parity_eig
 
 LOG2_HALF = 0.5 * math.log(2.0)
 
@@ -52,7 +53,7 @@ def as_multiset(values):
 
 def eigen_mu(cs):
     """mu = lambda^2 over K's nonzero eigenvalue pairs, from the parity eigensolve."""
-    evals = _parity_eig(build_K(cs).entries)
+    evals = _parity_eig(*_parity_blocks(cs))
     return evals[: len(evals) // 2 - 1] ** 2
 
 
@@ -302,6 +303,23 @@ def test_no_resonances_without_a_window():
     assert find_resonances(CoinSequence(1, (identity_coin(), identity_coin()))) == []
 
 
+def test_a_window_of_256_sites_returns_or_refuses_typed():
+    # at the scale the parity blocks written from the coin table reach, a
+    # Haar window resolves or raises a QWResError: no ValueError, no
+    # LinAlgError and no warning, on the eigen path alone as well
+    cs = random_sequence(np.random.default_rng(256), 256)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            rs = find_resonances(cs)
+        except QWResError:
+            rs = []
+        evals = _parity_eig(*_parity_blocks(cs))
+    assert len(evals) == 2 * 257 and np.isfinite(evals).all()
+    assert evals[:256].tobytes() == (-evals[256:512]).tobytes()
+    assert all(abs(r.lam) < 1 for r in rs)
+
+
 def test_resonances_match_dense_eigenvalues():
     # Re-pair the lambda multiset against nonzero eigenvalues of K by
     # greedy nearest matching; this mirrors the internal cross-check but
@@ -417,7 +435,7 @@ def test_window_chain_refuses_broken_links():
     lam = find_resonances(cs)[0].lam
     # a simple eigenvalue has no second chain vector
     with pytest.raises(ChainSolveFailed, match="chain solve residual .* at chain index 2"):
-        _window_chain(spec, lam, 2)
+        _window_chains(spec, [lam], [2])
     # slightly off the eigenvalue, the smallest singular value of K - lambda
     # lies between 1e-8 and the rank cut 1e-8 s_max: the kernel is accepted,
     # but (K - lambda) phi^1 = 0 fails its 1e-8 bound; the eigenvector's
@@ -428,7 +446,7 @@ def test_window_chain_refuses_broken_links():
     s = np.linalg.svd(k - off * eye, compute_uv=False)
     assert 1e-8 < s[-1] < 1e-8 * s[0]
     with pytest.raises(ChainSolveFailed, match="window chain relation residual .* at chain index 1"):
-        _window_chain(spec, off, 1)
+        _window_chains(spec, [off], [1])
 
 
 def test_resonant_chain_rejects_bad_radius():
@@ -450,7 +468,7 @@ def test_resonant_state_escapes_l2():
 
 
 def count_svd_chains(monkeypatch):
-    """Route _window_chain's SVD path through a recorder of (lam, m)."""
+    """Route _window_chains' SVD path through a recorder of (lam, m)."""
     real = qwres.resonances._svd_chain
     calls = []
 
@@ -465,7 +483,7 @@ def count_svd_chains(monkeypatch):
 def window_chains(cs):
     spec = _spectrum(cs)
     rs = find_resonances(cs)
-    return spec, rs, [_window_chain(spec, r.lam, r.alg_multiplicity) for r in rs]
+    return spec, rs, _window_chains(spec, [r.lam for r in rs], [r.alg_multiplicity for r in rs])
 
 
 @pytest.mark.parametrize("n0", [4, 8, 16, 23])
@@ -533,17 +551,23 @@ def test_close_eigenvalues_are_not_certified():
     # eigenvector solves K v = 0.5 v to rounding, but K - 0.5 has two
     # singular values below 1e-8, so the certificate must not hold and the
     # SVD's rank test refuses the block
+    cs = CoinSequence(
+        2,
+        (
+            Coin(0, 0, 1.0, 0),  # c_0, sending site 0's L to site 1's R
+            Coin(0, (0.5 + 1e-9) ** 2, 0.25, 0),  # b_1 and c_1
+            Coin(0, 1.0, 0, 0),  # b_2
+        ),
+    )
+    spec = _spectrum(cs)
     k = np.zeros((6, 6), dtype=complex)
-    k[3, 0] = 1.0  # c_0, sending site 0's L to site 1's R
-    k[0, 3] = (0.5 + 1e-9) ** 2  # b_1
-    k[5, 2] = 0.25  # c_1
-    k[2, 5] = 1.0  # b_2
-    spec = _decompose(k)
+    k[3, 0], k[0, 3], k[5, 2], k[2, 5] = 1.0, (0.5 + 1e-9) ** 2, 0.25, 1.0
+    np.testing.assert_array_equal(spec.k, k)
     assert spec.inv_cond > 0.1 and spec.delta < 1e-15
     want = [-0.5 - 1e-9, -0.5, 0, 0, 0.5, 0.5 + 1e-9]
     np.testing.assert_allclose(np.sort(spec.evals.real), want, atol=1e-15)
     with pytest.raises(InvariantViolation, match="has dimension 2"):
-        _window_chain(spec, 0.5, 1)
+        _window_chains(spec, [0.5], [1])
 
 
 def test_each_walk_reads_its_own_spectrum():
@@ -559,7 +583,7 @@ def test_each_walk_reads_its_own_spectrum():
         for cs, chains in zip(walks, fresh):
             spec = _spectrum(cs)
             np.testing.assert_array_equal(spec.k, build_K(cs).entries)
-            evals, evecs = _parity_eig(build_K(cs).entries, vectors=True)
+            evals, evecs = _parity_eig(*_parity_blocks(cs), build_K(cs).entries)
             np.testing.assert_array_equal(spec.evals, evals)
             np.testing.assert_array_equal(spec.evecs, _unit_phase(evecs))
             for a in (spec.k, spec.evals, spec.evecs, spec.resid):

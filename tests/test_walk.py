@@ -1,16 +1,29 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
-from conftest import hadamard_pair, random_sequence, random_state, triple_barrier, window_state
+from conftest import (
+    haar_coin,
+    hadamard_pair,
+    random_sequence,
+    random_state,
+    triple_barrier,
+    window_state,
+)
 from qwres import (
     Coin,
     CoinSequence,
+    KMatrix,
+    QWResError,
     UnsupportedN0,
     WaveState,
     basis_state,
     build_K,
     evolve,
     find_resonances,
+    hadamard_coin,
     identity_coin,
     incoming_length,
     kernel_witnesses,
@@ -19,7 +32,15 @@ from qwres import (
     step,
     survival_norm,
 )
-from qwres.walk import BLOCK, _parity_eig, _states, _window_blocks, _window_survival
+from qwres.walk import (
+    BLOCK,
+    _checked_norm,
+    _parity_blocks,
+    _parity_eig,
+    _states,
+    _window_blocks,
+    _window_survival,
+)
 
 S = 2.0 ** -0.5
 
@@ -123,18 +144,62 @@ def test_build_K_hadamard_entries():
     assert k.n0 == 1
 
 
+def coin_ladder(seed, count, kinds=("haar", "rotation", "hadamard", "identity")):
+    """count windows with n0 = 1 .. 64 in turn, each site's coin of a kind drawn from kinds.
+
+    Rotation parameters are drawn from (-0.99, 0.99), never exactly 0, so
+    no coin entry is -0.
+    """
+    rng = np.random.default_rng(seed)
+    make = {
+        "haar": lambda: haar_coin(rng),
+        "rotation": lambda: rotation_coin(float(rng.uniform(-0.99, 0.99))),
+        "hadamard": hadamard_coin,
+        "identity": identity_coin,
+    }
+    for i in range(count):
+        n0 = 1 + i % 64
+        draws = rng.integers(len(kinds), size=n0 + 1)
+        yield CoinSequence(n0, tuple(make[kinds[k]]() for k in draws))
+
+
 def test_build_K_is_the_window_block_of_the_step_bit_for_bit():
     # K holds the coin entries themselves and +0 elsewhere; the sign of a
     # zero steers the reflections inside eigvals, so compare bits
-    rng = np.random.default_rng(73)
-    for _ in range(20):
-        n0 = int(rng.integers(1, 7))
-        cs = random_sequence(rng, n0)
-        m = n0 + 1
-        window = slice(2 * m, 2 * (m + n0 + 1))
+    cases = [random_sequence(np.random.default_rng(73), n0) for n0 in range(1, 7)]
+    for cs in cases + list(coin_ladder(73, 128)):
+        m = cs.n0 + 1
+        window = slice(2 * m, 2 * (m + cs.n0 + 1))
         block = np.ascontiguousarray(dense_step_matrix(cs, m)[window, window])
         k = build_K(cs).entries
         assert np.array_equal(k.view(np.int64), block.view(np.int64))
+
+
+def test_parity_blocks_are_the_slices_of_build_K_bit_for_bit():
+    # the coin-table writer of A and B is what find_resonances, the spectral
+    # record and the resolvent read; its blocks and their product BA must be
+    # those of K, sliced as the even sites first make K = [[0, A], [B, 0]]
+    for cs in list(coin_ladder(83, 128)) + [hadamard_pair(), triple_barrier()]:
+        a, b = _parity_blocks(cs)
+        n = cs.n0 + 1
+        k4 = build_K(cs).entries.reshape(n, 2, n, 2)
+        ka = k4[0::2, :, 1::2].reshape(-1, n // 2 * 2)
+        kb = k4[1::2, :, 0::2].reshape(n // 2 * 2, -1)
+        assert a.shape == ka.shape and b.shape == kb.shape
+        assert a.tobytes() == ka.tobytes() and b.tobytes() == kb.tobytes()
+        assert (b @ a).tobytes() == (kb @ ka).tobytes()
+
+
+def test_K_zeros_are_positive_where_the_coins_hold_negative_zeros():
+    # rotation_coin(0.0) has c = -0.0, and a coin may carry -0 imaginary
+    # parts; K and its parity blocks hold +0 there, whose sign the
+    # reflections inside eigvals read
+    signed = Coin(complex(0.6, -0.0), complex(-0.8, -0.0), 0.8 + 0j, complex(0.6, -0.0))
+    cs = CoinSequence(3, (rotation_coin(0.0), signed, rotation_coin(0.0), signed))
+    assert np.signbit(cs.table.view(float)[cs.table.view(float) == 0]).any()
+    for x in (build_K(cs).entries, *_parity_blocks(cs)):
+        parts = x.view(float)
+        assert not np.signbit(parts[parts == 0]).any()
 
 
 def test_build_K_requires_positive_n0():
@@ -163,6 +228,78 @@ def test_K_is_a_contraction():
         cs = random_sequence(rng, int(rng.integers(1, 7)))
         k = build_K(cs).entries
         assert np.linalg.norm(k, 2) <= 1.0 + 1e-12
+
+
+def test_norm_check_is_exact():
+    # distinct sites write distinct rows of K, so |K|_2 is the largest norm
+    # of a site's coin rows kept in the window.  Half the windows scale each
+    # coin by a factor in (0.3, 1) and the rows that leave the window by up
+    # to 3, so the largest block is neither 1 nor an edge row
+    rng = np.random.default_rng(79)
+    eps = np.finfo(float).eps
+    for i, cs in enumerate(coin_ladder(79, 1024, ("haar", "rotation", "hadamard"))):
+        m = cs.table.reshape(-1, 2, 2) * rng.uniform(0.3, 1.0, (cs.n0 + 1, 1, 1)) ** (i % 2)
+        m[0, 0] *= rng.uniform(1.0, 3.0) ** (i % 2)
+        m[-1, 1] *= rng.uniform(1.0, 3.0) ** (i % 2)
+        cs = CoinSequence(cs.n0, tuple(Coin(*site) for site in m.reshape(-1, 4).tolist()))
+        n = cs.n0 + 1
+        window = slice(2 * n, 2 * (n + n))
+        exact = np.linalg.norm(dense_step_matrix(cs, n)[window, window], 2)
+        m[0, 0] = m[-1, 1] = 0
+        assert abs(_checked_norm(m) - exact) <= 4 * eps * exact
+
+
+def test_norm_check_refuses_unvalidated_coins_as_the_svd_did():
+    base = random_sequence(np.random.default_rng(5), 4).coins
+    u0, u, un = base[0], base[2], base[4]
+
+    def with_coin(site, coin):
+        return CoinSequence(4, base[:site] + (coin,) + base[site + 1 :])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # a coin that is not a contraction inside the window: both paths
+        # refuse, the norm printed in three digits however large
+        for cs, top in [
+            (with_coin(2, Coin(*(1.01 * x for x in (u.a, u.b, u.c, u.d)))), "1.010e+00"),
+            (with_coin(2, Coin(1e200, 1e200, 0, 1)), "1.414e+200"),
+        ]:
+            for call in (build_K, find_resonances):
+                with pytest.raises(ValueError, match=re.escape(f"K has operator norm {top} > 1")):
+                    call(cs)
+        # a defect only in a row that leaves the window is not in K
+        for cs in (
+            with_coin(0, Coin(5 * u0.a, 5 * u0.b, u0.c, u0.d)),
+            with_coin(0, Coin(u0.a, complex("nan"), u0.c, u0.d)),
+            with_coin(4, Coin(un.a, un.b, 5 * un.c, 5 * un.d)),
+        ):
+            window = slice(10, 20)
+            block = np.ascontiguousarray(dense_step_matrix(cs, 5)[window, window])
+            assert build_K(cs).entries.tobytes() == block.tobytes()
+            try:
+                find_resonances(cs)
+            except QWResError:
+                pass
+        # a non-finite entry in the window is refused with a ValueError
+        for bad in (complex("nan"), complex("inf")):
+            cs = with_coin(2, Coin(u.a, bad, u.c, u.d))
+            with pytest.raises(ValueError, match="K has non-finite entries"):
+                build_K(cs)
+            with pytest.raises((ValueError, QWResError)):
+                find_resonances(cs)
+    # KMatrix checks the entries it is handed: K's pattern, finite values;
+    # row 5 is site 2's R, which only site 1's coin reaches, and (0, 2)
+    # holds a_1
+    k = build_K(CoinSequence(4, base)).entries
+    for spot, value, why in [
+        ((0, 0), 0.5, "off the pattern"),
+        ((5, 0), 1e-3, "off the pattern"),
+        ((0, 2), complex("nan"), "non-finite"),
+    ]:
+        bad = k.copy()
+        bad[spot] = value
+        with pytest.raises(ValueError, match=why):
+            KMatrix(4, bad)
 
 
 def test_kernel_witnesses_annihilated():
@@ -200,7 +337,7 @@ def test_parity_eigenvalues_are_the_dense_ones_in_exact_pairs():
     eps = np.finfo(float).eps
     for cs in parity_cases():
         k = build_K(cs).entries
-        block = _parity_eig(k)
+        block = _parity_eig(*_parity_blocks(cs))
         r = (len(block) - 2) // 2
         assert block.tobytes()[: 16 * r] == (-block[r : 2 * r]).tobytes()
         assert not block[2 * r :].view(np.int64).any()
