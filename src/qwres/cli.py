@@ -57,6 +57,13 @@ def _f(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _csv(header: str, *columns) -> str:
+    """header, then one line per row of the columns, each value as _f writes it."""
+    # "%.17g" % x is format(x, ".17g"), -0, inf and nan included
+    fmt = ",".join(["%.17g"] * len(columns))
+    return "\n".join([header, *(fmt % row for row in zip(*columns))]) + "\n"
+
+
 def _json(obj, depth: int = 0) -> str:
     """JSON text: a top-level dict or a list of dicts puts one entry per line,
     everything else is inline, and a complex number becomes [re, im]."""
@@ -187,20 +194,16 @@ def _cmd_polynomial(args):
 
 def _cmd_scattering(args):
     cs, _ = _load_config(args.config)
-    sm = scattering_matrix(cs, np.array(args.xi_grid))
-    columns = zip(
-        args.xi_grid, np.abs(sm.t_minus) ** 2, np.abs(sm.r_minus) ** 2, sm.unitarity_residual()
-    )
-    lines = ["xi_re,xi_im,t_minus_abs2,r_minus_abs2,unitarity_residual"]
-    for xi, t2, r2, resid in columns:
-        lines.append(f"{_f(xi.real)},{_f(xi.imag)},{_f(t2)},{_f(r2)},{_f(resid)}")
-    return "\n".join(lines) + "\n"
+    xi = np.array(args.xi_grid)
+    sm = scattering_matrix(cs, xi)
+    t2, r2 = np.abs(sm.t_minus) ** 2, np.abs(sm.r_minus) ** 2
+    cols = xi.real, xi.imag, t2, r2, sm.unitarity_residual()
+    header = "xi_re,xi_im,t_minus_abs2,r_minus_abs2,unitarity_residual"
+    return _csv(header, *(c.tolist() for c in cols))
 
 
 def _survival_csv(norms) -> str:
-    lines = ["t,survival_norm"]
-    lines.extend(f"{t},{_f(v)}" for t, v in enumerate(norms))
-    return "\n".join(lines) + "\n"
+    return _csv("t,survival_norm", range(len(norms)), norms)
 
 
 def _texts(z: np.ndarray) -> list[str]:
@@ -292,22 +295,18 @@ def _cmd_resolvent_check(args):
     cs, psi0 = _load_config(args.config)
     f = _default_psi0(psi0)
     window = (-args.window, cs.n0 + args.window)
-    resids, conds = identity_residual(cs, np.array(args.xi_grid), f, window)
-    lines = ["xi_re,xi_im,residual,condition"]
-    for xi, resid, cond in zip(args.xi_grid, resids, conds):
-        lines.append(f"{_f(xi.real)},{_f(xi.imag)},{_f(resid)},{_f(cond)}")
-    return "\n".join(lines) + "\n"
+    xi = np.array(args.xi_grid)
+    resids, conds = identity_residual(cs, xi, f, window)
+    cols = xi.real, xi.imag, resids, conds
+    return _csv("xi_re,xi_im,residual,condition", *(c.tolist() for c in cols))
 
 
 def _cmd_split(args):
     cs, _ = _load_config(args.config)
     pf = PerturbationFamily(cs, args.phi, tuple(sorted(args.eps)))
     rows = splitting_experiment(pf)
-    slope = splitting_slope(rows)
-    lines = ["eps,gap,slope_estimate"]
-    for eps, gap, _mults in rows:
-        lines.append(f"{_f(eps)},{_f(gap)},{_f(slope)}")
-    return "\n".join(lines) + "\n"
+    eps, gaps, _ = zip(*rows)
+    return _csv("eps,gap,slope_estimate", eps, gaps, [splitting_slope(rows)] * len(rows))
 
 
 # -------------------------------------------------------------- selftest

@@ -3,15 +3,20 @@
 One step is U = S∘C: the coin C acts on the (L, R) pair at each site, then
 the shift S moves L one site left and R one site right.  Outside the window
 [0, n0] the coins are the identity, so the step is a pure shift there, with
-no rounding at all.  Every use of U reads the one coin kernel :func:`_coin`:
-:func:`_walk` shifts its output for :func:`step`, :func:`build_K` and the
-resolvent, :func:`_states` steps the whole light cone in time, and
-:func:`_window_blocks` steps only the window, in place, into one reused
-block of rows (what leaves never returns).  Its rows also hold what the
-coins send out through the sites -1 and n0 + 1, so they serve both the
-survival norms and the ``evolve`` trajectory, whose off-window part is the
-pure shift of psi0 and of those edge amplitudes.  :func:`_sweep` solves
-(1/e - U) w = f off the window.
+no rounding at all.  Every use of U reads the one coin kernel :func:`_coin`.
+It lays a site range out chirality-major, the L of each site, a spare slot,
+then the R in reverse, so the row read backward pairs each L with its own R
+and all the coins take three contiguous ufunc calls, c1 x + c2 x[::-1].
+Its products are the coin's (a L + b R, c L + d R), only c L + d R is summed
+as d R + c L, and IEEE addition commutes exactly, signed zeros included.
+:func:`_walk` gathers its window rows into this layout and shifts the
+result for :func:`step`, :func:`build_K` and the resolvent, :func:`_states`
+steps the whole light cone in time, and :func:`_window_blocks` steps only
+the window, in place, in this layout (what leaves never returns).  Its rows
+also hold what the coins send out through the sites -1 and n0 + 1, so they
+serve both the survival norms and the ``evolve`` trajectory, whose
+off-window part is the pure shift of psi0 and of those edge amplitudes.
+:func:`_sweep` solves (1/e - U) w = f off the window.
 
 K is the restriction of the step to the sites 0..n0.  It is a contraction;
 the norm it loses in one application is exactly what the walk radiates out
@@ -47,23 +52,30 @@ __all__ = [
 BLOCK = 512
 
 
-def _coin(abcd, rows: np.ndarray):
-    """The coin action (a L + b R, c L + d R) on rows of shape (..., N, 2).
+def _kernel(table: np.ndarray) -> np.ndarray:
+    """_coin's columns (a, 0, d reversed) and (b, 0, c reversed) for the N sites of table."""
+    n = len(table)
+    c = np.zeros((2, 2 * n + 1), dtype=complex)
+    c[:, :n] = table[:, :2].T
+    c[:, n + 1 :] = table[::-1, :1:-1].T
+    return c
 
-    abcd holds the four coin columns a, b, c, d of the N sites, each of
-    length N.
+
+def _coin(c1: np.ndarray, c2: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = c1 x + c2 x[..., ::-1], the coins of N sites on x of shape (..., 2N + 1).
+
+    x holds the N sites' L, a spare slot, then their R reversed; (c1, c2) = _kernel(...).
     """
-    a, b, c, d = abcd
-    left, right = rows[..., 0], rows[..., 1]
-    return a * left + b * right, c * left + d * right
+    np.multiply(c1, x, out)
+    return np.add(out, np.multiply(c2, x[..., ::-1]), out)
 
 
 def _walk(cs: CoinSequence, lo: int, rows: np.ndarray):
     """U = S∘C on amplitude rows for the sites lo..lo+N-1.
 
     rows has shape (..., N, 2); the coins touch only the rows at sites
-    0..n0.  Returns (lo - 1, out) with out of shape (..., N + 2, 2), row k
-    of out holding site lo - 1 + k.
+    0..n0, gathered into _coin's layout.  Returns (lo - 1, out) with out of
+    shape (..., N + 2, 2), row k of out holding site lo - 1 + k.
     """
     n = rows.shape[-2]
     out = np.zeros(rows.shape[:-2] + (n + 2, 2), dtype=complex)
@@ -72,9 +84,11 @@ def _walk(cs: CoinSequence, lo: int, rows: np.ndarray):
     # rows i0..i1-1 sit on the window; their shifted images take the coin
     i0, i1 = max(-lo, 0), min(cs.n0 + 1 - lo, n)
     if i0 < i1:
-        left, right = _coin(cs.table[lo + i0 : lo + i1].T, rows[..., i0:i1, :])
-        out[..., i0:i1, 0] = left
-        out[..., i0 + 2 : i1 + 2, 1] = right
+        m = i1 - i0
+        x = np.zeros(rows.shape[:-2] + (2 * m + 1,), dtype=complex)
+        x[..., :m], x[..., : m : -1] = rows[..., i0:i1, 0], rows[..., i0:i1, 1]
+        y = _coin(*_kernel(cs.table[lo + i0 : lo + i1]), x, np.empty_like(x))
+        out[..., i0:i1, 0], out[..., i0 + 2 : i1 + 2, 1] = y[..., :m], y[..., : m : -1]
     return lo - 1, out
 
 
@@ -103,6 +117,12 @@ def _window_blocks(psi0: WaveState, cs: CoinSequence, T: int):
     reaches site 0 and its L at n0 + t reaches site n0 at step t, untouched
     by any coin.
 
+    The steps run on rows in :func:`_coin`'s layout, the L at -1..n0 then
+    the R at n0 + 1..0: a step is one :func:`_coin` call from slot 1 on (the
+    R at n0 + 1 is the spare) into the next row's slots but the last, then
+    the L at n0 and the R at 0 take psi0's incoming amplitudes.  Each block
+    is copied into the yielded layout once.
+
     The window rows[:, 1:-1] are bit for bit those of :func:`_states` on
     the support of psi_t, signed zeros included; off it they hold zeros of
     either sign.  The edge rows hold only what leaves: the L at -1
@@ -119,9 +139,21 @@ def _window_blocks(psi0: WaveState, cs: CoinSequence, T: int):
     if T < 0:
         raise ValueError(f"T must be nonnegative, got {T}")
     n0 = cs.n0
-    abcd = tuple(cs.table.T)
+    rows = np.zeros((min(BLOCK, T + 1), n0 + 3, 2), dtype=complex)
+    rows[0, 1:-1] = window_vector(psi0, n0).reshape(-1, 2)
+    rows[0, 0, 0], rows[0, -1, 1] = psi0.amplitude(-1)[0], psi0.amplitude(n0 + 1)[1]
+    if T == 0:
+        yield rows
+        return
+    block = np.empty((len(rows), 2 * n0 + 4), dtype=complex)
+    block[0, : n0 + 2], block[0, n0 + 2 :] = rows[0, : n0 + 2, 0], rows[0, :0:-1, 1]
+    views = list(block)
+    xs, outs = [r[1:] for r in views], [r[:-1] for r in views]
+    c1, c2 = _kernel(cs.table)
     amps, lo = psi0.amplitudes, psi0.support_lo
-    stored = range(len(amps))
+    # psi0's R and L by the step at which they reach site 0 and site n0
+    from_l = dict(zip(range(-lo, -lo - len(amps), -1), amps[:, 1].tolist()))
+    from_r = dict(zip(range(lo - n0, lo - n0 + len(amps)), amps[:, 0].tolist()))
     # from these steps on, psi0's own amplitudes leave psi_t nothing left of
     # the window (an L moving out or an R still moving in), and right of
     # it; T stands for never, as after the window sends out a nonzero
@@ -129,41 +161,39 @@ def _window_blocks(psi0: WaveState, cs: CoinSequence, T: int):
     moving_l, moving_r = sites[amps[:, 0] != 0], sites[amps[:, 1] != 0]
     bare_l = T if (moving_l < 0).any() else -moving_r.min(initial=0)
     bare_r = T if (moving_r > n0).any() else moving_l.max(initial=n0) - n0
-    block = np.zeros((min(BLOCK, T + 1), n0 + 3, 2), dtype=complex)
-    block[0, 1:-1] = window_vector(psi0, n0).reshape(-1, 2)
-    block[0, 0, 0], block[0, -1, 1] = psi0.amplitude(-1)[0], psi0.amplitude(n0 + 1)[1]
     first = i = 0
     for t in range(1, T + 1):
-        if i == len(block) - 1:
-            yield block[first:]
-            # the last row is the next block's row 0, already yielded
-            block[0] = block[-1]
-            first, i = 1, 0
-        src, row = block[i], block[i + 1]
+        src, row = views[i], views[i + 1]
         # L leaves through site -1 and R through n0 + 1 for good
-        row[:-2, 0], row[2:, 1] = _coin(abcd, src[1:-1])
-        k, j = -t - lo, n0 + t - lo
-        row[1, 1] = from_l = amps[k, 1] if k in stored else 0
-        row[-2, 0] = from_r = amps[j, 0] if j in stored else 0
+        _coin(c1, c2, xs[i], outs[i + 1])
+        row[-1] = in_l = from_l.get(t, 0)
+        row[n0 + 1] = in_r = from_r.get(t, 0)
         if t > bare_l or t > bare_r:
-            nonzero = np.flatnonzero(src[1:-1].any(axis=1))
+            on = src[1:] != 0
+            nonzero = np.flatnonzero(on[: n0 + 1] | on[: n0 + 1 : -1])
             # zeroing an edge slot only rewrites a zero: the coins read
             # zeros where the support is not
             if t > bare_l:
-                start = nonzero[0] if nonzero.size else n0 + 1 if src[-1, 1] or from_r else n0 + 2
-                row[: start + 2, 1] = 0
-                row[:start, 0] = 0
+                start = nonzero[0] if nonzero.size else n0 + 1 if src[n0 + 2] or in_r else n0 + 2
+                row[max(2 * n0 + 3 - start, n0 + 2) :] = 0
+                row[:start] = 0
             if t > bare_r:
-                end = nonzero[-1] if nonzero.size else -1 if src[0, 0] or from_l else -2
-                row[max(end + 1, 0) :, 0] = 0
-                row[end + 3 :, 1] = 0
+                end = nonzero[-1] if nonzero.size else -1 if src[0] or in_l else -2
+                row[max(end + 1, 0) : n0 + 2] = 0
+                row[n0 + 2 : 2 * n0 + 2 - end] = 0
         if bare_l < T or bare_r < T:
-            if row[0, 0]:
+            if row[0]:
                 bare_l = T
-            if row[-1, 1]:
+            if row[n0 + 2]:
                 bare_r = T
         i += 1
-    yield block[first : i + 1]
+        if i == len(block) - 1 or t == T:
+            done = slice(first, i + 1)
+            rows[done, : n0 + 2, 0] = block[done, : n0 + 2]
+            rows[done, :0:-1, 1] = block[done, n0 + 2 :]
+            yield rows[done]
+            # the last row is the next block's row 0, already yielded
+            block[0], first, i = block[i], 1, 0
 
 
 def evolve(psi0: WaveState, cs: CoinSequence, T: int) -> list[WaveState]:
@@ -231,6 +261,8 @@ class KMatrix:
 
 def _parity_blocks(cs: CoinSequence) -> tuple[np.ndarray, np.ndarray]:
     """K's site-parity blocks A (odd sites to even) and B (even to odd), in O(n0)."""
+    if cs.n0 < 1:
+        raise UnsupportedN0("K needs n0 >= 1, the boundary rows collapse at n0=0")
     m = cs.table.reshape(-1, 2, 2) + 0.0  # zeros +0: K's eigensolves and SVDs read the sign
     m[0, 0] = m[-1, 1] = 0
     _checked_norm(m)
@@ -249,8 +281,6 @@ def build_K(cs: CoinSequence) -> KMatrix:
     sites -1 and n0 + 1 is dropped, so the edge rows keep only the inward
     contribution (P_1 psi(1) and Q_{n0-1} psi(n0-1)).
     """
-    if cs.n0 < 1:
-        raise UnsupportedN0("K needs n0 >= 1, the boundary rows collapse at n0=0")
     return KMatrix(cs.n0, _placed(*_parity_blocks(cs)))
 
 

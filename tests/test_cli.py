@@ -339,20 +339,22 @@ def test_survival_makes_no_state_per_step(capsys, monkeypatch, hadamard_cfg):
 
 def test_survival_steps_only_the_window(capsys, monkeypatch, hadamard_cfg):
     # the light cone of T = 2000 steps is 4000 sites wide; the window walk
-    # applies the coins to the n0 + 1 window rows once a step
+    # applies the coins once a step, to the 2 (n0 + 1) + 1 slots of _coin's
+    # layout: the L and the R of the n0 + 1 window sites and the spare slot
     import qwres.walk
 
     kernel = qwres.walk._coin
-    widths = []
+    shapes = []
 
-    def counted(abcd, rows):
-        widths.append(rows.shape[-2])
-        return kernel(abcd, rows)
+    def counted(c1, c2, x, out):
+        shapes.append((c1.shape, c2.shape, x.shape, out.shape))
+        return kernel(c1, c2, x, out)
 
     monkeypatch.setattr(qwres.walk, "_coin", counted)
     code, _, _ = run(capsys, "survival", "--config", hadamard_cfg, "--T", "2000")
     assert code == 0
-    assert widths == [HADAMARD_CFG["n0"] + 1] * 2000
+    slots = (2 * HADAMARD_CFG["n0"] + 3,)
+    assert shapes == [(slots,) * 4] * 2000
 
 
 def evolve_oracle(cfg, T):
@@ -460,9 +462,9 @@ def test_evolve_steps_the_window_and_formats_each_amplitude_once(capsys, monkeyp
         made.append(self)
         post_init(self)
 
-    def counted_coin(abcd, rows):
-        shapes.append(rows.shape)
-        return kernel(abcd, rows)
+    def counted_coin(c1, c2, x, out):
+        shapes.append((c1.shape, c2.shape, x.shape, out.shape))
+        return kernel(c1, c2, x, out)
 
     def counted_texts(z):
         formatted.append(z.size)
@@ -474,7 +476,7 @@ def test_evolve_steps_the_window_and_formats_each_amplitude_once(capsys, monkeyp
     code, out, _ = run(capsys, "evolve", "--config", triple_cfg, "--T", str(T))
     assert code == 0
     assert len(made) <= 2
-    assert shapes == [(n0 + 1, 2)] * T
+    assert shapes == [((2 * n0 + 3,),) * 4] * T
     assert sum(formatted) == 2 + 2 * (n0 + 1) * T
     assert out.count("\n") > 20 * sum(formatted)
 
@@ -622,6 +624,17 @@ def test_nonunitary_coin_exits_10(tmp_path, capsys):
     code, _, err = run(capsys, "resonances", "--config", str(cfg))
     assert code == 10
     assert "NotUnitary" in err
+
+
+def test_commands_that_need_K_exit_20_at_n0_0(tmp_path, capsys):
+    # K needs n0 >= 1: expand, the resolvent's window system and the fit's
+    # nilpotency index refuse n0 = 0 with the typed error
+    cfg = tmp_path / "n0.json"
+    cfg.write_text(json.dumps({"n0": 0, "coins": [{"rotation": 0.5}]}))
+    for command in ("expand", "resolvent-check", "survival --fit"):
+        code, out, err = run(capsys, *command.split(), "--config", str(cfg))
+        assert code == 20 and out == ""
+        assert "UnsupportedN0" in err
 
 
 def test_overflowing_coin_exits_10(tmp_path, capsys):

@@ -518,6 +518,30 @@ def test_certified_chains_match_the_svd_path(monkeypatch, n0):
             assert sine <= (np.linalg.norm(shifted @ v) + 4 * dim * np.finfo(float).eps) / low
 
 
+def test_residual_bound_alone_withholds_the_certificate(monkeypatch):
+    # 1.5 times the residual bound 0.5e-8 (max_j |lambda_j - lambda| - delta)
+    # off a simple eigenvalue of the Hadamard pair, sep / kappa(V) - delta
+    # stays near 0.29, far above 4e-8, so only the bound on r withholds the
+    # certificate.  K - lambda then has one singular value near 7.5e-9,
+    # inside both the rank cut and the relation bound, so the SVD answers
+    cs = hadamard_pair()
+    spec = _spectrum(cs)
+    lam = find_resonances(cs)[0].lam
+    dist = np.abs(spec.evals - lam)
+    bound = 0.5e-8 * (dist.max() - spec.delta)
+    off = lam + 1.5 * bound * lam / abs(lam)
+    dist = np.abs(spec.evals - off)
+    assert np.partition(dist, 1)[1] * spec.inv_cond - spec.delta > 0.2
+    assert spec.resid[np.argmin(dist)] + dist.min() > 0.5e-8 * (dist.max() - spec.delta)
+    calls = count_svd_chains(monkeypatch)
+    [chain] = _window_chains(spec, [off], [1])
+    assert calls == [(off, 1)]
+    monkeypatch.undo()
+    np.testing.assert_array_equal(chain, _svd_chain(spec.k - off * np.eye(len(spec.k)), off, 1))
+    v = spec.evecs[:, np.argmin(dist)]
+    assert abs(abs(np.vdot(chain[0], v)) - 1) < 1e-12
+
+
 def test_multiple_resonances_take_the_svd_path(monkeypatch):
     calls = count_svd_chains(monkeypatch)
     spec, rs, chains = window_chains(triple_barrier())

@@ -418,6 +418,35 @@ def _assert_same_stream(got, want):
             assert x.tobytes() == y.tobytes() if y else x == 0
 
 
+def test_step_and_the_window_stream_read_the_one_coin_kernel(monkeypatch):
+    # with _coin's coins doubled, every amplitude a coin makes doubles, and
+    # exactly so; from a state on the window every amplitude of the next one
+    # is made by a coin, so a second coin formula on either path would show
+    import qwres.walk
+
+    kernel, calls = qwres.walk._coin, []
+
+    def doubled(c1, c2, x, out):
+        calls.append(x.shape)
+        return kernel(2 * c1, 2 * c2, x, out)
+
+    rng = np.random.default_rng(97)
+    for n0 in (0, 1, 4):
+        cs = random_sequence(rng, n0)
+        psi = window_state(rng, n0)
+        want_step = step(psi, cs).amplitudes
+        *_, want_rows = _window_blocks(psi, cs, 1)
+        want_rows = want_rows.copy()
+        with monkeypatch.context() as m:
+            m.setattr(qwres.walk, "_coin", doubled)
+            got_step = step(psi, cs).amplitudes
+            *_, got_rows = _window_blocks(psi, cs, 1)
+        assert calls == [(2 * n0 + 3,)] * 2
+        assert got_step.tobytes() == (2 * want_step).tobytes()
+        assert got_rows[-1].tobytes() == (2 * want_rows[-1]).tobytes()
+        calls.clear()
+
+
 def test_window_stream_is_the_restricted_trajectory_bit_for_bit():
     # by T = 1200 the Hadamard pair and the triple barrier hold less than
     # 1e-150 on the window, so their late norms take the rescaled branch of
