@@ -274,9 +274,20 @@ def pqtheta_to_T(x: PQTheta) -> np.ndarray:
     )
 
 
-def _site_entries(u: Coin, e_plus, e_minus):
-    """Entries (p, q, r, s) of T_n = [[p, q], [r, s]] at e^{+-i xi} = e_plus, e_minus."""
-    return e_plus / np.conj(u.a), -np.conj(u.c) / np.conj(u.a), -u.c / u.d, e_minus / u.d
+def _site_entries(table: np.ndarray, e_plus, e_minus, out=None):
+    """Entries (p, q, r, s) of T_n = [[p, q], [r, s]] at e^{+-i xi} = e_plus, e_minus.
+
+    One tuple per coin row (a, b, c, d) of table, in order.  q = -conj(c) /
+    conj(a) is numpy's division, formed for all rows at once, and r = -c / d
+    Python's, which rounds differently; p = e_plus / conj(a) and
+    s = e_minus / d go into out's two arrays where it is given.
+    """
+    conj_a = np.conj(table[:, 0])
+    for ca, q, (c, d) in zip(conj_a, -np.conj(table[:, 2]) / conj_a, table[:, 2:].tolist()):
+        if out is None:
+            yield e_plus / ca, q, -c / d, e_minus / d
+        else:
+            yield np.divide(e_plus, ca, out=out[0]), q, -c / d, np.divide(e_minus, d, out=out[1])
 
 
 def coin_transfer_factor(coin: Coin) -> np.ndarray:
@@ -285,7 +296,7 @@ def coin_transfer_factor(coin: Coin) -> np.ndarray:
     This is T_n at spectral parameter zero, :func:`_site_entries` at
     e^{+-i xi} = 1, and the image of the coin on the hyperbolic side.
     """
-    return np.array(_site_entries(coin, 1, 1), dtype=complex).reshape(2, 2)
+    return np.array(next(_site_entries(coin.matrix.reshape(1, 4), 1, 1))).reshape(2, 2)
 
 
 def _transfer_to_pqtheta(t: np.ndarray, det: complex) -> PQTheta:

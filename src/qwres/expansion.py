@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coins import CoinSequence
-from .errors import A3Violated, AllZeroTail, InvariantViolation, UnsupportedN0, WindowOutsideCone
+from .errors import A3Violated, AllZeroTail, InvariantViolation, SpectralOverflow, UnsupportedN0
+from .errors import WindowOutsideCone
 from .resonances import (
     JordanChainStates,
     Resonance,
@@ -224,7 +225,8 @@ def decay_fit_full(survival, t_min: int):
 
     survival[t] is the window norm at step t.  Only entries with
     t >= max(t_min, 1) and s_t > 0 enter the fit; fewer than 20 such
-    points raises AllZeroTail.  Returns (M, m, C).
+    points raises AllZeroTail.  Returns (M, m, C); a fitted log M or log C
+    whose exponential leaves the float range raises SpectralOverflow.
 
     The fit is modified Gram-Schmidt on [design | y] with elementwise sums,
     which, unlike LAPACK, rounds the same on every BLAS kernel.
@@ -249,7 +251,10 @@ def decay_fit_full(survival, t_min: int):
     coef = [0.0] * 3
     for j in (2, 1, 0):
         coef[j] = (r[j, 3] - sum(r[j, k] * coef[k] for k in range(j + 1, 3))) / r[j, j]
-    return math.exp(coef[2]), coef[1] + 1.0, math.exp(coef[0])
+    try:
+        return math.exp(coef[2]), coef[1] + 1.0, math.exp(coef[0])
+    except OverflowError:
+        raise SpectralOverflow(f"e^ of fitted log M {coef[2]:.6g} or log C {coef[0]:.6g}") from None
 
 
 def double_barrier_closed_form(cs: CoinSequence):

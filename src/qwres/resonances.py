@@ -50,7 +50,7 @@ from .errors import (
     SpectralOverflow,
 )
 from .states import WaveState
-from .transfer import _horner, transfer_polynomial, transfer_product
+from .transfer import _horner, _refuse_overflow, _transfer_entries, transfer_polynomial
 from .walk import _parity_blocks, _parity_eig, _placed, _sweep, _walk
 
 __all__ = [
@@ -197,9 +197,10 @@ def _resonances(coeffs: np.ndarray, evals: np.ndarray) -> list[Resonance]:
     disk and the strip (Resonance) before the cross-check below.
 
     The cross-check reads the polished roots against the eigenvalues they
-    started from.  An m-fold eigenvalue is determined only to about
-    eps^(1/m) by QR iteration, so each member's +-sqrt(mu_j) must lie
-    within max(1e-8, 50 eps^(1/m)) max(1, |lambda|) of the polished lambda.
+    started from, all clusters in one array pass.  An m-fold eigenvalue is
+    determined only to about eps^(1/m) by QR iteration, so each member's
+    +-sqrt(mu_j) must lie within max(1e-8, 50 eps^(1/m)) max(1, |lambda|)
+    of the polished lambda.
     Every eigenvalue outside the d must lie within 1e-6 of 0 (the zero
     group spreads to eps^(1/index) for nilpotent blocks), and d must not
     exceed r.
@@ -210,7 +211,7 @@ def _resonances(coeffs: np.ndarray, evals: np.ndarray) -> list[Resonance]:
     top = np.argsort(-np.abs(mu), kind="stable")[:d]
     clusters = _cluster(mu[top])
     mults = np.array([len(c) for c in clusters], dtype=int)
-    roots = np.array([np.mean(c) for c in clusters], dtype=complex)
+    roots = np.array([c[0] if len(c) == 1 else np.mean(c) for c in clusters], dtype=complex)
     for m in set(mults.tolist()):
         roots[mults == m] = _polish(coeffs, roots[mults == m], m)
     pairs = []
@@ -220,11 +221,13 @@ def _resonances(coeffs: np.ndarray, evals: np.ndarray) -> list[Resonance]:
                 f"transfer polynomial root mu={root} lies outside the unit disk"
             )
         pairs.append(strip_pair(root, m))
-    for members, (res, _) in zip(clusters, pairs):
-        tol = max(1e-8, 50 * eps ** (1.0 / len(members))) * max(1, abs(res.lam))
-        lam = np.sqrt(members)
-        if np.minimum(np.abs(lam - res.lam), np.abs(lam + res.lam)).max() > tol:
-            raise InvariantViolation(f"no dense eigenvalue within {tol:.2e} of lambda={res.lam}")
+    lam = np.repeat([res.lam for res, _ in pairs], mults)  # each member's polished lambda
+    tol = np.maximum(1e-8, 50 * eps ** (1.0 / np.repeat(mults, mults))) * np.maximum(1, np.abs(lam))
+    near = np.sqrt(np.concatenate([lam[:0], *clusters]))
+    far = np.minimum(np.abs(near - lam), np.abs(near + lam)) > tol
+    if far.any():
+        k = np.argmax(far)
+        raise InvariantViolation(f"no dense eigenvalue within {tol[k]:.2e} of lambda={lam[k]}")
     rest = np.delete(evals[:r], top)
     stray = rest[np.abs(rest) > 1e-6]
     if stray.size:
@@ -260,11 +263,11 @@ def find_resonances(cs: CoinSequence) -> list[Resonance]:
 def winding_count(cs: CoinSequence, center: complex, rho: float) -> complex:
     """Contour integral counting zeros of the transfer-product 22 entry.
 
-    Trapezoid rule, 512 nodes on a circle of radius rho around center, with
-    the logarithmic derivative from central differences at step 1e-4 rho.
-    Exact integer values signal correct multiplicities; the caller decides
-    how much drift to accept.  A negative rho traces the same circle; a
-    zero or non-finite rho or center is a ValueError.
+    Trapezoid rule on 512 nodes of the circle |xi - center| = rho, with
+    t22'/t22 from the transfer kernel's exact slope.  Exact integer values
+    signal correct multiplicities; the caller decides how much drift to
+    accept.  A negative rho traces the same circle; a zero or non-finite
+    rho or center is a ValueError, an overflow on it SpectralOverflow.
     """
     if not (cmath.isfinite(center) and math.isfinite(rho) and rho != 0):
         raise ValueError(f"need a finite center and a finite nonzero rho, got {center}, {rho}")
@@ -272,12 +275,9 @@ def winding_count(cs: CoinSequence, center: complex, rho: float) -> complex:
     theta = 2 * np.pi * np.arange(nodes) / nodes
     e = np.exp(1j * theta)
     zeta = center + rho * e
-    h = 1e-4 * rho
-    pts = np.concatenate([zeta, zeta + h, zeta - h])
-    t22 = transfer_product(cs, pts)[:, 1, 1]
-    f0 = t22[:nodes]
-    deriv = (t22[nodes : 2 * nodes] - t22[2 * nodes :]) / (2 * h)
-    return complex(rho * np.sum(deriv / f0 * e) / nodes)
+    ((t12,), (dt12,)), ((t22,), (dt22,)), _ = _transfer_entries(cs, zeta, cols=1, slope=True)
+    _refuse_overflow(zeta, t12, dt12, t22, dt22)
+    return complex(rho * np.sum(1j * dt22 / t22 * e) / nodes)  # the kernel's slope is d/dxi over i
 
 
 def validate_multiplicity(cs: CoinSequence, res: Resonance, others: list[Resonance]) -> int:
@@ -285,10 +285,12 @@ def validate_multiplicity(cs: CoinSequence, res: Resonance, others: list[Resonan
 
     others is the full resonance list of cs, as find_resonances returns
     it.  The circle radius is 0.1 or 0.45 times the distance to the
-    nearest other resonance, whichever is smaller.
+    nearest other resonance, whichever is smaller, with Re xi taken modulo
+    2 pi: t22 repeats there, and near Re xi = +-pi a circle sized by the
+    plain distance can enclose another resonance's periodic image.
     """
-    dists = [abs(o.xi - res.xi) for o in others if abs(o.xi - res.xi) > 1e-9]
-    rho = 0.1 if not dists else min(0.1, 0.45 * min(dists))
+    dists = [abs(g - math.tau * round(g.real / math.tau)) for g in (o.xi - res.xi for o in others)]
+    rho = min([0.1] + [0.45 * d for d in dists if d > 1e-9])
     val = winding_count(cs, res.xi, rho)
     count = round(val.real)
     if abs(val - count) > 0.25:

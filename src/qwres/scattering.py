@@ -86,7 +86,7 @@ def scattering_matrix(cs: CoinSequence, xi) -> ScatteringMatrix:
     """
     xi = np.asarray(xi, dtype=complex)
     n0 = cs.n0
-    (_, t12, t21, t22), (log1, log2) = _transfer_entries(cs, xi, rescale=True)
+    ((_, t12),), ((t21, t22),), (log1, log2) = _transfer_entries(cs, xi, rescale=True)
     _refuse_overflow(xi, log1, log2)  # finite only where every rescaled entry is
     det = complex(np.prod(cs.table[:, 0] / cs.table[:, 3]))
     g = -xi.imag  # log |e^{i xi}|

@@ -36,8 +36,8 @@ def local_transfer(c: Coin, xi) -> np.ndarray:
     """T_n(xi); for an array xi the result has shape xi.shape + (2, 2)."""
     xi = np.asarray(xi, dtype=complex)
     t = np.empty(xi.shape + (2, 2), dtype=complex)
-    t[..., 0, 0], t[..., 0, 1], t[..., 1, 0], t[..., 1, 1] = _site_entries(
-        c, np.exp(1j * xi), np.exp(-1j * xi)
+    t[..., 0, 0], t[..., 0, 1], t[..., 1, 0], t[..., 1, 1] = next(
+        _site_entries(c.matrix.reshape(1, 4), np.exp(1j * xi), np.exp(-1j * xi))
     )
     _refuse_overflow(xi, t)
     return t
@@ -56,40 +56,58 @@ def _refuse_overflow(xi: np.ndarray, *values) -> None:
         raise SpectralOverflow(f"e^(+-i xi) or a value computed from it is not finite at xi={first}")
 
 
-def _transfer_entries(cs: CoinSequence, xi, rescale: bool = False):
-    """Entries of T_0 T_1 ... T_{n0} over an xi array, one array per entry.
+@np.errstate(over="ignore", invalid="ignore")
+def _transfer_entries(cs: CoinSequence, xi, rescale: bool = False, cols: int = 2, slope: bool = False):
+    """Rows of T_0 T_1 ... T_{n0} over an xi array, with their logs.
 
-    Returns ((t11, t12, t21, t22), (log1, log2)).  The product is built
-    from the right, T_n (T_{n+1} ... T_{n0}), so column j is the transfer
-    propagation of the unit pair e_j seeded at n0 and never mixes with the
-    other column.  With rescale set, each column is divided by its largest
-    entry magnitude after every site and the natural log of that scale is
-    accumulated per point: the true product is column j times e^{log j}.
-    Without it the logs are 0 and the entries are the product itself.
+    Returns (top, bot, log): top[0] = (t11, t12) and bot[0] = (t21, t22),
+    each of xi's shape, or column 2 alone, (t12,) and (t22,), with cols=1.
+    Built from the right, T_n (T_{n+1} ... T_{n0}), the columns never mix.
+    A site is top, bot = p top + q bot, r top + s bot, one numpy call per
+    operation on the stacked rows, in place, with p and s copied onto every
+    row (numpy's buffered iterator slows a product that broadcasts).  Every
+    product keeps its operand order, p * t: numpy's AVX-512 complex multiply
+    rounds a * b and b * a differently, and the values are bit for bit the
+    per-entry recursion's.  With slope set, top[1] and bot[1] carry d/dxi
+    over i of the rows, by dp/dxi = i p and ds/dxi = -i s.  With rescale
+    set, each column and its slope are divided by the column's largest entry
+    magnitude after every site, and column j times e^{log[j]} is the true one.
     """
     xi = np.asarray(xi, dtype=complex)
-    e_plus = np.exp(1j * xi)
-    e_minus = np.exp(-1j * xi)
-    one, zero = np.ones(xi.shape, dtype=complex), np.zeros(xi.shape, dtype=complex)
-    t11, t12, t21, t22 = one, zero, zero, one
-    log1 = log2 = np.zeros(xi.shape)
-    for n in range(cs.n0, -1, -1):
-        p, q, r, s = _site_entries(cs.coin_at(n), e_plus, e_minus)
-        t11, t21 = p * t11 + q * t21, r * t11 + s * t21
-        t12, t22 = p * t12 + q * t22, r * t12 + s * t22
+    pts = xi.reshape(-1)
+    shape = (1 + slope, cols, len(pts))
+    top, bot = np.zeros((2,) + shape, dtype=complex)
+    top[0, : cols - 1] = bot[0, -1] = 1  # t11 where column 1 is carried, and t22
+    p_rows, s_rows = np.empty((2,) + shape, dtype=complex)
+    log = np.zeros(shape[1:])
+    m, m_bot = np.empty((2,) + shape[1:]) if rescale else (None, None)
+    p_flat, s_flat = p_rows.reshape(-1, len(pts)), s_rows.reshape(-1, len(pts))
+    e_plus, e_minus = np.exp(1j * pts), np.exp(-1j * pts)
+    for p, q, r, s in _site_entries(cs.table[::-1], e_plus, e_minus, (p_flat[0], s_flat[0])):
+        if len(p_flat) > 1:
+            p_flat[1:], s_flat[1:] = p, s
+        np.multiply(p_rows, top, out=p_rows)
+        np.multiply(r, top, out=top)
+        np.multiply(s_rows, bot, out=s_rows)
+        np.multiply(q, bot, out=bot)
+        if slope:  # the slope rows gain p top and lose s bot of the value rows
+            bot[1] += p_rows[0]
+            s_rows[1] -= s_rows[0]
+        # p top + q bot and r top + s bot land in bot and top, which swap
+        top, bot = np.add(p_rows, bot, out=bot), np.add(top, s_rows, out=top)
         if rescale:
-            m1 = np.maximum(np.abs(t11), np.abs(t21))
-            m2 = np.maximum(np.abs(t12), np.abs(t22))
-            t11, t21, log1 = t11 / m1, t21 / m1, log1 + np.log(m1)
-            t12, t22, log2 = t12 / m2, t22 / m2, log2 + np.log(m2)
-    return (t11, t12, t21, t22), (log1, log2)
+            np.maximum(np.abs(top[0], out=m), np.abs(bot[0], out=m_bot), out=m)
+            top /= m
+            bot /= m
+            log += np.log(m, out=m)
+    shape = shape[:2] + xi.shape
+    return top.reshape(shape), bot.reshape(shape), log.reshape(shape[1:])
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def transfer_product(cs: CoinSequence, xi) -> np.ndarray:
     """Ordered product T_0 T_1 ... T_{n0} at xi (batched over array xi)."""
     xi = np.asarray(xi, dtype=complex)
-    (t11, t12, t21, t22), _ = _transfer_entries(cs, xi)
+    ((t11, t12),), ((t21, t22),), _ = _transfer_entries(cs, xi)
     _refuse_overflow(xi, t11, t12, t21, t22)
     return np.stack([np.stack([t11, t12], -1), np.stack([t21, t22], -1)], -2)
 
@@ -187,8 +205,7 @@ def transfer_polynomial(cs: CoinSequence) -> TransferPolynomial:
     t12 = np.zeros(2 * cs.n0 + 5, dtype=complex)
     t22 = t12.copy()
     t22[2] = 1.0
-    for n in range(cs.n0, -1, -1):
-        p, q, r, s = _site_entries(cs.coin_at(n), 1, 1)
+    for p, q, r, s in _site_entries(cs.table[::-1], 1, 1):
         t12[2:], t22[2:] = p * t12[2:] + q * t22[1:-1], r * t12[1:-1] + s * t22[:-2]
     full = t22[2:]
     scale = np.max(np.abs(full))
@@ -201,7 +218,7 @@ def transfer_polynomial(cs: CoinSequence) -> TransferPolynomial:
     tp = TransferPolynomial(monic, leading)
 
     xs = _relation_points()
-    (_, _, _, t22), _ = _transfer_entries(cs, xs)
+    _, ((t22,),), _ = _transfer_entries(cs, xs, cols=1)
     lhs = np.exp(-1j * (cs.n0 + 1) * xs) * t22
     mu = np.exp(-2j * xs)
     rhs = mu * leading * tp(mu)

@@ -287,6 +287,17 @@ def test_survival_fit_block(capsys, hadamard_cfg):
     assert abs(m_est - 2**-0.5) < 1e-6
 
 
+def test_survival_fit_past_the_float_range_exits_35(tmp_path, capsys):
+    # on this n0 = 1 window the fitted log prefactor at T = 3000 is about
+    # 749, past log(DBL_MAX) = 709.78: a typed refusal, not a traceback
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(sequence_to_json(random_sequence(np.random.default_rng(7), 1))))
+    out_path = tmp_path / "fit.csv"
+    code, out, err = run(capsys, "survival", "--config", str(cfg_path), "--T", "3000", "--fit", "--out", str(out_path))
+    assert code == 35 and out == "" and not out_path.exists()
+    assert err.startswith("error: SpectralOverflow: e^ of fitted log M") and "log C 749.042" in err
+
+
 def test_survival_past_underflow(capsys, hadamard_cfg):
     # the window norm 2^(-t/2) drops below 1e-154, where its squares
     # underflow, and from t = 2045 on the amplitudes themselves are subnormal

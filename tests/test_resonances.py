@@ -236,6 +236,22 @@ def test_cross_check_refuses_a_polynomial_that_is_not_K(monkeypatch, kind):
         expand(cs, basis_state(0, "L"))
 
 
+def test_cross_check_names_the_cluster_it_refuses(monkeypatch):
+    # one array pass reads every member against its own cluster's lambda and
+    # tolerance: moving the smallest of four simple roots by 1e-2 must name
+    # that root, with the simple tolerance 1e-8
+    cs = random_sequence(np.random.default_rng(4), 4)
+    roots = np.roots(np.array(transfer_polynomial(cs).coeffs)[::-1])
+    roots = roots[np.argsort(np.abs(roots))]
+    roots[0] *= 1.01
+    fake = TransferPolynomial(np.poly(roots)[::-1].astype(complex), 1.0)
+    monkeypatch.setattr(qwres.resonances, "transfer_polynomial", lambda walk: fake)
+    with pytest.raises(InvariantViolation, match="^no dense eigenvalue within 1.00e-08 of") as info:
+        find_resonances(cs)
+    lam = complex(str(info.value).split("lambda=")[1])
+    assert abs(lam**2 - roots[0]) < 1e-12
+
+
 def test_strip_pair_layout():
     rng = np.random.default_rng(307)
     for _ in range(50):
@@ -359,6 +375,43 @@ def test_winding_count_reads_multiplicity():
         val = winding_count(cs, r.xi, 0.05)
         assert abs(val - 2.0) < 1e-6
         assert validate_multiplicity(cs, r, others=rs) == 2
+
+
+def _repro_windows():
+    """Windows with simple resonances near Re xi = -pi and +pi."""
+    return [random_sequence(np.random.default_rng(269), n0) for n0 in (5, 6, 8)]
+
+
+def _strip_distance(a, b):
+    """|a - b| with Re(a - b) wrapped into [-pi, pi)."""
+    d = a - b
+    return abs(complex((d.real + math.pi) % (2 * math.pi) - math.pi, d.imag))
+
+
+def test_winding_count_reads_each_multiplicity_to_1e_9():
+    # the slope is carried exactly, so the trapezoid rule on 512 nodes
+    # leaves only rounding: the largest distance here is about 1e-15
+    for cs in [triple_barrier(), hadamard_pair(), *_repro_windows()]:
+        rs = find_resonances(cs)
+        for r in rs:
+            rho = min([0.1] + [0.45 * d for d in (_strip_distance(o.xi, r.xi) for o in rs) if d > 1e-9])
+            assert abs(winding_count(cs, r.xi, rho) - r.alg_multiplicity) < 1e-9
+
+
+def test_validate_multiplicity_sees_images_across_the_strip_edge():
+    # t22 is 2 pi-periodic in xi: on these windows a simple resonance near
+    # Re xi = -pi has another one near +pi, whose image at Re xi - 2 pi is
+    # within 0.1 of it; a circle sized by the plain distance encloses that
+    # image and reads 2
+    cs = _repro_windows()[0]
+    rs = find_resonances(cs)
+    low, high = rs[0], rs[-1]
+    assert low.xi == pytest.approx(-3.1085 - 0.0614j, abs=1e-4)
+    assert high.xi == pytest.approx(3.1327 - 0.0165j, abs=1e-4)
+    assert _strip_distance(low.xi, high.xi) == pytest.approx(abs(low.xi + 2 * math.pi - high.xi))
+    for cs in _repro_windows():
+        rs = find_resonances(cs)
+        assert [validate_multiplicity(cs, r, others=rs) for r in rs] == [1] * len(rs)
 
 
 def test_winding_simple_roots():

@@ -5,12 +5,14 @@ from conftest import hadamard_pair, haar_coin, random_sequence, triple_barrier
 from qwres import (
     CoinSequence,
     SpectralOverflow,
+    hadamard_coin,
     identity_coin,
     local_transfer,
+    rotation_coin,
     transfer_polynomial,
     transfer_product,
 )
-from qwres.transfer import _horner, _relation_points
+from qwres.transfer import _horner, _relation_points, _transfer_entries
 
 
 def test_local_transfer_encodes_the_eigen_recursion():
@@ -65,6 +67,91 @@ def test_transfer_refuses_overflow_without_a_warning(xi):
         local_transfer(cs.coin_at(0), xi)
     with pytest.raises(SpectralOverflow, match="not finite at xi="):
         transfer_product(cs, xi)
+
+
+def _per_entry_recursion(cs, xi, rescale):
+    """The oracle for the transfer kernel's bits: one array per entry.
+
+    T_n's entries are formed per site from the coin, each product with p, q,
+    r or s on the left, and the two columns are carried side by side.
+    """
+    xi = np.asarray(xi, dtype=complex)
+    e_plus, e_minus = np.exp(1j * xi), np.exp(-1j * xi)
+    one, zero = np.ones(xi.shape, dtype=complex), np.zeros(xi.shape, dtype=complex)
+    t11, t12, t21, t22 = one, zero, zero, one
+    log1 = log2 = np.zeros(xi.shape)
+    for n in range(cs.n0, -1, -1):
+        u = cs.coin_at(n)
+        p, q, r, s = e_plus / np.conj(u.a), -np.conj(u.c) / np.conj(u.a), -u.c / u.d, e_minus / u.d
+        t11, t21 = p * t11 + q * t21, r * t11 + s * t21
+        t12, t22 = p * t12 + q * t22, r * t12 + s * t22
+        if rescale:
+            m1 = np.maximum(np.abs(t11), np.abs(t21))
+            m2 = np.maximum(np.abs(t12), np.abs(t22))
+            t11, t21, log1 = t11 / m1, t21 / m1, log1 + np.log(m1)
+            t12, t22, log2 = t12 / m2, t22 / m2, log2 + np.log(m2)
+    return (t11, t12, t21, t22), (log1, log2)
+
+
+def _kernel_windows():
+    """Haar, rotation and Hadamard windows with n0 from 1 to 64."""
+    rng = np.random.default_rng(151)
+    for n0 in (1, 2, 3, 5, 8, 13, 21, 34, 64):
+        yield random_sequence(rng, n0)
+        yield CoinSequence(n0, tuple(rotation_coin(r) for r in rng.uniform(-0.95, 0.95, n0 + 1)))
+        yield CoinSequence(n0, (hadamard_coin(),) * (n0 + 1))
+
+
+def test_transfer_kernel_is_the_per_entry_recursion_bit_for_bit():
+    # values and logs, signs of zeros included, with rescale on and off, on
+    # grids of 20, 150 and 512 points; carrying column 2 alone or the slope
+    # beside the values leaves the value bits as they are
+    rng = np.random.default_rng(157)
+    for cs in _kernel_windows():
+        for npts in (20, 150, 512):
+            xi = rng.uniform(-np.pi, np.pi, npts) + 1j * rng.uniform(-3, 3, npts)
+            xi[:4] = [0.0, np.pi / 2, complex(-1.0, -0.0), 0.5j]
+            for rescale in (False, True):
+                want, (log1, log2) = _per_entry_recursion(cs, xi, rescale)
+                top, bot, log = _transfer_entries(cs, xi, rescale)
+                got = (*top[0], *bot[0])
+                assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+                assert log.tobytes() == np.stack([log1, log2]).tobytes()
+                top, bot, log = _transfer_entries(cs, xi, rescale, cols=1, slope=True)
+                assert top[0, 0].tobytes() == want[1].tobytes()
+                assert bot[0, 0].tobytes() == want[3].tobytes()
+                assert log[0].tobytes() == log2.tobytes()
+
+
+def test_transfer_kernel_takes_a_scalar_as_a_one_point_grid():
+    # a 0-d xi runs the array loop of a one-point grid, so a scalar and the
+    # same point in a grid agree bit for bit
+    cs = random_sequence(np.random.default_rng(163), 6)
+    xi = np.array([0.4 - 0.2j])
+    for rescale in (False, True):
+        grid = _transfer_entries(cs, xi, rescale)
+        scalar = _transfer_entries(cs, complex(xi[0]), rescale)
+        for g, s in zip(grid, scalar):
+            assert s.shape == g.shape[:-1] and s.tobytes() == g.tobytes()
+    assert transfer_product(cs, complex(xi[0])).tobytes() == transfer_product(cs, xi)[0].tobytes()
+
+
+def test_transfer_kernel_slope_matches_a_central_difference():
+    # d/dxi of all four entries, carried exactly, against a central
+    # difference; the rescaled slope shares its row's scale
+    rng = np.random.default_rng(167)
+    h = 1e-6
+    for cs in _kernel_windows():
+        xi = rng.uniform(-np.pi, np.pi, 30) + 1j * rng.uniform(-1, 1, 30)
+        top, bot, _ = _transfer_entries(cs, xi, slope=True)
+        value, slope = np.concatenate([top, bot], axis=1)  # rows t11, t12, t21, t22
+        slope = 1j * slope  # the kernel carries d/dxi divided by i
+        ahead, behind = (np.concatenate(_transfer_entries(cs, xi + d)[:2], axis=1)[0] for d in (h, -h))
+        scale = np.abs(value).max(axis=1, keepdims=True) + np.abs(slope).max(axis=1, keepdims=True)
+        assert np.all(np.abs(slope - (ahead - behind) / (2 * h)) <= 1e-6 * scale)
+        scaled_top, scaled_bot, scaled_log = _transfer_entries(cs, xi, rescale=True, slope=True)
+        for carried, scaled in ((top, scaled_top), (bot, scaled_bot)):
+            np.testing.assert_allclose(scaled * np.exp(scaled_log), carried, rtol=1e-12, atol=0)
 
 
 def test_transfer_polynomial_identity_window():
