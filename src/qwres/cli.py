@@ -48,7 +48,7 @@ from .resonances import find_resonances, resonant_chain, validate_multiplicity
 from .scattering import scattering_matrix
 from .states import _window_norms, basis_state, incoming_length, state_from_json, state_to_json
 from .transfer import transfer_polynomial
-from .walk import _window_blocks, _window_survival, build_K, evolve, norm_defect
+from .walk import _parity_blocks, _placed, _window_blocks, _window_survival, evolve, norm_defect
 
 __all__ = ["main"]
 
@@ -285,7 +285,7 @@ def _cmd_survival(args):
     if not args.fit:
         return csv_text
     nu = incoming_length(psi0, cs.n0)
-    iota = nilpotency_index(build_K(cs).entries)
+    iota = nilpotency_index(_placed(*_parity_blocks(cs)))
     m_rate, m_order, c_pref = decay_fit_full(norms, nu + iota + 5)
     fit_text = f"M_est,m_est,C_est\n{_f(m_rate)},{_f(m_order)},{_f(c_pref)}\n"
     return fit_text + "\n" + csv_text
@@ -365,11 +365,15 @@ def _cmd_selftest(args):
     for _ in range(5):
         cs = random_sequence(rng, int(rng.integers(1, 4)))
         found = find_resonances(cs)
+        # t22(xi + pi) = +-t22(xi), so a partner winds as its primary does
+        partners = {r.mu: r.alg_multiplicity for r in found if r.xi.real >= 0}
         for r in found:
-            _check(
-                validate_multiplicity(cs, r, others=found) == r.alg_multiplicity,
-                "winding count disagrees with clustering",
-            )
+            if r.xi.real < 0:
+                _check(
+                    validate_multiplicity(cs, r, others=found) == r.alg_multiplicity,
+                    "winding count disagrees with clustering",
+                )
+                _check(partners.get(r.mu) == r.alg_multiplicity, "partner multiplicity differs")
     lines.append("ok: winding counts match root multiplicities")
 
     for _ in range(5):

@@ -12,11 +12,20 @@ resonances and at xi with e^{-i xi} = 0 eigenvalue directions.
 
 The identity (e^{-i xi} - U) R f = f is checked on every call; a quiet
 wrong answer is worse than an exception.
+
+On a grid of xi the window systems are solved in stacks.  A grid long
+enough to give each CPU of the process's affinity a stack that numpy
+solves without the interpreter lock is split into one contiguous share
+per CPU, run on worker threads made on first use; the answer and any
+refusal are the serial path's bit for bit.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextvars
+import os
+import threading
 
 import numpy as np
 
@@ -29,6 +38,121 @@ from .walk import _parity_blocks, _parity_eig, _placed, _sweep, _walk
 __all__ = ["apply_resolvent", "identity_residual", "neumann_resolvent"]
 
 
+_SERIAL_ENTRIES = 4096  # matrix entries per stack on one CPU
+_SHARE_ENTRIES = 1 << 16  # per stack of a share: 1 MiB of systems, or one lock-free stack
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool():
+    # a forked child has none of its parent's threads, only their handles
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _lock_free(dim: int) -> int:
+    """The fewest systems of size dim that numpy solves without the interpreter lock.
+
+    numpy's stacked SVD and solve release the lock only when the systems
+    in a stack times dim exceed 500 (measured: 83 against 84 systems at
+    dim 6, 14 against 15 at dim 34); on smaller stacks threads take turns.
+    """
+    return 500 // dim + 1
+
+
+def _share_count(points: int, dim: int) -> int:
+    """How many CPUs the window solves of one call are split across.
+
+    One share per CPU, as long as every share is a lock-free stack; one
+    share means the serial path.
+    """
+    return max(1, min(_cpus(), points // _lock_free(dim)))
+
+
+def _workers():
+    """The process's worker threads, made on first use; import stays cheap."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(max(1, _cpus() - 1), thread_name_prefix="qwres-resolve")
+        return _pool
+
+
+def _stack_solves(lam, kmat, rhs, near, v, cond, points: range, step: int):
+    """Condition numbers and solves of the window systems at points, stacked.
+
+    Writes v and cond on points, a stack of step points at a time, and
+    solves a stack only once none of its points is refused; returns the
+    first refused point, or None.
+    """
+    eye = np.eye(len(kmat))
+    for k0 in range(points.start, points.stop, step):
+        part = slice(k0, min(k0 + step, points.stop))
+        systems = lam[part, None, None] * eye
+        systems -= kmat
+        cond[part] = np.linalg.cond(systems)
+        bad = near[part] | (cond[part] > 1e12)
+        if bad.any():
+            return k0 + int(np.argmax(bad))
+        v[part] = np.linalg.solve(systems, rhs[part, :, None])[:, :, 0]
+    return None
+
+
+def _window_solves(lam, kmat, rhs, near, v, cond):
+    """_stack_solves on every point, split across the process's CPUs.
+
+    Each CPU takes one contiguous share of the points, the calling thread
+    the first, in stacks of up to _SHARE_ENTRIES entries that numpy solves
+    without the interpreter lock; each system is the same LAPACK call on
+    the same matrix either way, so the output is the serial one bit for
+    bit.  Workers run under a copy of the caller's context, which carries
+    numpy's errstate.  A grid too short for that (_share_count) runs
+    serially in stacks of _SERIAL_ENTRIES entries: one stack for a short
+    grid at small n0, where the calls cost most, and no more memory than a
+    few systems however long the grid.  Returns the first refused point
+    in grid order, or None: a share stops at its own first refused point,
+    and the earliest share that has one names it.
+    """
+    n, dim = len(lam), len(kmat)
+    args = lam, kmat, rhs, near, v, cond
+    shares = _share_count(n, dim)
+    if shares == 1:
+        return _stack_solves(*args, range(n), max(1, _SERIAL_ENTRIES // dim**2))
+    pool = _workers()
+    from concurrent.futures import wait  # imported with the pool, on first use
+
+    step = max(_lock_free(dim), _SHARE_ENTRIES // dim**2)
+    bounds = [n * i // shares for i in range(shares + 1)]
+    rest = [
+        pool.submit(contextvars.copy_context().run, _stack_solves, *args, range(a, b), step)
+        for a, b in zip(bounds[1:-1], bounds[2:])
+    ]
+    try:
+        first = _stack_solves(*args, range(bounds[1]), step)
+    finally:
+        # every share ends before the arrays it writes are read or dropped
+        wait(rest)
+    if first is not None:
+        return first
+    for share in rest:
+        k = share.result()
+        if k is not None:
+            return k
+    return None
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _resolve(cs: CoinSequence, xi: np.ndarray, f: WaveState, lo: int, hi: int):
     """Resolvent on [lo - 1, hi + 1] for each xi of a 1-D array.
@@ -37,11 +161,13 @@ def _resolve(cs: CoinSequence, xi: np.ndarray, f: WaveState, lo: int, hi: int):
     residual of the defining identity on [lo, hi], condition number of
     the window solve), one residual and condition number per point.  K,
     its eigenvalues (walk._parity_eig) and the forcing are formed once per
-    call; the condition numbers and window solves run on stacks of points,
-    each stack solved only once none of its points is refused.  Far out in
-    either half plane e^{+-i xi}, or the sums that grow with it along a
-    long source or window, leave the float range: SpectralOverflow names
-    the first such point, in place of numpy's overflow warnings.
+    call; the condition numbers and window solves run on stacks of points
+    (_window_solves: 4096-entry stacks serially, one contiguous share per
+    CPU on a long grid), each stack solved only once none of its points is
+    refused.  Far out in either half plane e^{+-i xi}, or the sums that
+    grow with it along a long source or window, leave the float range:
+    SpectralOverflow names the first such point, in place of numpy's
+    overflow warnings.
     """
     if hi < lo:
         raise ValueError(f"empty window [{lo}, {hi}]")
@@ -76,29 +202,18 @@ def _resolve(cs: CoinSequence, xi: np.ndarray, f: WaveState, lo: int, hi: int):
     rhs = np.tile(fa[z : z + n0 + 1].reshape(-1), (len(xi), 1))
     rhs[:, 1] += amps[:, z - 1, 1]
     rhs[:, 2 * n0] += amps[:, z + n0 + 1, 0]
-    # the window systems go to LAPACK stacked, at most 4096 entries at a
-    # time: one stack for a short grid at small n0, where the calls cost
-    # most, and no more memory than a few systems however long the grid
     v = np.empty((len(xi), dim), dtype=complex)
     cond = np.empty(len(xi))
     near = dist <= 1e-10
-    step = max(1, 4096 // dim**2)
-    for k0 in range(0, len(xi), step):
-        part = slice(k0, k0 + step)
-        systems = lam[part, None, None] * np.eye(dim)
-        systems -= kmat
-        cond[part] = np.linalg.cond(systems)
-        bad = near[part] | (cond[part] > 1e12)
-        if bad.any():
-            k = k0 + int(np.argmax(bad))  # the first refused point in grid order
-            if near[k]:
-                raise AtResonance(
-                    f"e^(-i xi) = {complex(lam[k])} is within 1e-10 of an eigenvalue of K"
-                )
+    k = _window_solves(lam, kmat, rhs, near, v, cond)
+    if k is not None:  # the first refused point in grid order
+        if near[k]:
             raise AtResonance(
-                f"window system at xi = {complex(xi[k])} has condition number {cond[k]:.2e}"
+                f"e^(-i xi) = {complex(lam[k])} is within 1e-10 of an eigenvalue of K"
             )
-        v[part] = np.linalg.solve(systems, rhs[part, :, None])[:, :, 0]
+        raise AtResonance(
+            f"window system at xi = {complex(xi[k])} has condition number {cond[k]:.2e}"
+        )
     amps[:, z : z + n0 + 1] = v.reshape(len(xi), n0 + 1, 2)
 
     # the outgoing chiralities leave the window through the junction coins,

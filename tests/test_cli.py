@@ -543,9 +543,19 @@ def test_split_csv(capsys, triple_cfg):
     assert eps_col == sorted(eps_col)
 
 
-def test_selftest_passes(capsys):
+def test_selftest_passes(capsys, monkeypatch):
+    # a partner's winding count is its primary's, so only strip primaries
+    # (Re xi < 0) are integrated
+    wound = []
+    real = cli.validate_multiplicity
+    monkeypatch.setattr(
+        cli,
+        "validate_multiplicity",
+        lambda cs, r, others: wound.append(r.xi) or real(cs, r, others=others),
+    )
     code, out, _ = run(capsys, "selftest")
     assert code == 0
+    assert wound and all(xi.real < 0 for xi in wound)
     assert out.strip().endswith("selftest passed")
     assert out.count("ok:") >= 5
 

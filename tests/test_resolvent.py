@@ -1,5 +1,10 @@
 import cmath
+import json
 import math
+import os
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -15,8 +20,10 @@ from qwres import (
     find_resonances,
     identity_residual,
     neumann_resolvent,
+    sequence_to_json,
     step,
 )
+from qwres import cli, resolvent
 from qwres.walk import _parity_blocks, _parity_eig
 
 
@@ -204,3 +211,133 @@ def test_overflowing_sums_are_refused():
             apply_resolvent(cs, 0.3 + 800j, f, (-2, 3))
         resid, _ = identity_residual(cs, 0.3 + 0.5j, f, (-2, 3))
         assert resid < 1e-10
+
+
+def _forced(monkeypatch, shares):
+    """Split every later call's window solves into this many shares."""
+    monkeypatch.setattr(resolvent, "_share_count", lambda points, dim: shares)
+
+
+@pytest.mark.parametrize("points", [75, 300])
+@pytest.mark.parametrize("n0", [8, 12, 16])
+def test_split_window_solves_are_the_serial_ones_bit_for_bit(
+    monkeypatch, tmp_path, capsys, n0, points
+):
+    # each system is the same LAPACK call on the same matrix in either
+    # path; the shares run on distinct threads under the caller's errstate
+    rng = np.random.default_rng(n0)
+    cs = random_sequence(rng, n0)
+    f = random_state(rng, n0, 3)
+    xi = np.linspace(-3.1, 3.1, points) + 0.5j
+    cfg = tmp_path / "walk.json"
+    cfg.write_text(json.dumps(sequence_to_json(cs)))
+    grid = f"--xi-grid=-3.1:3.1:{points},0.5"
+    argv = ["resolvent-check", "--config", str(cfg), grid, "--window", "4"]
+    calls = []
+    real = resolvent._stack_solves
+    monkeypatch.setattr(
+        resolvent,
+        "_stack_solves",
+        lambda *a: calls.append((threading.get_ident(), np.geterr())) or real(*a),
+    )
+    got = {}
+    for shares in (1, 2, 3):
+        _forced(monkeypatch, shares)
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            resid, cond = identity_residual(cs, xi, f, (-4, n0 + 4))
+            assert cli.main(argv) == 0
+        assert (len({ident for ident, _ in calls}) > 1) == (shares > 1)
+        errs = [err for _, err in calls]
+        assert all(err == errs[0] and err["over"] == err["invalid"] == "ignore" for err in errs)
+        got[shares] = resid.tobytes(), cond.tobytes(), capsys.readouterr().out
+    assert got[1] == got[2] == got[3]
+
+
+def test_split_refusal_is_the_serial_one(monkeypatch):
+    # a refused point behind a clean share, one ahead of a clean share, and
+    # one in each share: the message names the first in grid order, as the
+    # serial path does, and no stack holding a refused point is solved
+    cs = triple_barrier()
+    xi = find_resonances(cs)[0].xi
+    f = basis_state(0, "L")
+    solved = []
+    real = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solved.extend(a[:, 0, 0]) or real(a, b))
+    for bad in ([250], [40], [260, 40], [140, 150]):
+        grid = xi + 0.5 + np.linspace(0, 1, 300)
+        grid[bad] = xi + 1e-7
+        refused = set(np.exp(-1j * grid)[bad])  # the systems' diagonal, as K's is zero
+        messages = []
+        for shares in (1, 2):
+            _forced(monkeypatch, shares)
+            solved.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(AtResonance, match="condition number") as exc:
+                    identity_residual(cs, grid, f, (-3, 5))
+            messages.append(str(exc.value))
+            assert refused.isdisjoint(solved)
+        assert messages[0] == messages[1] and str(complex(grid[min(bad)])) in messages[0]
+        # of the two shares [0, 150) and [150, 300), one without a refused
+        # point was solved in full
+        assert len(solved) == (150 if len({k // 150 for k in bad}) == 1 else 0)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_makes_its_own_workers(monkeypatch):
+    cs = random_sequence(np.random.default_rng(12), 12)
+    f = basis_state(0, "L")
+    xi = np.linspace(-3, 3, 75) + 0.4j
+    _forced(monkeypatch, 2)
+    want = identity_residual(cs, xi, f, (-3, 15))[1].tobytes()
+    assert resolvent._pool is not None
+    with warnings.catch_warnings():
+        # Python 3.12 warns on forking a process that runs threads
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        ok = False
+        try:
+            fresh = resolvent._pool is None
+            ok = fresh and identity_residual(cs, xi, f, (-3, 15))[1].tobytes() == want
+        finally:
+            os._exit(0 if ok else 1)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+    assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+
+
+def test_concurrent_callers_share_the_workers(monkeypatch):
+    # more callers than CPUs, each splitting its grid, with the interpreter
+    # switching threads often: every caller gets the serial bytes
+    monkeypatch.setattr(resolvent, "_pool", None)
+    cs = random_sequence(np.random.default_rng(10), 10)
+    f = basis_state(0, "L")
+    grids = [np.linspace(-3, 3, 60) + (0.3 + 0.1 * k) * 1j for k in range(6)]
+    _forced(monkeypatch, 1)
+    want = [identity_residual(cs, g, f, (-3, 13))[1].tobytes() for g in grids]
+    _forced(monkeypatch, 3)
+    got = [None] * len(grids)
+
+    def call(k):
+        for _ in range(5):
+            got[k] = identity_residual(cs, grids[k], f, (-3, 13))[1].tobytes()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=call, args=(k,)) for k in range(len(grids))]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert got == want
