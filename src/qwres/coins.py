@@ -274,20 +274,37 @@ def pqtheta_to_T(x: PQTheta) -> np.ndarray:
     )
 
 
+def _tables(walks) -> np.ndarray:
+    """The coin table of one walk, or those of a list of walks of one n0 stacked on a leading axis."""
+    return walks.table if isinstance(walks, CoinSequence) else np.array([cs.table for cs in walks])
+
+
 def _site_entries(table: np.ndarray, e_plus, e_minus, out=None):
     """Entries (p, q, r, s) of T_n = [[p, q], [r, s]] at e^{+-i xi} = e_plus, e_minus.
 
-    One tuple per coin row (a, b, c, d) of table, in order.  q = -conj(c) /
+    One tuple per coin row (a, b, c, d) of table, in order along its
+    second-last axis; leading axes stack walks, and each entry then has
+    them and an axis of one, a column against the points.  q = -conj(c) /
     conj(a) is numpy's division, formed for all rows at once, and r = -c / d
-    Python's, which rounds differently; p = e_plus / conj(a) and
-    s = e_minus / d go into out's two arrays where it is given.
+    Python's, which rounds differently, as is s = e_minus / d for a scalar
+    e_minus; p = e_plus / conj(a), and s for an array, go into out's two
+    arrays where it is given.
     """
-    conj_a = np.conj(table[:, 0])
-    for ca, q, (c, d) in zip(conj_a, -np.conj(table[:, 2]) / conj_a, table[:, 2:].tolist()):
-        if out is None:
-            yield e_plus / ca, q, -c / d, e_minus / d
+    stacked, points = table.ndim > 2, isinstance(e_minus, np.ndarray)
+    if stacked:  # sites first
+        table = table.swapaxes(0, -2)[..., None, :]
+    conj_a, cd = np.conj(table[..., 0]), table[..., 2:].reshape(-1, 2).tolist()
+    # s itself for a scalar e_minus, the d that divides it for an array
+    r, s_or_d = [-c / d for c, d in cd], table[..., 3] if points else [e_minus / d for _, d in cd]
+    if stacked:
+        r, s_or_d = np.reshape(r, conj_a.shape), np.reshape(s_or_d, conj_a.shape)
+    for ca, q, rn, sd in zip(conj_a, -np.conj(table[..., 2]) / conj_a, r, s_or_d):
+        if not points:
+            yield e_plus / ca, q, rn, sd
+        elif out is None:
+            yield e_plus / ca, q, rn, e_minus / sd
         else:
-            yield np.divide(e_plus, ca, out=out[0]), q, -c / d, np.divide(e_minus, d, out=out[1])
+            yield np.divide(e_plus, ca, out=out[0]), q, rn, np.divide(e_minus, sd, out=out[1])
 
 
 def coin_transfer_factor(coin: Coin) -> np.ndarray:

@@ -31,7 +31,6 @@ from .errors import WindowOutsideCone
 from .resonances import (
     JordanChainStates,
     Resonance,
-    _deflated,
     _resonances,
     _spectrum,
     _window_chains,
@@ -127,9 +126,8 @@ def expand(cs: CoinSequence, psi0: WaveState) -> ExpansionData:
     # through the trimmed state, as the light cone gives it: the window walk
     # may leave -0 on rows the light cone has not reached
     x = window_vector(WaveState(0, rows[-1, 1:-1]), n0)
-    coeffs = _deflated(cs)
+    [resonances] = _resonances(cs, lambda: _spectrum(cs).evals)
     spec = _spectrum(cs)
-    resonances = _resonances(coeffs, spec.evals)
     iota, (_, s, vh) = _zero_block(spec.k)
     mults = [r.alg_multiplicity for r in resonances]
     cols = [v for chain in _window_chains(spec, [r.lam for r in resonances], mults) for v in chain]

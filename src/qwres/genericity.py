@@ -26,7 +26,7 @@ import numpy as np
 
 from .coins import CoinSequence, PQTheta, pqtheta_to_S, s_product
 from .errors import DegenerateDirection, LeftS, NoMultipleResonance, ProductLeavesS
-from .resonances import find_resonances
+from .resonances import _resonance_family
 
 __all__ = [
     "PerturbationFamily",
@@ -80,14 +80,16 @@ def splitting_experiment(pf: PerturbationFamily):
     and raises DegenerateDirection.  A base walk without a multiple
     resonance raises NoMultipleResonance.
 
-    Every perturbed walk is formed before any is rooted, so where several
-    fail, the first failure names the error: perturb's refusals, then
-    find_resonances walk by walk (the base first), and last the base's
-    lack of a multiple resonance.
+    Every perturbed walk is formed before any is rooted, and the base and
+    its perturbed walks are then rooted together, in one stacked pass
+    (resonances._resonance_family), each bit for bit as find_resonances
+    roots it alone.  Where several fail, the first failure names the error:
+    perturb's refusals, then the walks' rooting in order (the base first),
+    and last the base's lack of a multiple resonance.
     """
     epsilons = [float(eps) for eps in pf.epsilons]
     walks = [perturb(pf.base, eps, pf.phi) for eps in epsilons if eps]
-    base, *family = [find_resonances(cs) for cs in [pf.base, *walks]]
+    base, *family = _resonance_family([pf.base, *walks])
     target = next((r for r in base if r.alg_multiplicity >= 2), None)
     if target is None:
         raise NoMultipleResonance("base walk has no multiple resonance to split")

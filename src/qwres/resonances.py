@@ -15,7 +15,13 @@ mu = lambda^2 within 1e-6 max(1, |mu|) of each other chain into one
 cluster, whose size is the multiplicity and whose mean Newton polishes as
 a simple root of p^(m-1) until a step fails to halve the one before.  A
 polished root that left its cluster, an eigenvalue p does not account
-for, or a p with more roots than K has eigenvalue pairs is refused.
+for, or a p with more roots than K has eigenvalue pairs is refused.  A
+family of walks of one n0, as a splitting experiment roots, takes each
+stage at once on a leading walk axis (_resonance_family): one polynomial
+recursion and relation-check pass, one eigvals call on the stacked BA,
+one polish per multiplicity, then clustering and the checks walk by
+walk; every walk gets its lone call's bits, and a refused family is
+rooted again walk by walk so that the first failure names the error.
 
 Jordan chains.  Resonances are generically simple, so the chain at a
 resonance is usually one eigenvector of K.  _spectrum keeps one spectral
@@ -50,7 +56,7 @@ from .errors import (
     SpectralOverflow,
 )
 from .states import WaveState
-from .transfer import _horner, _refuse_overflow, _transfer_entries, transfer_polynomial
+from .transfer import _horner, _refuse_overflow, _transfer_entries, _transfer_polynomials
 from .walk import _parity_blocks, _parity_eig, _placed, _sweep, _walk
 
 __all__ = [
@@ -64,6 +70,7 @@ __all__ = [
 ]
 
 CLUSTER_SCALE = 1e-6
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -100,9 +107,11 @@ def _cluster(roots: np.ndarray) -> list[np.ndarray]:
     roots = roots[order]
     size = np.maximum(np.abs(roots), 1.0)
     tol = CLUSTER_SCALE * np.maximum(size[:, None], size[None, :])
+    rows, cols = np.nonzero(np.abs(roots[:, None] - roots[None, :]) <= tol)
+    if len(rows) == len(roots):  # each root its own only neighbour
+        return list(roots[:, None])
     # each root's neighbours in increasing index, itself included
     neighbours = [[] for _ in roots]
-    rows, cols = np.nonzero(np.abs(roots[:, None] - roots[None, :]) <= tol)
     for j, k in zip(rows.tolist(), cols.tolist()):
         neighbours[j].append(k)
     used = [False] * len(roots)
@@ -129,8 +138,11 @@ def _polish(coeffs: np.ndarray, x0: np.ndarray, m: int) -> np.ndarray:
     An m-fold cluster centroid is accurate to about eps^(1/m); the
     derivative p^(m-1) has a simple root at the same point, where Newton is
     well posed and recovers nearly full precision.  coeffs is p, lowest
-    degree first, and x0 holds the centroids of one multiplicity m,
-    polished together, one transfer._horner pass a step.
+    degree first, or one p per entry, as a family's walks give them,
+    zero-padded to one length (Horner keeps its +0 start through zero top
+    coefficients); x0 holds the centroids of one multiplicity m, polished
+    together, one transfer._horner pass a step, in which only live entries
+    move.
 
     Each entry stops on its own: at dq == 0; at a Newton step that fails to
     halve the step before it, keeping the iterate from before that step,
@@ -139,23 +151,29 @@ def _polish(coeffs: np.ndarray, x0: np.ndarray, m: int) -> np.ndarray:
     where Newton left it, however far that is from x0, so a centroid that p
     does not vanish near shows in the cross-check of find_resonances.
     """
-    high = np.polyder(np.asarray(coeffs)[::-1], m - 1)
-    # q and q' (padded to q's length), evaluated at the same points
-    rows = np.stack([high, np.concatenate([np.zeros_like(high[:1]), np.polyder(high)])])
     x = np.array(x0, dtype=complex)
+    high = np.asarray(coeffs)
+    if high.ndim == 1:
+        high = np.broadcast_to(high, (len(x), len(high)))
+    high = high[:, ::-1]
+    for _ in range(m):
+        high, low = high[:, :-1] * np.arange(high.shape[1] - 1, 0, -1), high
+    # q of every entry, then q' (padded to q's length)
+    rows = np.concatenate([low, np.concatenate([np.zeros_like(low[:, :1]), high], axis=1)])
     last = np.full(len(x), np.inf)
-    live = np.arange(len(x))
+    live = np.ones(len(x), dtype=bool)
+    dx = np.zeros_like(x)
     for _ in range(60):
-        if not live.size:
+        if not live.any():
             break
-        q, dq = _horner(rows, np.stack([x[live], x[live]]))
-        moving = dq != 0
-        live, dx = live[moving], q[moving] / dq[moving]
-        halved = np.abs(dx) <= 0.5 * last[live]
-        live, dx = live[halved], dx[halved]
-        last[live] = np.abs(dx)
-        x[live] -= dx
-        live = live[~(np.abs(dx) <= 1e-15 * (1 + np.abs(x[live])))]
+        q, dq = _horner(rows, np.concatenate([x, x])[:, None]).reshape(2, -1)
+        live &= dq != 0
+        np.divide(q, dq, out=dx, where=live)
+        step = np.abs(dx)
+        live &= step <= 0.5 * last
+        np.copyto(last, step, where=live)
+        np.subtract(x, dx, out=x, where=live)
+        live &= ~(step <= 1e-15 * (1 + np.abs(x)))
     return x
 
 
@@ -176,25 +194,21 @@ def strip_pair(mu: complex, multiplicity: int) -> tuple[Resonance, Resonance]:
     return first, second
 
 
-def _deflated(cs: CoinSequence) -> np.ndarray:
-    """The monic transfer polynomial of cs with its zero roots deflated."""
-    coeffs = np.array(transfer_polynomial(cs).coeffs)
-    scale = np.max(np.abs(coeffs))
-    while len(coeffs) > 1 and abs(coeffs[0]) <= 1e-13 * scale:
-        coeffs = coeffs[1:]
-    return coeffs
+def _resonances(walks, eigenvalues) -> list[list[Resonance]]:
+    """The resonances of one walk, or of each walk of a list of one n0.
 
-
-def _resonances(coeffs: np.ndarray, evals: np.ndarray) -> list[Resonance]:
-    """The resonances of a walk from its deflated p and K's eigenvalues.
-
-    coeffs is _deflated's p, of degree d, and evals is K's spectrum as
+    The transfer polynomials come first, relation checks included
+    (transfer._transfer_polynomials); at n0 = 0, p = 1 and there is none.
+    eigenvalues() then gives K's spectrum, a row per walk, as
     walk._parity_eig lays it out: lambda_j over the r = n0 eigenvalues of
-    BA, then -lambda_j, then the two zeros.  The d largest mu_j = lambda_j^2
-    cluster into multiplicities (_cluster), and each centroid is polished
-    on p^(m-1).  A cluster draws on r = n0 eigenvalues, so no multiplicity
-    exceeds the window size.  Every cluster is checked against the unit
-    disk and the strip (Resonance) before the cross-check below.
+    BA, then -lambda_j, then the two zeros.  Each p is deflated of its zero
+    roots, structural and never resonances, to a degree d.  The d largest
+    mu_j = lambda_j^2 cluster into multiplicities (_cluster), and each
+    centroid is polished on its walk's p^(m-1), one _polish pass per
+    multiplicity for all walks.  A cluster draws on r = n0 eigenvalues, so
+    no multiplicity exceeds the window size.  Then, walk by walk, every
+    cluster is checked against the unit disk and the strip (Resonance)
+    before the cross-check below.
 
     The cross-check reads the polished roots against the eigenvalues they
     started from, all clusters in one array pass.  An m-fold eigenvalue is
@@ -205,42 +219,79 @@ def _resonances(coeffs: np.ndarray, evals: np.ndarray) -> list[Resonance]:
     group spreads to eps^(1/index) for nilpotent blocks), and d must not
     exceed r.
     """
-    eps = np.finfo(float).eps
-    r, d = len(evals) // 2 - 1, len(coeffs) - 1
-    mu = evals[:r] ** 2
-    top = np.argsort(-np.abs(mu), kind="stable")[:d]
-    clusters = _cluster(mu[top])
+    tps = _transfer_polynomials(walks)
+    if (walks if isinstance(walks, CoinSequence) else walks[0]).n0 < 1:
+        return [[] for _ in tps]
+    walk_evals = eigenvalues().reshape(len(tps), -1)
+    r = walk_evals.shape[1] // 2 - 1
+    polys, tops, clusters, ends = [], [], [], [0]  # walk w's clusters at ends[w]:ends[w + 1]
+    for tp, evals in zip(tps, walk_evals):
+        coeffs = tp.coeffs
+        scale = np.max(np.abs(coeffs))
+        while len(coeffs) > 1 and abs(coeffs[0]) <= 1e-13 * scale:
+            coeffs = coeffs[1:]
+        mu = evals[:r] ** 2
+        top = np.argsort(-np.abs(mu), kind="stable")[: len(coeffs) - 1]
+        clusters += _cluster(mu[top])
+        polys.append(coeffs)
+        tops.append(top)
+        ends.append(len(clusters))
     mults = np.array([len(c) for c in clusters], dtype=int)
     roots = np.array([c[0] if len(c) == 1 else np.mean(c) for c in clusters], dtype=complex)
+    rows = np.zeros((len(clusters), max(map(len, polys))), dtype=complex)  # each cluster's p, zero-padded
+    for w, coeffs in enumerate(polys):
+        rows[ends[w] : ends[w + 1], : len(coeffs)] = coeffs
     for m in set(mults.tolist()):
-        roots[mults == m] = _polish(coeffs, roots[mults == m], m)
-    pairs = []
-    for m, root in zip(mults.tolist(), roots):
-        if abs(root) >= 1 + 1e-12:
+        entries = mults == m
+        roots[entries] = _polish(rows[entries], roots[entries], m)
+
+    found = []
+    for coeffs, evals, top, walk in zip(polys, walk_evals, tops, map(slice, ends, ends[1:])):
+        d, wm, pairs = len(coeffs) - 1, mults[walk], []
+        for m, root in zip(wm.tolist(), roots[walk]):
+            if abs(root) >= 1 + 1e-12:
+                raise InvariantViolation(
+                    f"transfer polynomial root mu={root} lies outside the unit disk"
+                )
+            pairs.append(strip_pair(root, m))
+        lam = np.repeat([res.lam for res, _ in pairs], wm)  # each member's polished lambda
+        tol = np.maximum(1e-8, 50 * _EPS ** (1.0 / np.repeat(wm, wm))) * np.maximum(1, np.abs(lam))
+        near = np.sqrt(np.concatenate([lam[:0], *clusters[walk]]))
+        far = np.minimum(np.abs(near - lam), np.abs(near + lam)) > tol
+        if far.any():
+            k = np.argmax(far)
+            raise InvariantViolation(f"no dense eigenvalue within {tol[k]:.2e} of lambda={lam[k]}")
+        rest = np.delete(evals[:r], top)
+        stray = rest[np.abs(rest) > 1e-6]
+        if stray.size:
             raise InvariantViolation(
-                f"transfer polynomial root mu={root} lies outside the unit disk"
+                f"dense eigensolve has nonzero eigenvalues +-{stray.tolist()} the polynomial missed"
             )
-        pairs.append(strip_pair(root, m))
-    lam = np.repeat([res.lam for res, _ in pairs], mults)  # each member's polished lambda
-    tol = np.maximum(1e-8, 50 * eps ** (1.0 / np.repeat(mults, mults))) * np.maximum(1, np.abs(lam))
-    near = np.sqrt(np.concatenate([lam[:0], *clusters]))
-    far = np.minimum(np.abs(near - lam), np.abs(near + lam)) > tol
-    if far.any():
-        k = np.argmax(far)
-        raise InvariantViolation(f"no dense eigenvalue within {tol[k]:.2e} of lambda={lam[k]}")
-    rest = np.delete(evals[:r], top)
-    stray = rest[np.abs(rest) > 1e-6]
-    if stray.size:
-        raise InvariantViolation(
-            f"dense eigensolve has nonzero eigenvalues +-{stray.tolist()} the polynomial missed"
-        )
-    if d > r:
-        raise InvariantViolation(
-            f"no dense eigenvalue within reach of {d - r} of the polynomial's {d} roots:"
-            f" K has {r} nonzero eigenvalue pairs"
-        )
-    out = [res for pair in pairs for res in pair]
-    return sorted(out, key=lambda res: (res.xi.real, res.xi.imag))
+        if d > r:
+            raise InvariantViolation(
+                f"no dense eigenvalue within reach of {d - r} of the polynomial's {d} roots:"
+                f" K has {r} nonzero eigenvalue pairs"
+            )
+        found.append(sorted((res for pair in pairs for res in pair), key=lambda res: (res.xi.real, res.xi.imag)))
+    return found
+
+
+def _resonance_family(walks) -> list[list[Resonance]]:
+    """find_resonances of one walk, or of each walk of a list of one n0 in one stacked pass.
+
+    A list's polynomials, parity blocks and eigvals are stacked
+    (_resonances), each walk's numbers bit for bit its lone call's.  Walks
+    of different n0 are a ValueError.  Where a list is refused, its walks
+    are rooted again one at a time, so the first to fail names the error.
+    """
+    if isinstance(walks, list) and len({cs.n0 for cs in walks}) > 1:
+        raise ValueError(f"the walks of a family share n0, got {[cs.n0 for cs in walks]}")
+    try:
+        return _resonances(walks, lambda: _parity_eig(*_parity_blocks(walks)))
+    except Exception:  # any refusal: the rerun raises what the first walk raises alone
+        if not isinstance(walks, list):
+            raise
+    return [find_resonances(cs) for cs in walks]
 
 
 def find_resonances(cs: CoinSequence) -> list[Resonance]:
@@ -252,12 +303,11 @@ def find_resonances(cs: CoinSequence) -> list[Resonance]:
     eigensolver on the parity product BA of half K's size
     (walk._parity_eig, on blocks written from the coin table with K's norm
     check), clustered, polished on the polynomial and cross-checked
-    against it by _resonances.  At n0 = 0, p = 1 and there is none.
+    against it by _resonances, as the family of one of _resonance_family.
+    At n0 = 0, p = 1 and there is none.
     """
-    coeffs = _deflated(cs)
-    if cs.n0 < 1:
-        return []
-    return _resonances(coeffs, _parity_eig(*_parity_blocks(cs)))
+    [found] = _resonance_family(cs)
+    return found
 
 
 def winding_count(cs: CoinSequence, center: complex, rho: float) -> complex:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coins import Coin, CoinSequence, _site_entries
+from .coins import Coin, CoinSequence, _site_entries, _tables
 from .errors import RelationCheckFailed, SpectralOverflow
 
 __all__ = [
@@ -57,11 +57,13 @@ def _refuse_overflow(xi: np.ndarray, *values) -> None:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _transfer_entries(cs: CoinSequence, xi, rescale: bool = False, cols: int = 2, slope: bool = False):
+def _transfer_entries(walks, xi, rescale: bool = False, cols: int = 2, slope: bool = False):
     """Rows of T_0 T_1 ... T_{n0} over an xi array, with their logs.
 
     Returns (top, bot, log): top[0] = (t11, t12) and bot[0] = (t21, t22),
     each of xi's shape, or column 2 alone, (t12,) and (t22,), with cols=1.
+    For a list of walks of one n0 (coins._tables) each entry has a walk
+    axis ahead of xi's.
     Built from the right, T_n (T_{n+1} ... T_{n0}), the columns never mix.
     A site is top, bot = p top + q bot, r top + s bot, one numpy call per
     operation on the stacked rows, in place, with p and s copied onto every
@@ -73,17 +75,18 @@ def _transfer_entries(cs: CoinSequence, xi, rescale: bool = False, cols: int = 2
     set, each column and its slope are divided by the column's largest entry
     magnitude after every site, and column j times e^{log[j]} is the true one.
     """
+    table = _tables(walks)
     xi = np.asarray(xi, dtype=complex)
     pts = xi.reshape(-1)
-    shape = (1 + slope, cols, len(pts))
+    shape = (1 + slope, cols) + table.shape[:-2] + (len(pts),)
     top, bot = np.zeros((2,) + shape, dtype=complex)
     top[0, : cols - 1] = bot[0, -1] = 1  # t11 where column 1 is carried, and t22
     p_rows, s_rows = np.empty((2,) + shape, dtype=complex)
     log = np.zeros(shape[1:])
     m, m_bot = np.empty((2,) + shape[1:]) if rescale else (None, None)
-    p_flat, s_flat = p_rows.reshape(-1, len(pts)), s_rows.reshape(-1, len(pts))
+    p_flat, s_flat = p_rows.reshape((-1,) + shape[2:]), s_rows.reshape((-1,) + shape[2:])
     e_plus, e_minus = np.exp(1j * pts), np.exp(-1j * pts)
-    for p, q, r, s in _site_entries(cs.table[::-1], e_plus, e_minus, (p_flat[0], s_flat[0])):
+    for p, q, r, s in _site_entries(table[..., ::-1, :], e_plus, e_minus, (p_flat[0], s_flat[0])):
         if len(p_flat) > 1:
             p_flat[1:], s_flat[1:] = p, s
         np.multiply(p_rows, top, out=p_rows)
@@ -100,7 +103,7 @@ def _transfer_entries(cs: CoinSequence, xi, rescale: bool = False, cols: int = 2
             top /= m
             bot /= m
             log += np.log(m, out=m)
-    shape = shape[:2] + xi.shape
+    shape = shape[:-1] + xi.shape
     return top.reshape(shape), bot.reshape(shape), log.reshape(shape[1:])
 
 
@@ -121,8 +124,8 @@ def _horner(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     while a whole stack of polynomials costs one pass over the degree.
     """
     y = np.zeros_like(x)
-    for c in rows.T:
-        y = y * x + c[:, None]
+    for c in rows.T[:, :, None]:
+        y = y * x + c
     return y
 
 
@@ -182,6 +185,44 @@ def _relation_points() -> np.ndarray:
 # coins with tiny |a| or |d| can overflow the product; the checks below
 # refuse the overflowed values, so numpy need not warn about them
 @np.errstate(over="ignore", invalid="ignore")
+def _transfer_polynomials(walks) -> list[TransferPolynomial]:
+    """transfer_polynomial of one walk, or of each walk of a list of one n0, in one pass.
+
+    A list's recursion carries a row per walk, with p, q, r and s columns
+    where a lone walk has scalars, and its relation check is one stacked
+    _transfer_entries pass; each walk's values are bit for bit its lone
+    call's, and its checks run in walk order.
+    """
+    table = _tables(walks)
+    n0 = table.shape[-2] - 1
+    # a row per walk; the coefficient of z^k sits at index k + 2, behind two
+    # zero slots, so the views [1:-1] and [:-2] hold the entry times z and z^2
+    t12, t22 = np.zeros((2, len(table) if table.ndim == 3 else 1, 2 * n0 + 5), dtype=complex)
+    t22[:, 2] = 1.0
+    z_t12, z_t22, zz_t22 = t12[:, 1:-1], t22[:, 1:-1], t22[:, :-2]
+    t12, full = t12[:, 2:], t22[:, 2:]
+    for p, q, r, s in _site_entries(table[..., ::-1, :], 1, 1):
+        t12[...], full[...] = p * t12 + q * z_t22, r * z_t12 + s * zz_t22
+    size = np.abs(full)
+    scale, stray = size.max(axis=1), size[:, 0] + size[:, 1::2].sum(axis=1)
+    for w in range(len(full)):
+        _check_residual("transfer product lost its parity structure: stray mass", stray[w], 1e-13 * scale[w])
+    p = full[:, 2::2]
+    leading = p[:, -1:]
+    monic = p / leading
+    monic[:, -1] = 1.0
+
+    xs = _relation_points()
+    _, ((t22,),), _ = _transfer_entries(walks, xs, cols=1)
+    lhs = np.exp(-1j * (n0 + 1) * xs) * t22.reshape(-1, len(xs))
+    mu = np.exp(-2j * xs)
+    rhs = mu * leading * _horner(monic[:, ::-1], mu[None])
+    err = (np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs))).max(axis=1)
+    for w in range(len(full)):
+        _check_residual("transfer polynomial relation residual", err[w], 1e-10)
+    return [TransferPolynomial(c, complex(lead)) for c, lead in zip(monic, leading[:, 0])]
+
+
 def transfer_polynomial(cs: CoinSequence) -> TransferPolynomial:
     """Extract p from the transfer product by exact polynomial recursion.
 
@@ -200,28 +241,5 @@ def transfer_polynomial(cs: CoinSequence) -> TransferPolynomial:
     |mu| up to e^3, which on valid Haar windows fails the check from about
     n0 = 32 on, although the coefficients themselves stay correct.
     """
-    # the coefficient of z^k sits at index k + 2, behind two zero slots, so
-    # the views [1:-1] and [:-2] hold the entry times z and times z^2
-    t12 = np.zeros(2 * cs.n0 + 5, dtype=complex)
-    t22 = t12.copy()
-    t22[2] = 1.0
-    for p, q, r, s in _site_entries(cs.table[::-1], 1, 1):
-        t12[2:], t22[2:] = p * t12[2:] + q * t22[1:-1], r * t12[1:-1] + s * t22[:-2]
-    full = t22[2:]
-    scale = np.max(np.abs(full))
-    stray = np.abs(full[0]) + np.abs(full[1::2]).sum()
-    _check_residual("transfer product lost its parity structure: stray mass", stray, 1e-13 * scale)
-    p = full[2::2]
-    leading = complex(p[-1])
-    monic = p / leading
-    monic[-1] = 1.0
-    tp = TransferPolynomial(monic, leading)
-
-    xs = _relation_points()
-    _, ((t22,),), _ = _transfer_entries(cs, xs, cols=1)
-    lhs = np.exp(-1j * (cs.n0 + 1) * xs) * t22
-    mu = np.exp(-2j * xs)
-    rhs = mu * leading * tp(mu)
-    err = np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs)))
-    _check_residual("transfer polynomial relation residual", err, 1e-10)
+    [tp] = _transfer_polynomials(cs)
     return tp

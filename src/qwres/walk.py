@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coins import CoinSequence
+from .coins import CoinSequence, _tables
 from .errors import UnsupportedN0
 from .states import WaveState, _window_norms, window_vector
 
@@ -221,15 +221,16 @@ def _checked_norm(m: np.ndarray) -> float:
     m[s], site s's coin rows kept in the window, fills K's columns at s; distinct
     sites fill distinct rows, so |K|_2 = max_s |m[s]|_2 exactly.  lambda_max(G),
     G = m[s]* m[s], is taken without the trace-determinant form's cancellation.
+    Leading axes of m stack walks, whose largest norm is checked.
     """
     top = np.abs(m).max()
     if not np.isfinite(top):
         raise ValueError("K has non-finite entries")
     scale = 2.0 ** np.frexp(top)[1]  # exact; keeps the squares in range
     x = m / scale
-    g = x.conj().swapaxes(1, 2) @ x
-    g00, g11 = g[:, 0, 0].real, g[:, 1, 1].real
-    lam = (g00 + g11) / 2 + np.hypot((g00 - g11) / 2, np.abs(g[:, 0, 1]))
+    g = x.conj().swapaxes(-1, -2) @ x
+    g00, g11 = g[..., 0, 0].real, g[..., 1, 1].real
+    lam = (g00 + g11) / 2 + np.hypot((g00 - g11) / 2, np.abs(g[..., 0, 1]))
     top = scale * np.sqrt(lam.max())
     if not top <= 1 + 1e-12:
         raise ValueError(f"K has operator norm {top:.3e} > 1")
@@ -259,19 +260,27 @@ class KMatrix:
         object.__setattr__(self, "entries", m)
 
 
-def _parity_blocks(cs: CoinSequence) -> tuple[np.ndarray, np.ndarray]:
-    """K's site-parity blocks A (odd sites to even) and B (even to odd), in O(n0)."""
-    if cs.n0 < 1:
+def _parity_blocks(walks) -> tuple[np.ndarray, np.ndarray]:
+    """K's site-parity blocks A (odd sites to even) and B (even to odd), in O(n0).
+
+    A list of walks of one n0 (coins._tables) gets its blocks on a leading axis.
+    """
+    table = _tables(walks)
+    lead, sites = table.shape[:-2], table.shape[-2]
+    if sites < 2:
         raise UnsupportedN0("K needs n0 >= 1, the boundary rows collapse at n0=0")
-    m = cs.table.reshape(-1, 2, 2) + 0.0  # zeros +0: K's eigensolves and SVDs read the sign
-    m[0, 0] = m[-1, 1] = 0
+    m = table.reshape(lead + (sites, 2, 2)) + 0.0  # zeros +0: K's eigensolves and SVDs read the sign
+    m[..., 0, 0, :] = m[..., -1, 1, :] = 0
     _checked_norm(m)
-    ne, no = (len(m) + 1) // 2, len(m) // 2  # even and odd sites
-    a, b = np.zeros((ne, 2, no, 2), dtype=complex), np.zeros((no, 2, ne, 2), dtype=complex)
-    i, j = np.arange(no), np.arange(ne - 1)
-    a[i, 0, i], a[j + 1, 1, j] = m[1::2, 0], m[1 : 2 * ne - 1 : 2, 1]
-    b[i, 1, i], b[j, 0, j + 1] = m[0 : 2 * no : 2, 1], m[2::2, 0]
-    return a.reshape(2 * ne, 2 * no), b.reshape(2 * no, 2 * ne)
+    ne, no = (sites + 1) // 2, sites // 2  # even and odd sites
+    # A (ne, 2, no, 2) and B (no, 2, ne, 2) as rows of entry pairs: a strided slice per diagonal
+    a, b = np.zeros(lead + (ne * 2 * no, 2), dtype=complex), np.zeros(lead + (no * 2 * ne, 2), dtype=complex)
+    step_a, step_b = 2 * no + 1, 2 * ne + 1
+    a[..., : no * step_a : step_a, :] = m[..., 1::2, 0, :]  # (i, 0, i)
+    a[..., 3 * no : 3 * no + (ne - 1) * step_a : step_a, :] = m[..., 1 : 2 * ne - 1 : 2, 1, :]  # (j + 1, 1, j)
+    b[..., ne : ne + no * step_b : step_b, :] = m[..., 0 : 2 * no : 2, 1, :]  # (i, 1, i)
+    b[..., 1 : 1 + (ne - 1) * step_b : step_b, :] = m[..., 2::2, 0, :]  # (j, 0, j + 1)
+    return a.reshape(lead + (2 * ne, 2 * no)), b.reshape(lead + (2 * no, 2 * ne))
 
 
 def build_K(cs: CoinSequence) -> KMatrix:
@@ -309,14 +318,18 @@ def _parity_eig(a: np.ndarray, b: np.ndarray, k: np.ndarray | None = None):
     k, also the unit eigenvectors as columns: (A u, lambda u) for
     BA u = mu u, then the witnesses.  Any other zero or near-zero mu leaves
     its two columns (nearly) parallel or zero, which shows in the
-    conditioning of the matrix, not as an error.
+    conditioning of the matrix, not as an error.  Without k, stacked blocks
+    give stacked eigenvalues from one product and eigvals call.
     """
-    n = (len(a) + len(b)) // 2  # the sites 0..n0
+    n = (a.shape[-2] + b.shape[-2]) // 2  # the sites 0..n0
     mu, u = np.linalg.eig(b @ a) if k is not None else (np.linalg.eigvals(b @ a), None)
     # for n0 odd (n even) the witness at site n0 is BA's exact zero
-    keep = np.arange(len(mu)) != np.argmin(np.abs(mu)) if n % 2 == 0 else slice(None)
-    lam = np.sqrt(mu[keep])
-    evals = np.concatenate([lam, -lam, np.zeros(2, dtype=complex)])
+    keep = slice(None)
+    if n % 2 == 0:
+        keep = np.arange(mu.shape[-1]) != np.argmin(np.abs(mu), axis=-1)[..., None]
+        mu = mu[keep].reshape(mu.shape[:-1] + (-1,))
+    lam = np.sqrt(mu)
+    evals = np.concatenate([lam, -lam, np.zeros(lam.shape[:-1] + (2,), dtype=complex)], axis=-1)
     if k is None:
         return evals
     u, r = u[:, keep], len(lam)

@@ -88,7 +88,9 @@ def test_expand_builds_K_once(monkeypatch):
     # zero block, however many resonances the window has, and then
     # resonant_chain for every block; eigvals runs only where
     # find_resonances and the resolvent ask for eigenvalues alone, on BA
-    # too, and no eigensolve of K's own size 2 (n0 + 1) runs at all.  A
+    # too (find_resonances's as a stack of one), and no eigensolve of K's
+    # own size 2 (n0 + 1) runs at all; each call is counted by its matrix
+    # size.  A
     # dense K is placed (walk._placed) from one write of the parity blocks:
     # once for the spectral record, once for the resolvent, never for
     # find_resonances; none of them goes through build_K
@@ -109,7 +111,7 @@ def test_expand_builds_K_once(monkeypatch):
         monkeypatch.setattr(
             np.linalg,
             name,
-            lambda a, solver=solver, name=name: calls.append((name, len(a))) or solver(a),
+            lambda a, solver=solver, name=name: calls.append((name, a.shape[-1])) or solver(a),
         )
     rng = np.random.default_rng(17)
     haar6 = random_sequence(np.random.default_rng(6), 6)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import qwres.transfer
 from conftest import hadamard_pair, random_sequence, triple_barrier
 from qwres import (
     PerturbationFamily,
@@ -105,3 +106,28 @@ def test_split_names_the_first_failure_of_the_stacked_pass():
     with pytest.raises(RelationCheckFailed) as caught:
         splitting_experiment(PerturbationFamily(base, 0.3, (1e-3, 1e-2)))
     assert str(caught.value) == errors[0]
+
+
+def test_split_roots_its_family_in_one_stacked_pass(monkeypatch):
+    # the base and its perturbed walks are rooted together: one relation
+    # check kernel pass over all four walks and one eigvals call on their
+    # four stacked parity products, counted as the CLI tests count kernel
+    # calls; the rows are the walk-by-walk loop's
+    calls = []
+    entries, eigvals = qwres.transfer._transfer_entries, np.linalg.eigvals
+    monkeypatch.setattr(
+        qwres.transfer,
+        "_transfer_entries",
+        lambda walks, *args, **kw: calls.append(("kernel", len(walks))) or entries(walks, *args, **kw),
+    )
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(("eigvals", a.shape)) or eigvals(a))
+    pf = PerturbationFamily(triple_barrier(), 0.7, (1e-5, 1e-4, 1e-3))
+    rows = splitting_experiment(pf)
+    assert calls == [("kernel", 4), ("eigvals", (4, 2, 2))]
+    monkeypatch.undo()
+    base = find_resonances(pf.base)
+    mu0 = next(r.mu for r in base if r.alg_multiplicity == 2)
+    for (eps, gap, mults), want in zip(rows, pf.epsilons):
+        primaries = [r for r in find_resonances(perturb(pf.base, want, pf.phi)) if r.xi.real < 0]
+        near = sorted(primaries, key=lambda r: abs(r.mu - mu0))[:2]
+        assert eps == want and mults == (1, 1) and gap == abs(near[0].mu - near[1].mu)

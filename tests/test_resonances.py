@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import hadamard_pair, random_sequence, triple_barrier
+from test_expansion import _bits
 from test_transfer import _row_recursion
 import qwres.resonances
 from qwres import (
@@ -33,11 +34,13 @@ from qwres import (
 from qwres.resonances import (
     _cluster,
     _polish,
+    _resonance_family,
     _spectrum,
     _svd_chain,
     _unit_phase,
     _window_chains,
 )
+from qwres.transfer import _transfer_polynomials
 from qwres.walk import _parity_blocks, _parity_eig
 
 LOG2_HALF = 0.5 * math.log(2.0)
@@ -151,6 +154,10 @@ def test_batched_polish_matches_the_scalar_loop():
             got = _polish(coeffs, x0, m)
             want = np.array([_polish_one(coeffs, x, m) for x in x0])
             assert got.dtype == complex and np.all(got == want), (n0, m)
+            # a family's rows: one p per entry, zero-padded to a higher degree
+            rows = np.zeros((len(x0), len(coeffs) + 3), dtype=complex)
+            rows[:, : len(coeffs)] = coeffs
+            assert _polish(rows, x0, m).tobytes() == got.tobytes(), (n0, m)
     # dq == 0 at the first step keeps 0, and a start at 0.495 reaches the
     # root 0.5 however far it moves; Newton from 0.01 on x^2 + 1 stays on
     # the real line and stops there once its steps stop halving
@@ -228,7 +235,7 @@ def test_cross_check_refuses_a_polynomial_that_is_not_K(monkeypatch, kind):
     else:
         roots[0] *= 1 + float(kind.split()[1])
     fake = TransferPolynomial(np.poly(roots)[::-1].astype(complex), 1.0)
-    monkeypatch.setattr(qwres.resonances, "transfer_polynomial", lambda walk: fake)
+    monkeypatch.setattr(qwres.resonances, "_transfer_polynomials", lambda walks: [fake])
     refusal = "^(no dense eigenvalue within|dense eigensolve has nonzero eigenvalues)"
     with pytest.raises(InvariantViolation, match=refusal):
         find_resonances(cs)
@@ -245,7 +252,7 @@ def test_cross_check_names_the_cluster_it_refuses(monkeypatch):
     roots = roots[np.argsort(np.abs(roots))]
     roots[0] *= 1.01
     fake = TransferPolynomial(np.poly(roots)[::-1].astype(complex), 1.0)
-    monkeypatch.setattr(qwres.resonances, "transfer_polynomial", lambda walk: fake)
+    monkeypatch.setattr(qwres.resonances, "_transfer_polynomials", lambda walks: [fake])
     with pytest.raises(InvariantViolation, match="^no dense eigenvalue within 1.00e-08 of") as info:
         find_resonances(cs)
     lam = complex(str(info.value).split("lambda=")[1])
@@ -708,3 +715,69 @@ def test_resonant_chain_refuses_states_past_the_float_range():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(SpectralOverflow):
             resonant_chain(cs, r, 4000)
+
+
+def _outcome(call):
+    """The bits of the resonances call() lists, or the type and words of what it raised."""
+    try:
+        return _bits(call())
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_stacked_family_matches_lone_walks_bit_for_bit():
+    # a list of walks is rooted in one stacked pass: one polynomial
+    # recursion over the stacked coin tables, one relation-check kernel
+    # pass, one stacked eigvals, one polish pass per multiplicity; each
+    # stage must give every walk the bits of its lone call, where numpy's
+    # column-broadcast products stand in for the lone walk's scalar ones,
+    # and a family with a refused walk is refused as the walk-by-walk loop
+    # is.  Families: the triple barrier's split at five phi, three Haar
+    # windows per n0 = 1..32 and n0 = 0; the relation check refuses one or
+    # two families near n0 = 30, as the SIMD target rounds its residual
+    tb = triple_barrier()
+    families = [[tb] + [perturb(tb, eps, phi) for eps in (1e-5, 1e-4, 1e-3)] for phi in (-2.5, -0.4, 0.7, 1.9, 3.0)]
+    rng = np.random.default_rng(26)
+    families += [[random_sequence(rng, n0) for _ in range(3)] for n0 in [0] + list(range(1, 33))]
+    refused = 0
+    for walks in families:
+        want = _outcome(lambda: [r for cs in walks for r in find_resonances(cs)])
+        assert _outcome(lambda: [r for found in _resonance_family(walks) for r in found]) == want
+        if isinstance(want[0], type):
+            refused += 1
+            continue
+        for got, cs in zip(_transfer_polynomials(walks), walks):
+            lone = transfer_polynomial(cs)
+            assert got.coeffs.tobytes() == lone.coeffs.tobytes() and got.leading == lone.leading
+        if walks[0].n0:
+            for got, cs in zip(_parity_eig(*_parity_blocks(walks)), walks):
+                assert got.tobytes() == _parity_eig(*_parity_blocks(cs)).tobytes()
+    assert 1 <= refused <= 2, refused
+    assert _resonance_family([random_sequence(rng, 0)] * 2) == [[], []]
+    with pytest.raises(ValueError, match="share n0"):
+        _resonance_family([tb, random_sequence(rng, 3)])
+
+
+def test_family_names_the_first_walk_to_fail_at_any_stage():
+    # the stacked pass refuses a family at its first failing stage, which
+    # need not be the first walk's; the walks are then rooted one at a time,
+    # so a walk that fails late (seed 0: a root outside the unit disk; seed
+    # 13: a strip coordinate with Im xi >= 0) names the error ahead of a
+    # later walk that fails the relation check (seed 1), and the other way
+    # round
+    ok, outside, strip, relation = (random_sequence(np.random.default_rng(s), 64) for s in (9, 0, 13, 1))
+    words = {}
+    for cs, kind in [(outside, InvariantViolation), (strip, InvariantViolation), (relation, RelationCheckFailed)]:
+        with pytest.raises(kind) as caught:
+            find_resonances(cs)
+        words[cs] = str(caught.value)
+    assert "unit disk" in words[outside] and "not negative" in words[strip]
+    for walks, first in [
+        ([ok, outside, relation], outside),
+        ([strip, relation], strip),
+        ([relation, strip, outside], relation),
+    ]:
+        with pytest.raises(QWResError) as caught:
+            _resonance_family(walks)
+        assert str(caught.value) == words[first]
+    assert _bits(_resonance_family([ok, ok])[1]) == _bits(find_resonances(ok))
