@@ -30,7 +30,7 @@ print(f"transfer polynomial degree {tp.degree}, leading |1/prod d_n| = {abs(tp.l
 print()
 
 rs = find_resonances(cs)
-evals = np.linalg.eigvals(build_K(cs).entries)
+evals = np.linalg.eigvals(build_K(cs))
 nonzero = sorted(evals[np.abs(evals) > 1e-6], key=lambda z: (z.real, z.imag))
 
 print(f"{'xi':>24} {'lambda':>24} {'mult':>5} {'winding':>8} {'|p(mu)|':>10}")

@@ -99,7 +99,6 @@ from .transfer import (
     transfer_product,
 )
 from .walk import (
-    KMatrix,
     build_K,
     evolve,
     kernel_witnesses,

@@ -429,18 +429,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, helptext, needs_config=True):
+    def add(name, run, helptext, needs_config=True):
         p = sub.add_parser(name, help=helptext)
+        p.set_defaults(run=run)
         if needs_config:
             p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", help="write output here instead of stdout")
         return p
 
-    add("validate", "parse and echo the config in canonical form")
-    add("resonances", "all resonances as JSON")
-    add("polynomial", "transfer polynomial coefficients as JSON")
+    add("validate", _cmd_validate, "parse and echo the config in canonical form")
+    add("resonances", _cmd_resonances, "all resonances as JSON")
+    add("polynomial", _cmd_polynomial, "transfer polynomial coefficients as JSON")
 
-    p = add("scattering", "scattering entries on a xi grid as CSV")
+    p = add("scattering", _cmd_scattering, "scattering entries on a xi grid as CSV")
     p.add_argument(
         "--xi-grid",
         type=_parse_xi_grid,
@@ -448,16 +449,16 @@ def _build_parser() -> argparse.ArgumentParser:
         help="grid format re0:re1:n,im",
     )
 
-    p = add("evolve", "trajectory CSV plus survival-norm summary CSV")
+    p = add("evolve", _cmd_evolve, "trajectory CSV plus survival-norm summary CSV")
     p.add_argument("--T", type=_nonnegative_int, default=60, help="number of steps")
 
-    add("expand", "resonance expansion coefficients as JSON")
+    add("expand", _cmd_expand, "resonance expansion coefficients as JSON")
 
-    p = add("survival", "survival-norm CSV, optionally with a decay fit")
+    p = add("survival", _cmd_survival, "survival-norm CSV, optionally with a decay fit")
     p.add_argument("--T", type=_nonnegative_int, default=60, help="number of steps")
     p.add_argument("--fit", action="store_true", help="prepend (M_est, m_est, C_est)")
 
-    p = add("resolvent-check", "resolvent identity residuals on a xi grid as CSV")
+    p = add("resolvent-check", _cmd_resolvent_check, "resolvent identity residuals on a xi grid as CSV")
     p.add_argument(
         "--xi-grid",
         type=_parse_xi_grid,
@@ -466,30 +467,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--window", type=_nonnegative_int, default=10, help="window half-width")
 
-    p = add("split", "resonance splitting under perturbation as CSV")
+    p = add("split", _cmd_split, "resonance splitting under perturbation as CSV")
     p.add_argument(
         "--eps", type=_parse_eps_list, default=[1e-3, 1e-4, 1e-5], help="comma list"
     )
     p.add_argument("--phi", type=_finite_float, default=0.0, help="perturbation direction")
 
-    p = add("selftest", "run the invariant battery", needs_config=False)
+    p = add("selftest", _cmd_selftest, "run the invariant battery", needs_config=False)
     p.add_argument("--seed", type=_nonnegative_int, default=20240901, help="sweep seed")
 
     return parser
-
-
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "resonances": _cmd_resonances,
-    "polynomial": _cmd_polynomial,
-    "scattering": _cmd_scattering,
-    "evolve": _cmd_evolve,
-    "expand": _cmd_expand,
-    "survival": _cmd_survival,
-    "resolvent-check": _cmd_resolvent_check,
-    "split": _cmd_split,
-    "selftest": _cmd_selftest,
-}
 
 
 def _summary_path(out: str) -> Path:
@@ -502,7 +489,7 @@ def _summary_path(out: str) -> Path:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        result = _COMMANDS[args.command](args)
+        result = args.run(args)
     except QWResError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -286,25 +286,23 @@ def _site_entries(table: np.ndarray, e_plus, e_minus, out=None):
     second-last axis; leading axes stack walks, and each entry then has
     them and an axis of one, a column against the points.  q = -conj(c) /
     conj(a) is numpy's division, formed for all rows at once, and r = -c / d
-    Python's, which rounds differently, as is s = e_minus / d for a scalar
-    e_minus; p = e_plus / conj(a), and s for an array, go into out's two
-    arrays where it is given.
+    Python's, which rounds differently, as is s = e_minus / d for scalars
+    e_plus and e_minus.  Given out, they are arrays of points, and
+    p = e_plus / conj(a) and s go into out's two arrays.
     """
-    stacked, points = table.ndim > 2, isinstance(e_minus, np.ndarray)
+    stacked, points = table.ndim > 2, out is not None
     if stacked:  # sites first
         table = table.swapaxes(0, -2)[..., None, :]
     conj_a, cd = np.conj(table[..., 0]), table[..., 2:].reshape(-1, 2).tolist()
-    # s itself for a scalar e_minus, the d that divides it for an array
+    # s itself for a scalar e_minus, the d that divides it for points
     r, s_or_d = [-c / d for c, d in cd], table[..., 3] if points else [e_minus / d for _, d in cd]
     if stacked:
         r, s_or_d = np.reshape(r, conj_a.shape), np.reshape(s_or_d, conj_a.shape)
     for ca, q, rn, sd in zip(conj_a, -np.conj(table[..., 2]) / conj_a, r, s_or_d):
-        if not points:
-            yield e_plus / ca, q, rn, sd
-        elif out is None:
-            yield e_plus / ca, q, rn, e_minus / sd
-        else:
+        if points:
             yield np.divide(e_plus, ca, out=out[0]), q, rn, np.divide(e_minus, sd, out=out[1])
+        else:
+            yield e_plus / ca, q, rn, sd
 
 
 def coin_transfer_factor(coin: Coin) -> np.ndarray:

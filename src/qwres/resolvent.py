@@ -13,11 +13,12 @@ resonances and at xi with e^{-i xi} = 0 eigenvalue directions.
 The identity (e^{-i xi} - U) R f = f is checked on every call; a quiet
 wrong answer is worse than an exception.
 
-On a grid of xi the window systems are solved in stacks.  A grid long
-enough to give each CPU of the process's affinity a stack that numpy
-solves without the interpreter lock is split into one contiguous share
-per CPU, run on worker threads made on first use; the answer and any
-refusal are the serial path's bit for bit.
+On a grid of xi the window systems are solved in stacks of up to 2^16
+matrix entries, each no smaller than a stack that numpy solves without
+the interpreter lock.  A grid long enough to give each CPU of the
+process's affinity such a stack is split into one contiguous share per
+CPU, run on worker threads made on first use; the answer and any refusal
+are one share's bit for bit.
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ from .walk import _parity_blocks, _parity_eig, _placed, _sweep, _walk
 __all__ = ["apply_resolvent", "identity_residual", "neumann_resolvent"]
 
 
-_SERIAL_ENTRIES = 4096  # matrix entries per stack on one CPU
-_SHARE_ENTRIES = 1 << 16  # per stack of a share: 1 MiB of systems, or one lock-free stack
+_SHARE_ENTRIES = 1 << 16  # per stack: 1 MiB of systems, or one lock-free stack
 
 _pool = None
 _pool_lock = threading.Lock()
@@ -74,7 +74,7 @@ def _share_count(points: int, dim: int) -> int:
     """How many CPUs the window solves of one call are split across.
 
     One share per CPU, as long as every share is a lock-free stack; one
-    share means the serial path.
+    share runs on the calling thread alone.
     """
     return max(1, min(_cpus(), points // _lock_free(dim)))
 
@@ -113,37 +113,32 @@ def _stack_solves(lam, kmat, rhs, near, v, cond, points: range, step: int):
 def _window_solves(lam, kmat, rhs, near, v, cond):
     """_stack_solves on every point, split across the process's CPUs.
 
-    Each CPU takes one contiguous share of the points, the calling thread
-    the first, in stacks of up to _SHARE_ENTRIES entries that numpy solves
-    without the interpreter lock; each system is the same LAPACK call on
-    the same matrix either way, so the output is the serial one bit for
-    bit.  Workers run under a copy of the caller's context, which carries
-    numpy's errstate.  A grid too short for that (_share_count) runs
-    serially in stacks of _SERIAL_ENTRIES entries: one stack for a short
-    grid at small n0, where the calls cost most, and no more memory than a
-    few systems however long the grid.  Returns the first refused point
-    in grid order, or None: a share stops at its own first refused point,
-    and the earliest share that has one names it.
+    Each CPU takes one contiguous share of the points (_share_count), the
+    calling thread the first, in stacks of up to _SHARE_ENTRIES entries
+    and never fewer systems than numpy solves without the interpreter
+    lock; each system is the same LAPACK call on the same matrix however
+    the points are split, so the output is one share's bit for bit.
+    Workers run under a copy of the caller's context, which carries
+    numpy's errstate; a single share makes no pool.  Returns the first
+    refused point in grid order, or None: a share stops at its own first
+    refused point, and the earliest share that has one names it.
     """
     n, dim = len(lam), len(kmat)
     args = lam, kmat, rhs, near, v, cond
     shares = _share_count(n, dim)
-    if shares == 1:
-        return _stack_solves(*args, range(n), max(1, _SERIAL_ENTRIES // dim**2))
-    pool = _workers()
-    from concurrent.futures import wait  # imported with the pool, on first use
-
     step = max(_lock_free(dim), _SHARE_ENTRIES // dim**2)
     bounds = [n * i // shares for i in range(shares + 1)]
     rest = [
-        pool.submit(contextvars.copy_context().run, _stack_solves, *args, range(a, b), step)
+        _workers().submit(contextvars.copy_context().run, _stack_solves, *args, range(a, b), step)
         for a, b in zip(bounds[1:-1], bounds[2:])
     ]
     try:
         first = _stack_solves(*args, range(bounds[1]), step)
     finally:
-        # every share ends before the arrays it writes are read or dropped
-        wait(rest)
+        # every share ends before the arrays it writes are read or dropped;
+        # exception() waits without raising, result() below raises
+        for share in rest:
+            share.exception()
     if first is not None:
         return first
     for share in rest:
@@ -162,12 +157,12 @@ def _resolve(cs: CoinSequence, xi: np.ndarray, f: WaveState, lo: int, hi: int):
     the window solve), one residual and condition number per point.  K,
     its eigenvalues (walk._parity_eig) and the forcing are formed once per
     call; the condition numbers and window solves run on stacks of points
-    (_window_solves: 4096-entry stacks serially, one contiguous share per
-    CPU on a long grid), each stack solved only once none of its points is
-    refused.  Far out in either half plane e^{+-i xi}, or the sums that
-    grow with it along a long source or window, leave the float range:
-    SpectralOverflow names the first such point, in place of numpy's
-    overflow warnings.
+    (_window_solves: stacks of up to 2^16 entries, one contiguous share
+    per CPU on a long grid), each stack solved only once none of its
+    points is refused.  Far out in either half plane e^{+-i xi}, or the
+    sums that grow with it along a long source or window, leave the float
+    range: SpectralOverflow names the first such point, in place of
+    numpy's overflow warnings.
     """
     if hi < lo:
         raise ValueError(f"empty window [{lo}, {hi}]")

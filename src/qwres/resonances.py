@@ -133,16 +133,15 @@ def _cluster(roots: np.ndarray) -> list[np.ndarray]:
 
 
 def _polish(coeffs: np.ndarray, x0: np.ndarray, m: int) -> np.ndarray:
-    """Refine m-fold roots of one monic p as simple roots of p^(m-1).
+    """Refine m-fold roots of monic polynomials p as simple roots of p^(m-1).
 
     An m-fold cluster centroid is accurate to about eps^(1/m); the
     derivative p^(m-1) has a simple root at the same point, where Newton is
-    well posed and recovers nearly full precision.  coeffs is p, lowest
-    degree first, or one p per entry, as a family's walks give them,
-    zero-padded to one length (Horner keeps its +0 start through zero top
-    coefficients); x0 holds the centroids of one multiplicity m, polished
-    together, one transfer._horner pass a step, in which only live entries
-    move.
+    well posed and recovers nearly full precision.  Row j of coeffs is the
+    p of entry j, lowest degree first, the rows zero-padded to one length
+    (Horner keeps its +0 start through zero top coefficients); x0 holds
+    the centroids of one multiplicity m, polished together, one
+    transfer._horner pass a step, in which only live entries move.
 
     Each entry stops on its own: at dq == 0; at a Newton step that fails to
     halve the step before it, keeping the iterate from before that step,
@@ -152,10 +151,7 @@ def _polish(coeffs: np.ndarray, x0: np.ndarray, m: int) -> np.ndarray:
     does not vanish near shows in the cross-check of find_resonances.
     """
     x = np.array(x0, dtype=complex)
-    high = np.asarray(coeffs)
-    if high.ndim == 1:
-        high = np.broadcast_to(high, (len(x), len(high)))
-    high = high[:, ::-1]
+    high = coeffs[:, ::-1]
     for _ in range(m):
         high, low = high[:, :-1] * np.arange(high.shape[1] - 1, 0, -1), high
     # q of every entry, then q' (padded to q's length)

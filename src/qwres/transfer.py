@@ -30,17 +30,12 @@ __all__ = [
 ]
 
 
-# values past the float range are refused as SpectralOverflow, not warned about
-@np.errstate(over="ignore", invalid="ignore")
 def local_transfer(c: Coin, xi) -> np.ndarray:
-    """T_n(xi); for an array xi the result has shape xi.shape + (2, 2)."""
-    xi = np.asarray(xi, dtype=complex)
-    t = np.empty(xi.shape + (2, 2), dtype=complex)
-    t[..., 0, 0], t[..., 0, 1], t[..., 1, 0], t[..., 1, 1] = next(
-        _site_entries(c.matrix.reshape(1, 4), np.exp(1j * xi), np.exp(-1j * xi))
-    )
-    _refuse_overflow(xi, t)
-    return t
+    """T_n(xi), the transfer product of the one-site window holding c.
+
+    For an array xi the result has shape xi.shape + (2, 2).
+    """
+    return transfer_product(CoinSequence(0, (c,)), xi)
 
 
 def _refuse_overflow(xi: np.ndarray, *values) -> None:

@@ -29,8 +29,6 @@ BA, for the resonances, the spectral record and the resolvent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .coins import CoinSequence, _tables
@@ -38,7 +36,6 @@ from .errors import UnsupportedN0
 from .states import WaveState, _window_norms, window_vector
 
 __all__ = [
-    "KMatrix",
     "step",
     "evolve",
     "build_K",
@@ -237,29 +234,6 @@ def _checked_norm(m: np.ndarray) -> float:
     return float(top)
 
 
-@dataclass(frozen=True)
-class KMatrix:
-    """Dense restriction of the step to sites 0..n0; its pattern and norm are checked in O(n0)."""
-
-    n0: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
-        n = self.n0 + 1
-        if m.shape != (2 * n, 2 * n):
-            raise ValueError(f"K must be {2 * n}x{2 * n}, got {m.shape}")
-        k4, s = m.reshape(n, 2, n, 2), np.arange(n)
-        blocks = np.zeros((n, 2, 2), dtype=complex)
-        blocks[1:, 0], blocks[:-1, 1] = k4[s[:-1], 0, s[1:]], k4[s[1:], 1, s[:-1]]
-        _checked_norm(blocks)
-        if np.count_nonzero(m) != np.count_nonzero(blocks):
-            raise ValueError("K has entries off the pattern of the step")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "entries", m)
-
-
 def _parity_blocks(walks) -> tuple[np.ndarray, np.ndarray]:
     """K's site-parity blocks A (odd sites to even) and B (even to odd), in O(n0).
 
@@ -283,14 +257,17 @@ def _parity_blocks(walks) -> tuple[np.ndarray, np.ndarray]:
     return a.reshape(lead + (2 * ne, 2 * no)), b.reshape(lead + (2 * no, 2 * ne))
 
 
-def build_K(cs: CoinSequence) -> KMatrix:
-    """Assemble K from its parity blocks (_parity_blocks).
+def build_K(cs: CoinSequence) -> np.ndarray:
+    """K as a read-only dense array, placed from its parity blocks (_parity_blocks).
 
     Column j is U e_j kept on the sites 0..n0; what leaves through the
     sites -1 and n0 + 1 is dropped, so the edge rows keep only the inward
-    contribution (P_1 psi(1) and Q_{n0-1} psi(n0-1)).
+    contribution (P_1 psi(1) and Q_{n0-1} psi(n0-1)).  _parity_blocks
+    refuses non-finite entries and a norm above 1 + 1e-12.
     """
-    return KMatrix(cs.n0, _placed(*_parity_blocks(cs)))
+    k = _placed(*_parity_blocks(cs))
+    k.flags.writeable = False
+    return k
 
 
 def _placed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -362,7 +339,7 @@ def kernel_witnesses(cs: CoinSequence) -> tuple[np.ndarray, np.ndarray]:
     (d_0, -c_0) at site 0 and (b_n0, -a_n0) at site n0, read off K's edge
     rows by _edge_witnesses, the formula the parity eigensolve lifts with.
     """
-    v0, vn = _edge_witnesses(build_K(cs).entries)
+    v0, vn = _edge_witnesses(build_K(cs))
     return v0, vn
 
 
@@ -389,5 +366,5 @@ def norm_defect(cs: CoinSequence, v: np.ndarray) -> float:
     _, out = _walk(cs, 0, v.reshape(-1, 2))
     left, right = out[0, 0], out[-1, 1]
     total = np.linalg.norm(v) ** 2
-    kept = np.linalg.norm(k.entries @ v) ** 2
+    kept = np.linalg.norm(k @ v) ** 2
     return float(abs(total - kept - abs(left) ** 2 - abs(right) ** 2))

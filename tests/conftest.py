@@ -47,3 +47,12 @@ def window_state(rng, n0):
 
 def delta0L():
     return basis_state(0, "L")
+
+
+def closed_form_transfer(coin, xi):
+    """T_n(xi) = [[e^{i xi}/conj(a), -conj(c)/conj(a)], [-c/d, e^{-i xi}/d]].
+
+    Written from the coin's entries, independent of the library's transfer kernel.
+    """
+    ca, c, d = coin.a.conjugate(), coin.c, coin.d
+    return np.array([[np.exp(1j * xi) / ca, -c.conjugate() / ca], [-c / d, np.exp(-1j * xi) / d]])

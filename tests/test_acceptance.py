@@ -87,7 +87,7 @@ def test_acceptance_2_triple_characterization():
         rs = find_resonances(cs)
         assert sum(r.alg_multiplicity for r in rs) <= 2 * n0
 
-        evals = np.linalg.eigvals(build_K(cs).entries)
+        evals = np.linalg.eigvals(build_K(cs))
         remaining = list(evals[np.abs(evals) > 1e-6])
         lams = [r.lam for r in rs for _ in range(r.alg_multiplicity)]
         assert len(lams) == len(remaining)
@@ -165,7 +165,7 @@ def test_acceptance_4_triple_barrier():
     resid = float(np.max(np.abs(tp.coeffs - np.array([0.25, 1.0, 1.0]))))
     assert resid < 1e-10
 
-    k = build_K(cs).entries
+    k = build_K(cs)
     rs = find_resonances(cs)
     assert sorted(r.alg_multiplicity for r in rs) == [2, 2]
     for r in rs:
@@ -279,7 +279,7 @@ def test_acceptance_7_resolvent_identity():
         f = random_state(rng, n0, 3)
         xi = complex(rng.uniform(-math.pi, math.pi), rng.uniform(-1.0, 1.5))
         lam = complex(np.exp(-1j * xi))
-        evals = np.linalg.eigvals(build_K(cs).entries)
+        evals = np.linalg.eigvals(build_K(cs))
         if min(abs(lam - e) for e in evals) <= 1e-3:
             continue
         count += 1

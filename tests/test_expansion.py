@@ -40,7 +40,7 @@ S = 2.0 ** -0.5
 
 
 def test_nilpotency_index_hadamard():
-    assert nilpotency_index(build_K(hadamard_pair()).entries) == 1
+    assert nilpotency_index(build_K(hadamard_pair())) == 1
 
 
 def test_nilpotency_index_pure_shift_window():
@@ -50,7 +50,7 @@ def test_nilpotency_index_pure_shift_window():
     # still runs, with no warning, on the zero block alone
     for n0 in (1, 3):
         cs = CoinSequence(n0, (identity_coin(),) * (n0 + 1))
-        assert nilpotency_index(build_K(cs).entries) == n0 + 1
+        assert nilpotency_index(build_K(cs)) == n0 + 1
         for psi0 in (basis_state(0, "L"), basis_state(n0, "R")):
             ed = expand(cs, psi0)
             assert (ed.nu, ed.blocks, ed.zero_part_index) == (0, (), n0 + 1)

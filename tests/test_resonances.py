@@ -151,7 +151,7 @@ def test_batched_polish_matches_the_scalar_loop():
         clusters = _cluster(eigen_mu(cs))
         for m in {len(c) for c in clusters}:
             x0 = np.array([np.mean(c) for c in clusters if len(c) == m])
-            got = _polish(coeffs, x0, m)
+            got = _polish(np.tile(coeffs, (len(x0), 1)), x0, m)
             want = np.array([_polish_one(coeffs, x, m) for x in x0])
             assert got.dtype == complex and np.all(got == want), (n0, m)
             # a family's rows: one p per entry, zero-padded to a higher degree
@@ -166,7 +166,7 @@ def test_batched_polish_matches_the_scalar_loop():
         coeffs, x0 = np.array(coeffs, dtype=complex), np.array(x0, dtype=complex)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = _polish(coeffs, x0, 1)
+            got = _polish(np.tile(coeffs, (len(x0), 1)), x0, 1)
         assert np.all(got == [_polish_one(coeffs, x, 1) for x in x0])
         assert abs(got[-1] - root) < 1e-15
         ends.append(got[:2])
@@ -195,7 +195,7 @@ def test_polish_passes_stay_few(monkeypatch, n0):
         calls.clear()
         for m in {len(c) for c in clusters}:
             x0 = np.array([np.mean(c) for c in clusters if len(c) == m])
-            _polish(coeffs, x0, m)
+            _polish(np.tile(coeffs, (len(x0), 1)), x0, m)
         assert len(calls) <= 8, len(calls)
 
 
@@ -213,7 +213,7 @@ def test_polished_resonances_stay_near_the_dense_eigenvalues(n0, bound):
         except RelationCheckFailed:
             refused.append(j)
             continue
-        evals = np.linalg.eigvals(build_K(cs).entries)
+        evals = np.linalg.eigvals(build_K(cs))
         worst = max([worst] + [np.min(np.abs(evals - r.lam)) for r in rs])
     assert refused == ([] if n0 == 16 else [9])
     assert worst <= bound, worst
@@ -351,7 +351,7 @@ def test_resonances_match_dense_eigenvalues():
     for _ in range(25):
         cs = random_sequence(rng, int(rng.integers(1, 6)))
         rs = find_resonances(cs)
-        evals = np.linalg.eigvals(build_K(cs).entries)
+        evals = np.linalg.eigvals(build_K(cs))
         evals = list(evals[np.abs(evals) > 1e-6])
         lams = [r.lam for r in rs for _ in range(r.alg_multiplicity)]
         assert len(lams) == len(evals)
@@ -666,8 +666,8 @@ def test_each_walk_reads_its_own_spectrum():
     for _ in range(2):
         for cs, chains in zip(walks, fresh):
             spec = _spectrum(cs)
-            np.testing.assert_array_equal(spec.k, build_K(cs).entries)
-            evals, evecs = _parity_eig(*_parity_blocks(cs), build_K(cs).entries)
+            np.testing.assert_array_equal(spec.k, build_K(cs))
+            evals, evecs = _parity_eig(*_parity_blocks(cs), build_K(cs))
             np.testing.assert_array_equal(spec.evals, evals)
             np.testing.assert_array_equal(spec.evecs, _unit_phase(evecs))
             for a in (spec.k, spec.evals, spec.evecs, spec.resid):

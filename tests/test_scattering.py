@@ -4,13 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import hadamard_pair, random_sequence
+from conftest import closed_form_transfer, hadamard_pair, random_sequence
 from qwres import (
     AtResonance,
     CoinSequence,
     SpectralOverflow,
     identity_coin,
-    local_transfer,
     scattering_matrix,
     transfer_product,
 )
@@ -142,7 +141,7 @@ def test_matches_propagated_jost_wronskians():
         e = np.exp(1j * xi)
         pairs = {"out+": np.array([0, e ** (n0 + 1)]), "in+": np.array([e**-n0, 0])}
         for n in range(n0, -1, -1):
-            t = local_transfer(cs.coin_at(n), xi)
+            t = closed_form_transfer(cs.coin_at(n), xi)
             pairs = {kind: t @ pair for kind, pair in pairs.items()}
         pairs["out-"], pairs["in-"] = np.array([e, 0]), np.array([0, 1])
 

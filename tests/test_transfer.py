@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import hadamard_pair, haar_coin, random_sequence, triple_barrier
+from conftest import closed_form_transfer, hadamard_pair, haar_coin, random_sequence, triple_barrier
 from qwres import (
     CoinSequence,
     SpectralOverflow,
@@ -55,7 +55,7 @@ def test_transfer_product_is_ordered_product():
     xi = 0.4 - 0.2j
     manual = np.eye(2, dtype=complex)
     for n in range(4):
-        manual = manual @ local_transfer(cs.coin_at(n), xi)
+        manual = manual @ closed_form_transfer(cs.coin_at(n), xi)
     np.testing.assert_allclose(transfer_product(cs, xi), manual, atol=1e-13)
 
 
