@@ -85,8 +85,6 @@ from .states import (
     basis_state,
     decompose,
     incoming_length,
-    inner,
-    state_from_flat,
     state_from_json,
     state_to_json,
     window_vector,
@@ -94,7 +92,6 @@ from .states import (
 )
 from .transfer import (
     TransferPolynomial,
-    local_transfer,
     transfer_polynomial,
     transfer_product,
 )

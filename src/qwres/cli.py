@@ -48,7 +48,7 @@ from .resonances import find_resonances, resonant_chain, validate_multiplicity
 from .scattering import scattering_matrix
 from .states import _window_norms, basis_state, incoming_length, state_from_json, state_to_json
 from .transfer import transfer_polynomial
-from .walk import _parity_blocks, _placed, _window_blocks, _window_survival, evolve, norm_defect
+from .walk import _window_blocks, _window_survival, build_K, evolve, norm_defect
 
 __all__ = ["main"]
 
@@ -106,7 +106,7 @@ def _load_config(path):
     extra = set(obj) - {"n0", "coins", "psi0"}
     if extra:
         raise ConfigParse(f'{path}: unexpected keys {sorted(extra)}')
-    cs = sequence_from_json({"n0": obj.get("n0"), "coins": obj.get("coins")})
+    cs = sequence_from_json({k: obj[k] for k in ("n0", "coins") if k in obj})
     psi0 = state_from_json(obj["psi0"]) if "psi0" in obj else None
     return cs, psi0
 
@@ -285,7 +285,7 @@ def _cmd_survival(args):
     if not args.fit:
         return csv_text
     nu = incoming_length(psi0, cs.n0)
-    iota = nilpotency_index(_placed(*_parity_blocks(cs)))
+    iota = nilpotency_index(build_K(cs))
     m_rate, m_order, c_pref = decay_fit_full(norms, nu + iota + 5)
     fit_text = f"M_est,m_est,C_est\n{_f(m_rate)},{_f(m_order)},{_f(c_pref)}\n"
     return fit_text + "\n" + csv_text

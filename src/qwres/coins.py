@@ -84,9 +84,6 @@ class Coin:
         """Lower row projection |R><R| U, the right-mover emitter."""
         return np.array([[0.0, 0.0], [self.c, self.d]], dtype=complex)
 
-    def is_identity(self) -> bool:
-        return self.a == 1 and self.b == 0 and self.c == 0 and self.d == 1
-
 
 _IDENTITY = Coin(1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
 

@@ -29,7 +29,6 @@ from .coins import CoinSequence
 from .errors import A3Violated, AllZeroTail, InvariantViolation, SpectralOverflow, UnsupportedN0
 from .errors import WindowOutsideCone
 from .resonances import (
-    JordanChainStates,
     Resonance,
     _resonances,
     _spectrum,
@@ -157,25 +156,13 @@ def expand(cs: CoinSequence, psi0: WaveState) -> ExpansionData:
     return ExpansionData(n0, nu, tuple(blocks), iota, zero_part)
 
 
-def _matching_chain(block: ResonanceBlock, chains) -> JordanChainStates:
-    best = None
-    best_d = math.inf
-    for ch in chains:
-        d = abs(ch.resonance.xi - block.resonance.xi)
-        if d < best_d:
-            best, best_d = ch, d
-    if best is None or best_d > 1e-9 * (1 + abs(block.resonance.xi)):
-        raise ValueError(f"no chain supplied for resonance at xi={block.resonance.xi}")
-    if best.resonance.alg_multiplicity != len(block.coefficients):
-        raise ValueError("chain length does not match the stored coefficients")
-    return best
-
-
 def reconstruct(ed: ExpansionData, chains, t: int, window) -> WaveState:
     """The expansion's prediction for psi_t restricted to window.
 
-    chains are JordanChainStates for (at least) every block of ed, built
-    with whatever radius the window needs.  Valid for
+    chains holds one JordanChainStates per block, in block order: chains[i]
+    is the chain of ed.blocks[i], with the same resonance, built with
+    whatever radius the window needs; a list of another length, or a chain
+    at another resonance, raises ValueError naming the block.  Valid for
     t >= nu + zero_part_index and windows inside [-r, n0 + r] with
     r = t - nu - (zero_part_index - 1); outside that cone the finite sum
     provably diverges from the true state, so the call is refused.  The
@@ -195,10 +182,18 @@ def reconstruct(ed: ExpansionData, chains, t: int, window) -> WaveState:
         raise WindowOutsideCone(
             f"window [{lo}, {hi}] leaves the cone [{-reach}, {ed.n0 + reach}] at t={t}"
         )
+    nb, nc = len(ed.blocks), len(chains)
+    for i, block in enumerate(ed.blocks):
+        name = f"block {i} (resonance at xi={block.resonance.xi})"
+        if i == nc:
+            raise ValueError(f"{name} has no chain: {nc} chains for {nb} blocks")
+        if chains[i].resonance != block.resonance:
+            raise ValueError(f"chains[{i}] is not the chain of {name}")
+    if nc > nb:
+        raise ValueError(f"chains[{nb}] has no block: {nc} chains for {nb} blocks")
     total = np.zeros((max(hi - lo + 1, 0), 2), dtype=complex)
     j = t - nu
-    for block in ed.blocks:
-        ch = _matching_chain(block, chains)
+    for block, ch in zip(ed.blocks, chains):
         if lo < -ch.window_radius or hi > ed.n0 + ch.window_radius:
             raise ValueError(
                 f"chain radius {ch.window_radius} does not cover window [{lo}, {hi}]"

@@ -25,11 +25,9 @@ __all__ = [
     "Decomposition",
     "zero_state",
     "basis_state",
-    "inner",
     "incoming_length",
     "decompose",
     "window_vector",
-    "state_from_flat",
     "state_from_json",
     "state_to_json",
 ]
@@ -180,19 +178,6 @@ def basis_state(n: int, chirality: str) -> WaveState:
     return WaveState(n, row)
 
 
-def inner(a: WaveState, b: WaveState) -> complex:
-    """l2 inner product, conjugate-linear in the first argument."""
-    if a.is_zero() or b.is_zero():
-        return 0.0 + 0.0j
-    lo = max(a.support_lo, b.support_lo)
-    hi = min(a.support_hi, b.support_hi)
-    if hi < lo:
-        return 0.0 + 0.0j
-    av = a.amplitudes[lo - a.support_lo : hi - a.support_lo + 1]
-    bv = b.amplitudes[lo - b.support_lo : hi - b.support_lo + 1]
-    return complex(np.sum(av.conj() * bv))
-
-
 def incoming_length(psi: WaveState, n0: int) -> int:
     """Length nu of the incoming support.
 
@@ -252,16 +237,6 @@ def window_vector(psi: WaveState, n0: int) -> np.ndarray:
     if lo <= hi:
         v[lo : hi + 1] = psi.amplitudes[lo - psi.support_lo : hi - psi.support_lo + 1]
     return v.reshape(-1)
-
-
-def state_from_flat(v, n0: int | None = None) -> WaveState:
-    """Inverse of :func:`window_vector`: a flat vector becomes a state at 0."""
-    v = np.asarray(v, dtype=complex)
-    if v.ndim != 1 or v.size % 2 != 0:
-        raise ValueError(f"flat vector must have even length, got shape {v.shape}")
-    if n0 is not None and v.size != 2 * (n0 + 1):
-        raise ValueError(f"flat vector length {v.size} does not match n0={n0}")
-    return WaveState(0, v.reshape(-1, 2))
 
 
 def state_from_json(obj) -> WaveState:

@@ -19,23 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coins import Coin, CoinSequence, _site_entries, _tables
+from .coins import CoinSequence, _site_entries, _tables
 from .errors import RelationCheckFailed, SpectralOverflow
 
 __all__ = [
     "TransferPolynomial",
-    "local_transfer",
     "transfer_product",
     "transfer_polynomial",
 ]
-
-
-def local_transfer(c: Coin, xi) -> np.ndarray:
-    """T_n(xi), the transfer product of the one-site window holding c.
-
-    For an array xi the result has shape xi.shape + (2, 2).
-    """
-    return transfer_product(CoinSequence(0, (c,)), xi)
 
 
 def _refuse_overflow(xi: np.ndarray, *values) -> None:

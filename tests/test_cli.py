@@ -631,6 +631,16 @@ def test_unknown_config_key_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("obj", [{"coins": [{"rotation": 0.5}]}, {"n0": 0}])
+def test_missing_config_key_exits_3_naming_the_keys(tmp_path, capsys, obj):
+    # a missing key is reported as missing, not as a bad value of None
+    cfg = tmp_path / "missing.json"
+    cfg.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "validate", "--config", str(cfg))
+    assert code == 3 and out == ""
+    assert err == 'error: ConfigParse: config needs "n0" and "coins" keys\n'
+
+
 def test_nonunitary_coin_exits_10(tmp_path, capsys):
     cfg = tmp_path / "nonunitary.json"
     cfg.write_text(

@@ -41,7 +41,7 @@ def test_rotation_coin_entries():
     assert c.b == pytest.approx(0.6)
     assert c.c == pytest.approx(-0.6)
     assert c.d == pytest.approx(0.8)
-    assert rotation_coin(0.0).is_identity()
+    assert rotation_coin(0.0) == identity_coin()
 
 
 @pytest.mark.parametrize("r", [1.0, -1.0, 1.5])
@@ -93,8 +93,8 @@ def test_coin_sequence_validation():
 
 def test_coin_at_identity_outside_window():
     cs = CoinSequence(1, (hadamard_coin(), rotation_coin(0.2)))
-    assert cs.coin_at(-1).is_identity()
-    assert cs.coin_at(2).is_identity()
+    assert cs.coin_at(-1) == identity_coin()
+    assert cs.coin_at(2) == identity_coin()
     assert cs.coin_at(0) is cs.coins[0]
 
 

@@ -351,6 +351,24 @@ def test_reconstruct_needs_wide_enough_chains():
         reconstruct(ed, chains, 20, (-20, 21))
 
 
+def test_reconstruct_pairs_each_block_with_its_own_chain():
+    # chains[i] is the chain of ed.blocks[i]; a list out of block order, a
+    # chain short or a chain long is refused, naming the block it fails at
+    cs = hadamard_pair()
+    ed = expand(cs, basis_state(0, "L"))
+    chains = [resonant_chain(cs, b.resonance, 40) for b in ed.blocks]
+    assert len(chains) == 2
+    t = 20
+    window = (-(t - ed.nu), t + 1 - ed.nu)
+    reconstruct(ed, chains, t, window)
+    with pytest.raises(ValueError, match=r"chains\[0\] is not the chain of block 0 \(resonance at xi="):
+        reconstruct(ed, chains[::-1], t, window)
+    with pytest.raises(ValueError, match=r"block 1 \(resonance at xi=.*\) has no chain: 1 chains for 2 blocks"):
+        reconstruct(ed, chains[:1], t, window)
+    with pytest.raises(ValueError, match=r"chains\[2\] has no block: 3 chains for 2 blocks"):
+        reconstruct(ed, chains + chains[:1], t, window)
+
+
 def test_decay_fit_recovers_synthetic_law():
     t = np.arange(0, 120)
     survival = 3.0 * np.maximum(t, 1) ** 2 * 0.6**t

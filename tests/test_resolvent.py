@@ -222,11 +222,11 @@ def _forced(monkeypatch, shares):
 
 @pytest.mark.parametrize("points", [75, 300])
 @pytest.mark.parametrize("n0", [3, 5, 8, 12, 16])
-def test_split_window_solves_are_the_serial_ones_bit_for_bit(
+def test_split_window_solves_are_the_one_share_ones_bit_for_bit(
     monkeypatch, tmp_path, capsys, n0, points
 ):
-    # each system is the same LAPACK call on the same matrix in either
-    # path; the shares run on distinct threads under the caller's errstate
+    # each system is the same LAPACK call on the same matrix however many
+    # shares the grid has; the shares run on distinct threads under the caller's errstate
     rng = np.random.default_rng(n0)
     cs = random_sequence(rng, n0)
     f = random_state(rng, n0, 3)
@@ -257,10 +257,10 @@ def test_split_window_solves_are_the_serial_ones_bit_for_bit(
     assert got[1] == got[2] == got[3]
 
 
-def test_split_refusal_is_the_serial_one(monkeypatch):
+def test_split_refusal_is_the_one_share_one(monkeypatch):
     # a refused point behind a clean share, one ahead of a clean share, and
     # one in each share: the message names the first in grid order, as the
-    # serial path does, and no stack holding a refused point is solved
+    # one-share call does, and no stack holding a refused point is solved
     cs = triple_barrier()
     xi = find_resonances(cs)[0].xi
     f = basis_state(0, "L")

@@ -11,8 +11,6 @@ from qwres import (
     basis_state,
     decompose,
     incoming_length,
-    inner,
-    state_from_flat,
     state_from_json,
     state_to_json,
     window_vector,
@@ -108,17 +106,6 @@ def test_window_norms_are_the_state_norms_bit_for_bit():
     assert (norms == 0).any() and (norms < 1e-300).any()
 
 
-def test_inner_conjugate_linear_first_argument():
-    rng = np.random.default_rng(5)
-    a = random_state(rng, 1, 3)
-    b = random_state(rng, 1, 3)
-    assert inner(a, b) == pytest.approx(np.conj(inner(b, a)))
-    assert inner((2.0 + 1j) * a, b) == pytest.approx((2.0 - 1j) * inner(a, b))
-    assert inner(a, (2.0 + 1j) * b) == pytest.approx((2.0 + 1j) * inner(a, b))
-    assert inner(a, a) == pytest.approx(a.norm() ** 2)
-    assert inner(basis_state(0, "L"), basis_state(4, "L")) == 0.0
-
-
 @pytest.mark.parametrize(
     "site,chirality,n0,expected",
     [
@@ -157,7 +144,7 @@ def test_window_vector_layout_and_round_trip():
     psi = WaveState(-1, [[9.0, 9.0], [1.0, 2.0], [3.0, 4.0]])
     v = window_vector(psi, 1)
     np.testing.assert_array_equal(v, [1.0, 2.0, 3.0, 4.0])
-    back = state_from_flat(v, 1)
+    back = WaveState(0, v.reshape(-1, 2))
     for n in (0, 1):
         np.testing.assert_array_equal(back.amplitude(n), psi.amplitude(n))
     # supports reaching past either edge, inside it, and the zero state
@@ -165,13 +152,6 @@ def test_window_vector_layout_and_round_trip():
     np.testing.assert_array_equal(window_vector(WaveState(1, [[5.0, 6.0]]), 2), [0, 0, 5, 6, 0, 0])
     np.testing.assert_array_equal(window_vector(psi, 3), [1, 2, 3, 4, 0, 0, 0, 0])
     np.testing.assert_array_equal(window_vector(zero_state(), 1), np.zeros(4))
-
-
-def test_state_from_flat_validation():
-    with pytest.raises(ValueError):
-        state_from_flat(np.zeros(3))
-    with pytest.raises(ValueError):
-        state_from_flat(np.zeros(4), n0=3)
 
 
 def test_state_json_round_trip():

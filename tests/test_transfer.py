@@ -7,12 +7,16 @@ from qwres import (
     SpectralOverflow,
     hadamard_coin,
     identity_coin,
-    local_transfer,
     rotation_coin,
     transfer_polynomial,
     transfer_product,
 )
 from qwres.transfer import _horner, _relation_points, _transfer_entries
+
+
+def one_site_transfer(c, xi):
+    """T_n(xi): the transfer product of the one-site window holding c."""
+    return transfer_product(CoinSequence(0, (c,)), xi)
 
 
 def test_local_transfer_encodes_the_eigen_recursion():
@@ -26,7 +30,7 @@ def test_local_transfer_encodes_the_eigen_recursion():
         c = haar_coin(rng)
         xi = complex(rng.uniform(-np.pi, np.pi), rng.uniform(-1.0, 1.0))
         pi_n = rng.normal(size=2) + 1j * rng.normal(size=2)
-        out = local_transfer(c, xi) @ pi_n
+        out = one_site_transfer(c, xi) @ pi_n
         e = np.exp(-1j * xi)
         assert abs(e * out[0] - (c.a * pi_n[0] + c.b * out[1])) < 1e-12
         assert abs(e * pi_n[1] - (c.c * pi_n[0] + c.d * out[1])) < 1e-12
@@ -37,16 +41,16 @@ def test_local_transfer_determinant():
     for _ in range(20):
         c = haar_coin(rng)
         xi = complex(rng.uniform(-np.pi, np.pi), rng.uniform(-0.5, 0.5))
-        det = np.linalg.det(local_transfer(c, xi))
+        det = np.linalg.det(one_site_transfer(c, xi))
         assert abs(det - c.a / c.d) < 1e-12
 
 
 def test_local_transfer_batched_shape():
     c = haar_coin(np.random.default_rng(109))
     xs = np.linspace(-1, 1, 7)
-    t = local_transfer(c, xs)
+    t = one_site_transfer(c, xs)
     assert t.shape == (7, 2, 2)
-    np.testing.assert_allclose(t[3], local_transfer(c, complex(xs[3])), atol=0)
+    np.testing.assert_allclose(t[3], one_site_transfer(c, complex(xs[3])), atol=0)
 
 
 def test_transfer_product_is_ordered_product():
@@ -64,7 +68,7 @@ def test_transfer_refuses_overflow_without_a_warning(xi):
     # e^{+-i xi} leaves the float range; pytest turns a numpy warning into an error
     cs = triple_barrier()
     with pytest.raises(SpectralOverflow, match="not finite at xi="):
-        local_transfer(cs.coin_at(0), xi)
+        one_site_transfer(cs.coin_at(0), xi)
     with pytest.raises(SpectralOverflow, match="not finite at xi="):
         transfer_product(cs, xi)
 
