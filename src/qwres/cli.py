@@ -23,7 +23,6 @@ import json
 import math
 import sys
 from itertools import compress
-from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -223,16 +222,28 @@ def _cmd_evolve(args):
     # its value along n + t and R along n - t, bit for bit.  So each
     # amplitude's text is made once, from psi0 at t = 0 or as the coins
     # make it, and kept under its invariant: left[n + t - lo] and
-    # right[n - t - lo + 2T].  A line of it adds only "t,n,L|R,".  Nothing
-    # leaves psi0's light cone, the sites lo - t .. hi + t.
+    # right[n - t - lo + 2T].  Nothing leaves psi0's light cone, the sites
+    # lo - t .. hi + t.  A line is three entries of parts, "\nt,", the
+    # site's tag "n,L," or "n,R," and the text, joined once at the end.
     lo, hi = psi0.support_lo, psi0.support_hi
     width = hi - lo + 1 + 2 * T
     left, right = [""] * width, [""] * width
     left[: hi - lo + 1] = _texts(psi0.amplitudes[:, 0])
     right[2 * T :] = _texts(psi0.amplitudes[:, 1])
     tags = [f"{n},{c}," for n in range(lo - T, hi + T + 1) for c in "LR"]
-    lines = ["t,n,chirality,re,im"]
+    l_tags, r_tags, dt = tags[::2], tags[1::2], T - lo  # the tags of n at n + dt
+    parts = ["t,n,chirality,re,im"]
     norms = []
+
+    def emit(prefix, site_tags, texts):
+        """The lines of the nonzero texts, each after its site's tag."""
+        got = list(filter(None, texts))
+        if got:
+            start = len(parts)
+            parts.extend([prefix] * (3 * len(got)))
+            parts[start + 1 :: 3] = compress(site_tags, texts)
+            parts[start + 2 :: 3] = got
+
     t = 0
     for rows in _window_blocks(psi0, cs, T):
         norms.append(_window_norms(rows[:, 1:-1]))
@@ -252,14 +263,20 @@ def _cmd_evolve(args):
                 a, b = max(1, lo - t), min(n0 + 1, hi + t)
                 if a <= b:
                     right[a - t - lo + 2 * T : b - t - lo + 2 * T + 1] = made_r[j + a - 1 : j + b]
-            m, k = hi - lo + 1 + 2 * t, 2 * (T - t)
-            pair = [""] * (2 * m)
-            pair[::2], pair[1::2] = left[:m], right[k:]
-            text = f"\n{t},".join(map(add, compress(tags[k : k + 2 * m], pair), filter(None, pair)))
-            if text:
-                lines.append(f"{t}," + text)
+            # the cone's sites lo - t .. a - 1 hold only L, as an R left of
+            # the window is psi0's from n - t, in lo .. hi; b + 1 .. hi + t
+            # hold only R, by the mirror argument; a .. b hold both
+            a, b = max(lo - t, min(lo + t, 0)), min(hi + t, max(hi - t, n0))
+            dl, dr = t - lo, 2 * T - t - lo  # left[n + dl] and right[n + dr]
+            prefix = f"\n{t},"
+            emit(prefix, l_tags[T - t : a + dt], left[: a + dl])
+            mixed = [""] * (2 * (b - a + 1))
+            mixed[::2], mixed[1::2] = left[a + dl : b + dl + 1], right[a + dr : b + dr + 1]
+            emit(prefix, tags[2 * (a + dt) : 2 * (b + dt + 1)], mixed)
+            emit(prefix, r_tags[b + dt + 1 : hi + t + dt + 1], right[b + dr + 1 :])
             t += 1
-    return "\n".join(lines) + "\n", _survival_csv(np.concatenate(norms).tolist())
+    parts.append("\n")
+    return "".join(parts), _survival_csv(np.concatenate(norms).tolist())
 
 
 def _cmd_expand(args):
@@ -499,7 +516,7 @@ def main(argv=None) -> int:
             Path(args.out).write_text(body, encoding="utf-8")
             _summary_path(args.out).write_text(summary, encoding="utf-8")
         else:
-            sys.stdout.write(body + "\n" + summary)
+            sys.stdout.writelines((body, "\n", summary))
     elif args.out:
         Path(args.out).write_text(result, encoding="utf-8")
     else:

@@ -306,9 +306,12 @@ def coin_transfer_factor(coin: Coin) -> np.ndarray:
     """2x2 factor [[1/conj(a), -conj(c)/conj(a)], [-c/d, 1/d]] of a coin.
 
     This is T_n at spectral parameter zero, :func:`_site_entries` at
-    e^{+-i xi} = 1, and the image of the coin on the hyperbolic side.
+    e^{+-i xi} = 1, and the image of the coin on the hyperbolic side; each
+    entry rounds as there: the top row by numpy's division, the bottom row
+    by Python's.
     """
-    return np.array(next(_site_entries(coin.matrix.reshape(1, 4), 1, 1))).reshape(2, 2)
+    conj_a, c, d = np.complex128(complex(coin.a).conjugate()), complex(coin.c), complex(coin.d)
+    return np.array([[1 / conj_a, np.complex128(-c.conjugate()) / conj_a], [-c / d, 1 / d]])
 
 
 def _transfer_to_pqtheta(t: np.ndarray, det: complex) -> PQTheta:
@@ -404,8 +407,10 @@ def coin_to_json(coin: Coin) -> dict:
 def sequence_from_json(obj) -> CoinSequence:
     if not isinstance(obj, dict):
         raise ConfigParse("config must be a JSON object")
-    if "n0" not in obj or "coins" not in obj:
-        raise ConfigParse('config needs "n0" and "coins" keys')
+    missing = [f'"{k}"' for k in ("n0", "coins") if k not in obj]
+    if missing:
+        noun = "keys" if len(missing) > 1 else "key"
+        raise ConfigParse(f"config needs {' and '.join(missing)} {noun}")
     n0 = obj["n0"]
     if not isinstance(n0, int) or isinstance(n0, bool) or n0 < 0:
         raise ConfigParse(f'"n0" must be a nonnegative integer, got {n0!r}')

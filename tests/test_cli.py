@@ -223,8 +223,13 @@ TWO_SIDED_CFG = {
             "91f8b22f33f6527690a0375137768fa0b67476aaf5445afdd335b7f66c2e6c3c",
             "54b90d18ad3f7429d32510a3dd8a0b0f709fea6312e9b23b770128c42d01eca9",
         ),
+        (
+            TWO_SIDED_CFG,
+            "aed68a17339a56199a65750e4f7f2baae1086570ebdfd79c7e86105c02202ea9",
+            "c6ad0ef31a20769aa89478df83f5af709a354808b74db252565946149e8ea2dd",
+        ),
     ],
-    ids=["hadamard", "triple", "literal", "real"],
+    ids=["hadamard", "triple", "literal", "real", "two-sided"],
 )
 def test_evolve_trajectory_bytes_are_pinned(tmp_path, capsys, cfg, digest, summary_digest):
     # a change to the step that moves any amplitude by one ulp, or the sign
@@ -397,7 +402,8 @@ REFLECTION = {"a": [0.6, 0.0], "b": [-0.8, 0.0], "c": [-0.8, 0.0], "d": [-0.6, 0
 def evolve_configs():
     """Seeded configs: real rotations (±0.5 among them), the reflection and
     Haar coins; psi0 with signed zeros left of, inside and right of the
-    window, single sites inside it, n0 = 0, a zero and an empty psi0."""
+    window, single sites inside it, n0 = 0, a zero and an empty psi0; and
+    psi0 with incoming and outgoing parts well off both ends."""
     rng = np.random.default_rng(2024)
     zeros = ([0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0])
 
@@ -430,6 +436,18 @@ def evolve_configs():
     configs.append({**reflections, "psi0": [{"n": 2, "R": [1.0, 0.0]}]})
     configs.append({"n0": 2, "coins": TRIPLE_CFG["coins"], "psi0": [{"n": 1, "L": zeros[2]}]})
     configs.append({"n0": 2, "coins": TRIPLE_CFG["coins"], "psi0": []})
+    # an incoming R at -7 and L at n0 + 7 and an outgoing L at -9 and R at
+    # n0 + 9: the cone's L-only sites left of min(lo + t, 0) and its R-only
+    # sites right of max(hi - t, n0) end at psi0's incoming band until
+    # t = 9, and at the window from then on
+    for n0, coins in ((3, LITERAL_CFG["coins"]), (2, TRIPLE_CFG["coins"]), (0, [REFLECTION])):
+        psi0 = [
+            {"n": -9, "L": [0.36, -0.0]},
+            {"n": -7, "R": [0.0, 0.48]},
+            {"n": n0 + 7, "L": [-0.64, 0.0]},
+            {"n": n0 + 9, "R": [-0.0, -0.48]},
+        ]
+        configs.append({"n0": n0, "coins": coins, "psi0": psi0})
     return configs
 
 
@@ -631,14 +649,20 @@ def test_unknown_config_key_exits_3(tmp_path, capsys):
     assert code == 3
 
 
-@pytest.mark.parametrize("obj", [{"coins": [{"rotation": 0.5}]}, {"n0": 0}])
+@pytest.mark.parametrize("obj", [{"coins": [{"rotation": 0.5}]}, {"n0": 0}, {}])
 def test_missing_config_key_exits_3_naming_the_keys(tmp_path, capsys, obj):
-    # a missing key is reported as missing, not as a bad value of None
+    # a missing key is reported as missing, not as a bad value of None, and
+    # the message names only the keys that are missing
+    keys = {
+        frozenset({"coins"}): '"n0" key',
+        frozenset({"n0"}): '"coins" key',
+        frozenset(): '"n0" and "coins" keys',
+    }[frozenset(obj)]
     cfg = tmp_path / "missing.json"
     cfg.write_text(json.dumps(obj))
     code, out, err = run(capsys, "validate", "--config", str(cfg))
     assert code == 3 and out == ""
-    assert err == 'error: ConfigParse: config needs "n0" and "coins" keys\n'
+    assert err == f"error: ConfigParse: config needs {keys}\n"
 
 
 def test_nonunitary_coin_exits_10(tmp_path, capsys):
