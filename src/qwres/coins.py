@@ -353,7 +353,7 @@ def coin_from_json(obj) -> Coin:
     """Parse one coin from its config form.
 
     Accepts either ``{"rotation": r}`` or ``{"a": [re, im], "b": ..., "c":
-    ..., "d": ...}``.
+    ..., "d": ...}``, with no other key.
     """
     form = _coin_form(obj)
     return form if isinstance(form, Coin) else validate_coin(np.reshape(form, (2, 2)))
@@ -363,10 +363,11 @@ def _coin_form(obj):
     """A rotation coin's Coin, or the unchecked entries [a, b, c, d] of an entry-form coin."""
     if not isinstance(obj, dict):
         raise ConfigParse(f"coin entry must be an object, got {type(obj).__name__}")
+    form, keys = ("rotation coin", {"rotation"}) if "rotation" in obj else ("coin entry", {"a", "b", "c", "d"})
+    extra = set(obj) - keys
+    if extra:
+        raise ConfigParse(f"{form} has unexpected keys {sorted(extra)}")
     if "rotation" in obj:
-        extra = set(obj) - {"rotation"}
-        if extra:
-            raise ConfigParse(f"rotation coin has unexpected keys {sorted(extra)}")
         return rotation_coin(_real(obj["rotation"], "rotation parameter"))
     try:
         return [_complex_from_pair(obj[k], f'coin "{k}"') for k in ("a", "b", "c", "d")]

@@ -272,21 +272,20 @@ def _resonances(walks, eigenvalues) -> list[list[Resonance]]:
     return found
 
 
-def _resonance_family(walks) -> list[list[Resonance]]:
-    """find_resonances of one walk, or of each walk of a list of one n0 in one stacked pass.
+def _resonance_family(walks: list[CoinSequence]) -> list[list[Resonance]]:
+    """find_resonances of each walk of a list of one n0, in one stacked pass.
 
-    A list's polynomials, parity blocks and eigvals are stacked
-    (_resonances), each walk's numbers bit for bit its lone call's.  Walks
-    of different n0 are a ValueError.  Where a list is refused, its walks
-    are rooted again one at a time, so the first to fail names the error.
+    The polynomials, parity blocks and eigvals are stacked (_resonances),
+    each walk's numbers bit for bit its lone call's.  Walks of different n0
+    are a ValueError.  Where the family is refused, its walks are rooted
+    again one at a time, so the first to fail names the error.
     """
-    if isinstance(walks, list) and len({cs.n0 for cs in walks}) > 1:
+    if len({cs.n0 for cs in walks}) > 1:
         raise ValueError(f"the walks of a family share n0, got {[cs.n0 for cs in walks]}")
     try:
         return _resonances(walks, lambda: _parity_eig(*_parity_blocks(walks)))
-    except Exception:  # any refusal: the rerun raises what the first walk raises alone
-        if not isinstance(walks, list):
-            raise
+    except Exception:  # any refusal: the rerun below raises what the first walk raises alone
+        pass
     return [find_resonances(cs) for cs in walks]
 
 
@@ -299,10 +298,9 @@ def find_resonances(cs: CoinSequence) -> list[Resonance]:
     eigensolver on the parity product BA of half K's size
     (walk._parity_eig, on blocks written from the coin table with K's norm
     check), clustered, polished on the polynomial and cross-checked
-    against it by _resonances, as the family of one of _resonance_family.
-    At n0 = 0, p = 1 and there is none.
+    against it by _resonances.  At n0 = 0, p = 1 and there is none.
     """
-    [found] = _resonance_family(cs)
+    [found] = _resonances(cs, lambda: _parity_eig(*_parity_blocks(cs)))
     return found
 
 
@@ -450,9 +448,9 @@ def _window_chains(spec: _Spectrum, lams, mults) -> list[np.ndarray]:
     phi^1 spans the kernel of K - lambda (geometric multiplicity is always
     one, which is verified), in _unit_phase's canonical phase; phi^k for
     k >= 2 is the minimum-norm solution of (K - lambda) v = phi^{k-1}.
-    Each solve must hold to 1e-8 |phi^{k-1}|, and each link of the chain
-    relation (K - lambda) phi^k = phi^{k-1}, phi^0 = 0, to
-    1e-8 max(|phi^k|, 1).
+    Each such solve must hold to 1e-8 |phi^{k-1}|, a check on the links
+    k >= 2 that only SVD chains have, and each link of the chain relation
+    (K - lambda) phi^k = phi^{k-1}, phi^0 = 0, to 1e-8 max(|phi^k|, 1).
 
     For m = 1, phi^1 is the eigenvector v_j of spec nearest lambda wherever
     a certificate shows that the rank test of the SVD path would accept
@@ -473,8 +471,8 @@ def _window_chains(spec: _Spectrum, lams, mults) -> list[np.ndarray]:
     lambda and spec alone, so expand and resonant_chain take the same path
     and get the same bits.  Multiple resonances and uncertified simple
     ones (V near singular, as where K has a nilpotent block of index 2 or
-    more) take one SVD of K - lambda.  Every chain runs both checks; one
-    array pass reads every certificate.
+    more) take one SVD of K - lambda.  Every chain runs the relation
+    check; one array pass reads every certificate.
     """
     dist = np.abs(spec.evals - np.asarray(lams, dtype=complex)[:, None])
     j = np.argmin(dist, axis=1)
@@ -483,7 +481,6 @@ def _window_chains(spec: _Spectrum, lams, mults) -> list[np.ndarray]:
     certified = (np.asarray(mults) == 1) & (sep * spec.inv_cond - spec.delta >= 4e-8)
     certified &= errs <= 0.5e-8 * (dist.max(axis=1) - spec.delta)
     chains, errs = spec.evecs.T[j[certified], None], errs[certified, None]
-    _check_links(errs, np.inf, "chain solve")
     _check_links(errs, np.maximum(np.linalg.norm(chains, axis=2), 1.0), "window chain relation")
     taken = iter(chains)
     return [

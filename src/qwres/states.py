@@ -80,15 +80,16 @@ class WaveState:
             return self.amplitudes[k].copy()
         return np.zeros(2, dtype=complex)
 
+    @np.errstate(over="ignore")
     def norm(self) -> float:
-        """l2 norm; below 1e-150 the squares underflow, so rescale first.
+        """l2 norm, rescaled first where the squares underflow or overflow.
 
         The squares are summed elementwise: a BLAS dot product would round
         differently on each kernel OpenBLAS picks at run time.
         """
         parts = self.amplitudes.reshape(-1).view(float)
         plain = math.sqrt(np.add.reduce(parts * parts))
-        if plain >= 1e-150 or self.is_zero():
+        if 1e-150 <= plain < math.inf or self.is_zero():
             return plain
         return float(_rescaled_norms(self.amplitudes[None])[0])
 
@@ -128,16 +129,19 @@ class WaveState:
 
 
 def _rescaled_norms(amps: np.ndarray) -> np.ndarray:
-    """Norms of the nonzero amps[i], shape (k, N, 2), whose squares underflow.
+    """Norms of the nonzero amps[i], shape (k, N, 2), whose squares underflow or overflow.
 
     Each is scaled by its top modulus first, dividing the float parts:
-    complex division forms 1/top, inf for a subnormal top.
+    complex division forms 1/top, inf for a subnormal top.  A row whose
+    top modulus is inf is left unscaled, so its norm stays inf.
     """
     top = np.abs(amps).reshape(len(amps), -1).max(axis=1)
+    top[top == np.inf] = 1.0
     parts = amps.reshape(len(amps), -1).view(float) / top[:, None]
     return top * np.sqrt(np.add.reduce(parts * parts, axis=1))
 
 
+@np.errstate(over="ignore")
 def _window_norms(rows: np.ndarray) -> np.ndarray:
     """WaveState(0, rows[i]).norm() for each i, bit for bit, in one pass.
 
@@ -158,9 +162,9 @@ def _window_norms(rows: np.ndarray) -> np.ndarray:
         amps = rows[sel, k // n : k % n + 1]
         parts = amps.reshape(len(sel), -1).view(float)
         plain = np.sqrt(np.add.reduce(parts * parts, axis=1))
-        small = plain < 1e-150
-        if small.any():
-            plain[small] = _rescaled_norms(amps[small])
+        rescale = (plain < 1e-150) | (plain == np.inf)
+        if rescale.any():
+            plain[rescale] = _rescaled_norms(amps[rescale])
         norms[sel] = plain
     return norms
 

@@ -316,6 +316,24 @@ def test_survival_past_underflow(capsys, hadamard_cfg):
     assert abs(values[2100] / 2.0**-1050 - 1) < 1e-6
 
 
+def test_survival_past_overflow_of_the_squares(tmp_path, capsys):
+    # from 1e200 the squares of the window amplitudes overflow until the
+    # norm falls below about 1.34e154 at t = 305; up to there the norms are
+    # rescaled, silently, in survival and in evolve's summary alike
+    cfg_path = tmp_path / "big.json"
+    cfg_path.write_text(json.dumps(dict(HADAMARD_CFG, psi0=[{"n": 0, "L": [1e200, 0.0]}])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "survival", "--config", str(cfg_path), "--T", "60")
+        assert code == 0 and err == ""
+        values = [float(line.split(",")[1]) for line in out.strip().split("\n")[1:]]
+        assert len(values) == 61
+        for t, v in enumerate(values):
+            assert abs(v / (1e200 * 2.0 ** (-t / 2)) - 1) < 1e-12
+        code, both, _ = run(capsys, "evolve", "--config", str(cfg_path), "--T", "60")
+    assert code == 0 and both.endswith("\n" + out)
+
+
 def test_survival_keeps_only_the_current_state(tmp_path, capsys, hadamard_cfg):
     # holding the whole trajectory of T = 2000 steps takes over 100 MB, and
     # holding every window row of a Haar window of n0 = 32 for T = 10000
@@ -521,6 +539,33 @@ def test_evolve_summary_is_the_survival_output(tmp_path, capsys):
     assert (tmp_path / "traj.summary.csv").read_bytes() == out.encode()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("expand",), ("scattering", "--xi-grid=-3.0:3.0:9,0.0")],
+    ids=["json", "csv"],
+)
+def test_out_writes_the_stdout_bytes(tmp_path, capsys, hadamard_cfg, argv):
+    code, want, _ = run(capsys, *argv, "--config", hadamard_cfg)
+    assert code == 0 and want
+    out_path = tmp_path / "result"
+    code, out, err = run(capsys, *argv, "--config", hadamard_cfg, "--out", str(out_path))
+    assert code == 0 and out == "" and err == ""
+    assert out_path.read_bytes() == want.encode()
+
+
+def test_evolve_out_without_csv_suffix_writes_a_summary_file(tmp_path, capsys, hadamard_cfg):
+    # --out traj writes the trajectory to traj and the summary to
+    # traj.summary, the two streams stdout joins with a blank line
+    code, both, _ = run(capsys, "evolve", "--config", hadamard_cfg, "--T", "5")
+    assert code == 0
+    out_path = tmp_path / "traj"
+    code, out, _ = run(capsys, "evolve", "--config", hadamard_cfg, "--T", "5", "--out", str(out_path))
+    assert code == 0 and out == ""
+    body, summary = out_path.read_text(), (tmp_path / "traj.summary").read_text()
+    assert summary.startswith("t,survival_norm\n")
+    assert body + "\n" + summary == both
+
+
 def test_expand_json(capsys, hadamard_cfg):
     code, out, _ = run(capsys, "expand", "--config", hadamard_cfg)
     assert code == 0
@@ -559,6 +604,23 @@ def test_split_csv(capsys, triple_cfg):
     assert abs(slope - 0.5) < 0.05
     eps_col = [float(line.split(",")[0]) for line in lines[1:]]
     assert eps_col == sorted(eps_col)
+
+
+def test_split_with_eps_and_phi(capsys, triple_cfg):
+    code, out, err = run(capsys, "split", "--config", triple_cfg, "--eps", "1e-3,1e-4", "--phi", "0.3")
+    assert code == 0 and err == ""
+    lines = out.strip().split("\n")
+    assert lines[0] == "eps,gap,slope_estimate"
+    rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+    assert [r[0] for r in rows] == [1e-4, 1e-3]
+    assert all(r[1] > 0 and abs(r[2] - 0.5) < 1e-4 for r in rows)
+
+
+def test_split_too_small_to_separate_the_roots_exits_51(capsys, triple_cfg):
+    # at eps = 1e-20 the perturbed walk keeps the double root
+    code, out, err = run(capsys, "split", "--config", triple_cfg, "--eps", "1e-20,1e-19", "--phi", "0.3")
+    assert code == 51 and out == ""
+    assert err == "error: DegenerateDirection: direction phi = 0.3 leaves the root multiple at eps = 1e-20\n"
 
 
 def test_selftest_passes(capsys, monkeypatch):
@@ -647,6 +709,15 @@ def test_unknown_config_key_exits_3(tmp_path, capsys):
     cfg.write_text(json.dumps({"n0": 0, "coins": [{"rotation": 0.5}], "spin": 2}))
     code, _, err = run(capsys, "validate", "--config", str(cfg))
     assert code == 3
+
+
+def test_unknown_coin_key_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "comment.json"
+    coin = {"a": [1, 0], "b": [0, 0], "c": [0, 0], "d": [1, 0], "comment": "x"}
+    cfg.write_text(json.dumps({"n0": 0, "coins": [coin]}))
+    code, out, err = run(capsys, "validate", "--config", str(cfg))
+    assert code == 3 and out == ""
+    assert err == "error: ConfigParse: coin entry has unexpected keys ['comment']\n"
 
 
 @pytest.mark.parametrize("obj", [{"coins": [{"rotation": 0.5}]}, {"n0": 0}, {}])

@@ -236,6 +236,20 @@ def test_coin_json_rotation_form():
         coin_from_json({"rotation": "fast"})
 
 
+def test_coin_json_entry_form_refuses_unknown_keys():
+    # as the rotation form does; in a sequence the first bad coin still
+    # names the error, whether it fails the unitarity check or to parse
+    entry = dict(coin_to_json(hadamard_coin()), comment="x")
+    with pytest.raises(ConfigParse, match=r"coin entry has unexpected keys \['comment'\]"):
+        coin_from_json(entry)
+    skew = coin_to_json(hadamard_coin())
+    skew["b"] = [skew["b"][0] * (1 + 1e-9), skew["b"][1]]
+    fine = coin_to_json(hadamard_coin())
+    for coins, error in [([fine, entry, skew], ConfigParse), ([fine, skew, entry], NotUnitary)]:
+        with pytest.raises(error):
+            sequence_from_json({"n0": 2, "coins": coins})
+
+
 def test_coin_json_entry_form_round_trip():
     rng = np.random.default_rng(29)
     c = haar_coin(rng)

@@ -89,6 +89,32 @@ def test_norm_survives_underflow_of_the_squares():
     assert WaveState(0, [[0.0, 0.0]]).norm() == 0.0
 
 
+def test_norm_survives_overflow_of_the_squares():
+    # past about 1.34e154 the squares overflow; the norm is rescaled as
+    # below 1e-150, and a state whose norm itself leaves the float range,
+    # or that holds inf, has norm inf, all without a warning
+    big = WaveState(0, [[3e200, 0.0], [0.0, 4e200j]])
+    assert abs(big.norm() / 5e200 - 1) < 1e-15
+    assert WaveState(0, [[1e308, 1e308], [1e308, 1e308]]).norm() == math.inf
+    assert WaveState(0, [[math.inf, 0.0]]).norm() == math.inf
+    psi = WaveState(0, [[3e150, 0.0], [0.0, 4e150j]])
+    assert psi.norm() == float(np.linalg.norm(psi.amplitudes))
+
+
+def test_window_norms_equal_the_state_norms_on_overflowing_rows():
+    # scales whose squares overflow, and rows holding inf, take the
+    # rescaled branch in both, bit for bit
+    rng = np.random.default_rng(97)
+    rows = rng.normal(size=(300, 5, 2)) + 1j * rng.normal(size=(300, 5, 2))
+    for row in rows:
+        row[rng.random(5) < 0.3] = 0
+        row *= 10.0 ** rng.choice([0, 150, 155, 200, 300, 307])
+    rows[7, 2, 1] = math.inf
+    norms = _window_norms(rows)
+    assert norms.tolist() == [WaveState(0, row).norm() for row in rows]
+    assert (norms > 1e300).any() and norms[7] == math.inf
+
+
 def test_window_norms_are_the_state_norms_bit_for_bit():
     # rows with every support in a window of 7 sites, interior zero rows,
     # -0 entries, all-zero rows, and scales from 1 down through the
