@@ -35,7 +35,7 @@ from .resonances import (
     _window_chains,
     strip_pair,
 )
-from .states import WaveState, incoming_length, window_vector
+from .states import WaveState, _vector_norm, incoming_length, window_vector
 from .walk import _window_blocks
 
 __all__ = [
@@ -141,8 +141,8 @@ def expand(cs: CoinSequence, psi0: WaveState) -> ExpansionData:
     zero_basis = [vh[dim - 1 - i].conj() for i in range(zdim)]
     basis = np.column_stack(cols + zero_basis)
     coef, *_ = np.linalg.lstsq(basis, x, rcond=None)
-    resid = np.linalg.norm(basis @ coef - x)
-    if resid > 1e-9 * max(1.0, np.linalg.norm(x)):
+    resid = _vector_norm(basis @ coef - x)
+    if resid > 1e-9 * max(1.0, _vector_norm(x)):
         raise InvariantViolation(
             f"expansion basis missed the state by {resid:.2e}"
         )

@@ -1,32 +1,31 @@
 """Resolvent of the walk on finitely supported states, on any finite window.
 
 For a finitely supported f the resolvent (e^{-i xi} - U)^{-1} f reduces to
-one dense solve against the window matrix K plus explicit one-sided
-geometric sums.  The incoming chiralities (R on the left, L on the right)
-feel only the forcing and are finite sums of shifted f values; they feed
-the window system through the two rows of K that drop outside input.  The
-outgoing chiralities propagate the window solution outward with phase
-e^{i xi} per step, again with forcing corrections.  Everything is entire
-in xi except the window solve, which is singular exactly at the
-resonances and at xi with e^{-i xi} = 0 eigenvalue directions.
+one solve against the window matrix K plus explicit one-sided geometric
+sums.  The incoming chiralities (R on the left, L on the right) feel only
+the forcing and are finite sums of shifted f values; they feed the window
+system through the two rows of K that drop outside input.  The outgoing
+chiralities propagate the window solution outward with phase e^{i xi} per
+step, again with forcing corrections.  Everything is entire in xi except
+the window solve, which is singular exactly at the resonances and at xi
+with e^{-i xi} = 0 eigenvalue directions.
+
+K maps even sites to odd ones and back, K = [[0, A], [B, 0]] with the even
+sites first, so the window system (lam - K) v = r, lam = e^{-i xi}, is
+solved through its parity Schur complement S = lam^2 - BA, half its size:
+S v_o = lam r_o + B r_e, then v_e = (r_e + A v_o) / lam.  BA is the
+product whose eigenvalues give K's (walk._parity_eig).  The inverse of S
+also gives the exact 1-norm condition number
+kappa_1 = |lam - K|_1 |(lam - K)^{-1}|_1 of the window system, LAPACK's
+convention, which the refusal near a pole reads; no SVD is taken.
 
 The identity (e^{-i xi} - U) R f = f is checked on every call; a quiet
 wrong answer is worse than an exception.
-
-On a grid of xi the window systems are solved in stacks of up to 2^16
-matrix entries, each no smaller than a stack that numpy solves without
-the interpreter lock.  A grid long enough to give each CPU of the
-process's affinity such a stack is split into one contiguous share per
-CPU, run on worker threads made on first use; the answer and any refusal
-are one share's bit for bit.
 """
 
 from __future__ import annotations
 
 import cmath
-import contextvars
-import os
-import threading
 
 import numpy as np
 
@@ -34,118 +33,66 @@ from .coins import CoinSequence
 from .errors import AtResonance, InvariantViolation
 from .states import WaveState
 from .transfer import _refuse_overflow
-from .walk import _parity_blocks, _parity_eig, _placed, _sweep, _walk
+from .walk import _parity_blocks, _parity_eig, _sweep, _walk
 
 __all__ = ["apply_resolvent", "identity_residual", "neumann_resolvent"]
 
 
-_SHARE_ENTRIES = 1 << 16  # per stack: 1 MiB of systems, or one lock-free stack
-
-_pool = None
-_pool_lock = threading.Lock()
+_STACK_ENTRIES = 1 << 16  # window-system entries per stack: 1 MiB of matrices
 
 
-def _forget_pool():
-    # a forked child has none of its parent's threads, only their handles
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
+def _inverse(s):
+    """np.linalg.inv on a stack of matrices, NaN in place of an exactly singular one's inverse."""
+    try:
+        return np.linalg.inv(s)
+    except np.linalg.LinAlgError:
+        if len(s) == 1:
+            return np.full_like(s, np.nan)
+        return np.concatenate([_inverse(s[k : k + 1]) for k in range(len(s))])
 
 
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+def _window_solves(lam, a, b, ba, rhs, near):
+    """Solutions and 1-norm condition numbers of (lam - K) v = rhs, point by point.
 
-
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-def _lock_free(dim: int) -> int:
-    """The fewest systems of size dim that numpy solves without the interpreter lock.
-
-    numpy's stacked SVD and solve release the lock only when the systems
-    in a stack times dim exceed 500 (measured: 83 against 84 systems at
-    dim 6, 14 against 15 at dim 34); on smaller stacks threads take turns.
+    rhs has shape (points, n0 + 1, 2).  With the even sites first
+    K = [[0, A], [B, 0]], so the odd sites solve the parity Schur complement
+    S v_o = lam r_o + B r_e, S = lam^2 - BA, and the even ones follow as
+    v_e = (r_e + A v_o) / lam.  The same two steps on the identity give
+    (lam - K)^{-1} from one inverse of S: its odd rows are
+    [S^{-1} B, lam S^{-1}], its even rows ([I, 0] + A X_o) / lam for those
+    odd rows X_o.  So kappa_1 = |lam - K|_1 |(lam - K)^{-1}|_1 is exact,
+    with |lam - K|_1 = |lam| + K's largest column sum, as K's diagonal is
+    zero.  Points run in stacks of up to 2^16 // dim^2; near points get an
+    identity in place of S, and a stack is solved only once none of its
+    points is refused: near ones, and those with kappa_1 > 1e12, which an
+    exactly singular S reads as inf.  Every product runs per point over
+    the leading axis, so each point's bits are its lone call's.  Returns
+    (v, kappa_1, the first refused point or None).
     """
-    return 500 // dim + 1
-
-
-def _share_count(points: int, dim: int) -> int:
-    """How many CPUs the window solves of one call are split across.
-
-    One share per CPU, as long as every share is a lock-free stack; one
-    share runs on the calling thread alone.
-    """
-    return max(1, min(_cpus(), points // _lock_free(dim)))
-
-
-def _workers():
-    """The process's worker threads, made on first use; import stays cheap."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(max(1, _cpus() - 1), thread_name_prefix="qwres-resolve")
-        return _pool
-
-
-def _stack_solves(lam, kmat, rhs, near, v, cond, points: range, step: int):
-    """Condition numbers and solves of the window systems at points, stacked.
-
-    Writes v and cond on points, a stack of step points at a time, and
-    solves a stack only once none of its points is refused; returns the
-    first refused point, or None.
-    """
-    eye = np.eye(len(kmat))
-    for k0 in range(points.start, points.stop, step):
-        part = slice(k0, min(k0 + step, points.stop))
-        systems = lam[part, None, None] * eye
-        systems -= kmat
-        cond[part] = np.linalg.cond(systems)
+    n, g, h = len(lam), len(a), len(ba)  # points, even and odd unknowns
+    step = max(1, _STACK_ENTRIES // (g + h) ** 2)
+    k_norm = max(np.abs(a).sum(0).max(), np.abs(b).sum(0).max())
+    r_e, r_o = rhs[:, 0::2].reshape(n, g, 1), rhs[:, 1::2].reshape(n, h, 1)
+    v = np.empty(rhs.shape, dtype=complex)
+    cond = np.empty(n)
+    eye, top = np.eye(h), np.eye(g, g + h)
+    for k0 in range(0, n, step):
+        part = slice(k0, k0 + step)
+        lp = lam[part, None, None]
+        s = np.where(near[part, None, None], eye, lp * lp * eye - ba)
+        s_inv = _inverse(s)
+        odd = np.concatenate([s_inv @ b, lp * s_inv], axis=2)
+        even = (a @ odd + top) / lp
+        norm = (np.abs(even).sum(1) + np.abs(odd).sum(1)).max(1)
+        kappa = (np.abs(lam[part]) + k_norm) * norm
+        cond[part] = np.where(np.isnan(kappa), np.inf, kappa)
         bad = near[part] | (cond[part] > 1e12)
         if bad.any():
-            return k0 + int(np.argmax(bad))
-        v[part] = np.linalg.solve(systems, rhs[part, :, None])[:, :, 0]
-    return None
-
-
-def _window_solves(lam, kmat, rhs, near, v, cond):
-    """_stack_solves on every point, split across the process's CPUs.
-
-    Each CPU takes one contiguous share of the points (_share_count), the
-    calling thread the first, in stacks of up to _SHARE_ENTRIES entries
-    and never fewer systems than numpy solves without the interpreter
-    lock; each system is the same LAPACK call on the same matrix however
-    the points are split, so the output is one share's bit for bit.
-    Workers run under a copy of the caller's context, which carries
-    numpy's errstate; a single share makes no pool.  Returns the first
-    refused point in grid order, or None: a share stops at its own first
-    refused point, and the earliest share that has one names it.
-    """
-    n, dim = len(lam), len(kmat)
-    args = lam, kmat, rhs, near, v, cond
-    shares = _share_count(n, dim)
-    step = max(_lock_free(dim), _SHARE_ENTRIES // dim**2)
-    bounds = [n * i // shares for i in range(shares + 1)]
-    rest = [
-        _workers().submit(contextvars.copy_context().run, _stack_solves, *args, range(a, b), step)
-        for a, b in zip(bounds[1:-1], bounds[2:])
-    ]
-    try:
-        first = _stack_solves(*args, range(bounds[1]), step)
-    finally:
-        # every share ends before the arrays it writes are read or dropped;
-        # exception() waits without raising, result() below raises
-        for share in rest:
-            share.exception()
-    if first is not None:
-        return first
-    for share in rest:
-        k = share.result()
-        if k is not None:
-            return k
-    return None
+            return v, cond, k0 + int(np.argmax(bad))
+        v_o = np.linalg.solve(s, lp * r_o[part] + b @ r_e[part])
+        v[part, 1::2] = v_o.reshape(len(s), -1, 2)
+        v[part, 0::2] = ((r_e[part] + a @ v_o) / lp).reshape(len(s), -1, 2)
+    return v, cond, None
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -153,16 +100,15 @@ def _resolve(cs: CoinSequence, xi: np.ndarray, f: WaveState, lo: int, hi: int):
     """Resolvent on [lo - 1, hi + 1] for each xi of a 1-D array.
 
     Returns (amplitudes of shape (len(xi), hi - lo + 3, 2), relative
-    residual of the defining identity on [lo, hi], condition number of
-    the window solve), one residual and condition number per point.  K,
-    its eigenvalues (walk._parity_eig) and the forcing are formed once per
-    call; the condition numbers and window solves run on stacks of points
-    (_window_solves: stacks of up to 2^16 entries, one contiguous share
-    per CPU on a long grid), each stack solved only once none of its
-    points is refused.  Far out in either half plane e^{+-i xi}, or the
-    sums that grow with it along a long source or window, leave the float
-    range: SpectralOverflow names the first such point, in place of
-    numpy's overflow warnings.
+    residual of the defining identity on [lo, hi], 1-norm condition number
+    of the window system), one residual and condition number per point.
+    K's parity blocks, BA, its eigenvalues (walk._parity_eig) and the
+    forcing are formed once per call; the window systems are inverted,
+    checked and solved in stacks of points (_window_solves), each stack
+    solved only once none of its points is refused.  Far out in either
+    half plane e^{+-i xi}, or the sums that grow with it along a long
+    source or window, leave the float range: SpectralOverflow names the
+    first such point, in place of numpy's overflow warnings.
     """
     if hi < lo:
         raise ValueError(f"empty window [{lo}, {hi}]")
@@ -171,9 +117,8 @@ def _resolve(cs: CoinSequence, xi: np.ndarray, f: WaveState, lo: int, hi: int):
     e = np.exp(1j * xi)
     _refuse_overflow(xi, lam, e)
     a, b = _parity_blocks(cs)
-    kmat = _placed(a, b)
-    dim = 2 * (n0 + 1)
-    evals = _parity_eig(a, b)
+    ba = b @ a
+    evals = _parity_eig(a, b, ba=ba)
     dist = np.min(np.abs(lam[:, None] - evals[None, :]), axis=1)
 
     # every site the answer, the source or the two junctions touch;
@@ -194,13 +139,11 @@ def _resolve(cs: CoinSequence, xi: np.ndarray, f: WaveState, lo: int, hi: int):
 
     # the two rows of K that drop outside input pick it up from the
     # incoming amplitudes just left of 0 and just right of n0
-    rhs = np.tile(fa[z : z + n0 + 1].reshape(-1), (len(xi), 1))
-    rhs[:, 1] += amps[:, z - 1, 1]
-    rhs[:, 2 * n0] += amps[:, z + n0 + 1, 0]
-    v = np.empty((len(xi), dim), dtype=complex)
-    cond = np.empty(len(xi))
+    rhs = np.tile(fa[z : z + n0 + 1], (len(xi), 1, 1))
+    rhs[:, 0, 1] += amps[:, z - 1, 1]
+    rhs[:, n0, 0] += amps[:, z + n0 + 1, 0]
     near = dist <= 1e-10
-    k = _window_solves(lam, kmat, rhs, near, v, cond)
+    v, cond, k = _window_solves(lam, a, b, ba, rhs, near)
     if k is not None:  # the first refused point in grid order
         if near[k]:
             raise AtResonance(
@@ -209,7 +152,7 @@ def _resolve(cs: CoinSequence, xi: np.ndarray, f: WaveState, lo: int, hi: int):
         raise AtResonance(
             f"window system at xi = {complex(xi[k])} has condition number {cond[k]:.2e}"
         )
-    amps[:, z : z + n0 + 1] = v.reshape(len(xi), n0 + 1, 2)
+    amps[:, z : z + n0 + 1] = v
 
     # the outgoing chiralities leave the window through the junction coins,
     # one step of the walk from the window carries them to -1 and n0 + 1
@@ -230,9 +173,11 @@ def _resolve(cs: CoinSequence, xi: np.ndarray, f: WaveState, lo: int, hi: int):
 def apply_resolvent(cs: CoinSequence, xi: complex, f: WaveState, window) -> WaveState:
     """(e^{-i xi} - U)^{-1} f restricted to window = (lo, hi).
 
-    xi may be anywhere the window system is regular; near a resonance (or
-    at condition number beyond 1e12) the call refuses with AtResonance.
-    The defining identity is verified on the full requested window before
+    xi may be anywhere the window system is regular.  The window system is
+    solved through its parity Schur complement lam^2 - BA, lam = e^{-i xi};
+    within 1e-10 of an eigenvalue of K, or at a 1-norm condition number
+    kappa_1(lam - K) beyond 1e12, the call refuses with AtResonance.  The
+    defining identity is verified on the full requested window before
     returning, at relative 1e-10 in the sup norm.
     """
     lo, hi = int(window[0]), int(window[1])
@@ -246,11 +191,14 @@ def identity_residual(cs: CoinSequence, xi, f: WaveState, window):
     """(relative residual of the defining identity, condition number).
 
     Same computation as apply_resolvent, but reporting the numbers instead
-    of enforcing them, for diagnostics and tabulation.  xi is a scalar or
-    an array; an array gives two arrays of its shape, and AtResonance
-    names the first grid point where the window system is singular,
-    SpectralOverflow the first where e^{+-i xi} or the answer is not a
-    finite float.
+    of enforcing them, for diagnostics and tabulation.  The condition
+    number is kappa_1(lam - K) = |lam - K|_1 |(lam - K)^{-1}|_1 of the
+    window system, lam = e^{-i xi}, exact up to rounding and read off the
+    inverse of its parity Schur complement.  xi is a scalar or an array; an
+    array gives two arrays of its shape, and AtResonance names the first
+    grid point where the window system is refused (near an eigenvalue of
+    K, kappa_1 beyond 1e12, or exactly singular), SpectralOverflow the
+    first where e^{+-i xi} or the answer is not a finite float.
     """
     xi = np.asarray(xi, dtype=complex)
     _, resid, cond = _resolve(cs, xi.reshape(-1), f, int(window[0]), int(window[1]))

@@ -52,10 +52,20 @@ class ScatteringMatrix:
         return np.stack([np.stack(row, -1) for row in rows], -2)
 
     def unitarity_residual(self):
-        """max |S* S - I| entrywise, a float or an array over xi."""
-        s = self.matrix
-        gram = np.swapaxes(s.conj(), -1, -2) @ s - np.eye(2)
-        return np.max(np.abs(gram), axis=(-2, -1))[()]
+        """max |S* S - I| entrywise, a float or an array over xi.
+
+        The Gram entries are written out in real arithmetic, each |z|^2 as
+        re^2 + im^2, so no BLAS kernel rounds them.
+        """
+        (tmr, tmi), (tpr, tpi), (rmr, rmi), (rpr, rpi) = (
+            (np.real(z), np.imag(z)) for z in (self.t_minus, self.t_plus, self.r_minus, self.r_plus)
+        )
+        g00 = tmr * tmr + tmi * tmi + (rpr * rpr + rpi * rpi) - 1
+        g11 = rmr * rmr + rmi * rmi + (tpr * tpr + tpi * tpi) - 1
+        # g01 = conj(t-) r- + conj(r+) t+
+        re01 = tmr * rmr + tmi * rmi + (rpr * tpr + rpi * tpi)
+        im01 = tmr * rmi - tmi * rmr + (rpr * tpi - rpi * tpr)
+        return np.maximum(np.maximum(np.abs(g00), np.abs(g11)), np.hypot(re01, im01))[()]
 
 
 # log(0) at a pole is the pole test's -inf; values past the float range are

@@ -142,6 +142,13 @@ def _rescaled_norms(amps: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore")
+def _vector_norm(v: np.ndarray) -> float:
+    """np.linalg.norm(v) of a complex array, rescaled (_rescaled_norms) where its squares overflow."""
+    plain = float(np.linalg.norm(v))
+    return plain if plain < math.inf else float(_rescaled_norms(v[None])[0])
+
+
+@np.errstate(over="ignore")
 def _window_norms(rows: np.ndarray) -> np.ndarray:
     """WaveState(0, rows[i]).norm() for each i, bit for bit, in one pass.
 

@@ -279,7 +279,7 @@ def _placed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return k4.reshape(2 * n, 2 * n)
 
 
-def _parity_eig(a: np.ndarray, b: np.ndarray, k: np.ndarray | None = None):
+def _parity_eig(a: np.ndarray, b: np.ndarray, k: np.ndarray | None = None, ba: np.ndarray | None = None):
     """K's eigenvalues, and given K its eigenvectors, from one eigensolve.
 
     Every resonance comes from here: find_resonances reads the eigenvalues
@@ -296,10 +296,12 @@ def _parity_eig(a: np.ndarray, b: np.ndarray, k: np.ndarray | None = None):
     BA u = mu u, then the witnesses.  Any other zero or near-zero mu leaves
     its two columns (nearly) parallel or zero, which shows in the
     conditioning of the matrix, not as an error.  Without k, stacked blocks
-    give stacked eigenvalues from one product and eigvals call.
+    give stacked eigenvalues from one product and eigvals call.  ba, if
+    given, is that product b @ a, formed by a caller that needs it too.
     """
     n = (a.shape[-2] + b.shape[-2]) // 2  # the sites 0..n0
-    mu, u = np.linalg.eig(b @ a) if k is not None else (np.linalg.eigvals(b @ a), None)
+    ba = b @ a if ba is None else ba
+    mu, u = np.linalg.eig(ba) if k is not None else (np.linalg.eigvals(ba), None)
     # for n0 odd (n even) the witness at site n0 is BA's exact zero
     keep = slice(None)
     if n % 2 == 0:

@@ -145,6 +145,26 @@ def test_scattering_csv(capsys, hadamard_cfg):
         assert cells[4] < 1e-10
 
 
+@pytest.mark.parametrize(
+    "grid, digest",
+    [
+        ("--xi-grid=-3.0:3.0:41,0.0", "a09dc5758417d69266aa82864d2522f993fc8605ca0768b9fef340d78caa0b30"),
+        ("--xi-grid=-3.0:3.0:41,-0.1", "1b9c9985e984d15f9fbd8843bfcf34169173457c8e73cef2ad7e183714cb4ad1"),
+    ],
+    ids=["real-axis", "below-axis"],
+)
+def test_scattering_bytes_hold_on_every_blas_kernel(capsys, triple_cfg, grid, digest):
+    # the transfer kernel and the Wronskian ratios make no BLAS call, and
+    # the unitarity residual's Gram entries are written out in real
+    # arithmetic, so these bytes hold on every OpenBLAS kernel (recorded on
+    # x86-64 with numpy 2.4, default kernel and Prescott).  They do not hold
+    # on numpy's baseline SIMD loops, whose complex products in the transfer
+    # kernel round |t-|^2 differently from the AVX-512 ones
+    code, out, _ = run(capsys, "scattering", "--config", triple_cfg, grid)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_evolve_writes_two_streams(tmp_path, capsys, hadamard_cfg):
     out_path = tmp_path / "traj.csv"
     code, out, _ = run(
@@ -576,6 +596,23 @@ def test_expand_json(capsys, hadamard_cfg):
     assert len(parsed["blocks"]) == 2
     for b in parsed["blocks"]:
         assert abs(complex(*b["coefficients"][0])) == pytest.approx(2**-0.5, abs=1e-12)
+
+
+def test_expand_past_overflow_of_the_squares(tmp_path, capsys):
+    # from 1e200 the squares of the window vector and of the expansion's
+    # residual overflow; the norms behind zero_coefficient_norm and the
+    # residual check are rescaled, so expand answers with finite numbers
+    cfg_path = tmp_path / "big.json"
+    cfg_path.write_text(json.dumps(dict(HADAMARD_CFG, psi0=[{"n": 0, "L": [1e200, 0.0]}])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "expand", "--config", str(cfg_path))
+    assert code == 0 and err == ""
+    parsed = json.loads(out)
+    assert math.isfinite(parsed["zero_coefficient_norm"])
+    assert parsed["zero_coefficient_norm"] < 1e-12 * 1e200
+    for b in parsed["blocks"]:
+        assert abs(complex(*b["coefficients"][0])) == pytest.approx(2**-0.5 * 1e200, rel=1e-12)
 
 
 def test_resolvent_check_csv(capsys, hadamard_cfg):

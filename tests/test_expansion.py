@@ -14,6 +14,7 @@ from qwres import (
     A3Violated,
     AllZeroTail,
     CoinSequence,
+    InvariantViolation,
     QWResError,
     UnsupportedN0,
     WindowOutsideCone,
@@ -34,6 +35,7 @@ from qwres import (
     rotation_coin,
     survival_norm,
     window_vector,
+    WaveState,
 )
 
 S = 2.0 ** -0.5
@@ -82,6 +84,26 @@ def test_expand_counts_incoming_tail():
     assert ed.nu == incoming_length(psi0, 1) == 3
 
 
+def test_expansion_residual_check_binds_past_overflow_of_the_squares(monkeypatch):
+    # at psi0 = 1e200 the residual's squares overflow; a plain norm would
+    # read inf against an inf bound and pass any coefficients, the rescaled
+    # one refuses a coefficient off by relative 1e-6
+    cs = hadamard_pair()
+    psi0 = WaveState(0, np.array([[1e200, 0.0]], dtype=complex))
+    ed = expand(cs, psi0)
+    assert all(math.isfinite(abs(c)) for b in ed.blocks for c in b.coefficients)
+    real = np.linalg.lstsq
+
+    def perturbed(a, b, rcond=None):
+        coef, *rest = real(a, b, rcond=rcond)
+        coef[0] *= 1 + 1e-6
+        return (coef, *rest)
+
+    monkeypatch.setattr(np.linalg, "lstsq", perturbed)
+    with pytest.raises(InvariantViolation, match="expansion basis missed the state"):
+        expand(cs, psi0)
+
+
 def test_expand_builds_K_once(monkeypatch):
     # one K and one eigensolve of its parity product BA, of size
     # 2 floor((n0 + 1) / 2), serve the dense cross-check, the chains and the
@@ -91,9 +113,10 @@ def test_expand_builds_K_once(monkeypatch):
     # too (find_resonances's as a stack of one), and no eigensolve of K's
     # own size 2 (n0 + 1) runs at all; each call is counted by its matrix
     # size.  A
-    # dense K is placed (walk._placed) from one write of the parity blocks:
-    # once for the spectral record, once for the resolvent, never for
-    # find_resonances; none of them goes through build_K
+    # dense K is placed (walk._placed) from one write of the parity blocks,
+    # once for the spectral record and never for find_resonances or the
+    # resolvent, which solves through the parity blocks; none of them goes
+    # through build_K
     calls = []
     for name in ("build_K", "_placed"):
         real = getattr(qwres.walk, name)
@@ -130,7 +153,7 @@ def test_expand_builds_K_once(monkeypatch):
         assert calls == [("eigvals", half)]
         calls.clear()
         identity_residual(cs, np.linspace(-3, 3, 7) + 0.5j, basis_state(0, "L"), (-2, cs.n0 + 2))
-        assert calls == [("_placed", dim), ("eigvals", half)]
+        assert calls == [("eigvals", half)]
         calls.clear()
         qwres.walk.build_K(cs)
         assert calls == [("_placed", dim), ("build_K", dim)]
