@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import warnings
 
@@ -16,8 +17,10 @@ from qwres import (
     find_resonances,
     identity_residual,
     neumann_resolvent,
+    sequence_to_json,
     step,
 )
+from qwres import cli, resolvent
 from qwres.walk import _parity_blocks, _parity_eig
 
 
@@ -231,6 +234,77 @@ def test_overflowing_sums_are_refused():
             apply_resolvent(cs, 0.3 + 800j, f, (-2, 3))
         resid, _ = identity_residual(cs, 0.3 + 0.5j, f, (-2, 3))
         assert resid < 1e-10
+
+
+def _forced(monkeypatch, shares, points, n0):
+    """Cut every later call's grid of this many points into this many stacks."""
+    step = -(-points // shares)
+    monkeypatch.setattr(resolvent, "_STACK_ENTRIES", step * (2 * (n0 + 1)) ** 2)
+
+
+@pytest.mark.parametrize("points", [75, 300])
+@pytest.mark.parametrize("n0", [3, 5, 8, 12, 16])
+def test_split_window_solves_are_the_one_share_ones_bit_for_bit(
+    monkeypatch, tmp_path, capsys, n0, points
+):
+    # a grid cut into one, two or three stacks gives the same bits: every
+    # product runs per point over the leading axis, so a point's numbers do
+    # not depend on how many others share its stack
+    rng = np.random.default_rng(n0)
+    cs = random_sequence(rng, n0)
+    f = random_state(rng, n0, 3)
+    xi = np.linspace(-3.1, 3.1, points) + 0.5j
+    cfg = tmp_path / "walk.json"
+    cfg.write_text(json.dumps(sequence_to_json(cs)))
+    grid = f"--xi-grid=-3.1:3.1:{points},0.5"
+    argv = ["resolvent-check", "--config", str(cfg), grid, "--window", "4"]
+    stacks = []
+    real = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: stacks.append(len(a)) or real(a, b))
+    got = {}
+    for shares in (1, 2, 3):
+        _forced(monkeypatch, shares, points, n0)
+        stacks.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            resid, cond = identity_residual(cs, xi, f, (-4, n0 + 4))
+            assert len(stacks) == shares and sum(stacks) == points
+            assert cli.main(argv) == 0
+        got[shares] = resid.tobytes(), cond.tobytes(), capsys.readouterr().out
+    assert got[1] == got[2] == got[3]
+
+
+def test_split_refusal_is_the_one_share_one(monkeypatch):
+    # a refused point behind a clean stack, one ahead of a clean stack, and
+    # one in each stack: the message names the first in grid order, as the
+    # one-stack call does, only the stacks wholly before it are solved, and
+    # no stack holding a refused point is
+    cs = triple_barrier()
+    xi = find_resonances(cs)[0].xi
+    f = basis_state(0, "L")
+    a, b = _parity_blocks(cs)
+    solved = []
+    real = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda s, r: solved.extend(s[:, 0, 0]) or real(s, r))
+    for bad in ([250], [40], [260, 40], [140, 150]):
+        grid = xi + 0.5 + np.linspace(0, 1, 300)
+        grid[bad] = xi + 1e-7
+        lam = np.exp(-1j * grid)
+        refused = set((lam * lam - (b @ a)[0, 0])[bad])  # the diagonal of S = lam^2 - BA
+        messages = []
+        for shares in (1, 2):
+            _forced(monkeypatch, shares, len(grid), cs.n0)
+            solved.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(AtResonance, match="condition number") as exc:
+                    identity_residual(cs, grid, f, (-3, 5))
+            messages.append(str(exc.value))
+            assert refused.isdisjoint(solved)
+        assert messages[0] == messages[1] and str(complex(grid[min(bad)])) in messages[0]
+        # of the two stacks [0, 150) and [150, 300), the first was solved in
+        # full when the first refused point lies in the second
+        assert len(solved) == (150 if min(bad) >= 150 else 0)
 
 
 @pytest.mark.parametrize("n0", [1, 2, 3, 8, 16, 32])
