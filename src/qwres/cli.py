@@ -45,7 +45,7 @@ from .genericity import PerturbationFamily, splitting_experiment, splitting_slop
 from .resolvent import identity_residual, neumann_resolvent, apply_resolvent
 from .resonances import find_resonances, resonant_chain, validate_multiplicity
 from .scattering import scattering_matrix
-from .states import _vector_norm, _window_norms, basis_state, incoming_length, state_from_json, state_to_json
+from .states import _norms, _window_norms, basis_state, incoming_length, state_from_json, state_to_json
 from .transfer import transfer_polynomial
 from .walk import _window_blocks, _window_survival, build_K, evolve, norm_defect
 
@@ -283,7 +283,7 @@ def _cmd_expand(args):
     cs, psi0 = _load_config(args.config)
     psi0 = _default_psi0(psi0)
     ed = expand(cs, psi0)
-    zero_norm = _vector_norm(np.array(ed.zero_coefficients)) if ed.zero_coefficients else 0.0
+    zero_norm = float(_norms(np.array([ed.zero_coefficients], dtype=complex))[0])
     blocks = [
         {"xi": b.resonance.xi, "lambda": b.resonance.lam,
          "multiplicity": b.resonance.alg_multiplicity, "coefficients": b.coefficients}

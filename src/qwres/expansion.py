@@ -20,6 +20,7 @@ functional gamma and as the resulting bound constant.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -35,7 +36,7 @@ from .resonances import (
     _window_chains,
     strip_pair,
 )
-from .states import WaveState, _vector_norm, incoming_length, window_vector
+from .states import WaveState, _norms, incoming_length, window_vector
 from .walk import _window_blocks
 
 __all__ = [
@@ -141,11 +142,9 @@ def expand(cs: CoinSequence, psi0: WaveState) -> ExpansionData:
     zero_basis = [vh[dim - 1 - i].conj() for i in range(zdim)]
     basis = np.column_stack(cols + zero_basis)
     coef, *_ = np.linalg.lstsq(basis, x, rcond=None)
-    resid = _vector_norm(basis @ coef - x)
-    if resid > 1e-9 * max(1.0, _vector_norm(x)):
-        raise InvariantViolation(
-            f"expansion basis missed the state by {resid:.2e}"
-        )
+    resid, size = _norms(np.array([basis @ coef - x, x]))
+    if not resid <= 1e-9 * size:
+        raise InvariantViolation(f"expansion basis missed the state by {resid:.2e}, above 1e-9 |x| = {1e-9 * size:.2e}")
     blocks = []
     pos = 0
     for r in resonances:
@@ -254,8 +253,10 @@ def double_barrier_closed_form(cs: CoinSequence):
     """Resonances and expansion coefficients of an n0 = 1 walk, in closed form.
 
     Returns (resonances, gamma, states).  resonances is the strip pair at
-    mu = c_0 b_1; writing lambda for the eigenvalue of the first of them,
-    states are the two resonant states restricted to the window,
+    mu = c_0 b_1, with Im xi = log |lambda| taken from |mu|^2 =
+    (1 - |a_0|^2)(1 - |a_1|^2) through log1p: a width read off the rounded
+    mu would carry an error of about eps / width.  Writing lambda = e^{-i xi}
+    for the first of them, states are the two resonant states on the window,
 
         phi_plus  = (+b_1, 0) at site 0, (0, lambda) at site 1,
         phi_minus = (-b_1, 0) at site 0, (0, lambda) at site 1,
@@ -275,9 +276,10 @@ def double_barrier_closed_form(cs: CoinSequence):
     u1 = cs.coin_at(1)
     if abs(u0.b) <= 1e-14 or abs(u1.b) <= 1e-14:
         raise A3Violated("closed form needs |b_0| and |b_1| bounded away from zero")
-    mu = u0.c * u1.b
-    pair = strip_pair(mu, 1)
-    lam = pair[0].lam
+    re_xi = strip_pair(u0.c * u1.b, 1)[0].xi.real
+    xi = complex(re_xi, (math.log1p(-abs(u0.a) ** 2) + math.log1p(-abs(u1.a) ** 2)) / 4)
+    lam = cmath.exp(-1j * xi)
+    pair = (Resonance(xi, lam, lam * lam, 1), Resonance(xi + math.pi, -lam, lam * lam, 1))
 
     def gamma(psi0: WaveState):
         if not psi0.is_zero() and (psi0.support_lo < 0 or psi0.support_hi > 1):

@@ -55,7 +55,7 @@ from .errors import (
     InvariantViolation,
     SpectralOverflow,
 )
-from .states import WaveState
+from .states import WaveState, _norms
 from .transfer import _horner, _refuse_overflow, _transfer_entries, _transfer_polynomials
 from .walk import _parity_blocks, _parity_eig, _placed, _sweep, _walk
 
@@ -530,11 +530,7 @@ def resonant_chain(cs: CoinSequence, res: Resonance, N: int) -> JordanChainState
         raise SpectralOverflow(
             f"resonant states on [{-N}, {n0 + N}] at xi={res.xi} leave the float range"
         )
-    # scaled by the largest amplitude, the norms cannot overflow, as their
-    # squares do once amplitudes pass about 1e154
-    top = max(float(np.max(np.abs(inner))), 1.0)
-    scales = np.maximum(np.linalg.norm(inner / top, axis=1), 1.0 / top)
-    _check_links(np.linalg.norm(resid / top, axis=1), scales, "chain relation")
+    _check_links(_norms(resid), np.maximum(_norms(inner), 1.0), "chain relation")
 
     states = tuple(WaveState(-N, a) for a in amps)
     return JordanChainStates(res, states, N)

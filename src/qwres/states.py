@@ -12,7 +12,6 @@ the perturbed sites ``0..n0`` and orders the entries as
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,18 +79,9 @@ class WaveState:
             return self.amplitudes[k].copy()
         return np.zeros(2, dtype=complex)
 
-    @np.errstate(over="ignore")
     def norm(self) -> float:
-        """l2 norm, rescaled first where the squares underflow or overflow.
-
-        The squares are summed elementwise: a BLAS dot product would round
-        differently on each kernel OpenBLAS picks at run time.
-        """
-        parts = self.amplitudes.reshape(-1).view(float)
-        plain = math.sqrt(np.add.reduce(parts * parts))
-        if 1e-150 <= plain < math.inf or self.is_zero():
-            return plain
-        return float(_rescaled_norms(self.amplitudes[None])[0])
+        """l2 norm, by the one norm rule (_norms)."""
+        return float(_norms(self.amplitudes[None])[0])
 
     def restrict(self, lo: int, hi: int) -> "WaveState":
         """Zero out everything outside sites [lo, hi]."""
@@ -128,27 +118,29 @@ class WaveState:
     __rmul__ = __mul__
 
 
-def _rescaled_norms(amps: np.ndarray) -> np.ndarray:
-    """Norms of the nonzero amps[i], shape (k, N, 2), whose squares underflow or overflow.
+@np.errstate(over="ignore")
+def _norms(amps: np.ndarray) -> np.ndarray:
+    """l2 norms of the rows amps[i] of a contiguous complex stack (k, ...): the one norm rule.
 
-    Each is scaled by its top modulus first, dividing the float parts:
-    complex division forms 1/top, inf for a subnormal top.  A row whose
-    top modulus is inf is left unscaled, so its norm stays inf.
+    The squares of the float parts are summed elementwise: a BLAS dot
+    product would round differently on each kernel OpenBLAS picks at run
+    time.  Where a plain norm is below 1e-150 or not finite its squares
+    may have underflowed or overflowed, and the row is scaled by its top
+    modulus first, dividing the float parts: complex division forms 1/top,
+    inf for a subnormal top.  A row whose top modulus is inf is left
+    unscaled, so its norm stays inf; a zero row has norm 0.
     """
-    top = np.abs(amps).reshape(len(amps), -1).max(axis=1)
-    top[top == np.inf] = 1.0
-    parts = amps.reshape(len(amps), -1).view(float) / top[:, None]
-    return top * np.sqrt(np.add.reduce(parts * parts, axis=1))
+    parts = amps.reshape(len(amps), -1).view(float)
+    norms = np.sqrt(np.add.reduce(parts * parts, axis=1))
+    rescale = ~(norms >= 1e-150) | (norms == np.inf)
+    if rescale.any():
+        top = np.abs(parts[rescale].view(complex)).max(axis=1, initial=0.0)
+        top[(top == 0) | (top == np.inf)] = 1.0
+        scaled = parts[rescale] / top[:, None]
+        norms[rescale] = top * np.sqrt(np.add.reduce(scaled * scaled, axis=1))
+    return norms
 
 
-@np.errstate(over="ignore")
-def _vector_norm(v: np.ndarray) -> float:
-    """np.linalg.norm(v) of a complex array, rescaled (_rescaled_norms) where its squares overflow."""
-    plain = float(np.linalg.norm(v))
-    return plain if plain < math.inf else float(_rescaled_norms(v[None])[0])
-
-
-@np.errstate(over="ignore")
 def _window_norms(rows: np.ndarray) -> np.ndarray:
     """WaveState(0, rows[i]).norm() for each i, bit for bit, in one pass.
 
@@ -166,13 +158,7 @@ def _window_norms(rows: np.ndarray) -> np.ndarray:
     norms = np.zeros(len(rows))
     for k in np.unique(key[key >= 0]).tolist():
         sel = np.nonzero(key == k)[0]
-        amps = rows[sel, k // n : k % n + 1]
-        parts = amps.reshape(len(sel), -1).view(float)
-        plain = np.sqrt(np.add.reduce(parts * parts, axis=1))
-        rescale = (plain < 1e-150) | (plain == np.inf)
-        if rescale.any():
-            plain[rescale] = _rescaled_norms(amps[rescale])
-        norms[sel] = plain
+        norms[sel] = _norms(rows[sel, k // n : k % n + 1])
     return norms
 
 

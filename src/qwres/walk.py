@@ -32,8 +32,8 @@ from __future__ import annotations
 import numpy as np
 
 from .coins import CoinSequence, _tables
-from .errors import UnsupportedN0
-from .states import WaveState, _window_norms, window_vector
+from .errors import SpectralOverflow, UnsupportedN0
+from .states import WaveState, _norms, _window_norms, window_vector
 
 __all__ = [
     "step",
@@ -132,6 +132,9 @@ def _window_blocks(psi0: WaveState, cs: CoinSequence, T: int):
     nonzero left of the window (and one right of it) every site a step
     reads is on the support; otherwise the window row and the amplitudes
     at -1 and n0 + 1 say where the support starts (ends).
+
+    An amplitude that leaves the float range raises SpectralOverflow,
+    naming the step and the site, before its block is yielded.
     """
     if T < 0:
         raise ValueError(f"T must be nonnegative, got {T}")
@@ -158,39 +161,48 @@ def _window_blocks(psi0: WaveState, cs: CoinSequence, T: int):
     moving_l, moving_r = sites[amps[:, 0] != 0], sites[amps[:, 1] != 0]
     bare_l = T if (moving_l < 0).any() else -moving_r.min(initial=0)
     bare_r = T if (moving_r > n0).any() else moving_l.max(initial=n0) - n0
-    first = i = 0
-    for t in range(1, T + 1):
-        src, row = views[i], views[i + 1]
-        # L leaves through site -1 and R through n0 + 1 for good
-        _coin(c1, c2, xs[i], outs[i + 1])
-        row[-1] = in_l = from_l.get(t, 0)
-        row[n0 + 1] = in_r = from_r.get(t, 0)
-        if t > bare_l or t > bare_r:
-            on = src[1:] != 0
-            nonzero = np.flatnonzero(on[: n0 + 1] | on[: n0 + 1 : -1])
-            # zeroing an edge slot only rewrites a zero: the coins read
-            # zeros where the support is not
-            if t > bare_l:
-                start = nonzero[0] if nonzero.size else n0 + 1 if src[n0 + 2] or in_r else n0 + 2
-                row[max(2 * n0 + 3 - start, n0 + 2) :] = 0
-                row[:start] = 0
-            if t > bare_r:
-                end = nonzero[-1] if nonzero.size else -1 if src[0] or in_l else -2
-                row[max(end + 1, 0) : n0 + 2] = 0
-                row[n0 + 2 : 2 * n0 + 2 - end] = 0
-        if bare_l < T or bare_r < T:
-            if row[0]:
-                bare_l = T
-            if row[n0 + 2]:
-                bare_r = T
-        i += 1
-        if i == len(block) - 1 or t == T:
-            done = slice(first, i + 1)
-            rows[done, : n0 + 2, 0] = block[done, : n0 + 2]
-            rows[done, :0:-1, 1] = block[done, n0 + 2 :]
-            yield rows[done]
-            # the last row is the next block's row 0, already yielded
-            block[0], first, i = block[i], 1, 0
+    first = t = 0
+    while t < T:
+        steps = min(len(block) - 1, T - t)
+        # one errstate a block, not spanning the yield (the consumer would run
+        # under it): an amplitude past the float range is refused, not warned
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(steps):
+                t += 1
+                src, row = views[i], views[i + 1]
+                # L leaves through site -1 and R through n0 + 1 for good
+                _coin(c1, c2, xs[i], outs[i + 1])
+                row[-1] = in_l = from_l.get(t, 0)
+                row[n0 + 1] = in_r = from_r.get(t, 0)
+                if t > bare_l or t > bare_r:
+                    on = src[1:] != 0
+                    nonzero = np.flatnonzero(on[: n0 + 1] | on[: n0 + 1 : -1])
+                    # zeroing an edge slot only rewrites a zero: the coins read
+                    # zeros where the support is not
+                    if t > bare_l:
+                        start = nonzero[0] if nonzero.size else n0 + 1 if src[n0 + 2] or in_r else n0 + 2
+                        row[max(2 * n0 + 3 - start, n0 + 2) :] = 0
+                        row[:start] = 0
+                    if t > bare_r:
+                        end = nonzero[-1] if nonzero.size else -1 if src[0] or in_l else -2
+                        row[max(end + 1, 0) : n0 + 2] = 0
+                        row[n0 + 2 : 2 * n0 + 2 - end] = 0
+                if bare_l < T or bare_r < T:
+                    if row[0]:
+                        bare_l = T
+                    if row[n0 + 2]:
+                        bare_r = T
+        done = slice(first, steps + 1)
+        rows[done, : n0 + 2, 0] = block[done, : n0 + 2]
+        rows[done, :0:-1, 1] = block[done, n0 + 2 :]
+        if not np.isfinite(rows[done]).all():
+            k, site, c = np.argwhere(~np.isfinite(rows[done]))[0].tolist()
+            raise SpectralOverflow(
+                f"the {'LR'[c]} amplitude at site {site - 1} leaves the float range at t={t - steps + first + k}"
+            )
+        yield rows[done]
+        # the last row is the next block's row 0, already yielded
+        block[0], first = block[steps], 1
 
 
 def evolve(psi0: WaveState, cs: CoinSequence, T: int) -> list[WaveState]:
@@ -367,6 +379,5 @@ def norm_defect(cs: CoinSequence, v: np.ndarray) -> float:
     k = build_K(cs)
     _, out = _walk(cs, 0, v.reshape(-1, 2))
     left, right = out[0, 0], out[-1, 1]
-    total = np.linalg.norm(v) ** 2
-    kept = np.linalg.norm(k @ v) ** 2
+    total, kept = _norms(np.array([v, k @ v])) ** 2
     return float(abs(total - kept - abs(left) ** 2 - abs(right) ** 2))

@@ -7,15 +7,19 @@ draws from one rng, which fixtures make awkward.  The worked examples
 from conftest along with the other helpers.
 """
 
+import math
+
 import numpy as np
 
 from qwres import (
+    CoinSequence,
     WaveState,
     basis_state,
     haar_coin,
     hadamard_pair,
     random_sequence,
     triple_barrier,
+    validate_coin,
 )
 
 
@@ -43,6 +47,22 @@ def window_state(rng, n0):
     amp = rng.normal(size=(n0 + 1, 2)) + 1j * rng.normal(size=(n0 + 1, 2))
     psi = WaveState(0, amp)
     return (1.0 / psi.norm()) * psi
+
+
+def thin_pair(rng, t):
+    """An n0 = 1 walk of two thin coins whose transmission amplitudes lie within a factor 2 of t.
+
+    A thin coin has a = d = t e^{i phi} and b = -c = sqrt(1 - t^2) e^{i phi}:
+    a nearly reflecting barrier.  Two of them trap a resonance of width
+    about t^2.
+    """
+    coins = []
+    for _ in range(2):
+        t_i = t * 2.0 ** rng.uniform(-1, 1)
+        phase = np.exp(1j * rng.uniform(-math.pi, math.pi))
+        a, b = t_i * phase, math.sqrt(1 - t_i * t_i) * phase
+        coins.append(validate_coin([[a, b], [-b, a]]))
+    return CoinSequence(1, tuple(coins))
 
 
 def delta0L():

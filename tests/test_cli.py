@@ -22,6 +22,7 @@ from qwres import (
 )
 from qwres.cli import main
 from qwres.walk import BLOCK, _states
+from test_expansion import identity_at_site_0
 
 HADAMARD_CFG = {
     "n0": 1,
@@ -354,6 +355,31 @@ def test_survival_past_overflow_of_the_squares(tmp_path, capsys):
     assert code == 0 and both.endswith("\n" + out)
 
 
+def test_window_walk_past_the_float_range_exits_35(tmp_path, capsys):
+    # (a + b) 1.7e308 / sqrt(2) overflows in the coin at site 0 on the first
+    # step; evolve, survival and the fit refuse it with the step and the
+    # site, print nothing and leak no warning.  A huge amplitude that moves
+    # away from the window never reaches the coins: its survival is that of
+    # the rest of psi0 alone
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(dict(HADAMARD_CFG, psi0=[{"n": 0, "L": [1.7e308, 0.0], "R": [1.7e308, 0.0]}])))
+    away = tmp_path / "away.json"
+    away.write_text(json.dumps(dict(HADAMARD_CFG, psi0=[{"n": -5, "L": [1.7e308, 0.0]}, {"n": 0, "L": [1.0, 0.0]}])))
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps(HADAMARD_CFG))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (["evolve"], ["survival"], ["survival", "--fit"]):
+            code, out, err = run(capsys, *argv, "--config", str(huge), "--T", "40")
+            assert code == 35 and out == ""
+            assert err == "error: SpectralOverflow: the L amplitude at site -1 leaves the float range at t=1\n"
+        code, out, _ = run(capsys, "evolve", "--config", str(away), "--T", "40")
+        assert code == 0 and "\n40,-45,L,1.6999999999999999e+308,0\n" in out
+        code, out, _ = run(capsys, "survival", "--config", str(away), "--T", "40", "--fit")
+    assert code == 0
+    assert run(capsys, "survival", "--config", str(plain), "--T", "40", "--fit") == (0, out, "")
+
+
 def test_survival_keeps_only_the_current_state(tmp_path, capsys, hadamard_cfg):
     # holding the whole trajectory of T = 2000 steps takes over 100 MB, and
     # holding every window row of a Haar window of n0 = 32 for T = 10000
@@ -615,6 +641,26 @@ def test_expand_past_overflow_of_the_squares(tmp_path, capsys):
         assert abs(complex(*b["coefficients"][0])) == pytest.approx(2**-0.5 * 1e200, rel=1e-12)
 
 
+def test_expand_zero_coefficient_norm_past_underflow_of_the_squares(tmp_path, capsys):
+    # with the identity coin at site 0, K has a nilpotent block of index 3
+    # and psi0 a zero part; scaled by 1e-200 its coefficients' squares
+    # underflow, and the norm, rescaled, scales with psi0
+    cs = identity_at_site_0(0)[0]
+    psi0 = [{"n": 1, "L": [0.6, 0.1], "R": [0.3, 0.0]}, {"n": 2, "L": [0.2, 0.0]}]
+    norms = []
+    for s in (1.0, 1e-200):
+        scaled = [{k: v if k == "n" else [s * x for x in v] for k, v in e.items()} for e in psi0]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(sequence_to_json(cs), psi0=scaled)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(capsys, "expand", "--config", str(cfg_path))
+        assert code == 0
+        norms.append(json.loads(out)["zero_coefficient_norm"])
+    assert norms[0] > 0.1
+    assert abs(norms[1] / (1e-200 * norms[0]) - 1) < 1e-12
+
+
 def test_resolvent_check_csv(capsys, hadamard_cfg):
     code, out, _ = run(
         capsys,
@@ -732,6 +778,14 @@ def test_bad_json_exits_3(tmp_path, capsys):
     code, _, err = run(capsys, "resonances", "--config", str(bad))
     assert code == 3
     assert "line" in err
+
+
+def test_config_that_is_not_an_object_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "list.json"
+    cfg.write_text(json.dumps([{"n0": 0, "coins": [{"rotation": 0.5}]}]))
+    code, out, err = run(capsys, "validate", "--config", str(cfg))
+    assert code == 3 and out == ""
+    assert err == f"error: ConfigParse: {cfg}: top level must be a JSON object\n"
 
 
 def test_wrong_coin_count_exits_3(tmp_path, capsys):
@@ -922,6 +976,9 @@ def test_split_without_multiple_resonance_exits_52(capsys, hadamard_cfg):
         (("scattering", "--xi-grid=-1e308:1e308:3,0"), "--xi-grid"),
         (("split", "--phi", "nan"), "--phi"),
         (("split", "--phi", "inf"), "--phi"),
+        (("scattering", "--xi-grid=0:1:0,0"), "--xi-grid"),
+        (("split", "--phi", "north"), "--phi"),
+        (("split", "--eps", "1e-3,x,1e-4"), "--eps"),
     ],
     ids=[
         "one-eps",
@@ -933,6 +990,9 @@ def test_split_without_multiple_resonance_exits_52(capsys, hadamard_cfg):
         "overflowing-grid",
         "nan-phi",
         "inf-phi",
+        "empty-grid",
+        "word-phi",
+        "word-eps",
     ],
 )
 def test_rejected_arguments_exit_2(capsys, triple_cfg, argv, flag):

@@ -7,6 +7,7 @@ import pytest
 from conftest import haar_coin
 from qwres import (
     A2Violated,
+    Coin,
     CoinSequence,
     ConfigParse,
     ConstraintViolated,
@@ -169,6 +170,15 @@ def test_pqtheta_round_trip_on_random_coins():
         assert abs(abs(x.p) ** 2 - abs(x.q) ** 2 - 1.0) < max(1e-10, 16 * np.spacing(abs(x.p) ** 2))
         back = pqtheta_to_S(x)
         np.testing.assert_allclose(back.matrix, c.matrix, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("a", [0j, 1e-14 + 0j, 7e-15j])
+def test_coin_to_pqtheta_refuses_vanishing_a(a):
+    # the chart divides by a: a coin with |a| <= 1e-14, built entrywise
+    # past validate_coin, is refused rather than mapped to inf
+    b = math.sqrt(1 - abs(a) ** 2)
+    with pytest.raises(A2Violated, match="below 1e-14"):
+        coin_to_pqtheta(Coin(a, b, -b, a))
 
 
 def test_transfer_factor_equals_hyperbolic_image():

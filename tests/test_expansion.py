@@ -9,7 +9,7 @@ import qwres.expansion
 import qwres.resonances
 import qwres.walk
 
-from conftest import hadamard_pair, random_sequence, random_state, triple_barrier
+from conftest import hadamard_pair, random_sequence, random_state, thin_pair, triple_barrier
 from qwres import (
     A3Violated,
     AllZeroTail,
@@ -85,13 +85,12 @@ def test_expand_counts_incoming_tail():
 
 
 def test_expansion_residual_check_binds_past_overflow_of_the_squares(monkeypatch):
-    # at psi0 = 1e200 the residual's squares overflow; a plain norm would
-    # read inf against an inf bound and pass any coefficients, the rescaled
-    # one refuses a coefficient off by relative 1e-6
+    # the bound is relative to |x| at every scale: at psi0 = 1e200 the
+    # residual's squares overflow, and a plain norm would read inf against
+    # an inf bound; below |x| = 1 a bound of 1e-9 max(1, |x|) is absolute
+    # and passes any coefficients of a small enough state.  The rescaled,
+    # relative check refuses a coefficient off by relative 1e-6 at each
     cs = hadamard_pair()
-    psi0 = WaveState(0, np.array([[1e200, 0.0]], dtype=complex))
-    ed = expand(cs, psi0)
-    assert all(math.isfinite(abs(c)) for b in ed.blocks for c in b.coefficients)
     real = np.linalg.lstsq
 
     def perturbed(a, b, rcond=None):
@@ -99,9 +98,15 @@ def test_expansion_residual_check_binds_past_overflow_of_the_squares(monkeypatch
         coef[0] *= 1 + 1e-6
         return (coef, *rest)
 
-    monkeypatch.setattr(np.linalg, "lstsq", perturbed)
-    with pytest.raises(InvariantViolation, match="expansion basis missed the state"):
-        expand(cs, psi0)
+    for s in (1e200, 1e-3, 1e-200):
+        psi0 = WaveState(0, np.array([[s, 0.0]], dtype=complex))
+        ed = expand(cs, psi0)
+        for b in ed.blocks:
+            assert abs(b.coefficients[0]) == pytest.approx(S * s, rel=1e-12)
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "lstsq", perturbed)
+            with pytest.raises(InvariantViolation, match="expansion basis missed the state"):
+                expand(cs, psi0)
 
 
 def test_expand_builds_K_once(monkeypatch):
@@ -469,6 +474,22 @@ def test_double_barrier_closed_form_random():
             pred = (g[0] * lam**t) * phi_p + (g[1] * (-lam) ** t) * phi_m
             win = traj[t].restrict(0, 1)
             assert (win - pred).norm() < 1e-11 * max(win.norm(), 1e-20)
+
+
+def test_double_barrier_closed_form_takes_its_width_from_abs_a():
+    # for this thin pair the width 1 - |lambda|^2 is 1.3e-15; read off the
+    # rounded mu = c_0 b_1 it came out 0.1 off, taken from |a_0| and |a_1|
+    # it holds to 1e-13.  Below a width of about 2e-16, |lambda| rounds to 1
+    # and the strip invariant refuses the pair, as find_resonances does
+    cs = thin_pair(np.random.default_rng(2), 3e-8)
+    a0, a1 = abs(cs.coins[0].a), abs(cs.coins[1].a)
+    want = -math.expm1((math.log1p(-a0 * a0) + math.log1p(-a1 * a1)) / 2)
+    assert 1e-15 < want < 2e-15
+    pair, _, _ = double_barrier_closed_form(cs)
+    for r in pair:
+        assert abs(-math.expm1(2 * r.xi.imag) / want - 1) <= 1e-13
+    with pytest.raises(InvariantViolation):
+        double_barrier_closed_form(thin_pair(np.random.default_rng(0), 5e-9))
 
 
 def test_double_barrier_closed_form_requires_offdiagonal():

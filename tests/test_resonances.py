@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import hadamard_pair, random_sequence, triple_barrier
+from conftest import hadamard_pair, random_sequence, thin_pair, triple_barrier
 from test_expansion import _bits
 from test_transfer import _row_recursion
 import qwres.resonances
@@ -781,3 +781,22 @@ def test_family_names_the_first_walk_to_fail_at_any_stage():
             _resonance_family(walks)
         assert str(caught.value) == words[first]
     assert _bits(_resonance_family([ok, ok])[1]) == _bits(find_resonances(ok))
+
+
+def test_n0_1_width_contract_against_the_abs_a_closed_form():
+    # at n0 = 1 the resonance is mu = c_0 b_1 and, for a unitary pair,
+    # |mu|^2 = (1 - |a_0|^2)(1 - |a_1|^2): the width 1 - |lambda|^2 =
+    # -expm1(2 Im xi) follows from |a| with no cancellation.  Every returned
+    # width holds it to 1e-9 relative on Haar pairs and on thin pairs down to
+    # t = 1e-3 (widths near 1e-6); a width read off |lambda| carries an error
+    # of about eps / width, so thinner pairs are outside the contract
+    rng = np.random.default_rng(14)
+    pairs = [thin_pair(rng, t) for t in (1e-1, 1e-2, 1e-3) for _ in range(20)]
+    pairs += [random_sequence(rng, 1) for _ in range(50)]
+    for cs in pairs:
+        a0, a1 = abs(cs.coins[0].a), abs(cs.coins[1].a)
+        want = -math.expm1((math.log1p(-a0 * a0) + math.log1p(-a1 * a1)) / 2)
+        found = find_resonances(cs)
+        assert len(found) == 2
+        for r in found:
+            assert abs(-math.expm1(2 * r.xi.imag) / want - 1) <= 1e-9

@@ -36,6 +36,18 @@ def test_wavestate_zero_canonical():
     assert psi.norm() == 0.0
 
 
+@pytest.mark.parametrize("amps", [np.zeros(4), np.zeros((2, 3)), np.zeros((1, 2, 2))])
+def test_wavestate_refuses_rows_not_of_shape_n_by_2(amps):
+    with pytest.raises(ValueError, match="shape"):
+        WaveState(0, amps)
+
+
+@pytest.mark.parametrize("chirality", ["l", "LR", ""])
+def test_basis_state_refuses_an_unknown_chirality(chirality):
+    with pytest.raises(ValueError, match="chirality"):
+        basis_state(0, chirality)
+
+
 def test_wavestate_immutable():
     psi = basis_state(0, "L")
     with pytest.raises(ValueError):

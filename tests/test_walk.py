@@ -16,6 +16,7 @@ from qwres import (
     Coin,
     CoinSequence,
     QWResError,
+    SpectralOverflow,
     UnsupportedN0,
     WaveState,
     basis_state,
@@ -473,3 +474,19 @@ def test_window_stream_equals_the_trajectory_from_sparse_states():
                 _assert_same_stream(_window_states(psi0, cs, 40), want)
                 norms = survival_norm([psi for psi, *_ in want], cs.n0)
                 assert _window_survival(psi0, cs, 40) == norms
+
+
+def test_window_walk_names_the_step_and_site_past_the_float_range():
+    # an R of 1.7e308 from -601 and an L of 1.7e308 from 601, passed on by
+    # the identity coin at site 1, meet in the Hadamard coin at site 0 at
+    # t = 601; their sum leaves through site -1 at t = 602, in the second
+    # block of rows, which is refused before it is yielded, with no warning
+    cs = CoinSequence(1, (hadamard_coin(), identity_coin()))
+    amps = np.zeros((1203, 2), dtype=complex)
+    amps[0, 1] = amps[-1, 0] = 1.7e308
+    blocks = _window_blocks(WaveState(-601, amps), cs, 1500)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert len(next(blocks)) == BLOCK
+        with pytest.raises(SpectralOverflow, match=r"^the L amplitude at site -1 leaves the float range at t=602$"):
+            next(blocks)
