@@ -47,7 +47,7 @@ from .resonances import find_resonances, resonant_chain, validate_multiplicity
 from .scattering import scattering_matrix
 from .states import _norms, _window_norms, basis_state, incoming_length, state_from_json, state_to_json
 from .transfer import transfer_polynomial
-from .walk import _window_blocks, _window_survival, build_K, evolve, norm_defect
+from .walk import _finite_norms, _window_blocks, _window_survival, build_K, evolve, norm_defect
 
 __all__ = ["main"]
 
@@ -276,7 +276,7 @@ def _cmd_evolve(args):
             emit(prefix, r_tags[b + dt + 1 : hi + t + dt + 1], right[b + dr + 1 :])
             t += 1
     parts.append("\n")
-    return "".join(parts), _survival_csv(np.concatenate(norms).tolist())
+    return "".join(parts), _survival_csv(_finite_norms(np.concatenate(norms)))
 
 
 def _cmd_expand(args):

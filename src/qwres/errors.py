@@ -94,7 +94,7 @@ class ChainSolveFailed(QWResError):
 
 
 class SpectralOverflow(QWResError):
-    """e^{+-i xi}, a value computed from it, or a fitted decay constant is not a finite float."""
+    """e^{+-i xi}, a value from it, a walk amplitude or norm, or a fitted decay constant is not a finite float."""
 
     exit_code = 35
 

@@ -112,8 +112,8 @@ def expand(cs: CoinSequence, psi0: WaveState) -> ExpansionData:
 
     K, its eigenvalues and eigenvectors come from the walk's spectral record
     (resonances._spectrum, one eigensolve of K's parity product BA): its
-    eigenvalues give the resonances, polished and checked on the transfer
-    polynomial built before it as in find_resonances, and the chains are
+    eigenvalues give the resonances, witnessed on the transfer polynomial
+    built before it as in find_resonances, and the chains are
     resonances._window_chains', the ones resonant_chain extends, so
     reconstruct pairs each coefficient with its own chain vector; the
     certified simple ones, and their residuals, are read off the record

@@ -12,16 +12,17 @@ relation check, and its degree d counts the nonzero resonances.  The
 roots come from one eigensolve of the odd-site product BA of K's
 site-parity blocks (walk._parity_eig): its d largest eigenvalues
 mu = lambda^2 within 1e-6 max(1, |mu|) of each other chain into one
-cluster, whose size is the multiplicity and whose mean Newton polishes as
-a simple root of p^(m-1) until a step fails to halve the one before.  A
-polished root that left its cluster, an eigenvalue p does not account
-for, or a p with more roots than K has eigenvalue pairs is refused.  A
-family of walks of one n0, as a splitting experiment roots, takes each
-stage at once on a leading walk axis (_resonance_family): one polynomial
-recursion and relation-check pass, one eigvals call on the stacked BA,
-one polish per multiplicity, then clustering and the checks walk by
-walk; every walk gets its lone call's bits, and a refused family is
-rooted again walk by walk so that the first failure names the error.
+cluster, whose size is the multiplicity and whose mean is the root: p
+witnesses it, by one Newton step on p^(m-1) that must land near every
+member, and does not move it.  A root p does not witness, an eigenvalue
+p does not account for, or a p with more roots than K has eigenvalue
+pairs is refused.  A family of walks of one n0, as a splitting
+experiment roots, takes each stage at once on a leading walk axis
+(_resonance_family): one polynomial recursion and relation-check pass,
+one eigvals call on the stacked BA, one witness pass per multiplicity,
+then clustering and the checks walk by walk; every walk gets its lone
+call's bits, and a refused family is rooted again walk by walk so that
+the first failure names the error.
 
 Jordan chains.  Resonances are generically simple, so the chain at a
 resonance is usually one eigenvector of K.  _spectrum keeps one spectral
@@ -132,45 +133,23 @@ def _cluster(roots: np.ndarray) -> list[np.ndarray]:
     return clusters
 
 
-def _polish(coeffs: np.ndarray, x0: np.ndarray, m: int) -> np.ndarray:
-    """Refine m-fold roots of monic polynomials p as simple roots of p^(m-1).
+@np.errstate(over="ignore", invalid="ignore")
+def _witness(coeffs: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
+    """x less one Newton step q / q' on q = p^(m-1), nan where q' is 0 or the step not finite.
 
-    An m-fold cluster centroid is accurate to about eps^(1/m); the
-    derivative p^(m-1) has a simple root at the same point, where Newton is
-    well posed and recovers nearly full precision.  Row j of coeffs is the
-    p of entry j, lowest degree first, the rows zero-padded to one length
-    (Horner keeps its +0 start through zero top coefficients); x0 holds
-    the centroids of one multiplicity m, polished together, one
-    transfer._horner pass a step, in which only live entries move.
-
-    Each entry stops on its own: at dq == 0; at a Newton step that fails to
-    halve the step before it, keeping the iterate from before that step,
-    since Newton has stopped contracting and only rounding moves it; at a
-    step |dx| <= 1e-15 (1 + |x|); or after 60 steps.  An entry returns
-    where Newton left it, however far that is from x0, so a centroid that p
-    does not vanish near shows in the cross-check of find_resonances.
+    Row j of coeffs is entry j's p, lowest degree first, the rows zero-padded
+    to one length (Horner keeps its +0 start through zero top coefficients);
+    x holds the cluster means of one multiplicity m, an m-fold root of p
+    being a simple one of p^(m-1).  One transfer._horner pass serves all.
     """
-    x = np.array(x0, dtype=complex)
     high = coeffs[:, ::-1]
     for _ in range(m):
         high, low = high[:, :-1] * np.arange(high.shape[1] - 1, 0, -1), high
     # q of every entry, then q' (padded to q's length)
     rows = np.concatenate([low, np.concatenate([np.zeros_like(low[:, :1]), high], axis=1)])
-    last = np.full(len(x), np.inf)
-    live = np.ones(len(x), dtype=bool)
-    dx = np.zeros_like(x)
-    for _ in range(60):
-        if not live.any():
-            break
-        q, dq = _horner(rows, np.concatenate([x, x])[:, None]).reshape(2, -1)
-        live &= dq != 0
-        np.divide(q, dq, out=dx, where=live)
-        step = np.abs(dx)
-        live &= step <= 0.5 * last
-        np.copyto(last, step, where=live)
-        np.subtract(x, dx, out=x, where=live)
-        live &= ~(step <= 1e-15 * (1 + np.abs(x)))
-    return x
+    q, dq = _horner(rows, np.concatenate([x, x])[:, None]).reshape(2, -1)
+    step = np.divide(q, dq, out=np.full_like(x, np.nan), where=dq != 0)
+    return np.where(np.isfinite(step), x - step, np.nan)
 
 
 def strip_pair(mu: complex, multiplicity: int) -> tuple[Resonance, Resonance]:
@@ -200,17 +179,19 @@ def _resonances(walks, eigenvalues) -> list[list[Resonance]]:
     BA, then -lambda_j, then the two zeros.  Each p is deflated of its zero
     roots, structural and never resonances, to a degree d.  The d largest
     mu_j = lambda_j^2 cluster into multiplicities (_cluster), and each
-    centroid is polished on its walk's p^(m-1), one _polish pass per
-    multiplicity for all walks.  A cluster draws on r = n0 eigenvalues, so
-    no multiplicity exceeds the window size.  Then, walk by walk, every
-    cluster is checked against the unit disk and the strip (Resonance)
-    before the cross-check below.
+    cluster's mean is its root.  Its witness is one Newton step on its
+    walk's p^(m-1) from that mean, one _witness pass per multiplicity for
+    all walks.  A cluster draws on r = n0 eigenvalues, so no multiplicity
+    exceeds the window size.  Then, walk by walk, every cluster is checked
+    against the unit disk and the strip (Resonance) before the cross-check
+    below.
 
-    The cross-check reads the polished roots against the eigenvalues they
-    started from, all clusters in one array pass.  An m-fold eigenvalue is
-    determined only to about eps^(1/m) by QR iteration, so each member's
-    +-sqrt(mu_j) must lie within max(1e-8, 50 eps^(1/m)) max(1, |lambda|)
-    of the polished lambda.
+    The cross-check reads the witnesses against the eigenvalues, all
+    clusters in one array pass.  An m-fold eigenvalue is determined only
+    to about eps^(1/m) by QR iteration, so each member's +-sqrt(mu_j) must
+    lie within max(1e-8, 50 eps^(1/m)) max(1, |lambda|) of the witness
+    +-sqrt(mean - step); a zero or non-finite step has no witness and is
+    refused.
     Every eigenvalue outside the d must lie within 1e-6 of 0 (the zero
     group spreads to eps^(1/index) for nilpotent blocks), and d must not
     exceed r.
@@ -237,9 +218,10 @@ def _resonances(walks, eigenvalues) -> list[list[Resonance]]:
     rows = np.zeros((len(clusters), max(map(len, polys))), dtype=complex)  # each cluster's p, zero-padded
     for w, coeffs in enumerate(polys):
         rows[ends[w] : ends[w + 1], : len(coeffs)] = coeffs
+    witness = np.empty_like(roots)
     for m in set(mults.tolist()):
         entries = mults == m
-        roots[entries] = _polish(rows[entries], roots[entries], m)
+        witness[entries] = _witness(rows[entries], roots[entries], m)
 
     found = []
     for coeffs, evals, top, walk in zip(polys, walk_evals, tops, map(slice, ends, ends[1:])):
@@ -250,13 +232,16 @@ def _resonances(walks, eigenvalues) -> list[list[Resonance]]:
                     f"transfer polynomial root mu={root} lies outside the unit disk"
                 )
             pairs.append(strip_pair(root, m))
-        lam = np.repeat([res.lam for res, _ in pairs], wm)  # each member's polished lambda
+        lam = np.repeat([res.lam for res, _ in pairs], wm)  # each member's cluster lambda
+        wit = np.repeat(np.sqrt(witness[walk]), wm)
         tol = np.maximum(1e-8, 50 * _EPS ** (1.0 / np.repeat(wm, wm))) * np.maximum(1, np.abs(lam))
         near = np.sqrt(np.concatenate([lam[:0], *clusters[walk]]))
-        far = np.minimum(np.abs(near - lam), np.abs(near + lam)) > tol
+        far = ~(np.minimum(np.abs(near - wit), np.abs(near + wit)) <= tol)  # a nan witness is far
         if far.any():
             k = np.argmax(far)
-            raise InvariantViolation(f"no dense eigenvalue within {tol[k]:.2e} of lambda={lam[k]}")
+            raise InvariantViolation(
+                f"no dense eigenvalue within {tol[k]:.2e} of p's witness +-{wit[k]} at lambda={lam[k]}"
+            )
         rest = np.delete(evals[:r], top)
         stray = rest[np.abs(rest) > 1e-6]
         if stray.size:
@@ -297,8 +282,8 @@ def find_resonances(cs: CoinSequence) -> list[Resonance]:
     The resonances are then K's nonzero eigenvalues, from numpy's dense
     eigensolver on the parity product BA of half K's size
     (walk._parity_eig, on blocks written from the coin table with K's norm
-    check), clustered, polished on the polynomial and cross-checked
-    against it by _resonances.  At n0 = 0, p = 1 and there is none.
+    check), clustered, and witnessed on the polynomial by _resonances.  At
+    n0 = 0, p = 1 and there is none.
     """
     [found] = _resonances(cs, lambda: _parity_eig(*_parity_blocks(cs)))
     return found

@@ -363,9 +363,20 @@ def survival_norm(trajectory, n0: int) -> list[float]:
 
 
 def _window_survival(psi0: WaveState, cs: CoinSequence, T: int) -> list[float]:
-    """survival_norm of psi_0 .. psi_T, bit for bit, stepping only the window."""
+    """survival_norm of psi_0 .. psi_T, bit for bit, stepping only the window (_finite_norms)."""
     blocks = _window_blocks(psi0, cs, T)
-    return np.concatenate([_window_norms(rows[:, 1:-1]) for rows in blocks]).tolist()
+    return _finite_norms(np.concatenate([_window_norms(rows[:, 1:-1]) for rows in blocks]))
+
+
+def _finite_norms(norms: np.ndarray) -> list[float]:
+    """The window norms of psi_0 .. psi_T as a list; the first past the float range raises SpectralOverflow.
+
+    Finite amplitudes can have a norm past it: four of 1e308 have norm 2e308.
+    """
+    over = np.flatnonzero(~np.isfinite(norms))
+    if over.size:
+        raise SpectralOverflow(f"the window norm leaves the float range at t={over[0]}")
+    return norms.tolist()
 
 
 def norm_defect(cs: CoinSequence, v: np.ndarray) -> float:

@@ -380,6 +380,23 @@ def test_window_walk_past_the_float_range_exits_35(tmp_path, capsys):
     assert run(capsys, "survival", "--config", str(plain), "--T", "40", "--fit") == (0, out, "")
 
 
+def test_window_norm_past_the_float_range_exits_35(tmp_path, capsys):
+    # four Hadamard coins and psi0 = 1e308 L on the window: every amplitude
+    # is finite, but the window norm 2e308 is not; survival, the fit and
+    # evolve's summary refuse it at t = 0 instead of printing inf, print
+    # nothing and leak no warning
+    cfg = dict(HADAMARD_CFG, n0=3, coins=HADAMARD_CFG["coins"][:1] * 4)
+    cfg["psi0"] = [{"n": n, "L": [1e308, 0.0]} for n in range(4)]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (["survival"], ["survival", "--fit"], ["evolve"]):
+            code, out, err = run(capsys, *argv, "--config", str(path), "--T", "3")
+            assert code == 35 and out == ""
+            assert err == "error: SpectralOverflow: the window norm leaves the float range at t=0\n"
+
+
 def test_survival_keeps_only_the_current_state(tmp_path, capsys, hadamard_cfg):
     # holding the whole trajectory of T = 2000 steps takes over 100 MB, and
     # holding every window row of a Haar window of n0 = 32 for T = 10000

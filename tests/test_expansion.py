@@ -269,7 +269,7 @@ def _bits(resonances):
 def test_expand_carries_find_resonances_bit_for_bit():
     # expand takes K's eigenvalues from the eigensolve with eigenvectors,
     # find_resonances from the values-only one; the same eigenvalues
-    # polished on the same polynomial give the blocks the same bits, and a
+    # witnessed on the same polynomial give the blocks the same bits, and a
     # window one refuses the other refuses in the same words
     rng = np.random.default_rng(59)
     walks = [triple_barrier(), hadamard_pair()]

@@ -262,7 +262,7 @@ def test_polynomial_call_matches_polyval():
 
 
 def test_horner_is_polyval_bit_for_bit():
-    # the rows _polish stacks, p and p' padded with a leading 0, and |p|'s
+    # the rows _witness stacks, p and p' padded with a leading 0, and |p|'s
     # coefficients at |x| + 0j, whose real part must be the real Horner
     # (a backward-error floor sum |c_k| |x|^k); tobytes also compares the
     # signs of zeros
