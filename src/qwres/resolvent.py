@@ -17,7 +17,8 @@ S v_o = lam r_o + B r_e, then v_e = (r_e + A v_o) / lam.  BA is the
 product whose eigenvalues give K's (walk._parity_eig).  The inverse of S
 also gives the exact 1-norm condition number
 kappa_1 = |lam - K|_1 |(lam - K)^{-1}|_1 of the window system, LAPACK's
-convention, which the refusal near a pole reads; no SVD is taken.
+convention, which the refusal near a pole reads, summed from the blocks
+of (lam - K)^{-1} with no SVD and no assembled inverse.
 
 The identity (e^{-i xi} - U) R f = f is checked on every call; a quiet
 wrong answer is worse than an exception.
@@ -59,10 +60,13 @@ def _window_solves(lam, a, b, ba, rhs, near):
     S v_o = lam r_o + B r_e, S = lam^2 - BA, and the even ones follow as
     v_e = (r_e + A v_o) / lam.  The same two steps on the identity give
     (lam - K)^{-1} from one inverse of S: its odd rows are
-    [S^{-1} B, lam S^{-1}], its even rows ([I, 0] + A X_o) / lam for those
-    odd rows X_o.  So kappa_1 = |lam - K|_1 |(lam - K)^{-1}|_1 is exact,
-    with |lam - K|_1 = |lam| + K's largest column sum, as K's diagonal is
-    zero.  Points run in stacks of up to 2^16 // dim^2; near points get an
+    [S^{-1} B, lam S^{-1}], its even rows [(I + A S^{-1} B) / lam, A S^{-1}],
+    so kappa_1 = |lam - K|_1 |(lam - K)^{-1}|_1 is exact: the inverse's
+    column sums are sum|I + A S^{-1} B| / |lam| + sum|S^{-1} B| (even) and
+    sum|A S^{-1}| + |lam| sum|S^{-1}| (odd), and |lam - K|_1 = |lam| + K's
+    largest column sum, as K's diagonal is zero.  S is lam^2 * 0 - BA off
+    the diagonal and lam^2 * 1 - BA on it, the bits of lam^2 I - BA.
+    Points run in stacks of up to 2^16 // dim^2; near points get an
     identity in place of S, and a stack is solved only once none of its
     points is refused: near ones, and those with kappa_1 > 1e12, which an
     exactly singular S reads as inf.  Every product runs per point over
@@ -75,16 +79,22 @@ def _window_solves(lam, a, b, ba, rhs, near):
     r_e, r_o = rhs[:, 0::2].reshape(n, g, 1), rhs[:, 1::2].reshape(n, h, 1)
     v = np.empty(rhs.shape, dtype=complex)
     cond = np.empty(n)
-    eye, top = np.eye(h), np.eye(g, g + h)
     for k0 in range(0, n, step):
         part = slice(k0, k0 + step)
         lp = lam[part, None, None]
-        s = np.where(near[part, None, None], eye, lp * lp * eye - ba)
+        l2 = lp * lp
+        s = l2 * 0.0 - ba
+        s.reshape(len(l2), -1)[:, :: h + 1] = l2[:, 0] * 1.0 - ba.diagonal()
+        s[near[part]] = np.eye(h)
         s_inv = _inverse(s)
-        odd = np.concatenate([s_inv @ b, lp * s_inv], axis=2)
-        even = (a @ odd + top) / lp
-        norm = (np.abs(even).sum(1) + np.abs(odd).sum(1)).max(1)
-        kappa = (np.abs(lam[part]) + k_norm) * norm
+        x = s_inv @ b
+        ax = a @ x
+        ax.reshape(len(l2), -1)[:, :: g + 1] += 1  # I + A S^-1 B
+        lm = np.abs(lp[:, 0])
+        even = np.abs(ax).sum(1) / lm + np.abs(x).sum(1)
+        odd = np.abs(a @ s_inv).sum(1) + lm * np.abs(s_inv).sum(1)
+        norm = np.maximum(even.max(1), odd.max(1))
+        kappa = (lm[:, 0] + k_norm) * norm
         cond[part] = np.where(np.isnan(kappa), np.inf, kappa)
         bad = near[part] | (cond[part] > 1e12)
         if bad.any():

@@ -358,8 +358,8 @@ def kernel_witnesses(cs: CoinSequence) -> tuple[np.ndarray, np.ndarray]:
 
 
 def survival_norm(trajectory, n0: int) -> list[float]:
-    """Per-step l2 norm on the window [0, n0] of any iterable of states."""
-    return [t.restrict(0, n0).norm() for t in trajectory]
+    """Per-step l2 norm on the window [0, n0] of any iterable of states; SpectralOverflow past the float range."""
+    return _finite_norms(np.array([t.restrict(0, n0).norm() for t in trajectory]))
 
 
 def _window_survival(psi0: WaveState, cs: CoinSequence, T: int) -> list[float]:

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from qwres import (
+    QWResError,
     basis_state,
     cli,
     coin_to_json,
+    errors,
     haar_coin,
     hadamard_pair,
     perturb,
@@ -395,6 +397,36 @@ def test_window_norm_past_the_float_range_exits_35(tmp_path, capsys):
             code, out, err = run(capsys, *argv, "--config", str(path), "--T", "3")
             assert code == 35 and out == ""
             assert err == "error: SpectralOverflow: the window norm leaves the float range at t=0\n"
+
+
+def test_grid_commands_on_generated_inputs_end_finite_or_typed(tmp_path, capsys):
+    # seeded Haar windows n0 = 0-9 with a one-site psi0 of modulus 1e-300
+    # to 1.7e308, on lines from Im xi = -40 to 40: scattering and
+    # resolvent-check print only finite numbers or exit with the code of
+    # a package error (AtResonance, UnsupportedN0 at n0 = 0 and
+    # SpectralOverflow among them), and leak no numpy warning
+    codes = {c.exit_code for c in vars(errors).values() if isinstance(c, type) and issubclass(c, QWResError)}
+    rng = np.random.default_rng(34)
+    path = tmp_path / "walk.json"
+    seen = set()
+    for _ in range(150):
+        n0 = int(rng.integers(0, 10))
+        amp = rng.choice([1e-300, 1e-150, 1.0, 1e150, 1e300, 1.7e308]) * np.exp(2j * np.pi * rng.uniform())
+        coins = [coin_to_json(haar_coin(rng)) for _ in range(n0 + 1)]
+        psi0 = [{"n": int(rng.integers(-3, n0 + 4)), str(rng.choice(["L", "R"])): [amp.real, amp.imag]}]
+        path.write_text(json.dumps({"n0": n0, "coins": coins, "psi0": psi0}))
+        im = float(rng.choice([-40, -3, -0.5, 0, 0.5, 3, 40]))
+        command = str(rng.choice(["scattering", "resolvent-check"]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, command, "--config", str(path), f"--xi-grid=-3:3:7,{im!r}")
+        seen.add(code)
+        if code == 0:
+            rows = [line.split(",") for line in out.splitlines()[1:]]
+            assert len(rows) == 7 and all(math.isfinite(float(x)) for row in rows for x in row)
+        else:
+            assert code in codes and out == "" and err.startswith("error: ")
+    assert {0, 35} <= seen
 
 
 def test_survival_keeps_only_the_current_state(tmp_path, capsys, hadamard_cfg):

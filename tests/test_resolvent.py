@@ -307,18 +307,25 @@ def test_split_refusal_is_the_one_share_one(monkeypatch):
         assert len(solved) == (150 if min(bad) >= 150 else 0)
 
 
-@pytest.mark.parametrize("n0", [1, 2, 3, 8, 16, 32])
-def test_condition_is_the_dense_one_norm_condition_number(n0):
+@pytest.mark.parametrize("n0", [1, 2, 3, 8, 11, 13, 14, 16, 32])
+def test_condition_is_the_dense_one_norm_condition_number(monkeypatch, n0):
     # kappa_1 = |lam - K|_1 |(lam - K)^{-1}|_1, LAPACK's 1-norm convention,
-    # against a dense inverse of the full window system
+    # against a dense inverse of the full window system, on three short
+    # lines and on the grid benchmark's resolvent line, 75 points at
+    # Im xi = 0.5, which at n0 = 14 is cut into stacks of 72 and 3 points
     rng = np.random.default_rng(100 + n0)
     cs = random_sequence(rng, n0)
     f = random_state(rng, n0, 3)
     k = build_K(cs)
-    for im in (0.5, -0.1, -0.6):
-        xi = np.linspace(-3, 3, 9) + 1j * im
+    stacks = []
+    real = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda s: stacks.append(len(s)) or real(s))
+    lines = [np.linspace(-3, 3, 9) + 1j * im for im in (0.5, -0.1, -0.6)]
+    for xi in lines + [np.linspace(-3.12, 3.11, 75) + 0.5j]:
+        stacks.clear()
         _, cond = identity_residual(cs, xi, f, (-3, n0 + 3))
         for x, got in zip(xi, cond):
             m = np.exp(-1j * x) * np.eye(len(k)) - k
-            want = np.abs(m).sum(0).max() * np.abs(np.linalg.inv(m)).sum(0).max()
-            assert abs(got - want) <= 1e-12 * want
+            want = np.abs(m).sum(0).max() * np.abs(real(m)).sum(0).max()
+            assert abs(got - want) <= 1e-12 * want and got >= 1
+    assert sum(stacks) == 75 and (n0 != 14 or stacks == [72, 3])

@@ -357,6 +357,22 @@ def test_survival_norm_equals_K_power_norms():
         assert norms[t] == pytest.approx(np.linalg.norm(np.linalg.matrix_power(k, t) @ v), abs=1e-12)
 
 
+def test_survival_norm_past_the_float_range_names_t():
+    # every amplitude is finite, but a window norm is not: 1e308 L at sites
+    # 0-3 has norm 2e308 at t = 0; 1e308 L at sites 1-3 (norm 1.73e308) and
+    # an incoming 1e308 R at site -1 reach 1.87e308 at t = 1.  survival_norm
+    # refuses both as survival and evolve do, in place of returning inf
+    cs = CoinSequence(3, (hadamard_coin(),) * 4)
+    on_window = WaveState(0, np.tile([1e308, 0.0], (4, 1)))
+    incoming = np.zeros((5, 2))
+    incoming[0, 1] = incoming[2:, 0] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for psi, t in ((on_window, 0), (WaveState(-1, incoming), 1)):
+            with pytest.raises(SpectralOverflow, match=rf"^the window norm leaves the float range at t={t}$"):
+                survival_norm(evolve(psi, cs, 3), 3)
+
+
 def test_norm_defect_small_on_random_vectors():
     rng = np.random.default_rng(71)
     for _ in range(50):
