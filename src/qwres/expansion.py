@@ -108,7 +108,10 @@ def expand(cs: CoinSequence, psi0: WaveState) -> ExpansionData:
     inside it, then solves one least-squares system whose columns
     are the restricted chain vectors and a basis of the kernel of
     K^{iota_0}.  The system is square and the residual must vanish to
-    1e-9; anything else means the chains do not span what they should.
+    1e-9 |x|; anything else means the chains do not span what they should.
+    It is solved for the window vector x scaled by a power of 2 to order
+    one, so x may lie at either end of the float range; a coefficient
+    that leaves the range raises SpectralOverflow.
 
     K, its eigenvalues and eigenvectors come from the walk's spectral record
     (resonances._spectrum, one eigensolve of K's parity product BA): its
@@ -141,10 +144,16 @@ def expand(cs: CoinSequence, psi0: WaveState) -> ExpansionData:
         )
     zero_basis = [vh[dim - 1 - i].conj() for i in range(zdim)]
     basis = np.column_stack(cols + zero_basis)
+    e = math.frexp(float(np.abs(x.view(float)).max()))[1]
+    x = np.ldexp(x.view(float), -e).view(complex)
     coef, *_ = np.linalg.lstsq(basis, x, rcond=None)
     resid, size = _norms(np.array([basis @ coef - x, x]))
     if not resid <= 1e-9 * size:
-        raise InvariantViolation(f"expansion basis missed the state by {resid:.2e}, above 1e-9 |x| = {1e-9 * size:.2e}")
+        raise InvariantViolation(f"expansion basis missed the state by {resid / size:.2e} |x|, above 1e-9 |x|")
+    with np.errstate(over="ignore"):
+        coef = np.ldexp(coef.view(float), e).view(complex)
+    if not np.isfinite(coef).all():
+        raise SpectralOverflow("an expansion coefficient leaves the float range")
     blocks = []
     pos = 0
     for r in resonances:

@@ -11,14 +11,13 @@ the window solve, which is singular exactly at the resonances and at xi
 with e^{-i xi} = 0 eigenvalue directions.
 
 K maps even sites to odd ones and back, K = [[0, A], [B, 0]] with the even
-sites first, so the window system (lam - K) v = r, lam = e^{-i xi}, is
-solved through its parity Schur complement S = lam^2 - BA, half its size:
-S v_o = lam r_o + B r_e, then v_e = (r_e + A v_o) / lam.  BA is the
-product whose eigenvalues give K's (walk._parity_eig).  The inverse of S
-also gives the exact 1-norm condition number
-kappa_1 = |lam - K|_1 |(lam - K)^{-1}|_1 of the window system, LAPACK's
-convention, which the refusal near a pole reads, summed from the blocks
-of (lam - K)^{-1} with no SVD and no assembled inverse.
+sites first, so (lam - K)^{-1}, lam = e^{-i xi}, comes in blocks from one
+inverse of its parity Schur complement S = lam^2 - BA, half its size.
+BA is the product whose eigenvalues give K's (walk._parity_eig).  Those
+blocks give both the window system's solution and its exact 1-norm
+condition number kappa_1 = |lam - K|_1 |(lam - K)^{-1}|_1, LAPACK's
+convention, which the refusal near a pole reads, with no SVD, no
+assembled inverse and no second factorization.
 
 The identity (e^{-i xi} - U) R f = f is checked on every call; a quiet
 wrong answer is worse than an exception.
@@ -52,28 +51,31 @@ def _inverse(s):
         return np.concatenate([_inverse(s[k : k + 1]) for k in range(len(s))])
 
 
-def _window_solves(lam, a, b, ba, rhs, near):
+def _window_solves(xi, lam, a, b, rhs):
     """Solutions and 1-norm condition numbers of (lam - K) v = rhs, point by point.
 
     rhs has shape (points, n0 + 1, 2).  With the even sites first
-    K = [[0, A], [B, 0]], so the odd sites solve the parity Schur complement
-    S v_o = lam r_o + B r_e, S = lam^2 - BA, and the even ones follow as
-    v_e = (r_e + A v_o) / lam.  The same two steps on the identity give
-    (lam - K)^{-1} from one inverse of S: its odd rows are
-    [S^{-1} B, lam S^{-1}], its even rows [(I + A S^{-1} B) / lam, A S^{-1}],
-    so kappa_1 = |lam - K|_1 |(lam - K)^{-1}|_1 is exact: the inverse's
-    column sums are sum|I + A S^{-1} B| / |lam| + sum|S^{-1} B| (even) and
-    sum|A S^{-1}| + |lam| sum|S^{-1}| (odd), and |lam - K|_1 = |lam| + K's
-    largest column sum, as K's diagonal is zero.  S is lam^2 * 0 - BA off
-    the diagonal and lam^2 * 1 - BA on it, the bits of lam^2 I - BA.
-    Points run in stacks of up to 2^16 // dim^2; near points get an
-    identity in place of S, and a stack is solved only once none of its
-    points is refused: near ones, and those with kappa_1 > 1e12, which an
-    exactly singular S reads as inf.  Every product runs per point over
-    the leading axis, so each point's bits are its lone call's.  Returns
-    (v, kappa_1, the first refused point or None).
+    K = [[0, A], [B, 0]], and eliminating the even unknowns leaves the
+    parity Schur complement S = lam^2 - BA, so (lam - K)^{-1} comes in
+    blocks from one inverse of S: with X = S^{-1} B and Y = A S^{-1} its
+    odd rows are [X, lam S^{-1}] and its even rows [(I + A X) / lam, Y].
+    The solution is read off them, v_o = X r_e + lam S^{-1} r_o and
+    v_e = (I + A X) r_e / lam + Y r_o, and so is the exact
+    kappa_1 = |lam - K|_1 |(lam - K)^{-1}|_1: the inverse's column sums are
+    sum|I + A X| / |lam| + sum|X| (even) and sum|Y| + |lam| sum|S^{-1}|
+    (odd), and |lam - K|_1 = |lam| + K's largest column sum, as K's
+    diagonal is zero.  S is lam^2 * 0 - BA off the diagonal and
+    lam^2 * 1 - BA on it, the bits of lam^2 I - BA; BA's eigenvalues give
+    K's (walk._parity_eig).  Points run in stacks of up to 2^16 // dim^2,
+    each inverted once, and a stack's solutions are read off only once
+    none of its points is refused: AtResonance names the first point in
+    grid order within 1e-10 of an eigenvalue of K or with kappa_1 > 1e12,
+    which an exactly singular S reads as inf.  Every product runs per
+    point over the leading axis, so each point's bits are its lone call's.
     """
+    ba = b @ a
     n, g, h = len(lam), len(a), len(ba)  # points, even and odd unknowns
+    near = np.min(np.abs(lam[:, None] - _parity_eig(a, b, ba=ba)), axis=1) <= 1e-10
     step = max(1, _STACK_ENTRIES // (g + h) ** 2)
     k_norm = max(np.abs(a).sum(0).max(), np.abs(b).sum(0).max())
     r_e, r_o = rhs[:, 0::2].reshape(n, g, 1), rhs[:, 1::2].reshape(n, h, 1)
@@ -85,24 +87,26 @@ def _window_solves(lam, a, b, ba, rhs, near):
         l2 = lp * lp
         s = l2 * 0.0 - ba
         s.reshape(len(l2), -1)[:, :: h + 1] = l2[:, 0] * 1.0 - ba.diagonal()
-        s[near[part]] = np.eye(h)
         s_inv = _inverse(s)
-        x = s_inv @ b
+        x, y = s_inv @ b, a @ s_inv
         ax = a @ x
         ax.reshape(len(l2), -1)[:, :: g + 1] += 1  # I + A S^-1 B
         lm = np.abs(lp[:, 0])
         even = np.abs(ax).sum(1) / lm + np.abs(x).sum(1)
-        odd = np.abs(a @ s_inv).sum(1) + lm * np.abs(s_inv).sum(1)
+        odd = np.abs(y).sum(1) + lm * np.abs(s_inv).sum(1)
         norm = np.maximum(even.max(1), odd.max(1))
         kappa = (lm[:, 0] + k_norm) * norm
         cond[part] = np.where(np.isnan(kappa), np.inf, kappa)
         bad = near[part] | (cond[part] > 1e12)
         if bad.any():
-            return v, cond, k0 + int(np.argmax(bad))
-        v_o = np.linalg.solve(s, lp * r_o[part] + b @ r_e[part])
-        v[part, 1::2] = v_o.reshape(len(s), -1, 2)
-        v[part, 0::2] = ((r_e[part] + a @ v_o) / lp).reshape(len(s), -1, 2)
-    return v, cond, None
+            k = k0 + int(np.argmax(bad))
+            if near[k]:
+                raise AtResonance(f"e^(-i xi) = {complex(lam[k])} is within 1e-10 of an eigenvalue of K")
+            raise AtResonance(f"window system at xi = {complex(xi[k])} has condition number {cond[k]:.2e}")
+        r_ep, r_op = r_e[part], r_o[part]
+        v[part, 1::2] = (x @ r_ep + lp * (s_inv @ r_op)).reshape(len(s), -1, 2)
+        v[part, 0::2] = (ax @ r_ep / lp + y @ r_op).reshape(len(s), -1, 2)
+    return v, cond
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -112,13 +116,13 @@ def _resolve(cs: CoinSequence, xi: np.ndarray, f: WaveState, lo: int, hi: int):
     Returns (amplitudes of shape (len(xi), hi - lo + 3, 2), relative
     residual of the defining identity on [lo, hi], 1-norm condition number
     of the window system), one residual and condition number per point.
-    K's parity blocks, BA, its eigenvalues (walk._parity_eig) and the
-    forcing are formed once per call; the window systems are inverted,
-    checked and solved in stacks of points (_window_solves), each stack
-    solved only once none of its points is refused.  Far out in either
-    half plane e^{+-i xi}, or the sums that grow with it along a long
-    source or window, leave the float range: SpectralOverflow names the
-    first such point, in place of numpy's overflow warnings.
+    K's parity blocks and the forcing are formed once per call, and the
+    window systems are inverted, checked and solved in stacks of points
+    (_window_solves), where AtResonance names the first refused point.
+    Far out in either half plane e^{+-i xi}, or the sums that grow with
+    it along a long source or window, leave the float range:
+    SpectralOverflow names the first such point, in place of numpy's
+    overflow warnings.
     """
     if hi < lo:
         raise ValueError(f"empty window [{lo}, {hi}]")
@@ -126,10 +130,6 @@ def _resolve(cs: CoinSequence, xi: np.ndarray, f: WaveState, lo: int, hi: int):
     lam = np.exp(-1j * xi)
     e = np.exp(1j * xi)
     _refuse_overflow(xi, lam, e)
-    a, b = _parity_blocks(cs)
-    ba = b @ a
-    evals = _parity_eig(a, b, ba=ba)
-    dist = np.min(np.abs(lam[:, None] - evals[None, :]), axis=1)
 
     # every site the answer, the source or the two junctions touch;
     # row i of fa and of amps is site s_lo + i, row z is site 0
@@ -152,17 +152,7 @@ def _resolve(cs: CoinSequence, xi: np.ndarray, f: WaveState, lo: int, hi: int):
     rhs = np.tile(fa[z : z + n0 + 1], (len(xi), 1, 1))
     rhs[:, 0, 1] += amps[:, z - 1, 1]
     rhs[:, n0, 0] += amps[:, z + n0 + 1, 0]
-    near = dist <= 1e-10
-    v, cond, k = _window_solves(lam, a, b, ba, rhs, near)
-    if k is not None:  # the first refused point in grid order
-        if near[k]:
-            raise AtResonance(
-                f"e^(-i xi) = {complex(lam[k])} is within 1e-10 of an eigenvalue of K"
-            )
-        raise AtResonance(
-            f"window system at xi = {complex(xi[k])} has condition number {cond[k]:.2e}"
-        )
-    amps[:, z : z + n0 + 1] = v
+    amps[:, z : z + n0 + 1], cond = _window_solves(xi, lam, *_parity_blocks(cs), rhs)
 
     # the outgoing chiralities leave the window through the junction coins,
     # one step of the walk from the window carries them to -1 and n0 + 1

@@ -49,20 +49,45 @@ def window_state(rng, n0):
     return (1.0 / psi.norm()) * psi
 
 
+def _thin_coin(rng, t):
+    """A thin coin of transmission amplitude t, its phase phi drawn uniformly.
+
+    a = d = t e^{i phi} and b = -c = sqrt(1 - t^2) e^{i phi}: a nearly
+    reflecting barrier.
+    """
+    phase = np.exp(1j * rng.uniform(-math.pi, math.pi))
+    a, b = t * phase, math.sqrt(1 - t * t) * phase
+    return validate_coin([[a, b], [-b, a]])
+
+
 def thin_pair(rng, t):
     """An n0 = 1 walk of two thin coins whose transmission amplitudes lie within a factor 2 of t.
 
-    A thin coin has a = d = t e^{i phi} and b = -c = sqrt(1 - t^2) e^{i phi}:
-    a nearly reflecting barrier.  Two of them trap a resonance of width
-    about t^2.
+    Two thin coins trap a resonance of width about t^2.
+    """
+    return CoinSequence(1, tuple(_thin_coin(rng, t * 2.0 ** rng.uniform(-1, 1)) for _ in range(2)))
+
+
+def _within_half_a_decade(rng, t):
+    return t * 10.0 ** rng.uniform(-0.5, 0.5)
+
+
+def thin_window(rng, n0, t):
+    """A window of n0 + 1 thin coins whose transmission amplitudes lie within half a decade of t."""
+    return CoinSequence(n0, tuple(_thin_coin(rng, _within_half_a_decade(rng, t)) for _ in range(n0 + 1)))
+
+
+def near_identity_window(rng, n0, t):
+    """A window of n0 + 1 coins [[sqrt(1 - t_i^2), -t_i], [t_i, sqrt(1 - t_i^2)]], each t_i within half a decade of t.
+
+    A weak perturbation of the free walk, whose resonances lie deep in the disk.
     """
     coins = []
-    for _ in range(2):
-        t_i = t * 2.0 ** rng.uniform(-1, 1)
-        phase = np.exp(1j * rng.uniform(-math.pi, math.pi))
-        a, b = t_i * phase, math.sqrt(1 - t_i * t_i) * phase
-        coins.append(validate_coin([[a, b], [-b, a]]))
-    return CoinSequence(1, tuple(coins))
+    for _ in range(n0 + 1):
+        t_i = _within_half_a_decade(rng, t)
+        c = math.sqrt(1 - t_i * t_i)
+        coins.append(validate_coin([[c, -t_i], [t_i, c]]))
+    return CoinSequence(n0, tuple(coins))
 
 
 def delta0L():

@@ -2,12 +2,14 @@ import argparse
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from conftest import near_identity_window, thin_window
 from qwres import (
     QWResError,
     basis_state,
@@ -427,6 +429,53 @@ def test_grid_commands_on_generated_inputs_end_finite_or_typed(tmp_path, capsys)
         else:
             assert code in codes and out == "" and err.startswith("error: ")
     assert {0, 35} <= seen
+
+
+def _finite_numbers(text):
+    """True if every token of text that reads as a float is finite."""
+    numbers = []
+    for token in re.split(r"[\s,\[\]{}:]+", text):
+        try:
+            numbers.append(float(token))
+        except ValueError:
+            pass
+    return all(map(math.isfinite, numbers))
+
+
+def test_window_commands_on_generated_inputs_end_finite_or_typed(tmp_path, capsys):
+    # seeded windows n0 = 0-9 of Haar, thin and near-identity coins (t from
+    # 1e-12 to 1e-1) with a one-site psi0 of modulus 1e-300 to 1.7e308: the
+    # commands that read a config and no grid print only finite numbers or
+    # exit with the code of a package error, and leak no numpy warning
+    codes = {c.exit_code for c in vars(errors).values() if isinstance(c, type) and issubclass(c, QWResError)}
+    commands = [["validate"], ["resonances"], ["polynomial"], ["expand"], ["survival"],
+                ["survival", "--fit"], ["evolve"], ["split"]]
+    rng = np.random.default_rng(35)
+    path = tmp_path / "walk.json"
+    seen = set()
+    for _ in range(500):
+        n0 = int(rng.integers(0, 10))
+        family = int(rng.integers(0, 3))
+        if family == 0:
+            coins = [haar_coin(rng) for _ in range(n0 + 1)]
+        else:
+            window = (thin_window, near_identity_window)[family - 1]
+            coins = window(rng, n0, 10.0 ** rng.uniform(-12, -1)).coins
+        amp = rng.choice([1e-300, 1e-150, 1.0, 1e150, 1e300, 1.7e308]) * np.exp(2j * np.pi * rng.uniform())
+        psi0 = [{"n": int(rng.integers(-3, n0 + 4)), str(rng.choice(["L", "R"])): [amp.real, amp.imag]}]
+        path.write_text(json.dumps({"n0": n0, "coins": [coin_to_json(c) for c in coins], "psi0": psi0}))
+        argv = commands[int(rng.integers(0, len(commands)))]
+        steps = ["--T", str(rng.choice([0, 1, 30]))] if argv[0] in ("survival", "evolve") else []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv, "--config", str(path), *steps)
+        seen.add((argv[0], code))
+        if code == 0:
+            assert _finite_numbers(out) and err == "", argv
+        else:
+            assert code in codes and out == "" and err.startswith("error: "), argv
+    assert {name for name, _ in seen} == {argv[0] for argv in commands}
+    assert {code for _, code in seen} >= {0, 32}
 
 
 def test_survival_keeps_only_the_current_state(tmp_path, capsys, hadamard_cfg):

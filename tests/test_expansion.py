@@ -1,6 +1,8 @@
+import cmath
 import dataclasses
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from qwres import (
     CoinSequence,
     InvariantViolation,
     QWResError,
+    SpectralOverflow,
     UnsupportedN0,
     WindowOutsideCone,
     basis_state,
@@ -107,6 +110,19 @@ def test_expansion_residual_check_binds_past_overflow_of_the_squares(monkeypatch
             m.setattr(np.linalg, "lstsq", perturbed)
             with pytest.raises(InvariantViolation, match="expansion basis missed the state"):
                 expand(cs, psi0)
+
+
+def test_expansion_at_either_end_of_the_float_range():
+    # the system is solved for the window vector scaled by a power of 2 to
+    # order one: a psi0 of 5e-324 gets finite coefficients, and one at
+    # 1.7e308 whose coefficient leaves the float range is refused by name,
+    # where the unscaled solve read nan and leaked numpy's warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ed = expand(random_sequence(np.random.default_rng(5), 5), WaveState(2, np.array([[0, 5e-324]])))
+        assert all(map(cmath.isfinite, [c for b in ed.blocks for c in b.coefficients]))
+        with pytest.raises(SpectralOverflow, match="expansion coefficient leaves the float range"):
+            expand(random_sequence(np.random.default_rng(1), 4), WaveState(3, np.array([[1.7e308, 0]])))
 
 
 def test_expand_builds_K_once(monkeypatch):

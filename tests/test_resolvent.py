@@ -155,15 +155,14 @@ def test_refusal_names_the_first_bad_point_in_grid_order(monkeypatch):
     # eigenvalues, so the condition test refuses it.  The eigensolve of K's
     # parity product, which the resolvent reads, splits the double
     # eigenvalue by about 1e-8; on one of the split values the distance
-    # test refuses first.  Whichever comes first on the grid is named, and no window
-    # system is solved
+    # test refuses first.  Whichever comes first on the grid is named, and
+    # each call inverts its one stack once
     cs = triple_barrier()
     xi = find_resonances(cs)[0].xi
     evals = _parity_eig(*_parity_blocks(cs))
     at = 1j * np.log(evals[np.argmin(np.abs(evals - np.exp(-1j * xi)))])
-    solves = []
-    real = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(a) or real(a, b))
+    stacks = []
+    _watch_factorizations(monkeypatch, stacks)
     f = basis_state(0, "L")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -171,40 +170,40 @@ def test_refusal_names_the_first_bad_point_in_grid_order(monkeypatch):
             identity_residual(cs, np.array([xi + 0.5, xi + 1e-7, at]), f, (-3, 5))
         with pytest.raises(AtResonance, match="within 1e-10 of an eigenvalue"):
             identity_residual(cs, np.array([xi + 0.5, at, xi + 1e-7]), f, (-3, 5))
-        assert solves == []
+        assert stacks == [3, 3]
         resid, cond = identity_residual(cs, np.array([xi + 0.5, xi - 0.5]), f, (-3, 5))
-        assert len(solves) == 1 and (resid < 1e-10).all() and (cond < 1e12).all()
-        # on a grid of many stacks, 1820 points a stack at n0 = 2, only
-        # those before the refused point run
-        solves.clear()
+        assert stacks == [3, 3, 2] and (resid < 1e-10).all() and (cond < 1e12).all()
+        # on a grid of many stacks, 1820 points a stack at n0 = 2, the stack
+        # holding the refused point is the last one inverted
+        stacks.clear()
         grid = xi + 0.5 + np.linspace(0, 1, 4000)
         grid[3000], grid[3100] = xi + 1e-7, at
         with pytest.raises(AtResonance, match="condition number"):
             identity_residual(cs, grid, f, (-3, 5))
-        assert 0 < sum(len(a) for a in solves) <= 3000
+        assert stacks == [1820, 1820]
 
 
 def test_exactly_singular_window_system_is_refused_by_name(monkeypatch):
     # LAPACK refuses to invert a stack holding an exactly singular S; the
-    # stack is inverted point by point, that point reads kappa_1 = inf and is
-    # named, and no window system is solved
+    # stack is inverted point by point, and that point reads kappa_1 = inf
+    # and is named
     cs = hadamard_pair()
     grid = np.linspace(-3, 3, 7) + 0.5j
     lam = np.exp(-1j * grid)
     marked = lam[4] * lam[4]  # S[0, 0] = lambda^2 - (BA)[0, 0], and (BA)[0, 0] = 0
-    real_inv, real_solve = np.linalg.inv, np.linalg.solve
+    real = np.linalg.inv
+    stacks = []
 
     def inv(s):
+        stacks.append(len(s))
         if (s[:, 0, 0] == marked).any():
             raise np.linalg.LinAlgError("Singular matrix")
-        return real_inv(s)
+        return real(s)
 
-    solves = []
     monkeypatch.setattr(np.linalg, "inv", inv)
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(a) or real_solve(a, b))
     with pytest.raises(AtResonance, match="condition number inf") as exc:
         identity_residual(cs, grid, basis_state(0, "L"), (-3, 4))
-    assert str(complex(grid[4])) in str(exc.value) and solves == []
+    assert str(complex(grid[4])) in str(exc.value) and stacks == [7] + [1] * 7
     resid, _ = identity_residual(cs, grid[:4], basis_state(0, "L"), (-3, 4))
     assert (resid < 1e-10).all()
 
@@ -236,10 +235,17 @@ def test_overflowing_sums_are_refused():
         assert resid < 1e-10
 
 
-def _forced(monkeypatch, shares, points, n0):
+def _cut(monkeypatch, stacks, points, n0):
     """Cut every later call's grid of this many points into this many stacks."""
-    step = -(-points // shares)
+    step = -(-points // stacks)
     monkeypatch.setattr(resolvent, "_STACK_ENTRIES", step * (2 * (n0 + 1)) ** 2)
+
+
+def _watch_factorizations(monkeypatch, seen):
+    """Append each np.linalg.inv's stack size to seen; np.linalg.solve fails the test."""
+    real = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda s: seen.append(len(s)) or real(s))
+    monkeypatch.setattr(np.linalg, "solve", lambda *_: pytest.fail("a second factorization"))
 
 
 @pytest.mark.parametrize("points", [75, 300])
@@ -249,7 +255,8 @@ def test_split_window_solves_are_the_one_share_ones_bit_for_bit(
 ):
     # a grid cut into one, two or three stacks gives the same bits: every
     # product runs per point over the leading axis, so a point's numbers do
-    # not depend on how many others share its stack
+    # not depend on how many others share its stack; each stack is
+    # factored once, by the inverse that gives both kappa_1 and the solution
     rng = np.random.default_rng(n0)
     cs = random_sequence(rng, n0)
     f = random_state(rng, n0, 3)
@@ -258,53 +265,46 @@ def test_split_window_solves_are_the_one_share_ones_bit_for_bit(
     cfg.write_text(json.dumps(sequence_to_json(cs)))
     grid = f"--xi-grid=-3.1:3.1:{points},0.5"
     argv = ["resolvent-check", "--config", str(cfg), grid, "--window", "4"]
-    stacks = []
-    real = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b: stacks.append(len(a)) or real(a, b))
+    seen = []
+    _watch_factorizations(monkeypatch, seen)
     got = {}
-    for shares in (1, 2, 3):
-        _forced(monkeypatch, shares, points, n0)
-        stacks.clear()
+    for stacks in (1, 2, 3):
+        _cut(monkeypatch, stacks, points, n0)
+        seen.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             resid, cond = identity_residual(cs, xi, f, (-4, n0 + 4))
-            assert len(stacks) == shares and sum(stacks) == points
+            assert len(seen) == stacks and sum(seen) == points
             assert cli.main(argv) == 0
-        got[shares] = resid.tobytes(), cond.tobytes(), capsys.readouterr().out
+        got[stacks] = resid.tobytes(), cond.tobytes(), capsys.readouterr().out
     assert got[1] == got[2] == got[3]
 
 
-def test_split_refusal_is_the_one_share_one(monkeypatch):
+def test_stacked_refusal_is_the_one_stack_one(monkeypatch):
     # a refused point behind a clean stack, one ahead of a clean stack, and
     # one in each stack: the message names the first in grid order, as the
-    # one-stack call does, only the stacks wholly before it are solved, and
-    # no stack holding a refused point is
+    # one-stack call does, and no stack after the one holding it is inverted
     cs = triple_barrier()
     xi = find_resonances(cs)[0].xi
     f = basis_state(0, "L")
-    a, b = _parity_blocks(cs)
-    solved = []
-    real = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve", lambda s, r: solved.extend(s[:, 0, 0]) or real(s, r))
+    seen = []
+    _watch_factorizations(monkeypatch, seen)
     for bad in ([250], [40], [260, 40], [140, 150]):
         grid = xi + 0.5 + np.linspace(0, 1, 300)
         grid[bad] = xi + 1e-7
-        lam = np.exp(-1j * grid)
-        refused = set((lam * lam - (b @ a)[0, 0])[bad])  # the diagonal of S = lam^2 - BA
         messages = []
-        for shares in (1, 2):
-            _forced(monkeypatch, shares, len(grid), cs.n0)
-            solved.clear()
+        for stacks in (1, 2):
+            _cut(monkeypatch, stacks, len(grid), cs.n0)
+            seen.clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(AtResonance, match="condition number") as exc:
                     identity_residual(cs, grid, f, (-3, 5))
             messages.append(str(exc.value))
-            assert refused.isdisjoint(solved)
         assert messages[0] == messages[1] and str(complex(grid[min(bad)])) in messages[0]
-        # of the two stacks [0, 150) and [150, 300), the first was solved in
-        # full when the first refused point lies in the second
-        assert len(solved) == (150 if min(bad) >= 150 else 0)
+        # of the two stacks [0, 150) and [150, 300), the second is inverted
+        # only when the first refused point lies in it
+        assert seen == ([150, 150] if min(bad) >= 150 else [150])
 
 
 @pytest.mark.parametrize("n0", [1, 2, 3, 8, 11, 13, 14, 16, 32])

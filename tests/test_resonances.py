@@ -4,7 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import hadamard_pair, random_sequence, thin_pair, triple_barrier
+from conftest import (
+    hadamard_pair,
+    near_identity_window,
+    random_sequence,
+    thin_pair,
+    thin_window,
+    triple_barrier,
+)
 from test_expansion import _bits
 from test_transfer import _row_recursion
 import qwres.resonances
@@ -799,6 +806,31 @@ def test_family_names_the_first_walk_to_fail_at_any_stage(monkeypatch):
             _resonance_family(walks)
         assert str(caught.value) == words[first]
     assert _bits(_resonance_family([ok, ok])[1]) == _bits(find_resonances(ok))
+
+
+@pytest.mark.parametrize("family", [thin_window, near_identity_window])
+def test_thin_and_near_identity_windows_resolve_to_K_or_refuse_typed(family):
+    # two windows per n0 = 2-9 and t: each call returns every simple lambda
+    # within 1e-13 max(1, |lambda|) of a dense eigenvalue of K and every
+    # m-fold one within acceptance 2's max(1e-8, 50 eps^(1/m)) max(1, |lambda|),
+    # or refuses with a package error, and leaks no warning; how many of
+    # each refuse is a census, not a contract
+    rng = np.random.default_rng(17)
+    eps = np.finfo(float).eps
+    for t in (1e-1, 1e-2, 1e-4, 1e-8, 1e-12):
+        for n0 in [n for n in range(2, 10) for _ in range(2)]:
+            cs = family(rng, n0, t)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    found = find_resonances(cs)
+                except QWResError:
+                    continue
+            evals = np.linalg.eigvals(build_K(cs))
+            for r in found:
+                m = r.alg_multiplicity
+                tol = 1e-13 if m == 1 else max(1e-8, 50 * eps ** (1 / m))
+                assert np.min(np.abs(evals - r.lam)) <= tol * max(1, abs(r.lam))
 
 
 def test_n0_1_width_contract_against_the_abs_a_closed_form():
