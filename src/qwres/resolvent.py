@@ -16,8 +16,8 @@ inverse of its parity Schur complement S = lam^2 - BA, half its size.
 BA is the product whose eigenvalues give K's (walk._parity_eig).  Those
 blocks give both the window system's solution and its exact 1-norm
 condition number kappa_1 = |lam - K|_1 |(lam - K)^{-1}|_1, LAPACK's
-convention, which the refusal near a pole reads, with no SVD, no
-assembled inverse and no second factorization.
+convention, the one figure the refusal near a pole reads, with no SVD, no
+eigensolve, no assembled inverse and no second factorization.
 
 The identity (e^{-i xi} - U) R f = f is checked on every call; a quiet
 wrong answer is worse than an exception.
@@ -33,7 +33,7 @@ from .coins import CoinSequence
 from .errors import AtResonance, InvariantViolation
 from .states import WaveState
 from .transfer import _refuse_overflow
-from .walk import _parity_blocks, _parity_eig, _sweep, _walk
+from .walk import _parity_blocks, _sweep, _walk
 
 __all__ = ["apply_resolvent", "identity_residual", "neumann_resolvent"]
 
@@ -65,17 +65,16 @@ def _window_solves(xi, lam, a, b, rhs):
     sum|I + A X| / |lam| + sum|X| (even) and sum|Y| + |lam| sum|S^{-1}|
     (odd), and |lam - K|_1 = |lam| + K's largest column sum, as K's
     diagonal is zero.  S is lam^2 * 0 - BA off the diagonal and
-    lam^2 * 1 - BA on it, the bits of lam^2 I - BA; BA's eigenvalues give
-    K's (walk._parity_eig).  Points run in stacks of up to 2^16 // dim^2,
-    each inverted once, and a stack's solutions are read off only once
-    none of its points is refused: AtResonance names the first point in
-    grid order within 1e-10 of an eigenvalue of K or with kappa_1 > 1e12,
-    which an exactly singular S reads as inf.  Every product runs per
-    point over the leading axis, so each point's bits are its lone call's.
+    lam^2 * 1 - BA on it, the bits of lam^2 I - BA.  Points run in stacks
+    of up to 2^16 // dim^2, each inverted once, and a stack's solutions are
+    read off only once none of its points is refused: AtResonance names
+    the first point in grid order with kappa_1 > 1e12 (inf where S is
+    exactly singular), the one pole test, which needs no eigensolve.  Every
+    product runs per point over the leading axis, so each point's bits are
+    its lone call's.
     """
     ba = b @ a
     n, g, h = len(lam), len(a), len(ba)  # points, even and odd unknowns
-    near = np.min(np.abs(lam[:, None] - _parity_eig(a, b, ba=ba)), axis=1) <= 1e-10
     step = max(1, _STACK_ENTRIES // (g + h) ** 2)
     k_norm = max(np.abs(a).sum(0).max(), np.abs(b).sum(0).max())
     r_e, r_o = rhs[:, 0::2].reshape(n, g, 1), rhs[:, 1::2].reshape(n, h, 1)
@@ -97,11 +96,9 @@ def _window_solves(xi, lam, a, b, rhs):
         norm = np.maximum(even.max(1), odd.max(1))
         kappa = (lm[:, 0] + k_norm) * norm
         cond[part] = np.where(np.isnan(kappa), np.inf, kappa)
-        bad = near[part] | (cond[part] > 1e12)
+        bad = cond[part] > 1e12
         if bad.any():
             k = k0 + int(np.argmax(bad))
-            if near[k]:
-                raise AtResonance(f"e^(-i xi) = {complex(lam[k])} is within 1e-10 of an eigenvalue of K")
             raise AtResonance(f"window system at xi = {complex(xi[k])} has condition number {cond[k]:.2e}")
         r_ep, r_op = r_e[part], r_o[part]
         v[part, 1::2] = (x @ r_ep + lp * (s_inv @ r_op)).reshape(len(s), -1, 2)
@@ -119,10 +116,11 @@ def _resolve(cs: CoinSequence, xi: np.ndarray, f: WaveState, lo: int, hi: int):
     K's parity blocks and the forcing are formed once per call, and the
     window systems are inverted, checked and solved in stacks of points
     (_window_solves), where AtResonance names the first refused point.
-    Far out in either half plane e^{+-i xi}, or the sums that grow with
-    it along a long source or window, leave the float range:
-    SpectralOverflow names the first such point, in place of numpy's
-    overflow warnings.
+    It all runs on f scaled to order one by an exact power of 2, and the
+    answer is scaled back once, so a tiny or huge f keeps its digits.  Far
+    out in either half plane e^{+-i xi}, or the sums that grow with it
+    along a long source or window, leave the float range: SpectralOverflow
+    names the first such point, in place of numpy's overflow warnings.
     """
     if hi < lo:
         raise ValueError(f"empty window [{lo}, {hi}]")
@@ -137,8 +135,8 @@ def _resolve(cs: CoinSequence, xi: np.ndarray, f: WaveState, lo: int, hi: int):
     s_hi = max(hi + 1, f.support_hi, n0 + 1)
     z = -s_lo
     fa = np.zeros((s_hi - s_lo + 1, 2), dtype=complex)
-    if not f.is_zero():
-        fa[f.support_lo - s_lo : f.support_hi - s_lo + 1] = f.amplitudes
+    f_exp = np.frexp(np.abs(f.amplitudes.view(float)).max(initial=0.0))[1]  # |parts of f| < 2^f_exp
+    fa[f.support_lo - s_lo : f.support_hi - s_lo + 1] = np.ldexp(f.amplitudes.view(float), -f_exp).view(complex)
     amps = np.zeros((len(xi), len(fa), 2), dtype=complex)
 
     # outside [0, n0] the walk is a pure shift, so each chirality obeys
@@ -166,6 +164,7 @@ def _resolve(cs: CoinSequence, xi: np.ndarray, f: WaveState, lo: int, hi: int):
     check = lam[:, None, None] * wide[:, 1:-1] - fa[lo - s_lo : hi + 1 - s_lo] - uw[:, 2:-2]
     scale = np.maximum(np.max(np.abs(wide), axis=(1, 2)), max(np.max(np.abs(fa)), 1e-300))
     resid = np.max(np.abs(check), axis=(1, 2)) / scale
+    wide = np.ldexp(wide.view(float), f_exp).view(complex)
     _refuse_overflow(xi, wide, resid)
     return wide, resid, cond
 
@@ -175,10 +174,10 @@ def apply_resolvent(cs: CoinSequence, xi: complex, f: WaveState, window) -> Wave
 
     xi may be anywhere the window system is regular.  The window system is
     solved through its parity Schur complement lam^2 - BA, lam = e^{-i xi};
-    within 1e-10 of an eigenvalue of K, or at a 1-norm condition number
-    kappa_1(lam - K) beyond 1e12, the call refuses with AtResonance.  The
-    defining identity is verified on the full requested window before
-    returning, at relative 1e-10 in the sup norm.
+    at a 1-norm condition number kappa_1(lam - K) beyond 1e12, which is
+    where lam comes near an eigenvalue of K, the call refuses with
+    AtResonance.  The defining identity is verified on the full requested
+    window before returning, at relative 1e-10 in the sup norm.
     """
     lo, hi = int(window[0]), int(window[1])
     wide, resid, _ = _resolve(cs, np.array([complex(xi)]), f, lo, hi)
@@ -196,9 +195,9 @@ def identity_residual(cs: CoinSequence, xi, f: WaveState, window):
     window system, lam = e^{-i xi}, exact up to rounding and read off the
     inverse of its parity Schur complement.  xi is a scalar or an array; an
     array gives two arrays of its shape, and AtResonance names the first
-    grid point where the window system is refused (near an eigenvalue of
-    K, kappa_1 beyond 1e12, or exactly singular), SpectralOverflow the
-    first where e^{+-i xi} or the answer is not a finite float.
+    grid point where the window system is refused (kappa_1 beyond 1e12, or
+    exactly singular), SpectralOverflow the first where e^{+-i xi} or the
+    answer is not a finite float.  No eigensolve runs.
     """
     xi = np.asarray(xi, dtype=complex)
     _, resid, cond = _resolve(cs, xi.reshape(-1), f, int(window[0]), int(window[1]))

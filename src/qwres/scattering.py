@@ -80,19 +80,20 @@ def scattering_matrix(cs: CoinSequence, xi) -> ScatteringMatrix:
     (det T_n = a_n / d_n), which keeps |t-| = |t+| exact on the real axis
     where propagated Wronskians would cancel.
 
-    The denominator W(out-, out+) vanishes at resonances while the four
-    numerator Wronskians keep their generic scale, so the pole test is
-    relative: AtResonance fires, naming the first such grid point, when
-    the denominator drops below 1e-13 times the largest numerator
-    magnitude, compared in log space because the magnitudes span hundreds
-    of orders for complex xi.  The same test trips deep in the upper half
-    plane, where the continuation genuinely outgrows any fixed scale and
-    the coefficients stop being resolvable; deep in the lower half plane
-    the denominator dominates instead and evaluation stays exact.
+    The denominator W(out-, out+) vanishes at resonances while the
+    numerators of t-, r- and t+ keep their generic scale, so the pole test
+    is relative: AtResonance fires, naming the first such grid point, when
+    the denominator drops below 1e-13 times the largest of them, compared
+    in log space because the magnitudes span hundreds of orders for
+    complex xi.  r+ is left out: its seed factor e^{-i (2 n0 + 1) xi},
+    in+'s phase e^{-i n0 xi} over out+'s e^{i (n0 + 1) xi} at n0, grows
+    like e^{(2 n0 + 1) Im xi} above the axis, where no pole lies.  Deep in
+    the lower half plane the denominator dominates and evaluation stays exact.
 
     Past |Im xi| of about 709, or at a Re xi near the float limit,
-    e^{+-i xi} or a value built from it is no longer a finite float, and
-    SpectralOverflow names the first such grid point.
+    e^{+-i xi} or a value built from it, |r+|^2 in the unitarity residual
+    among them, is no longer a finite float, and SpectralOverflow names
+    the first such grid point.
     """
     xi = np.asarray(xi, dtype=complex)
     n0 = cs.n0
@@ -118,7 +119,7 @@ def scattering_matrix(cs: CoinSequence, xi) -> ScatteringMatrix:
         val, log = w[name]
         return log + np.log(np.abs(val))
 
-    num_scale = np.max([log_abs(name) for name in ("t-", "r-", "r+", "t+")], axis=0)
+    num_scale = np.max([log_abs(name) for name in ("t-", "r-", "t+")], axis=0)
     bad = log_abs("den") < math.log(1e-13) + num_scale
     if np.any(bad):
         first = complex(xi.flat[np.argmax(bad)])
@@ -139,5 +140,5 @@ def scattering_matrix(cs: CoinSequence, xi) -> ScatteringMatrix:
         r_minus=ratio("r-"),
         r_plus=ratio("r+"),
     )
-    _refuse_overflow(xi, sm.t_minus, sm.t_plus, sm.r_minus, sm.r_plus)
+    _refuse_overflow(xi, sm.unitarity_residual())  # finite where every entry and |entry|^2 is
     return sm

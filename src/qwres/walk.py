@@ -24,7 +24,7 @@ of the window, which is the content of :func:`norm_defect`.  Every
 amplitude moves by one site, so K maps even sites to odd ones and back:
 with the even sites first, K = [[0, A], [B, 0]], its same-parity entries
 exactly +0.  :func:`_parity_eig` reads K's spectrum off the smaller product
-BA, for the resonances, the spectral record and the resolvent.
+BA, for the resonances and the spectral record.
 """
 
 from __future__ import annotations
@@ -291,7 +291,7 @@ def _placed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return k4.reshape(2 * n, 2 * n)
 
 
-def _parity_eig(a: np.ndarray, b: np.ndarray, k: np.ndarray | None = None, ba: np.ndarray | None = None):
+def _parity_eig(a: np.ndarray, b: np.ndarray, k: np.ndarray | None = None):
     """K's eigenvalues, and given K its eigenvectors, from one eigensolve.
 
     Every resonance comes from here: find_resonances reads the eigenvalues
@@ -308,11 +308,10 @@ def _parity_eig(a: np.ndarray, b: np.ndarray, k: np.ndarray | None = None, ba: n
     BA u = mu u, then the witnesses.  Any other zero or near-zero mu leaves
     its two columns (nearly) parallel or zero, which shows in the
     conditioning of the matrix, not as an error.  Without k, stacked blocks
-    give stacked eigenvalues from one product and eigvals call.  ba, if
-    given, is that product b @ a, formed by a caller that needs it too.
+    give stacked eigenvalues from one product and eigvals call.
     """
     n = (a.shape[-2] + b.shape[-2]) // 2  # the sites 0..n0
-    ba = b @ a if ba is None else ba
+    ba = b @ a
     mu, u = np.linalg.eig(ba) if k is not None else (np.linalg.eigvals(ba), None)
     # for n0 odd (n even) the witness at site n0 is BA's exact zero
     keep = slice(None)

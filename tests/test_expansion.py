@@ -21,6 +21,7 @@ from qwres import (
     SpectralOverflow,
     UnsupportedN0,
     WindowOutsideCone,
+    apply_resolvent,
     basis_state,
     build_K,
     decay_fit_full,
@@ -130,14 +131,13 @@ def test_expand_builds_K_once(monkeypatch):
     # 2 floor((n0 + 1) / 2), serve the dense cross-check, the chains and the
     # zero block, however many resonances the window has, and then
     # resonant_chain for every block; eigvals runs only where
-    # find_resonances and the resolvent ask for eigenvalues alone, on BA
-    # too (find_resonances's as a stack of one), and no eigensolve of K's
-    # own size 2 (n0 + 1) runs at all; each call is counted by its matrix
-    # size.  A
-    # dense K is placed (walk._placed) from one write of the parity blocks,
-    # once for the spectral record and never for find_resonances or the
-    # resolvent, which solves through the parity blocks; none of them goes
-    # through build_K
+    # find_resonances asks for eigenvalues alone, on BA too (as a stack of
+    # one); the resolvent, which refuses on its condition number alone,
+    # runs no eigensolve, and no eigensolve of K's own size 2 (n0 + 1) runs
+    # at all; each call is counted by its matrix size.  A dense K is placed
+    # (walk._placed) from one write of the parity blocks, once for the
+    # spectral record and never for find_resonances or the resolvent, which
+    # solves through the parity blocks; none of them goes through build_K
     calls = []
     for name in ("build_K", "_placed"):
         real = getattr(qwres.walk, name)
@@ -174,7 +174,8 @@ def test_expand_builds_K_once(monkeypatch):
         assert calls == [("eigvals", half)]
         calls.clear()
         identity_residual(cs, np.linspace(-3, 3, 7) + 0.5j, basis_state(0, "L"), (-2, cs.n0 + 2))
-        assert calls == [("eigvals", half)]
+        apply_resolvent(cs, 0.5j, basis_state(0, "L"), (-2, cs.n0 + 2))
+        assert calls == []
         calls.clear()
         qwres.walk.build_K(cs)
         assert calls == [("_placed", dim), ("build_K", dim)]

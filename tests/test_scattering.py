@@ -76,12 +76,28 @@ def test_finite_deep_in_lower_half_plane():
 
 
 def test_refuses_deep_in_upper_half_plane():
-    # Far above the axis the continuation outgrows the denominator's
-    # scale by more than 13 digits; the pole guard trips on purpose.
+    # No pole lies above the axis.  r+ carries the seed factor
+    # e^{-i (2 n0 + 1) xi}, which grows like e^{(2 n0 + 1) Im xi} there and
+    # is an answer, not a resonance, until |r+|^2 leaves the float range;
+    # deep up every point is refused with SpectralOverflow, never with
+    # AtResonance, and no numpy warning leaks
     rng = np.random.default_rng(233)
-    cs = random_sequence(rng, 2)
-    with pytest.raises(AtResonance):
-        scattering_matrix(cs, 0.3 + 25j)
+    walks = [random_sequence(rng, 2)] + [random_sequence(rng, n0) for n0 in (1, 4, 8, 16, 32)]
+    answered = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for cs in walks:
+            for im in np.geomspace(1e-3, 700, 40):
+                try:
+                    sm = scattering_matrix(cs, 0.3 + 1j * im)
+                except SpectralOverflow:
+                    continue
+                assert np.all(np.isfinite(sm.matrix)) and np.isfinite(sm.unitarity_residual())
+                answered.append((cs.n0, im, abs(sm.r_plus)))
+            with pytest.raises(SpectralOverflow):
+                scattering_matrix(cs, 0.3 + 700j)
+    assert max(r for n0, im, r in answered if n0 == 2 and im < 25) > 1e13
+    assert {n0 for n0, *_ in answered} == {1, 2, 4, 8, 16, 32}
 
 
 def test_meromorphy_across_strip():

@@ -37,7 +37,6 @@ from qwres.walk import (
     _checked_norm,
     _parity_blocks,
     _parity_eig,
-    _states,
     _window_blocks,
     _window_survival,
 )
@@ -402,17 +401,26 @@ def _window_states(psi0, cs, T):
 
 
 def _restricted_states(psi0, cs, T):
-    """_states' psi_t on [0, n0], one per step, each with its L at -1 and R at n0 + 1."""
+    """psi_t = step^t psi0 on [0, n0], one per step, each with its L at -1 and R at n0 + 1.
+
+    Each psi_t is cut to [min(-1, lo0), max(n0 + 1, hi0)] over psi0's
+    support lo0..hi0 before the next step, so a step costs O(n0 + hi0 - lo0)
+    instead of O(t).  The cut keeps every incoming amplitude and both edge
+    sites, and an L left of -1 or an R right of n0 + 1 only moves away, so
+    no window bit changes; an edge zero can read +0 where the uncut
+    trajectory holds -0, as an all-zero row at the cut is trimmed.
+    """
     n0 = cs.n0
-    return [
-        (psi.restrict(0, n0), psi.amplitude(-1)[0], psi.amplitude(n0 + 1)[1])
-        for psi in _states(psi0, cs, T)
-    ]
+    lo, hi = min(-1, psi0.support_lo), max(n0 + 1, psi0.support_hi)
+    states = [psi0]
+    for _ in range(T):
+        states.append(step(states[-1], cs).restrict(lo, hi))
+    return [(psi.restrict(0, n0), psi.amplitude(-1)[0], psi.amplitude(n0 + 1)[1]) for psi in states]
 
 
 def _assert_same_stream(got, want):
-    """Window rows bit for bit; edge amplitudes bit for bit where _states'
-    are nonzero, and zero (of either sign) where they are zero."""
+    """Window rows bit for bit; edge amplitudes bit for bit where the stepped
+    trajectory's are nonzero, and zero (of either sign) where they are zero."""
     assert len(got) == len(want)
     for (a, a_l, a_r), (b, b_l, b_r) in zip(got, want):
         assert a.support_lo == b.support_lo
@@ -475,7 +483,7 @@ def test_window_stream_is_the_restricted_trajectory_bit_for_bit():
 
 def test_window_stream_equals_the_trajectory_from_sparse_states():
     # from a single site the window rows start out partly off the support
-    # of _states, where a step reads +0; the real reflections (c, d < 0)
+    # of the stepped trajectory, where a step reads +0; the real reflections (c, d < 0)
     # turn a zero read with the other sign into a zero part of the other
     # sign on the support, so the rows are compared bit for bit
     rng = np.random.default_rng(83)
