@@ -22,7 +22,7 @@ import functools
 import json
 import math
 import sys
-from itertools import compress
+from itertools import chain, compress
 from pathlib import Path
 
 import numpy as np
@@ -58,9 +58,10 @@ def _f(x: float) -> str:
 
 def _csv(header: str, *columns) -> str:
     """header, then one line per row of the columns, each value as _f writes it."""
-    # "%.17g" % x is format(x, ".17g"), -0, inf and nan included
-    fmt = ",".join(["%.17g"] * len(columns))
-    return "\n".join([header, *(fmt % row for row in zip(*columns))]) + "\n"
+    # "%.17g" % x is format(x, ".17g"), -0, inf and nan included; one % formats every row
+    values = tuple(chain.from_iterable(zip(*columns)))
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    return f"{header}\n" + row * (len(values) // len(columns)) % values
 
 
 def _json(obj, depth: int = 0) -> str:

@@ -171,18 +171,26 @@ def _validated(m: np.ndarray, sites=None) -> list[Coin]:
     The first matrix that fails raises what validate_coin raises for it;
     sites, when given, names each matrix's site in that message.
     """
+    coins, refusal = _valid_prefix(m, sites)
+    if refusal is not None:
+        raise refusal
+    return coins
+
+
+def _valid_prefix(m: np.ndarray, sites=None) -> tuple[list[Coin], QWResError | None]:
+    """_validated's pass, returning the coins before the first matrix that fails and its refusal (None if none fails)."""
     # huge entries overflow to inf or nan, which the negated tests refuse
     with np.errstate(over="ignore", invalid="ignore"):
         residual = np.abs(np.conj(np.swapaxes(m, -1, -2)) @ m - np.eye(2)).max(axis=(-2, -1))
     unitary = residual <= UNITARITY_TOL
-    bad = ~(unitary & (np.abs(m[:, 0, 0]) > A2_TOL))
-    if bad.any():
-        k = int(np.argmax(bad))
+    bad = np.flatnonzero(~(unitary & (np.abs(m[:, 0, 0]) > A2_TOL)))
+    k, refusal = int(bad[0]) if bad.size else len(m), None
+    if k < len(m):
         where = "" if sites is None else f"coin at site {sites[k]}: "
+        refusal = A2Violated(f"{where}coin has |a| below 1e-14, transfer matrices undefined")
         if not unitary[k]:
-            raise NotUnitary(f"{where}unitarity residual {residual[k]:.3e} exceeds {UNITARITY_TOL}")
-        raise A2Violated(f"{where}coin has |a| below 1e-14, transfer matrices undefined")
-    return [Coin(*entries) for entries in m.reshape(-1, 4).tolist()]
+            refusal = NotUnitary(f"{where}unitarity residual {residual[k]:.3e} exceeds {UNITARITY_TOL}")
+    return [Coin(*entries) for entries in m[:k].reshape(-1, 4).tolist()], refusal
 
 
 @dataclass(frozen=True)
@@ -250,16 +258,14 @@ def coin_to_pqtheta(coin: Coin) -> PQTheta:
 
 def pqtheta_to_S(x: PQTheta) -> Coin:
     """Inverse of :func:`coin_to_pqtheta`."""
+    return validate_coin(np.array(_s_entries(x), dtype=complex).reshape(2, 2))
+
+
+def _s_entries(x: PQTheta) -> list[complex]:
+    """The entries (a, b, c, d) of pqtheta_to_S(x), unchecked."""
     pbar_inv = 1.0 / x.p.conjugate()
     eit = cmath.exp(1j * x.theta)
-    m = np.array(
-        [
-            [eit * pbar_inv, x.q.conjugate() * pbar_inv],
-            [-x.q * pbar_inv, pbar_inv / eit],
-        ],
-        dtype=complex,
-    )
-    return validate_coin(m)
+    return [eit * pbar_inv, x.q.conjugate() * pbar_inv, -x.q * pbar_inv, pbar_inv / eit]
 
 
 def pqtheta_to_T(x: PQTheta) -> np.ndarray:
@@ -337,12 +343,23 @@ def s_product(s1: Coin, s2: Coin) -> Coin:
     ProductLeavesS
         If the resulting coin would have a vanishing a-entry.
     """
-    t = coin_transfer_factor(s1) @ coin_transfer_factor(s2)
+    coins, refusal = _s_products([s1], s2)
+    if refusal is not None:
+        raise refusal
+    return coins[0]
+
+
+def _s_products(lefts: list[Coin], right: Coin) -> tuple[list[Coin], QWResError | None]:
+    """s_product(s, right) for each s of lefts, as _valid_prefix returns coins: one matmul, one check pass."""
+    ts = np.array([coin_transfer_factor(s) for s in lefts], dtype=complex).reshape(-1, 2, 2) @ coin_transfer_factor(right)
+    entries, refusal = [], None
     try:
-        x = _transfer_to_pqtheta(t, (s1.a / s1.d) * (s2.a / s2.d))
-        return pqtheta_to_S(x)
-    except (A2Violated, ConstraintViolated) as exc:
-        raise ProductLeavesS(str(exc)) from exc
+        for s, t in zip(lefts, ts):
+            entries.append(_s_entries(_transfer_to_pqtheta(t, (s.a / s.d) * (right.a / right.d))))
+    except ConstraintViolated as exc:
+        refusal = ProductLeavesS(str(exc))
+    coins, bad = _valid_prefix(np.array(entries, dtype=complex).reshape(-1, 2, 2))
+    return coins, ProductLeavesS(str(bad)) if isinstance(bad, A2Violated) else bad or refusal
 
 
 # ---------------------------------------------------------------------------

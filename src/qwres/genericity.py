@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coins import CoinSequence, PQTheta, pqtheta_to_S, s_product
-from .errors import DegenerateDirection, LeftS, NoMultipleResonance, ProductLeavesS
+from .coins import CoinSequence, PQTheta, _s_entries, _s_products, _valid_prefix
+from .errors import DegenerateDirection, LeftS, NoMultipleResonance, ProductLeavesS, QWResError
 from .resonances import _resonance_family
 
 __all__ = [
@@ -51,22 +51,38 @@ def perturb(cs: CoinSequence, eps: float, phi: float) -> CoinSequence:
     eps = 0 returns cs itself.  Needs 0 <= eps < 1/2 so the normalizer
     stays positive for every phi.  If the product collapses the a-entry
     of the new first coin, the family has left the admissible class and
-    LeftS is raised.
+    LeftS is raised.  This is _perturbed's one-eps case.
     """
-    if not 0 <= eps < 0.5:
-        raise ValueError(f"eps must lie in [0, 1/2), got {eps}")
-    if eps == 0:
-        return cs
-    direction = cmath.exp(1j * phi)
-    p = (1 + eps * direction) / math.sqrt(1 + 2 * eps * math.cos(phi))
-    q = eps * direction * p
-    p *= math.sqrt(1 + abs(q) ** 2) / abs(p)  # exact hyperboloid projection
-    factor = pqtheta_to_S(PQTheta(p, q, 0.0))
+    return _perturbed(cs, [eps], phi)[0]
+
+
+def _perturbed(cs: CoinSequence, epsilons, phi: float) -> list[CoinSequence]:
+    """perturb(cs, eps, phi) for each eps of epsilons, the new first coins built as one stack.
+
+    One coins._valid_prefix pass checks the factors and one _s_products pass
+    multiplies them on; each stage takes the eps ahead of the first failure
+    so far, so the first to fail raises what perturb raises for it alone.
+    """
+    entries, refusal = [], None
     try:
-        new_first = s_product(factor, cs.coin_at(0))
-    except ProductLeavesS as exc:
-        raise LeftS(str(exc)) from exc
-    return CoinSequence(cs.n0, (new_first,) + cs.coins[1:])
+        for eps in epsilons:
+            if not 0 <= eps < 0.5:
+                raise ValueError(f"eps must lie in [0, 1/2), got {eps}")
+            if eps:
+                direction = cmath.exp(1j * phi)
+                p = (1 + eps * direction) / math.sqrt(1 + 2 * eps * math.cos(phi))
+                q = eps * direction * p
+                p *= math.sqrt(1 + abs(q) ** 2) / abs(p)  # exact hyperboloid projection
+                entries.append(_s_entries(PQTheta(p, q, 0.0)))
+    except (ValueError, QWResError) as exc:
+        refusal = exc
+    factors, bad = _valid_prefix(np.array(entries, dtype=complex).reshape(-1, 2, 2))
+    coins, left = _s_products(factors, cs.coin_at(0))
+    refusal = LeftS(str(left)) if isinstance(left, ProductLeavesS) else left or bad or refusal
+    if refusal is not None:
+        raise refusal
+    coins = iter(coins)
+    return [CoinSequence(cs.n0, (next(coins),) + cs.coins[1:]) if eps else cs for eps in epsilons]
 
 
 def splitting_experiment(pf: PerturbationFamily):
@@ -80,15 +96,16 @@ def splitting_experiment(pf: PerturbationFamily):
     and raises DegenerateDirection.  A base walk without a multiple
     resonance raises NoMultipleResonance.
 
-    Every perturbed walk is formed before any is rooted, and the base and
-    its perturbed walks are then rooted together, in one stacked pass
+    Every perturbed walk is formed before any is rooted, their new first
+    coins as one stack (_perturbed), each bit for bit perturb's.  The base
+    and its perturbed walks are then rooted together, in one stacked pass
     (resonances._resonance_family), each bit for bit as find_resonances
     roots it alone.  Where several fail, the first failure names the error:
-    perturb's refusals, then the walks' rooting in order (the base first),
-    and last the base's lack of a multiple resonance.
+    perturb's refusals in eps order, then the walks' rooting in order (the
+    base first), and last the base's lack of a multiple resonance.
     """
     epsilons = [float(eps) for eps in pf.epsilons]
-    walks = [perturb(pf.base, eps, pf.phi) for eps in epsilons if eps]
+    walks = _perturbed(pf.base, [eps for eps in epsilons if eps], pf.phi)
     base, *family = _resonance_family([pf.base, *walks])
     target = next((r for r in base if r.alg_multiplicity >= 2), None)
     if target is None:

@@ -19,8 +19,8 @@ p does not account for, or a p with more roots than K has eigenvalue
 pairs is refused.  A family of walks of one n0, as a splitting
 experiment roots, takes each stage at once on a leading walk axis
 (_resonance_family): one polynomial recursion and relation-check pass,
-one eigvals call on the stacked BA, one witness pass per multiplicity,
-then clustering and the checks walk by walk; every walk gets its lone
+one eigvals call on the stacked BA, then one pass for the clustering, the
+witness and each check over all walks' clusters; every walk gets its lone
 call's bits, and a refused family is rooted again walk by walk so that
 the first failure names the error.
 
@@ -102,27 +102,25 @@ class Resonance:
             raise InvariantViolation("multiplicity must be positive")
 
 
-def _cluster(roots: np.ndarray) -> list[np.ndarray]:
-    """Group root approximations within radius 1e-6 max(1, |mu|)."""
-    order = np.lexsort((roots.imag, roots.real))
+def _cluster(roots: np.ndarray, walk=None) -> list[np.ndarray]:
+    """Group roots within radius 1e-6 max(1, |mu|) in one pairwise pass, each only with its walk's (walk nondecreasing)."""
+    order = np.lexsort((roots.imag, roots.real) if walk is None else (roots.imag, roots.real, walk))
     roots = roots[order]
     size = np.maximum(np.abs(roots), 1.0)
-    tol = CLUSTER_SCALE * np.maximum(size[:, None], size[None, :])
-    rows, cols = np.nonzero(np.abs(roots[:, None] - roots[None, :]) <= tol)
+    near = np.abs(roots[:, None] - roots[None, :]) <= CLUSTER_SCALE * np.maximum(size[:, None], size[None, :])
+    if walk is not None:  # the walks keep their places, as walk leads the sort
+        near &= walk[:, None] == walk[None, :]
+    rows, cols = np.nonzero(near)
     if len(rows) == len(roots):  # each root its own only neighbour
         return list(roots[:, None])
-    # each root's neighbours in increasing index, itself included
-    neighbours = [[] for _ in roots]
+    neighbours = [[] for _ in roots]  # each root's, in increasing index, itself included
     for j, k in zip(rows.tolist(), cols.tolist()):
         neighbours[j].append(k)
-    used = [False] * len(roots)
-    clusters = []
+    used, clusters = [False] * len(roots), []
     for i in range(len(roots)):
         if used[i]:
             continue
-        group = [i]
-        used[i] = True
-        frontier = [i]
+        group, frontier, used[i] = [i], [i], True
         while frontier:
             for k in neighbours[frontier.pop()]:
                 if not used[k]:
@@ -133,22 +131,25 @@ def _cluster(roots: np.ndarray) -> list[np.ndarray]:
     return clusters
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _witness(coeffs: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _witness(coeffs: np.ndarray, x: np.ndarray, m) -> np.ndarray:
     """x less one Newton step q / q' on q = p^(m-1), nan where q' is 0 or the step not finite.
 
-    Row j of coeffs is entry j's p, lowest degree first, the rows zero-padded
-    to one length (Horner keeps its +0 start through zero top coefficients);
-    x holds the cluster means of one multiplicity m, an m-fold root of p
-    being a simple one of p^(m-1).  One transfer._horner pass serves all.
+    Row j of coeffs is entry j's p, lowest degree first, zero-padded to one
+    length; x holds the cluster means, m their multiplicities (one for all
+    or one each).  Each row is differentiated to its own m at full length,
+    zero-padded at the top, where Horner keeps its +0 start, so one
+    transfer._horner pass serves every multiplicity.
     """
-    high = coeffs[:, ::-1]
-    for _ in range(m):
-        high, low = high[:, :-1] * np.arange(high.shape[1] - 1, 0, -1), high
-    # q of every entry, then q' (padded to q's length)
-    rows = np.concatenate([low, np.concatenate([np.zeros_like(low[:, :1]), high], axis=1)])
-    q, dq = _horner(rows, np.concatenate([x, x])[:, None]).reshape(2, -1)
-    step = np.divide(q, dq, out=np.full_like(x, np.nan), where=dq != 0)
+    m, q = np.asarray(m)[..., None], coeffs[:, ::-1]
+    top, powers = int(m.max(initial=1)), np.arange(q.shape[1] - 1, 0, -1)
+    for k in range(1, top + 1):
+        dq = np.zeros_like(q)
+        dq[:, 1:] = q[:, :-1] * powers  # q', zero-padded at the top
+        if k < top:
+            q = np.where(m > k, dq, q)  # p^(k) where m exceeds k
+    q, dq = _horner(np.concatenate([q, dq]), np.concatenate([x, x])[:, None]).reshape(2, -1)
+    step = q / dq
     return np.where(np.isfinite(step), x - step, np.nan)
 
 
@@ -177,93 +178,86 @@ def _resonances(walks, eigenvalues) -> list[list[Resonance]]:
     eigenvalues() then gives K's spectrum, a row per walk, as
     walk._parity_eig lays it out: lambda_j over the r = n0 eigenvalues of
     BA, then -lambda_j, then the two zeros.  Each p is deflated of its zero
-    roots, structural and never resonances, to a degree d.  The d largest
-    mu_j = lambda_j^2 cluster into multiplicities (_cluster), and each
-    cluster's mean is its root.  Its witness is one Newton step on its
-    walk's p^(m-1) from that mean, one _witness pass per multiplicity for
-    all walks.  A cluster draws on r = n0 eigenvalues, so no multiplicity
-    exceeds the window size.  Then, walk by walk, every cluster is checked
-    against the unit disk and the strip (Resonance) before the cross-check
-    below.
+    roots, structural and never resonances, to a degree d, and its walk's d
+    largest mu_j = lambda_j^2 cluster into multiplicities (_cluster); each
+    cluster's mean is its root, witnessed by one Newton step on its walk's
+    p^(m-1) (_witness).  Every stage takes all walks' clusters in one array
+    pass; only what a Resonance holds (mu_j, each mean, each strip_pair) is
+    formed walk by walk and cluster by cluster.
 
-    The cross-check reads the witnesses against the eigenvalues, all
-    clusters in one array pass.  An m-fold eigenvalue is determined only
-    to about eps^(1/m) by QR iteration, so each member's +-sqrt(mu_j) must
-    lie within max(1e-8, 50 eps^(1/m)) max(1, |lambda|) of the witness
-    +-sqrt(mean - step); a zero or non-finite step has no witness and is
-    refused.
-    Every eigenvalue outside the d must lie within 1e-6 of 0 (the zero
-    group spreads to eps^(1/index) for nilpotent blocks), and d must not
-    exceed r.
+    The checks run in this order over all walks: every cluster against the
+    unit disk and the strip (Resonance), cluster by cluster; the
+    cross-check: an m-fold eigenvalue is determined only to about
+    eps^(1/m) by QR iteration, so each member's +-sqrt(mu_j) must lie
+    within max(1e-8, 50 eps^(1/m)) max(1, |lambda|) of the witness
+    +-sqrt(mean - step), and a zero or non-finite step has no witness and
+    is refused; every eigenvalue outside the d within 1e-6 of 0 (the zero
+    group spreads to eps^(1/index) for nilpotent blocks); and d <= r.  A
+    lone walk raises its first failure; _resonance_family finds a family's.
     """
     tps = _transfer_polynomials(walks)
     if (walks if isinstance(walks, CoinSequence) else walks[0]).n0 < 1:
         return [[] for _ in tps]
     walk_evals = eigenvalues().reshape(len(tps), -1)
     r = walk_evals.shape[1] // 2 - 1
-    polys, tops, clusters, ends = [], [], [], [0]  # walk w's clusters at ends[w]:ends[w + 1]
-    for tp, evals in zip(tps, walk_evals):
+    polys = []
+    for tp, scale in zip(tps, np.abs([tp.coeffs for tp in tps]).max(axis=1).tolist()):
         coeffs = tp.coeffs
-        scale = np.max(np.abs(coeffs))
         while len(coeffs) > 1 and abs(coeffs[0]) <= 1e-13 * scale:
             coeffs = coeffs[1:]
-        mu = evals[:r] ** 2
-        top = np.argsort(-np.abs(mu), kind="stable")[: len(coeffs) - 1]
-        clusters += _cluster(mu[top])
         polys.append(coeffs)
-        tops.append(top)
-        ends.append(len(clusters))
+    mus = np.array([evals[:r] ** 2 for evals in walk_evals])
+    order = np.argsort(-np.abs(mus), axis=1, kind="stable")  # each walk's mu_j by |mu_j|, largest first
+    taken = np.array([min(len(coeffs) - 1, r) for coeffs in polys])  # each walk's d largest, at most r
+    owner, tops = np.repeat(np.arange(len(polys)), taken), np.concatenate([row[:t] for row, t in zip(order, taken)])
+    clusters = _cluster(mus[owner, tops], owner)
     mults = np.array([len(c) for c in clusters], dtype=int)
+    # walk w's clusters at ends[w]:ends[w + 1]; no cluster spans two walks
+    ends = [0, *np.searchsorted(mults.cumsum(), taken.cumsum(), side="right").tolist()]
     roots = np.array([c[0] if len(c) == 1 else np.mean(c) for c in clusters], dtype=complex)
     rows = np.zeros((len(clusters), max(map(len, polys))), dtype=complex)  # each cluster's p, zero-padded
     for w, coeffs in enumerate(polys):
         rows[ends[w] : ends[w + 1], : len(coeffs)] = coeffs
-    witness = np.empty_like(roots)
-    for m in set(mults.tolist()):
-        entries = mults == m
-        witness[entries] = _witness(rows[entries], roots[entries], m)
+    witness = _witness(rows, roots, mults)
 
-    found = []
-    for coeffs, evals, top, walk in zip(polys, walk_evals, tops, map(slice, ends, ends[1:])):
-        d, wm, pairs = len(coeffs) - 1, mults[walk], []
-        for m, root in zip(wm.tolist(), roots[walk]):
-            if abs(root) >= 1 + 1e-12:
-                raise InvariantViolation(
-                    f"transfer polynomial root mu={root} lies outside the unit disk"
-                )
-            pairs.append(strip_pair(root, m))
-        lam = np.repeat([res.lam for res, _ in pairs], wm)  # each member's cluster lambda
-        wit = np.repeat(np.sqrt(witness[walk]), wm)
-        tol = np.maximum(1e-8, 50 * _EPS ** (1.0 / np.repeat(wm, wm))) * np.maximum(1, np.abs(lam))
-        near = np.sqrt(np.concatenate([lam[:0], *clusters[walk]]))
-        far = ~(np.minimum(np.abs(near - wit), np.abs(near + wit)) <= tol)  # a nan witness is far
-        if far.any():
-            k = np.argmax(far)
-            raise InvariantViolation(
-                f"no dense eigenvalue within {tol[k]:.2e} of p's witness +-{wit[k]} at lambda={lam[k]}"
-            )
-        rest = np.delete(evals[:r], top)
-        stray = rest[np.abs(rest) > 1e-6]
-        if stray.size:
-            raise InvariantViolation(
-                f"dense eigensolve has nonzero eigenvalues +-{stray.tolist()} the polynomial missed"
-            )
+    pairs = []
+    for m, root in zip(mults.tolist(), roots):
+        if abs(root) >= 1 + 1e-12:
+            raise InvariantViolation(f"transfer polynomial root mu={root} lies outside the unit disk")
+        pairs.append(strip_pair(root, m))
+    lam = np.array([res.lam for res, _ in pairs], dtype=complex).repeat(mults)  # each member's cluster lambda
+    wit = np.sqrt(witness).repeat(mults)
+    tol = np.maximum(1e-8, 50 * _EPS ** (1.0 / mults.repeat(mults))) * np.maximum(1, np.abs(lam))
+    near = np.sqrt(np.concatenate([lam[:0], *clusters]))
+    far = ~(np.minimum(np.abs(near - wit), np.abs(near + wit)) <= tol)  # a nan witness is far
+    if far.any():
+        k = np.argmax(far)
+        raise InvariantViolation(f"no dense eigenvalue within {tol[k]:.2e} of p's witness +-{wit[k]} at lambda={lam[k]}")
+    stray = np.abs(walk_evals[:, :r]) > 1e-6
+    stray[owner, tops] = False  # the nonzero eigenvalues outside each walk's d
+    if stray.any():
+        w = np.argmax(stray.any(axis=1))
+        missed = walk_evals[w, :r][stray[w]].tolist()
+        raise InvariantViolation(f"dense eigensolve has nonzero eigenvalues +-{missed} the polynomial missed")
+    for d in (len(coeffs) - 1 for coeffs in polys):
         if d > r:
             raise InvariantViolation(
                 f"no dense eigenvalue within reach of {d - r} of the polynomial's {d} roots:"
                 f" K has {r} nonzero eigenvalue pairs"
             )
-        found.append(sorted((res for pair in pairs for res in pair), key=lambda res: (res.xi.real, res.xi.imag)))
-    return found
+    return [
+        sorted((res for pair in pairs[lo:hi] for res in pair), key=lambda res: (res.xi.real, res.xi.imag))
+        for lo, hi in zip(ends, ends[1:])
+    ]
 
 
 def _resonance_family(walks: list[CoinSequence]) -> list[list[Resonance]]:
     """find_resonances of each walk of a list of one n0, in one stacked pass.
 
-    The polynomials, parity blocks and eigvals are stacked (_resonances),
-    each walk's numbers bit for bit its lone call's.  Walks of different n0
-    are a ValueError.  Where the family is refused, its walks are rooted
-    again one at a time, so the first to fail names the error.
+    Every stage takes all walks in one array pass (_resonances), each walk's
+    numbers bit for bit its lone call's.  Walks of different n0 are a
+    ValueError.  Where the family is refused, at any walk, its walks are
+    rooted again one at a time, so the first to fail names the error.
     """
     if len({cs.n0 for cs in walks}) > 1:
         raise ValueError(f"the walks of a family share n0, got {[cs.n0 for cs in walks]}")

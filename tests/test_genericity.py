@@ -1,17 +1,30 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 
 import qwres.transfer
 from conftest import hadamard_pair, random_sequence, triple_barrier
 from qwres import (
+    CoinSequence,
+    LeftS,
     PerturbationFamily,
+    PQTheta,
     RelationCheckFailed,
     coin_to_pqtheta,
+    coin_transfer_factor,
+    pqtheta_to_S,
+    rotation_coin,
+    s_product,
+    validate_coin,
     find_resonances,
     perturb,
     splitting_experiment,
     splitting_slope,
 )
+from qwres.coins import _transfer_to_pqtheta
+from qwres.genericity import _perturbed
 
 
 def test_perturb_eps_zero_is_identity():
@@ -131,3 +144,60 @@ def test_split_roots_its_family_in_one_stacked_pass(monkeypatch):
         primaries = [r for r in find_resonances(perturb(pf.base, want, pf.phi)) if r.xi.real < 0]
         near = sorted(primaries, key=lambda r: abs(r.mu - mu0))[:2]
         assert eps == want and mults == (1, 1) and gap == abs(near[0].mu - near[1].mu)
+
+
+def _factor(eps, phi):
+    """perturb's eps-phi factor coin, one eps at a time."""
+    direction = cmath.exp(1j * phi)
+    p = (1 + eps * direction) / math.sqrt(1 + 2 * eps * math.cos(phi))
+    q = eps * direction * p
+    p *= math.sqrt(1 + abs(q) ** 2) / abs(p)
+    return pqtheta_to_S(PQTheta(p, q, 0.0))
+
+
+def _product(s1, s2):
+    """s_product's arithmetic on one pair, by a 2x2 matmul."""
+    t = coin_transfer_factor(s1) @ coin_transfer_factor(s2)
+    return pqtheta_to_S(_transfer_to_pqtheta(t, (s1.a / s1.d) * (s2.a / s2.d)))
+
+
+def test_stacked_perturbations_are_perturb_bit_for_bit():
+    # _perturbed checks its factors and products in one pass each
+    # and multiplies all transfer factors in one matmul: every new first
+    # coin must be the one-eps composition's, a 2x2 matmul each, and
+    # perturb's and s_product's, bit for bit
+    epsilons = (1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.3, 0.49)
+    bases = [triple_barrier(), random_sequence(np.random.default_rng(7), 5)]
+    bits = lambda coin: np.array([coin.a, coin.b, coin.c, coin.d]).tobytes()
+    for cs in bases:
+        for phi in np.linspace(-math.pi, math.pi, 20).tolist():
+            walks = _perturbed(cs, (0.0,) + epsilons, phi)
+            assert walks[0] is cs
+            for eps, walk in zip(epsilons, walks[1:]):
+                assert walk.n0 == cs.n0 and walk.coins[1:] == cs.coins[1:]
+                factor = _factor(eps, phi)
+                assert bits(walk.coins[0]) == bits(_product(factor, cs.coin_at(0))), (phi, eps)
+                assert bits(walk.coins[0]) == bits(s_product(factor, cs.coin_at(0)))
+                assert bits(walk.coins[0]) == bits(perturb(cs, eps, phi).coins[0])
+
+
+def test_stacked_perturbations_name_the_first_bad_eps():
+    # with |a| = 1.2e-14 on the first coin, eps = 0.3 at phi = 0 drives the
+    # product's |a| below 1e-14 (LeftS) while eps = 0.1 leaves it at
+    # 1.09e-14; whichever of it and an eps out of range comes first names
+    # the error, as perturb names it for that eps alone
+    a = 1.2e-14
+    cs = CoinSequence(1, (validate_coin([[a, 1.0], [-1.0, a]]), rotation_coin(0.5)))
+    assert abs(perturb(cs, 0.1, 0.0).coins[0].a) > 1e-14
+    with pytest.raises(LeftS) as lone:
+        perturb(cs, 0.3, 0.0)
+    for epsilons, kind, words in [
+        ((1e-3, 0.1, 0.3, 0.7), LeftS, str(lone.value)),
+        ((1e-3, 0.7, 0.3), ValueError, "eps must lie in [0, 1/2), got 0.7"),
+    ]:
+        with pytest.raises(kind) as caught:
+            _perturbed(cs, epsilons, 0.0)
+        assert str(caught.value) == words
+        with pytest.raises(kind) as caught:
+            splitting_experiment(PerturbationFamily(cs, 0.0, epsilons))
+        assert str(caught.value) == words

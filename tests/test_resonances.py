@@ -174,11 +174,10 @@ def test_witness_is_one_polyval_newton_step(monkeypatch):
 
 @pytest.mark.parametrize("n0", [32, 64])
 def test_polish_passes_stay_few(monkeypatch, n0):
-    # the witness takes one _horner pass per distinct multiplicity, however
-    # many clusters and walks share it: one for each Haar window, whose
-    # resonances are simple, and two for a split family of the triple
-    # barrier, whose base walk has a double resonance (the name predates
-    # the witness)
+    # the witness takes one _horner pass, however many clusters, walks and
+    # multiplicities share it: one for each Haar window, whose resonances
+    # are simple, and one for a split family of the triple barrier, whose
+    # base walk has a double resonance (the name predates the witness)
     calls = []
     real = qwres.resonances._horner
     monkeypatch.setattr(qwres.resonances, "_horner", lambda rows, x: calls.append(1) or real(rows, x))
@@ -195,12 +194,12 @@ def test_polish_passes_stay_few(monkeypatch, n0):
             find_resonances(cs)
         except InvariantViolation:
             pass  # a strip coordinate refused after the witness
-        assert len(calls) == len({len(c) for c in _cluster(eigen_mu(cs))}), len(calls)
+        assert len(calls) == 1, len(calls)
     monkeypatch.setattr(qwres.resonances, "_transfer_polynomials", _transfer_polynomials)
     tb = triple_barrier()
     calls.clear()
     found = _resonance_family([tb] + [perturb(tb, eps, 0.7) for eps in (1e-5, 1e-4)])
-    assert {r.alg_multiplicity for rs in found for r in rs} == {1, 2} and len(calls) == 2
+    assert {r.alg_multiplicity for rs in found for r in rs} == {1, 2} and len(calls) == 1
 
 
 @pytest.mark.parametrize("n0", [16, 32, 45, 64])
@@ -806,6 +805,68 @@ def test_family_names_the_first_walk_to_fail_at_any_stage(monkeypatch):
             _resonance_family(walks)
         assert str(caught.value) == words[first]
     assert _bits(_resonance_family([ok, ok])[1]) == _bits(find_resonances(ok))
+
+
+def test_lone_walk_checks_every_cluster_against_the_disk_before_the_cross_check(monkeypatch):
+    # the checks run once over all clusters, in order: the unit disk and
+    # the strip cluster by cluster, then the cross-check.  With the
+    # lexicographically first cluster moved off p's root inside the disk,
+    # the cross-check names that cluster; with the last one also pushed to
+    # |lambda| = 1 + 1e-9, the unit disk refuses it first, though a later
+    # cluster in the cross-check's order fails before it
+    cs = random_sequence(np.random.default_rng(4), 4)
+    real, r = qwres.resonances._parity_eig, cs.n0
+
+    def moved(outside):
+        def push(a, b):
+            evals = real(a, b).copy()
+            lam = evals[:r]
+            order = np.lexsort(((lam**2).imag, (lam**2).real))
+            lam[order[0]] *= 1.01**0.5
+            if outside:
+                lam[order[-1]] *= (1 + 1e-9) / abs(lam[order[-1]])
+            evals[r : 2 * r] = -lam
+            return evals
+
+        return push
+
+    monkeypatch.setattr(qwres.resonances, "_parity_eig", moved(False))
+    with pytest.raises(InvariantViolation, match="^no dense eigenvalue within 1.00e-08 of p's witness") as caught:
+        find_resonances(cs)
+    lam = complex(str(caught.value).split("lambda=")[1])
+    assert lam.real < 0 and abs(lam.real) < abs(lam.imag)  # the cluster at mu = -0.708 - 0.148i
+    monkeypatch.setattr(qwres.resonances, "_parity_eig", moved(True))
+    with pytest.raises(InvariantViolation, match="^transfer polynomial root mu=.* lies outside the unit disk$"):
+        find_resonances(cs)
+
+
+def test_witness_mixed_multiplicities_match_the_per_m_passes():
+    # one pass serves clusters of every multiplicity: each entry's step is
+    # the one a pass of its multiplicity alone gives it, and the oracle's,
+    # bit for bit; the family rows hold the triple barrier's double root,
+    # Haar windows' simple ones and a made-up triple root, zero-padded at
+    # the top to one length
+    rng = np.random.default_rng(409)
+    walks = [triple_barrier(), random_sequence(rng, 8), random_sequence(rng, 16)]
+    polys = [np.array(transfer_polynomial(cs).coeffs) for cs in walks]
+    polys.append(monic_from_roots([0.3 + 0.1j] * 3 + [-0.5j, 0.2]))
+    starts = [[(np.mean(c), len(c)) for c in _cluster(eigen_mu(cs))] for cs in walks]
+    starts.append([(0.3 + 0.1j + 1e-7, 3), (-0.5j + 1e-9, 1), (0.2 - 1e-9j, 1)])
+    width = max(map(len, polys)) + 2
+    rows, x0, mults = [], [], []
+    for coeffs, found in zip(polys, starts):
+        for x, m in found:
+            rows.append(np.concatenate([coeffs, np.zeros(width - len(coeffs), dtype=complex)]))
+            x0.append(x)
+            mults.append(m)
+    rows, x0, mults = np.array(rows), np.array(x0, dtype=complex), np.array(mults)
+    assert set(mults.tolist()) == {1, 2, 3}
+    got = _witness(rows, x0, mults)
+    for m in (1, 2, 3):
+        entries = mults == m
+        assert got[entries].tobytes() == _witness(rows[entries], x0[entries], m).tobytes(), m
+    want = [_witness_one(row, x, m) for row, x, m in zip(rows, x0, mults.tolist())]
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("family", [thin_window, near_identity_window])

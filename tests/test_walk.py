@@ -32,11 +32,13 @@ from qwres import (
     step,
     survival_norm,
 )
+from qwres.states import _norms
 from qwres.walk import (
     BLOCK,
     _checked_norm,
     _parity_blocks,
     _parity_eig,
+    _walk,
     _window_blocks,
     _window_survival,
 )
@@ -429,6 +431,64 @@ def _assert_same_stream(got, want):
             assert x.tobytes() == y.tobytes() if y else x == 0
 
 
+def _trimmed(lo, rows):
+    """(lo, rows) less its zero rows at either end, as a WaveState keeps it; the zero state is (0, no rows)."""
+    if len(rows) and (rows[0, 0] or rows[0, 1]) and (rows[-1, 0] or rows[-1, 1]):
+        return lo, rows
+    nonzero = np.flatnonzero((rows != 0).any(axis=1))
+    if not nonzero.size:
+        return 0, rows[:0]
+    return lo + int(nonzero[0]), rows[nonzero[0] : nonzero[-1] + 1]
+
+
+def _restricted_rows(psi0, cs, T):
+    """_restricted_states on plain arrays: psi_t's rows on [0, n0] and its L at -1 and R at n0 + 1.
+
+    psi_t is psi_{t-1} stepped by walk._walk as (lo, rows), cut to
+    [min(-1, lo0), max(n0 + 1, hi0)] and trimmed as step and
+    WaveState.restrict trim it, so each row is bit for bit
+    _restricted_states'.  Returns the windows, shape (T + 1, n0 + 1, 2),
+    zero off psi_t, and the edge amplitudes, shape (T + 1, 2).
+    """
+    n0 = cs.n0
+    cut_lo, cut_hi = min(-1, psi0.support_lo), max(n0 + 1, psi0.support_hi)
+    lo, rows = psi0.support_lo, psi0.amplitudes
+    windows = np.zeros((T + 1, n0 + 1, 2), dtype=complex)
+    edges = np.zeros((T + 1, 2), dtype=complex)
+    for t in range(T + 1):
+        if t:
+            lo, rows = _walk(cs, lo, rows)
+            cut = max(cut_lo - lo, 0)
+            lo, rows = _trimmed(lo + cut, rows[cut : max(cut_hi + 1 - lo, 0)])
+        a, b = max(-lo, 0), min(n0 + 1 - lo, len(rows))
+        if a < b:
+            windows[t, lo + a : lo + b] = rows[a:b]
+        for k, (n, c) in enumerate(((-1, 0), (n0 + 1, 1))):
+            if 0 <= n - lo < len(rows):
+                edges[t, k] = rows[n - lo, c]
+    return windows, edges
+
+
+def _supports(windows):
+    """Each window's sites from its first nonzero to its last, as WaveState trims it (none for a zero window)."""
+    nonzero = (windows != 0).any(axis=2)
+    sites = np.arange(nonzero.shape[1])
+    first = np.argmax(nonzero, axis=1)[:, None]
+    last = len(sites) - 1 - np.argmax(nonzero[:, ::-1], axis=1)[:, None]
+    return (first <= sites) & (sites <= last) & nonzero.any(axis=1)[:, None]
+
+
+def _assert_same_rows(blocks, windows, edges):
+    """_assert_same_stream on arrays: the _window_blocks rows against _restricted_rows."""
+    got = np.concatenate([rows.copy() for rows in blocks])
+    assert len(got) == len(windows)
+    on = _supports(windows)
+    assert (_supports(got[:, 1:-1]) == on).all()
+    assert np.where(on[..., None], got[:, 1:-1], 0).tobytes() == np.where(on[..., None], windows, 0).tobytes()
+    for x, y in ((got[:, 0, 0], edges[:, 0]), (got[:, -1, 1], edges[:, 1])):
+        assert x[y != 0].tobytes() == y[y != 0].tobytes() and (x[y == 0] == 0).all()
+
+
 def test_step_and_the_window_stream_read_the_one_coin_kernel(monkeypatch):
     # with _coin's coins doubled, every amplitude a coin makes doubles, and
     # exactly so; from a state on the window every amplitude of the next one
@@ -470,10 +530,11 @@ def test_window_stream_is_the_restricted_trajectory_bit_for_bit():
     for cs in walks:
         psi0 = _two_sided_state(rng, cs.n0)
         assert incoming_length(psi0, cs.n0) == 4
-        want = _restricted_states(psi0, cs, 1200)
-        assert len(want) == 1201
-        _assert_same_stream(_window_states(psi0, cs, 1200), want)
-        norms = survival_norm([psi for psi, *_ in want], cs.n0)
+        windows, edges = _restricted_rows(psi0, cs, 1200)
+        assert len(windows) == 1201
+        _assert_same_rows(_window_blocks(psi0, cs, 1200), windows, edges)
+        # WaveState.norm's rule on each window's support, as survival_norm reads it
+        norms = [float(_norms(_trimmed(0, w)[1][None])[0]) for w in windows]
         assert _window_survival(psi0, cs, 1200) == norms
         for T in (0, 1, BLOCK - 1, BLOCK, BLOCK + 1):
             assert _window_survival(psi0, cs, T) == norms[: T + 1]
@@ -485,7 +546,8 @@ def test_window_stream_equals_the_trajectory_from_sparse_states():
     # from a single site the window rows start out partly off the support
     # of the stepped trajectory, where a step reads +0; the real reflections (c, d < 0)
     # turn a zero read with the other sign into a zero part of the other
-    # sign on the support, so the rows are compared bit for bit
+    # sign on the support, so the rows are compared bit for bit; the plain
+    # array reference of the long-run test must agree with the states' here
     rng = np.random.default_rng(83)
     reflection = Coin(0.6 + 0j, -0.8 + 0j, -0.8 + 0j, -0.6 + 0j)
     walks = [random_sequence(rng, int(rng.integers(1, 6))) for _ in range(10)]
@@ -496,6 +558,7 @@ def test_window_stream_equals_the_trajectory_from_sparse_states():
                 psi0 = basis_state(n, chirality)
                 want = _restricted_states(psi0, cs, 40)
                 _assert_same_stream(_window_states(psi0, cs, 40), want)
+                _assert_same_rows(_window_blocks(psi0, cs, 40), *_restricted_rows(psi0, cs, 40))
                 norms = survival_norm([psi for psi, *_ in want], cs.n0)
                 assert _window_survival(psi0, cs, 40) == norms
 
