@@ -171,26 +171,18 @@ def _validated(m: np.ndarray, sites=None) -> list[Coin]:
     The first matrix that fails raises what validate_coin raises for it;
     sites, when given, names each matrix's site in that message.
     """
-    coins, refusal = _valid_prefix(m, sites)
-    if refusal is not None:
-        raise refusal
-    return coins
-
-
-def _valid_prefix(m: np.ndarray, sites=None) -> tuple[list[Coin], QWResError | None]:
-    """_validated's pass, returning the coins before the first matrix that fails and its refusal (None if none fails)."""
     # huge entries overflow to inf or nan, which the negated tests refuse
     with np.errstate(over="ignore", invalid="ignore"):
         residual = np.abs(np.conj(np.swapaxes(m, -1, -2)) @ m - np.eye(2)).max(axis=(-2, -1))
     unitary = residual <= UNITARITY_TOL
-    bad = np.flatnonzero(~(unitary & (np.abs(m[:, 0, 0]) > A2_TOL)))
-    k, refusal = int(bad[0]) if bad.size else len(m), None
-    if k < len(m):
+    bad = ~(unitary & (np.abs(m[:, 0, 0]) > A2_TOL))
+    if bad.any():
+        k = int(np.argmax(bad))
         where = "" if sites is None else f"coin at site {sites[k]}: "
-        refusal = A2Violated(f"{where}coin has |a| below 1e-14, transfer matrices undefined")
         if not unitary[k]:
-            refusal = NotUnitary(f"{where}unitarity residual {residual[k]:.3e} exceeds {UNITARITY_TOL}")
-    return [Coin(*entries) for entries in m[:k].reshape(-1, 4).tolist()], refusal
+            raise NotUnitary(f"{where}unitarity residual {residual[k]:.3e} exceeds {UNITARITY_TOL}")
+        raise A2Violated(f"{where}coin has |a| below 1e-14, transfer matrices undefined")
+    return [Coin(*entries) for entries in m.reshape(-1, 4).tolist()]
 
 
 @dataclass(frozen=True)
@@ -343,23 +335,21 @@ def s_product(s1: Coin, s2: Coin) -> Coin:
     ProductLeavesS
         If the resulting coin would have a vanishing a-entry.
     """
-    coins, refusal = _s_products([s1], s2)
-    if refusal is not None:
-        raise refusal
-    return coins[0]
+    return _s_products([s1], s2)[0]
 
 
-def _s_products(lefts: list[Coin], right: Coin) -> tuple[list[Coin], QWResError | None]:
-    """s_product(s, right) for each s of lefts, as _valid_prefix returns coins: one matmul, one check pass."""
+def _s_products(lefts: list[Coin], right: Coin) -> list[Coin]:
+    """s_product(s, right) for each s of lefts: one stacked matmul, one _validated pass.
+
+    Raises what s_product raises, though with several lefts not
+    necessarily for the first s that fails.
+    """
     ts = np.array([coin_transfer_factor(s) for s in lefts], dtype=complex).reshape(-1, 2, 2) @ coin_transfer_factor(right)
-    entries, refusal = [], None
     try:
-        for s, t in zip(lefts, ts):
-            entries.append(_s_entries(_transfer_to_pqtheta(t, (s.a / s.d) * (right.a / right.d))))
-    except ConstraintViolated as exc:
-        refusal = ProductLeavesS(str(exc))
-    coins, bad = _valid_prefix(np.array(entries, dtype=complex).reshape(-1, 2, 2))
-    return coins, ProductLeavesS(str(bad)) if isinstance(bad, A2Violated) else bad or refusal
+        entries = [_s_entries(_transfer_to_pqtheta(t, (s.a / s.d) * (right.a / right.d))) for s, t in zip(lefts, ts)]
+        return _validated(np.array(entries, dtype=complex).reshape(-1, 2, 2))
+    except (A2Violated, ConstraintViolated) as exc:
+        raise ProductLeavesS(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

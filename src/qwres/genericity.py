@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coins import CoinSequence, PQTheta, _s_entries, _s_products, _valid_prefix
+from .coins import CoinSequence, PQTheta, _s_entries, _s_products, _validated
 from .errors import DegenerateDirection, LeftS, NoMultipleResonance, ProductLeavesS, QWResError
 from .resonances import _resonance_family
 
@@ -59,30 +59,34 @@ def perturb(cs: CoinSequence, eps: float, phi: float) -> CoinSequence:
 def _perturbed(cs: CoinSequence, epsilons, phi: float) -> list[CoinSequence]:
     """perturb(cs, eps, phi) for each eps of epsilons, the new first coins built as one stack.
 
-    One coins._valid_prefix pass checks the factors and one _s_products pass
-    multiplies them on; each stage takes the eps ahead of the first failure
-    so far, so the first to fail raises what perturb raises for it alone.
+    One coins._validated pass checks every factor, and one
+    coins._s_products pass multiplies them onto the first coin (one
+    stacked matmul, one check pass).  If several eps are given and one
+    fails, each is rebuilt alone, so the first to fail raises what
+    perturb raises for it.
     """
-    entries, refusal = [], None
     try:
-        for eps in epsilons:
-            if not 0 <= eps < 0.5:
-                raise ValueError(f"eps must lie in [0, 1/2), got {eps}")
-            if eps:
-                direction = cmath.exp(1j * phi)
-                p = (1 + eps * direction) / math.sqrt(1 + 2 * eps * math.cos(phi))
-                q = eps * direction * p
-                p *= math.sqrt(1 + abs(q) ** 2) / abs(p)  # exact hyperboloid projection
-                entries.append(_s_entries(PQTheta(p, q, 0.0)))
+        factors = _validated(np.array([_factor(eps, phi) for eps in epsilons if eps], dtype=complex).reshape(-1, 2, 2))
+        firsts = iter(_s_products(factors, cs.coin_at(0)))
     except (ValueError, QWResError) as exc:
-        refusal = exc
-    factors, bad = _valid_prefix(np.array(entries, dtype=complex).reshape(-1, 2, 2))
-    coins, left = _s_products(factors, cs.coin_at(0))
-    refusal = LeftS(str(left)) if isinstance(left, ProductLeavesS) else left or bad or refusal
-    if refusal is not None:
-        raise refusal
-    coins = iter(coins)
-    return [CoinSequence(cs.n0, (next(coins),) + cs.coins[1:]) if eps else cs for eps in epsilons]
+        if len(epsilons) > 1:
+            for eps in epsilons:
+                _perturbed(cs, [eps], phi)
+        if isinstance(exc, ProductLeavesS):
+            raise LeftS(str(exc)) from exc
+        raise
+    return [CoinSequence(cs.n0, (next(firsts),) + cs.coins[1:]) if eps else cs for eps in epsilons]
+
+
+def _factor(eps: float, phi: float) -> list[complex]:
+    """The entries of the eps-phi factor, unchecked; eps must lie in [0, 1/2)."""
+    if not 0 <= eps < 0.5:
+        raise ValueError(f"eps must lie in [0, 1/2), got {eps}")
+    direction = cmath.exp(1j * phi)
+    p = (1 + eps * direction) / math.sqrt(1 + 2 * eps * math.cos(phi))
+    q = eps * direction * p
+    p *= math.sqrt(1 + abs(q) ** 2) / abs(p)  # exact hyperboloid projection
+    return _s_entries(PQTheta(p, q, 0.0))
 
 
 def splitting_experiment(pf: PerturbationFamily):

@@ -102,14 +102,12 @@ class Resonance:
             raise InvariantViolation("multiplicity must be positive")
 
 
-def _cluster(roots: np.ndarray, walk=None) -> list[np.ndarray]:
+def _cluster(roots: np.ndarray, walk: np.ndarray) -> list[np.ndarray]:
     """Group roots within radius 1e-6 max(1, |mu|) in one pairwise pass, each only with its walk's (walk nondecreasing)."""
-    order = np.lexsort((roots.imag, roots.real) if walk is None else (roots.imag, roots.real, walk))
-    roots = roots[order]
+    roots = roots[np.lexsort((roots.imag, roots.real, walk))]  # the walks keep their places, as walk leads the sort
     size = np.maximum(np.abs(roots), 1.0)
     near = np.abs(roots[:, None] - roots[None, :]) <= CLUSTER_SCALE * np.maximum(size[:, None], size[None, :])
-    if walk is not None:  # the walks keep their places, as walk leads the sort
-        near &= walk[:, None] == walk[None, :]
+    near &= walk[:, None] == walk[None, :]
     rows, cols = np.nonzero(near)
     if len(rows) == len(roots):  # each root its own only neighbour
         return list(roots[:, None])

@@ -102,9 +102,9 @@ def test_cluster_matches_the_pairwise_loop():
     roots = [eigen_mu(cs) for cs in walks]
     roots += [np.array([0.5, 0.5 + 8e-7, 0.5 + 1.6e-6, -0.25j, 0.5, 2.0]), np.array([0.0, 1e-6, 3.0, 3.0 + 3e-6j])]
     for r in roots:
-        got, want = _cluster(r), _cluster_loop(r)
+        got, want = _cluster(r, np.zeros(len(r), int)), _cluster_loop(r)
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
-    assert [len(g) for g in _cluster(roots[-2])] == [1, 4, 1]
+    assert [len(g) for g in _cluster(roots[-2], np.zeros(6, int))] == [1, 4, 1]
 
 
 def test_unit_phase_is_tie_stable():
@@ -142,7 +142,8 @@ def test_witness_is_one_polyval_newton_step(monkeypatch):
     cases = [(triple_barrier(), None)] + [(random_sequence(rng, n0), n0) for n0 in (2, 8, 16, 32, 45)]
     for cs, n0 in cases:
         coeffs = np.array(transfer_polynomial(cs).coeffs)
-        clusters = _cluster(eigen_mu(cs))
+        mus = eigen_mu(cs)
+        clusters = _cluster(mus, np.zeros(len(mus), int))
         for m in {len(c) for c in clusters}:
             x0 = np.array([np.mean(c) for c in clusters if len(c) == m])
             got = _witness(np.tile(coeffs, (len(x0), 1)), x0, m)
@@ -850,7 +851,7 @@ def test_witness_mixed_multiplicities_match_the_per_m_passes():
     walks = [triple_barrier(), random_sequence(rng, 8), random_sequence(rng, 16)]
     polys = [np.array(transfer_polynomial(cs).coeffs) for cs in walks]
     polys.append(monic_from_roots([0.3 + 0.1j] * 3 + [-0.5j, 0.2]))
-    starts = [[(np.mean(c), len(c)) for c in _cluster(eigen_mu(cs))] for cs in walks]
+    starts = [[(np.mean(c), len(c)) for c in _cluster(mu, np.zeros(len(mu), int))] for mu in map(eigen_mu, walks)]
     starts.append([(0.3 + 0.1j + 1e-7, 3), (-0.5j + 1e-9, 1), (0.2 - 1e-9j, 1)])
     width = max(map(len, polys)) + 2
     rows, x0, mults = [], [], []
