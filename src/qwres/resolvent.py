@@ -10,14 +10,17 @@ step, again with forcing corrections.  Everything is entire in xi except
 the window solve, which is singular exactly at the resonances and at xi
 with e^{-i xi} = 0 eigenvalue directions.
 
-K maps even sites to odd ones and back, K = [[0, A], [B, 0]] with the even
-sites first, so (lam - K)^{-1}, lam = e^{-i xi}, comes in blocks from one
-inverse of its parity Schur complement S = lam^2 - BA, half its size.
-BA is the product whose eigenvalues give K's (walk._parity_eig).  Those
-blocks give both the window system's solution and its exact 1-norm
-condition number kappa_1 = |lam - K|_1 |(lam - K)^{-1}|_1, LAPACK's
-convention, the one figure the refusal near a pole reads, with no SVD, no
-eigensolve, no assembled inverse and no second factorization.
+Row n of lam - K, lam = e^{-i xi}, is lam L_n - alpha_{n+1} and
+lam R_n - beta_{n-1}, with alpha_n = a L_n + b R_n and beta_n = c L_n + d R_n
+what site n's coin sends left and right.  Its homogeneous solutions psi^<
+from (L, R)_0 = (1, 0) and psi^> from (L, R)_n0 = (0, 1) fail only the far
+edge's row, so with W^L = lam (L^< beta^> - L^> beta^<) and
+W^R = lam (R^> alpha^< - R^< alpha^>) at m, column (m, L) of (lam - K)^{-1}
+is psi^<(n) beta^>_m / W^L_m for n <= m and psi^>(n) beta^<_m / W^L_m
+after, column (m, R) psi^<(n) alpha^>_m / W^R_m for n < m and
+psi^>(n) alpha^<_m / W^R_m after.  The solution is two running sums, and
+the exact kappa_1 = |lam - K|_1 |(lam - K)^{-1}|_1 (LAPACK's convention, the
+refusal's one figure) sums of |L| + |R|: O(n0) a point, no BLAS or LAPACK.
 
 The identity (e^{-i xi} - U) R f = f is checked on every call; a quiet
 wrong answer is worse than an exception.
@@ -38,84 +41,106 @@ from .walk import _parity_blocks, _sweep, _walk
 __all__ = ["apply_resolvent", "identity_residual", "neumann_resolvent"]
 
 
-_STACK_ENTRIES = 1 << 16  # window-system entries per stack: 1 MiB of matrices
+_HEADROOM = 300  # bits a homogeneous solution may grow or shrink between two renormalizations
 
 
-def _inverse(s):
-    """np.linalg.inv on a stack of matrices, NaN in place of an exactly singular one's inverse."""
-    try:
-        return np.linalg.inv(s)
-    except np.linalg.LinAlgError:
-        if len(s) == 1:
-            return np.full_like(s, np.nan)
-        return np.concatenate([_inverse(s[k : k + 1]) for k in range(len(s))])
+def _exclusive_sums(y, cuts, out):
+    """out[i] = y[0] + ... + y[i - 1] down the first axis of y, (sites, solution, points), into a zeroed out.
 
-
-def _window_solves(xi, lam, a, b, rhs):
-    """Solutions and 1-norm condition numbers of (lam - K) v = rhs, point by point.
-
-    rhs has shape (points, n0 + 1, 2).  With the even sites first
-    K = [[0, A], [B, 0]], and eliminating the even unknowns leaves the
-    parity Schur complement S = lam^2 - BA, so (lam - K)^{-1} comes in
-    blocks from one inverse of S: with X = S^{-1} B and Y = A S^{-1} its
-    odd rows are [X, lam S^{-1}] and its even rows [(I + A X) / lam, Y].
-    The solution is read off them, v_o = X r_e + lam S^{-1} r_o and
-    v_e = (I + A X) r_e / lam + Y r_o, and so is the exact
-    kappa_1 = |lam - K|_1 |(lam - K)^{-1}|_1: the inverse's column sums are
-    sum|I + A X| / |lam| + sum|X| (even) and sum|Y| + |lam| sum|S^{-1}|
-    (odd), and |lam - K|_1 = |lam| + K's largest column sum, as K's
-    diagonal is zero.  S is lam^2 * 0 - BA off the diagonal and
-    lam^2 * 1 - BA on it, the bits of lam^2 I - BA.  Points run in stacks
-    of up to 2^16 // dim^2, each inverted once, and a stack's solutions are
-    read off only once none of its points is refused: AtResonance names
-    the first point in grid order with kappa_1 > 1e12 (inf where S is
-    exactly singular), the one pole test, which needs no eigensolve.  Every
-    product runs per point over the leading axis, so each point's bits are
-    its lone call's.
+    A cut (i, s, e) scales solution s and its running sum by 2^-e from site i on; the bits are one cumsum's.
     """
-    ba = b @ a
-    n, g, h = len(lam), len(a), len(ba)  # points, even and odd unknowns
-    step = max(1, _STACK_ENTRIES // (g + h) ** 2)
-    k_norm = max(np.abs(a).sum(0).max(), np.abs(b).sum(0).max())
-    r_e, r_o = rhs[:, 0::2].reshape(n, g, 1), rhs[:, 1::2].reshape(n, h, 1)
-    v = np.empty(rhs.shape, dtype=complex)
-    cond = np.empty(n)
-    for k0 in range(0, n, step):
-        part = slice(k0, k0 + step)
-        lp = lam[part, None, None]
-        l2 = lp * lp
-        s = l2 * 0.0 - ba
-        s.reshape(len(l2), -1)[:, :: h + 1] = l2[:, 0] * 1.0 - ba.diagonal()
-        s_inv = _inverse(s)
-        x, y = s_inv @ b, a @ s_inv
-        ax = a @ x
-        ax.reshape(len(l2), -1)[:, :: g + 1] += 1  # I + A S^-1 B
-        lm = np.abs(lp[:, 0])
-        even = np.abs(ax).sum(1) / lm + np.abs(x).sum(1)
-        odd = np.abs(y).sum(1) + lm * np.abs(s_inv).sum(1)
-        norm = np.maximum(even.max(1), odd.max(1))
-        kappa = (lm[:, 0] + k_norm) * norm
-        cond[part] = np.where(np.isnan(kappa), np.inf, kappa)
-        bad = cond[part] > 1e12
-        if bad.any():
-            k = k0 + int(np.argmax(bad))
-            raise AtResonance(f"window system at xi = {complex(xi[k])} has condition number {cond[k]:.2e}")
-        r_ep, r_op = r_e[part], r_o[part]
-        v[part, 1::2] = (x @ r_ep + lp * (s_inv @ r_op)).reshape(len(s), -1, 2)
-        v[part, 0::2] = (ax @ r_ep / lp + y @ r_op).reshape(len(s), -1, 2)
-    return v, cond
+    np.cumsum(y[:-1], axis=0, out=out[1:])
+    for i, s, e in cuts:
+        out[i, s] *= np.ldexp(1.0, -e)
+        np.cumsum(np.concatenate([out[i : i + 1, s], y[i:-1, s]]), axis=0, out=out[i:, s])
+    return out
 
 
-@np.errstate(over="ignore", invalid="ignore")
+def _green(co, lam):
+    """Both homogeneous solutions, each one's coefficients at its X and Y rows, their cuts, and |(lam - K)^{-1}|_1.
+
+    co[i, s, :, 0] is solution s's coin at its i-th site: psi^< runs as
+    (X, Y) = (L, R) from site 0, psi^> as (R, L) from site n0 with the coins
+    read (d, c, b, a), each from (1, 0) by Y' = (c X + d Y) / lam and
+    X' = (lam X - b Y') / a', which scales it by at most
+    (|lam| + sqrt 2 / |lam|) / min(|a'|, |d|).  Where that bound over the
+    grid passes 2^300 since its last cut, a solution is cut: scaled by an
+    exact power of 2 per point, so no point's bits depend on the others'.
+    The coefficients (over W^L and W^R for psi^<, W^R and W^L for psi^>)
+    are read off the partner at each site, and so is each column's 1-norm.
+    """
+    n, p = len(co), len(lam)
+    a, b, c, d = abcd = co.transpose(2, 0, 1, 3)
+    grow = np.log2(abs(lam).max() + np.sqrt(2) / abs(lam).min()) - np.log2(np.minimum(abs(a[1:]), abs(d[:-1])))
+    m = np.empty((n - 1, 2, 2, 2, p), dtype=complex)  # step k: (X, Y)' = m[k, 0] X + m[k, 1] Y
+    np.multiply(co[:-1, :, 2:].swapaxes(1, 2), 1 / lam, out=m[:, :, 1])
+    np.multiply(-(b / a)[1:, None], m[:, :, 1], out=m[:, :, 0])
+    m[:, 0, 0] += lam / a[1:]
+    xy = np.empty((2, n, 2, p), dtype=complex)  # xy[:, i, s]: solution s at its i-th site
+    xy[0, 0], xy[1, 0] = 1, 0
+    lg, total, cuts = grow[..., 0].tolist(), [0.0, 0.0], []
+    for k in range(n - 1):
+        np.add(m[k, 0] * xy[0, k], m[k, 1] * xy[1, k], out=xy[:, k + 1])
+        for s in (0, 1):
+            total[s] += lg[k][s]
+            if total[s] > _HEADROOM:
+                e = np.frexp(np.abs(xy[:, k + 1, s]).max(0))[1]
+                xy[:, k + 1, s] *= np.ldexp(1.0, -e)
+                cuts.append((k + 1, s, e))
+                total[s] = 0.0
+    (x, y), (ox, oy) = xy, xy[:, ::-1, ::-1]  # the partner, in own coordinates
+    sent = abcd[::2] * x + abcd[1::2] * y  # (alpha, beta) for psi^<, (beta, alpha) for psi^>
+    op, oq = sent[:, ::-1, ::-1]
+    cx, cy = op / (lam * (x * op - oy * sent[1])), oq / (lam * (ox * sent[0] - y * oq))
+    amp = np.abs(x) + np.abs(y)
+    before = _exclusive_sums(amp, cuts, np.zeros_like(amp))
+    cols = np.abs(cx) * (before + amp) + (np.abs(cy) * before)[::-1, ::-1]  # (m, L) at [m, 0], (m, R) at [n0 - m, 1]
+    return xy, cx, cy, cuts, cols.max(axis=(0, 1))
+
+
+def _window_solves(xi, lam, cs, rhs):
+    """Solutions and 1-norm condition numbers of (lam - K) v = rhs, rhs of shape (points, n0 + 1, 2).
+
+    One refinement step, v + (lam - K)^{-1} (rhs - (lam - K) v) with K v
+    from the walk's coins, keeps the identity at rounding where the
+    solutions grow fast.  AtResonance names the first point in grid order
+    with kappa_1 > 1e12, inf where a Wronskian is exactly zero.
+    """
+    k_norm = max(np.abs(block).sum(0).max() for block in _parity_blocks(cs))  # |K|_1, K's norm checked
+    xy, cx, cy, cuts, inv_norm = _green(np.stack([cs.table, cs.table[::-1, ::-1]], axis=1)[..., None], lam)
+    cond = (np.abs(lam) + k_norm) * inv_norm
+    cond[np.isnan(cond)] = np.inf
+    if (cond > 1e12).any():
+        k = np.argmax(cond > 1e12)
+        raise AtResonance(f"window system at xi = {complex(xi[k])} has condition number {cond[k]:.2e}")
+
+    to_own = np.arange(2 * len(cx)).reshape(-1, 2).T
+    to_own = np.stack([to_own, to_own[::-1, ::-1]], axis=-1)  # rhs entry at each (X/Y, site, solution)
+    flipped = [(len(cx) - i, s, e) for i, s, e in reversed(cuts)]
+
+    def solve(r):
+        rt = r.reshape(len(r), -1).T
+        here = cx * rt[to_own[0]]
+        w = here + cy * rt[to_own[1]]
+        sums = np.zeros_like(here)  # of its X rows from its site on and its Y rows after it
+        _exclusive_sums(w[::-1], flipped, sums[::-1])
+        v = xy * (sums + here)
+        return (v[:, :, 0] + v[::-1, ::-1, 1]).transpose(2, 1, 0)
+
+    v = solve(rhs)
+    return v + solve(rhs - lam[:, None, None] * v + _walk(cs, 0, v)[1][:, 1:-1]), cond
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _resolve(cs: CoinSequence, xi: np.ndarray, f: WaveState, lo: int, hi: int):
     """Resolvent on [lo - 1, hi + 1] for each xi of a 1-D array.
 
     Returns (amplitudes of shape (len(xi), hi - lo + 3, 2), relative
     residual of the defining identity on [lo, hi], 1-norm condition number
     of the window system), one residual and condition number per point.
-    K's parity blocks and the forcing are formed once per call, and the
-    window systems are inverted, checked and solved in stacks of points
-    (_window_solves), where AtResonance names the first refused point.
+    The forcing is formed once per call, and the window systems are
+    checked and solved in one pass over the points (_window_solves), where
+    AtResonance names the first refused point.
     It all runs on f scaled to order one by an exact power of 2, and the
     answer is scaled back once, so a tiny or huge f keeps its digits.  Far
     out in either half plane e^{+-i xi}, or the sums that grow with it
@@ -150,7 +175,7 @@ def _resolve(cs: CoinSequence, xi: np.ndarray, f: WaveState, lo: int, hi: int):
     rhs = np.tile(fa[z : z + n0 + 1], (len(xi), 1, 1))
     rhs[:, 0, 1] += amps[:, z - 1, 1]
     rhs[:, n0, 0] += amps[:, z + n0 + 1, 0]
-    amps[:, z : z + n0 + 1], cond = _window_solves(xi, lam, *_parity_blocks(cs), rhs)
+    amps[:, z : z + n0 + 1], cond = _window_solves(xi, lam, cs, rhs)
 
     # the outgoing chiralities leave the window through the junction coins,
     # one step of the walk from the window carries them to -1 and n0 + 1
@@ -173,9 +198,9 @@ def apply_resolvent(cs: CoinSequence, xi: complex, f: WaveState, window) -> Wave
     """(e^{-i xi} - U)^{-1} f restricted to window = (lo, hi).
 
     xi may be anywhere the window system is regular.  The window system is
-    solved through its parity Schur complement lam^2 - BA, lam = e^{-i xi};
-    at a 1-norm condition number kappa_1(lam - K) beyond 1e12, which is
-    where lam comes near an eigenvalue of K, the call refuses with
+    solved from its two homogeneous solutions, lam = e^{-i xi}, refined
+    once; at a 1-norm condition number kappa_1(lam - K) beyond 1e12, which
+    is where lam comes near an eigenvalue of K, the call refuses with
     AtResonance.  The defining identity is verified on the full requested
     window before returning, at relative 1e-10 in the sup norm.
     """
@@ -192,8 +217,8 @@ def identity_residual(cs: CoinSequence, xi, f: WaveState, window):
     Same computation as apply_resolvent, but reporting the numbers instead
     of enforcing them, for diagnostics and tabulation.  The condition
     number is kappa_1(lam - K) = |lam - K|_1 |(lam - K)^{-1}|_1 of the
-    window system, lam = e^{-i xi}, exact up to rounding and read off the
-    inverse of its parity Schur complement.  xi is a scalar or an array; an
+    window system, lam = e^{-i xi}, exact up to rounding and summed from
+    its two homogeneous solutions.  xi is a scalar or an array; an
     array gives two arrays of its shape, and AtResonance names the first
     grid point where the window system is refused (kappa_1 beyond 1e12, or
     exactly singular), SpectralOverflow the first where e^{+-i xi} or the

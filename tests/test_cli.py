@@ -170,6 +170,34 @@ def test_scattering_bytes_hold_on_every_blas_kernel(capsys, triple_cfg, grid, di
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "walk, im, digest",
+    [
+        ("triple", "0.5", "fd2427e8c13de0f4050e47b017f2d6ac4c8e73d98ad8e8c2418c5c31e63fe804"),
+        ("triple", "-0.3", "a375a33359d14b10b10b1a309e3b6807de7aa033f5938d3f314c7ae88ea87d9b"),
+        ("triple", "3", "6af6b42f27202d180d1ea8d625550597b2e9a3d2229a00414b61767f00a11fc4"),
+        ("haar", "0.5", "01f4a830ad9aeac1d92a48aa0a2261bb416226406ee8012ee80e45bb60669d3d"),
+        ("haar", "-0.3", "733b264263beed2db88a92f1bf013331ef1b0fff9890df8faae5d8df1e73c18d"),
+        ("haar", "3", "728fe160176bc61fcfde163843392b5f76d0a3e3846a1478b813d4628d171335"),
+    ],
+    ids=["triple-above", "triple-below", "triple-far", "haar-above", "haar-below", "haar-far"],
+)
+def test_resolvent_check_bytes_hold_on_every_blas_kernel(tmp_path, capsys, triple_cfg, walk, im, digest):
+    # the window systems are solved from their two homogeneous solutions in
+    # elementwise numpy arithmetic, with no BLAS or LAPACK call, so these
+    # bytes hold on every OpenBLAS kernel (recorded on x86-64 with numpy
+    # 2.4, default kernel and Prescott).  Like the scattering bytes they do
+    # not hold on numpy's baseline SIMD loops, whose complex products round
+    # differently from the AVX-512 ones
+    cfg = triple_cfg
+    if walk == "haar":
+        cfg = tmp_path / "haar.json"
+        cfg.write_text(json.dumps(sequence_to_json(random_sequence(np.random.default_rng(11), 7))))
+    code, out, _ = run(capsys, "resolvent-check", "--config", str(cfg), f"--xi-grid=-3.0:3.0:41,{im}")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_evolve_writes_two_streams(tmp_path, capsys, hadamard_cfg):
     out_path = tmp_path / "traj.csv"
     code, out, _ = run(
