@@ -124,7 +124,7 @@ def _window_solves(xi, lam, cs, rhs):
         w = here + cy * rt[to_own[1]]
         sums = np.zeros_like(here)  # of its X rows from its site on and its Y rows after it
         _exclusive_sums(w[::-1], flipped, sums[::-1])
-        v = xy * (sums + here)
+        v = xy * np.add(sums, here, out=sums)
         return (v[:, :, 0] + v[::-1, ::-1, 1]).transpose(2, 1, 0)
 
     v = solve(rhs)

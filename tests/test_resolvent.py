@@ -388,7 +388,8 @@ def test_fast_growing_solutions_are_rescaled():
     # across 64 Haar sites at Im xi = +-20 and 40, or 33 thin coins of
     # transmission 1e-13, the homogeneous solutions grow past the float
     # range; cut by exact powers of 2 every 2^300 of growth bound, every
-    # point is answered with a finite kappa_1, as the dense inverse answers
+    # point is answered with a finite kappa_1, as the dense inverse answers,
+    # and the cuts change no point's bits
     f = basis_state(0, "L")
     cases = [(random_sequence(np.random.default_rng(64), 64), im) for im in (-20, 20, 40)]
     cases += [(thin_window(np.random.default_rng(32), 32, 1e-13), im) for im in (-0.1, 0.5, 3)]
@@ -397,6 +398,11 @@ def test_fast_growing_solutions_are_rescaled():
         for cs, im in cases:
             resid, cond = identity_residual(cs, np.linspace(-3, 3, 7) + 1j * im, f, (-2, cs.n0 + 2))
             assert (resid < 1e-10).all() and np.isfinite(cond).all() and (cond < 1e12).all()
+        # the cuts a grid's far points call for leave each point its lone call's bits
+        cs, grid = cases[0][0], np.array([0.5j, 0.3 + 40j, -1 - 20j, 2 - 0.6j])
+        resid, cond = identity_residual(cs, grid, f, (-2, 66))
+        for k, x in enumerate(grid):
+            assert (resid[k], cond[k]) == identity_residual(cs, x, f, (-2, 66))
 
 
 def test_one_refinement_step_keeps_the_identity_where_solutions_grow_fast():
