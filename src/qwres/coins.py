@@ -214,6 +214,11 @@ class CoinSequence:
             return self.coins[n]
         return _IDENTITY
 
+    def __hash__(self) -> int:  # the dataclass hash, cached: _spectrum's lru_cache hashes the walk at every lookup
+        if "_hash" not in self.__dict__:
+            object.__setattr__(self, "_hash", hash((self.n0, self.coins)))
+        return self._hash
+
 
 @dataclass(frozen=True)
 class PQTheta:

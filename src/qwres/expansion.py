@@ -182,14 +182,10 @@ def reconstruct(ed: ExpansionData, chains, t: int, window) -> WaveState:
     lo, hi = int(window[0]), int(window[1])
     nu = ed.nu
     if t < nu + ed.zero_part_index:
-        raise WindowOutsideCone(
-            f"time {t} is below nu + zero_part_index = {nu + ed.zero_part_index}"
-        )
+        raise WindowOutsideCone(f"time {t} is below nu + zero_part_index = {nu + ed.zero_part_index}")
     reach = t - nu - (ed.zero_part_index - 1)
     if lo < -reach or hi > ed.n0 + reach:
-        raise WindowOutsideCone(
-            f"window [{lo}, {hi}] leaves the cone [{-reach}, {ed.n0 + reach}] at t={t}"
-        )
+        raise WindowOutsideCone(f"window [{lo}, {hi}] leaves the cone [{-reach}, {ed.n0 + reach}] at t={t}")
     nb, nc = len(ed.blocks), len(chains)
     for i, block in enumerate(ed.blocks):
         name = f"block {i} (resonance at xi={block.resonance.xi})"
@@ -203,9 +199,7 @@ def reconstruct(ed: ExpansionData, chains, t: int, window) -> WaveState:
     j = t - nu
     for block, ch in zip(ed.blocks, chains):
         if lo < -ch.window_radius or hi > ed.n0 + ch.window_radius:
-            raise ValueError(
-                f"chain radius {ch.window_radius} does not cover window [{lo}, {hi}]"
-            )
+            raise ValueError(f"chain radius {ch.window_radius} does not cover window [{lo}, {hi}]")
         lam = block.resonance.lam
         m = len(block.coefficients)
         for ell in range(1, m + 1):
@@ -214,10 +208,12 @@ def reconstruct(ed: ExpansionData, chains, t: int, window) -> WaveState:
                 b = math.comb(j, s) if s <= j else 0
                 if b:
                     sigma += b * lam ** (j - s) * block.coefficients[ell - 1 + s]
-            if sigma != 0:
-                st = sigma * ch.states[ell - 1].restrict(lo, hi)
-                if not st.is_zero():
-                    total[st.support_lo - lo : st.support_hi - lo + 1] += st.amplitudes
+            state = ch.states[ell - 1]
+            first, last = max(lo, state.support_lo), min(hi, state.support_hi)
+            if sigma != 0 and first <= last:
+                # total never holds -0, so the +-0 rows a WaveState trims add nothing (sigma is finite)
+                rows = state.amplitudes[first - state.support_lo : last - state.support_lo + 1]
+                total[first - lo : last - lo + 1] += rows * sigma  # __mul__'s order: AVX-512 rounds sigma * rows apart
     return WaveState(lo, total)
 
 

@@ -36,12 +36,13 @@ from .coins import CoinSequence
 from .errors import AtResonance, InvariantViolation
 from .states import WaveState
 from .transfer import _refuse_overflow
-from .walk import _parity_blocks, _sweep, _walk
+from .walk import _kept_rows, _sweep, _walk
 
 __all__ = ["apply_resolvent", "identity_residual", "neumann_resolvent"]
 
 
 _HEADROOM = 300  # bits a homogeneous solution may grow or shrink between two renormalizations
+_CHUNK = 256  # points per window solve, whose transients peak near 26 complex numbers a site and point
 
 
 def _exclusive_sums(y, cuts, out):
@@ -106,7 +107,7 @@ def _window_solves(xi, lam, cs, rhs):
     solutions grow fast.  AtResonance names the first point in grid order
     with kappa_1 > 1e12, inf where a Wronskian is exactly zero.
     """
-    k_norm = max(np.abs(block).sum(0).max() for block in _parity_blocks(cs))  # |K|_1, K's norm checked
+    k_norm = np.abs(_kept_rows(cs)).sum(axis=1).max()  # |K|_1: column (s, c) of K holds site s's kept column c
     xy, cx, cy, cuts, inv_norm = _green(np.stack([cs.table, cs.table[::-1, ::-1]], axis=1)[..., None], lam)
     cond = (np.abs(lam) + k_norm) * inv_norm
     cond[np.isnan(cond)] = np.inf
@@ -139,8 +140,8 @@ def _resolve(cs: CoinSequence, xi: np.ndarray, f: WaveState, lo: int, hi: int):
     residual of the defining identity on [lo, hi], 1-norm condition number
     of the window system), one residual and condition number per point.
     The forcing is formed once per call, and the window systems are
-    checked and solved in one pass over the points (_window_solves), where
-    AtResonance names the first refused point.
+    checked and solved in passes over _CHUNK points at a time
+    (_window_solves), where AtResonance names the first refused point.
     It all runs on f scaled to order one by an exact power of 2, and the
     answer is scaled back once, so a tiny or huge f keeps its digits.  Far
     out in either half plane e^{+-i xi}, or the sums that grow with it
@@ -175,7 +176,9 @@ def _resolve(cs: CoinSequence, xi: np.ndarray, f: WaveState, lo: int, hi: int):
     rhs = np.tile(fa[z : z + n0 + 1], (len(xi), 1, 1))
     rhs[:, 0, 1] += amps[:, z - 1, 1]
     rhs[:, n0, 0] += amps[:, z + n0 + 1, 0]
-    amps[:, z : z + n0 + 1], cond = _window_solves(xi, lam, cs, rhs)
+    cond = np.empty(len(xi))
+    for part in (slice(i, i + _CHUNK) for i in range(0, len(xi), _CHUNK)):  # bits are per point
+        amps[part, z : z + n0 + 1], cond[part] = _window_solves(xi[part], lam[part], cs, rhs[part])
 
     # the outgoing chiralities leave the window through the junction coins,
     # one step of the walk from the window carries them to -1 and n0 + 1

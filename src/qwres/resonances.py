@@ -354,6 +354,7 @@ class _Spectrum:
     resid: np.ndarray
     inv_cond: float
     delta: float
+    scale: np.ndarray  # max(|v_j|, 1), the relation check's scale for a chain read off v_j
 
 
 @functools.lru_cache(maxsize=1)
@@ -366,9 +367,10 @@ def _spectrum(cs: CoinSequence) -> _Spectrum:
     resid = np.linalg.norm(k @ evecs - evecs * evals, axis=0)
     s = np.linalg.svd(evecs, compute_uv=False)
     delta = np.linalg.norm(resid) / s[-1] if s[-1] > 0 else np.inf
-    for x in (k, evals, evecs, resid):
+    scale = np.maximum(np.linalg.norm(evecs.T.copy(), axis=1), 1.0)  # row by row, as a chain's own
+    for x in (k, evals, evecs, resid, scale):
         x.flags.writeable = False
-    return _Spectrum(k, evals, evecs, resid, float(s[-1] / s[0]), float(delta))
+    return _Spectrum(k, evals, evecs, resid, float(s[-1] / s[0]), float(delta), scale)
 
 
 def _check_links(errs: np.ndarray, scales: np.ndarray | float, what: str) -> None:
@@ -453,13 +455,13 @@ def _window_chains(spec: _Spectrum, lams, mults) -> list[np.ndarray]:
     """
     dist = np.abs(spec.evals - np.asarray(lams, dtype=complex)[:, None])
     j = np.argmin(dist, axis=1)
-    errs = spec.resid[j] + dist.min(axis=1)
-    sep = np.partition(dist, 1, axis=1)[:, 1]
-    certified = (np.asarray(mults) == 1) & (sep * spec.inv_cond - spec.delta >= 4e-8)
-    certified &= errs <= 0.5e-8 * (dist.max(axis=1) - spec.delta)
-    chains, errs = spec.evecs.T[j[certified], None], errs[certified, None]
-    _check_links(errs, np.maximum(np.linalg.norm(chains, axis=2), 1.0), "window chain relation")
-    taken = iter(chains)
+    ranked = np.sort(dist, axis=1)
+    errs = spec.resid[j] + ranked[:, 0]
+    certified = (np.asarray(mults) == 1) & (ranked[:, 1] * spec.inv_cond - spec.delta >= 4e-8)
+    certified &= errs <= 0.5e-8 * (ranked[:, -1] - spec.delta)
+    j = j[certified]
+    _check_links(errs[certified, None], spec.scale[j, None], "window chain relation")
+    taken = iter(spec.evecs.T[j, None])
     return [
         next(taken) if ok else _svd_chain(spec.k - lam * np.eye(len(spec.k)), lam, m)
         for ok, lam, m in zip(certified.tolist(), lams, mults)
@@ -476,11 +478,11 @@ def resonant_chain(cs: CoinSequence, res: Resonance, N: int) -> JordanChainState
     Outside, only the outgoing chirality survives (L on the left, R on the
     right): one step of the walk carries phi^k to -1 and n0 + 1, and from
     there walk._sweep continues phi^k = (U phi^k - phi^{k-1}) / lambda along
-    the shift.  The chain relation (U - lambda) phi^k = phi^{k-1} is then
-    verified by one application of the walk on [-N + 1, n0 + N - 1], to
-    1e-8 max(|phi^k|, 1) as on the window.  The states grow like
-    |lambda|^-N outward; where they leave the float range the call raises
-    SpectralOverflow.
+    the shift.  Off the window that step is the shift, so with the sweeps
+    copied in it verifies the chain relation (U - lambda) phi^k = phi^{k-1}
+    on [-N + 1, n0 + N - 1], to 1e-8 max(|phi^k|, 1) as on the window.  The
+    states grow like |lambda|^-N outward; where they leave the float range
+    the call raises SpectralOverflow.
     """
     if N < 1:
         raise ValueError(f"window radius must be at least 1, got {N}")
@@ -491,23 +493,24 @@ def resonant_chain(cs: CoinSequence, res: Resonance, N: int) -> JordanChainState
 
     amps = np.zeros((m, n0 + 2 * N + 1, 2), dtype=complex)  # row N is site 0
     amps[:, N : N + n0 + 1] = chain.reshape(m, n0 + 1, 2)
-    _, emitted = _walk(cs, 0, amps[:, N : N + n0 + 1])
+    # row N + 1 + n of the step is site n; its coins read only the window
+    _, stepped = _walk(cs, -N, amps)
     for k in range(m):
         prev = amps[k - 1] if k else np.zeros(amps.shape[1:])
-        amps[k, N - 1 :: -1, 0] = _sweep(1 / lam, -prev[N - 1 :: -1, 0], emitted[k, 0, 0])
-        amps[k, N + n0 + 1 :, 1] = _sweep(1 / lam, -prev[N + n0 + 1 :, 1], emitted[k, -1, 1])
+        amps[k, N - 1 :: -1, 0] = _sweep(1 / lam, -prev[N - 1 :: -1, 0], stepped[k, N, 0])
+        amps[k, N + n0 + 1 :, 1] = _sweep(1 / lam, -prev[N + n0 + 1 :, 1], stepped[k, N + n0 + 2, 1])
+    # off the window the step is the shift: the swept L move left, the R right
+    stepped[:, :N, 0], stepped[:, N + n0 + 3 :, 1] = amps[:, :N, 0], amps[:, N + n0 + 1 :, 1]
 
     # rows 2..-3 of the step are the sites -N + 1 .. n0 + N - 1
-    _, stepped = _walk(cs, -N, amps)
     inner = amps[:, 1:-1].reshape(m, -1)
     resid = stepped[:, 2:-2].reshape(m, -1) - lam * inner
     resid[1:] -= inner[:-1]
     # resid holds every row of the step the check reads
     if not (np.isfinite(amps).all() and np.isfinite(resid).all()):
-        raise SpectralOverflow(
-            f"resonant states on [{-N}, {n0 + N}] at xi={res.xi} leave the float range"
-        )
-    _check_links(_norms(resid), np.maximum(_norms(inner), 1.0), "chain relation")
+        raise SpectralOverflow(f"resonant states on [{-N}, {n0 + N}] at xi={res.xi} leave the float range")
+    norms = _norms(np.concatenate([resid, inner]))  # row by row, as two calls give them
+    _check_links(norms[:m], np.maximum(norms[m:], 1.0), "chain relation")
 
     states = tuple(WaveState(-N, a) for a in amps)
     return JordanChainStates(res, states, N)

@@ -53,7 +53,7 @@ class WaveState:
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.ndim != 2 or amps.shape[1] != 2:
             raise ValueError(f"amplitudes must have shape (N, 2), got {amps.shape}")
-        nonzero = np.nonzero(np.any(amps != 0, axis=1))[0]
+        nonzero = (amps != 0).any(axis=1).nonzero()[0]
         if nonzero.size == 0:
             lo, amps = 0, np.zeros((0, 2), dtype=complex)
         else:

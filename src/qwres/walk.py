@@ -117,8 +117,8 @@ def _window_blocks(psi0: WaveState, cs: CoinSequence, T: int):
     The steps run on rows in :func:`_coin`'s layout, the L at -1..n0 then
     the R at n0 + 1..0: a step is one :func:`_coin` call from slot 1 on (the
     R at n0 + 1 is the spare) into the next row's slots but the last, then
-    the L at n0 and the R at 0 take psi0's incoming amplitudes.  Each block
-    is copied into the yielded layout once.
+    the L at n0 and the R at 0 take psi0's incoming amplitudes, +0 once the
+    last has arrived.  Each block is copied into the yielded layout once.
 
     The window rows[:, 1:-1] are bit for bit those of :func:`_states` on
     the support of psi_t, signed zeros included; off it they hold zeros of
@@ -147,13 +147,13 @@ def _window_blocks(psi0: WaveState, cs: CoinSequence, T: int):
         return
     block = np.empty((len(rows), 2 * n0 + 4), dtype=complex)
     block[0, : n0 + 2], block[0, n0 + 2 :] = rows[0, : n0 + 2, 0], rows[0, :0:-1, 1]
-    views = list(block)
-    xs, outs = [r[1:] for r in views], [r[:-1] for r in views]
+    views, xs, outs = list(block), list(block[:, 1:]), list(block[:, :-1])
     c1, c2 = _kernel(cs.table)
     amps, lo = psi0.amplitudes, psi0.support_lo
-    # psi0's R and L by the step at which they reach site 0 and site n0
+    # psi0's R and L by the step at which they reach site 0 and site n0, the last at step arrive
     from_l = dict(zip(range(-lo, -lo - len(amps), -1), amps[:, 1].tolist()))
     from_r = dict(zip(range(lo - n0, lo - n0 + len(amps)), amps[:, 0].tolist()))
+    arrive = max(-lo, lo + len(amps) - 1 - n0)
     # from these steps on, psi0's own amplitudes leave psi_t nothing left of
     # the window (an L moving out or an R still moving in), and right of
     # it; T stands for never, as after the window sends out a nonzero
@@ -164,16 +164,21 @@ def _window_blocks(psi0: WaveState, cs: CoinSequence, T: int):
     first = t = 0
     while t < T:
         steps = min(len(block) - 1, T - t)
+        block[1:, -1] = 0  # no coin writes the R at 0: the rows reused from the last block drop psi0's
         # one errstate a block, not spanning the yield (the consumer would run
         # under it): an amplitude past the float range is refused, not warned
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(steps):
                 t += 1
                 src, row = views[i], views[i + 1]
-                # L leaves through site -1 and R through n0 + 1 for good
+                # L leaves through site -1 and R through n0 + 1 for good; the
+                # L at n0 is rewritten every step, over the coins' spare slot
                 _coin(c1, c2, xs[i], outs[i + 1])
-                row[-1] = in_l = from_l.get(t, 0)
-                row[n0 + 1] = in_r = from_r.get(t, 0)
+                if t <= arrive:
+                    row[-1] = in_l = from_l.get(t, 0)
+                    row[n0 + 1] = in_r = from_r.get(t, 0)
+                else:
+                    row[n0 + 1] = in_l = in_r = 0
                 if t > bare_l or t > bare_r:
                     on = src[1:] != 0
                     nonzero = np.flatnonzero(on[: n0 + 1] | on[: n0 + 1 : -1])
@@ -215,8 +220,11 @@ def _sweep(e, f, w=0j) -> np.ndarray:
 
     Outside [0, n0] the step is a pure shift, so along its direction of
     travel each chirality of a solution of (1/e - U) w = f obeys this
-    recursion.  e and w broadcast against one row f_i.
+    recursion.  e and w broadcast against one row f_i; complex scalars on a
+    1-D f run as Python complex numbers, numpy's scalar formula undispatched.
     """
+    if isinstance(e, complex) and isinstance(w, complex) and f.ndim == 1:
+        e, w, f = complex(e), complex(w), f.astype(complex).tolist()
     out = []
     for fi in f:
         w = e * (w + fi)
@@ -246,11 +254,8 @@ def _checked_norm(m: np.ndarray) -> float:
     return float(top)
 
 
-def _parity_blocks(walks) -> tuple[np.ndarray, np.ndarray]:
-    """K's site-parity blocks A (odd sites to even) and B (even to odd), in O(n0).
-
-    A list of walks of one n0 (coins._tables) gets its blocks on a leading axis.
-    """
+def _kept_rows(walks) -> np.ndarray:
+    """m[..., s] = P_s C_s, K's entries in its columns at site s, norm-checked; walks as coins._tables takes them."""
     table = _tables(walks)
     lead, sites = table.shape[:-2], table.shape[-2]
     if sites < 2:
@@ -258,6 +263,13 @@ def _parity_blocks(walks) -> tuple[np.ndarray, np.ndarray]:
     m = table.reshape(lead + (sites, 2, 2)) + 0.0  # zeros +0: K's eigensolves and SVDs read the sign
     m[..., 0, 0, :] = m[..., -1, 1, :] = 0
     _checked_norm(m)
+    return m
+
+
+def _parity_blocks(walks) -> tuple[np.ndarray, np.ndarray]:
+    """K's site-parity blocks A (odd sites to even) and B (even to odd), in O(n0); a list of walks stacks them."""
+    m = _kept_rows(walks)
+    lead, sites = m.shape[:-3], m.shape[-3]
     ne, no = (sites + 1) // 2, sites // 2  # even and odd sites
     # A (ne, 2, no, 2) and B (no, 2, ne, 2) as rows of entry pairs: a strided slice per diagonal
     a, b = np.zeros(lead + (ne * 2 * no, 2), dtype=complex), np.zeros(lead + (no * 2 * ne, 2), dtype=complex)

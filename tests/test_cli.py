@@ -24,7 +24,7 @@ from qwres import (
     sequence_to_json,
     state_from_json,
 )
-from qwres.cli import main
+from qwres.cli import _csv, _survival_csv, main
 from qwres.walk import BLOCK, _states
 from test_expansion import identity_at_site_0
 
@@ -1130,3 +1130,14 @@ def test_rejected_arguments_exit_2(capsys, triple_cfg, argv, flag):
     assert captured.out == ""
     assert f"error: argument {flag}:" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_survival_csv_is_the_general_csv():
+    # the survival table writes t through "%d", which gives the text "%.17g"
+    # gives for every integer below 2^53, and the norms through "%.17g"
+    rng = np.random.default_rng(5)
+    special = [0.0, 1.0, 2**-0.5, 5e-324, 1.7976931348623157e308, 0.1, 1e16, 123456789.0]
+    for n in (1, 2, 4001):
+        norms = (rng.random(n) * 10.0 ** rng.integers(-320, 308, n)).tolist()
+        norms[: len(special)] = special[:n]
+        assert _survival_csv(norms) == _csv("t,survival_norm", range(n), norms)

@@ -561,3 +561,51 @@ def test_double_barrier_bound_pointwise_when_states_orthogonal():
         norms = survival_norm(evolve(psi0, cs, 40), 1)
         for t in range(1, 41):
             assert norms[t] <= C * M**t * (1 + 1e-10)
+
+
+def _wavestate_sum(ed, chains, t, window):
+    """reconstruct's sum as a sum of WaveStates: each sigma * chain state cut to the window, trimmed, added in."""
+    lo, hi = window
+    total = np.zeros((hi - lo + 1, 2), dtype=complex)
+    j = t - ed.nu
+    for block, ch in zip(ed.blocks, chains):
+        lam, coef = block.resonance.lam, block.coefficients
+        m = len(coef)
+        for ell in range(1, m + 1):
+            sigma = 0j
+            for s in range(m - ell + 1):
+                b = math.comb(j, s) if s <= j else 0
+                if b:
+                    sigma += b * lam ** (j - s) * coef[ell - 1 + s]
+            if sigma != 0:
+                st = sigma * ch.states[ell - 1].restrict(lo, hi)
+                if not st.is_zero():
+                    total[st.support_lo - lo : st.support_hi - lo + 1] += st.amplitudes
+    return WaveState(lo, total)
+
+
+def test_reconstruct_is_the_wavestate_sum_bit_for_bit():
+    # reconstruct adds each chain state's rows times sigma straight into the
+    # window; the WaveState sum trims the zero rows at the ends of every cut
+    # state and product first, which add only +-0 to a window that never
+    # holds -0.  Windows from the whole cone down to one site, cutting the
+    # chain states anywhere, on Haar windows, the Hadamard pair and the
+    # triple barrier, whose chain has two links
+    rng = np.random.default_rng(43)
+    walks = [random_sequence(rng, n0) for n0 in range(1, 9) for _ in range(2)]
+    walks += [hadamard_pair(), triple_barrier()]
+    cases = 0
+    for cs in walks:
+        for psi0 in (random_state(rng, cs.n0, 2), basis_state(0, "L") + 0.5 * basis_state(-2, "R")):
+            ed = expand(cs, psi0)
+            chains = [resonant_chain(cs, b.resonance, 25) for b in ed.blocks]
+            for t in (ed.nu + ed.zero_part_index, 12, 25):
+                reach = t - ed.nu - (ed.zero_part_index - 1)
+                for lo, hi in ((-reach, cs.n0 + reach), (0, cs.n0), (-reach, -1), (2, 2), (-3, cs.n0 + 1)):
+                    lo, hi = max(lo, -reach), min(hi, cs.n0 + reach)
+                    got = reconstruct(ed, chains, t, (lo, hi))
+                    want = _wavestate_sum(ed, chains, t, (lo, hi))
+                    assert got.support_lo == want.support_lo
+                    assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+                    cases += 1
+    assert cases == len(walks) * 2 * 3 * 5

@@ -25,6 +25,7 @@ from qwres import (
     Resonance,
     SpectralOverflow,
     TransferPolynomial,
+    WaveState,
     basis_state,
     build_K,
     expand,
@@ -48,7 +49,7 @@ from qwres.resonances import (
     _witness,
 )
 from qwres.transfer import _transfer_polynomials
-from qwres.walk import _parity_blocks, _parity_eig
+from qwres.walk import _parity_blocks, _parity_eig, _walk
 
 LOG2_HALF = 0.5 * math.log(2.0)
 
@@ -912,3 +913,55 @@ def test_n0_1_width_contract_against_the_abs_a_closed_form():
         assert len(found) == 2
         for r in found:
             assert abs(-math.expm1(2 * r.xi.imag) / want - 1) <= 1e-9
+
+
+def _numpy_scalar_chain(cs, res, N):
+    """resonant_chain's amplitudes on [-N, n0 + N], each state a row, extended on numpy complex scalars.
+
+    The window chain is _window_chains', and a window-only walk._walk gives
+    what leaves through -1 and n0 + 1; from there each outgoing chirality
+    runs w <- (1 / lambda) (w + f) on numpy scalars, f = -phi^{k-1} and
+    a float zero for phi^1.
+    """
+    [chain] = _window_chains(_spectrum(cs), [res.lam], [res.alg_multiplicity])
+    m, n0 = len(chain), cs.n0
+    amps = np.zeros((m, n0 + 2 * N + 1, 2), dtype=complex)
+    amps[:, N : N + n0 + 1] = chain.reshape(m, n0 + 1, 2)
+    _, emitted = _walk(cs, 0, amps[:, N : N + n0 + 1])
+    for k in range(m):
+        prev = amps[k - 1] if k else np.zeros(amps.shape[1:])
+        left, right = (slice(N - 1, None, -1), 0, emitted[k, 0, 0]), (slice(N + n0 + 1, None), 1, emitted[k, -1, 1])
+        for rows, c, w in (left, right):
+            out = []
+            for f in -prev[rows, c]:
+                w = 1 / res.lam * (w + f)
+                out.append(w)
+            amps[k, rows, c] = out
+    return amps
+
+
+def test_resonant_chain_extension_is_the_numpy_scalar_sweep_bit_for_bit():
+    # off the window resonant_chain sweeps on Python complex numbers, whose
+    # product is numpy's scalar formula, and reads what leaves the window off
+    # its one step of the walk; every state keeps its bits, signed zeros
+    # included, on Haar windows, the Hadamard pair, the triple barrier (a
+    # chain of two links) and thin windows, whose resonances lie near the
+    # unit circle; the thin windows find_resonances refuses are left out
+    rng = np.random.default_rng(41)
+    walks = [random_sequence(rng, n0) for n0 in range(1, 9) for _ in range(3)]
+    walks += [hadamard_pair(), triple_barrier(), thin_pair(rng, 1e-3)]
+    walks += [thin_window(rng, n0, t) for n0 in (2, 3, 5, 8) for t in (1e-1, 1e-2, 1e-4)]
+    links = []
+    for cs in walks:
+        try:
+            found = find_resonances(cs)
+        except InvariantViolation:
+            continue
+        for res in found:
+            got = resonant_chain(cs, res, 30).states
+            want = [WaveState(-30, a) for a in _numpy_scalar_chain(cs, res, 30)]
+            assert [(s.support_lo, s.amplitudes.tobytes()) for s in got] == [
+                (s.support_lo, s.amplitudes.tobytes()) for s in want
+            ]
+            links.append(len(got))
+    assert links.count(2) == 2 and len(links) > 250  # the triple barrier's pair has the two-link chains

@@ -38,6 +38,7 @@ from qwres.walk import (
     _checked_norm,
     _parity_blocks,
     _parity_eig,
+    _states,
     _walk,
     _window_blocks,
     _window_survival,
@@ -577,3 +578,20 @@ def test_window_walk_names_the_step_and_site_past_the_float_range():
         assert len(next(blocks)) == BLOCK
         with pytest.raises(SpectralOverflow, match=r"^the L amplitude at site -1 leaves the float range at t=602$"):
             next(blocks)
+
+
+def test_window_stream_rewrites_the_edge_slots_of_reused_rows():
+    # psi0's incoming amplitudes all arrive within the first block, and each
+    # later block reuses its rows; the L at n0 and the R at 0 must still read
+    # +0 after they stop arriving, or an amplitude of the first block is read
+    # again a block later.  Past two blocks the stream must be the full light
+    # cone of _states on the window and at its edges
+    rng = np.random.default_rng(61)
+    T = 2 * BLOCK + 40
+    for cs in (random_sequence(rng, 3), random_sequence(rng, 6), hadamard_pair(), triple_barrier()):
+        psi0 = _two_sided_state(rng, cs.n0)
+        assert incoming_length(psi0, cs.n0) == 4
+        want = [
+            (psi.restrict(0, cs.n0), psi.amplitude(-1)[0], psi.amplitude(cs.n0 + 1)[1]) for psi in _states(psi0, cs, T)
+        ]
+        _assert_same_stream(_window_states(psi0, cs, T), want)
