@@ -57,11 +57,13 @@ def _f(x: float) -> str:
 
 
 def _csv(header: str, *columns) -> str:
-    """header, then one line per row of the columns, each value as _f writes it."""
+    """header, then one line per row of the columns, each value as _f writes it;
+    a column given as one float holds that value on every row, its text written once."""
     # "%.17g" % x is format(x, ".17g"), -0, inf and nan included; one % formats every row
-    values = tuple(chain.from_iterable(zip(*columns)))
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    return f"{header}\n" + row * (len(values) // len(columns)) % values
+    lists = [c for c in columns if not isinstance(c, float)]
+    values = tuple(chain.from_iterable(zip(*lists)))
+    row = ",".join("%.17g" % c if isinstance(c, float) else "%.17g" for c in columns) + "\n"
+    return f"{header}\n" + row * (len(values) // len(lists)) % values
 
 
 def _json(obj, depth: int = 0) -> str:
@@ -115,8 +117,8 @@ def _default_psi0(psi0):
     return psi0 if psi0 is not None else basis_state(0, "L")
 
 
-def _parse_xi_grid(text: str):
-    """re0:re1:n,im -> n evenly spaced xi values on that horizontal line."""
+def _parse_xi_grid(text: str) -> np.ndarray:
+    """re0:re1:n,im -> n evenly spaced xi values on that horizontal line, a read-only complex array."""
     try:
         left, im_part = text.split(",")
         re0_s, re1_s, n_s = left.split(":")
@@ -134,7 +136,10 @@ def _parse_xi_grid(text: str):
         res = np.linspace(re0, re1, n) if n > 1 else np.array([re0])
     if not np.all(np.isfinite(res)):
         raise argparse.ArgumentTypeError(f"grid points overflow the float range, got {text!r}")
-    return [complex(r, im) for r in res]
+    xi = np.empty(n, dtype=complex)
+    xi.real, xi.imag = res, im  # complex(r, im) for each r, -0.0 included
+    xi.flags.writeable = False
+    return xi
 
 
 def _finite_float(text: str) -> float:
@@ -194,12 +199,11 @@ def _cmd_polynomial(args):
 
 def _cmd_scattering(args):
     cs, _ = _load_config(args.config)
-    xi = np.array(args.xi_grid)
+    xi = args.xi_grid  # one horizontal line, so xi_im is one value
     sm = scattering_matrix(cs, xi)
     t2, r2 = np.abs(sm.t_minus) ** 2, np.abs(sm.r_minus) ** 2
-    cols = xi.real, xi.imag, t2, r2, sm.unitarity_residual()
     header = "xi_re,xi_im,t_minus_abs2,r_minus_abs2,unitarity_residual"
-    return _csv(header, *(c.tolist() for c in cols))
+    return _csv(header, xi.real.tolist(), float(xi.imag[0]), *(c.tolist() for c in (t2, r2, sm.unitarity_residual())))
 
 
 def _survival_csv(norms) -> str:
@@ -314,10 +318,9 @@ def _cmd_resolvent_check(args):
     cs, psi0 = _load_config(args.config)
     f = _default_psi0(psi0)
     window = (-args.window, cs.n0 + args.window)
-    xi = np.array(args.xi_grid)
+    xi = args.xi_grid  # one horizontal line, so xi_im is one value
     resids, conds = identity_residual(cs, xi, f, window)
-    cols = xi.real, xi.imag, resids, conds
-    return _csv("xi_re,xi_im,residual,condition", *(c.tolist() for c in cols))
+    return _csv("xi_re,xi_im,residual,condition", xi.real.tolist(), float(xi.imag[0]), resids.tolist(), conds.tolist())
 
 
 def _cmd_split(args):
@@ -325,7 +328,7 @@ def _cmd_split(args):
     pf = PerturbationFamily(cs, args.phi, tuple(sorted(args.eps)))
     rows = splitting_experiment(pf)
     eps, gaps, _ = zip(*rows)
-    return _csv("eps,gap,slope_estimate", eps, gaps, [splitting_slope(rows)] * len(rows))
+    return _csv("eps,gap,slope_estimate", eps, gaps, splitting_slope(rows))
 
 
 # -------------------------------------------------------------- selftest

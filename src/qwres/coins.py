@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
+from itertools import chain, compress
 
 import numpy as np
 
@@ -59,6 +61,7 @@ UNITARITY_TOL = 1e-12
 A2_TOL = 1e-14
 HYPERBOLOID_TOL = 1e-8
 _BELOW_PI = math.nextafter(math.pi, 0.0)
+_ENTRY_KEYS, _ABCD = frozenset("abcd"), operator.itemgetter(*"abcd")  # an entry-form coin's keys, and its values
 
 
 @dataclass(frozen=True)
@@ -430,12 +433,18 @@ def sequence_from_json(obj) -> CoinSequence:
     coins_raw = obj["coins"]
     if not isinstance(coins_raw, list) or len(coins_raw) != n0 + 1:
         raise ConfigParse(f'"coins" must list n0 + 1 = {n0 + 1} coins')
-    # the entry-form coins are checked in one pass; a coin that fails to
-    # parse still loses to a bad coin before it, as in a loop over the coins
-    forms, error = [], None
-    for c in coins_raw:
+    # entry-form coins are read and checked in array passes; a coin that fails
+    # to parse still loses to a bad coin before it, as in a loop over the coins
+    entry = [type(c) is dict and c.keys() == _ENTRY_KEYS for c in coins_raw]
+    stack = _entry_stack(list(compress(coins_raw, entry)))
+    if stack is None:  # a value the pass does not take: _coin_form reads every coin
+        entry, stack = [False] * len(entry), ()
+    elif all(entry):
+        return CoinSequence(n0, tuple(_validated(stack, range(len(stack)))))
+    rows, forms, error = iter(np.reshape(stack, (-1, 4))), [], None
+    for c, taken in zip(coins_raw, entry):
         try:
-            forms.append(_coin_form(c))
+            forms.append(next(rows) if taken else _coin_form(c))
         except QWResError as exc:
             error = exc
             break
@@ -447,6 +456,19 @@ def sequence_from_json(obj) -> CoinSequence:
     if error is not None:
         raise error
     return CoinSequence(n0, tuple(forms))
+
+
+def _entry_stack(coins) -> np.ndarray | None:
+    """The (N, 2, 2) entries of N coins {"a": [re, im], ..., "d": [re, im]}; None unless
+    each value is a list of two ints or floats, not bools, finite as floats, read as float(v) reads it."""
+    pairs = list(chain.from_iterable(map(_ABCD, coins)))
+    lists_of_two = set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
+    nums = list(chain.from_iterable(pairs)) if lists_of_two else [None]
+    try:  # np.array reads an int as float(v) does, with OverflowError past the float range
+        x = np.array(nums, dtype=float) if set(map(type, nums)) <= {int, float} else None
+    except OverflowError:
+        return None
+    return None if x is None or not np.isfinite(x).all() else x.view(complex).reshape(-1, 2, 2)
 
 
 def sequence_to_json(cs: CoinSequence) -> dict:

@@ -36,7 +36,7 @@ def _refuse_overflow(xi: np.ndarray, *values) -> None:
     """
     ok = np.ones(xi.shape, dtype=bool)
     for v in values:
-        ok &= np.isfinite(v).reshape(xi.shape + (-1,)).all(axis=-1)
+        ok &= np.isfinite(v).all(axis=tuple(range(xi.ndim, np.ndim(v))))
     if not ok.all():
         first = complex(xi.flat[np.argmin(ok)])
         raise SpectralOverflow(f"e^(+-i xi) or a value computed from it is not finite at xi={first}")
@@ -70,7 +70,7 @@ def _transfer_entries(walks, xi, rescale: bool = False, cols: int = 2, slope: bo
     p_rows, s_rows = np.empty((2,) + shape, dtype=complex)
     log = np.zeros(shape[1:])
     m, m_bot = np.empty((2,) + shape[1:]) if rescale else (None, None)
-    p_flat, s_flat = p_rows.reshape((-1,) + shape[2:]), s_rows.reshape((-1,) + shape[2:])
+    p_flat, s_flat = (rows.reshape((shape[0] * shape[1],) + shape[2:]) for rows in (p_rows, s_rows))
     e_plus, e_minus = np.exp(1j * pts), np.exp(-1j * pts)
     for p, q, r, s in _site_entries(table[..., ::-1, :], e_plus, e_minus, (p_flat[0], s_flat[0])):
         if len(p_flat) > 1:

@@ -1141,3 +1141,41 @@ def test_survival_csv_is_the_general_csv():
         norms = (rng.random(n) * 10.0 ** rng.integers(-320, 308, n)).tolist()
         norms[: len(special)] = special[:n]
         assert _survival_csv(norms) == _csv("t,survival_norm", range(n), norms)
+
+
+def test_csv_one_float_column_is_the_repeated_column():
+    # a column given as one float is written once into the row format, with
+    # the text the repeated column gets row by row
+    rng = np.random.default_rng(9)
+    for value in (-0.0, math.inf, math.nan, 5e-324, 1e308):
+        for n in (1, 2, 150):
+            re_col, other = rng.normal(size=n).tolist(), (rng.random(n) * 1e-300).tolist()
+            want = _csv("x,y,z", re_col, [value] * n, other)
+            assert _csv("x,y,z", re_col, value, other) == want
+            assert _csv("x,y,z", re_col, other, value) == _csv("x,y,z", re_col, other, [value] * n)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["-3.0:3.0:41,-0.0", "-3.0:3.0:41,0.0", "-3.14:3.14:150,-0.1", "0.5:0.5:1,-0.0", "-2.5:1:1,0.5", "1e300:-1e300:7,1e-310"],
+)
+def test_xi_grid_is_the_complex_list_as_an_array(text):
+    # the parsed grid is the list of complex(r, im) over np.linspace's real
+    # parts (re0 alone at n = 1), bit for bit, as one read-only complex array
+    left, im = text.split(",")
+    re0, re1, n = left.split(":")
+    res = np.linspace(float(re0), float(re1), int(n)) if int(n) > 1 else [float(re0)]
+    want = np.array([complex(r, float(im)) for r in res])
+    got = cli._parse_xi_grid(text)
+    assert got.dtype == complex and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert not got.flags.writeable
+
+
+def test_default_xi_grids_are_read_only(tmp_path):
+    # the cached parser hands every call the same default grids
+    for command in ("scattering", "resolvent-check"):
+        args = cli._build_parser().parse_args([command, "--config", str(tmp_path / "c.json")])
+        assert not args.xi_grid.flags.writeable
+        with pytest.raises(ValueError):
+            args.xi_grid[0] = 0.0

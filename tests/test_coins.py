@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from qwres import (
     ConstraintViolated,
     NotUnitary,
     PQTheta,
+    QWResError,
     UnsupportedN0,
     coin_from_json,
     coin_to_json,
@@ -337,6 +339,21 @@ def test_sequence_json_checks_coins_as_validate_coin_does():
         ({2: skew, 4: {"a": [0, 0]}}, NotUnitary, "site 2"),
         ({7: {"a": [0, 0]}}, ConfigParse, "missing key"),
     ]
+    # a value that fails to parse at site 4 after, or at site 2 before, a non-unitary coin
+    faults = [
+        ([math.nan, 0.0], 'coin "b" must be finite, got nan'),
+        ([0.0, math.inf], 'coin "b" must be finite, got inf'),
+        ([True, 0.0], 'coin "b" must be a real number, got True'),
+        ([10**400, 0], 'coin "b" is out of float range'),
+        ([0.5], 'coin "b" must be an [re, im] pair, got [0.5]'),
+    ]
+    for value, message in faults:
+        cases.append(({2: skew, 4: dict(coin_to_json(coins[4]), b=value)}, NotUnitary, "site 2"))
+        cases.append(({2: dict(coin_to_json(coins[2]), b=value), 4: skew}, ConfigParse, f"^{re.escape(message)}$"))
+    extra = dict(coin_to_json(coins[4]), e=[0.0, 0.0])
+    cases.append(({2: skew, 4: extra}, NotUnitary, "site 2"))
+    cases.append(({2: extra, 4: skew}, ConfigParse, re.escape("coin entry has unexpected keys ['e']")))
+    cases.append(({2: {"rotation": 1.5}, 4: skew}, A2Violated, re.escape("rotation parameter must satisfy |r| < 1, got 1.5")))
     for changes, error, text in cases:
         bad = dict(obj, coins=[changes.get(k, c) for k, c in enumerate(obj["coins"])])
         with pytest.raises(error, match=text):
@@ -344,3 +361,78 @@ def test_sequence_json_checks_coins_as_validate_coin_does():
         first = min(changes)
         with pytest.raises(error):
             coin_from_json(bad["coins"][first])
+
+
+def _per_coin_sequence(obj):
+    """sequence_from_json as a loop of coin_from_json over the coins.
+
+    The sequence, or the first failing coin's error class, message and
+    site.
+    """
+    coins = []
+    for k, c in enumerate(obj["coins"]):
+        try:
+            coins.append(coin_from_json(c))
+        except QWResError as exc:
+            return type(exc), str(exc), k
+    return CoinSequence(obj["n0"], tuple(coins))
+
+
+def _config_coin(rng, mix: str):
+    """One entry-form coin of a config: Haar, or in ints and signed zeros, or
+    with subnormal entries.  With mix "rotation" it may be a rotation coin
+    instead, with mix "library" have a tuple pair or a numpy scalar, as a
+    library caller may pass."""
+    kind = int(rng.integers(0, 5))
+    if kind == 0 and mix == "rotation":
+        return {"rotation": float(rng.uniform(-0.99, 0.99))}
+    if kind == 1:  # a phase coin
+        return {"a": [1, 0], "b": [0, -0.0], "c": [-0.0, 0], "d": [0, int(rng.choice([-1, 1]))]}
+    if kind == 2:  # subnormal entries, keys in another order
+        return {"d": [1.0, -0.0], "c": [-0.0, -5e-324], "b": [5e-324, 0.0], "a": [1, 0.0]}
+    coin = coin_to_json(haar_coin(rng))
+    if mix == "library" and kind != 4:
+        k = "abcd"[int(rng.integers(0, 4))]
+        coin[k] = tuple(coin[k]) if kind == 3 else [np.float64(coin[k][0]), coin[k][1]]
+    return coin
+
+
+def test_sequence_json_decodes_as_the_per_coin_path():
+    # the array pass over entry-form coins, with _coin_form for the others,
+    # gives coin_from_json's entries bit for bit, or the first failing coin's
+    # error, named as a loop over the coins names it
+    rng = np.random.default_rng(43)
+    skew = coin_to_json(identity_coin())
+    skew["b"] = [1e-9, 0.0]
+    faults = [
+        dict(skew, b=[math.nan, 0.0]),
+        dict(skew, a=[1.0, math.inf]),
+        dict(skew, c=[True, 0.0]),
+        dict(skew, d=[10**400, 0]),
+        dict(skew, b=[0.0]),
+        dict(skew, e=[0.0, 0.0]),
+        {"rotation": 1.5},
+        {"a": [0, 0], "b": [1, 0], "c": [1, 0], "d": [0, 0]},
+        skew,
+    ]
+    refused = 0
+    for trial in range(200):
+        n0 = int(rng.integers(0, 129))
+        mix = ("json", "rotation", "json", "library")[trial % 4]
+        coins = [_config_coin(rng, mix) for _ in range(n0 + 1)]
+        for _ in range(int(rng.integers(1, 3)) if trial % 8 >= 5 else 0):
+            coins[int(rng.integers(0, n0 + 1))] = faults[int(rng.integers(0, len(faults)))]
+        obj = {"n0": n0, "coins": coins}
+        want = _per_coin_sequence(obj)
+        if isinstance(want, CoinSequence):
+            got = sequence_from_json(obj)
+            assert got.coins == want.coins
+            assert np.array_equal(got.table.view(np.uint64), want.table.view(np.uint64))
+            continue
+        error, message, site = want
+        validated = error is not ConfigParse and "rotation" not in coins[site]
+        with pytest.raises(error) as exc:
+            sequence_from_json(obj)
+        assert str(exc.value) == (f"coin at site {site}: {message}" if validated else message)
+        refused += 1
+    assert 30 <= refused <= 100

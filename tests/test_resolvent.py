@@ -221,7 +221,8 @@ def test_exactly_singular_window_system_is_refused_by_name():
 
 
 def test_stacked_window_solves_match_pointwise():
-    # at n0 = 32 a stack holds 15 points, so 40 points take three stacks
+    # 40 points of one call, solved in one pass, give each point the bits of
+    # a call on that point alone
     rng = np.random.default_rng(29)
     cs = random_sequence(rng, 32)
     f = random_state(rng, 32, 3)
@@ -414,3 +415,11 @@ def test_one_refinement_step_keeps_the_identity_where_solutions_grow_fast():
         cs = random_sequence(np.random.default_rng(seed), 16)
         for xi in np.linspace(-3, 3, 7) - 20j:
             apply_resolvent(cs, xi, f, (-3, 19))
+
+
+def test_identity_residual_on_an_empty_grid():
+    cs = random_sequence(np.random.default_rng(3), 4)
+    for shape in ((0,), (0, 3), (2, 0)):
+        resid, cond = identity_residual(cs, np.zeros(shape, dtype=complex), basis_state(0, "L"), (-3, 7))
+        assert resid.shape == cond.shape == shape
+        assert resid.dtype == cond.dtype == float

@@ -192,3 +192,12 @@ def test_array_past_the_float_range_names_first_bad_point():
         with pytest.raises(SpectralOverflow, match=r"xi=\(1e\+308\+0j\)"):
             scattering_matrix(cs, np.array([0.0, 1e308]))
         assert np.isfinite(scattering_matrix(cs, 0.5 - 700j).t_minus)
+
+
+def test_scattering_matrix_on_an_empty_grid():
+    cs = random_sequence(np.random.default_rng(3), 4)
+    for shape in ((0,), (0, 3), (2, 0)):
+        sm = scattering_matrix(cs, np.zeros(shape, dtype=complex))
+        for z in (sm.t_minus, sm.t_plus, sm.r_minus, sm.r_plus, sm.unitarity_residual()):
+            assert z.shape == shape
+        assert sm.matrix.shape == shape + (2, 2)
