@@ -44,7 +44,7 @@ from .expansion import decay_fit_full, expand, nilpotency_index, reconstruct
 from .genericity import PerturbationFamily, splitting_experiment, splitting_slope
 from .resolvent import identity_residual, neumann_resolvent, apply_resolvent
 from .resonances import find_resonances, resonant_chain, validate_multiplicity
-from .scattering import scattering_matrix
+from .scattering import _scattering, scattering_matrix
 from .states import _norms, _window_norms, basis_state, incoming_length, state_from_json, state_to_json
 from .transfer import transfer_polynomial
 from .walk import _finite_norms, _window_blocks, _window_survival, build_K, evolve, norm_defect
@@ -200,10 +200,10 @@ def _cmd_polynomial(args):
 def _cmd_scattering(args):
     cs, _ = _load_config(args.config)
     xi = args.xi_grid  # one horizontal line, so xi_im is one value
-    sm = scattering_matrix(cs, xi)
+    sm, residual = _scattering(cs, xi)
     t2, r2 = np.abs(sm.t_minus) ** 2, np.abs(sm.r_minus) ** 2
     header = "xi_re,xi_im,t_minus_abs2,r_minus_abs2,unitarity_residual"
-    return _csv(header, xi.real.tolist(), float(xi.imag[0]), *(c.tolist() for c in (t2, r2, sm.unitarity_residual())))
+    return _csv(header, xi.real.tolist(), float(xi.imag[0]), *(c.tolist() for c in (t2, r2, residual)))
 
 
 def _survival_csv(norms) -> str:

@@ -20,7 +20,7 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import chain
 
 import numpy as np
 
@@ -433,18 +433,17 @@ def sequence_from_json(obj) -> CoinSequence:
     coins_raw = obj["coins"]
     if not isinstance(coins_raw, list) or len(coins_raw) != n0 + 1:
         raise ConfigParse(f'"coins" must list n0 + 1 = {n0 + 1} coins')
-    # entry-form coins are read and checked in array passes; a coin that fails
-    # to parse still loses to a bad coin before it, as in a loop over the coins
-    entry = [type(c) is dict and c.keys() == _ENTRY_KEYS for c in coins_raw]
-    stack = _entry_stack(list(compress(coins_raw, entry)))
-    if stack is None:  # a value the pass does not take: _coin_form reads every coin
-        entry, stack = [False] * len(entry), ()
-    elif all(entry):
-        return CoinSequence(n0, tuple(_validated(stack, range(len(stack)))))
-    rows, forms, error = iter(np.reshape(stack, (-1, 4))), [], None
-    for c, taken in zip(coins_raw, entry):
+    # the coins are read and checked in one array pass when every one is in entry
+    # form; otherwise each goes through _coin_form, and a coin that fails to parse
+    # still loses to a bad coin before it, as in a loop over the coins
+    if all(type(c) is dict and c.keys() == _ENTRY_KEYS for c in coins_raw):
+        stack = _entry_stack(coins_raw)
+        if stack is not None:
+            return CoinSequence(n0, tuple(_validated(stack, range(len(stack)))))
+    forms, error = [], None
+    for c in coins_raw:
         try:
-            forms.append(next(rows) if taken else _coin_form(c))
+            forms.append(_coin_form(c))
         except QWResError as exc:
             error = exc
             break

@@ -52,29 +52,22 @@ class ScatteringMatrix:
         return np.stack([np.stack(row, -1) for row in rows], -2)
 
     def unitarity_residual(self):
-        """max |S* S - I| entrywise, a float or a read-only array over xi.
+        """max |S* S - I| entrywise, a float or an array over xi.
 
         The Gram entries are written out in real arithmetic, each |z|^2 as
-        re^2 + im^2, so no BLAS kernel rounds them.  The first call (scattering_matrix's overflow refusal) keeps it.
+        re^2 + im^2, so no BLAS kernel rounds them.
         """
-        if "_residual" not in self.__dict__:
-            (tmr, tmi), (tpr, tpi), (rmr, rmi), (rpr, rpi) = (
-                (np.real(z), np.imag(z)) for z in (self.t_minus, self.t_plus, self.r_minus, self.r_plus)
-            )
-            g00 = tmr * tmr + tmi * tmi + (rpr * rpr + rpi * rpi) - 1
-            g11 = rmr * rmr + rmi * rmi + (tpr * tpr + tpi * tpi) - 1
-            # g01 = conj(t-) r- + conj(r+) t+
-            re01 = tmr * rmr + tmi * rmi + (rpr * tpr + rpi * tpi)
-            im01 = tmr * rmi - tmi * rmr + (rpr * tpi - rpi * tpr)
-            residual = np.asarray(np.maximum(np.maximum(np.abs(g00), np.abs(g11)), np.hypot(re01, im01)))
-            residual.flags.writeable = False
-            object.__setattr__(self, "_residual", residual[()])
-        return self._residual
+        (tmr, tmi), (tpr, tpi), (rmr, rmi), (rpr, rpi) = (
+            (np.real(z), np.imag(z)) for z in (self.t_minus, self.t_plus, self.r_minus, self.r_plus)
+        )
+        g00 = tmr * tmr + tmi * tmi + (rpr * rpr + rpi * rpi) - 1
+        g11 = rmr * rmr + rmi * rmi + (tpr * tpr + tpi * tpi) - 1
+        # g01 = conj(t-) r- + conj(r+) t+
+        re01 = tmr * rmr + tmi * rmi + (rpr * tpr + rpi * tpi)
+        im01 = tmr * rmi - tmi * rmr + (rpr * tpi - rpi * tpr)
+        return np.maximum(np.maximum(np.abs(g00), np.abs(g11)), np.hypot(re01, im01))[()]
 
 
-# log(0) at a pole is the pole test's -inf; values past the float range are
-# refused as SpectralOverflow, not warned about
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def scattering_matrix(cs: CoinSequence, xi) -> ScatteringMatrix:
     """Scattering coefficients from Wronskian ratios at n = -1.
 
@@ -99,6 +92,14 @@ def scattering_matrix(cs: CoinSequence, xi) -> ScatteringMatrix:
     among them, is no longer a finite float, and SpectralOverflow names
     the first such grid point.
     """
+    return _scattering(cs, xi)[0]
+
+
+# log(0) at a pole is the pole test's -inf; values past the float range are
+# refused as SpectralOverflow, not warned about
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _scattering(cs: CoinSequence, xi):
+    """scattering_matrix(cs, xi) and its unitarity_residual(), computed once."""
     xi = np.asarray(xi, dtype=complex)
     n0 = cs.n0
     ((_, t12),), ((t21, t22),), (log1, log2) = _transfer_entries(cs, xi, rescale=True)
@@ -144,5 +145,6 @@ def scattering_matrix(cs: CoinSequence, xi) -> ScatteringMatrix:
         r_minus=ratio("r-"),
         r_plus=ratio("r+"),
     )
-    _refuse_overflow(xi, sm.unitarity_residual())  # finite where every entry and |entry|^2 is
-    return sm
+    residual = sm.unitarity_residual()
+    _refuse_overflow(xi, residual)  # finite where every entry and |entry|^2 is
+    return sm, residual

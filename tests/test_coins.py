@@ -398,9 +398,9 @@ def _config_coin(rng, mix: str):
 
 
 def test_sequence_json_decodes_as_the_per_coin_path():
-    # the array pass over entry-form coins, with _coin_form for the others,
-    # gives coin_from_json's entries bit for bit, or the first failing coin's
-    # error, named as a loop over the coins names it
+    # the array pass over a config of entry-form coins, or _coin_form for every
+    # coin of any other config, gives coin_from_json's entries bit for bit, or
+    # the first failing coin's error, named as a loop over the coins names it
     rng = np.random.default_rng(43)
     skew = coin_to_json(identity_coin())
     skew["b"] = [1e-9, 0.0]
