@@ -30,7 +30,6 @@ from .errors import (
     ConstraintViolated,
     NotUnitary,
     ProductLeavesS,
-    QWResError,
     UnsupportedN0,
 )
 
@@ -370,12 +369,11 @@ def coin_from_json(obj) -> Coin:
     Accepts either ``{"rotation": r}`` or ``{"a": [re, im], "b": ..., "c":
     ..., "d": ...}``, with no other key.
     """
-    form = _coin_form(obj)
-    return form if isinstance(form, Coin) else validate_coin(np.reshape(form, (2, 2)))
+    return _read_coin(obj)
 
 
-def _coin_form(obj):
-    """A rotation coin's Coin, or the unchecked entries [a, b, c, d] of an entry-form coin."""
+def _read_coin(obj, site=None) -> Coin:
+    """coin_from_json's coin; site, when given, names the coin's site in what _validated raises."""
     if not isinstance(obj, dict):
         raise ConfigParse(f"coin entry must be an object, got {type(obj).__name__}")
     form, keys = ("rotation coin", {"rotation"}) if "rotation" in obj else ("coin entry", {"a", "b", "c", "d"})
@@ -385,9 +383,10 @@ def _coin_form(obj):
     if "rotation" in obj:
         return rotation_coin(_real(obj["rotation"], "rotation parameter"))
     try:
-        return [_complex_from_pair(obj[k], f'coin "{k}"') for k in ("a", "b", "c", "d")]
+        entries = [_complex_from_pair(obj[k], f'coin "{k}"') for k in ("a", "b", "c", "d")]
     except KeyError as exc:
         raise ConfigParse(f"coin entry missing key {exc}") from exc
+    return _validated(np.reshape(entries, (1, 2, 2)), None if site is None else [site])[0]
 
 
 def _real(v, what: str) -> float:
@@ -434,27 +433,12 @@ def sequence_from_json(obj) -> CoinSequence:
     if not isinstance(coins_raw, list) or len(coins_raw) != n0 + 1:
         raise ConfigParse(f'"coins" must list n0 + 1 = {n0 + 1} coins')
     # the coins are read and checked in one array pass when every one is in entry
-    # form; otherwise each goes through _coin_form, and a coin that fails to parse
-    # still loses to a bad coin before it, as in a loop over the coins
+    # form; otherwise each is read and checked in turn, so the first bad coin raises
     if all(type(c) is dict and c.keys() == _ENTRY_KEYS for c in coins_raw):
         stack = _entry_stack(coins_raw)
         if stack is not None:
             return CoinSequence(n0, tuple(_validated(stack, range(len(stack)))))
-    forms, error = [], None
-    for c in coins_raw:
-        try:
-            forms.append(_coin_form(c))
-        except QWResError as exc:
-            error = exc
-            break
-    sites = [k for k, f in enumerate(forms) if not isinstance(f, Coin)]
-    if sites:
-        stack = np.array([forms[k] for k in sites], dtype=complex).reshape(-1, 2, 2)
-        for k, coin in zip(sites, _validated(stack, sites)):
-            forms[k] = coin
-    if error is not None:
-        raise error
-    return CoinSequence(n0, tuple(forms))
+    return CoinSequence(n0, tuple(_read_coin(c, k) for k, c in enumerate(coins_raw)))
 
 
 def _entry_stack(coins) -> np.ndarray | None:

@@ -105,7 +105,9 @@ def _window_solves(xi, lam, cs, rhs):
     One refinement step, v + (lam - K)^{-1} (rhs - (lam - K) v) with K v
     from the walk's coins, keeps the identity at rounding where the
     solutions grow fast.  AtResonance names the first point in grid order
-    with kappa_1 > 1e12, inf where a Wronskian is exactly zero.
+    with kappa_1 > 1e12, inf where a Wronskian is exactly zero, and says so
+    where that point's |lam| <= 1e-6 puts it at K's zero eigenvalue, the
+    kernel witnesses' (find_resonances' zero group), not at a resonance.
     """
     k_norm = np.abs(_kept_rows(cs)).sum(axis=1).max()  # |K|_1: column (s, c) of K holds site s's kept column c
     xy, cx, cy, cuts, inv_norm = _green(np.stack([cs.table, cs.table[::-1, ::-1]], axis=1)[..., None], lam)
@@ -113,7 +115,9 @@ def _window_solves(xi, lam, cs, rhs):
     cond[np.isnan(cond)] = np.inf
     if (cond > 1e12).any():
         k = np.argmax(cond > 1e12)
-        raise AtResonance(f"window system at xi = {complex(xi[k])} has condition number {cond[k]:.2e}")
+        at = abs(lam[k])
+        zero = f": |lambda| = {at:.2e}, within 1e-6 of K's zero eigenvalue, not a resonance" if at <= 1e-6 else ""
+        raise AtResonance(f"window system at xi = {complex(xi[k])} has condition number {cond[k]:.2e}{zero}")
 
     to_own = np.arange(2 * len(cx)).reshape(-1, 2).T
     to_own = np.stack([to_own, to_own[::-1, ::-1]], axis=-1)  # rhs entry at each (X/Y, site, solution)

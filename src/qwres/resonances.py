@@ -354,7 +354,6 @@ class _Spectrum:
     resid: np.ndarray
     inv_cond: float
     delta: float
-    scale: np.ndarray  # max(|v_j|, 1), the relation check's scale for a chain read off v_j
 
 
 @functools.lru_cache(maxsize=1)
@@ -367,10 +366,9 @@ def _spectrum(cs: CoinSequence) -> _Spectrum:
     resid = np.linalg.norm(k @ evecs - evecs * evals, axis=0)
     s = np.linalg.svd(evecs, compute_uv=False)
     delta = np.linalg.norm(resid) / s[-1] if s[-1] > 0 else np.inf
-    scale = np.maximum(np.linalg.norm(evecs.T.copy(), axis=1), 1.0)  # row by row, as a chain's own
-    for x in (k, evals, evecs, resid, scale):
+    for x in (k, evals, evecs, resid):
         x.flags.writeable = False
-    return _Spectrum(k, evals, evecs, resid, float(s[-1] / s[0]), float(delta), scale)
+    return _Spectrum(k, evals, evecs, resid, float(s[-1] / s[0]), float(delta))
 
 
 def _check_links(errs: np.ndarray, scales: np.ndarray | float, what: str) -> None:
@@ -460,7 +458,7 @@ def _window_chains(spec: _Spectrum, lams, mults) -> list[np.ndarray]:
     certified = (np.asarray(mults) == 1) & (ranked[:, 1] * spec.inv_cond - spec.delta >= 4e-8)
     certified &= errs <= 0.5e-8 * (ranked[:, -1] - spec.delta)
     j = j[certified]
-    _check_links(errs[certified, None], spec.scale[j, None], "window chain relation")
+    _check_links(errs[certified, None], 1.0, "window chain relation")  # each v_j has unit length
     taken = iter(spec.evecs.T[j, None])
     return [
         next(taken) if ok else _svd_chain(spec.k - lam * np.eye(len(spec.k)), lam, m)

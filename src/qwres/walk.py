@@ -395,11 +395,13 @@ def norm_defect(cs: CoinSequence, v: np.ndarray) -> float:
 
     ||v||^2 splits exactly into ||Kv||^2 plus the two amplitudes the walk
     emits from the window edges, |<L| P_0 v(0)|^2 and |<R| Q_{n0} v(n0)|^2.
-    Returns the absolute defect of that identity.
+    One step of the walk gives all three: U v on the sites -1..n0+1 is
+    K v on 0..n0 between the two emitted amplitudes.  Returns the absolute
+    defect of that identity.
     """
-    v = np.asarray(v, dtype=complex)
-    k = build_K(cs)
-    _, out = _walk(cs, 0, v.reshape(-1, 2))
-    left, right = out[0, 0], out[-1, 1]
-    total, kept = _norms(np.array([v, k @ v])) ** 2
-    return float(abs(total - kept - abs(left) ** 2 - abs(right) ** 2))
+    if cs.n0 < 1:
+        raise UnsupportedN0("K needs n0 >= 1, the boundary rows collapse at n0=0")
+    v = np.asarray(v, dtype=complex).reshape(cs.n0 + 1, 2)  # ValueError for another length
+    _, out = _walk(cs, 0, v)
+    total, kept = _norms(np.array([v, out[1:-1]]).reshape(2, -1)) ** 2
+    return float(abs(total - kept - abs(out[0, 0]) ** 2 - abs(out[-1, 1]) ** 2))

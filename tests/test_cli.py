@@ -24,7 +24,7 @@ from qwres import (
     sequence_to_json,
     state_from_json,
 )
-from qwres.cli import _csv, _survival_csv, main
+from qwres.cli import _csv, main
 from qwres.walk import BLOCK, _states
 from test_expansion import identity_at_site_0
 
@@ -253,6 +253,7 @@ TWO_SIDED_CFG = {
 }
 
 
+@pytest.mark.simd_portable
 @pytest.mark.parametrize(
     "cfg, digest, summary_digest",
     [
@@ -302,6 +303,7 @@ def test_evolve_trajectory_bytes_are_pinned(tmp_path, capsys, cfg, digest, summa
     assert hashlib.sha256(summary).hexdigest() == summary_digest
 
 
+@pytest.mark.simd_portable
 @pytest.mark.parametrize(
     "cfg, T, digest",
     [
@@ -641,6 +643,7 @@ def evolve_configs():
     return configs
 
 
+@pytest.mark.simd_portable
 def test_evolve_bytes_equal_the_state_by_state_rendering(tmp_path, capsys):
     # the window rows, the text each amplitude keeps off the window and the
     # summary against every entry of every state of the light cone walk
@@ -845,8 +848,18 @@ def test_selftest_passes(capsys, monkeypatch):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     assert wound and all(xi.real < 0 for xi in wound)
-    assert out.strip().endswith("selftest passed")
-    assert out.count("ok:") >= 5
+    assert out.splitlines() == [
+        "ok: coin parameterization round trip",
+        "ok: hyperbolic product of rotations",
+        "ok: window norm identity",
+        "ok: scattering unitarity at real xi",
+        "ok: worked examples (double and triple barrier)",
+        "ok: winding counts match root multiplicities",
+        "ok: resonance expansion reconstructs the walk",
+        "ok: resolvent identity and Neumann series",
+        "ok: double resonance splits with exponent 1/2",
+        "selftest passed",
+    ]
 
 
 def test_byte_identical_reruns(capsys, triple_cfg):
@@ -1030,6 +1043,20 @@ def test_scattering_at_resonance_exits_30(capsys, hadamard_cfg):
     assert "AtResonance" in err
 
 
+def test_resolvent_check_deep_below_names_the_zero_eigenvalue(tmp_path, capsys):
+    # at Im xi = -30, |lambda| = e^-30 sits within 1e-6 of K's zero
+    # eigenvalue (the kernel witnesses), so kappa_1 passes 1e12 there
+    # though no resonance lies near; the refusal says which it is
+    cfg = tmp_path / "deep.json"
+    cfg.write_text('{"n0": 1, "coins": [{"rotation": 0.6}, {"rotation": 0.5}]}')
+    code, out, err = run(capsys, "resolvent-check", "--config", str(cfg), "--xi-grid=-1:1:3,-30")
+    assert code == 30 and out == ""
+    assert err == (
+        "error: AtResonance: window system at xi = (-1-30j) has condition number 2.53e+13:"
+        " |lambda| = 9.36e-14, within 1e-6 of K's zero eigenvalue, not a resonance\n"
+    )
+
+
 def test_scattering_grid_through_resonance_writes_no_rows(tmp_path, capsys, hadamard_cfg):
     # the middle point of -1:1:3 on Im xi = -ln(2)/2 is the resonance
     # xi = -i ln(2)/2; the whole grid refuses, naming that point
@@ -1132,17 +1159,21 @@ def test_rejected_arguments_exit_2(capsys, triple_cfg, argv, flag):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.simd_portable
 def test_survival_csv_is_the_general_csv():
-    # the survival table writes t through "%d", which gives the text "%.17g"
-    # gives for every integer below 2^53, and the norms through "%.17g"
+    # survival and evolve write t as a range column of the general CSV, whose
+    # "%.17g" gives each integer below 2^53 its plain decimal text, the text
+    # the table had when t went through "%d"
     rng = np.random.default_rng(5)
     special = [0.0, 1.0, 2**-0.5, 5e-324, 1.7976931348623157e308, 0.1, 1e16, 123456789.0]
-    for n in (1, 2, 4001):
-        norms = (rng.random(n) * 10.0 ** rng.integers(-320, 308, n)).tolist()
-        norms[: len(special)] = special[:n]
-        assert _survival_csv(norms) == _csv("t,survival_norm", range(n), norms)
+    for ts in (range(1), range(2), range(4001), range(2**53 - 4001, 2**53)):
+        norms = (rng.random(len(ts)) * 10.0 ** rng.integers(-320, 308, len(ts))).tolist()
+        norms[: len(special)] = special[: len(ts)]
+        want = "".join(f"{t},{format(x, '.17g')}\n" for t, x in zip(ts, norms))
+        assert _csv("t,survival_norm", ts, norms) == "t,survival_norm\n" + want
 
 
+@pytest.mark.simd_portable
 def test_csv_one_float_column_is_the_repeated_column():
     # a column given as one float is written once into the row format, with
     # the text the repeated column gets row by row

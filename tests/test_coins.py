@@ -338,6 +338,7 @@ def test_sequence_json_checks_coins_as_validate_coin_does():
         ({2: {"rotation": 1.5}, 4: skew}, A2Violated, "rotation"),
         ({2: skew, 4: {"a": [0, 0]}}, NotUnitary, "site 2"),
         ({7: {"a": [0, 0]}}, ConfigParse, "missing key"),
+        ({0: skew}, NotUnitary, "^coin at site 0: unitarity residual"),  # site 0 is named too
     ]
     # a value that fails to parse at site 4 after, or at site 2 before, a non-unitary coin
     faults = [
@@ -397,8 +398,9 @@ def _config_coin(rng, mix: str):
     return coin
 
 
+@pytest.mark.simd_portable
 def test_sequence_json_decodes_as_the_per_coin_path():
-    # the array pass over a config of entry-form coins, or _coin_form for every
+    # the array pass over a config of entry-form coins, or the per-coin reader for every
     # coin of any other config, gives coin_from_json's entries bit for bit, or
     # the first failing coin's error, named as a loop over the coins names it
     rng = np.random.default_rng(43)

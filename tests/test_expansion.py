@@ -584,6 +584,7 @@ def _wavestate_sum(ed, chains, t, window):
     return WaveState(lo, total)
 
 
+@pytest.mark.simd_portable
 def test_reconstruct_is_the_wavestate_sum_bit_for_bit():
     # reconstruct adds each chain state's rows times sigma straight into the
     # window; the WaveState sum trims the zero rows at the ends of every cut

@@ -161,6 +161,7 @@ def _product(s1, s2):
     return pqtheta_to_S(_transfer_to_pqtheta(t, (s1.a / s1.d) * (s2.a / s2.d)))
 
 
+@pytest.mark.simd_portable
 def test_stacked_perturbations_are_perturb_bit_for_bit():
     # _perturbed checks its factors and products in one pass each
     # and multiplies all transfer factors in one matmul: every new first

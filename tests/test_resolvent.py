@@ -220,6 +220,7 @@ def test_exactly_singular_window_system_is_refused_by_name():
     assert (resid < 1e-10).all()
 
 
+@pytest.mark.simd_portable
 def test_stacked_window_solves_match_pointwise():
     # 40 points of one call, solved in one pass, give each point the bits of
     # a call on that point alone
@@ -263,6 +264,7 @@ def test_tiny_and_huge_sources_keep_their_digits():
             assert (resid <= 1e-15).all() and (cond < 2).all()
 
 
+@pytest.mark.simd_portable
 def test_power_of_two_source_scales_the_answer_bit_for_bit():
     # scaling by 2^k is exact, so f and 2^k f are solved as the one
     # system, and the answer is 2^k times the one for f, bit for bit,
@@ -283,6 +285,7 @@ def test_power_of_two_source_scales_the_answer_bit_for_bit():
                 assert got.amplitudes.tobytes() == scaled.amplitudes.tobytes()
 
 
+@pytest.mark.simd_portable
 @pytest.mark.parametrize("points", [75, 300])
 @pytest.mark.parametrize("n0", [3, 5, 8, 12, 16])
 def test_split_window_solves_are_the_one_share_ones_bit_for_bit(tmp_path, capsys, n0, points):
@@ -310,6 +313,7 @@ def test_split_window_solves_are_the_one_share_ones_bit_for_bit(tmp_path, capsys
     assert capsys.readouterr().out == cli._csv(header, xi.real.tolist(), xi.imag.tolist(), resid.tolist(), cond.tolist())
 
 
+@pytest.mark.simd_portable
 def test_split_refusal_is_the_one_share_one():
     # a refused point behind clean points, one ahead of them, and one in
     # each half: the message names the first in grid order, and the grid cut
@@ -333,6 +337,21 @@ def test_split_refusal_is_the_one_share_one():
         assert str(whole.value) == str(half.value) and str(complex(grid[min(bad)])) in str(whole.value)
 
 
+def test_only_a_refusal_at_the_zero_eigenvalue_names_it():
+    # a point refused next to a resonance keeps the bare condition-number
+    # message; one deep below, where |lambda| <= 1e-6, names K's zero eigenvalue
+    cs = triple_barrier()
+    xi = find_resonances(cs)[0].xi
+    f = basis_state(0, "L")
+    with pytest.raises(AtResonance) as near:
+        identity_residual(cs, np.array([xi + 0.5, xi + 1e-7]), f, (-3, 5))
+    assert str(near.value).startswith(f"window system at xi = {complex(xi + 1e-7)} has condition number ")
+    assert "zero eigenvalue" not in str(near.value)
+    with pytest.raises(AtResonance, match=r": \|lambda\| = 9\.36e-14, within 1e-6 of K's zero eigenvalue, not a resonance$"):
+        identity_residual(cs, np.array([0.5 - 1j, 0.5 - 30j]), f, (-3, 5))
+
+
+@pytest.mark.simd_portable
 @pytest.mark.parametrize("n0", [1, 2, 3, 8, 11, 13, 14, 16, 32])
 def test_condition_is_the_dense_one_norm_condition_number(n0):
     # kappa_1 = |lam - K|_1 |(lam - K)^{-1}|_1, LAPACK's 1-norm convention,
@@ -355,6 +374,7 @@ def test_condition_is_the_dense_one_norm_condition_number(n0):
 WINDOWS = [("haar", 1), ("haar", 7), ("haar", 16), ("haar", 32), ("thin", 8), ("near-identity", 8)]
 
 
+@pytest.mark.simd_portable
 @pytest.mark.parametrize("family, n0", WINDOWS, ids=[f"{family}-{n0}" for family, n0 in WINDOWS])
 def test_window_solves_match_the_dense_inverse(family, n0):
     # the semi-separable solve against np.linalg.inv of the dense lam - K,
@@ -385,6 +405,7 @@ def test_window_solves_match_the_dense_inverse(family, n0):
             assert abs(c - kappa) <= 1e-13 * kappa
 
 
+@pytest.mark.simd_portable
 def test_fast_growing_solutions_are_rescaled():
     # across 64 Haar sites at Im xi = +-20 and 40, or 33 thin coins of
     # transmission 1e-13, the homogeneous solutions grow past the float

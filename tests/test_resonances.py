@@ -740,6 +740,7 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
+@pytest.mark.simd_portable
 def test_stacked_family_matches_lone_walks_bit_for_bit():
     # a list of walks is rooted in one stacked pass: one polynomial
     # recursion over the stacked coin tables, one relation-check kernel
@@ -842,6 +843,7 @@ def test_lone_walk_checks_every_cluster_against_the_disk_before_the_cross_check(
         find_resonances(cs)
 
 
+@pytest.mark.simd_portable
 def test_witness_mixed_multiplicities_match_the_per_m_passes():
     # one pass serves clusters of every multiplicity: each entry's step is
     # the one a pass of its multiplicity alone gives it, and the oracle's,
@@ -896,6 +898,7 @@ def test_thin_and_near_identity_windows_resolve_to_K_or_refuse_typed(family):
                 assert np.min(np.abs(evals - r.lam)) <= tol * max(1, abs(r.lam))
 
 
+@pytest.mark.simd_portable
 def test_n0_1_width_contract_against_the_abs_a_closed_form():
     # at n0 = 1 the resonance is mu = c_0 b_1 and, for a unitary pair,
     # |mu|^2 = (1 - |a_0|^2)(1 - |a_1|^2): the width 1 - |lambda|^2 =
@@ -940,6 +943,7 @@ def _numpy_scalar_chain(cs, res, N):
     return amps
 
 
+@pytest.mark.simd_portable
 def test_resonant_chain_extension_is_the_numpy_scalar_sweep_bit_for_bit():
     # off the window resonant_chain sweeps on Python complex numbers, whose
     # product is numpy's scalar formula, and reads what leaves the window off

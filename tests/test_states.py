@@ -113,6 +113,7 @@ def test_norm_survives_overflow_of_the_squares():
     assert psi.norm() == float(np.linalg.norm(psi.amplitudes))
 
 
+@pytest.mark.simd_portable
 def test_window_norms_equal_the_state_norms_on_overflowing_rows():
     # scales whose squares overflow, and rows holding inf, take the
     # rescaled branch in both, bit for bit
@@ -127,6 +128,7 @@ def test_window_norms_equal_the_state_norms_on_overflowing_rows():
     assert (norms > 1e300).any() and norms[7] == math.inf
 
 
+@pytest.mark.simd_portable
 def test_window_norms_are_the_state_norms_bit_for_bit():
     # rows with every support in a window of 7 sites, interior zero rows,
     # -0 entries, all-zero rows, and scales from 1 down through the

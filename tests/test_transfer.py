@@ -106,6 +106,7 @@ def _kernel_windows():
         yield CoinSequence(n0, (hadamard_coin(),) * (n0 + 1))
 
 
+@pytest.mark.simd_portable
 def test_transfer_kernel_is_the_per_entry_recursion_bit_for_bit():
     # values and logs, signs of zeros included, with rescale on and off, on
     # grids of 20, 150 and 512 points; carrying column 2 alone or the slope

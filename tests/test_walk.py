@@ -385,6 +385,19 @@ def test_norm_defect_small_on_random_vectors():
         assert norm_defect(cs, v) < 1e-13
 
 
+def test_norm_defect_is_the_dense_identity():
+    # the walk step's K v is K's: the defect matches |v|^2 - |K v|^2 - |emitted|^2
+    # formed with the dense K, on Haar windows n0 = 1..16
+    rng = np.random.default_rng(72)
+    for n0 in range(1, 17):
+        for _ in range(10):
+            cs = random_sequence(rng, n0)
+            v = rng.normal(size=2 * (n0 + 1)) + 1j * rng.normal(size=2 * (n0 + 1))
+            left, right = cs.coins[0].a * v[0] + cs.coins[0].b * v[1], cs.coins[n0].c * v[-2] + cs.coins[n0].d * v[-1]
+            dense = abs(np.vdot(v, v).real - np.linalg.norm(build_K(cs) @ v) ** 2 - abs(left) ** 2 - abs(right) ** 2)
+            assert abs(norm_defect(cs, v) - dense) <= 1e-14 * np.vdot(v, v).real
+
+
 def _two_sided_state(rng, n0):
     """Random state with incoming R at -2, incoming L at n0 + 3, outgoing L at -4."""
     amp = rng.normal(size=(n0 + 8, 2)) + 1j * rng.normal(size=(n0 + 8, 2))
@@ -490,6 +503,7 @@ def _assert_same_rows(blocks, windows, edges):
         assert x[y != 0].tobytes() == y[y != 0].tobytes() and (x[y == 0] == 0).all()
 
 
+@pytest.mark.simd_portable
 def test_step_and_the_window_stream_read_the_one_coin_kernel(monkeypatch):
     # with _coin's coins doubled, every amplitude a coin makes doubles, and
     # exactly so; from a state on the window every amplitude of the next one
@@ -519,6 +533,7 @@ def test_step_and_the_window_stream_read_the_one_coin_kernel(monkeypatch):
         calls.clear()
 
 
+@pytest.mark.simd_portable
 def test_window_stream_is_the_restricted_trajectory_bit_for_bit():
     # by T = 1200 the Hadamard pair and the triple barrier hold less than
     # 1e-150 on the window, so their late norms take the rescaled branch of
@@ -543,6 +558,7 @@ def test_window_stream_is_the_restricted_trajectory_bit_for_bit():
     assert rescaled[-2:] == [True, True]
 
 
+@pytest.mark.simd_portable
 def test_window_stream_equals_the_trajectory_from_sparse_states():
     # from a single site the window rows start out partly off the support
     # of the stepped trajectory, where a step reads +0; the real reflections (c, d < 0)
@@ -580,6 +596,7 @@ def test_window_walk_names_the_step_and_site_past_the_float_range():
             next(blocks)
 
 
+@pytest.mark.simd_portable
 def test_window_stream_rewrites_the_edge_slots_of_reused_rows():
     # psi0's incoming amplitudes all arrive within the first block, and each
     # later block reuses its rows; the L at n0 and the R at 0 must still read
