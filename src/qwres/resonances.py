@@ -458,7 +458,7 @@ def _window_chains(spec: _Spectrum, lams, mults) -> list[np.ndarray]:
     certified = (np.asarray(mults) == 1) & (ranked[:, 1] * spec.inv_cond - spec.delta >= 4e-8)
     certified &= errs <= 0.5e-8 * (ranked[:, -1] - spec.delta)
     j = j[certified]
-    _check_links(errs[certified, None], 1.0, "window chain relation")  # each v_j has unit length
+    _check_links(errs[certified, None], 1.0, "window chain relation")  # each v_j has unit or zero length
     taken = iter(spec.evecs.T[j, None])
     return [
         next(taken) if ok else _svd_chain(spec.k - lam * np.eye(len(spec.k)), lam, m)
