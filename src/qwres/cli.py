@@ -57,13 +57,13 @@ def _f(x: float) -> str:
 
 
 def _csv(header: str, *columns) -> str:
-    """header, then one line per row of the columns, each value as _f writes it;
+    """header, then one line per row of the columns, each value as _f writes it, a range's as "%d";
     a column given as one float holds that value on every row, its text written once."""
     # "%.17g" % x is format(x, ".17g"), -0, inf and nan included; one % formats every row
     lists = [c for c in columns if not isinstance(c, float)]
     values = tuple(chain.from_iterable(zip(*lists)))
-    row = ",".join("%.17g" % c if isinstance(c, float) else "%.17g" for c in columns) + "\n"
-    return f"{header}\n" + row * (len(values) // len(lists)) % values
+    row = ",".join("%.17g" % c if isinstance(c, float) else "%d" if isinstance(c, range) else "%.17g" for c in columns)
+    return f"{header}\n" + (row + "\n") * (len(values) // len(lists)) % values
 
 
 def _json(obj, depth: int = 0) -> str:

@@ -105,10 +105,10 @@ def expand(cs: CoinSequence, psi0: WaveState) -> ExpansionData:
     """Expansion coefficients of psi0 over the resonant chains of cs.
 
     Steps the window nu = incoming_length times so the incoming part is
-    inside it, then solves one least-squares system whose columns
-    are the restricted chain vectors and a basis of the kernel of
-    K^{iota_0}.  The system is square and the residual must vanish to
-    1e-9 |x|; anything else means the chains do not span what they should.
+    inside it, then solves one square system by LU whose columns are the
+    restricted chain vectors and a basis of the kernel of K^{iota_0}.  The
+    residual must vanish to 1e-9 |x|; anything else, a singular basis
+    too, means the chains do not span what they should: InvariantViolation.
     It is solved for the window vector x scaled by a power of 2 to order
     one, so x may lie at either end of the float range; a coefficient
     that leaves the range raises SpectralOverflow.
@@ -146,7 +146,10 @@ def expand(cs: CoinSequence, psi0: WaveState) -> ExpansionData:
     basis = np.column_stack(cols + zero_basis)
     e = math.frexp(float(np.abs(x.view(float)).max()))[1]
     x = np.ldexp(x.view(float), -e).view(complex)
-    coef, *_ = np.linalg.lstsq(basis, x, rcond=None)
+    try:
+        coef = np.linalg.solve(basis, x)
+    except np.linalg.LinAlgError:
+        raise InvariantViolation("expansion basis of chains and kernel is singular") from None
     resid, size = _norms(np.array([basis @ coef - x, x]))
     if not resid <= 1e-9 * size:
         raise InvariantViolation(f"expansion basis missed the state by {resid / size:.2e} |x|, above 1e-9 |x|")

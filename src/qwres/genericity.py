@@ -148,9 +148,10 @@ def splitting_experiment(pf: PerturbationFamily):
 
 
 def splitting_slope(rows) -> float:
-    """Log-log slope of gap against eps; 1/m for an m-fold splitting."""
+    """Log-log slope of gap against eps, the least-squares line in closed form; 1/m for an m-fold splitting."""
     xs = [math.log(e) for e, g, _ in rows if e > 0 and g > 0]
     ys = [math.log(g) for e, g, _ in rows if e > 0 and g > 0]
     if len(set(xs)) < 2:
         raise ValueError("need rows with positive gap at two distinct positive eps")
-    return float(np.polyfit(np.array(xs), np.array(ys), 1)[0])
+    xm, ym = sum(xs) / len(xs), sum(ys) / len(ys)
+    return sum((x - xm) * (y - ym) for x, y in zip(xs, ys)) / sum((x - xm) * (x - xm) for x in xs)

@@ -284,15 +284,19 @@ def find_resonances(cs: CoinSequence) -> list[Resonance]:
 def winding_count(cs: CoinSequence, center: complex, rho: float) -> complex:
     """Contour integral counting zeros of the transfer-product 22 entry.
 
-    Trapezoid rule on 512 nodes of the circle |xi - center| = rho, with
-    t22'/t22 from the transfer kernel's exact slope.  Exact integer values
-    signal correct multiplicities; the caller decides how much drift to
-    accept.  A negative rho traces the same circle; a zero or non-finite
-    rho or center is a ValueError, an overflow on it SpectralOverflow.
+    Trapezoid rule on N = 64 nodes of the circle |xi - center| = rho, with
+    t22'/t22 from the transfer kernel's exact slope.  t22'/t22 is the sum
+    of 1/(xi - z) over t22's zeros z, and the rule misses the count by
+    sum (rho/|z - center|)^N over the zeros outside the circle plus
+    sum (|z - center|/rho)^N over those inside, to first order.  Exact
+    integer values signal correct multiplicities; the caller decides how
+    much drift to accept.  A negative rho traces the same circle; a zero
+    or non-finite rho or center is a ValueError, an overflow on it
+    SpectralOverflow.
     """
     if not (cmath.isfinite(center) and math.isfinite(rho) and rho != 0):
         raise ValueError(f"need a finite center and a finite nonzero rho, got {center}, {rho}")
-    nodes = 512
+    nodes = 64
     theta = 2 * np.pi * np.arange(nodes) / nodes
     e = np.exp(1j * theta)
     zeta = center + rho * e

@@ -58,13 +58,13 @@ def _kernel(table: np.ndarray) -> np.ndarray:
     return c
 
 
-def _coin(c1: np.ndarray, c2: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = c1 x + c2 x[..., ::-1], the coins of N sites on x of shape (..., 2N + 1).
+def _coin(c1: np.ndarray, c2: np.ndarray, x: np.ndarray, xr: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """out = c1 x + c2 xr, the coins of N sites on x of shape (..., 2N + 1).
 
-    x holds the N sites' L, a spare slot, then their R reversed; (c1, c2) = _kernel(...).
+    x holds the N sites' L, a spare slot, then their R reversed, xr = x[..., ::-1], tmp scratch; (c1, c2) = _kernel(...).
     """
     np.multiply(c1, x, out)
-    return np.add(out, np.multiply(c2, x[..., ::-1]), out)
+    return np.add(out, np.multiply(c2, xr, tmp), out)
 
 
 def _walk(cs: CoinSequence, lo: int, rows: np.ndarray):
@@ -84,7 +84,7 @@ def _walk(cs: CoinSequence, lo: int, rows: np.ndarray):
         m = i1 - i0
         x = np.zeros(rows.shape[:-2] + (2 * m + 1,), dtype=complex)
         x[..., :m], x[..., : m : -1] = rows[..., i0:i1, 0], rows[..., i0:i1, 1]
-        y = _coin(*_kernel(cs.table[lo + i0 : lo + i1]), x, np.empty_like(x))
+        y = _coin(*_kernel(cs.table[lo + i0 : lo + i1]), x, x[..., ::-1], np.empty_like(x), np.empty_like(x))
         out[..., i0:i1, 0], out[..., i0 + 2 : i1 + 2, 1] = y[..., :m], y[..., : m : -1]
     return lo - 1, out
 
@@ -148,6 +148,7 @@ def _window_blocks(psi0: WaveState, cs: CoinSequence, T: int):
     block = np.empty((len(rows), 2 * n0 + 4), dtype=complex)
     block[0, : n0 + 2], block[0, n0 + 2 :] = rows[0, : n0 + 2, 0], rows[0, :0:-1, 1]
     views, xs, outs = list(block), list(block[:, 1:]), list(block[:, :-1])
+    xrs, tmp = list(block[:, :0:-1]), np.empty(2 * n0 + 3, dtype=complex)
     c1, c2 = _kernel(cs.table)
     amps, lo = psi0.amplitudes, psi0.support_lo
     # psi0's R and L by the step at which they reach site 0 and site n0, the last at step arrive
@@ -173,7 +174,7 @@ def _window_blocks(psi0: WaveState, cs: CoinSequence, T: int):
                 src, row = views[i], views[i + 1]
                 # L leaves through site -1 and R through n0 + 1 for good; the
                 # L at n0 is rewritten every step, over the coins' spare slot
-                _coin(c1, c2, xs[i], outs[i + 1])
+                _coin(c1, c2, xs[i], xrs[i], outs[i + 1], tmp)
                 if t <= arrive:
                     row[-1] = in_l = from_l.get(t, 0)
                     row[n0 + 1] = in_r = from_r.get(t, 0)

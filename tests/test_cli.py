@@ -554,9 +554,9 @@ def test_survival_steps_only_the_window(capsys, monkeypatch, hadamard_cfg):
     kernel = qwres.walk._coin
     shapes = []
 
-    def counted(c1, c2, x, out):
+    def counted(c1, c2, x, xr, out, tmp):
         shapes.append((c1.shape, c2.shape, x.shape, out.shape))
-        return kernel(c1, c2, x, out)
+        return kernel(c1, c2, x, xr, out, tmp)
 
     monkeypatch.setattr(qwres.walk, "_coin", counted)
     code, _, _ = run(capsys, "survival", "--config", hadamard_cfg, "--T", "2000")
@@ -684,9 +684,9 @@ def test_evolve_steps_the_window_and_formats_each_amplitude_once(capsys, monkeyp
         made.append(self)
         post_init(self)
 
-    def counted_coin(c1, c2, x, out):
+    def counted_coin(c1, c2, x, xr, out, tmp):
         shapes.append((c1.shape, c2.shape, x.shape, out.shape))
-        return kernel(c1, c2, x, out)
+        return kernel(c1, c2, x, xr, out, tmp)
 
     def counted_texts(z):
         formatted.append(z.size)
@@ -1161,12 +1161,12 @@ def test_rejected_arguments_exit_2(capsys, triple_cfg, argv, flag):
 
 @pytest.mark.simd_portable
 def test_survival_csv_is_the_general_csv():
-    # survival and evolve write t as a range column of the general CSV, whose
-    # "%.17g" gives each integer below 2^53 its plain decimal text, the text
-    # the table had when t went through "%d"
+    # survival and evolve write t as a range column of the general CSV,
+    # whose "%d" gives every integer its plain decimal text, past 2^53 too,
+    # where "%.17g" rounds 2^53 + 1 to 9007199254740992
     rng = np.random.default_rng(5)
     special = [0.0, 1.0, 2**-0.5, 5e-324, 1.7976931348623157e308, 0.1, 1e16, 123456789.0]
-    for ts in (range(1), range(2), range(4001), range(2**53 - 4001, 2**53)):
+    for ts in (range(1), range(2), range(4001), range(2**53 - 4001, 2**53), range(2**53 - 2000, 2**53 + 2001)):
         norms = (rng.random(len(ts)) * 10.0 ** rng.integers(-320, 308, len(ts))).tolist()
         norms[: len(special)] = special[: len(ts)]
         want = "".join(f"{t},{format(x, '.17g')}\n" for t, x in zip(ts, norms))

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import json
 import math
 import sys
 import warnings
@@ -37,10 +38,12 @@ from qwres import (
     reconstruct,
     resonant_chain,
     rotation_coin,
+    sequence_to_json,
     survival_norm,
     window_vector,
     WaveState,
 )
+from qwres.cli import main
 
 S = 2.0 ** -0.5
 
@@ -95,12 +98,12 @@ def test_expansion_residual_check_binds_past_overflow_of_the_squares(monkeypatch
     # and passes any coefficients of a small enough state.  The rescaled,
     # relative check refuses a coefficient off by relative 1e-6 at each
     cs = hadamard_pair()
-    real = np.linalg.lstsq
+    real = np.linalg.solve
 
-    def perturbed(a, b, rcond=None):
-        coef, *rest = real(a, b, rcond=rcond)
+    def perturbed(a, b):
+        coef = real(a, b)
         coef[0] *= 1 + 1e-6
-        return (coef, *rest)
+        return coef
 
     for s in (1e200, 1e-3, 1e-200):
         psi0 = WaveState(0, np.array([[s, 0.0]], dtype=complex))
@@ -108,9 +111,25 @@ def test_expansion_residual_check_binds_past_overflow_of_the_squares(monkeypatch
         for b in ed.blocks:
             assert abs(b.coefficients[0]) == pytest.approx(S * s, rel=1e-12)
         with monkeypatch.context() as m:
-            m.setattr(np.linalg, "lstsq", perturbed)
+            m.setattr(np.linalg, "solve", perturbed)
             with pytest.raises(InvariantViolation, match="expansion basis missed the state"):
                 expand(cs, psi0)
+
+
+def test_singular_expansion_basis_is_an_invariant_violation(monkeypatch, capsys, tmp_path):
+    # the basis is square by construction; an exactly singular one is
+    # refused by name, as a typed error with exit 32, never numpy's own
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(InvariantViolation, match="expansion basis of chains and kernel is singular"):
+        expand(hadamard_pair(), basis_state(0, "L"))
+    cfg = tmp_path / "hadamard.json"
+    cfg.write_text(json.dumps(sequence_to_json(hadamard_pair())))
+    assert main(["expand", "--config", str(cfg)]) == 32
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: InvariantViolation: expansion basis")
 
 
 def test_expansion_at_either_end_of_the_float_range():

@@ -222,8 +222,9 @@ def test_exactly_singular_window_system_is_refused_by_name():
 
 @pytest.mark.simd_portable
 def test_stacked_window_solves_match_pointwise():
-    # 40 points of one call, solved in one pass, give each point the bits of
-    # a call on that point alone
+    # 40 points of one call, whose window systems are solved together in
+    # one pass over _green's homogeneous solutions, give each point the bits
+    # of a call on that point alone
     rng = np.random.default_rng(29)
     cs = random_sequence(rng, 32)
     f = random_state(rng, 32, 3)

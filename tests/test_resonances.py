@@ -48,7 +48,7 @@ from qwres.resonances import (
     _window_chains,
     _witness,
 )
-from qwres.transfer import _transfer_polynomials
+from qwres.transfer import _transfer_entries, _transfer_polynomials
 from qwres.walk import _parity_blocks, _parity_eig, _walk
 
 LOG2_HALF = 0.5 * math.log(2.0)
@@ -409,14 +409,46 @@ def _strip_distance(a, b):
     return abs(complex((d.real + math.pi) % (2 * math.pi) - math.pi, d.imag))
 
 
+def _winding_512(cs, center, rho):
+    """The trapezoid rule of winding_count on 512 nodes, its former count."""
+    e = np.exp(2j * np.pi * np.arange(512) / 512)
+    _, ((t22,), (dt22,)), _ = _transfer_entries(cs, center + rho * e, cols=1, slope=True)
+    return complex(rho * np.sum(1j * dt22 / t22 * e) / 512)
+
+
+@pytest.mark.simd_portable
 def test_winding_count_reads_each_multiplicity_to_1e_9():
-    # the slope is carried exactly, so the trapezoid rule on 512 nodes
-    # leaves only rounding: the largest distance here is about 1e-15
-    for cs in [triple_barrier(), hadamard_pair(), *_repro_windows()]:
+    # the slope is carried exactly, so the trapezoid rule on 64 nodes
+    # leaves only rounding: the largest distance here is 4.8e-15.  On
+    # validate_multiplicity's circles every other zero of t22 is at least
+    # rho/0.45 away, so the 64-node count is off by about n0 0.45^64, far
+    # below rounding: it is the 512-node count to 1e-12, the double
+    # resonances of the triple barrier included
+    rng = np.random.default_rng(443)
+    haar = [random_sequence(rng, n0) for n0 in (2, 3, 4, 6, 8, 11, 16) for _ in range(2)]
+    for cs in [triple_barrier(), hadamard_pair(), *_repro_windows(), *haar]:
         rs = find_resonances(cs)
         for r in rs:
             rho = min([0.1] + [0.45 * d for d in (_strip_distance(o.xi, r.xi) for o in rs) if d > 1e-9])
-            assert abs(winding_count(cs, r.xi, rho) - r.alg_multiplicity) < 1e-9
+            val, ref = winding_count(cs, r.xi, rho), _winding_512(cs, r.xi, rho)
+            assert abs(val - r.alg_multiplicity) < 1e-9
+            assert abs(val - ref) < 1e-12
+            assert validate_multiplicity(cs, r, others=rs) == round(ref.real) == r.alg_multiplicity
+    assert [r.alg_multiplicity for r in find_resonances(triple_barrier())] == [2, 2]
+
+
+@pytest.mark.simd_portable
+def test_winding_count_error_law_at_the_radius_rule():
+    # a zero z at distance D outside the circle moves the 64-node count by
+    # -(rho/D)^64 / (1 - (rho/D)^64): at D = rho/0.45, the nearest a zero
+    # gets on validate_multiplicity's circles, that is 6e-23, and at
+    # D = rho/0.9 it is 1.2e-3, read to 1e-9 relative
+    for cs in (hadamard_pair(), triple_barrier()):
+        for r in find_resonances(cs):
+            center = r.xi + 0.2
+            assert abs(winding_count(cs, center, 0.45 * 0.2)) < 1e-12
+            q = 0.9**64
+            assert winding_count(cs, center, 0.9 * 0.2) == pytest.approx(-r.alg_multiplicity * q / (1 - q), rel=1e-9)
 
 
 def test_validate_multiplicity_sees_images_across_the_strip_edge():

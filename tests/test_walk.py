@@ -512,9 +512,9 @@ def test_step_and_the_window_stream_read_the_one_coin_kernel(monkeypatch):
 
     kernel, calls = qwres.walk._coin, []
 
-    def doubled(c1, c2, x, out):
+    def doubled(c1, c2, x, xr, out, tmp):
         calls.append(x.shape)
-        return kernel(2 * c1, 2 * c2, x, out)
+        return kernel(2 * c1, 2 * c2, x, xr, out, tmp)
 
     rng = np.random.default_rng(97)
     for n0 in (0, 1, 4):
