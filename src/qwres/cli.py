@@ -182,13 +182,25 @@ def _cmd_validate(args):
     return _json(obj) + "\n"
 
 
+# a resonance's row as _json writes it, left open; each row set is filled by one %
+_RESONANCE = '{"xi": [%.17g, %.17g], "lambda": [%.17g, %.17g], "multiplicity": %d'
+
+
+def _resonance_values(r) -> tuple:
+    return r.xi.real, r.xi.imag, r.lam.real, r.lam.imag, r.alg_multiplicity
+
+
+def _spread(rows: list, depth: int) -> str:
+    """A list of inline rows as _json lays it out at depth: one row a line, or [] when empty."""
+    pad = "\n" + "  " * depth
+    return "[" + pad + "  " + ("," + pad + "  ").join(rows) + pad + "]" if rows else "[]"
+
+
 def _cmd_resonances(args):
     cs, _ = _load_config(args.config)
-    rows = [
-        {"xi": r.xi, "lambda": r.lam, "multiplicity": r.alg_multiplicity}
-        for r in find_resonances(cs)
-    ]
-    return _json(rows) + "\n"
+    found = find_resonances(cs)
+    values = tuple(chain.from_iterable(map(_resonance_values, found)))
+    return _spread([_RESONANCE + "}"] * len(found), 0) % values + "\n"
 
 
 def _cmd_polynomial(args):
@@ -286,14 +298,12 @@ def _cmd_expand(args):
     psi0 = _default_psi0(psi0)
     ed = expand(cs, psi0)
     zero_norm = float(_norms(np.array([ed.zero_coefficients], dtype=complex))[0])
-    blocks = [
-        {"xi": b.resonance.xi, "lambda": b.resonance.lam,
-         "multiplicity": b.resonance.alg_multiplicity, "coefficients": b.coefficients}
-        for b in ed.blocks
-    ]
-    obj = {"nu": ed.nu, "zero_part_index": ed.zero_part_index, "blocks": blocks,
-           "zero_coefficient_norm": zero_norm}
-    return _json(obj) + "\n"
+    rows, values = [], [ed.nu, ed.zero_part_index]
+    for b in ed.blocks:
+        rows.append(_RESONANCE + ', "coefficients": [' + ", ".join(["[%.17g, %.17g]"] * len(b.coefficients)) + "]}")
+        values += _resonance_values(b.resonance) + tuple(p for c in b.coefficients for p in (c.real, c.imag))
+    text = '{\n  "nu": %d,\n  "zero_part_index": %d,\n  "blocks": ' + _spread(rows, 1)
+    return (text + ',\n  "zero_coefficient_norm": %.17g\n}\n') % (*values, zero_norm)
 
 
 def _cmd_survival(args):

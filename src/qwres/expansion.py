@@ -120,8 +120,12 @@ def expand(cs: CoinSequence, psi0: WaveState) -> ExpansionData:
     resonances._window_chains', the ones resonant_chain extends, so
     reconstruct pairs each coefficient with its own chain vector; the
     certified simple ones, and their residuals, are read off the record
-    without a product with K.  One full SVD of K^{iota_0} gives both the
-    rank test and the kernel basis.
+    without a product with K.  Where the resonances' total multiplicity is
+    dim - 2, K's zero eigenvalue has algebraic multiplicity 2 and the
+    record's two disjoint unit edge witnesses span its kernel: iota_0 = 1,
+    and they are its basis; elsewhere one full SVD of K^{iota_0}
+    (_zero_block) gives the rank test and the kernel basis.  A chain
+    coefficient near eps kappa(basis) max|c| has no digits: compare normwise.
     """
     n0 = cs.n0
     nu = incoming_length(psi0, n0)
@@ -131,18 +135,18 @@ def expand(cs: CoinSequence, psi0: WaveState) -> ExpansionData:
     x = window_vector(WaveState(0, rows[-1, 1:-1]), n0)
     [resonances] = _resonances(cs, lambda: _spectrum(cs).evals)
     spec = _spectrum(cs)
-    iota, (_, s, vh) = _zero_block(spec.k)
     mults = [r.alg_multiplicity for r in resonances]
     cols = [v for chain in _window_chains(spec, [r.lam for r in resonances], mults) for v in chain]
-    dim = 2 * (n0 + 1)
     total_m = len(cols)
-    zdim = dim - total_m
-    kp_rank = _rank(s)
-    if kp_rank != total_m:
-        raise InvariantViolation(
-            f"rank of K^{iota} is {kp_rank}, expected total multiplicity {total_m}"
-        )
-    zero_basis = [vh[dim - 1 - i].conj() for i in range(zdim)]
+    zdim = 2 * (n0 + 1) - total_m
+    if zdim == 2:  # iota = 1: the record's two edge witnesses span K's kernel
+        iota, zero_basis = 1, list(spec.evecs.T[-2:])
+    else:
+        iota, (_, s, vh) = _zero_block(spec.k)
+        kp_rank = _rank(s)
+        if kp_rank != total_m:
+            raise InvariantViolation(f"rank of K^{iota} is {kp_rank}, expected total multiplicity {total_m}")
+        zero_basis = list(vh[::-1][:zdim].conj())
     basis = np.column_stack(cols + zero_basis)
     e = math.frexp(float(np.abs(x.view(float)).max()))[1]
     x = np.ldexp(x.view(float), -e).view(complex)
@@ -157,13 +161,14 @@ def expand(cs: CoinSequence, psi0: WaveState) -> ExpansionData:
         coef = np.ldexp(coef.view(float), e).view(complex)
     if not np.isfinite(coef).all():
         raise SpectralOverflow("an expansion coefficient leaves the float range")
+    coef = coef.tolist()
     blocks = []
     pos = 0
     for r in resonances:
         m = r.alg_multiplicity
-        blocks.append(ResonanceBlock(r, tuple(complex(c) for c in coef[pos : pos + m])))
+        blocks.append(ResonanceBlock(r, tuple(coef[pos : pos + m])))
         pos += m
-    zero_part = tuple(complex(c) for c in coef[pos:])
+    zero_part = tuple(coef[pos:])
     return ExpansionData(n0, nu, tuple(blocks), iota, zero_part)
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -25,6 +26,8 @@ from qwres import (
     state_from_json,
 )
 from qwres.cli import _csv, main
+from qwres.expansion import ExpansionData, ResonanceBlock
+from qwres.states import _norms
 from qwres.walk import BLOCK, _states
 from test_expansion import identity_at_site_0
 
@@ -751,6 +754,42 @@ def test_expand_json(capsys, hadamard_cfg):
     assert len(parsed["blocks"]) == 2
     for b in parsed["blocks"]:
         assert abs(complex(*b["coefficients"][0])) == pytest.approx(2**-0.5, abs=1e-12)
+
+
+@pytest.mark.simd_portable
+def test_resonances_and_expand_rows_are_the_json_of_their_dicts(capsys, monkeypatch, hadamard_cfg):
+    # both commands fill one row template per row set with one %; the bytes
+    # are _json's of the dict rows, for signed zeros, subnormals, 1e+-300,
+    # integral floats, multiplicities 1-3, no resonances and no blocks
+    rng = np.random.default_rng(47)
+    special = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e-300, 1.0, -3.0, 2.0**53, 0.1, 1.7976931348623157e308]
+
+    def number():
+        if rng.random() < 0.5:
+            return special[rng.integers(len(special))]
+        return float(rng.normal() * 10.0 ** rng.integers(-320, 300))
+
+    def pair():
+        return complex(number(), number())
+
+    for size in (0, 1, 2, 3, 7):
+        found = [
+            types.SimpleNamespace(xi=pair(), lam=pair(), alg_multiplicity=int(rng.integers(1, 4))) for _ in range(size)
+        ]
+        blocks = tuple(ResonanceBlock(r, tuple(pair() for _ in range(r.alg_multiplicity))) for r in found)
+        zero = tuple(pair() for _ in range(rng.integers(0, 3)))
+        ed = ExpansionData(1, int(rng.integers(0, 5)), blocks, int(rng.integers(1, 4)), zero)
+        monkeypatch.setattr(cli, "find_resonances", lambda cs: found)
+        monkeypatch.setattr(cli, "expand", lambda cs, psi0: ed)
+        rows = [{"xi": r.xi, "lambda": r.lam, "multiplicity": r.alg_multiplicity} for r in found]
+        assert run(capsys, "resonances", "--config", hadamard_cfg) == (0, cli._json(rows) + "\n", "")
+        obj = {
+            "nu": ed.nu,
+            "zero_part_index": ed.zero_part_index,
+            "blocks": [dict(row, coefficients=b.coefficients) for row, b in zip(rows, blocks)],
+            "zero_coefficient_norm": float(_norms(np.array([zero], dtype=complex))[0]),
+        }
+        assert run(capsys, "expand", "--config", hadamard_cfg) == (0, cli._json(obj) + "\n", "")
 
 
 def test_expand_past_overflow_of_the_squares(tmp_path, capsys):

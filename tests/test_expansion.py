@@ -148,7 +148,8 @@ def test_expansion_at_either_end_of_the_float_range():
 def test_expand_builds_K_once(monkeypatch):
     # one K and one eigensolve of its parity product BA, of size
     # 2 floor((n0 + 1) / 2), serve the dense cross-check, the chains and the
-    # zero block, however many resonances the window has, and then
+    # kernel part, the two edge witnesses the eigensolve appends on these
+    # generic windows, however many resonances the window has, and then
     # resonant_chain for every block; eigvals runs only where
     # find_resonances asks for eigenvalues alone, on BA too (as a stack of
     # one); the resolvent, which refuses on its condition number alone,
@@ -266,6 +267,45 @@ def test_uncertified_chains_fall_back_to_the_svd(monkeypatch):
             got = reconstruct(ed, chains, t, (lo, hi))
             true = traj[t].restrict(lo, hi)
             assert (got - true).norm() <= 1e-9 * true.norm()
+
+
+def test_generic_kernel_part_is_the_edge_witnesses(monkeypatch):
+    # where the resonances' total multiplicity is dim - 2, K's zero eigenvalue
+    # has algebraic multiplicity 2 and the two edge witnesses span its
+    # kernel: expand takes iota = 1 and that basis, with no SVD of K; its
+    # coefficients are those of the SVD's kernel basis within 1e-12 of the
+    # largest.  The triple barrier's double resonances leave dim - 2 too;
+    # a nilpotent block (iota = 3) or a pure shift still takes the SVD
+    real = qwres.expansion._zero_block
+    calls = []
+    monkeypatch.setattr(qwres.expansion, "_zero_block", lambda k: calls.append(len(k)) or real(k))
+    windows = []
+    for n0 in (*range(1, 9), 16, 32):
+        rng = np.random.default_rng(n0)
+        windows.append((random_sequence(rng, n0), random_state(rng, n0, 3)))
+    windows.append((triple_barrier(), random_state(np.random.default_rng(0), 2, 3)))
+    for cs, psi0 in windows:
+        ed = expand(cs, psi0)
+        assert calls == [] and ed.nu > 0 and ed.zero_part_index == 1
+        spec = qwres.resonances._spectrum(cs)
+        iota, (_, _, vh) = real(spec.k)
+        calls.clear()
+        lams, mults = zip(*((b.resonance.lam, b.resonance.alg_multiplicity) for b in ed.blocks))
+        cols = [v for chain in qwres.resonances._window_chains(spec, lams, mults) for v in chain]
+        kernel = vh[::-1][:2].conj()  # the SVD path's kernel basis, one vector a row
+        x = window_vector(evolve(psi0, cs, ed.nu)[-1], cs.n0)
+        want = np.linalg.solve(np.column_stack(cols + list(kernel)), x)
+        got = np.array(sum((b.coefficients for b in ed.blocks), ()))
+        scale = np.abs(want).max()
+        assert iota == 1 and len(got) == len(cols)
+        assert np.abs(got - want[:-2]).max() <= 1e-12 * scale
+        zero_part = spec.evecs[:, -2:] @ np.array(ed.zero_coefficients)
+        assert np.abs(zero_part - want[-2:] @ kernel).max() <= 1e-12 * scale
+    shift = CoinSequence(3, (identity_coin(),) * 4), basis_state(0, "L")
+    for (cs, psi0), index in ((identity_at_site_0(0), 3), (shift, 4)):
+        ed = expand(cs, psi0)
+        assert calls == [2 * (cs.n0 + 1)] and ed.zero_part_index == index
+        calls.clear()
 
 
 def test_expand_chains_are_resonant_chain_windows(monkeypatch):
