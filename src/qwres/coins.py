@@ -19,8 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress
 
 import numpy as np
 
@@ -61,16 +60,47 @@ A2_TOL = 1e-14
 HYPERBOLOID_TOL = 1e-8
 _BELOW_PI = math.nextafter(math.pi, 0.0)
 _ENTRY_KEYS, _ABCD = frozenset("abcd"), operator.itemgetter(*"abcd")  # an entry-form coin's keys, and its values
+_ROTATION_KEYS = frozenset({"rotation"})  # a rotation-form coin's keys
+_set = object.__setattr__  # how a record's __init__ sets its fields past _Record.__setattr__
 
 
-@dataclass(frozen=True)
-class Coin:
+class _Record:
+    """A frozen record, whose __init__ sets the fields named in _fields once.
+
+    As a frozen dataclass does, it refuses assignment and deletion, compares and hashes by the tuple of
+    its fields, prints as Name(field=value, ...) and matches its fields by position."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__, cls._key = cls._fields, staticmethod(operator.attrgetter(*cls._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self._key(self) == self._key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+
+class Coin(_Record):
     """One site's 2x2 unitary coin, stored entrywise."""
 
-    a: complex
-    b: complex
-    c: complex
-    d: complex
+    _fields = ("a", "b", "c", "d")
+
+    def __init__(self, a: complex, b: complex, c: complex, d: complex) -> None:
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
+        _set(self, "d", d)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -187,28 +217,25 @@ def _validated(m: np.ndarray, sites=None) -> list[Coin]:
     return [Coin(*entries) for entries in m.reshape(-1, 4).tolist()]
 
 
-@dataclass(frozen=True)
-class CoinSequence:
+class CoinSequence(_Record):
     """Coins on the perturbed sites 0..n0; identity everywhere else."""
 
-    n0: int
-    coins: tuple[Coin, ...]
-    # row n holds (a, b, c, d) of coins[n]; read-only, outside ==, hash and repr
-    table: np.ndarray = field(init=False, repr=False, compare=False)
+    _fields = ("n0", "coins")
 
-    def __post_init__(self):
-        if self.n0 < 0:
-            raise UnsupportedN0(f"n0 must be nonnegative, got {self.n0}")
-        if len(self.coins) != self.n0 + 1:
-            raise ValueError(
-                f"need n0 + 1 = {self.n0 + 1} coins, got {len(self.coins)}"
-            )
-        for u in self.coins:
+    def __init__(self, n0: int, coins: tuple[Coin, ...]) -> None:
+        if n0 < 0:
+            raise UnsupportedN0(f"n0 must be nonnegative, got {n0}")
+        if len(coins) != n0 + 1:
+            raise ValueError(f"need n0 + 1 = {n0 + 1} coins, got {len(coins)}")
+        for u in coins:
             if not isinstance(u, Coin):
                 raise TypeError("coins must be Coin instances, use validate_coin")
-        table = np.array([(u.a, u.b, u.c, u.d) for u in self.coins], dtype=complex)
+        _set(self, "n0", n0)
+        _set(self, "coins", coins)
+        # row n holds (a, b, c, d) of coins[n]; read-only, outside ==, hash and repr
+        table = np.array([(u.a, u.b, u.c, u.d) for u in coins], dtype=complex)
         table.flags.writeable = False
-        object.__setattr__(self, "table", table)
+        _set(self, "table", table)
 
     def coin_at(self, n: int) -> Coin:
         """Coin at site n (identity outside the perturbed window)."""
@@ -216,14 +243,13 @@ class CoinSequence:
             return self.coins[n]
         return _IDENTITY
 
-    def __hash__(self) -> int:  # the dataclass hash, cached: _spectrum's lru_cache hashes the walk at every lookup
+    def __hash__(self) -> int:  # the record hash, cached: _spectrum's lru_cache hashes the walk at every lookup
         if "_hash" not in self.__dict__:
-            object.__setattr__(self, "_hash", hash((self.n0, self.coins)))
+            _set(self, "_hash", super().__hash__())
         return self._hash
 
 
-@dataclass(frozen=True)
-class PQTheta:
+class PQTheta(_Record):
     """Point (p, q, theta) with |p|^2 - |q|^2 = 1, theta in [0, pi).
 
     The defect may be HYPERBOLOID_TOL (|p|^2 + |q|^2), the size of the two
@@ -231,17 +257,16 @@ class PQTheta:
     HYPERBOLOID_TOL itself.
     """
 
-    p: complex
-    q: complex
-    theta: float
+    _fields = ("p", "q", "theta")
 
-    def __post_init__(self):
-        size = abs(self.p) ** 2 + abs(self.q) ** 2
-        defect = abs(abs(self.p) ** 2 - abs(self.q) ** 2 - 1.0)
+    def __init__(self, p: complex, q: complex, theta: float) -> None:
+        _set(self, "p", p)
+        _set(self, "q", q)
+        _set(self, "theta", theta)
+        size = abs(p) ** 2 + abs(q) ** 2
+        defect = abs(abs(p) ** 2 - abs(q) ** 2 - 1.0)
         if not defect <= HYPERBOLOID_TOL * size:
-            raise ConstraintViolated(
-                f"|p|^2 - |q|^2 deviates from 1 by {defect:.3e}"
-            )
+            raise ConstraintViolated(f"|p|^2 - |q|^2 deviates from 1 by {defect:.3e}")
 
 
 def coin_to_pqtheta(coin: Coin) -> PQTheta:
@@ -432,9 +457,9 @@ def sequence_from_json(obj) -> CoinSequence:
     coins_raw = obj["coins"]
     if not isinstance(coins_raw, list) or len(coins_raw) != n0 + 1:
         raise ConfigParse(f'"coins" must list n0 + 1 = {n0 + 1} coins')
-    # the coins are read and checked in one array pass when every one is in entry
+    # the coins are read and checked in one array pass when each is in entry or rotation
     # form; otherwise each is read and checked in turn, so the first bad coin raises
-    if all(type(c) is dict and c.keys() == _ENTRY_KEYS for c in coins_raw):
+    if all(type(c) is dict and (c.keys() == _ENTRY_KEYS or c.keys() == _ROTATION_KEYS) for c in coins_raw):
         stack = _entry_stack(coins_raw)
         if stack is not None:
             return CoinSequence(n0, tuple(_validated(stack, range(len(stack)))))
@@ -442,16 +467,27 @@ def sequence_from_json(obj) -> CoinSequence:
 
 
 def _entry_stack(coins) -> np.ndarray | None:
-    """The (N, 2, 2) entries of N coins {"a": [re, im], ..., "d": [re, im]}; None unless
-    each value is a list of two ints or floats, not bools, finite as floats, read as float(v) reads it."""
-    pairs = list(chain.from_iterable(map(_ABCD, coins)))
+    """The (N, 2, 2) entries of N coins {"a": [re, im], ..., "d": [re, im]} or {"rotation": r}; None
+    unless each value is a list of two ints or floats or, for r, one int or float, not bools, finite as
+    floats, read as float(v) reads it, and each |r| < 1.  A rotation coin's entries are rotation_coin(r)'s."""
+    rotation = [len(c) == 1 for c in coins]
+    rs = [c["rotation"] for c in compress(coins, rotation)]
+    pairs = list(chain.from_iterable(map(_ABCD, compress(coins, map(operator.not_, rotation)) if rs else coins)))
     lists_of_two = set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
-    nums = list(chain.from_iterable(pairs)) if lists_of_two else [None]
+    nums = list(chain.from_iterable(pairs)) + rs if lists_of_two else [None]
     try:  # np.array reads an int as float(v) does, with OverflowError past the float range
         x = np.array(nums, dtype=float) if set(map(type, nums)) <= {int, float} else None
     except OverflowError:
         return None
-    return None if x is None or not np.isfinite(x).all() else x.view(complex).reshape(-1, 2, 2)
+    if x is None or not np.isfinite(x).all() or rs and not (np.abs(x[x.size - len(rs) :]) < 1).all():
+        return None
+    if not rs:
+        return x.view(complex).reshape(-1, 2, 2)
+    r = x[x.size - len(rs) :]
+    entries, s = np.zeros((len(coins), 4), dtype=complex), np.sqrt(1 - r * r)  # IEEE sqrt, as math.sqrt
+    entries[np.logical_not(rotation)] = x[: x.size - len(rs)].view(complex).reshape(-1, 4)
+    entries.real[rotation] = np.stack([s, r, -r, s], axis=-1)  # the imaginary parts stay +0
+    return entries.reshape(-1, 2, 2)
 
 
 def sequence_to_json(cs: CoinSequence) -> dict:

@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .coins import CoinSequence
+from .coins import CoinSequence, _Record, _set
 from .errors import A3Violated, AllZeroTail, InvariantViolation, SpectralOverflow, UnsupportedN0
 from .errors import WindowOutsideCone
 from .resonances import (
@@ -51,16 +50,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ResonanceBlock:
+class ResonanceBlock(_Record):
     """Chain coefficients c_1 .. c_m of one resonance in an expansion."""
 
-    resonance: Resonance
-    coefficients: tuple
+    _fields = ("resonance", "coefficients")
+
+    def __init__(self, resonance: Resonance, coefficients: tuple) -> None:
+        _set(self, "resonance", resonance)
+        _set(self, "coefficients", coefficients)
 
 
-@dataclass(frozen=True)
-class ExpansionData:
+class ExpansionData(_Record):
     """A window state decomposed over Jordan chains plus the zero block.
 
     nu is the number of steps run before decomposing; zero_part_index is
@@ -68,11 +68,14 @@ class ExpansionData:
     is claimed only for t >= nu + zero_part_index.
     """
 
-    n0: int
-    nu: int
-    blocks: tuple
-    zero_part_index: int
-    zero_coefficients: tuple
+    _fields = ("n0", "nu", "blocks", "zero_part_index", "zero_coefficients")
+
+    def __init__(self, n0: int, nu: int, blocks: tuple, zero_part_index: int, zero_coefficients: tuple) -> None:
+        _set(self, "n0", n0)
+        _set(self, "nu", nu)
+        _set(self, "blocks", blocks)
+        _set(self, "zero_part_index", zero_part_index)
+        _set(self, "zero_coefficients", zero_coefficients)
 
 
 def _rank(s: np.ndarray) -> int:

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .coins import CoinSequence, PQTheta, _s_entries, _s_products, _validated
+from .coins import CoinSequence, PQTheta, _Record, _s_entries, _s_products, _set, _validated
 from .errors import DegenerateDirection, LeftS, NoMultipleResonance, ProductLeavesS, QWResError
 from .resonances import _resonance_family
 
@@ -36,13 +35,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PerturbationFamily:
+class PerturbationFamily(_Record):
     """A base walk, a perturbation direction phi, and the eps values to probe."""
 
-    base: CoinSequence
-    phi: float
-    epsilons: tuple
+    _fields = ("base", "phi", "epsilons")
+
+    def __init__(self, base: CoinSequence, phi: float, epsilons: tuple) -> None:
+        _set(self, "base", base)
+        _set(self, "phi", phi)
+        _set(self, "epsilons", epsilons)
 
 
 def perturb(cs: CoinSequence, eps: float, phi: float) -> CoinSequence:

@@ -46,11 +46,10 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .coins import CoinSequence
+from .coins import CoinSequence, _Record, _set
 from .errors import (
     ChainSolveFailed,
     InvariantViolation,
@@ -74,32 +73,32 @@ CLUSTER_SCALE = 1e-6
 _EPS = np.finfo(float).eps
 
 
-@dataclass(frozen=True)
-class Resonance:
+class Resonance(_Record):
     """One resonance: strip coordinate xi, eigenvalue lam, root mu.
 
     lam = e^{-i xi} and mu = lam^2 are stored redundantly and checked
     against each other; Im xi < 0 so |lam| < 1.
     """
 
-    xi: complex
-    lam: complex
-    mu: complex
-    alg_multiplicity: int
+    _fields = ("xi", "lam", "mu", "alg_multiplicity")
 
-    def __post_init__(self):
-        if not -math.pi <= self.xi.real < math.pi:
-            raise InvariantViolation(f"Re xi = {self.xi.real} outside [-pi, pi)")
-        if not self.xi.imag < 0:
-            raise InvariantViolation(f"Im xi = {self.xi.imag} not negative")
-        if abs(self.lam) >= 1:
-            raise InvariantViolation(f"|lambda| = {abs(self.lam)} not below 1")
-        if abs(cmath.exp(-1j * self.xi) - self.lam) > 1e-12 * (1 + abs(self.lam)):
+    def __init__(self, xi: complex, lam: complex, mu: complex, alg_multiplicity: int) -> None:
+        if not -math.pi <= xi.real < math.pi:
+            raise InvariantViolation(f"Re xi = {xi.real} outside [-pi, pi)")
+        if not xi.imag < 0:
+            raise InvariantViolation(f"Im xi = {xi.imag} not negative")
+        if abs(lam) >= 1:
+            raise InvariantViolation(f"|lambda| = {abs(lam)} not below 1")
+        if abs(cmath.exp(-1j * xi) - lam) > 1e-12 * (1 + abs(lam)):
             raise InvariantViolation("xi and lambda disagree beyond 1e-12")
-        if abs(self.lam**2 - self.mu) > 1e-12 * (1 + abs(self.mu)):
+        if abs(lam**2 - mu) > 1e-12 * (1 + abs(mu)):
             raise InvariantViolation("lambda^2 and mu disagree beyond 1e-12")
-        if self.alg_multiplicity < 1:
+        if alg_multiplicity < 1:
             raise InvariantViolation("multiplicity must be positive")
+        _set(self, "xi", xi)
+        _set(self, "lam", lam)
+        _set(self, "mu", mu)
+        _set(self, "alg_multiplicity", alg_multiplicity)
 
 
 def _cluster(roots: np.ndarray, walk: np.ndarray) -> list[np.ndarray]:
@@ -325,8 +324,7 @@ def validate_multiplicity(cs: CoinSequence, res: Resonance, others: list[Resonan
     return count
 
 
-@dataclass(frozen=True)
-class JordanChainStates:
+class JordanChainStates(_Record):
     """The Jordan chain phi^1 .. phi^m at one resonance, extended outward.
 
     Each state lives on the window [-window_radius, n0 + window_radius].
@@ -334,13 +332,15 @@ class JordanChainStates:
     equations with the minimum-norm choice, so nothing is orthonormalized.
     """
 
-    resonance: Resonance
-    states: tuple[WaveState, ...]
-    window_radius: int
+    _fields = ("resonance", "states", "window_radius")
+
+    def __init__(self, resonance: Resonance, states: tuple[WaveState, ...], window_radius: int) -> None:
+        _set(self, "resonance", resonance)
+        _set(self, "states", states)
+        _set(self, "window_radius", window_radius)
 
 
-@dataclass(frozen=True)
-class _Spectrum:
+class _Spectrum(_Record):
     """The spectral record of one walk; every array is read-only.
 
     evals, V = walk._parity_eig(A, B, k) on K's blocks, each column of V in
@@ -352,12 +352,17 @@ class _Spectrum:
     did at a zero or near-zero mu.
     """
 
-    k: np.ndarray
-    evals: np.ndarray
-    evecs: np.ndarray
-    resid: np.ndarray
-    inv_cond: float
-    delta: float
+    _fields = ("k", "evals", "evecs", "resid", "inv_cond", "delta")
+
+    def __init__(
+        self, k: np.ndarray, evals: np.ndarray, evecs: np.ndarray, resid: np.ndarray, inv_cond: float, delta: float
+    ) -> None:
+        _set(self, "k", k)
+        _set(self, "evals", evals)
+        _set(self, "evecs", evecs)
+        _set(self, "resid", resid)
+        _set(self, "inv_cond", inv_cond)
+        _set(self, "delta", delta)
 
 
 @functools.lru_cache(maxsize=1)

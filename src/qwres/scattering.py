@@ -20,30 +20,31 @@ overflows for |Im xi| up to 30 and well beyond in the lower half plane.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .coins import CoinSequence
+from .coins import CoinSequence, _Record, _set
 from .errors import AtResonance
 from .transfer import _refuse_overflow, _transfer_entries
 
 __all__ = ["ScatteringMatrix", "scattering_matrix"]
 
 
-@dataclass(frozen=True)
-class ScatteringMatrix:
+class ScatteringMatrix(_Record):
     """Transmission and reflection coefficients at one spectral parameter.
 
     For an array of spectral parameters every field is an array of the
     same shape, and matrix and unitarity_residual work point by point.
     """
 
-    xi: complex
-    t_minus: complex
-    t_plus: complex
-    r_minus: complex
-    r_plus: complex
+    _fields = ("xi", "t_minus", "t_plus", "r_minus", "r_plus")
+
+    def __init__(self, xi: complex, t_minus: complex, t_plus: complex, r_minus: complex, r_plus: complex) -> None:
+        _set(self, "xi", xi)
+        _set(self, "t_minus", t_minus)
+        _set(self, "t_plus", t_plus)
+        _set(self, "r_minus", r_minus)
+        _set(self, "r_plus", r_plus)
 
     @property
     def matrix(self) -> np.ndarray:

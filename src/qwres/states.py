@@ -12,11 +12,9 @@ the perturbed sites ``0..n0`` and orders the entries as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .coins import _complex_from_pair
+from .coins import _Record, _complex_from_pair, _set
 from .errors import ConfigParse
 
 __all__ = [
@@ -32,8 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WaveState:
+class WaveState(_Record):
     """Dense window of chirality amplitudes; minimal and immutable.
 
     Parameters
@@ -46,11 +43,10 @@ class WaveState:
         an empty array with ``support_lo = 0``.
     """
 
-    support_lo: int
-    amplitudes: np.ndarray
+    _fields = ("support_lo", "amplitudes")
 
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
+    def __init__(self, support_lo: int, amplitudes: np.ndarray) -> None:
+        amps = np.asarray(amplitudes, dtype=complex)
         if amps.ndim != 2 or amps.shape[1] != 2:
             raise ValueError(f"amplitudes must have shape (N, 2), got {amps.shape}")
         nonzero = (amps != 0).any(axis=1).nonzero()[0]
@@ -58,11 +54,11 @@ class WaveState:
             lo, amps = 0, np.zeros((0, 2), dtype=complex)
         else:
             first, last = nonzero[0], nonzero[-1]
-            lo = self.support_lo + int(first)
+            lo = support_lo + int(first)
             amps = amps[first : last + 1].copy()
         amps.flags.writeable = False
-        object.__setattr__(self, "support_lo", int(lo))
-        object.__setattr__(self, "amplitudes", amps)
+        _set(self, "support_lo", int(lo))
+        _set(self, "amplitudes", amps)
 
     @property
     def support_hi(self) -> int:
@@ -192,8 +188,7 @@ def incoming_length(psi: WaveState, n0: int) -> int:
     return nu
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(_Record):
     """Split of a state into window, incoming and outgoing parts.
 
     comp lives on [0, n0].  incoming is what still moves toward the window:
@@ -202,9 +197,12 @@ class Decomposition:
     to the original state exactly, entry by entry.
     """
 
-    comp: WaveState
-    incoming: WaveState
-    outgoing: WaveState
+    _fields = ("comp", "incoming", "outgoing")
+
+    def __init__(self, comp: WaveState, incoming: WaveState, outgoing: WaveState) -> None:
+        _set(self, "comp", comp)
+        _set(self, "incoming", incoming)
+        _set(self, "outgoing", outgoing)
 
 
 def decompose(psi: WaveState, n0: int) -> Decomposition:

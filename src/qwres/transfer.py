@@ -15,11 +15,10 @@ z^2 p(z^2).  The roots of p in mu = e^{-2 i xi} encode the resonances.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .coins import CoinSequence, _site_entries, _tables
+from .coins import CoinSequence, _Record, _set, _site_entries, _tables
 from .errors import RelationCheckFailed, SpectralOverflow
 
 __all__ = [
@@ -115,8 +114,7 @@ def _horner(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
-@dataclass(frozen=True)
-class TransferPolynomial:
+class TransferPolynomial(_Record):
     """p in monic form together with the leading coefficient it was scaled by.
 
     coeffs is lowest degree first with coeffs[-1] == 1; the original
@@ -125,13 +123,13 @@ class TransferPolynomial:
     the window, which assumption (A2) keeps away from zero.
     """
 
-    coeffs: np.ndarray
-    leading: complex
+    _fields = ("coeffs", "leading")
 
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
+    def __init__(self, coeffs: np.ndarray, leading: complex) -> None:
+        c = np.asarray(coeffs, dtype=complex)
         c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
+        _set(self, "coeffs", c)
+        _set(self, "leading", leading)
 
     @property
     def degree(self) -> int:

@@ -536,13 +536,13 @@ def test_survival_makes_no_state_per_step(capsys, monkeypatch, hadamard_cfg):
     import qwres.states
 
     made = []
-    post_init = qwres.states.WaveState.__post_init__
+    init = qwres.states.WaveState.__init__
 
-    def counted(self):
+    def counted(self, *args, **kwargs):
         made.append(self)
-        post_init(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(qwres.states.WaveState, "__post_init__", counted)
+    monkeypatch.setattr(qwres.states.WaveState, "__init__", counted)
     code, _, _ = run(capsys, "survival", "--config", hadamard_cfg, "--T", "2000")
     assert code == 0
     assert len(made) <= 2
@@ -681,11 +681,11 @@ def test_evolve_steps_the_window_and_formats_each_amplitude_once(capsys, monkeyp
 
     T, n0 = 300, TRIPLE_CFG["n0"]
     made, shapes, formatted = [], [], []
-    post_init, kernel, texts = qwres.states.WaveState.__post_init__, qwres.walk._coin, cli._texts
+    init, kernel, texts = qwres.states.WaveState.__init__, qwres.walk._coin, cli._texts
 
-    def counted_state(self):
+    def counted_state(self, *args, **kwargs):
         made.append(self)
-        post_init(self)
+        init(self, *args, **kwargs)
 
     def counted_coin(c1, c2, x, xr, out, tmp):
         shapes.append((c1.shape, c2.shape, x.shape, out.shape))
@@ -695,7 +695,7 @@ def test_evolve_steps_the_window_and_formats_each_amplitude_once(capsys, monkeyp
         formatted.append(z.size)
         return texts(z)
 
-    monkeypatch.setattr(qwres.states.WaveState, "__post_init__", counted_state)
+    monkeypatch.setattr(qwres.states.WaveState, "__init__", counted_state)
     monkeypatch.setattr(qwres.walk, "_coin", counted_coin)
     monkeypatch.setattr(cli, "_texts", counted_texts)
     code, out, _ = run(capsys, "evolve", "--config", triple_cfg, "--T", str(T))

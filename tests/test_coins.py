@@ -364,6 +364,30 @@ def test_sequence_json_checks_coins_as_validate_coin_does():
             coin_from_json(bad["coins"][first])
 
 
+def test_sequence_json_reads_rotation_coins_in_the_array_pass(monkeypatch):
+    # a valid config that mixes rotation coins with entry-form ones is checked
+    # in one _validated pass, and its table is the per-coin reader's bit for bit
+    import qwres.coins
+
+    rng = np.random.default_rng(53)
+    rotations = [0.3, 0, -0.0, -0.75, 1 - 2**-53, -(1 - 2**-53), 5e-324, 12 / 13]
+    coins = [coin_to_json(haar_coin(rng)) for _ in range(9)] + [{"rotation": r} for r in rotations]
+    coins = [coins[k] for k in rng.permutation(len(coins))]
+    obj = {"n0": len(coins) - 1, "coins": coins}
+    want = CoinSequence(obj["n0"], tuple(qwres.coins._read_coin(c, k) for k, c in enumerate(coins)))
+    calls, validated = [], qwres.coins._validated
+
+    def counted(m, sites=None):
+        calls.append(len(m))
+        return validated(m, sites)
+
+    monkeypatch.setattr(qwres.coins, "_validated", counted)
+    got = sequence_from_json(obj)
+    assert calls == [len(coins)]
+    assert got == want
+    assert np.array_equal(got.table.view(np.uint64), want.table.view(np.uint64))
+
+
 def _per_coin_sequence(obj):
     """sequence_from_json as a loop of coin_from_json over the coins.
 

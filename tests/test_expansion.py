@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import json
 import math
 import sys
@@ -17,6 +16,7 @@ from qwres import (
     A3Violated,
     AllZeroTail,
     CoinSequence,
+    ExpansionData,
     InvariantViolation,
     QWResError,
     SpectralOverflow,
@@ -382,7 +382,7 @@ def test_reconstruct_cone_leaves_out_the_zero_part_emissions():
                 reconstruct(ed, chains, t, (lo + 1, hi - 2))
             with pytest.raises(WindowOutsideCone):
                 reconstruct(ed, chains, t, (lo + 2, hi - 1))
-            unguarded = dataclasses.replace(ed, zero_part_index=1)
+            unguarded = ExpansionData(ed.n0, ed.nu, ed.blocks, 1, ed.zero_coefficients)
             wide = reconstruct(unguarded, chains, t, (lo, hi))
             true = traj[t].restrict(lo, hi)
             assert (wide - true).norm() > 0.1 * true.norm()
