@@ -39,7 +39,7 @@ from .coins import (
     sequence_to_json,
     triple_barrier,
 )
-from .errors import ConfigParse, InvariantViolation, QWResError
+from .errors import ConfigParse, InvariantViolation, OutputUnwritable, QWResError
 from .expansion import decay_fit_full, expand, nilpotency_index, reconstruct
 from .genericity import PerturbationFamily, splitting_experiment, splitting_slope
 from .resolvent import identity_residual, neumann_resolvent, apply_resolvent
@@ -227,6 +227,18 @@ def _texts(z: np.ndarray) -> list[str]:
     ]
 
 
+def _kept(site_tags: list, start: int, mask: bytearray) -> list:
+    """compress(site_tags[start : start + len(mask)], mask); one slice where the mask keeps
+    every slot, or every other one as it does for a psi0 on sites of one parity."""
+    stop = start + len(mask)
+    if 0 not in mask:
+        return site_tags[start:stop]
+    k = 1 - mask[0]
+    if 0 not in mask[k::2] and 1 not in mask[1 - k :: 2]:
+        return site_tags[start + k : stop : 2]
+    return list(compress(site_tags[start:stop], mask))
+
+
 def _cmd_evolve(args):
     cs, psi0 = _load_config(args.config)
     psi0 = _default_psi0(psi0)
@@ -236,8 +248,7 @@ def _cmd_evolve(args):
     # amplitude's text is made once, from psi0 at t = 0 or as the coins
     # make it, and kept under its invariant: left[n + t - lo] and
     # right[n - t - lo + 2T].  Nothing leaves psi0's light cone, the sites
-    # lo - t .. hi + t.  A line is three entries of parts, "\nt,", the
-    # site's tag "n,L," or "n,R," and the text, joined once at the end.
+    # lo - t .. hi + t.
     lo, hi = psi0.support_lo, psi0.support_hi
     width = hi - lo + 1 + 2 * T
     left, right = [""] * width, [""] * width
@@ -245,18 +256,16 @@ def _cmd_evolve(args):
     right[2 * T :] = _texts(psi0.amplitudes[:, 1])
     tags = [f"{n},{c}," for n in range(lo - T, hi + T + 1) for c in "LR"]
     l_tags, r_tags, dt = tags[::2], tags[1::2], T - lo  # the tags of n at n + dt
+    # An L left of the window and an R right of it are final: no coin
+    # writes their slots again.  Such slots are read once, as they leave
+    # the window, into the nonzero texts and the mask of nonzero slots of
+    # left[:len(l_mask)] and right[width - len(r_mask):], which grow at the
+    # end and at the front.  A line is three entries of parts, "\nt,", the
+    # site's tag "n,L," or "n,R," and the text; a step places its lines at
+    # once, and parts is joined once at the end.
+    l_got, l_mask, r_got, r_mask = [], bytearray(), [], bytearray()
     parts = ["t,n,chirality,re,im"]
     norms = []
-
-    def emit(prefix, site_tags, texts):
-        """The lines of the nonzero texts, each after its site's tag."""
-        got = list(filter(None, texts))
-        if got:
-            start = len(parts)
-            parts.extend([prefix] * (3 * len(got)))
-            parts[start + 1 :: 3] = compress(site_tags, texts)
-            parts[start + 2 :: 3] = got
-
     t = 0
     for rows in _window_blocks(psi0, cs, T):
         norms.append(_window_norms(rows[:, 1:-1]))
@@ -278,15 +287,28 @@ def _cmd_evolve(args):
                     right[a - t - lo + 2 * T : b - t - lo + 2 * T + 1] = made_r[j + a - 1 : j + b]
             # the cone's sites lo - t .. a - 1 hold only L, as an R left of
             # the window is psi0's from n - t, in lo .. hi; b + 1 .. hi + t
-            # hold only R, by the mirror argument; a .. b hold both
+            # hold only R, by the mirror argument; a .. b hold both.  a <= 0
+            # and b >= n0 where those runs are not empty, so their slots are
+            # final, and a + dl never falls nor b + dr rises as t grows
             a, b = max(lo - t, min(lo + t, 0)), min(hi + t, max(hi - t, n0))
             dl, dr = t - lo, 2 * T - t - lo  # left[n + dl] and right[n + dr]
-            prefix = f"\n{t},"
-            emit(prefix, l_tags[T - t : a + dt], left[: a + dl])
+            new = left[len(l_mask) : a + dl]
+            l_got += filter(None, new)
+            l_mask.extend(map(bool, new))
+            new = right[b + dr + 1 : width - len(r_mask)]
+            r_got[:0] = filter(None, new)
+            r_mask[:0] = map(bool, new)
             mixed = [""] * (2 * (b - a + 1))
             mixed[::2], mixed[1::2] = left[a + dl : b + dl + 1], right[a + dr : b + dr + 1]
-            emit(prefix, tags[2 * (a + dt) : 2 * (b + dt + 1)], mixed)
-            emit(prefix, r_tags[b + dt + 1 : hi + t + dt + 1], right[b + dr + 1 :])
+            got = [*l_got, *filter(None, mixed), *r_got]
+            site_tags = [
+                *_kept(l_tags, T - t, l_mask),
+                *compress(tags[2 * (a + dt) : 2 * (b + dt + 1)], mixed),
+                *_kept(r_tags, b + dt + 1, r_mask),
+            ]
+            lines = [f"\n{t},"] * (3 * len(got))
+            lines[1::3], lines[2::3] = site_tags, got
+            parts += lines
             t += 1
     parts.append("\n")
     norms = _finite_norms(np.concatenate(norms))
@@ -512,24 +534,31 @@ def _summary_path(out: str) -> Path:
     return Path(str(path) + ".summary")
 
 
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise OutputUnwritable(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         result = args.run(args)
+        if isinstance(result, tuple):
+            body, summary = result
+            if args.out:
+                _write(Path(args.out), body)
+                _write(_summary_path(args.out), summary)
+            else:
+                sys.stdout.writelines((body, "\n", summary))
+        elif args.out:
+            _write(Path(args.out), result)
+        else:
+            sys.stdout.write(result)
     except QWResError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code
-    if isinstance(result, tuple):
-        body, summary = result
-        if args.out:
-            Path(args.out).write_text(body, encoding="utf-8")
-            _summary_path(args.out).write_text(summary, encoding="utf-8")
-        else:
-            sys.stdout.writelines((body, "\n", summary))
-    elif args.out:
-        Path(args.out).write_text(result, encoding="utf-8")
-    else:
-        sys.stdout.write(result)
     return 0
 
 

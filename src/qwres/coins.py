@@ -64,16 +64,29 @@ _ROTATION_KEYS = frozenset({"rotation"})  # a rotation-form coin's keys
 _set = object.__setattr__  # how a record's __init__ sets its fields past _Record.__setattr__
 
 
+def _same(x, y) -> bool:
+    """x == y, an ndarray on either side compared by shape and value."""
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        return np.array_equal(x, y)
+    return x == y
+
+
 class _Record:
     """A frozen record, whose __init__ sets the fields named in _fields once.
 
     As a frozen dataclass does, it refuses assignment and deletion, compares and hashes by the tuple of
-    its fields, prints as Name(field=value, ...) and matches its fields by position."""
+    its fields, prints as Name(field=value, ...) and matches its fields by position.  A record whose
+    fields can hold an ndarray sets _arrays: its == compares such a field by shape and value
+    (np.array_equal), and its hash() raises TypeError while a field holds one, as an ndarray is
+    unhashable."""
 
     _fields: tuple[str, ...] = ()
+    _arrays = False
 
     def __init_subclass__(cls):
         cls.__match_args__, cls._key = cls._fields, staticmethod(operator.attrgetter(*cls._fields))
+        if cls._arrays:
+            cls.__eq__ = _Record._eq_arrays
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -83,6 +96,9 @@ class _Record:
 
     def __eq__(self, other):
         return self._key(self) == self._key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def _eq_arrays(self, other):
+        return all(map(_same, self._key(self), self._key(other))) if other.__class__ is self.__class__ else NotImplemented
 
     def __hash__(self) -> int:
         return hash(self._key(self))

@@ -8,6 +8,7 @@ raises these directly; nothing here depends on the rest of the package.
 __all__ = [
     "QWResError",
     "ConfigParse",
+    "OutputUnwritable",
     "NotUnitary",
     "A2Violated",
     "ConstraintViolated",
@@ -37,6 +38,12 @@ class ConfigParse(QWResError):
     """A config file could not be read or has the wrong shape."""
 
     exit_code = 3
+
+
+class OutputUnwritable(QWResError):
+    """The --out file, or the summary file beside it, could not be written."""
+
+    exit_code = 4
 
 
 class NotUnitary(QWResError):

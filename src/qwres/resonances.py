@@ -353,6 +353,7 @@ class _Spectrum(_Record):
     """
 
     _fields = ("k", "evals", "evecs", "resid", "inv_cond", "delta")
+    _arrays = True
 
     def __init__(
         self, k: np.ndarray, evals: np.ndarray, evecs: np.ndarray, resid: np.ndarray, inv_cond: float, delta: float

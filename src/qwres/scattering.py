@@ -38,6 +38,7 @@ class ScatteringMatrix(_Record):
     """
 
     _fields = ("xi", "t_minus", "t_plus", "r_minus", "r_plus")
+    _arrays = True
 
     def __init__(self, xi: complex, t_minus: complex, t_plus: complex, r_minus: complex, r_plus: complex) -> None:
         _set(self, "xi", xi)

@@ -44,6 +44,7 @@ class WaveState(_Record):
     """
 
     _fields = ("support_lo", "amplitudes")
+    _arrays = True
 
     def __init__(self, support_lo: int, amplitudes: np.ndarray) -> None:
         amps = np.asarray(amplitudes, dtype=complex)

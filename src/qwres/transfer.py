@@ -124,6 +124,7 @@ class TransferPolynomial(_Record):
     """
 
     _fields = ("coeffs", "leading")
+    _arrays = True
 
     def __init__(self, coeffs: np.ndarray, leading: complex) -> None:
         c = np.asarray(coeffs, dtype=complex)

@@ -258,47 +258,71 @@ TWO_SIDED_CFG = {
 
 @pytest.mark.simd_portable
 @pytest.mark.parametrize(
-    "cfg, digest, summary_digest",
+    "cfg, T, digest, summary_digest",
     [
         (
             HADAMARD_CFG,
+            60,
             "e126748de3c0907c012dc7c5f912c9a5d7e8d769323ef9ea30584862eaef2a9f",
             "61d9b7f6fb055758fbdfe573223f965b82ee7c09816ff310629d17957c0eea4d",
         ),
         (
             TRIPLE_CFG,
+            60,
             "3af9282d078d974cf404e2ad3a1e7d09aa40210e1a5491f807b66b7389af6f22",
             "e90e67b112f599fa6d35bbcd87cbd8a901f157c8906ee089dfa05657124f87b1",
         ),
         (
             LITERAL_CFG,
+            60,
             "a476f3027935865958c91296281e45316c4ca7b70206a636d0ad852fdd4ed219",
             "ae2f61518e4b4eebc78d4d235e9cafca3a58231669662baa318120ca86baf8fb",
         ),
         (
             REAL_CFG,
+            60,
             "91f8b22f33f6527690a0375137768fa0b67476aaf5445afdd335b7f66c2e6c3c",
             "54b90d18ad3f7429d32510a3dd8a0b0f709fea6312e9b23b770128c42d01eca9",
         ),
         (
             TWO_SIDED_CFG,
+            60,
             "aed68a17339a56199a65750e4f7f2baae1086570ebdfd79c7e86105c02202ea9",
             "c6ad0ef31a20769aa89478df83f5af709a354808b74db252565946149e8ea2dd",
         ),
+        (
+            HADAMARD_CFG,
+            300,
+            "5e18ac439b3c4650cd3f890672f91c0bf4f7ba2ce239f37379c8eb39d704efab",
+            "1acf31a50c87aa4660833639fe498406f6731007ad35a41e3560079a8367419c",
+        ),
+        (
+            TRIPLE_CFG,
+            300,
+            "0c374248d57ed8a5d96d5001fb7e19b08fec99e11939d7ebd331ed565cccaf85",
+            "66926558ef3d3b72c6df6a88c71e22b9974f0ec3d504f02fa68571f96d936ac8",
+        ),
+        (
+            TWO_SIDED_CFG,
+            300,
+            "5c27edf57160b41395d33d08f8081ff981fcbbff90b1c174c45667c66bbe555f",
+            "5652fdf703f9f6ab655b57d937355c4c69263d066a427270f82470a655eba396",
+        ),
     ],
-    ids=["hadamard", "triple", "literal", "real", "two-sided"],
+    ids=["hadamard", "triple", "literal", "real", "two-sided", "hadamard-300", "triple-300", "two-sided-300"],
 )
-def test_evolve_trajectory_bytes_are_pinned(tmp_path, capsys, cfg, digest, summary_digest):
+def test_evolve_trajectory_bytes_are_pinned(tmp_path, capsys, cfg, T, digest, summary_digest):
     # a change to the step that moves any amplitude by one ulp, or the sign
-    # of a printed zero, shows up here.  The digests were recorded on x86-64
-    # with numpy 2.4.  Neither the trajectory nor the window norms of the
+    # of a printed zero, shows up here; T = 300 is the benchmark's evolve
+    # size, about 45,000 lines.  The digests were recorded on x86-64 with
+    # numpy 2.4.  Neither the trajectory nor the window norms of the
     # summary make a BLAS or LAPACK call, so they hold on every OpenBLAS
     # kernel.
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     out_path = tmp_path / "traj.csv"
     code, out, _ = run(
-        capsys, "evolve", "--config", str(cfg_path), "--T", "60", "--out", str(out_path)
+        capsys, "evolve", "--config", str(cfg_path), "--T", str(T), "--out", str(out_path)
     )
     assert code == 0 and out == ""
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
@@ -729,6 +753,28 @@ def test_out_writes_the_stdout_bytes(tmp_path, capsys, hadamard_cfg, argv):
     code, out, err = run(capsys, *argv, "--config", hadamard_cfg, "--out", str(out_path))
     assert code == 0 and out == "" and err == ""
     assert out_path.read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent", "summary-directory"])
+def test_unwritable_out_exits_4(tmp_path, capsys, hadamard_cfg, where):
+    # one typed line on stderr and nothing on stdout; where only the summary
+    # file cannot be written, the trajectory before it is left written
+    out_path = {
+        "directory": tmp_path,
+        "missing-parent": tmp_path / "missing" / "x.csv",
+        "summary-directory": tmp_path / "x.csv",
+    }[where]
+    if where == "summary-directory":
+        (tmp_path / "x.summary.csv").mkdir()
+    code, out, err = run(capsys, "evolve", "--config", hadamard_cfg, "--T", "3", "--out", str(out_path))
+    assert code == 4 and out == ""
+    assert err.startswith("error: OutputUnwritable: cannot write ") and err.count("\n") == 1
+    if where == "summary-directory":
+        assert out_path.read_text().startswith("t,n,chirality,re,im\n")
+    else:
+        # a command of one stream refuses the path in the same way
+        code, out, err = run(capsys, "resonances", "--config", hadamard_cfg, "--out", str(out_path))
+        assert code == 4 and out == "" and err.startswith("error: OutputUnwritable: ")
 
 
 def test_evolve_out_without_csv_suffix_writes_a_summary_file(tmp_path, capsys, hadamard_cfg):

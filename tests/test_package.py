@@ -115,6 +115,25 @@ def test_records_compare_and_hash_by_their_fields():
     assert coin != qwres.Coin(coin.a, coin.b, coin.c, -coin.d)
 
 
+def test_records_with_array_fields_compare_by_shape_and_value():
+    cs = qwres.triple_barrier()
+    psi = qwres.basis_state(0, "L") + 0.5 * qwres.basis_state(1, "R")
+    twin = qwres.WaveState(psi.support_lo, psi.amplitudes.copy())
+    assert psi is not twin and psi == twin and not psi != twin
+    longer = qwres.WaveState(psi.support_lo, np.vstack([psi.amplitudes, [[0.0, 0.25]]]))
+    assert psi != longer and longer != psi and psi != qwres.basis_state(0, "L")
+    assert qwres.transfer_polynomial(cs) == qwres.transfer_polynomial(cs)
+    assert qwres.transfer_polynomial(cs) != qwres.transfer_polynomial(qwres.hadamard_pair())
+    res = qwres.find_resonances(cs)[0]
+    chain = qwres.resonant_chain(cs, res, 2)
+    assert chain == qwres.resonant_chain(cs, res, 2) and chain != qwres.resonant_chain(cs, res, 3)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(psi)
+    # the records without arrays keep the tuple comparison of their fields
+    scalar_only = (qwres.Coin, qwres.CoinSequence, qwres.Resonance)
+    assert all(r.__eq__ is qwres.coins._Record.__eq__ for r in scalar_only)
+
+
 def test_record_repr_is_the_dataclass_text():
     records = _records()
     assert repr(records[0]) == (
