@@ -21,6 +21,8 @@ import argparse
 import functools
 import json
 import math
+import os
+import stat
 import sys
 from itertools import chain, compress
 from pathlib import Path
@@ -94,7 +96,7 @@ def _load_config(path):
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ConfigParse(f"cannot read config {path}: {exc}") from exc
+        raise ConfigParse(f"cannot read config {path}: {exc.strerror or exc}") from exc
     try:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -535,10 +537,40 @@ def _summary_path(out: str) -> Path:
 
 
 def _write(path: Path, text: str) -> None:
+    """Write text to path, an existing file rewritten in place and cut to length.
+
+    No truncating open: on a file just rewritten it costs more than the bytes.
+    A regular file is cut to what was written, also when a write fails.
+    """
+    view = memoryview(text.encode("utf-8"))
     try:
-        path.write_text(text, encoding="utf-8")
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            st = os.fstat(fd)
+            written = 0
+            try:
+                while written < len(view):
+                    written += os.write(fd, view[written:])
+            finally:
+                if stat.S_ISREG(st.st_mode) and st.st_size > written:
+                    os.ftruncate(fd, written)
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise OutputUnwritable(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _print(texts) -> None:
+    """Write texts to stdout; a closed pipe is refused, and fd 1 then points
+    at os.devnull so the flush at exit stays quiet."""
+    try:
+        sys.stdout.writelines(texts)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise OutputUnwritable(f"cannot write stdout: {exc.strerror or exc}") from exc
 
 
 def main(argv=None) -> int:
@@ -551,11 +583,11 @@ def main(argv=None) -> int:
                 _write(Path(args.out), body)
                 _write(_summary_path(args.out), summary)
             else:
-                sys.stdout.writelines((body, "\n", summary))
+                _print((body, "\n", summary))
         elif args.out:
             _write(Path(args.out), result)
         else:
-            sys.stdout.write(result)
+            _print((result,))
     except QWResError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code

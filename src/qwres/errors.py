@@ -41,7 +41,7 @@ class ConfigParse(QWResError):
 
 
 class OutputUnwritable(QWResError):
-    """The --out file, or the summary file beside it, could not be written."""
+    """The --out file, the summary file beside it, or stdout could not be written."""
 
     exit_code = 4
 

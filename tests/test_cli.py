@@ -2,10 +2,14 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -741,18 +745,88 @@ def test_evolve_summary_is_the_survival_output(tmp_path, capsys):
     assert (tmp_path / "traj.summary.csv").read_bytes() == out.encode()
 
 
+JSON_ARGV, CSV_ARGV = ("expand",), ("scattering", "--xi-grid=-3.0:3.0:9,0.0")
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [("expand",), ("scattering", "--xi-grid=-3.0:3.0:9,0.0")],
-    ids=["json", "csv"],
+    "argv, before",
+    [
+        (JSON_ARGV, None),
+        (CSV_ARGV, None),
+        (JSON_ARGV, "longer"),
+        (CSV_ARGV, "longer"),
+        (JSON_ARGV, "shorter"),
+        (CSV_ARGV, "shorter"),
+        (("resonances",), "device"),
+    ],
+    ids=["json", "csv", "json-over-longer", "csv-over-longer", "json-over-shorter", "csv-over-shorter", "device"],
 )
-def test_out_writes_the_stdout_bytes(tmp_path, capsys, hadamard_cfg, argv):
+def test_out_writes_the_stdout_bytes(tmp_path, capsys, hadamard_cfg, argv, before):
+    # an existing file is rewritten in place, the same inode cut to the new
+    # length; a device is written without truncation
     code, want, _ = run(capsys, *argv, "--config", hadamard_cfg)
     assert code == 0 and want
-    out_path = tmp_path / "result"
+    out_path = Path(os.devnull) if before == "device" else tmp_path / "result"
+    if before in ("longer", "shorter"):
+        out_path.write_bytes(b"x" * (2 * len(want) if before == "longer" else len(want) // 2))
+        inode = out_path.stat().st_ino
     code, out, err = run(capsys, *argv, "--config", hadamard_cfg, "--out", str(out_path))
     assert code == 0 and out == "" and err == ""
-    assert out_path.read_bytes() == want.encode()
+    if before != "device":
+        assert out_path.read_bytes() == want.encode()
+    if before in ("longer", "shorter"):
+        assert out_path.stat().st_ino == inode
+
+
+def _fresh_interpreter_env():
+    """The environment of a fresh interpreter that imports this qwres."""
+    return dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+
+
+def test_failed_write_is_cut_to_the_bytes_written(tmp_path, capsys, hadamard_cfg):
+    # a write refused at the file size limit exits 4 and leaves the prefix it
+    # wrote, with no tail of the longer file it was writing over
+    code, want, _ = run(capsys, "evolve", "--config", hadamard_cfg, "--T", "100")
+    assert code == 0 and len(want) > 100000
+    out_path = tmp_path / "traj.csv"
+    out_path.write_bytes(b"x" * 300000)
+    limited = (
+        "import resource, signal, sys\n"
+        "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+        "resource.setrlimit(resource.RLIMIT_FSIZE, (100000, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))\n"
+        "from qwres.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    argv = ["evolve", "--config", hadamard_cfg, "--T", "100", "--out", str(out_path)]
+    proc = subprocess.run(
+        [sys.executable, "-c", limited, *argv], env=_fresh_interpreter_env(), capture_output=True, text=True
+    )
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert proc.stderr == f"error: OutputUnwritable: cannot write {out_path}: File too large\n"
+    assert out_path.read_bytes() == want.encode()[:100000]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("evolve", "--T", "300"), ("resonances",)],
+    ids=["evolve-head-1", "resonances-closed-before"],
+)
+def test_closed_stdout_pipe_exits_4(hadamard_cfg, argv):
+    # `qwres ... | head -1`: one typed line on stderr and no traceback.  The
+    # 1.6 MB evolve outgrows the pipe, so it is still writing when the reader
+    # closes after one line; resonances starts with the read end closed.
+    read_end, write_end = os.pipe()
+    if argv[0] == "resonances":
+        os.close(read_end)
+    command = [sys.executable, "-m", "qwres.cli", *argv, "--config", hadamard_cfg]
+    with subprocess.Popen(command, stdout=write_end, stderr=subprocess.PIPE, env=_fresh_interpreter_env()) as proc:
+        os.close(write_end)
+        if argv[0] == "evolve":
+            with open(read_end, "rb") as reader:
+                assert reader.readline() == b"t,n,chirality,re,im\n"
+        err = proc.stderr.read().decode()
+    assert proc.returncode == 4
+    assert err == "error: OutputUnwritable: cannot write stdout: Broken pipe\n"
 
 
 @pytest.mark.parametrize("where", ["directory", "missing-parent", "summary-directory"])
@@ -991,9 +1065,10 @@ def test_one_parser_serves_every_call(capsys, monkeypatch, triple_cfg):
 
 
 def test_missing_config_file_exits_3(capsys):
+    # the path is named once, with the reason alone
     code, _, err = run(capsys, "resonances", "--config", "/nonexistent/nope.json")
     assert code == 3
-    assert "ConfigParse" in err
+    assert err == "error: ConfigParse: cannot read config /nonexistent/nope.json: No such file or directory\n"
 
 
 def test_bad_json_exits_3(tmp_path, capsys):
